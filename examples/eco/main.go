@@ -74,13 +74,13 @@ func main() {
 
 func graftObserver(c *circuit.Circuit) *circuit.Circuit {
 	b := circuit.NewBuilder(c.Name + "-eco")
-	order, err := c.TopoOrder()
+	cs, err := c.CSR()
 	if err != nil {
 		log.Fatal(err)
 	}
 	newID := make([]int, c.N())
-	for _, id := range order {
-		g := c.Gate(id)
+	for _, id := range cs.Order {
+		g := &c.Gates[id]
 		if g.Type == circuit.Input {
 			newID[id] = b.Input(g.Name)
 			continue

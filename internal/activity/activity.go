@@ -50,7 +50,7 @@ func Propagate(c *circuit.Circuit, inputs map[int]InputSpec) (*Profile, error) {
 	if c.IsSequential() {
 		return nil, fmt.Errorf("activity: circuit %q is sequential; cut DFFs first", c.Name)
 	}
-	order, err := c.TopoOrder()
+	cs, err := c.CSR()
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +58,8 @@ func Propagate(c *circuit.Circuit, inputs map[int]InputSpec) (*Profile, error) {
 		Prob:    make([]float64, c.N()),
 		Density: make([]float64, c.N()),
 	}
-	for _, id := range order {
+	for _, v := range cs.Order {
+		id := int(v)
 		g := c.Gate(id)
 		if g.Type == circuit.Input {
 			spec, ok := inputs[id]

@@ -154,14 +154,15 @@ func CorrelatedProbabilities(c *circuit.Circuit, inputs map[int]InputSpec) (*Cor
 	if c.IsSequential() {
 		return nil, fmt.Errorf("activity: circuit %q is sequential; cut DFFs first", c.Name)
 	}
-	order, err := c.TopoOrder()
+	cs, err := c.CSR()
 	if err != nil {
 		return nil, err
 	}
 	e := &corrEngine{}
 	sig := make([]int, c.N()) // gate ID -> engine signal
 	dens := make([]float64, c.N())
-	for _, id := range order {
+	for _, v := range cs.Order {
+		id := int(v)
 		g := c.Gate(id)
 		if g.Type == circuit.Input {
 			spec, ok := inputs[id]
@@ -247,8 +248,8 @@ func CorrelatedProbabilities(c *circuit.Circuit, inputs map[int]InputSpec) (*Cor
 	return out, nil
 }
 
-func excluding(fanin []int, i int) []int {
-	out := make([]int, 0, len(fanin)-1)
+func excluding(fanin []int32, i int) []int32 {
+	out := make([]int32, 0, len(fanin)-1)
 	for j, f := range fanin {
 		if j != i {
 			out = append(out, f)
@@ -258,7 +259,7 @@ func excluding(fanin []int, i int) []int {
 }
 
 // probOfAnd returns P(∧ gates) on the correlated engine (1 for an empty set).
-func (e *corrEngine) probOfAnd(gateIDs []int, sig []int) float64 {
+func (e *corrEngine) probOfAnd(gateIDs []int32, sig []int) float64 {
 	if len(gateIDs) == 0 {
 		return 1
 	}
@@ -270,7 +271,7 @@ func (e *corrEngine) probOfAnd(gateIDs []int, sig []int) float64 {
 }
 
 // probOfAndNot returns P(∧ ¬gates) on the correlated engine.
-func (e *corrEngine) probOfAndNot(gateIDs []int, sig []int) float64 {
+func (e *corrEngine) probOfAndNot(gateIDs []int32, sig []int) float64 {
 	if len(gateIDs) == 0 {
 		return 1
 	}
@@ -279,13 +280,4 @@ func (e *corrEngine) probOfAndNot(gateIDs []int, sig []int) float64 {
 		cur = e.addAnd(cur, e.addNot(sig[g]))
 	}
 	return e.prob[cur]
-}
-
-// CorrelatedProbabilitiesUniform applies one probability to every input.
-func CorrelatedProbabilitiesUniform(c *circuit.Circuit, prob float64) (*CorrelationProfile, error) {
-	in := make(map[int]InputSpec, len(c.PIs))
-	for _, id := range c.PIs {
-		in[id] = InputSpec{Prob: prob}
-	}
-	return CorrelatedProbabilities(c, in)
 }

@@ -8,6 +8,15 @@ import (
 	"cmosopt/internal/netgen"
 )
 
+// uniformProb gives every primary input of c signal probability prob.
+func uniformProb(c *circuit.Circuit, prob float64) map[int]InputSpec {
+	in := make(map[int]InputSpec, len(c.PIs))
+	for _, id := range c.PIs {
+		in[id] = InputSpec{Prob: prob}
+	}
+	return in
+}
+
 func TestCorrelatedMatchesIndependentOnTrees(t *testing.T) {
 	c, err := circuit.ParseBenchString("tree", `
 INPUT(a)
@@ -22,7 +31,7 @@ y = AND(g1, g2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	corr, err := CorrelatedProbabilitiesUniform(c, 0.3)
+	corr, err := CorrelatedProbabilities(c, uniformProb(c, 0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +58,7 @@ func TestCorrelatedHandlesHardReconvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corr, err := CorrelatedProbabilitiesUniform(c, 0.5)
+	corr, err := CorrelatedProbabilities(c, uniformProb(c, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +75,7 @@ func TestCorrelatedHandlesHardReconvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corr2, err := CorrelatedProbabilitiesUniform(c2, 0.3)
+	corr2, err := CorrelatedProbabilities(c2, uniformProb(c2, 0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +103,7 @@ func TestCorrelatedBeatsIndependenceOnRandomCircuits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		corr, err := CorrelatedProbabilitiesUniform(c, 0.5)
+		corr, err := CorrelatedProbabilities(c, uniformProb(c, 0.5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +132,7 @@ func TestCorrelatedProbabilityBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []float64{0.1, 0.5, 0.9} {
-		corr, err := CorrelatedProbabilitiesUniform(c, p)
+		corr, err := CorrelatedProbabilities(c, uniformProb(c, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +146,7 @@ func TestCorrelatedProbabilityBounds(t *testing.T) {
 
 func TestCorrelatedErrors(t *testing.T) {
 	seq, _ := circuit.ParseBenchString("seq", "INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n")
-	if _, err := CorrelatedProbabilitiesUniform(seq, 0.5); err == nil {
+	if _, err := CorrelatedProbabilities(seq, uniformProb(seq, 0.5)); err == nil {
 		t.Error("sequential circuit accepted")
 	}
 	c := gate1(t, circuit.Nand, 2)

@@ -24,7 +24,7 @@ func ExactProbabilities(c *circuit.Circuit, inputs map[int]InputSpec) ([]float64
 	if n > MaxExactInputs {
 		return nil, fmt.Errorf("activity: %d inputs exceed the exact-enumeration limit %d", n, MaxExactInputs)
 	}
-	order, err := c.TopoOrder()
+	cs, err := c.CSR()
 	if err != nil {
 		return nil, err
 	}
@@ -56,8 +56,8 @@ func ExactProbabilities(c *circuit.Circuit, inputs map[int]InputSpec) ([]float64
 		if weight == 0 {
 			continue
 		}
-		for _, id := range order {
-			g := c.Gate(id)
+		for _, id := range cs.Order {
+			g := &c.Gates[id]
 			if g.Type == circuit.Input {
 				continue
 			}

@@ -19,7 +19,7 @@ func MonteCarlo(c *circuit.Circuit, inputs map[int]InputSpec, cycles int, seed i
 	if cycles < 2 {
 		return nil, fmt.Errorf("activity: need at least 2 cycles, got %d", cycles)
 	}
-	order, err := c.TopoOrder()
+	cs, err := c.CSR()
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +54,7 @@ func MonteCarlo(c *circuit.Circuit, inputs map[int]InputSpec, cycles int, seed i
 	for _, id := range c.PIs {
 		val[id] = rng.Float64() < inputs[id].Prob
 	}
-	evalAll(c, order, val)
+	evalAll(c, cs.Order, val)
 	copy(prev, val)
 
 	for cy := 0; cy < cycles; cy++ {
@@ -67,7 +67,7 @@ func MonteCarlo(c *circuit.Circuit, inputs map[int]InputSpec, cycles int, seed i
 				val[id] = true
 			}
 		}
-		evalAll(c, order, val)
+		evalAll(c, cs.Order, val)
 		for i := range val {
 			if val[i] {
 				ones[i]++
@@ -88,9 +88,9 @@ func MonteCarlo(c *circuit.Circuit, inputs map[int]InputSpec, cycles int, seed i
 }
 
 // evalAll evaluates every logic gate's output in topological order.
-func evalAll(c *circuit.Circuit, order []int, val []bool) {
+func evalAll(c *circuit.Circuit, order []int32, val []bool) {
 	for _, id := range order {
-		g := c.Gate(id)
+		g := &c.Gates[id]
 		if g.Type == circuit.Input {
 			continue
 		}
@@ -99,7 +99,7 @@ func evalAll(c *circuit.Circuit, order []int, val []bool) {
 }
 
 // EvalGate computes a single gate's Boolean output given fanin values.
-func EvalGate(t circuit.GateType, fanin []int, val []bool) bool {
+func EvalGate(t circuit.GateType, fanin []int32, val []bool) bool {
 	switch t {
 	case circuit.Buf:
 		return val[fanin[0]]

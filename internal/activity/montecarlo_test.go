@@ -12,20 +12,20 @@ func TestEvalGateTruthTables(t *testing.T) {
 	val := []bool{false, true}
 	cases := []struct {
 		typ   circuit.GateType
-		fanin []int
+		fanin []int32
 		want  bool
 	}{
-		{circuit.Buf, []int{1}, true},
-		{circuit.Not, []int{1}, false},
-		{circuit.And, []int{0, 1}, false},
-		{circuit.And, []int{1, 1}, true},
-		{circuit.Nand, []int{1, 1}, false},
-		{circuit.Or, []int{0, 0}, false},
-		{circuit.Or, []int{0, 1}, true},
-		{circuit.Nor, []int{0, 0}, true},
-		{circuit.Xor, []int{0, 1}, true},
-		{circuit.Xor, []int{1, 1}, false},
-		{circuit.Xnor, []int{1, 1}, true},
+		{circuit.Buf, []int32{1}, true},
+		{circuit.Not, []int32{1}, false},
+		{circuit.And, []int32{0, 1}, false},
+		{circuit.And, []int32{1, 1}, true},
+		{circuit.Nand, []int32{1, 1}, false},
+		{circuit.Or, []int32{0, 0}, false},
+		{circuit.Or, []int32{0, 1}, true},
+		{circuit.Nor, []int32{0, 0}, true},
+		{circuit.Xor, []int32{0, 1}, true},
+		{circuit.Xor, []int32{1, 1}, false},
+		{circuit.Xnor, []int32{1, 1}, true},
 	}
 	for _, tc := range cases {
 		if got := EvalGate(tc.typ, tc.fanin, val); got != tc.want {

@@ -100,8 +100,8 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 			if !ok {
 				return nil, fmt.Errorf("%s:%d: gate %q references undefined signal %q", name, p.line, p.name, fn)
 			}
-			gates[id].Fanin = append(gates[id].Fanin, fid)
-			gates[fid].Fanout = append(gates[fid].Fanout, id)
+			gates[id].Fanin = append(gates[id].Fanin, int32(fid))
+			gates[fid].Fanout = append(gates[fid].Fanout, int32(id))
 		}
 	}
 	var pos []int
@@ -188,15 +188,7 @@ func WriteBench(w io.Writer, c *Circuit) error {
 	for _, id := range c.POs {
 		fmt.Fprintf(bw, "OUTPUT(%s)\n", c.Gates[id].Name)
 	}
-	// Emit defined gates in topological order when possible, else ID order.
-	order, err := c.TopoOrder()
-	if err != nil {
-		order = make([]int, len(c.Gates))
-		for i := range order {
-			order[i] = i
-		}
-	}
-	for _, id := range order {
+	for _, id := range writeOrder(c) {
 		g := &c.Gates[id]
 		if g.Type == Input {
 			continue
@@ -208,6 +200,19 @@ func WriteBench(w io.Writer, c *Circuit) error {
 		fmt.Fprintf(bw, "%s = %s(%s)\n", g.Name, benchFuncName(g.Type), strings.Join(names, ", "))
 	}
 	return bw.Flush()
+}
+
+// writeOrder is the gate sequence the netlist writers emit: topological
+// order when the circuit is acyclic, else ID order.
+func writeOrder(c *Circuit) []int32 {
+	if s, err := c.CSR(); err == nil {
+		return s.Order
+	}
+	order := make([]int32, len(c.Gates))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	return order
 }
 
 func benchFuncName(t GateType) string {

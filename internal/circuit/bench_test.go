@@ -60,7 +60,7 @@ mid = NOT(a)
 	if c.GateByName("mid") == nil {
 		t.Fatal("mid missing")
 	}
-	if _, err := c.TopoOrder(); err != nil {
+	if _, err := c.CSR(); err != nil {
 		t.Fatal(err)
 	}
 }

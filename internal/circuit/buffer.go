@@ -8,7 +8,7 @@ import "fmt"
 // inputs are kept even when unused, preserving the module interface.
 // Returns the new circuit and the number of gates removed.
 func PruneDead(c *Circuit) (*Circuit, int, error) {
-	order, err := c.TopoOrder()
+	cs, err := c.CSR()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -16,8 +16,8 @@ func PruneDead(c *Circuit) (*Circuit, int, error) {
 	for _, id := range c.POs {
 		live[id] = true
 	}
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
+	for i := len(cs.Order) - 1; i >= 0; i-- {
+		id := cs.Order[i]
 		if !live[id] {
 			continue
 		}
@@ -28,8 +28,8 @@ func PruneDead(c *Circuit) (*Circuit, int, error) {
 	b := NewBuilder(c.Name)
 	newID := make([]int, c.N())
 	removed := 0
-	for _, id := range order {
-		g := c.Gate(id)
+	for _, id := range cs.Order {
+		g := &c.Gates[id]
 		switch {
 		case g.Type == Input:
 			newID[id] = b.Input(g.Name) // interface preserved
@@ -68,7 +68,7 @@ func InsertBuffers(c *Circuit, maxFanout int) (*Circuit, int, error) {
 	if c.IsSequential() {
 		return nil, 0, fmt.Errorf("circuit: %q is sequential; cut DFFs before buffering", c.Name)
 	}
-	order, err := c.TopoOrder()
+	cs, err := c.CSR()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -82,11 +82,11 @@ func InsertBuffers(c *Circuit, maxFanout int) (*Circuit, int, error) {
 	// (≤ maxFanout sinks) or a level of at most maxFanout buffers, each
 	// handling a chunk of the sinks recursively — arbitrarily large fanouts
 	// become trees of depth ⌈log_maxFanout(fanout)⌉.
-	var buildTree func(origDriver, src int, sinks []int)
-	buildTree = func(origDriver, src int, sinks []int) {
+	var buildTree func(origDriver, src int, sinks []int32)
+	buildTree = func(origDriver, src int, sinks []int32) {
 		if len(sinks) <= maxFanout {
 			for _, s := range sinks {
-				redirect[[2]int{origDriver, s}] = src
+				redirect[[2]int{origDriver, int(s)}] = src
 			}
 			return
 		}
@@ -103,14 +103,14 @@ func InsertBuffers(c *Circuit, maxFanout int) (*Circuit, int, error) {
 		}
 	}
 
-	for _, id := range order {
-		g := c.Gate(id)
+	for _, id := range cs.Order {
+		g := &c.Gates[id]
 		if g.Type == Input {
 			newID[id] = b.Input(g.Name)
 		} else {
 			fanin := make([]int, len(g.Fanin))
 			for i, f := range g.Fanin {
-				if buf, ok := redirect[[2]int{f, id}]; ok {
+				if buf, ok := redirect[[2]int{int(f), int(id)}]; ok {
 					fanin[i] = buf
 				} else {
 					fanin[i] = newID[f]
@@ -119,7 +119,7 @@ func InsertBuffers(c *Circuit, maxFanout int) (*Circuit, int, error) {
 			newID[id] = b.Gate(g.Type, g.Name, fanin...)
 		}
 		if len(g.Fanout) > maxFanout {
-			buildTree(id, newID[id], append([]int(nil), g.Fanout...))
+			buildTree(int(id), newID[id], g.Fanout)
 		}
 	}
 	for _, po := range c.POs {

@@ -57,7 +57,7 @@ func TestInsertBuffersDeepTree(t *testing.T) {
 			t.Fatalf("gate %q fanout %d", nc.Gates[i].Name, n)
 		}
 	}
-	if _, err := nc.TopoOrder(); err != nil {
+	if _, err := nc.CSR(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -102,13 +102,13 @@ func TestInsertBuffersPreservesFunction(t *testing.T) {
 	}
 
 	evalByName := func(ct *Circuit, inputs map[string]bool) map[string]bool {
-		order, err := ct.TopoOrder()
+		cs, err := ct.CSR()
 		if err != nil {
 			t.Fatal(err)
 		}
 		val := make([]bool, ct.N())
-		for _, id := range order {
-			g := ct.Gate(id)
+		for _, id := range cs.Order {
+			g := &ct.Gates[id]
 			if g.Type == Input {
 				val[id] = inputs[g.Name]
 				continue

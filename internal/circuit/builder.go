@@ -52,10 +52,12 @@ func (b *Builder) add(t GateType, name string, fanin ...int) int {
 			return b.fail("builder %q: gate %q: bad fanin id %d", b.name, name, f)
 		}
 	}
-	b.gates = append(b.gates, Gate{ID: id, Name: name, Type: t, Fanin: append([]int(nil), fanin...)})
-	for _, f := range fanin {
-		b.gates[f].Fanout = append(b.gates[f].Fanout, id)
+	in := make([]int32, len(fanin))
+	for i, f := range fanin {
+		in[i] = int32(f)
+		b.gates[f].Fanout = append(b.gates[f].Fanout, int32(id))
 	}
+	b.gates = append(b.gates, Gate{ID: id, Name: name, Type: t, Fanin: in})
 	b.byN[name] = id
 	return id
 }

@@ -2,11 +2,12 @@ package circuit
 
 import (
 	"fmt"
-	"sort"
+	"sync"
 )
 
 // Circuit is an immutable gate-level network. Build one with a Builder, the
-// bench parser, or the netgen package. Gate IDs are indices into Gates.
+// bench or Verilog parser, or the netgen package. Gate IDs are indices into
+// Gates.
 type Circuit struct {
 	Name  string
 	Gates []Gate
@@ -16,12 +17,11 @@ type Circuit struct {
 	// have internal fanout.
 	POs []int
 
-	order  []int // cached topological order of all gates
-	levels []int // cached level per gate (0 = inputs)
-	depth  int   // cached logic depth
+	csr      *CSR  // the topology, built by seal (see csr.go)
+	cycleErr error // set by seal instead of levelizing a cyclic network
 
-	csr    *CSR           // cached struct-of-arrays view (see csr.go)
-	byName map[string]int // lazily built name→id index for GateByName
+	nameOnce sync.Once
+	byName   map[string]int // name→id index, built on first GateByName
 }
 
 // N returns the total number of gates, including inputs.
@@ -54,76 +54,32 @@ func (c *Circuit) IsSequential() bool {
 }
 
 // GateByName returns the gate with the given name, or nil. The name→id index
-// is built on first use (the legacy linear scan made every lookup O(n), which
-// the interactive tools felt at netgen scale). On a circuit with duplicate
-// names — which Validate rejects — the first occurrence wins, matching the
-// old scan.
+// is built once, on first use, and is safe to build from concurrent callers;
+// it stays lazy because most circuits are never looked up by name. On a
+// circuit with duplicate names — which Validate rejects — the first
+// occurrence wins.
 func (c *Circuit) GateByName(name string) *Gate {
-	if c.byName == nil {
-		idx := make(map[string]int, len(c.Gates))
+	c.nameOnce.Do(func() {
+		c.byName = make(map[string]int, len(c.Gates))
 		for i := range c.Gates {
-			if _, dup := idx[c.Gates[i].Name]; !dup {
-				idx[c.Gates[i].Name] = i
+			if _, dup := c.byName[c.Gates[i].Name]; !dup {
+				c.byName[c.Gates[i].Name] = i
 			}
 		}
-		c.byName = idx
-	}
+	})
 	if i, ok := c.byName[name]; ok {
 		return &c.Gates[i]
 	}
 	return nil
 }
 
-// TopoOrder returns a topological order over all gates (inputs first), the
-// level-grouped order of the CSR view. The result is cached and shared; treat
-// it as read-only. It fails if the circuit contains a combinational cycle;
-// cut DFFs first via Combinational.
-func (c *Circuit) TopoOrder() ([]int, error) {
-	if c.order != nil {
-		return c.order, nil
-	}
-	s, err := c.CSR()
-	if err != nil {
-		return nil, err
-	}
-	order := make([]int, len(s.Order))
-	for i, id := range s.Order {
-		order[i] = int(id)
-	}
-	c.order = order
-	return order, nil
-}
-
-// Levels returns, per gate ID, the length of the longest chain of logic gates
-// from any input up to and including that gate. Inputs are level 0; a gate
-// fed only by inputs is level 1. The slice is cached; treat as read-only.
-func (c *Circuit) Levels() ([]int, error) {
-	if c.levels != nil {
-		return c.levels, nil
-	}
-	s, err := c.CSR()
-	if err != nil {
-		return nil, err
-	}
-	lv := make([]int, len(s.Level))
-	for i, l := range s.Level {
-		lv[i] = int(l)
-	}
-	c.levels = lv
-	return lv, nil
-}
-
 // Depth returns the logic depth: the number of logic gates on the longest
 // input-to-output path (the "Depth" column of the paper's Table 1).
 func (c *Circuit) Depth() (int, error) {
-	if c.depth > 0 {
-		return c.depth, nil
-	}
 	s, err := c.CSR()
 	if err != nil {
 		return 0, err
 	}
-	c.depth = s.Depth
 	return s.Depth, nil
 }
 
@@ -151,7 +107,7 @@ func (c *Circuit) Validate() error {
 			return fmt.Errorf("gate %q: %s with %d fanins", g.Name, g.Type, n)
 		}
 		for _, f := range g.Fanin {
-			if f < 0 || f >= len(c.Gates) {
+			if f < 0 || int(f) >= len(c.Gates) {
 				return fmt.Errorf("gate %q: fanin %d out of range", g.Name, f)
 			}
 			if !containsID(c.Gates[f].Fanout, i) {
@@ -159,7 +115,7 @@ func (c *Circuit) Validate() error {
 			}
 		}
 		for _, f := range g.Fanout {
-			if f < 0 || f >= len(c.Gates) {
+			if f < 0 || int(f) >= len(c.Gates) {
 				return fmt.Errorf("gate %q: fanout %d out of range", g.Name, f)
 			}
 			if !containsID(c.Gates[f].Fanin, i) {
@@ -183,9 +139,9 @@ func (c *Circuit) Validate() error {
 	return nil
 }
 
-func containsID(s []int, id int) bool {
+func containsID(s []int32, id int) bool {
 	for _, v := range s {
-		if v == id {
+		if int(v) == id {
 			return true
 		}
 	}
@@ -198,21 +154,13 @@ func containsID(s []int, id int) bool {
 // standard register-to-register view under which the paper's cycle-time
 // constraint applies. Circuits with no DFFs are returned as a plain copy.
 func (c *Circuit) Combinational() (*Circuit, error) {
+	// The copied gates share c's edge views until seal gives them their own
+	// lists; the cut replaces the slices it changes instead of editing them.
 	nc := &Circuit{
 		Name:  c.Name,
-		Gates: make([]Gate, len(c.Gates)),
+		Gates: append([]Gate(nil), c.Gates...),
 		PIs:   append([]int(nil), c.PIs...),
 		POs:   append([]int(nil), c.POs...),
-	}
-	for i := range c.Gates {
-		g := c.Gates[i]
-		nc.Gates[i] = Gate{
-			ID:     g.ID,
-			Name:   g.Name,
-			Type:   g.Type,
-			Fanin:  append([]int(nil), g.Fanin...),
-			Fanout: append([]int(nil), g.Fanout...),
-		}
 	}
 	poSet := make(map[int]bool, len(nc.POs))
 	for _, id := range nc.POs {
@@ -224,9 +172,9 @@ func (c *Circuit) Combinational() (*Circuit, error) {
 			continue
 		}
 		// The driver becomes a pseudo-PO (its path must settle in a cycle).
-		d := g.Fanin[0]
+		d := int(g.Fanin[0])
 		driver := &nc.Gates[d]
-		driver.Fanout = removeID(driver.Fanout, i)
+		driver.Fanout = withoutID(driver.Fanout, i)
 		if !poSet[d] {
 			nc.POs = append(nc.POs, d)
 			poSet[d] = true
@@ -240,20 +188,21 @@ func (c *Circuit) Combinational() (*Circuit, error) {
 			nc.POs = append(nc.POs[:idx], nc.POs[idx+1:]...)
 		}
 	}
-	if _, err := nc.TopoOrder(); err != nil {
-		return nil, err
-	}
 	if err := nc.Validate(); err != nil {
 		return nil, fmt.Errorf("after DFF cut: %w", err)
 	}
 	nc.seal()
+	if nc.cycleErr != nil {
+		return nil, nc.cycleErr
+	}
 	return nc, nil
 }
 
-func removeID(s []int, id int) []int {
-	out := s[:0]
+// withoutID returns a new slice holding s's elements other than id.
+func withoutID(s []int32, id int) []int32 {
+	out := make([]int32, 0, len(s))
 	for _, v := range s {
-		if v != id {
+		if int(v) != id {
 			out = append(out, v)
 		}
 	}
@@ -271,25 +220,15 @@ func indexOf(s []int, id int) int {
 
 // LogicIDs returns the IDs of all logic gates in topological order.
 func (c *Circuit) LogicIDs() ([]int, error) {
-	order, err := c.TopoOrder()
+	s, err := c.CSR()
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]int, 0, len(order))
-	for _, id := range order {
-		if c.Gates[id].IsLogic() {
-			ids = append(ids, id)
+	ids := make([]int, 0, len(s.Order))
+	for _, id := range s.Order {
+		if s.IsLogic[id] {
+			ids = append(ids, int(id))
 		}
 	}
 	return ids, nil
-}
-
-// SortedNames returns all gate names sorted, mainly for deterministic output.
-func (c *Circuit) SortedNames() []string {
-	names := make([]string, len(c.Gates))
-	for i := range c.Gates {
-		names[i] = c.Gates[i].Name
-	}
-	sort.Strings(names)
-	return names
 }

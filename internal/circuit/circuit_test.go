@@ -56,12 +56,12 @@ func diamond(t *testing.T) *Circuit {
 
 func TestTopoOrderRespectsEdges(t *testing.T) {
 	c := diamond(t)
-	order, err := c.TopoOrder()
+	s, err := c.CSR()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos := make([]int, len(order))
-	for i, id := range order {
+	pos := make([]int, len(s.Order))
+	for i, id := range s.Order {
 		pos[id] = i
 	}
 	for i := range c.Gates {
@@ -75,21 +75,21 @@ func TestTopoOrderRespectsEdges(t *testing.T) {
 
 func TestTopoOrderCached(t *testing.T) {
 	c := diamond(t)
-	o1, _ := c.TopoOrder()
-	o2, _ := c.TopoOrder()
-	if &o1[0] != &o2[0] {
-		t.Error("TopoOrder should return the cached slice")
+	s1, _ := c.CSR()
+	s2, _ := c.CSR()
+	if s1 != s2 || &s1.Order[0] != &s2.Order[0] {
+		t.Error("CSR should return the order stored at construction")
 	}
 }
 
 func TestLevelsAndDepth(t *testing.T) {
 	c := chain(t, 5)
-	lv, err := c.Levels()
+	s, err := c.CSR()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lv[c.PIs[0]] != 0 {
-		t.Errorf("input level = %d, want 0", lv[c.PIs[0]])
+	if lv := s.Level[c.PIs[0]]; lv != 0 {
+		t.Errorf("input level = %d, want 0", lv)
 	}
 	d, err := c.Depth()
 	if err != nil {
@@ -143,8 +143,8 @@ func TestValidateRejectsBadStructures(t *testing.T) {
 		// Deep-copy gates so mutations don't share slices.
 		gates := make([]Gate, len(c.Gates))
 		for i, g := range c.Gates {
-			g.Fanin = append([]int(nil), g.Fanin...)
-			g.Fanout = append([]int(nil), g.Fanout...)
+			g.Fanin = append([]int32(nil), g.Fanin...)
+			g.Fanout = append([]int32(nil), g.Fanout...)
 			gates[i] = g
 		}
 		return &Circuit{Name: c.Name, Gates: gates, PIs: append([]int(nil), c.PIs...), POs: append([]int(nil), c.POs...)}
@@ -176,15 +176,16 @@ func TestCycleDetected(t *testing.T) {
 	c := &Circuit{
 		Name: "cyclic",
 		Gates: []Gate{
-			{ID: 0, Name: "a", Type: Input, Fanout: []int{1}},
-			{ID: 1, Name: "g1", Type: Nand, Fanin: []int{0, 2}, Fanout: []int{2}},
-			{ID: 2, Name: "g2", Type: Not, Fanin: []int{1}, Fanout: []int{1}},
+			{ID: 0, Name: "a", Type: Input, Fanout: []int32{1}},
+			{ID: 1, Name: "g1", Type: Nand, Fanin: []int32{0, 2}, Fanout: []int32{2}},
+			{ID: 2, Name: "g2", Type: Not, Fanin: []int32{1}, Fanout: []int32{1}},
 		},
 		PIs: []int{0},
 		POs: []int{2},
 	}
-	if _, err := c.TopoOrder(); err == nil {
-		t.Error("TopoOrder on cyclic circuit should fail")
+	c.seal()
+	if _, err := c.CSR(); err == nil {
+		t.Error("CSR on cyclic circuit should fail")
 	}
 }
 
@@ -242,14 +243,14 @@ func TestCombinationalCutsDFFs(t *testing.T) {
 	}
 	// q must no longer be in d's fanout.
 	for _, f := range d.Fanout {
-		if f == q.ID {
+		if int(f) == q.ID {
 			t.Error("driver still fans out to the cut flop")
 		}
 	}
 	if err := cc.Validate(); err != nil {
 		t.Errorf("cut circuit invalid: %v", err)
 	}
-	if _, err := cc.TopoOrder(); err != nil {
+	if _, err := cc.CSR(); err != nil {
 		t.Errorf("cut circuit not acyclic: %v", err)
 	}
 }
@@ -329,7 +330,7 @@ func TestLogicIDsTopological(t *testing.T) {
 	}
 }
 
-// TestRandomDAGsTopoProperty exercises TopoOrder/Levels on random DAGs.
+// TestRandomDAGsTopoProperty exercises the CSR levels on random DAGs.
 func TestRandomDAGsTopoProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -353,10 +354,11 @@ func TestRandomDAGsTopoProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		lv, err := c.Levels()
+		s, err := c.CSR()
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		lv := s.Level
 		for i := range c.Gates {
 			for _, f := range c.Gates[i].Fanin {
 				if lv[f] >= lv[i] {

@@ -13,14 +13,16 @@ import (
 // instead of chasing per-gate slice headers — the difference between hundreds
 // and a million gates.
 //
-// A CSR is immutable and owned by its Circuit; it is built once (lazily, or
-// eagerly at Builder.Build/ParseBench time for acyclic circuits) and shared
-// by every engine clone. All arrays are indexed by gate ID. Callers must
-// treat every exposed slice as read-only.
+// A CSR is the only stored topology of its Circuit: seal builds it once when
+// the circuit is constructed, and each Gate.Fanin/Fanout is a view of
+// FaninList/FanoutList. It is immutable and shared by every engine clone. All
+// arrays are indexed by gate ID. Callers must treat every exposed slice as
+// read-only.
 type CSR struct {
 	// FaninStart/FaninList: gate id's fanins are
 	// FaninList[FaninStart[id]:FaninStart[id+1]], in declaration order —
-	// identical to Gate.Fanin. FanoutStart/FanoutList mirror Gate.Fanout.
+	// the same backing array as Gate.Fanin. FanoutStart/FanoutList hold
+	// Gate.Fanout the same way.
 	FaninStart  []int32
 	FaninList   []int32
 	FanoutStart []int32
@@ -28,10 +30,10 @@ type CSR struct {
 
 	// Order is the topological order of all gate IDs, grouped by level:
 	// Order[LevelStart[l]:LevelStart[l+1]] holds the gates of level l, in
-	// the same relative sequence Kahn's FIFO walk produces (so Order is
-	// element-for-element the slice TopoOrder returns). Rank is the inverse
-	// permutation; Level is the longest-logic-chain level per gate (inputs
-	// are 0, see Circuit.Levels).
+	// the same relative sequence Kahn's FIFO walk produces. Rank is the
+	// inverse permutation; Level[id] is the length of the longest chain of
+	// logic gates from any input up to and including gate id (inputs are 0,
+	// a gate fed only by inputs is 1).
 	Order      []int32
 	Rank       []int32
 	Level      []int32
@@ -39,6 +41,8 @@ type CSR struct {
 
 	// IsLogic[id] caches Gate.IsLogic so sweeps skip the Gate deref.
 	IsLogic []bool
+	// IsPO[id] reports whether gate id is listed in Circuit.POs.
+	IsPO []bool
 
 	// Depth is the maximum level (the circuit's logic depth).
 	Depth int
@@ -82,61 +86,84 @@ func (s *CSR) LevelGates(l int) []int32 {
 	return s.Order[s.LevelStart[l]:s.LevelStart[l+1]]
 }
 
-// CSR returns the circuit's compact struct-of-arrays view, building and
-// caching it on first use. It fails on a combinational cycle (cut DFFs with
-// Combinational first). Like TopoOrder's cache, the first build is not
-// goroutine-safe; construct it before fanning out (Builder.Build, ParseBench
-// and netgen do so eagerly for acyclic circuits).
+// CSR returns the circuit's compact struct-of-arrays view, built when the
+// circuit was constructed. It fails on a combinational cycle (cut DFFs with
+// Combinational first) and on a Circuit assembled by hand rather than by a
+// Builder or a parser.
 func (c *Circuit) CSR() (*CSR, error) {
-	if c.csr != nil {
-		return c.csr, nil
+	switch {
+	case c.cycleErr != nil:
+		return nil, c.cycleErr
+	case c.csr == nil:
+		return nil, fmt.Errorf("circuit %q: not sealed; build it with a Builder or a parser", c.Name)
 	}
-	s, err := buildCSR(c)
-	if err != nil {
-		return nil, err
-	}
-	c.csr = s
-	return s, nil
+	return c.csr, nil
 }
 
-// buildCSR flattens the circuit into CSR form and levelizes it. The
-// topological order is computed with the same Kahn FIFO walk TopoOrder has
-// always used, so the order (and everything downstream of it) is
-// byte-identical to the legacy slice walk.
-func buildCSR(c *Circuit) (*CSR, error) {
+// seal finalizes a freshly constructed, validated circuit: it interns the
+// names, flattens the edges into the CSR lists with every Gate.Fanin/Fanout
+// re-pointed at its slice of them, and levelizes the network — or, for a
+// cyclic one (a raw sequential netlist with a DFF loop), records the error
+// CSR reports. After seal only the name index (see GateByName) is ever
+// written.
+func (c *Circuit) seal() {
+	c.internNames()
+	c.csr = flatten(c)
+	c.cycleErr = c.csr.levelize(c)
+}
+
+// flatten copies every gate's edges into the CSR lists and re-points each
+// Gate.Fanin/Fanout at its own capacity-capped subslice of them, so a stray
+// append can never bleed into a neighbor and a million-gate circuit holds
+// two edge allocations instead of millions. Edge sequences are unchanged.
+func flatten(c *Circuit) *CSR {
 	n := len(c.Gates)
+	nf, no := 0, 0
+	for i := range c.Gates {
+		nf += len(c.Gates[i].Fanin)
+		no += len(c.Gates[i].Fanout)
+	}
 	s := &CSR{
 		FaninStart:  make([]int32, n+1),
+		FaninList:   make([]int32, 0, nf),
 		FanoutStart: make([]int32, n+1),
-		Order:       make([]int32, 0, n),
-		Rank:        make([]int32, n),
-		Level:       make([]int32, n),
+		FanoutList:  make([]int32, 0, no),
 		IsLogic:     make([]bool, n),
+		IsPO:        make([]bool, n),
 	}
-	var nf, no int32
 	for i := range c.Gates {
 		g := &c.Gates[i]
-		s.FaninStart[i] = nf
-		s.FanoutStart[i] = no
-		nf += int32(len(g.Fanin))
-		no += int32(len(g.Fanout))
+		s.FaninStart[i] = int32(len(s.FaninList))
+		s.FanoutStart[i] = int32(len(s.FanoutList))
+		g.Fanin = appendView(&s.FaninList, g.Fanin)
+		g.Fanout = appendView(&s.FanoutList, g.Fanout)
 		s.IsLogic[i] = g.IsLogic()
 	}
-	s.FaninStart[n], s.FanoutStart[n] = nf, no
-	s.FaninList = make([]int32, nf)
-	s.FanoutList = make([]int32, no)
-	nf, no = 0, 0
-	for i := range c.Gates {
-		g := &c.Gates[i]
-		for _, f := range g.Fanin {
-			s.FaninList[nf] = int32(f)
-			nf++
-		}
-		for _, f := range g.Fanout {
-			s.FanoutList[no] = int32(f)
-			no++
-		}
+	s.FaninStart[n], s.FanoutStart[n] = int32(nf), int32(no)
+	for _, id := range c.POs {
+		s.IsPO[id] = true
 	}
+	return s
+}
+
+// appendView appends edges to a list preallocated to its final length and
+// returns them as a capacity-capped view of it (nil when there are none).
+func appendView(list *[]int32, edges []int32) []int32 {
+	if len(edges) == 0 {
+		return nil
+	}
+	start := len(*list)
+	*list = append(*list, edges...)
+	return (*list)[start:len(*list):len(*list)]
+}
+
+// levelize computes the topological order, ranks, levels and level groups
+// with Kahn's FIFO walk, or returns an error on a combinational cycle.
+func (s *CSR) levelize(c *Circuit) error {
+	n := s.N()
+	s.Order = make([]int32, 0, n)
+	s.Rank = make([]int32, n)
+	s.Level = make([]int32, n)
 
 	// Kahn FIFO over the flat arrays. The queue is the Order slice itself:
 	// gates are appended as they become ready and consumed by a moving head.
@@ -159,7 +186,7 @@ func buildCSR(c *Circuit) (*CSR, error) {
 		}
 	}
 	if len(s.Order) != n {
-		return nil, fmt.Errorf("circuit %q: combinational cycle involving %d gates", c.Name, n-len(s.Order))
+		return fmt.Errorf("circuit %q: combinational cycle involving %d gates", c.Name, n-len(s.Order))
 	}
 
 	// Levels (longest logic chain; Input gates pinned to 0) and ranks.
@@ -185,11 +212,11 @@ func buildCSR(c *Circuit) (*CSR, error) {
 
 	// Level group boundaries. Kahn's FIFO order visits levels monotonically
 	// on every circuit Validate accepts (a gate becomes ready only when its
-	// max-level fanin's group is being drained), so the grouped order IS the
-	// legacy TopoOrder — verified here rather than assumed. Degenerate
-	// hand-built graphs (a zero-fanin non-Input gate) can break monotonicity;
-	// those fall back to a stable counting sort by level, which still yields
-	// a correct levelized topological order.
+	// max-level fanin's group is being drained), so grouping keeps the FIFO
+	// order — verified here rather than assumed. Degenerate hand-built graphs
+	// (a zero-fanin non-Input gate) can break monotonicity; those fall back
+	// to a stable counting sort by level, which still yields a correct
+	// levelized topological order.
 	monotone := true
 	prev := int32(0)
 	for _, id := range s.Order {
@@ -221,23 +248,7 @@ func buildCSR(c *Circuit) (*CSR, error) {
 		}
 	}
 	s.LevelStart[depth+1] = int32(n)
-	return s, nil
-}
-
-// seal finalizes a freshly constructed, validated circuit: edge slices are
-// repacked into shared arenas and, for acyclic circuits, the CSR view is built
-// eagerly so later concurrent readers (engine clones, parallel sweeps) only
-// ever see a populated cache. Sequential circuits are cyclic until
-// Combinational cuts their DFFs; for those the CSR is left to be built on the
-// cut copy.
-func (c *Circuit) seal() {
-	c.compactEdges()
-	c.internNames()
-	if !c.IsSequential() {
-		// Best effort: a DFF-free netlist with a combinational cycle still
-		// fails here; the error resurfaces on the first TopoOrder/CSR call.
-		_, _ = c.CSR()
-	}
+	return nil
 }
 
 // internNames re-points every gate's name at a slice of one shared backing
@@ -261,34 +272,5 @@ func (c *Circuit) internNames() {
 		n := len(c.Gates[i].Name)
 		c.Gates[i].Name = table[off : off+n]
 		off += n
-	}
-}
-
-// compactEdges repacks every gate's Fanin/Fanout slice into two shared flat
-// arenas. The per-gate views keep their exact contents (the public API is
-// unchanged) but the thousands-to-millions of small slice allocations a build
-// accumulates collapse into two, which is what keeps allocator and GC
-// overhead flat at netgen's 10⁵–10⁶-gate scale. Three-index subslicing caps
-// each view so a stray append can never bleed into a neighbor.
-func (c *Circuit) compactEdges() {
-	nf, no := 0, 0
-	for i := range c.Gates {
-		nf += len(c.Gates[i].Fanin)
-		no += len(c.Gates[i].Fanout)
-	}
-	fa := make([]int, 0, nf)
-	oa := make([]int, 0, no)
-	for i := range c.Gates {
-		g := &c.Gates[i]
-		if len(g.Fanin) > 0 {
-			start := len(fa)
-			fa = append(fa, g.Fanin...)
-			g.Fanin = fa[start:len(fa):len(fa)]
-		}
-		if len(g.Fanout) > 0 {
-			start := len(oa)
-			oa = append(oa, g.Fanout...)
-			g.Fanout = oa[start:len(oa):len(oa)]
-		}
 	}
 }

@@ -3,6 +3,8 @@ package circuit
 import (
 	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -25,7 +27,7 @@ func legacyTopoOrder(c *Circuit) ([]int, error) {
 		for _, f := range c.Gates[order[head]].Fanout {
 			indeg[f]--
 			if indeg[f] == 0 {
-				order = append(order, f)
+				order = append(order, int(f))
 			}
 		}
 	}
@@ -121,18 +123,10 @@ func checkCSREquivalence(t *testing.T, c *Circuit) {
 	if err != nil {
 		t.Fatalf("%s: legacy topo: %v", c.Name, err)
 	}
-	got, err := c.TopoOrder()
-	if err != nil {
-		t.Fatalf("%s: TopoOrder: %v", c.Name, err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%s: order length %d, want %d", c.Name, len(got), len(want))
+	if len(s.Order) != len(want) {
+		t.Fatalf("%s: order length %d, want %d", c.Name, len(s.Order), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: order[%d] = %d, want %d (CSR order diverges from legacy walk)",
-				c.Name, i, got[i], want[i])
-		}
 		if int(s.Order[i]) != want[i] {
 			t.Fatalf("%s: CSR.Order[%d] = %d, want %d", c.Name, i, s.Order[i], want[i])
 		}
@@ -140,10 +134,6 @@ func checkCSREquivalence(t *testing.T, c *Circuit) {
 
 	// Levels and depth match the legacy computation.
 	wantLv, wantDepth := legacyLevels(c, want)
-	gotLv, err := c.Levels()
-	if err != nil {
-		t.Fatalf("%s: Levels: %v", c.Name, err)
-	}
 	gotDepth, err := c.Depth()
 	if err != nil {
 		t.Fatalf("%s: Depth: %v", c.Name, err)
@@ -152,9 +142,6 @@ func checkCSREquivalence(t *testing.T, c *Circuit) {
 		t.Fatalf("%s: depth %d, want %d", c.Name, gotDepth, wantDepth)
 	}
 	for id := range wantLv {
-		if gotLv[id] != wantLv[id] {
-			t.Fatalf("%s: level[%d] = %d, want %d", c.Name, id, gotLv[id], wantLv[id])
-		}
 		if int(s.Level[id]) != wantLv[id] {
 			t.Fatalf("%s: CSR.Level[%d] = %d, want %d", c.Name, id, s.Level[id], wantLv[id])
 		}
@@ -168,7 +155,7 @@ func checkCSREquivalence(t *testing.T, c *Circuit) {
 			t.Fatalf("%s: gate %d fanin count %d, want %d", c.Name, id, len(fi), len(g.Fanin))
 		}
 		for j, f := range g.Fanin {
-			if int(fi[j]) != f {
+			if fi[j] != f {
 				t.Fatalf("%s: gate %d fanin[%d] = %d, want %d", c.Name, id, j, fi[j], f)
 			}
 		}
@@ -177,7 +164,7 @@ func checkCSREquivalence(t *testing.T, c *Circuit) {
 			t.Fatalf("%s: gate %d fanout count %d, want %d", c.Name, id, len(fo), len(g.Fanout))
 		}
 		for j, f := range g.Fanout {
-			if int(fo[j]) != f {
+			if fo[j] != f {
 				t.Fatalf("%s: gate %d fanout[%d] = %d, want %d", c.Name, id, j, fo[j], f)
 			}
 		}
@@ -248,14 +235,15 @@ func TestCSRCountingSortFallback(t *testing.T) {
 		Name: "degenerate",
 		Gates: []Gate{
 			{ID: 0, Name: "i", Type: Input},
-			{ID: 1, Name: "g", Type: Not, Fanin: []int{0}, Fanout: []int{2}},
-			{ID: 2, Name: "h", Type: Not, Fanin: []int{1}},
+			{ID: 1, Name: "g", Type: Not, Fanin: []int32{0}, Fanout: []int32{2}},
+			{ID: 2, Name: "h", Type: Not, Fanin: []int32{1}},
 			{ID: 3, Name: "late", Type: And}, // zero-fanin logic gate: level 1, but Kahn emits it at the front
 		},
 		PIs: []int{0},
 		POs: []int{2, 3},
 	}
-	c.Gates[0].Fanout = []int{1}
+	c.Gates[0].Fanout = []int32{1}
+	c.seal()
 	s, err := c.CSR()
 	if err != nil {
 		t.Fatal(err)
@@ -287,15 +275,87 @@ func TestCSRCycleError(t *testing.T) {
 	c := &Circuit{
 		Name: "cyclic",
 		Gates: []Gate{
-			{ID: 0, Name: "i", Type: Input, Fanout: []int{1}},
-			{ID: 1, Name: "a", Type: And, Fanin: []int{0, 2}, Fanout: []int{2}},
-			{ID: 2, Name: "b", Type: Not, Fanin: []int{1}, Fanout: []int{1}},
+			{ID: 0, Name: "i", Type: Input, Fanout: []int32{1}},
+			{ID: 1, Name: "a", Type: And, Fanin: []int32{0, 2}, Fanout: []int32{2}},
+			{ID: 2, Name: "b", Type: Not, Fanin: []int32{1}, Fanout: []int32{1}},
 		},
 		PIs: []int{0},
 	}
+	c.seal()
 	if _, err := c.CSR(); err == nil {
 		t.Fatal("CSR on a cyclic circuit: want error, got nil")
 	}
+}
+
+// TestSealedEdgesAreCSRViews checks that the CSR is the only stored
+// topology: on every sealed circuit, each gate's Fanin/Fanout is a
+// capacity-capped view of its own range of the CSR edge lists.
+func TestSealedEdgesAreCSRViews(t *testing.T) {
+	built := randomDAG(t, 3, 5, 60)
+	seq := seqCircuit(t) // cyclic until cut: its edges are sealed all the same
+	cut, err := seq.Combinational()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := WriteVerilog(&sb, built); err != nil {
+		t.Fatal(err)
+	}
+	verilog, err := ParseVerilogString("v", sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(c *Circuit, id int, dir string, view, list, start []int32) {
+		t.Helper()
+		lo, hi := start[id], start[id+1]
+		if len(view) != int(hi-lo) || cap(view) != len(view) {
+			t.Fatalf("%s: gate %d %s len %d cap %d, want both %d", c.Name, id, dir, len(view), cap(view), hi-lo)
+		}
+		if len(view) > 0 && &view[0] != &list[lo] {
+			t.Fatalf("%s: gate %d %s does not share the CSR list", c.Name, id, dir)
+		}
+	}
+	for _, c := range []*Circuit{built, seq, cut, verilog} {
+		s := c.csr
+		if s == nil {
+			t.Fatalf("%s: not sealed", c.Name)
+		}
+		for id := range c.Gates {
+			check(c, id, "fanin", c.Gates[id].Fanin, s.FaninList, s.FaninStart)
+			check(c, id, "fanout", c.Gates[id].Fanout, s.FanoutList, s.FanoutStart)
+		}
+	}
+}
+
+// TestConcurrentReadsOnFreshCircuit reads a freshly parsed circuit from
+// several goroutines with no warm-up. Under -race it fails if any accessor
+// fills a cache without synchronization.
+func TestConcurrentReadsOnFreshCircuit(t *testing.T) {
+	c, err := ParseBenchString("fresh", BenchString(randomDAG(t, 5, 6, 80)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := c.Gates[c.N()-1].Name
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.CSR(); err != nil {
+				t.Error(err)
+			}
+			if _, err := c.Depth(); err != nil {
+				t.Error(err)
+			}
+			if _, err := c.LogicIDs(); err != nil {
+				t.Error(err)
+			}
+			if c.GateByName(last) == nil {
+				t.Errorf("GateByName(%q) = nil", last)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestGateByNameIndexed(t *testing.T) {
@@ -317,8 +377,8 @@ func TestGateByNameFirstWinsOnDuplicates(t *testing.T) {
 	c := &Circuit{
 		Name: "dups",
 		Gates: []Gate{
-			{ID: 0, Name: "x", Type: Input, Fanout: []int{1}},
-			{ID: 1, Name: "x", Type: Not, Fanin: []int{0}},
+			{ID: 0, Name: "x", Type: Input, Fanout: []int32{1}},
+			{ID: 1, Name: "x", Type: Not, Fanin: []int32{0}},
 		},
 		PIs: []int{0},
 	}

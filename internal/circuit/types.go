@@ -86,14 +86,15 @@ func (t GateType) MaxFanin() int {
 }
 
 // Gate is one node of the network. Fanin and Fanout hold gate IDs, which are
-// indices into Circuit.Gates. A Gate value is owned by its Circuit; callers
-// must treat the slices as read-only.
+// indices into Circuit.Gates. A Gate value is owned by its Circuit; on a
+// sealed circuit the slices are views of the CSR edge lists, so callers must
+// treat them as read-only.
 type Gate struct {
 	ID     int
 	Name   string
 	Type   GateType
-	Fanin  []int
-	Fanout []int
+	Fanin  []int32
+	Fanout []int32
 }
 
 // NumFanin returns the number of fanin connections (f_ii in the paper).

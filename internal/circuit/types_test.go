@@ -77,7 +77,7 @@ func TestGateIsLogic(t *testing.T) {
 }
 
 func TestGateFaninFanoutCounts(t *testing.T) {
-	g := Gate{Fanin: []int{1, 2, 3}, Fanout: []int{4}}
+	g := Gate{Fanin: []int32{1, 2, 3}, Fanout: []int32{4}}
 	if g.NumFanin() != 3 {
 		t.Errorf("NumFanin = %d, want 3", g.NumFanin())
 	}

@@ -126,8 +126,8 @@ func ParseVerilog(name string, r io.Reader) (*Circuit, error) {
 			if !ok {
 				return nil, fmt.Errorf("%s: instance output %q references undriven signal %q", name, p.out, in)
 			}
-			gates[id].Fanin = append(gates[id].Fanin, fid)
-			gates[fid].Fanout = append(gates[fid].Fanout, id)
+			gates[id].Fanin = append(gates[id].Fanin, int32(fid))
+			gates[fid].Fanout = append(gates[fid].Fanout, int32(id))
 		}
 	}
 	var pos []int
@@ -142,6 +142,7 @@ func ParseVerilog(name string, r io.Reader) (*Circuit, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
+	c.seal()
 	return c, nil
 }
 
@@ -237,15 +238,8 @@ func WriteVerilog(w io.Writer, c *Circuit) error {
 		}
 		fmt.Fprintf(bw, "  wire %s;\n", g.Name)
 	}
-	order, err := c.TopoOrder()
-	if err != nil {
-		order = make([]int, len(c.Gates))
-		for i := range order {
-			order[i] = i
-		}
-	}
 	n := 0
-	for _, id := range order {
+	for _, id := range writeOrder(c) {
 		g := &c.Gates[id]
 		if g.Type == Input {
 			continue

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -124,6 +125,36 @@ y = NOT(n)
 	}
 	if g := back.GateByName("m"); g == nil || g.Type != Xnor {
 		t.Errorf("XNOR lost: %+v", g)
+	}
+}
+
+// TestParseVerilogSealsLikeBench writes one netlist in both formats: the
+// two parsers assign IDs in emission order, so the sealed CSR arrays must be
+// equal.
+func TestParseVerilogSealsLikeBench(t *testing.T) {
+	c := randomDAG(t, 9, 5, 60)
+	fromBench, err := ParseBenchString("rt", BenchString(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := WriteVerilog(&sb, c); err != nil {
+		t.Fatal(err)
+	}
+	fromVerilog, err := ParseVerilogString("rt.v", sb.String())
+	if err != nil {
+		t.Fatalf("%v\n%s", err, sb.String())
+	}
+	want, err := fromBench.CSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fromVerilog.CSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Verilog CSR differs from bench CSR:\n got  %+v\n want %+v", got, want)
 	}
 }
 

@@ -11,13 +11,13 @@ import (
 func editCircuit(t *testing.T, c *circuit.Circuit) *circuit.Circuit {
 	t.Helper()
 	b := circuit.NewBuilder(c.Name)
-	order, err := c.TopoOrder()
+	cs, err := c.CSR()
 	if err != nil {
 		t.Fatal(err)
 	}
 	newID := make([]int, c.N())
-	for _, id := range order {
-		g := c.Gate(id)
+	for _, id := range cs.Order {
+		g := &c.Gates[id]
 		if g.Type == circuit.Input {
 			newID[id] = b.Input(g.Name)
 			continue

@@ -42,7 +42,6 @@ func EDPStudy(spec Spec, fcs []float64, opts Options) ([]EDPPoint, int, error) {
 	inner := opts
 	if w > 1 {
 		inner.Workers = 1 // the sweep level owns the parallelism
-		warmCircuit(spec.Circuit)
 	}
 	parallel.For(w, len(fcs), func(_, i int) {
 		if spec.Ctx != nil && spec.Ctx.Err() != nil {

@@ -1,6 +1,11 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"cmosopt/internal/activity"
+	"cmosopt/internal/netgen"
+)
 
 func TestEDPStudyShape(t *testing.T) {
 	spec := specFor(smallCircuit(t), 0.5)
@@ -59,5 +64,19 @@ func TestEDPStudyErrors(t *testing.T) {
 	bad.Skew = -1
 	if _, _, err := EDPStudy(bad, []float64{300e6}, DefaultOptions()); err == nil {
 		t.Error("bad spec accepted")
+	}
+}
+
+// TestEDPStudyInputsRace sweeps a shared, freshly parsed circuit whose spec
+// names an input, so every worker's NewProblem looks the name up on the same
+// Circuit. Under -race it fails if that lookup builds its index unguarded.
+func TestEDPStudyInputsRace(t *testing.T) {
+	c := netgen.C17()
+	spec := specFor(c, 0.5)
+	spec.Inputs = map[string]activity.InputSpec{c.Gates[c.PIs[0]].Name: {Prob: 0.3, Density: 0.2}}
+	opts := DefaultOptions()
+	opts.Workers = 4
+	if _, _, err := EDPStudy(spec, []float64{100e6, 200e6, 300e6, 400e6}, opts); err != nil {
+		t.Fatal(err)
 	}
 }

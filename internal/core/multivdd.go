@@ -56,7 +56,7 @@ func (p *Problem) OptimizeDualVdd(opts Options) (*Result, error) {
 	baseVt := base.VtsValues[0]
 	n := p.C.N()
 	vddR := optimize.Range{Lo: p.Tech.VddMin, Hi: p.Tech.VddMax}
-	order, err := p.C.TopoOrder()
+	cs, err := p.C.CSR()
 	if err != nil {
 		return nil, err
 	}
@@ -78,9 +78,9 @@ func (p *Problem) OptimizeDualVdd(opts Options) (*Result, error) {
 		_ = delayScale(high) // high-rail gates only get faster; no test needed
 		rLow := delayScale(low)
 		members := 0
-		for i := len(order) - 1; i >= 0; i-- {
-			id := order[i]
-			g := p.C.Gate(id)
+		for i := len(cs.Order) - 1; i >= 0; i-- {
+			id := cs.Order[i]
+			g := &p.C.Gates[id]
 			inLow[id] = false
 			if !g.IsLogic() {
 				continue

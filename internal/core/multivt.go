@@ -125,7 +125,8 @@ func (p *Problem) OptimizeMultiVt(nv int, opts Options) (*Result, error) {
 			// infeasible +Inf plateau, which defeats golden-section
 			// bracketing on its own. The candidates are independent, so they
 			// fan out over worker clones; the argmin reduction walks them in
-			// index order, matching GridMin's serial first-strict-minimum.
+			// index order and keeps the first strict minimum, as a serial
+			// scan would.
 			cands := vtR.Linspace(11)
 			ces := make([]float64, len(cands))
 			p.mapEval(opts.Workers, len(cands), func(c *evalCtx, k int) {

@@ -47,7 +47,7 @@ func (p *Problem) repairUnreachableBudgets() int {
 		g := p.C.Gate(id)
 		maxFB := 0.0
 		for _, f := range g.Fanin {
-			if p.C.Gate(f).IsLogic() && tMax[f] > maxFB {
+			if p.C.Gates[f].IsLogic() && tMax[f] > maxFB {
 				maxFB = tMax[f]
 			}
 		}
@@ -63,19 +63,20 @@ func (p *Problem) repairUnreachableBudgets() int {
 
 	// Rebalance: pull non-floored budgets back down where paths are now
 	// over-subscribed. A few passes converge for practical circuits.
-	order, _ := p.C.TopoOrder()
+	cs, _ := p.C.CSR() // a Problem's circuit is acyclic
+	order := cs.Order
 	up := make([]float64, n)
 	down := make([]float64, n)
 	for pass := 0; pass < 3; pass++ {
 		for _, id := range order {
-			g := p.C.Gate(id)
+			g := &p.C.Gates[id]
 			if !g.IsLogic() {
 				up[id] = 0
 				continue
 			}
 			best := 0.0
 			for _, f := range g.Fanin {
-				if p.C.Gate(f).IsLogic() && up[f] > best {
+				if p.C.Gates[f].IsLogic() && up[f] > best {
 					best = up[f]
 				}
 			}
@@ -83,7 +84,7 @@ func (p *Problem) repairUnreachableBudgets() int {
 		}
 		for i := len(order) - 1; i >= 0; i-- {
 			id := order[i]
-			g := p.C.Gate(id)
+			g := &p.C.Gates[id]
 			if !g.IsLogic() {
 				down[id] = 0
 				continue

@@ -4,28 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"cmosopt/internal/circuit"
 	"cmosopt/internal/parallel"
 )
-
-// warmCircuit materializes a shared combinational circuit's lazily cached
-// analyses (topological order, levels, depth) before workers elaborate
-// Problems against it concurrently; the caches are read-only afterwards.
-// Errors are ignored here — each worker's NewProblem reports them
-// deterministically. Sequential circuits need no warming: every NewProblem
-// cuts its own private combinational copy.
-func warmCircuit(c *circuit.Circuit) {
-	if c == nil || c.IsSequential() {
-		return
-	}
-	if _, err := c.TopoOrder(); err != nil {
-		return
-	}
-	if _, err := c.Levels(); err != nil {
-		return
-	}
-	_, _ = c.Depth()
-}
 
 // VariationPoint is one sample of the paper's Figure 2(a): power savings as a
 // function of the tolerated threshold-voltage process variation.

@@ -84,7 +84,7 @@ func (p *Problem) localDelay(a *design.Assignment, id int, td []float64, ov int,
 	}
 	sum := p.Eval.GateDelayOverride(id, a, ov, wOv, maxIn)
 	for _, f := range g.Fanin {
-		d := p.C.Gate(f)
+		d := &p.C.Gates[f]
 		if !d.IsLogic() {
 			continue
 		}
@@ -94,7 +94,7 @@ func (p *Problem) localDelay(a *design.Assignment, id int, td []float64, ov int,
 				dIn = td[ff]
 			}
 		}
-		sum += p.Eval.GateDelayOverride(f, a, ov, wOv, dIn)
+		sum += p.Eval.GateDelayOverride(int(f), a, ov, wOv, dIn)
 	}
 	return sum
 }

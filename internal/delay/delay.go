@@ -31,8 +31,7 @@ type Evaluator struct {
 	Tech *device.Tech
 	Wire *wiring.Model
 
-	isPO  []bool
-	order []int
+	cs *circuit.CSR
 }
 
 // New builds a delay evaluator. The circuit must be combinational.
@@ -43,15 +42,11 @@ func New(c *circuit.Circuit, tech *device.Tech, wire *wiring.Model) (*Evaluator,
 	if err := tech.Validate(); err != nil {
 		return nil, err
 	}
-	order, err := c.TopoOrder()
+	cs, err := c.CSR()
 	if err != nil {
 		return nil, err
 	}
-	isPO := make([]bool, c.N())
-	for _, id := range c.POs {
-		isPO[id] = true
-	}
-	return &Evaluator{C: c, Tech: tech, Wire: wire, isPO: isPO, order: order}, nil
+	return &Evaluator{C: c, Tech: tech, Wire: wire, cs: cs}, nil
 }
 
 // SlopeCoeff returns the input-rise-time coefficient
@@ -149,12 +144,12 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 	cb := e.Wire.BranchCapNet(id)
 	for _, f := range g.Fanout {
 		wf := a.W[f]
-		if f == ov {
+		if int(f) == ov {
 			wf = wOv
 		}
 		load += wf*t.Ct + cb
 	}
-	if e.isPO[id] {
+	if e.cs.IsPO[id] {
 		load += t.COut + cb
 	}
 	td += vdd * load / (2 * w * drive)
@@ -165,14 +160,14 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 	worst := 0.0
 	for _, f := range g.Fanout {
 		wf := a.W[f]
-		if f == ov {
+		if int(f) == ov {
 			wf = wOv
 		}
 		if b := rb*(wf*t.Ct+cb) + fl; b > worst {
 			worst = b
 		}
 	}
-	if e.isPO[id] {
+	if e.cs.IsPO[id] {
 		if b := rb*(t.COut+cb) + fl; b > worst {
 			worst = b
 		}
@@ -192,8 +187,8 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 //cmosvet:unit return s
 func (e *Evaluator) Delays(a *design.Assignment) []float64 {
 	td := make([]float64, e.C.N())
-	for _, id := range e.order {
-		g := e.C.Gate(id)
+	for _, id := range e.cs.Order {
+		g := &e.C.Gates[id]
 		if !g.IsLogic() {
 			continue
 		}
@@ -203,7 +198,7 @@ func (e *Evaluator) Delays(a *design.Assignment) []float64 {
 				maxIn = td[f]
 			}
 		}
-		td[id] = e.GateDelayWith(id, a, maxIn)
+		td[id] = e.GateDelayWith(int(id), a, maxIn)
 	}
 	return td
 }
@@ -215,8 +210,8 @@ func (e *Evaluator) Delays(a *design.Assignment) []float64 {
 func (e *Evaluator) Arrivals(a *design.Assignment) (arr, td []float64) {
 	td = e.Delays(a)
 	arr = make([]float64, e.C.N())
-	for _, id := range e.order {
-		g := e.C.Gate(id)
+	for _, id := range e.cs.Order {
+		g := &e.C.Gates[id]
 		maxIn := 0.0
 		for _, f := range g.Fanin {
 			if arr[f] > maxIn {
@@ -271,7 +266,7 @@ func (e *Evaluator) CriticalPath(a *design.Assignment) ([]int, float64) {
 				best, next = arr[f], f
 			}
 		}
-		id = next
+		id = int(next)
 	}
 	// Reverse to input-to-output order.
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
@@ -298,9 +293,9 @@ func (e *Evaluator) Slacks(a *design.Assignment, T float64) []float64 {
 			req[id] = T
 		}
 	}
-	for i := len(e.order) - 1; i >= 0; i-- {
-		id := e.order[i]
-		g := e.C.Gate(id)
+	for i := len(e.cs.Order) - 1; i >= 0; i-- {
+		id := e.cs.Order[i]
+		g := &e.C.Gates[id]
 		for _, f := range g.Fanout {
 			if r := req[f] - td[f]; r < req[id] {
 				req[id] = r

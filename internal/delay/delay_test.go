@@ -235,7 +235,7 @@ func TestCriticalPathConsistent(t *testing.T) {
 	for i := 1; i < len(path); i++ {
 		ok := false
 		for _, f := range c.Gates[path[i]].Fanin {
-			if f == path[i-1] {
+			if int(f) == path[i-1] {
 				ok = true
 			}
 		}

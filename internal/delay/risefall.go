@@ -75,7 +75,7 @@ func (e *Evaluator) GateDelayRiseFall(id int, a *design.Assignment, maxFaninDela
 	for _, f := range g.Fanout {
 		load += a.W[f]*t.Ct + cb
 	}
-	if e.isPO[id] {
+	if e.cs.IsPO[id] {
 		load += t.COut + cb
 	}
 	rb := e.Wire.BranchResNet(id)
@@ -86,7 +86,7 @@ func (e *Evaluator) GateDelayRiseFall(id int, a *design.Assignment, maxFaninDela
 			inter = b
 		}
 	}
-	if e.isPO[id] {
+	if e.cs.IsPO[id] {
 		if b := rb*(t.COut+cb) + fl; b > inter {
 			inter = b
 		}
@@ -119,8 +119,8 @@ func (e *Evaluator) CriticalDelayRiseFall(a *design.Assignment) float64 {
 	arrF := make([]float64, n)
 	tdR := make([]float64, n)
 	tdF := make([]float64, n)
-	for _, id := range e.order {
-		g := e.C.Gate(id)
+	for _, id := range e.cs.Order {
+		g := &e.C.Gates[id]
 		if !g.IsLogic() {
 			continue
 		}
@@ -137,7 +137,7 @@ func (e *Evaluator) CriticalDelayRiseFall(a *design.Assignment) float64 {
 				inF = arrF[f]
 			}
 		}
-		r, fl := e.GateDelayRiseFall(id, a, maxIn)
+		r, fl := e.GateDelayRiseFall(int(id), a, maxIn)
 		tdR[id], tdF[id] = r, fl
 		if g.Type.Inverting() {
 			arrR[id] = inF + r // falling inputs cause the rising output

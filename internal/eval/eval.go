@@ -152,9 +152,6 @@ func NewDelayOnly(c *circuit.Circuit, tech *device.Tech, wire *wiring.Model) (*E
 // analyses the engine does not cache (rise/fall resolution, the simulator).
 func (e *Engine) DelayModel() *delay.Evaluator { return e.dm }
 
-// PowerModel exposes the underlying pure energy evaluator.
-func (e *Engine) PowerModel() *power.Evaluator { return e.pm }
-
 // Metrics returns the engine's evaluation counters.
 func (e *Engine) Metrics() *Metrics { return &e.met }
 

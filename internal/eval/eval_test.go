@@ -134,7 +134,10 @@ func TestGateDelayOverrideMatchesMutateRestore(t *testing.T) {
 			continue
 		}
 		// Override the gate's own width, and each fanout's width as a load.
-		targets := append([]int{id}, g.Fanout...)
+		targets := []int{id}
+		for _, f := range g.Fanout {
+			targets = append(targets, int(f))
+		}
 		for _, ov := range targets {
 			wOv := a.W[ov] * 1.7
 			old := a.W[ov]

@@ -31,8 +31,9 @@ import (
 
 // Bind attaches the engine to a for incremental evaluation and performs the
 // initial full delay + energy computation. The engine holds a reference: all
-// subsequent edits to a must go through SetWidth/SetGateVts/Refresh, and
-// bound accessors reflect a's current state. Bind replaces any prior binding.
+// subsequent edits to a must go through SetWidth/SetGateVts or a fresh Bind,
+// and bound accessors reflect a's current state. Bind replaces any prior
+// binding.
 func (e *Engine) Bind(a *design.Assignment) {
 	n := e.C.N()
 	e.bound = a
@@ -51,9 +52,6 @@ func (e *Engine) Bind(a *design.Assignment) {
 
 // Unbind detaches the engine from its bound assignment.
 func (e *Engine) Unbind() { e.bound = nil }
-
-// Bound returns the currently bound assignment, or nil.
-func (e *Engine) Bound() *design.Assignment { return e.bound }
 
 // refreshAll recomputes the whole tracked state from the bound assignment.
 //cmosvet:hotpath
@@ -122,30 +120,6 @@ func (e *Engine) SetGateVts(id int, vts float64) {
 	e.propagate()
 }
 
-// SetVdd sets the bound assignment's global supply and refreshes the whole
-// tracked state (every gate's delay and energy depends on V_dd).
-//
-//cmosvet:unit vdd V
-func (e *Engine) SetVdd(vdd float64) {
-	e.bound.Vdd = vdd
-	e.met.IncrementalEdits++
-	e.refreshAll()
-}
-
-// SetUniformVts sets every gate's threshold and refreshes the whole tracked
-// state.
-//
-//cmosvet:unit vts V
-func (e *Engine) SetUniformVts(vts float64) {
-	e.bound.SetVts(vts)
-	e.met.IncrementalEdits++
-	e.refreshAll()
-}
-
-// Refresh recomputes all tracked state — for callers that edited the bound
-// assignment directly (bulk edits where incremental updates would not pay).
-func (e *Engine) Refresh() { e.refreshAll() }
-
 // BoundDelays returns the tracked per-gate delays (engine-owned; do not
 // modify; valid until the next edit).
 //
@@ -187,13 +161,6 @@ func (e *Engine) BoundEnergy() power.Breakdown {
 		sum.Dynamic += e.dyE[i]
 	}
 	return sum
-}
-
-// BoundGateEnergy returns the tracked energy breakdown of one gate.
-//cmosvet:hotpath
-func (e *Engine) BoundGateEnergy(id int) power.Breakdown {
-	e.mustPower()
-	return power.Breakdown{Static: e.stE[id], Dynamic: e.dyE[id]}
 }
 
 // BoundSlacks computes slacks against cycle budget T from the tracked delays

@@ -57,10 +57,12 @@ func TestIncrementalMatchesFull(t *testing.T) {
 					eng.SetWidth(id, randW())
 				case 3:
 					eng.SetGateVts(id, randVts())
-				case 4:
-					eng.SetVdd(randVdd())
+				case 4: // global moves re-bind: every gate is stale
+					a.Vdd = randVdd()
+					eng.Bind(a)
 				default:
-					eng.SetUniformVts(randVts())
+					a.SetVts(randVts())
+					eng.Bind(a)
 				}
 
 				// Reference: the pure model evaluators, from scratch.
@@ -131,14 +133,14 @@ func TestIncrementalSkipsUntouchedCone(t *testing.T) {
 		}
 		reach[id] = true
 		for _, f := range c.Gate(id).Fanout {
-			mark(f)
+			mark(int(f))
 		}
 	}
 	mark(target)
 	cone := int64(0)
 	for _, f := range c.Gate(target).Fanin {
-		if c.Gate(f).IsLogic() {
-			mark(f)
+		if c.Gates[f].IsLogic() {
+			mark(int(f))
 		}
 	}
 	for id, r := range reach {

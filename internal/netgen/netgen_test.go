@@ -60,7 +60,7 @@ func TestGenerateAcyclicAndConnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.TopoOrder(); err != nil {
+	if _, err := c.CSR(); err != nil {
 		t.Fatalf("cycle: %v", err)
 	}
 	// Every sink logic gate must be a PO (full observability).
@@ -82,7 +82,7 @@ func TestGenerateNoDuplicateFanins(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range c.Gates {
-		seen := map[int]bool{}
+		seen := map[int32]bool{}
 		for _, f := range c.Gates[i].Fanin {
 			if seen[f] {
 				t.Fatalf("gate %q has duplicate fanin %d", c.Gates[i].Name, f)

@@ -24,25 +24,3 @@ func MinSatisfying(r Range, steps int, pred func(float64) bool) (float64, bool) 
 	}
 	return hi, true
 }
-
-// MaxSatisfying finds the approximately largest x in r for which pred(x) is
-// true, assuming pred is monotone non-increasing in x (true below some
-// boundary, false above). The second result is false when even r.Lo fails.
-func MaxSatisfying(r Range, steps int, pred func(float64) bool) (float64, bool) {
-	if !pred(r.Lo) {
-		return r.Lo, false
-	}
-	if pred(r.Hi) {
-		return r.Hi, true
-	}
-	lo, hi := r.Lo, r.Hi // invariant: pred(lo) = true, pred(hi) = false
-	for i := 0; i < steps; i++ {
-		mid := lo + (hi-lo)/2
-		if pred(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, true
-}

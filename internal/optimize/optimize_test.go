@@ -77,20 +77,6 @@ func TestMinSatisfyingAlwaysReturnsSatisfying(t *testing.T) {
 	}
 }
 
-func TestMaxSatisfying(t *testing.T) {
-	x, ok := MaxSatisfying(Range{0, 10}, 40, func(v float64) bool { return v <= 6.2 })
-	if !ok || math.Abs(x-6.2) > 1e-9 {
-		t.Errorf("MaxSatisfying = %v ok=%v", x, ok)
-	}
-	if _, ok := MaxSatisfying(Range{0, 10}, 40, func(v float64) bool { return false }); ok {
-		t.Error("unsatisfiable predicate reported ok")
-	}
-	x, ok = MaxSatisfying(Range{0, 10}, 40, func(v float64) bool { return true })
-	if !ok || x != 10 {
-		t.Errorf("hi-satisfied = %v ok=%v", x, ok)
-	}
-}
-
 func TestGoldenSectionQuadratic(t *testing.T) {
 	f := func(x float64) float64 { return (x - 2.5) * (x - 2.5) }
 	x, fx := GoldenSection(f, Range{0, 10}, 1e-9, 200)
@@ -104,67 +90,6 @@ func TestGoldenSectionEdgeMinimum(t *testing.T) {
 	x, _ := GoldenSection(func(x float64) float64 { return x }, Range{1, 4}, 1e-9, 200)
 	if math.Abs(x-1) > 1e-6 {
 		t.Errorf("edge minimum = %v, want 1", x)
-	}
-}
-
-func TestBrentQuadraticAndAbs(t *testing.T) {
-	x, fx := Brent(func(x float64) float64 { return (x + 1.25) * (x + 1.25) }, Range{-10, 10}, 1e-10, 200)
-	if math.Abs(x+1.25) > 1e-6 || fx > 1e-10 {
-		t.Errorf("brent quadratic = (%v, %v)", x, fx)
-	}
-	// Non-smooth unimodal function.
-	x, _ = Brent(math.Abs, Range{-3, 5}, 1e-10, 200)
-	if math.Abs(x) > 1e-6 {
-		t.Errorf("brent |x| = %v", x)
-	}
-}
-
-func TestBrentMatchesGolden(t *testing.T) {
-	f := func(x float64) float64 { return math.Exp(x) + math.Exp(-2*x) } // min at ln(2)/3
-	want := math.Log(2) / 3
-	xg, _ := GoldenSection(f, Range{-2, 2}, 1e-10, 300)
-	xb, _ := Brent(f, Range{-2, 2}, 1e-10, 300)
-	if math.Abs(xg-want) > 1e-6 || math.Abs(xb-want) > 1e-6 {
-		t.Errorf("golden %v brent %v want %v", xg, xb, want)
-	}
-}
-
-func TestGridMin(t *testing.T) {
-	x, fx := GridMin(func(x float64) float64 { return (x - 3) * (x - 3) }, Range{0, 10}, 101)
-	if math.Abs(x-3) > 0.06 || fx > 0.01 {
-		t.Errorf("grid = (%v, %v)", x, fx)
-	}
-}
-
-func TestCoordinateDescentConvexQuadratic(t *testing.T) {
-	// f = (x−1)² + 2(y+2)² + xy/10 — strictly convex.
-	f := func(v []float64) float64 {
-		x, y := v[0], v[1]
-		return (x-1)*(x-1) + 2*(y+2)*(y+2) + x*y/10
-	}
-	bounds := []Range{{-5, 5}, {-5, 5}}
-	x, fx := CoordinateDescent(f, []float64{4, 4}, bounds, 50, 1e-12)
-	if fx > f([]float64{1.05, -2.03})+1e-3 {
-		t.Errorf("descent stalled at %v (f=%v)", x, fx)
-	}
-	// Gradient-ish check: tiny perturbations should not improve much.
-	for i := range x {
-		for _, d := range []float64{-1e-3, 1e-3} {
-			y := append([]float64(nil), x...)
-			y[i] += d
-			if f(y) < fx-1e-6 {
-				t.Errorf("coordinate %d not at minimum", i)
-			}
-		}
-	}
-}
-
-func TestCoordinateDescentDoesNotMutateX0(t *testing.T) {
-	x0 := []float64{3, 3}
-	CoordinateDescent(func(v []float64) float64 { return v[0]*v[0] + v[1]*v[1] },
-		x0, []Range{{-4, 4}, {-4, 4}}, 5, 0)
-	if x0[0] != 3 || x0[1] != 3 {
-		t.Error("x0 mutated")
 	}
 }
 

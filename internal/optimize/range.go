@@ -1,9 +1,9 @@
 // Package optimize is the small numerical-optimization library backing the
 // device-circuit optimizer: interval bisection in the style of the paper's
-// Procedure 2 (MID/LOWER/HIGHER range refinement), scalar minimization
-// (golden section and Brent), bounded coordinate descent, and a generic
-// multi-pass simulated-annealing engine used by the paper's §5 comparison.
-// Only the standard library is used.
+// Procedure 2 (MID/LOWER/HIGHER range refinement), golden-section scalar
+// minimization, bounded Nelder–Mead, and a generic multi-pass
+// simulated-annealing engine used by the paper's §5 comparison. Only the
+// standard library is used.
 package optimize
 
 import "fmt"

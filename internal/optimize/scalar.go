@@ -1,11 +1,5 @@
 package optimize
 
-import (
-	"math"
-
-	"cmosopt/internal/floats"
-)
-
 const invPhi = 0.6180339887498949 // (√5 − 1)/2
 
 // GoldenSection minimizes a unimodal f on r to within tol (interval width) or
@@ -31,99 +25,4 @@ func GoldenSection(f func(float64) float64, r Range, tol float64, maxIter int) (
 		return c, fc
 	}
 	return d, fd
-}
-
-// Brent minimizes a unimodal f on r combining parabolic interpolation with
-// golden-section fallback (Brent's method). tol is the absolute abscissa
-// tolerance.
-func Brent(f func(float64) float64, r Range, tol float64, maxIter int) (float64, float64) {
-	const cgold = 0.3819660112501051 // 1 − invPhi
-	a, b := r.Lo, r.Hi
-	x := a + cgold*(b-a)
-	w, v := x, x
-	fx := f(x)
-	fw, fv := fx, fx
-	var d, e float64
-	for i := 0; i < maxIter; i++ {
-		xm := 0.5 * (a + b)
-		tol1 := tol*math.Abs(x) + 1e-18
-		tol2 := 2 * tol1
-		if math.Abs(x-xm) <= tol2-0.5*(b-a) {
-			break
-		}
-		useGolden := true
-		if math.Abs(e) > tol1 {
-			// Trial parabolic fit through x, v, w.
-			rr := (x - w) * (fx - fv)
-			q := (x - v) * (fx - fw)
-			p := (x-v)*q - (x-w)*rr
-			q = 2 * (q - rr)
-			if q > 0 {
-				p = -p
-			}
-			q = math.Abs(q)
-			etmp := e
-			e = d
-			if math.Abs(p) < math.Abs(0.5*q*etmp) && p > q*(a-x) && p < q*(b-x) {
-				d = p / q
-				u := x + d
-				if u-a < tol2 || b-u < tol2 {
-					d = math.Copysign(tol1, xm-x)
-				}
-				useGolden = false
-			}
-		}
-		if useGolden {
-			if x >= xm {
-				e = a - x
-			} else {
-				e = b - x
-			}
-			d = cgold * e
-		}
-		var u float64
-		if math.Abs(d) >= tol1 {
-			u = x + d
-		} else {
-			u = x + math.Copysign(tol1, d)
-		}
-		fu := f(u)
-		if fu <= fx {
-			if u >= x {
-				a = x
-			} else {
-				b = x
-			}
-			v, w, x = w, x, u
-			fv, fw, fx = fw, fx, fu
-		} else {
-			if u < x {
-				a = u
-			} else {
-				b = u
-			}
-			// Near-identical bookkeeping points count as equal: a parabolic
-			// fit through two coincident abscissae is degenerate either way,
-			// and bit-exact equality would miss the rounding-noise case.
-			if fu <= fw || floats.Eq(w, x) {
-				v, fv = w, fw
-				w, fw = u, fu
-			} else if fu <= fv || floats.Eq(v, x) || floats.Eq(v, w) {
-				v, fv = u, fu
-			}
-		}
-	}
-	return x, fx
-}
-
-// GridMin evaluates f on n evenly spaced points of r and returns the best.
-// Useful as a robust pre-scan before a local method.
-func GridMin(f func(float64) float64, r Range, n int) (float64, float64) {
-	bestX, bestF := r.Lo, math.Inf(1)
-	for _, x := range r.Linspace(n) {
-		if fx := f(x); fx < bestF {
-			bestX, bestF = x, fx
-		}
-	}
-	return bestX, bestF
 }

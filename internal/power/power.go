@@ -45,7 +45,7 @@ type Evaluator struct {
 	Wire *wiring.Model
 	Fc   float64 // clock frequency //cmosvet:unit Hz
 
-	isPO []bool
+	cs *circuit.CSR
 }
 
 // New builds a power evaluator. The circuit must be combinational.
@@ -64,11 +64,11 @@ func New(c *circuit.Circuit, tech *device.Tech, act *activity.Profile, wire *wir
 	if len(act.Prob) != c.N() || len(act.Density) != c.N() {
 		return nil, fmt.Errorf("power: activity profile sized %d, circuit has %d gates", len(act.Density), c.N())
 	}
-	isPO := make([]bool, c.N())
-	for _, id := range c.POs {
-		isPO[id] = true
+	cs, err := c.CSR()
+	if err != nil {
+		return nil, err
 	}
-	return &Evaluator{C: c, Tech: tech, Act: act, Wire: wire, Fc: fc, isPO: isPO}, nil
+	return &Evaluator{C: c, Tech: tech, Act: act, Wire: wire, Fc: fc, cs: cs}, nil
 }
 
 // GateEnergy returns the per-cycle energy breakdown of one logic gate under
@@ -115,14 +115,11 @@ func (e *Evaluator) OutputLoad(id int, a *design.Assignment) float64 {
 	for _, f := range g.Fanout {
 		load += a.W[f]*e.Tech.Ct + cb
 	}
-	if e.isPO[id] {
+	if e.cs.IsPO[id] {
 		load += e.Tech.COut + cb
 	}
 	return load
 }
-
-// IsPO reports whether the gate drives a primary output of the module.
-func (e *Evaluator) IsPO(id int) bool { return e.isPO[id] }
 
 // Total returns the whole-network per-cycle energy breakdown (the paper's
 // cost function Σ E_si + E_di).

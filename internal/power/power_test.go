@@ -110,12 +110,9 @@ func TestPOGetsExternalLoad(t *testing.T) {
 	if got, want := ev.OutputLoad(h.ID, a), tech.COut+cb; math.Abs(got-want)/want > 1e-12 {
 		t.Errorf("PO load = %v, want %v", got, want)
 	}
-	if !ev.IsPO(h.ID) {
-		t.Error("h should be a PO")
-	}
-	g := c.GateByName("g")
-	if ev.IsPO(g.ID) {
-		t.Error("g should not be a PO")
+	g := c.GateByName("g") // drives h only, no module load
+	if got, want := ev.OutputLoad(g.ID, a), a.W[h.ID]*tech.Ct+cb; math.Abs(got-want)/want > 1e-12 {
+		t.Errorf("non-PO load = %v, want %v", got, want)
 	}
 }
 

@@ -29,7 +29,7 @@ import (
 type Simulator struct {
 	c     *circuit.Circuit
 	td    []float64 // per-gate propagation delay (s)
-	order []int
+	order []int32   // the circuit's CSR topological order
 
 	val     []bool
 	pending []int // per gate: index of the youngest scheduled event, -1 if none
@@ -54,7 +54,7 @@ func New(c *circuit.Circuit, de *delay.Evaluator, a *design.Assignment) (*Simula
 	if c.IsSequential() {
 		return nil, fmt.Errorf("sim: circuit %q is sequential; cut DFFs first", c.Name)
 	}
-	order, err := c.TopoOrder()
+	cs, err := c.CSR()
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +67,7 @@ func New(c *circuit.Circuit, de *delay.Evaluator, a *design.Assignment) (*Simula
 	s := &Simulator{
 		c:       c,
 		td:      td,
-		order:   order,
+		order:   cs.Order,
 		val:     make([]bool, c.N()),
 		pending: make([]int, c.N()),
 		trans:   make([]int64, c.N()),
@@ -91,7 +91,7 @@ func (s *Simulator) SetInput(id int, v bool) error {
 	s.val[id] = v
 	s.trans[id]++
 	for _, f := range g.Fanout {
-		s.evaluate(f)
+		s.evaluate(int(f))
 	}
 	return nil
 }
@@ -165,7 +165,7 @@ func (s *Simulator) Run(horizon float64) float64 {
 		s.trans[ev.gate]++
 		last = ev.t
 		for _, f := range s.c.Gate(ev.gate).Fanout {
-			s.evaluate(f)
+			s.evaluate(int(f))
 		}
 	}
 	s.now = last
@@ -176,7 +176,7 @@ func (s *Simulator) Run(horizon float64) float64 {
 // current input values without counting transitions or consuming time.
 func (s *Simulator) Settle() {
 	for _, id := range s.order {
-		g := s.c.Gate(id)
+		g := &s.c.Gates[id]
 		if g.Type == circuit.Input {
 			continue
 		}
@@ -378,7 +378,7 @@ func (s *Simulator) runOne() {
 	s.val[ev.gate] = ev.val
 	s.trans[ev.gate]++
 	for _, f := range s.c.Gate(ev.gate).Fanout {
-		s.evaluate(f)
+		s.evaluate(int(f))
 	}
 }
 

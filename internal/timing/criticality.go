@@ -34,7 +34,6 @@ type Analysis struct {
 	Up    []int // max criticality of a path from an input up to gate i
 	Down  []int // max criticality of a path from gate i down to a path end
 	cs    *circuit.CSR
-	isPO  []bool
 
 	// byThrough lists the logic gate IDs sorted by (Through desc, id asc),
 	// built lazily by critCursor for Procedure 1's path selection.
@@ -57,10 +56,6 @@ func NewAnalysis(c *circuit.Circuit) (*Analysis, error) {
 		Up:    make([]int, c.N()),
 		Down:  make([]int, c.N()),
 		cs:    cs,
-		isPO:  make([]bool, c.N()),
-	}
-	for _, id := range c.POs {
-		a.isPO[id] = true
 	}
 	for i := range a.FoEff {
 		if !cs.IsLogic[i] {

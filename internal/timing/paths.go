@@ -122,7 +122,7 @@ func (a *Analysis) streamPaths(k int) (arena []pathRec, ends []int32) {
 		if !cs.IsLogic[id] {
 			continue
 		}
-		if a.isPO[id] || cs.NumFanout(id) == 0 {
+		if a.cs.IsPO[id] || cs.NumFanout(id) == 0 {
 			ends = append(ends, listIdx[listStart[id]:listEnd[id]]...)
 		}
 	}

@@ -20,13 +20,13 @@ func allPathsExhaustive(a *Analysis) [][]int {
 	walk = func(id int) {
 		path = append(path, id)
 		g := c.Gate(id)
-		end := len(g.Fanout) == 0 || a.isPO[id]
+		end := len(g.Fanout) == 0 || a.cs.IsPO[id]
 		if end {
 			out = append(out, append([]int(nil), path...))
 		}
 		for _, f := range g.Fanout {
-			if c.Gate(f).IsLogic() {
-				walk(f)
+			if c.Gates[f].IsLogic() {
+				walk(int(f))
 			}
 		}
 		path = path[:len(path)-1]
@@ -38,7 +38,7 @@ func allPathsExhaustive(a *Analysis) [][]int {
 		}
 		fed := false
 		for _, f := range g.Fanin {
-			if !c.Gate(f).IsLogic() {
+			if !c.Gates[f].IsLogic() {
 				fed = true
 				break
 			}
@@ -175,7 +175,7 @@ func TestKBestPathsStructure(t *testing.T) {
 		for i := 1; i < len(p); i++ {
 			found := false
 			for _, f := range c.Gate(p[i]).Fanin {
-				if f == p[i-1] {
+				if int(f) == p[i-1] {
 					found = true
 				}
 			}
@@ -184,7 +184,7 @@ func TestKBestPathsStructure(t *testing.T) {
 			}
 		}
 		last := c.Gate(p[len(p)-1])
-		if len(last.Fanout) != 0 && !a.isPO[p[len(p)-1]] {
+		if len(last.Fanout) != 0 && !a.cs.IsPO[p[len(p)-1]] {
 			t.Fatalf("path %v ends mid-network at %q", p, last.Name)
 		}
 	}

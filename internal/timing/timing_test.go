@@ -101,7 +101,7 @@ func TestMostCriticalPath(t *testing.T) {
 	for i := 1; i < len(p); i++ {
 		ok := false
 		for _, f := range c.Gates[p[i]].Fanin {
-			if f == p[i-1] {
+			if int(f) == p[i-1] {
 				ok = true
 			}
 		}
@@ -147,7 +147,7 @@ func TestKBestPathsOrderedAndValid(t *testing.T) {
 		for i := 1; i < len(p); i++ {
 			ok := false
 			for _, f := range c.Gates[p[i]].Fanin {
-				if f == p[i-1] {
+				if int(f) == p[i-1] {
 					ok = true
 				}
 			}
@@ -158,7 +158,7 @@ func TestKBestPathsOrderedAndValid(t *testing.T) {
 		first := c.Gate(p[0])
 		fed := false
 		for _, f := range first.Fanin {
-			if !c.Gate(f).IsLogic() {
+			if !c.Gates[f].IsLogic() {
 				fed = true
 			}
 		}
