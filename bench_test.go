@@ -217,6 +217,7 @@ func BenchmarkProcedure2(b *testing.B) {
 	for _, name := range []string{"s298", "s510", "s100k"} {
 		b.Run(name, func(b *testing.B) {
 			var evals int
+			var probes int64
 			for i := 0; i < b.N; i++ {
 				var p *core.Problem
 				o := core.DefaultOptions()
@@ -227,13 +228,16 @@ func BenchmarkProcedure2(b *testing.B) {
 				} else {
 					p = problemFor(b, name, 0.5)
 				}
+				probes0 := p.Eval.Metrics().WidthProbes
 				res, err := p.OptimizeJoint(o)
 				if err != nil {
 					b.Fatal(err)
 				}
 				evals = res.Evaluations
+				probes = p.Eval.Metrics().WidthProbes - probes0
 			}
 			b.ReportMetric(float64(evals), "circuit-evals")
+			b.ReportMetric(float64(probes), "width-probes")
 		})
 	}
 }

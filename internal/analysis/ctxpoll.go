@@ -17,9 +17,11 @@ import (
 // Energy/MeetsBudgets), a call to a same-module function whose CallsEval
 // fact is set (computed transitively within each package — core's evalPoint
 // and everything funneling into it), or a call to a local closure whose body
-// does either. Per-gate probes (ProbeWidth, GateDelayWith, GateDelayOverride)
-// are deliberately not "evaluation": a width-solve pass inside one candidate
-// loops over them by design and polls only at its candidate boundary.
+// does either. Per-gate probes (ProbeWidth, GateDelayWith, GateDelayOverride,
+// and the prepared probe's PrepareWidth, WidthProbe.At and
+// WidthProbe.Settled) are deliberately not "evaluation": a width-solve pass
+// inside one candidate loops over them by design and polls only at its
+// candidate boundary.
 //
 // What counts as a poll: ctx.Err()/ctx.Done() on a context.Context, a call
 // to a function whose PollsCtx fact is set (Problem.Canceled and its

@@ -49,38 +49,45 @@ type CSR struct {
 }
 
 // N returns the number of gates.
+//
 //cmosvet:hotpath
 func (s *CSR) N() int { return len(s.FaninStart) - 1 }
 
 // NumLevels returns the number of level groups (Depth+1, level 0 = inputs).
+//
 //cmosvet:hotpath
 func (s *CSR) NumLevels() int { return len(s.LevelStart) - 1 }
 
 // Fanins returns gate id's fanin IDs (read-only, declaration order).
+//
 //cmosvet:hotpath
 func (s *CSR) Fanins(id int32) []int32 {
 	return s.FaninList[s.FaninStart[id]:s.FaninStart[id+1]]
 }
 
 // Fanouts returns gate id's fanout IDs (read-only).
+//
 //cmosvet:hotpath
 func (s *CSR) Fanouts(id int32) []int32 {
 	return s.FanoutList[s.FanoutStart[id]:s.FanoutStart[id+1]]
 }
 
 // NumFanin returns gate id's fanin count without materializing the slice.
+//
 //cmosvet:hotpath
 func (s *CSR) NumFanin(id int32) int {
 	return int(s.FaninStart[id+1] - s.FaninStart[id])
 }
 
 // NumFanout returns gate id's fanout count.
+//
 //cmosvet:hotpath
 func (s *CSR) NumFanout(id int32) int {
 	return int(s.FanoutStart[id+1] - s.FanoutStart[id])
 }
 
 // LevelGates returns the gate IDs of one level, in topological-order sequence.
+//
 //cmosvet:hotpath
 func (s *CSR) LevelGates(l int) []int32 {
 	return s.Order[s.LevelStart[l]:s.LevelStart[l+1]]

@@ -148,7 +148,7 @@ func TestCompareBench(t *testing.T) {
 
 func TestCompareBenchAllocGate(t *testing.T) {
 	base := []obs.BenchRecord{
-		{Name: "Zero", NsPerOp: 1000, MemMeasured: true},                  // 0 allocs/op baseline
+		{Name: "Zero", NsPerOp: 1000, MemMeasured: true}, // 0 allocs/op baseline
 		{Name: "Some", NsPerOp: 1000, AllocsPerOp: 100, MemMeasured: true},
 		{Name: "NoMem", NsPerOp: 1000},
 	}

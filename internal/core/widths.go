@@ -57,8 +57,12 @@ func (c *evalCtx) solveWidths(a *design.Assignment, mSteps, passes int) bool {
 				}
 			}
 			target := budget[id] * searchMargin
+			// Only the gate's own width changes while it is sized, so its
+			// other delay terms are derived once for both searches and
+			// its final delay.
+			pr := c.eng.PrepareWidth(id, a, maxIn)
 			pred := func(w float64) bool {
-				return c.eng.ProbeWidth(id, a, w, maxIn) <= target
+				return pr.At(w) <= target
 			}
 			w, ok := optimize.MinSatisfying(wRange, mSteps, pred)
 			if !ok {
@@ -68,9 +72,9 @@ func (c *evalCtx) solveWidths(a *design.Assignment, mSteps, passes int) bool {
 				// 10 % of the best achievable delay instead of paying the
 				// full WMax energy; the cycle-time check below still
 				// guards the real constraint.
-				dBest := c.eng.ProbeWidth(id, a, wRange.Hi, maxIn)
+				dBest := pr.At(wRange.Hi)
 				w, _ = optimize.MinSatisfying(wRange, mSteps, func(wc float64) bool {
-					return c.eng.ProbeWidth(id, a, wc, maxIn) <= dBest*1.1
+					return pr.At(wc) <= dBest*1.1
 				})
 				// The change detection below measures against the width the
 				// gate ends the search with; on this path that was WMax.
@@ -80,7 +84,7 @@ func (c *evalCtx) solveWidths(a *design.Assignment, mSteps, passes int) bool {
 				changed = true
 			}
 			a.W[id] = w
-			td[id] = c.eng.GateDelayWith(id, a, maxIn)
+			td[id] = pr.Settled(w)
 		}
 		if !changed {
 			break

@@ -31,7 +31,8 @@ type Evaluator struct {
 	Tech *device.Tech
 	Wire *wiring.Model
 
-	cs *circuit.CSR
+	cs        *circuit.CSR
+	maxFanout int // sizes Prepared load scratch
 }
 
 // New builds a delay evaluator. The circuit must be combinational.
@@ -46,7 +47,11 @@ func New(c *circuit.Circuit, tech *device.Tech, wire *wiring.Model) (*Evaluator,
 	if err != nil {
 		return nil, err
 	}
-	return &Evaluator{C: c, Tech: tech, Wire: wire, cs: cs}, nil
+	maxFanout := 0
+	for id := range int32(cs.N()) {
+		maxFanout = max(maxFanout, cs.NumFanout(id))
+	}
+	return &Evaluator{C: c, Tech: tech, Wire: wire, cs: cs, maxFanout: maxFanout}, nil
 }
 
 // SlopeCoeff returns the input-rise-time coefficient
@@ -111,6 +116,11 @@ func (e *Evaluator) GateDelayWith(id int, a *design.Assignment, maxFaninDelay fl
 // (or a cache of it) for this gate's (V_dd, V_TS) pair. Optimizers use this to
 // probe "what if this width changed" without mutating the assignment.
 //
+// GateDelayAt is the one-call form and the bitwise reference of the model; a
+// search that evaluates one gate at many widths prepares it once instead
+// (Prepare, Prepared.At), which splits the same per-term helpers around the
+// gate's own width.
+//
 //cmosvet:hotpath
 //cmosvet:unit w 1
 //cmosvet:unit wOv 1
@@ -130,13 +140,13 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 
 	fii := float64(g.NumFanin())
 
-	drive := k.Idw - fii*k.Ioff
-	if drive <= 0 || k.Idw <= 0 {
+	drive, stalled := netDrive(k, fii)
+	if stalled {
 		return math.Inf(1)
 	}
 
 	// Slope component.
-	td := k.Slope * maxFaninDelay
+	td := slopeTerm(k, maxFaninDelay)
 
 	// Switching component: total output load over net drive current. The
 	// wire contribution is this gate's own net (per-net after SampleNets).
@@ -147,12 +157,12 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 		if int(f) == ov {
 			wf = wOv
 		}
-		load += wf*t.Ct + cb
+		load += branchLoad(t, wf, cb)
 	}
 	if e.cs.IsPO[id] {
-		load += t.COut + cb
+		load += poLoad(t, cb)
 	}
-	td += vdd * load / (2 * w * drive)
+	td += switchingTerm(vdd, load, w, drive)
 
 	// Interconnect component: worst fanout branch RC plus time of flight.
 	rb := e.Wire.BranchResNet(id)
@@ -163,12 +173,12 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 		if int(f) == ov {
 			wf = wOv
 		}
-		if b := rb*(wf*t.Ct+cb) + fl; b > worst {
+		if b := branchDelay(rb, branchLoad(t, wf, cb), fl); b > worst {
 			worst = b
 		}
 	}
 	if e.cs.IsPO[id] {
-		if b := rb*(t.COut+cb) + fl; b > worst {
+		if b := branchDelay(rb, poLoad(t, cb), fl); b > worst {
 			worst = b
 		}
 	}
@@ -176,7 +186,195 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 
 	// Series-stack component: charging f_ii−1 intermediate nodes.
 	if fii > 1 {
-		td += (fii - 1) * t.Cmi * vdd / (2 * w * k.Idw)
+		td += stackTerm(stackCharge(t, fii, vdd), w, k.Idw)
+	}
+	return td
+}
+
+// The Eq. A3 terms. GateDelayAt and the prepared form (Prepare, At) both
+// build the delay from these helpers, so the two share one formula and
+// round identically.
+
+// netDrive returns the net drive current per unit width, I_Dw − f_ii·I_off,
+// and whether the operating point stalls the gate (the off stacks' leakage
+// matches or exceeds the drive, or there is no drive at all).
+//
+//cmosvet:unit fii 1
+//cmosvet:unit return1 A
+func netDrive(k Coeffs, fii float64) (drive float64, stalled bool) {
+	drive = k.Idw - fii*k.Ioff
+	return drive, drive <= 0 || k.Idw <= 0
+}
+
+// slopeTerm is the input-slope component k_slope · max_j t_dij. The
+// conversion rounds the product on its own, so a compiler that fuses
+// multiply-adds cannot fold it into the next addition in one form and not
+// in the other.
+//
+//cmosvet:unit maxFaninDelay s
+//cmosvet:unit return s
+func slopeTerm(k Coeffs, maxFaninDelay float64) float64 {
+	return float64(k.Slope * maxFaninDelay)
+}
+
+// branchLoad is the load one fanout branch puts on the driver: the fanout
+// gate's input capacitance w_f·C_t plus the branch wire C_INT.
+//
+//cmosvet:unit wf 1
+//cmosvet:unit cb F
+//cmosvet:unit return F
+func branchLoad(t *device.Tech, wf, cb float64) float64 { return wf*t.Ct + cb }
+
+// poLoad is the load of a primary output's external branch.
+//
+//cmosvet:unit cb F
+//cmosvet:unit return F
+func poLoad(t *device.Tech, cb float64) float64 { return t.COut + cb }
+
+// branchDelay is one fanout branch's interconnect delay: R_INT times the
+// branch load plus the time of flight.
+//
+//cmosvet:unit rb V/A
+//cmosvet:unit load F
+//cmosvet:unit fl s
+//cmosvet:unit return s
+func branchDelay(rb, load, fl float64) float64 { return rb*load + fl }
+
+// switchingTerm is the switching component V_dd·C_load / (2·w·drive).
+//
+//cmosvet:unit vdd V
+//cmosvet:unit load F
+//cmosvet:unit w 1
+//cmosvet:unit drive A
+//cmosvet:unit return s
+func switchingTerm(vdd, load, w, drive float64) float64 { return vdd * load / (2 * w * drive) }
+
+// stackCharge is the series-stack numerator (f_ii−1)·C_mi·V_dd: the charge
+// of the intermediate nodes.
+//
+//cmosvet:unit fii 1
+//cmosvet:unit vdd V
+//cmosvet:unit return F*V
+func stackCharge(t *device.Tech, fii, vdd float64) float64 { return (fii - 1) * t.Cmi * vdd }
+
+// stackTerm is the series-stack component: charge q over 2·w·I_Dw.
+//
+//cmosvet:unit q F*V
+//cmosvet:unit w 1
+//cmosvet:unit idw A
+//cmosvet:unit return s
+func stackTerm(q, w, idw float64) float64 { return q / (2 * w * idw) }
+
+// Prepared is one gate's Eq. A3 delay with every term that does not depend
+// on the gate's own width already evaluated. Procedure 2 binary-searches a
+// gate's width while the gate's voltages, fanin delay and fanout widths stay
+// fixed; Prepare derives those terms once per search and At applies each
+// probe width.
+//
+// At(w) is bitwise equal to GateDelayAt(id, a, w, -1, 0, maxFaninDelay, k)
+// for the arguments Prepare was given, as long as the fanout widths in a
+// and the gate's voltages do not change in between. Its load scratch comes
+// from NewPrepared, sized for every gate of the circuit, so Prepare does not
+// allocate.
+type Prepared struct {
+	slope  float64 // input-slope component //cmosvet:unit s
+	vdd    float64 // the gate's supply //cmosvet:unit V
+	cpd    float64 // output parasitic capacitance per unit width //cmosvet:unit F
+	drive  float64 // net drive current I_Dw − f_ii·I_off //cmosvet:unit A
+	idw    float64 // drive current I_Dw //cmosvet:unit A
+	worst  float64 // worst fanout branch RC plus time of flight //cmosvet:unit s
+	stack  float64 // series-stack charge (f_ii−1)·C_mi·V_dd //cmosvet:unit F*V
+	series bool    // f_ii > 1: the series-stack component applies
+
+	// loads holds w_f·C_t + C_INT for each fanout in fanout order, then the
+	// primary-output load: the order GateDelayAt adds them in.
+	loads []float64 //cmosvet:unit F
+
+	// fixed marks a delay that does not depend on the width: 0 for an
+	// input gate, +Inf when the operating point cannot switch the gate.
+	fixed   bool
+	fixedTd float64 //cmosvet:unit s
+}
+
+// NewPrepared returns an empty Prepared whose load scratch fits the
+// largest fanout in the circuit.
+func (e *Evaluator) NewPrepared() Prepared {
+	return Prepared{loads: make([]float64, 0, e.maxFanout+1)}
+}
+
+// Prepare evaluates gate id's width-independent delay terms into p. The
+// arguments mean what they mean for GateDelayAt: the fanout widths come
+// from a, and k must be CoeffsAt of the gate's (V_dd, V_TS) pair.
+//
+//cmosvet:hotpath
+//cmosvet:unit maxFaninDelay s
+func (e *Evaluator) Prepare(p *Prepared, id int, a *design.Assignment, maxFaninDelay float64, k Coeffs) {
+	g := e.C.Gate(id)
+	if !g.IsLogic() {
+		p.fixed, p.fixedTd = true, 0
+		return
+	}
+	vdd := a.VddAt(id)
+	t := e.Tech
+	fii := float64(g.NumFanin())
+	drive, stalled := netDrive(k, fii)
+	if stalled {
+		p.fixed, p.fixedTd = true, math.Inf(1)
+		return
+	}
+
+	cb := e.Wire.BranchCapNet(id)
+	rb := e.Wire.BranchResNet(id)
+	fl := e.Wire.FlightTimeNet(id)
+	loads := p.loads[:0]
+	worst := 0.0
+	for _, f := range g.Fanout {
+		l := branchLoad(t, a.W[f], cb)
+		loads = append(loads, l)
+		if b := branchDelay(rb, l, fl); b > worst {
+			worst = b
+		}
+	}
+	if e.cs.IsPO[id] {
+		l := poLoad(t, cb)
+		loads = append(loads, l)
+		if b := branchDelay(rb, l, fl); b > worst {
+			worst = b
+		}
+	}
+	// Field by field: a composite-literal store copies the whole struct
+	// through a temporary, a measurable share of a width search.
+	p.slope = slopeTerm(k, maxFaninDelay)
+	p.vdd = vdd
+	p.cpd = t.CPD
+	p.drive = drive
+	p.idw = k.Idw
+	p.worst = worst
+	p.stack = stackCharge(t, fii, vdd)
+	p.series = fii > 1
+	p.loads = loads
+	p.fixed = false
+}
+
+// At returns the prepared gate's delay at width w, adding the terms in
+// GateDelayAt's order.
+//
+//cmosvet:hotpath
+//cmosvet:unit w 1
+//cmosvet:unit return s
+func (p *Prepared) At(w float64) float64 {
+	if p.fixed {
+		return p.fixedTd
+	}
+	load := w * p.cpd
+	for _, l := range p.loads {
+		load += l
+	}
+	td := p.slope
+	td += switchingTerm(p.vdd, load, w, p.drive)
+	td += p.worst
+	if p.series {
+		td += stackTerm(p.stack, w, p.idw)
 	}
 	return td
 }

@@ -14,7 +14,8 @@ import (
 // circuit, the technology, the activity profile, the wiring model, the pure
 // delay/power evaluators and the topological order. Clone shares all of that
 // and allocates only fresh scratch, so a worker engine costs two float slices
-// — cheap enough to build one per worker in every parallel driver.
+// and a fanout-sized load buffer — cheap enough to build one per worker in
+// every parallel driver.
 //
 // Clones also share the coefficient cache. The coefficient triple of a
 // (V_dd, V_TS) pair is a pure function of the pair, so a concurrent cache
@@ -66,6 +67,7 @@ func (cc *CoeffCache) shardFor(k coeffKey) *coeffShard {
 }
 
 // lookup returns the cached coefficients of k, if present.
+//
 //cmosvet:hotpath
 func (cc *CoeffCache) lookup(k coeffKey) (delay.Coeffs, bool) {
 	s := cc.shardFor(k)
@@ -81,6 +83,7 @@ func (cc *CoeffCache) lookup(k coeffKey) (delay.Coeffs, bool) {
 }
 
 // store inserts the coefficients of k, clearing the shard first when full.
+//
 //cmosvet:hotpath
 func (cc *CoeffCache) store(k coeffKey, c delay.Coeffs) {
 	s := cc.shardFor(k)
@@ -136,7 +139,7 @@ func (cc *CoeffCache) Len() int {
 // carried over: the clone starts unbound.
 func (e *Engine) Clone() *Engine {
 	n := e.C.N()
-	return &Engine{
+	c := &Engine{
 		C:        e.C,
 		Tech:     e.Tech,
 		Act:      e.Act,
@@ -151,6 +154,8 @@ func (e *Engine) Clone() *Engine {
 		td:       make([]float64, n),
 		arr:      make([]float64, n),
 	}
+	c.probe = WidthProbe{met: &c.met, d: e.dm.NewPrepared()}
+	return c
 }
 
 // CoeffCacheShared exposes the engine's shared coefficient cache (for tests).

@@ -14,7 +14,9 @@
 //     fixed voltage pair, so one cached triple serves thousands of calls;
 //   - width-override probes (ProbeWidth, GateDelayOverride) that answer
 //     "what would this gate's delay be at width w" without the
-//     mutate-and-restore pattern on the assignment;
+//     mutate-and-restore pattern on the assignment, and the prepared width
+//     probe (PrepareWidth, WidthProbe) that answers it for a whole width
+//     search after deriving the gate's width-independent terms once;
 //   - incremental re-evaluation (Bind/SetWidth in incremental.go): editing
 //     one gate's width dirties only its fanin loads and its fanout cone, not
 //     the whole circuit;
@@ -86,15 +88,19 @@ type Engine struct {
 	slack []float64 //cmosvet:unit s
 
 	// Tracked state for incremental evaluation (see incremental.go).
-	bound  *design.Assignment
-	curTd  []float64 //cmosvet:unit s
-	curArr []float64 //cmosvet:unit s
-	stE    []float64 //cmosvet:unit J
-	dyE    []float64 //cmosvet:unit J
-	dirty         []int // binary heap of gate IDs ordered by rank
-	inDirty       []bool
+	bound   *design.Assignment
+	curTd   []float64 //cmosvet:unit s
+	curArr  []float64 //cmosvet:unit s
+	stE     []float64 //cmosvet:unit J
+	dyE     []float64 //cmosvet:unit J
+	dirty   []int     // binary heap of gate IDs ordered by rank
+	inDirty []bool
 
 	met Metrics
+
+	// The engine's prepared width probe (PrepareWidth); its load scratch
+	// is sized for the circuit's largest fanout.
+	probe WidthProbe
 
 	// Optional observability sink (obs.go). Write-only from evaluation's
 	// perspective: nothing here feeds back into any result.
@@ -134,7 +140,7 @@ func NewDelayOnly(c *circuit.Circuit, tech *device.Tech, wire *wiring.Model) (*E
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{
+	e := &Engine{
 		C:        c,
 		Tech:     tech,
 		Wire:     wire,
@@ -145,7 +151,9 @@ func NewDelayOnly(c *circuit.Circuit, tech *device.Tech, wire *wiring.Model) (*E
 		primary:  true,
 		td:       make([]float64, c.N()),
 		arr:      make([]float64, c.N()),
-	}, nil
+	}
+	e.probe = WidthProbe{met: &e.met, d: dm.NewPrepared()}
+	return e, nil
 }
 
 // DelayModel exposes the underlying pure delay evaluator for model-level
@@ -226,6 +234,53 @@ func (e *Engine) GateDelayWith(id int, a *design.Assignment, maxFaninDelay float
 func (e *Engine) ProbeWidth(id int, a *design.Assignment, w, maxFaninDelay float64) float64 {
 	e.met.WidthProbes++
 	return e.gateDelay(id, a, w, maxFaninDelay)
+}
+
+// WidthProbe is one gate's delay prepared for a width search: Procedure 2
+// evaluates a gate at a dozen widths while its voltages, fanin delay and
+// fanout widths stay fixed, so PrepareWidth derives everything else once
+// and each At applies only the probed width. Its results are bitwise equal
+// to ProbeWidth's, and it counts the same work.
+type WidthProbe struct {
+	met *Metrics
+	d   delay.Prepared
+}
+
+// PrepareWidth prepares gate id for a width search at a's voltages and
+// fanout widths and the given largest fanin delay, with one coefficient
+// lookup, and returns the engine's probe. The probe is engine scratch,
+// valid until the next PrepareWidth on this engine and only while id's
+// voltages and its fanouts' widths in a stay unchanged.
+//
+//cmosvet:hotpath
+//cmosvet:unit maxFaninDelay s
+func (e *Engine) PrepareWidth(id int, a *design.Assignment, maxFaninDelay float64) *WidthProbe {
+	e.dm.Prepare(&e.probe.d, id, a, maxFaninDelay, e.coeffs(a.VddAt(id), a.Vts[id]))
+	return &e.probe
+}
+
+// At returns the prepared gate's delay at width w. It is one width probe:
+// it counts as ProbeWidth does, in WidthProbes and GateDelayCalls.
+//
+//cmosvet:hotpath
+//cmosvet:unit w 1
+//cmosvet:unit return s
+func (p *WidthProbe) At(w float64) float64 {
+	p.met.WidthProbes++
+	p.met.GateDelayCalls++
+	return p.d.At(w)
+}
+
+// Settled returns the prepared gate's delay at the width its search settled
+// on. It counts as GateDelayWith does, in GateDelayCalls only: it is the
+// gate's own delay, not a probe.
+//
+//cmosvet:hotpath
+//cmosvet:unit w 1
+//cmosvet:unit return s
+func (p *WidthProbe) Settled(w float64) float64 {
+	p.met.GateDelayCalls++
+	return p.d.At(w)
 }
 
 // GateDelayOverride returns gate id's delay with gate ov's width taken as wOv
@@ -436,6 +491,7 @@ func (e *Engine) MeetsBudgets(a *design.Assignment, budget []float64) bool {
 }
 
 // gateEnergy evaluates one gate's energy through the coefficient cache.
+//
 //cmosvet:hotpath
 func (e *Engine) gateEnergy(id int, a *design.Assignment) power.Breakdown {
 	if !e.cs.IsLogic[id] {
@@ -454,6 +510,7 @@ func (e *Engine) GateEnergy(id int, a *design.Assignment) power.Breakdown {
 
 // Energy returns the whole-network per-cycle energy breakdown (the paper's
 // cost function Σ E_si + E_di), evaluated through the coefficient cache.
+//
 //cmosvet:hotpath
 func (e *Engine) Energy(a *design.Assignment) power.Breakdown {
 	e.mustPower()

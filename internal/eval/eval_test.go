@@ -115,6 +115,80 @@ func TestProbeWidthMatchesMutateRestore(t *testing.T) {
 	}
 }
 
+// The prepared width probe answers what ProbeWidth and GateDelayWith
+// answer, bit for bit, and counts the same work: At is a width probe,
+// Settled a plain gate-delay call. A preparation looks the device
+// coefficients up once, and a clone carries its own probe.
+func TestWidthProbeMatchesProbeWidth(t *testing.T) {
+	c, eng, dm, _ := buildCase(t, 4)
+	a := design.Uniform(c.N(), 1.2, 0.3, 3)
+	for i := range a.W {
+		a.W[i] = 1 + float64(i%7)
+	}
+	td := dm.Delays(a)
+	ref := eng.Clone()
+	for _, e := range []*Engine{eng, eng.Clone()} {
+		for id := range c.Gates {
+			if !c.Gates[id].IsLogic() {
+				continue
+			}
+			maxIn := 0.0
+			for _, f := range c.Gate(id).Fanin {
+				maxIn = max(maxIn, td[f])
+			}
+			m0 := *e.Metrics()
+			pr := e.PrepareWidth(id, a, maxIn)
+			ws := []float64{1, 2.5, 7, 40}
+			for _, w := range ws {
+				if got, want := pr.At(w), ref.ProbeWidth(id, a, w, maxIn); got != want {
+					t.Fatalf("gate %d At(%v) = %v, ProbeWidth %v", id, w, got, want)
+				}
+			}
+			if got, want := pr.Settled(a.W[id]), ref.GateDelayWith(id, a, maxIn); got != want {
+				t.Fatalf("gate %d Settled = %v, GateDelayWith %v", id, got, want)
+			}
+			m := *e.Metrics()
+			if got := m.WidthProbes - m0.WidthProbes; got != int64(len(ws)) {
+				t.Errorf("gate %d: %d width probes counted, want %d", id, got, len(ws))
+			}
+			if got := m.GateDelayCalls - m0.GateDelayCalls; got != int64(len(ws)+1) {
+				t.Errorf("gate %d: %d gate-delay calls counted, want %d", id, got, len(ws)+1)
+			}
+			if got := m.CoeffHits + m.CoeffMisses - m0.CoeffHits - m0.CoeffMisses; got != 1 {
+				t.Errorf("gate %d: %d coefficient lookups, want 1", id, got)
+			}
+		}
+	}
+}
+
+// Preparing and probing allocates nothing, on the engine and on a clone,
+// for the gate with the widest fanout.
+func TestWidthProbeZeroAlloc(t *testing.T) {
+	c, eng, _, _ := buildCase(t, 5)
+	a := design.Uniform(c.N(), 1.2, 0.3, 3)
+	cs, err := c.CSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := 0
+	for id := range c.Gates {
+		if cs.IsLogic[id] && cs.NumFanout(int32(id)) > cs.NumFanout(int32(hub)) {
+			hub = id
+		}
+	}
+	for _, e := range []*Engine{eng, eng.Clone()} {
+		allocs := testing.AllocsPerRun(20, func() {
+			pr := e.PrepareWidth(hub, a, 1e-10)
+			_ = pr.At(2)
+			_ = pr.Settled(2)
+		})
+		if allocs != 0 {
+			t.Errorf("PrepareWidth + At + Settled on gate %d (fanout %d): %v allocs per run, want 0",
+				hub, cs.NumFanout(int32(hub)), allocs)
+		}
+	}
+}
+
 func TestGateDelayOverrideMatchesMutateRestore(t *testing.T) {
 	c, eng, dm, _ := buildCase(t, 3)
 	a := design.Uniform(c.N(), 1.0, 0.25, 5)

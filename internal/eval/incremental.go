@@ -54,6 +54,7 @@ func (e *Engine) Bind(a *design.Assignment) {
 func (e *Engine) Unbind() { e.bound = nil }
 
 // refreshAll recomputes the whole tracked state from the bound assignment.
+//
 //cmosvet:hotpath
 func (e *Engine) refreshAll() {
 	a := e.bound
@@ -67,6 +68,7 @@ func (e *Engine) refreshAll() {
 }
 
 // refreshEnergy re-prices one gate's energy into the tracked arrays.
+//
 //cmosvet:hotpath
 func (e *Engine) refreshEnergy(id int) {
 	b := e.gateEnergy(id, e.bound)
@@ -152,6 +154,7 @@ func (e *Engine) BoundCriticalDelay() float64 {
 // BoundEnergy returns the tracked whole-network energy breakdown, summed in
 // gate-index order so the result is bitwise identical to Energy on the same
 // assignment.
+//
 //cmosvet:hotpath
 func (e *Engine) BoundEnergy() power.Breakdown {
 	e.mustPower()
@@ -175,6 +178,7 @@ func (e *Engine) BoundSlacks(T float64) []float64 {
 }
 
 // push adds a gate to the dirty heap unless it is already queued.
+//
 //cmosvet:hotpath
 func (e *Engine) push(id int) {
 	if e.inDirty[id] {
@@ -196,6 +200,7 @@ func (e *Engine) push(id int) {
 }
 
 // pop removes and returns the dirty gate with the smallest topological rank.
+//
 //cmosvet:hotpath
 func (e *Engine) pop() int {
 	d, r := e.dirty, e.cs.Rank
@@ -229,6 +234,7 @@ func (e *Engine) pop() int {
 // gate's delay or arrival changed. Rank ordering guarantees each gate is
 // processed at most once per drain: pops are nondecreasing in rank and every
 // push targets a strictly higher rank than the gate that caused it.
+//
 //cmosvet:hotpath
 func (e *Engine) propagate() {
 	a := e.bound

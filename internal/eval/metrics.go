@@ -10,7 +10,7 @@ type Metrics struct {
 	GateEnergyCalls  int64 // single-gate energy-model evaluations
 	FullDelaySweeps  int64 // whole-circuit delay computations (Delays/Arrivals/…)
 	FullEnergySweeps int64 // whole-circuit energy computations (Energy)
-	WidthProbes      int64 // width-override probes (ProbeWidth, GateDelayOverride)
+	WidthProbes      int64 // width-override probes (ProbeWidth, GateDelayOverride, WidthProbe.At)
 	IncrementalEdits int64 // bound-assignment edits (SetWidth, SetGateVts, …)
 	DirtyGates       int64 // gates re-evaluated by incremental propagation
 	CoeffHits        int64 // device-coefficient cache hits

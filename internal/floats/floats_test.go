@@ -12,13 +12,13 @@ func TestEq(t *testing.T) {
 	}{
 		{0, 0, true},
 		{1.0, 1.0, true},
-		{1.0, 1.0 + 1e-15, true},                // well inside RelEps
-		{1.0, 1.0 + 1e-9, false},                // outside RelEps
-		{1e-12, 1e-12 * (1 + 1e-15), true},      // relative test scales down
-		{1e-12, 2e-12, false},                   // small but genuinely different
-		{0, 1e-301, true},                       // absolute floor near zero
-		{0, 1e-12, false},                       // zero vs. a real small value
-		{-3.5e-10, -3.5e-10 * (1 + 1e-14), true} /* delays */,
+		{1.0, 1.0 + 1e-15, true},                 // well inside RelEps
+		{1.0, 1.0 + 1e-9, false},                 // outside RelEps
+		{1e-12, 1e-12 * (1 + 1e-15), true},       // relative test scales down
+		{1e-12, 2e-12, false},                    // small but genuinely different
+		{0, 1e-301, true},                        // absolute floor near zero
+		{0, 1e-12, false},                        // zero vs. a real small value
+		{-3.5e-10, -3.5e-10 * (1 + 1e-14), true}, /* delays */
 		{math.Inf(1), math.Inf(1), true},
 		{math.Inf(1), math.Inf(-1), false},
 		{math.NaN(), math.NaN(), false}, // NaN matches == semantics

@@ -188,11 +188,15 @@ func (s *Server) run(j *job) {
 	res, err := s.cfg.Runner(j.ctx, j.req, s.cfg.Workers, j.reg)
 	switch {
 	case err == nil:
+		// Cache first, then finish: finish releases the waiters, and a
+		// client that resubmits the moment its wait returns must hit. Only
+		// this executor can end a running job, so the finish below cannot
+		// lose to a cancel and leave a cached result on a canceled job.
+		if j.key != "" {
+			s.results.put(j.key, res)
+		}
 		if j.finish(StateDone, res, nil) {
 			s.ndone.Add(1)
-			if j.key != "" {
-				s.results.put(j.key, res)
-			}
 		}
 	case j.ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		if j.finish(StateCanceled, nil, err) {
@@ -224,6 +228,10 @@ func (s *Server) submit(req *Request) (*job, error) {
 			s.hits.Add(1)
 			s.obsCount("serve.cache_hits", 1)
 			j := s.newJobLocked(req, key)
+			// A hit never runs: release its context (and deadline timer)
+			// now, or every hit leaves a child registered on baseCtx. A
+			// later cancel through the API finds a done job and is a no-op.
+			j.cancel()
 			j.cached = true
 			j.state = StateDone
 			j.res = res

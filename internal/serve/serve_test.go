@@ -290,6 +290,80 @@ func TestCanceledRunNotCached(t *testing.T) {
 	}
 }
 
+// A finished job's result is cached before its waiters are released, so a
+// client that resubmits the moment its wait returns must hit. Each
+// iteration uses a fresh key: the first request runs, the second must hit.
+// The race needs the executor to stall between releasing the waiters and
+// caching; garbage from each run makes that likely under -race, through
+// the collector work the executor owes at its next allocation.
+func TestResubmitAfterWaitHitsCache(t *testing.T) {
+	var garbage atomic.Pointer[[][]byte]
+	run := func(ctx context.Context, req *Request, workers int, reg *obs.Registry) (*Result, error) {
+		var g [][]byte
+		for k := 0; k < 64; k++ {
+			g = append(g, make([]byte, 16<<10))
+		}
+		garbage.Store(&g)
+		return &Result{Output: fmt.Sprintf("fc %g\n", req.FcHz)}, nil
+	}
+	_, c := newTestServer(t, Config{Runner: run})
+	ctx := context.Background()
+	for i := 0; i < 200; i++ {
+		req := func() *Request { return &Request{Circuit: "s27", FcHz: float64(100+i) * 1e6} }
+		first, err := c.SubmitWait(ctx, req())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.State != StateDone || first.Cached {
+			t.Fatalf("iteration %d, first request: %+v", i, first)
+		}
+		again, err := c.SubmitWait(ctx, req())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.Cached {
+			t.Fatalf("iteration %d: resubmitting right after the wait missed the cache", i)
+		}
+	}
+}
+
+// A cache hit never runs, so its job context must be released at once: an
+// uncanceled context stays registered on the server's base context (and,
+// with a deadline, keeps a live timer) for the server's lifetime. Canceling
+// a hit through the API still answers with the finished job.
+func TestCacheHitReleasesJobContext(t *testing.T) {
+	g := newGatedRunner()
+	close(g.release)
+	for _, timeout := range []time.Duration{0, time.Hour} {
+		s, c := newTestServer(t, Config{Runner: g.run, DefaultTimeout: timeout})
+		ctx := context.Background()
+		if _, err := c.SubmitWait(ctx, &Request{Circuit: "s27"}); err != nil {
+			t.Fatal(err)
+		}
+		hit, err := c.Submit(ctx, &Request{Circuit: "s27"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit.Cached {
+			t.Fatalf("timeout %v: second request missed the cache: %+v", timeout, hit)
+		}
+		j, ok := s.jobByID(hit.ID)
+		if !ok {
+			t.Fatalf("timeout %v: cache-hit job %s not addressable", timeout, hit.ID)
+		}
+		if j.ctx.Err() == nil {
+			t.Errorf("timeout %v: cache-hit job context still live", timeout)
+		}
+		st, err := c.Cancel(ctx, hit.ID)
+		if err != nil {
+			t.Fatalf("timeout %v: cancel cache hit: %v", timeout, err)
+		}
+		if st.State != StateDone || !st.Cached || st.Result == nil {
+			t.Errorf("timeout %v: cache hit after cancel: %+v", timeout, st)
+		}
+	}
+}
+
 // The real pipeline end to end: a served sweep must render byte-identically
 // to the offline cli helpers for the same request, and a cancel-then-retry
 // sequence must not perturb that (engine scratch is per-job).
