@@ -2,11 +2,14 @@
 //
 //	benchdiff -parse bench.txt -o bench.json
 //	    Parse `go test -bench` text output into a manifest JSON
-//	    (schema cmosopt/manifest/v1, Benchmarks populated).
+//	    (schema cmosopt/manifest/v2, Benchmarks populated). An effort
+//	    count (circuit-evals, width-probes, coeff-misses) that differs
+//	    between -count repeats is an error.
 //
 //	benchdiff -baseline BENCH_baseline.json -current bench.json [-threshold 1.25] [-filter regex]
 //	    Compare a run against the committed baseline; exit 1 when any
-//	    benchmark is more than threshold× slower, or vanished entirely.
+//	    benchmark is more than threshold× slower, vanished entirely, or
+//	    reports an effort count other than the baseline's.
 //	    -filter restricts both sides to matching names, so one baseline
 //	    file can hold several suites (go-bench records and loadgen latency
 //	    records) gated by different CI jobs without tripping each other's
@@ -14,8 +17,9 @@
 //
 //	benchdiff -selftest
 //	    Verify the gate itself: a synthetic 2× slowdown must fail, a
-//	    within-noise 1.1× change must pass, and an allocs/op blow-up on a
-//	    memory-measured benchmark must fail.
+//	    within-noise 1.1× change must pass, an allocs/op blow-up on a
+//	    memory-measured benchmark must fail, and so must a changed effort
+//	    count.
 package main
 
 import (
@@ -25,6 +29,7 @@ import (
 	"log"
 	"os"
 	"regexp"
+	"strings"
 
 	"cmosopt/internal/cli"
 	"cmosopt/internal/obs"
@@ -48,7 +53,7 @@ func main() {
 		if err := runSelftest(*threshold); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println("selftest ok: 2.0x slowdown fails, 1.1x passes")
+		fmt.Println("selftest ok: 2.0x slowdown fails, 1.1x passes, a changed count fails")
 	case *parse != "":
 		if err := runParse(*parse, *out); err != nil {
 			log.Fatal(err)
@@ -59,7 +64,7 @@ func main() {
 			log.Fatal(err)
 		}
 		if failed > 0 {
-			log.Fatalf("%d benchmark(s) regressed beyond %.2fx", failed, *threshold)
+			log.Fatalf("%d benchmark(s) failed the gate (threshold %.2fx, counts exact)", failed, *threshold)
 		}
 	default:
 		flag.Usage()
@@ -189,13 +194,31 @@ func runSelftest(threshold float64) error {
 	if n := countFailed(cli.CompareBench(mixed, base, threshold)); n != 1 {
 		return fmt.Errorf("selftest: unfiltered mixed baseline flagged %d entries, want 1 missing", n)
 	}
+
+	// Count gate: effort counts are compared exactly, so one extra circuit
+	// evaluation fails even when the run got faster, and a count that moves
+	// between -count repeats is rejected at parse time.
+	counted := func(evals, ns float64) []obs.BenchRecord {
+		return []obs.BenchRecord{{Name: "BenchmarkProcedure2/s298", NsPerOp: ns,
+			Counts: map[string]float64{"circuit-evals": evals, "width-probes": 574398}}}
+	}
+	if n := countFailed(cli.CompareBench(counted(5543, 1e7), counted(5543, 1.1e7), threshold)); n != 0 {
+		return fmt.Errorf("selftest: unchanged counts flagged %d entries, want 0", n)
+	}
+	if n := countFailed(cli.CompareBench(counted(5543, 1e7), counted(5544, 0.5e7), threshold)); n != 1 {
+		return fmt.Errorf("selftest: changed circuit-evals count flagged %d entries, want 1", n)
+	}
+	if _, err := cli.ParseBench(strings.NewReader(
+		"BenchmarkP 3 100 ns/op 5543 circuit-evals\nBenchmarkP 3 90 ns/op 5544 circuit-evals\n")); err == nil {
+		return fmt.Errorf("selftest: a count that differs between -count repeats was accepted")
+	}
 	return nil
 }
 
 func countFailed(deltas []cli.BenchDelta) int {
 	n := 0
 	for _, d := range deltas {
-		if d.Regressed || d.AllocRegressed || d.Missing {
+		if d.Failed() {
 			n++
 		}
 	}

@@ -11,7 +11,7 @@
 // Load mode (default) measures the serving pipeline: -n requests at -c
 // concurrency, once uncached (every request runs the real optimizer) and
 // once against the result cache, reporting p50/p99 latency and sustained
-// ns/request. With -o the measurements land in a cmosopt/manifest/v1
+// ns/request. With -o the measurements land in a cmosopt/manifest/v2
 // manifest as Loadgen/* benchmark records, the same currency the CI
 // bench-regress gate compares with cmd/benchdiff.
 //

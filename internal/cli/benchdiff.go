@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,12 +14,20 @@ import (
 	"cmosopt/internal/obs"
 )
 
+// countUnits are the b.ReportMetric units that carry deterministic effort
+// counts, sorted: the work an algorithm does, not how long it took. The
+// gate compares them exactly.
+var countUnits = []string{"circuit-evals", "coeff-misses", "width-probes"}
+
 // ParseBench reads `go test -bench` text output and folds it into one
 // BenchRecord per benchmark. With -count N each benchmark emits N measurement
 // lines; NsPerOp keeps the minimum across them — a benchmark can run slow
 // from scheduler interference but never fast by luck, so the minimum is the
-// noise-robust statistic for a regression gate. The -<GOMAXPROCS> suffix go
-// test appends is stripped so baselines survive core-count changes.
+// noise-robust statistic for a regression gate. Effort counts (countUnits)
+// are kept as reported, and a count that differs between the lines of one
+// benchmark is an error: it is not deterministic, so no exact gate can hold
+// it. The -<GOMAXPROCS> suffix go test appends is stripped so baselines
+// survive core-count changes.
 func ParseBench(r io.Reader) ([]obs.BenchRecord, error) {
 	type agg struct {
 		runs      int
@@ -26,6 +36,7 @@ func ParseBench(r io.Reader) ([]obs.BenchRecord, error) {
 		minBytes  float64
 		minAllocs float64
 		mem       bool
+		counts    map[string]float64
 	}
 	byName := map[string]*agg{}
 	var order []string
@@ -79,14 +90,35 @@ func ParseBench(r io.Reader) ([]obs.BenchRecord, error) {
 			}
 			mem = true
 		}
+		// Custom metrics follow ns/op as value-unit pairs.
+		var counts map[string]float64
+		for i := nsIdx + 3; i < len(fields); i++ {
+			if !slices.Contains(countUnits, fields[i]) {
+				continue
+			}
+			v, err := strconv.ParseFloat(fields[i-1], 64)
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("benchdiff: bad %s %q in %q", fields[i], fields[i-1], sc.Text())
+			}
+			if counts == nil {
+				counts = map[string]float64{}
+			}
+			counts[fields[i]] = v
+		}
 		name := trimProcsSuffix(fields[0])
 		a := byName[name]
 		if a == nil {
-			a = &agg{minNs: ns}
+			a = &agg{minNs: ns, counts: counts}
 			byName[name] = a
 			order = append(order, name)
-		} else if ns < a.minNs {
-			a.minNs = ns
+		} else {
+			if !maps.Equal(counts, a.counts) {
+				return nil, fmt.Errorf("benchdiff: %s: effort counts differ between -count repeats: %v, then %v",
+					name, a.counts, counts)
+			}
+			if ns < a.minNs {
+				a.minNs = ns
+			}
 		}
 		if mem {
 			if !a.mem || bytesOp < a.minBytes {
@@ -110,6 +142,7 @@ func ParseBench(r io.Reader) ([]obs.BenchRecord, error) {
 		recs = append(recs, obs.BenchRecord{
 			Name: name, Runs: a.runs, NsPerOp: a.minNs, Samples: a.samples,
 			BytesPerOp: a.minBytes, AllocsPerOp: a.minAllocs, MemMeasured: a.mem,
+			Counts: a.counts,
 		})
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Name < recs[j].Name })
@@ -142,6 +175,15 @@ type BenchDelta struct {
 	BaselineAllocs float64
 	CurrentAllocs  float64
 	AllocRegressed bool
+
+	// Count gate: each baseline effort count the current run reports with
+	// another value or not at all, as "unit baseline -> current".
+	CountsChanged []string
+}
+
+// Failed reports whether the entry fails the gate.
+func (d BenchDelta) Failed() bool {
+	return d.Missing || d.Regressed || d.AllocRegressed || len(d.CountsChanged) > 0
 }
 
 // allocSlack is the absolute allocs/op headroom the allocation gate ignores:
@@ -158,7 +200,8 @@ const allocSlack = 8
 // the cap on a 0 → N escape. Benchmarks that exist only in the current run
 // are new and pass by definition; benchmarks that vanished from the current
 // run are flagged Missing so a gate can't be dodged by deleting the slow
-// benchmark.
+// benchmark. Effort counts are gated exactly: every count the baseline
+// records must come back with the same value.
 func CompareBench(baseline, current []obs.BenchRecord, threshold float64) []BenchDelta {
 	cur := make(map[string]obs.BenchRecord, len(current))
 	for _, r := range current {
@@ -182,6 +225,19 @@ func CompareBench(baseline, current []obs.BenchRecord, threshold float64) []Benc
 				d.AllocRegressed = c.AllocsPerOp > b.AllocsPerOp*threshold &&
 					c.AllocsPerOp > b.AllocsPerOp+allocSlack
 			}
+			for _, unit := range countUnits {
+				want, gated := b.Counts[unit]
+				got, ok := c.Counts[unit]
+				if !gated || (ok && got == want) {
+					continue
+				}
+				now := "missing"
+				if ok {
+					now = strconv.FormatFloat(got, 'f', -1, 64)
+				}
+				d.CountsChanged = append(d.CountsChanged,
+					fmt.Sprintf("%s %s -> %s", unit, strconv.FormatFloat(want, 'f', -1, 64), now))
+			}
 		}
 		deltas = append(deltas, d)
 	}
@@ -190,21 +246,24 @@ func CompareBench(baseline, current []obs.BenchRecord, threshold float64) []Benc
 }
 
 // RenderBenchDeltas writes a human-readable comparison table and returns how
-// many entries fail the gate (regressed, alloc-regressed, or missing).
+// many entries fail the gate (missing, count-changed, regressed or
+// alloc-regressed).
 func RenderBenchDeltas(w io.Writer, deltas []BenchDelta) int {
 	failed := 0
 	for _, d := range deltas {
+		if d.Failed() {
+			failed++
+		}
 		switch {
 		case d.Missing:
-			failed++
 			fmt.Fprintf(w, "MISSING %-40s baseline %12.0f ns/op, absent from current run\n",
 				d.Name, d.BaselineNs)
+		case len(d.CountsChanged) > 0:
+			fmt.Fprintf(w, "FAIL    %-40s %s\n", d.Name, strings.Join(d.CountsChanged, ", "))
 		case d.Regressed:
-			failed++
 			fmt.Fprintf(w, "FAIL    %-40s %12.0f -> %12.0f ns/op (%.2fx)\n",
 				d.Name, d.BaselineNs, d.CurrentNs, d.Ratio)
 		case d.AllocRegressed:
-			failed++
 			fmt.Fprintf(w, "FAIL    %-40s %12.0f -> %12.0f allocs/op\n",
 				d.Name, d.BaselineAllocs, d.CurrentAllocs)
 		default:

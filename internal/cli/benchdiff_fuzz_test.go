@@ -2,6 +2,7 @@ package cli
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -27,6 +28,8 @@ func FuzzParseBench(f *testing.F) {
 	f.Add("BenchmarkX 3 nan ns/op\n")
 	f.Add("BenchmarkX three 100 ns/op\nBenchmark\n\nok cmosopt 1.2s\n")
 	f.Add("BenchmarkA/sub-case-2 1 5 ns/op 16 B/op 1 allocs/op\n")
+	f.Add("BenchmarkP-2 3 100 ns/op 5543 circuit-evals 574398 width-probes\n" +
+		"BenchmarkP-2 3 90 ns/op 5543 circuit-evals 574398 width-probes\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		recs, err := ParseBench(strings.NewReader(input))
 		if err != nil {
@@ -47,6 +50,12 @@ func FuzzParseBench(f *testing.F) {
 			if math.IsNaN(r.NsPerOp) || math.IsInf(r.NsPerOp, 0) {
 				t.Fatalf("record %q has non-finite NsPerOp %v", r.Name, r.NsPerOp)
 			}
+			// Counts are gated exactly, so a NaN would pass every compare.
+			for unit, v := range r.Counts {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("record %q has non-finite %s %v", r.Name, unit, v)
+				}
+			}
 			if i > 0 && recs[i-1].Name >= r.Name {
 				t.Fatalf("records unsorted or duplicated: %q before %q",
 					recs[i-1].Name, r.Name)
@@ -63,7 +72,7 @@ func FuzzParseBench(f *testing.F) {
 			t.Fatalf("re-parse changed record count: %d vs %d", len(recs), len(again))
 		}
 		for i := range recs {
-			if recs[i] != again[i] {
+			if !reflect.DeepEqual(recs[i], again[i]) {
 				t.Fatalf("re-parse changed record %d: %+v vs %+v", i, recs[i], again[i])
 			}
 		}

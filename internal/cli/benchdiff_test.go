@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -192,5 +193,83 @@ func TestCompareBenchAllocSlackCapsZeroEscape(t *testing.T) {
 	}
 	if d := CompareBench(base, beyond, 1.25)[0]; !d.AllocRegressed {
 		t.Errorf("allocs/op beyond the slack bound should fail: %+v", d)
+	}
+}
+
+func TestParseBenchCounts(t *testing.T) {
+	recs, err := ParseBench(strings.NewReader(
+		"BenchmarkP/s298-2 3 12215339 ns/op 5543 circuit-evals 574398 width-probes 0.4 Vdd(V)\n" +
+			"BenchmarkP/s298-2 3 12015339 ns/op 5543 circuit-evals 574398 width-probes 0.4 Vdd(V)\n" +
+			"BenchmarkF 9 14185 ns/op 117 B/op 0 allocs/op 2 coeff-misses\n" +
+			"BenchmarkI 9 588 ns/op 38.5 dirty-gates/edit\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]map[string]float64{
+		"BenchmarkF":      {"coeff-misses": 2},
+		"BenchmarkI":      nil, // a ratio, not an effort count
+		"BenchmarkP/s298": {"circuit-evals": 5543, "width-probes": 574398},
+	}
+	for _, r := range recs {
+		if !reflect.DeepEqual(r.Counts, want[r.Name]) {
+			t.Errorf("%s counts = %v, want %v", r.Name, r.Counts, want[r.Name])
+		}
+	}
+	if recs[0].Name != "BenchmarkF" || !recs[0].MemMeasured || recs[0].AllocsPerOp != 0 {
+		t.Errorf("count columns disturbed the memory columns: %+v", recs[0])
+	}
+}
+
+func TestParseBenchCountsMustAgreeAcrossRepeats(t *testing.T) {
+	for _, in := range []string{
+		"BenchmarkP 3 100 ns/op 5543 circuit-evals\nBenchmarkP 3 90 ns/op 5544 circuit-evals\n",
+		"BenchmarkP 3 100 ns/op 5543 circuit-evals\nBenchmarkP 3 90 ns/op\n",
+		"BenchmarkP 3 100 ns/op NaN circuit-evals\n",
+	} {
+		if _, err := ParseBench(strings.NewReader(in)); err == nil {
+			t.Errorf("accepted %q", in)
+		}
+	}
+}
+
+func TestCompareBenchCountGate(t *testing.T) {
+	counts := func(evals, probes float64) map[string]float64 {
+		return map[string]float64{"circuit-evals": evals, "width-probes": probes}
+	}
+	base := []obs.BenchRecord{
+		{Name: "Same", NsPerOp: 1000, Counts: counts(5543, 574398)},
+		{Name: "OneMore", NsPerOp: 1000, Counts: counts(5543, 574398)},
+		{Name: "Dropped", NsPerOp: 1000, Counts: counts(5543, 574398)},
+		{Name: "Uncounted", NsPerOp: 1000},
+	}
+	cur := []obs.BenchRecord{
+		{Name: "Same", NsPerOp: 900, Counts: counts(5543, 574398)},
+		{Name: "OneMore", NsPerOp: 500, Counts: counts(5544, 574398)}, // faster, but different work
+		{Name: "Dropped", NsPerOp: 1000},
+		{Name: "Uncounted", NsPerOp: 1000, Counts: counts(1, 1)}, // new counts pass
+	}
+	byName := map[string]BenchDelta{}
+	for _, d := range CompareBench(base, cur, 1.25) {
+		byName[d.Name] = d
+	}
+	if d := byName["Same"]; d.Failed() {
+		t.Errorf("Same should pass: %+v", d)
+	}
+	if d := byName["OneMore"]; !reflect.DeepEqual(d.CountsChanged, []string{"circuit-evals 5543 -> 5544"}) {
+		t.Errorf("OneMore count change = %q", d.CountsChanged)
+	}
+	if d := byName["Dropped"]; !reflect.DeepEqual(d.CountsChanged,
+		[]string{"circuit-evals 5543 -> missing", "width-probes 574398 -> missing"}) {
+		t.Errorf("Dropped count change = %q", d.CountsChanged)
+	}
+	if d := byName["Uncounted"]; d.Failed() {
+		t.Errorf("Uncounted has no baseline counts, should pass: %+v", d)
+	}
+	var sb strings.Builder
+	if failed := RenderBenchDeltas(&sb, CompareBench(base, cur, 1.25)); failed != 2 {
+		t.Errorf("failed = %d, want 2\n%s", failed, sb.String())
+	}
+	if !strings.Contains(sb.String(), "FAIL    OneMore") || !strings.Contains(sb.String(), "5543 -> 5544") {
+		t.Errorf("count failure not rendered:\n%s", sb.String())
 	}
 }

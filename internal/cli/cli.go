@@ -59,6 +59,40 @@ func LoadTech(path string) (device.Tech, error) {
 	return device.ParseTech(tech, f)
 }
 
+// OptimizeFunc runs one optimizer mode on an elaborated problem; nv is the
+// threshold count of multivt and ignored by the other modes.
+type OptimizeFunc func(p *core.Problem, opts core.Options, nv int) (*core.Result, error)
+
+// modes is the one optimizer-mode table, shared by cmd/lowpower's -mode and
+// the service's optimize requests: each mode name with the optimizer it
+// runs, in help-text order.
+var modes = []struct {
+	name string
+	run  OptimizeFunc
+}{
+	{"joint", func(p *core.Problem, o core.Options, _ int) (*core.Result, error) { return p.OptimizeJoint(o) }},
+	{"baseline", func(p *core.Problem, o core.Options, _ int) (*core.Result, error) { return p.OptimizeBaseline(o) }},
+	{"anneal", func(p *core.Problem, _ core.Options, _ int) (*core.Result, error) {
+		return p.OptimizeAnneal(core.DefaultAnnealOptions())
+	}},
+	{"multivt", func(p *core.Problem, o core.Options, nv int) (*core.Result, error) { return p.OptimizeMultiVt(nv, o) }},
+	{"dualvdd", func(p *core.Problem, o core.Options, _ int) (*core.Result, error) { return p.OptimizeDualVdd(o) }},
+	{"sensitivity", func(p *core.Problem, o core.Options, _ int) (*core.Result, error) {
+		return p.OptimizeJointSensitivity(o)
+	}},
+}
+
+// Optimizer returns the optimizer of a mode name; ok is false for an unknown
+// mode.
+func Optimizer(mode string) (run OptimizeFunc, ok bool) {
+	for _, m := range modes {
+		if m.name == mode {
+			return m.run, true
+		}
+	}
+	return nil, false
+}
+
 // LowPower implements cmd/lowpower: optimize one circuit and print the
 // design report. It returns an error for bad flags or infeasible problems.
 func LowPower(args []string, out io.Writer) error {
@@ -66,7 +100,11 @@ func LowPower(args []string, out io.Writer) error {
 	fs.SetOutput(out)
 	name := fs.String("circuit", "", "built-in benchmark name (s27, c17, s298, ...)")
 	benchPath := fs.String("bench", "", "path to an ISCAS .bench netlist")
-	mode := fs.String("mode", "joint", "optimizer: joint, baseline, anneal, multivt, dualvdd, sensitivity")
+	names := make([]string, len(modes))
+	for i, m := range modes {
+		names[i] = m.name
+	}
+	mode := fs.String("mode", "joint", "optimizer: "+strings.Join(names, ", "))
 	nv := fs.Int("nv", 2, "distinct threshold voltages for -mode multivt")
 	fc := fs.Float64("fc", 300e6, "required clock frequency (Hz)")
 	skew := fs.Float64("skew", 0.95, "clock-skew derating b (0,1]")
@@ -109,23 +147,11 @@ func LowPower(args []string, out io.Writer) error {
 	opts := core.DefaultOptions()
 	opts.M = *m
 
-	var res *core.Result
-	switch *mode {
-	case "joint":
-		res, err = p.OptimizeJoint(opts)
-	case "baseline":
-		res, err = p.OptimizeBaseline(opts)
-	case "anneal":
-		res, err = p.OptimizeAnneal(core.DefaultAnnealOptions())
-	case "multivt":
-		res, err = p.OptimizeMultiVt(*nv, opts)
-	case "dualvdd":
-		res, err = p.OptimizeDualVdd(opts)
-	case "sensitivity":
-		res, err = p.OptimizeJointSensitivity(opts)
-	default:
+	run, ok := Optimizer(*mode)
+	if !ok {
 		return fmt.Errorf("unknown -mode %q", *mode)
 	}
+	res, err := run(p, opts, *nv)
 	if err != nil {
 		return err
 	}

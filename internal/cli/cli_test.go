@@ -30,8 +30,14 @@ func TestLowPowerModes(t *testing.T) {
 		}
 	}
 	var out bytes.Buffer
-	if err := LowPower([]string{"-circuit", "s27", "-mode", "frob"}, &out); err == nil {
-		t.Error("unknown mode accepted")
+	if err := LowPower([]string{"-circuit", "s27", "-mode", "frob"}, &out); err == nil || err.Error() != `unknown -mode "frob"` {
+		t.Errorf("unknown mode: err = %v", err)
+	}
+	// The help text is generated from the one optimizer-mode table.
+	out.Reset()
+	_ = LowPower([]string{"-h"}, &out)
+	if want := "optimizer: joint, baseline, anneal, multivt, dualvdd, sensitivity"; !strings.Contains(out.String(), want) {
+		t.Errorf("-mode help lacks %q:\n%s", want, out.String())
 	}
 }
 

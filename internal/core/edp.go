@@ -38,11 +38,7 @@ func EDPStudy(spec Spec, fcs []float64, opts Options) ([]EDPPoint, int, error) {
 		err error
 	}
 	slots := make([]slot, len(fcs))
-	w := workersFor(opts.Workers, len(fcs))
-	inner := opts
-	if w > 1 {
-		inner.Workers = 1 // the sweep level owns the parallelism
-	}
+	w, inner := sweepWorkers(opts, len(fcs))
 	parallel.For(w, len(fcs), func(_, i int) {
 		if spec.Ctx != nil && spec.Ctx.Err() != nil {
 			return // canceled: the post-loop Canceled check reports it

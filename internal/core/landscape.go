@@ -22,7 +22,7 @@ type Landscape struct {
 
 // SampleLandscape evaluates an nVdd × nVts grid. Each sample is a full
 // width solve, so keep the grid modest (8×8 ≈ one Procedure 2 run). Cells
-// are independent and fan out over opts.Workers engine clones; the grid is
+// are independent and fan out over opts.Workers forks; the grid is
 // byte-identical at any worker count.
 func (p *Problem) SampleLandscape(nVdd, nVts int, opts Options) (*Landscape, error) {
 	opts.fill()
@@ -40,9 +40,9 @@ func (p *Problem) SampleLandscape(nVdd, nVts int, opts Options) (*Landscape, err
 	for i := range ls.E {
 		ls.E[i] = make([]float64, nVts)
 	}
-	p.mapEval(opts.Workers, nVdd*nVts, func(c *evalCtx, k int) {
+	p.fanOut(opts.Workers, nVdd*nVts, func(q *Problem, k int) {
 		i, j := k/nVts, k%nVts
-		e, _, ok := c.evalPoint(ls.Vdd[i], ls.Vts[j], &opts)
+		e, _, ok := q.evalPoint(ls.Vdd[i], ls.Vts[j], &opts)
 		if !ok {
 			e = math.Inf(1)
 		}

@@ -40,10 +40,7 @@ func (p *Problem) OptimizeDualVdd(opts Options) (*Result, error) {
 	oldTrace := p.setTrace(node)
 	defer p.setTrace(oldTrace)
 
-	ids, err := p.C.LogicIDs()
-	if err != nil {
-		return nil, err
-	}
+	ids := p.logicOrder()
 	// Engine scratch, consumed immediately below.
 	td := p.Eval.Delays(base.Assignment)
 	slackFrac := make([]float64, p.C.N())
@@ -56,10 +53,7 @@ func (p *Problem) OptimizeDualVdd(opts Options) (*Result, error) {
 	baseVt := base.VtsValues[0]
 	n := p.C.N()
 	vddR := optimize.Range{Lo: p.Tech.VddMin, Hi: p.Tech.VddMax}
-	cs, err := p.C.CSR()
-	if err != nil {
-		return nil, err
-	}
+	cs := p.cs
 
 	// delayScale estimates how much slower a gate gets when its rail moves
 	// from the base supply to v: delay ∝ Vdd / I_D(Vdd).
@@ -80,9 +74,8 @@ func (p *Problem) OptimizeDualVdd(opts Options) (*Result, error) {
 		members := 0
 		for i := len(cs.Order) - 1; i >= 0; i-- {
 			id := cs.Order[i]
-			g := &p.C.Gates[id]
 			inLow[id] = false
-			if !g.IsLogic() {
+			if !cs.IsLogic[id] {
 				continue
 			}
 			// The slowed gate must still fit its absolute Procedure 1
@@ -93,7 +86,7 @@ func (p *Problem) OptimizeDualVdd(opts Options) (*Result, error) {
 				continue
 			}
 			eligible := true
-			for _, f := range g.Fanout {
+			for _, f := range cs.Fanouts(id) {
 				if !inLow[f] {
 					eligible = false
 					break

@@ -24,9 +24,9 @@ import (
 // gets one final golden-section polish.
 //
 // The 11-point grid pre-scan of each coordinate-descent line search fans its
-// candidates out over opts.Workers engine clones; the sequential
-// golden-section polish stays on the main engine. Results are identical at
-// any worker count.
+// candidates out over opts.Workers forks; the sequential golden-section
+// polish stays on the problem itself. Results are identical at any worker
+// count.
 func (p *Problem) OptimizeMultiVt(nv int, opts Options) (*Result, error) {
 	opts.fill()
 	if err := opts.validate(); err != nil {
@@ -53,7 +53,7 @@ func (p *Problem) OptimizeMultiVt(nv int, opts Options) (*Result, error) {
 	// Partition logic gates by realized slack fraction at the single-Vt
 	// optimum: group 0 = least slack (most critical). The Delays result is
 	// engine scratch, consumed immediately below.
-	ids := p.logicIDs
+	ids := p.logicOrder()
 	td := p.Eval.Delays(base.Assignment)
 	slackFrac := make([]float64, p.C.N())
 	for _, id := range ids {
@@ -62,7 +62,7 @@ func (p *Problem) OptimizeMultiVt(nv int, opts Options) (*Result, error) {
 			slackFrac[id] = (b - td[id]) / b
 		}
 	}
-	sorted := append([]int(nil), ids...)
+	sorted := append([]int32(nil), ids...)
 	sort.Slice(sorted, func(i, j int) bool {
 		return slackFrac[sorted[i]] < slackFrac[sorted[j]]
 	})
@@ -79,23 +79,24 @@ func (p *Problem) OptimizeMultiVt(nv int, opts Options) (*Result, error) {
 	}
 
 	n := p.C.N()
-	// evalGroups prices one vector of group thresholds on ctx's engine; the
-	// parallel grid scans hand worker contexts fresh gv slices, so the only
-	// shared captures (vdd, group, ids) are read-only during a scan.
-	evalGroups := func(c *evalCtx, gv []float64) (float64, *design.Assignment, bool) {
-		gT := c.trace.StartChild("group-point")
+	// evalGroups prices one vector of group thresholds on q, the problem or
+	// one of its forks; the parallel grid scans hand forks fresh gv slices,
+	// so the only shared captures (vdd, group, ids) are read-only during a
+	// scan.
+	evalGroups := func(q *Problem, gv []float64) (float64, *design.Assignment, bool) {
+		gT := q.trace.StartChild("group-point")
 		defer gT.Stop()
 		a := design.Uniform(n, vdd, baseVt, p.Tech.WMin)
 		for _, id := range ids {
 			a.Vts[id] = gv[group[id]]
 		}
-		if !c.solveWidths(a, opts.M, opts.WidthPasses) {
+		if !q.solveWidths(a, opts.M, opts.WidthPasses) {
 			return math.Inf(1), a, false
 		}
-		return c.eng.Energy(a).Total(), a, true
+		return q.Eval.Energy(a).Total(), a, true
 	}
 
-	bestE, bestA, ok := evalGroups(p.sctx, groupVts)
+	bestE, bestA, ok := evalGroups(p, groupVts)
 	if !ok {
 		// The single-Vt solution is feasible by construction, so this can
 		// only be numeric noise; fall back to it.
@@ -115,7 +116,7 @@ func (p *Problem) OptimizeMultiVt(nv int, opts Options) (*Result, error) {
 			trial := append([]float64(nil), groupVts...)
 			obj := func(vt float64) float64 {
 				trial[g] = vt
-				e, _, ok := evalGroups(p.sctx, trial)
+				e, _, ok := evalGroups(p, trial)
 				if !ok {
 					return math.Inf(1)
 				}
@@ -124,15 +125,15 @@ func (p *Problem) OptimizeMultiVt(nv int, opts Options) (*Result, error) {
 			// Grid pre-scan first: most of the threshold range is an
 			// infeasible +Inf plateau, which defeats golden-section
 			// bracketing on its own. The candidates are independent, so they
-			// fan out over worker clones; the argmin reduction walks them in
-			// index order and keeps the first strict minimum, as a serial
-			// scan would.
+			// fan out over forks; the argmin reduction walks them in index
+			// order and keeps the first strict minimum, as a serial scan
+			// would.
 			cands := vtR.Linspace(11)
 			ces := make([]float64, len(cands))
-			p.mapEval(opts.Workers, len(cands), func(c *evalCtx, k int) {
+			p.fanOut(opts.Workers, len(cands), func(q *Problem, k int) {
 				gv := append([]float64(nil), groupVts...)
 				gv[g] = cands[k]
-				e, _, ok := evalGroups(c, gv)
+				e, _, ok := evalGroups(q, gv)
 				if !ok {
 					e = math.Inf(1)
 				}
@@ -154,7 +155,7 @@ func (p *Problem) OptimizeMultiVt(nv int, opts Options) (*Result, error) {
 				v = gx
 			}
 			trial[g] = v
-			if e, a, ok := evalGroups(p.sctx, trial); ok && e < bestE {
+			if e, a, ok := evalGroups(p, trial); ok && e < bestE {
 				bestE, bestA = e, a
 				groupVts[g] = v
 				improved = true
@@ -171,7 +172,7 @@ func (p *Problem) OptimizeMultiVt(nv int, opts Options) (*Result, error) {
 	optimize.GoldenSection(func(v float64) float64 {
 		old := vdd
 		vdd = v
-		e, a, ok := evalGroups(p.sctx, groupVts)
+		e, a, ok := evalGroups(p, groupVts)
 		if ok && e < bestE {
 			bestE, bestA = e, a
 		} else if !ok {

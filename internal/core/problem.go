@@ -84,10 +84,14 @@ type Problem struct {
 	Fc      float64 //cmosvet:unit Hz
 	Skew    float64 //cmosvet:unit 1
 
-	logicIDs []int           // logic gate IDs in topological order (read-only)
-	sctx     *evalCtx        // the problem's own serial evaluation context
-	otrace   *obs.Span       // root span of the attached registry (nil without one)
-	ctx      context.Context // cancellation bound (never nil; Background without one)
+	cs     *circuit.CSR    // the circuit's topology (read-only)
+	otrace *obs.Span       // root span of the attached registry (nil without one)
+	ctx    context.Context // cancellation bound (never nil; Background without one)
+	// trace is the span node candidate evaluations attach under: set by the
+	// running optimizer (setTrace) and inherited by forks, so parallel scans
+	// attach to the same node. Nil (spans off) without a registry.
+	trace *obs.Span
+	wtd   []float64 // solveWidths per-pass delay scratch (lazily allocated)
 }
 
 // Canceled reports whether the problem's context has been canceled or has
@@ -106,14 +110,19 @@ func (p *Problem) Canceled() error {
 // no registry was attached.
 func (p *Problem) span(name string) *obs.Span { return p.otrace.Child(name) }
 
-// setTrace points the serial context's span node at s and returns the prior
-// node for the caller to defer-restore; worker contexts cloned while the
-// trace is set inherit it, so parallel scans attach to the same node.
+// setTrace points the problem's span node at s and returns the prior node
+// for the caller to defer-restore; forks made while the trace is set inherit
+// it.
 func (p *Problem) setTrace(s *obs.Span) *obs.Span {
-	old := p.sctx.trace
-	p.sctx.trace = s
+	old := p.trace
+	p.trace = s
 	return old
 }
+
+// logicOrder returns the logic gates in topological order, a view of the
+// CSR order: in a combinational circuit they are exactly the gates above
+// level 0.
+func (p *Problem) logicOrder() []int32 { return p.cs.Order[p.cs.LevelStart[1]:] }
 
 // NewProblem elaborates a Spec: cuts DFFs, propagates activities, builds the
 // wiring and model evaluators, and runs Procedure 1 (with repair) to budget
@@ -218,7 +227,7 @@ func NewProblem(s Spec) (*Problem, error) {
 	if p.Eval, err = eval.New(c, &p.Tech, act, wire, s.Fc); err != nil {
 		return nil, err
 	}
-	if p.logicIDs, err = c.LogicIDs(); err != nil {
+	if p.cs, err = c.CSR(); err != nil {
 		return nil, err
 	}
 	p.otrace = s.Obs.Root()
@@ -227,7 +236,6 @@ func NewProblem(s Spec) (*Problem, error) {
 		p.ctx = context.Background()
 	}
 	p.Eval.AttachObs(s.Obs)
-	p.sctx = &evalCtx{p: p, eng: p.Eval}
 	p.repairUnreachableBudgets()
 	return p, nil
 }

@@ -85,16 +85,10 @@ func (o *Options) validate() error {
 // evalPoint solves widths at one (Vdd, Vts) candidate and returns the
 // objective energy (corner-adjusted when variation factors are set), the
 // solved nominal assignment, and feasibility. Infeasible points get +Inf.
-// It runs on an evalCtx so parallel drivers can price independent candidates
-// on worker engine clones; the Problem method is the serial entry point.
+// Parallel drivers price independent candidates on forks.
 func (p *Problem) evalPoint(vdd, vts float64, o *Options) (float64, *design.Assignment, bool) {
-	return p.sctx.evalPoint(vdd, vts, o)
-}
-
-func (c *evalCtx) evalPoint(vdd, vts float64, o *Options) (float64, *design.Assignment, bool) {
-	p := c.p
 	n := p.C.N()
-	node := c.trace.Child("point")
+	node := p.trace.Child("point")
 	ptT := node.Start()
 	defer ptT.Stop()
 	// Timing view: thresholds at the slow corner share the width slice with
@@ -108,7 +102,7 @@ func (c *evalCtx) evalPoint(vdd, vts float64, o *Options) (float64, *design.Assi
 		}
 	}
 	wT := node.StartChild("widths")
-	ok := c.solveWidths(timingView, o.M, o.WidthPasses)
+	ok := p.solveWidths(timingView, o.M, o.WidthPasses)
 	wT.Stop()
 	if !ok {
 		return math.Inf(1), nominal, false
@@ -121,7 +115,7 @@ func (c *evalCtx) evalPoint(vdd, vts float64, o *Options) (float64, *design.Assi
 		}
 	}
 	eT := node.StartChild("energy")
-	e := c.eng.Energy(powerView).Total()
+	e := p.Eval.Energy(powerView).Total()
 	eT.Stop()
 	return e, nominal, true
 }
@@ -168,9 +162,9 @@ func (p *Problem) OptimizeJoint(opts Options) (*Result, error) {
 	// sequential — each candidate's result steers the next range — but both
 	// possible next ranges are known before the result is: with ≥ 3 workers
 	// the loop prices the current candidate and the two reachable next
-	// candidates in one speculative batch on engine clones, resolving two
-	// bisection levels per batch. Only on-path candidates feed the incumbent,
-	// the steering state and the effort meter, so the walk — and the reported
+	// candidates in one speculative batch on forks, resolving two bisection
+	// levels per batch. Only on-path candidates feed the incumbent, the
+	// steering state and the effort meter, so the walk — and the reported
 	// evaluation count — is byte-identical to the serial one at any worker
 	// count; the discarded branch's work is the price of the latency win.
 	speculate := parallel.Workers(opts.Workers) >= 3
@@ -279,9 +273,9 @@ func (p *Problem) OptimizeJoint(opts Options) (*Result, error) {
 // The supply candidates are sequentially dependent (each is relative to the
 // incumbent the previous ones left behind) and golden-section is a dependent
 // chain, but each supply's 9-point threshold pre-scan is embarrassingly
-// parallel: it fans out over worker engine clones, with the incumbent
-// updates and the argmin applied afterwards in grid order, exactly as the
-// serial scan would have.
+// parallel: it fans out over forks, with the incumbent updates and the
+// argmin applied afterwards in grid order, exactly as the serial scan would
+// have.
 func (p *Problem) refine(bestE *float64, bestA **design.Assignment, bestVdd, bestVts *float64, opts *Options) {
 	node := p.span("optimize.joint").Child("refine")
 	nT := node.Start()

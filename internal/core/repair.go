@@ -27,10 +27,7 @@ import (
 // room. Returns the number of budgets raised.
 func (p *Problem) repairUnreachableBudgets() int {
 	n := p.C.N()
-	ids, err := p.C.LogicIDs()
-	if err != nil {
-		return 0
-	}
+	cs := p.cs
 	T := p.CycleBudget()
 	tMax := p.Budgets.TMax
 	slope := p.Eval.SlopeCoeff(p.Tech.VddMax, p.Tech.VtsMax)
@@ -43,15 +40,14 @@ func (p *Problem) repairUnreachableBudgets() int {
 	aRef := design.Uniform(n, p.Tech.VddMax, p.Tech.VtsMax, p.Tech.WMax)
 	floor := make([]float64, n)
 	raised := 0
-	for _, id := range ids {
-		g := p.C.Gate(id)
+	for _, id := range p.logicOrder() {
 		maxFB := 0.0
-		for _, f := range g.Fanin {
-			if p.C.Gates[f].IsLogic() && tMax[f] > maxFB {
+		for _, f := range cs.Fanins(id) {
+			if cs.IsLogic[f] && tMax[f] > maxFB {
 				maxFB = tMax[f]
 			}
 		}
-		floor[id] = slope*maxFB + p.Eval.GateDelayWith(id, aRef, 0)
+		floor[id] = slope*maxFB + p.Eval.GateDelayWith(int(id), aRef, 0)
 		if tMax[id] < floor[id] {
 			tMax[id] = floor[id]
 			raised++
@@ -63,20 +59,18 @@ func (p *Problem) repairUnreachableBudgets() int {
 
 	// Rebalance: pull non-floored budgets back down where paths are now
 	// over-subscribed. A few passes converge for practical circuits.
-	cs, _ := p.C.CSR() // a Problem's circuit is acyclic
 	order := cs.Order
 	up := make([]float64, n)
 	down := make([]float64, n)
 	for pass := 0; pass < 3; pass++ {
 		for _, id := range order {
-			g := &p.C.Gates[id]
-			if !g.IsLogic() {
+			if !cs.IsLogic[id] {
 				up[id] = 0
 				continue
 			}
 			best := 0.0
-			for _, f := range g.Fanin {
-				if p.C.Gates[f].IsLogic() && up[f] > best {
+			for _, f := range cs.Fanins(id) {
+				if cs.IsLogic[f] && up[f] > best {
 					best = up[f]
 				}
 			}
@@ -84,13 +78,12 @@ func (p *Problem) repairUnreachableBudgets() int {
 		}
 		for i := len(order) - 1; i >= 0; i-- {
 			id := order[i]
-			g := &p.C.Gates[id]
-			if !g.IsLogic() {
+			if !cs.IsLogic[id] {
 				down[id] = 0
 				continue
 			}
 			best := 0.0
-			for _, f := range g.Fanout {
+			for _, f := range cs.Fanouts(id) {
 				if down[f] > best {
 					best = down[f]
 				}
@@ -98,7 +91,7 @@ func (p *Problem) repairUnreachableBudgets() int {
 			down[id] = best + tMax[id]
 		}
 		changed := false
-		for _, id := range ids {
+		for _, id := range p.logicOrder() {
 			worst := up[id] + down[id] - tMax[id]
 			if worst > T && tMax[id] > floor[id] {
 				nt := tMax[id] * T / worst

@@ -24,8 +24,8 @@ type VariationPoint struct {
 // leaky corner V_ts·(1−tol) so the reported power is worst case. Savings are
 // measured against the given (nominal, fixed-Vt) baseline, as in the paper.
 // Tolerances are independent whole-optimizer runs: they fan out over
-// opts.Workers problem forks (each with its own engine clone), and each
-// point's result is identical at any worker count.
+// opts.Workers forks, and each point's result is identical at any worker
+// count.
 func (p *Problem) VariationStudy(tols []float64, opts Options, baseline *Result) ([]VariationPoint, error) {
 	if baseline == nil || baseline.Energy.Total() <= 0 {
 		return nil, fmt.Errorf("core: variation study needs a valid baseline result")
@@ -36,12 +36,8 @@ func (p *Problem) VariationStudy(tols []float64, opts Options, baseline *Result)
 		}
 	}
 	out := make([]VariationPoint, len(tols))
-	w := workersFor(opts.Workers, len(tols))
-	inner := opts
-	if w > 1 {
-		inner.Workers = 1 // the sweep level owns the parallelism
-	}
-	run := func(q *Problem, i int) {
+	w, inner := sweepWorkers(opts, len(tols))
+	p.fanOut(w, len(tols), func(q *Problem, i int) {
 		o := inner
 		o.fill()
 		o.VtTimingFactor = 1 + tols[i]
@@ -58,18 +54,7 @@ func (p *Problem) VariationStudy(tols []float64, opts Options, baseline *Result)
 			pt.WorstEnergy = math.Inf(1)
 		}
 		out[i] = pt
-	}
-	if w <= 1 {
-		for i := range tols {
-			run(p, i)
-		}
-		return out, nil
-	}
-	forks := parallel.Pool(w, func(int) *Problem { return p.fork() })
-	parallel.For(w, len(tols), func(wk, i int) { run(forks[wk], i) })
-	for _, f := range forks {
-		p.absorb(f.Eval)
-	}
+	})
 	p.Eval.FlushObs()
 	return out, nil
 }
@@ -105,11 +90,7 @@ func SlackStudy(spec Spec, skews []float64, opts Options) ([]SlackPoint, error) 
 	}
 	out := make([]SlackPoint, len(skews))
 	errs := make([]error, len(skews))
-	w := workersFor(opts.Workers, len(skews))
-	inner := opts
-	if w > 1 {
-		inner.Workers = 1
-	}
+	w, inner := sweepWorkers(opts, len(skews))
 	parallel.For(w, len(skews), func(_, i int) {
 		s := spec
 		s.Skew = skews[i]

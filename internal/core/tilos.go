@@ -26,10 +26,6 @@ import (
 // no full-circuit sweep per iteration and no mutate-and-restore on a.W.
 func (p *Problem) sizeSensitivity(a *design.Assignment, step float64) bool {
 	budget := p.CycleBudget()
-	ids, err := p.C.LogicIDs()
-	if err != nil {
-		return false
-	}
 	p.Eval.Bind(a)
 	defer p.Eval.Unbind()
 	const maxIters = 4000
@@ -46,7 +42,8 @@ func (p *Problem) sizeSensitivity(a *design.Assignment, step float64) bool {
 		slack := p.Eval.BoundSlacks(budget)
 		td := p.Eval.BoundDelays()
 		bestGate, bestGain := -1, 0.0
-		for _, id := range ids {
+		for _, id32 := range p.logicOrder() {
+			id := int(id32)
 			if slack[id] > 0 || a.W[id] >= p.Tech.WMax {
 				continue
 			}

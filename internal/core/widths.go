@@ -19,23 +19,14 @@ import (
 //
 // It returns true only if, after the final sweep, a full delay recomputation
 // meets every budget. Widths are left in a (best effort) either way.
-//
-// solveWidths runs on an evalCtx so that parallel drivers can solve
-// independent candidates on worker engine clones; the Problem method below
-// is the serial entry point over the main engine.
 func (p *Problem) solveWidths(a *design.Assignment, mSteps, passes int) bool {
-	return p.sctx.solveWidths(a, mSteps, passes)
-}
-
-func (c *evalCtx) solveWidths(a *design.Assignment, mSteps, passes int) bool {
-	p := c.p
-	ids := p.logicIDs
+	logic := p.logicOrder()
 	budget := p.Budgets.TMax
 	wRange := optimize.Range{Lo: p.Tech.WMin, Hi: p.Tech.WMax}
-	if c.wtd == nil {
-		c.wtd = make([]float64, p.C.N())
+	if p.wtd == nil {
+		p.wtd = make([]float64, p.C.N())
 	}
-	td := c.wtd
+	td := p.wtd
 
 	// The per-gate search targets a slightly tightened budget so the small
 	// delay drift caused by fanouts widening in later sweeps (a gate's load)
@@ -48,10 +39,9 @@ func (c *evalCtx) solveWidths(a *design.Assignment, mSteps, passes int) bool {
 		for i := range td {
 			td[i] = 0
 		}
-		for _, id := range ids {
-			g := p.C.Gate(id)
+		for _, id := range logic {
 			maxIn := 0.0
-			for _, f := range g.Fanin {
+			for _, f := range p.cs.Fanins(id) {
 				if td[f] > maxIn {
 					maxIn = td[f]
 				}
@@ -60,7 +50,7 @@ func (c *evalCtx) solveWidths(a *design.Assignment, mSteps, passes int) bool {
 			// Only the gate's own width changes while it is sized, so its
 			// other delay terms are derived once for both searches and
 			// its final delay.
-			pr := c.eng.PrepareWidth(id, a, maxIn)
+			pr := p.Eval.PrepareWidth(int(id), a, maxIn)
 			pred := func(w float64) bool {
 				return pr.At(w) <= target
 			}
@@ -96,12 +86,9 @@ func (c *evalCtx) solveWidths(a *design.Assignment, mSteps, passes int) bool {
 	// of per-gate budgets perturbs path sums by at most the same ε. The
 	// strict cycle-time constraint is re-checked on the final result.
 	const budgetTol = 1.03
-	final := c.eng.Delays(a)
-	for i := range p.C.Gates {
-		if !p.C.Gates[i].IsLogic() {
-			continue
-		}
-		if final[i] > budget[i]*budgetTol {
+	final := p.Eval.Delays(a)
+	for _, id := range logic {
+		if final[id] > budget[id]*budgetTol {
 			return false
 		}
 	}

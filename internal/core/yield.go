@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"cmosopt/internal/design"
-	"cmosopt/internal/eval"
 	"cmosopt/internal/parallel"
 )
 
@@ -43,8 +42,8 @@ func substream(seed int64, i int) *rand.Rand {
 // from N(V_ts·1, (sigmaFrac·V_ts)²), clamped positive, and the die's timing
 // and energy are evaluated with the fixed widths and supply of the given
 // design. Each die draws from its own (seed, index) RNG substream and dies
-// fan out over `workers` engine clones (0 = GOMAXPROCS, 1 = serial); the
-// result depends on the seed only, never on the worker count.
+// fan out over `workers` forks (0 = GOMAXPROCS, 1 = serial); the result
+// depends on the seed only, never on the worker count.
 func (p *Problem) YieldStudy(a *design.Assignment, sigmaFrac float64, samples int, seed int64, workers int) (*YieldResult, error) {
 	if sigmaFrac < 0 || sigmaFrac >= 1 {
 		return nil, fmt.Errorf("core: sigma fraction %v outside [0,1)", sigmaFrac)
@@ -54,11 +53,25 @@ func (p *Problem) YieldStudy(a *design.Assignment, sigmaFrac float64, samples in
 	}
 	budget := p.CycleBudget()
 
-	// die holds one worker's scratch assignment; sample prices die s on it.
-	sample := func(eng *eval.Engine, die *design.Assignment, s int) (cd, e float64) {
+	// Each worker prices its dies on its own fork and scratch die.
+	type yieldWorker struct {
+		q   *Problem
+		die *design.Assignment
+	}
+	w := min(parallel.Workers(workers), samples)
+	ws := parallel.Pool(w, func(int) yieldWorker { return yieldWorker{q: p.fork(), die: a.Clone()} })
+	cds := make([]float64, samples)
+	es := make([]float64, samples)
+	parallel.For(w, samples, func(wk, s int) {
+		// Cancellation poll on every sample: a canceled study skips its
+		// remaining dies and reports the error below.
+		if p.Canceled() != nil {
+			return
+		}
+		q, die := ws[wk].q, ws[wk].die
 		rng := substream(seed, s)
 		for i := range a.Vts {
-			if !p.C.Gates[i].IsLogic() {
+			if !p.cs.IsLogic[i] {
 				continue
 			}
 			vt := a.Vts[i] * (1 + sigmaFrac*rng.NormFloat64())
@@ -67,35 +80,14 @@ func (p *Problem) YieldStudy(a *design.Assignment, sigmaFrac float64, samples in
 			}
 			die.Vts[i] = vt
 		}
-		return eng.CriticalDelay(die), eng.Energy(die).Total()
+		cds[s], es[s] = q.Eval.CriticalDelay(die), q.Eval.Energy(die).Total()
+	})
+	for _, yw := range ws {
+		p.absorb(yw.q.Eval)
 	}
-
-	cds := make([]float64, samples)
-	es := make([]float64, samples)
-	w := workersFor(workers, samples)
-	if w <= 1 {
-		die := a.Clone()
-		for s := 0; s < samples; s++ {
-			if err := p.Canceled(); err != nil {
-				return nil, err
-			}
-			cds[s], es[s] = sample(p.Eval, die, s)
-		}
-	} else {
-		type yieldWorker struct {
-			eng *eval.Engine
-			die *design.Assignment
-		}
-		ws := parallel.Pool(w, func(int) *yieldWorker {
-			return &yieldWorker{eng: p.Eval.Clone(), die: a.Clone()}
-		})
-		parallel.For(w, samples, func(wk, s int) {
-			cds[s], es[s] = sample(ws[wk].eng, ws[wk].die, s)
-		})
-		for _, yw := range ws {
-			p.absorb(yw.eng)
-		}
-		p.Eval.FlushObs()
+	p.Eval.FlushObs()
+	if err := p.Canceled(); err != nil {
+		return nil, err
 	}
 
 	// Reduce in sample order: the float sums are then bit-for-bit the same

@@ -10,7 +10,7 @@ import (
 // SchemaVersion identifies the manifest JSON layout. Consumers (the CI
 // benchmark-regression gate, cross-run comparisons) check it before reading
 // anything else; bump it only for incompatible changes.
-const SchemaVersion = "cmosopt/manifest/v1"
+const SchemaVersion = "cmosopt/manifest/v2"
 
 // Manifest is the machine-readable record of one tool run: what ran, on what,
 // with what result, how long it took and where the time went. Every cmd/*
@@ -67,6 +67,8 @@ type ResultRecord struct {
 // or b.ReportAllocs), the minimum B/op and allocs/op ride along so the gate
 // can also catch allocation regressions — a sweep that silently starts
 // allocating per gate is a scalability bug long before it is a ns/op one.
+// Deterministic effort counts ride along in Counts, which the gate compares
+// exactly: an algorithmic change shows there even on a noisy runner.
 type BenchRecord struct {
 	Name    string  `json:"name"`
 	Runs    int     `json:"runs"`
@@ -80,6 +82,10 @@ type BenchRecord struct {
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	MemMeasured bool    `json:"mem_measured,omitempty"`
+	// Counts holds the effort counts the benchmark reported through
+	// b.ReportMetric (circuit-evals, width-probes, coeff-misses), keyed by
+	// unit. Every folded line reported the same value.
+	Counts map[string]float64 `json:"counts,omitempty"`
 }
 
 // NewManifest returns a manifest stamped with the build/host environment.

@@ -41,6 +41,7 @@ func goldenManifest() *Manifest {
 		}},
 		Benchmarks: []BenchRecord{{
 			Name: "BenchmarkProcedure2", Runs: 9, NsPerOp: 17125776, Samples: 3,
+			Counts: map[string]float64{"circuit-evals": 5543, "width-probes": 574398},
 		}},
 		Obs: &Snapshot{
 			WallNS:   1234567,

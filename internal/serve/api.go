@@ -1,6 +1,6 @@
 // Package serve is the optimization-as-a-service front door: a long-running
 // HTTP server that exposes the whole pipeline — netlist + constraints in,
-// optimized Vdd/Vt/widths and a cmosopt/manifest/v1 manifest out — over a
+// optimized Vdd/Vt/widths and a cmosopt/manifest/v2 manifest out — over a
 // bounded job queue with admission control, per-job cancellation and
 // deadlines, server-sent progress events mapped from the obs span tree, and
 // a content-addressed result cache that makes identical requests free.
@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"cmosopt/internal/cli"
 	"cmosopt/internal/obs"
 )
 
@@ -39,7 +40,7 @@ type Request struct {
 	NetlistSHA256 string `json:"netlist_sha256,omitempty"`
 
 	// Optimize-family constraints (cmd/lowpower parity).
-	Mode      string  `json:"mode,omitempty"`       // joint|baseline|anneal|multivt|dualvdd|sensitivity
+	Mode      string  `json:"mode,omitempty"`       // a cmd/lowpower -mode (default joint)
 	NV        int     `json:"nv,omitempty"`         // thresholds for multivt
 	FcHz      float64 `json:"fc_hz,omitempty"`      // required clock (default 300 MHz)
 	Skew      float64 `json:"skew,omitempty"`       // derating b (default 0.95)
@@ -67,16 +68,11 @@ type Request struct {
 	benchText string
 }
 
-// Request kinds and optimizer modes.
+// Request kinds.
 const (
 	KindOptimize = "optimize"
 	KindSweep    = "sweep"
 )
-
-var optimizeModes = map[string]bool{
-	"joint": true, "baseline": true, "anneal": true,
-	"multivt": true, "dualvdd": true, "sensitivity": true,
-}
 
 // normalize fills defaults in place and rejects invalid requests. It must
 // be canonicalizing: two requests that mean the same job end up field-for-
@@ -102,7 +98,7 @@ func (r *Request) normalize() error {
 		if r.Mode == "" {
 			r.Mode = "joint"
 		}
-		if !optimizeModes[r.Mode] {
+		if _, ok := cli.Optimizer(r.Mode); !ok {
 			return fmt.Errorf("unknown mode %q", r.Mode)
 		}
 		if r.Mode == "multivt" && r.NV == 0 {

@@ -8,8 +8,9 @@ import (
 )
 
 // job is one admitted request moving through queued → running →
-// done/failed/canceled. The terminal transition happens exactly once and
-// closes done; everything else is a read under mu.
+// done/failed/canceled. The terminal transition happens exactly once
+// (Server.finish), which counts it and then closes done; everything else is
+// a read under mu.
 type job struct {
 	id  string
 	req *Request
@@ -43,8 +44,9 @@ func (j *job) begin() bool {
 	return true
 }
 
-// finish records the terminal state once; later calls are ignored (a cancel
-// racing a natural completion keeps whichever landed first).
+// finish records the terminal state once and reports whether this call did;
+// later calls are ignored (a cancel racing a natural completion keeps
+// whichever landed first). The caller that wins closes done.
 func (j *job) finish(state string, res *Result, err error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -55,7 +57,6 @@ func (j *job) finish(state string, res *Result, err error) bool {
 	j.state = state
 	j.res = res
 	j.err = err
-	close(j.done)
 	return true
 }
 

@@ -90,23 +90,11 @@ func runOptimize(ctx context.Context, req *Request, workers int, reg *obs.Regist
 	opts.M = req.M
 	opts.Workers = workers
 
-	var res *core.Result
-	switch req.Mode {
-	case "joint":
-		res, err = p.OptimizeJoint(opts)
-	case "baseline":
-		res, err = p.OptimizeBaseline(opts)
-	case "anneal":
-		res, err = p.OptimizeAnneal(core.DefaultAnnealOptions())
-	case "multivt":
-		res, err = p.OptimizeMultiVt(req.NV, opts)
-	case "dualvdd":
-		res, err = p.OptimizeDualVdd(opts)
-	case "sensitivity":
-		res, err = p.OptimizeJointSensitivity(opts)
-	default:
-		err = fmt.Errorf("serve: unknown mode %q", req.Mode)
+	run, ok := cli.Optimizer(req.Mode)
+	if !ok {
+		return nil, fmt.Errorf("serve: unknown mode %q", req.Mode)
 	}
+	res, err := run(p, opts, req.NV)
 	if err != nil {
 		return nil, err
 	}

@@ -154,9 +154,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for {
 		select {
 		case j := <-s.queue:
-			if j.finish(StateCanceled, nil, context.Canceled) {
-				s.ncancel.Add(1)
-			}
+			s.finish(j, StateCanceled, nil, context.Canceled)
 		default:
 			return err
 		}
@@ -195,18 +193,33 @@ func (s *Server) run(j *job) {
 		if j.key != "" {
 			s.results.put(j.key, res)
 		}
-		if j.finish(StateDone, res, nil) {
-			s.ndone.Add(1)
-		}
+		s.finish(j, StateDone, res, nil)
 	case j.ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if j.finish(StateCanceled, nil, err) {
-			s.ncancel.Add(1)
-		}
+		s.finish(j, StateCanceled, nil, err)
 	default:
-		if j.finish(StateFailed, nil, err) {
-			s.nfailed.Add(1)
-		}
+		s.finish(j, StateFailed, nil, err)
 	}
+}
+
+// finish is the one place a job reaches a terminal state. When this call
+// ends the job, the transition is counted once in the /v1/stats counter and
+// once in the registry as serve.<state>, so the two views cannot drift, and
+// only then are the job's waiters released, so a client whose wait returns
+// reads counters that already include its job.
+func (s *Server) finish(j *job, state string, res *Result, err error) {
+	if !j.finish(state, res, err) {
+		return
+	}
+	switch state {
+	case StateDone:
+		s.ndone.Add(1)
+	case StateFailed:
+		s.nfailed.Add(1)
+	case StateCanceled:
+		s.ncancel.Add(1)
+	}
+	s.obsCount("serve."+state, 1)
+	close(j.done)
 }
 
 // submit admits one normalized request: cache lookup first, then the
@@ -327,10 +340,7 @@ func (s *Server) cancelJob(j *job) {
 	queued := j.state == StateQueued
 	j.mu.Unlock()
 	if queued {
-		if j.finish(StateCanceled, nil, context.Canceled) {
-			s.ncancel.Add(1)
-			s.obsCount("serve.canceled", 1)
-		}
+		s.finish(j, StateCanceled, nil, context.Canceled)
 	}
 }
 

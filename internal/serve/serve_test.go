@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -186,6 +187,73 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 	if stats.Canceled != 2 {
 		t.Errorf("canceled count = %d, want 2", stats.Canceled)
+	}
+}
+
+// The registry's serve.* counters are the shutdown manifest's copy of
+// /v1/stats, so after a done, a failed, a cached and a canceled-while-running
+// job every one of them must equal its Stats field.
+func TestLifecycleCountersMatchStats(t *testing.T) {
+	g := newGatedRunner() // never released: only a cancel ends its jobs
+	runner := func(ctx context.Context, req *Request, workers int, reg *obs.Registry) (*Result, error) {
+		switch req.Circuit {
+		case "s27":
+			return &Result{Output: "done\n"}, nil
+		case "c17":
+			return nil, errors.New("runner failed")
+		}
+		return g.run(ctx, req, workers, reg)
+	}
+	reg := obs.NewRegistry()
+	s, c := newTestServer(t, Config{Executors: 1, Runner: runner, Obs: reg})
+	ctx := context.Background()
+
+	for _, tc := range []struct{ circuit, state string }{
+		{"s27", StateDone}, {"c17", StateFailed}, {"s27", StateDone}, // the second s27 is a cache hit
+	} {
+		fin, err := c.SubmitWait(ctx, &Request{Circuit: tc.circuit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin.State != tc.state {
+			t.Fatalf("%s: state = %s, want %s", tc.circuit, fin.State, tc.state)
+		}
+	}
+	running, err := c.Submit(ctx, &Request{Circuit: "s298"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.waitStart(t)
+	if _, err := c.Cancel(ctx, running.ID); err != nil {
+		t.Fatal(err)
+	}
+	if fin, err := c.Wait(ctx, running.ID); err != nil || fin.State != StateCanceled {
+		t.Fatalf("running job after cancel: %+v, %v", fin, err)
+	}
+
+	st := s.stats()
+	if st.Done != 1 || st.Failed != 1 || st.Canceled != 1 || st.CacheHits != 1 {
+		t.Fatalf("stats = %+v, want one done, failed, canceled and cache hit", st)
+	}
+	want := map[string]int64{
+		"serve.accepted":     st.Accepted,
+		"serve.rejected":     st.Rejected,
+		"serve.done":         st.Done,
+		"serve.failed":       st.Failed,
+		"serve.canceled":     st.Canceled,
+		"serve.cache_hits":   st.CacheHits,
+		"serve.cache_misses": st.CacheMiss,
+	}
+	got := reg.Snapshot().Counters
+	for name, v := range want {
+		if got[name] != v {
+			t.Errorf("registry %s = %d, /v1/stats says %d", name, got[name], v)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; strings.HasPrefix(name, "serve.") && !ok {
+			t.Errorf("registry counter %s has no /v1/stats field", name)
+		}
 	}
 }
 
@@ -423,6 +491,33 @@ func TestServedSweepByteIdenticalToOffline(t *testing.T) {
 	}
 	if !again.Cached || again.Result.Output != offline.String() {
 		t.Errorf("cache replay diverges (cached=%v)", again.Cached)
+	}
+}
+
+// Served optimize requests and cmd/lowpower run every mode from the same
+// cli table, so a served report is byte-identical to the tool's for the
+// same constraints.
+func TestServedOptimizeByteIdenticalToLowPower(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the real optimizer")
+	}
+	for _, mode := range []string{"joint", "baseline", "anneal", "multivt", "dualvdd", "sensitivity"} {
+		req := &Request{Circuit: "s27", Mode: mode, M: 8}
+		if err := req.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := DefaultRunner(context.Background(), req, 1, nil)
+		if err != nil {
+			t.Fatalf("%s: served: %v", mode, err)
+		}
+		var want bytes.Buffer
+		if err := cli.LowPower([]string{"-circuit", "s27", "-mode", mode, "-M", "8"}, &want); err != nil {
+			t.Fatalf("%s: lowpower: %v", mode, err)
+		}
+		if res.Output != want.String() {
+			t.Errorf("%s: served report differs from cmd/lowpower\n--- served ---\n%s--- lowpower ---\n%s",
+				mode, res.Output, want.String())
+		}
 	}
 }
 
