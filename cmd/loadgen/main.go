@@ -156,7 +156,7 @@ func runSmoke(cfg config, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("offline reference: %w", err)
 	}
-	st, err := c.SubmitWait(ctx, sweepRequest(cfg.circuit, cfg.points, false))
+	st, first, err := c.SubmitWaitRaw(ctx, sweepRequest(cfg.circuit, cfg.points, false))
 	if err != nil {
 		return fmt.Errorf("served sweep: %w", err)
 	}
@@ -173,15 +173,16 @@ func runSmoke(cfg config, out io.Writer) error {
 	fmt.Fprintf(out, "ok  byte-identical  served %s sweep == offline render (%d bytes)\n",
 		cfg.circuit, len(offline))
 
-	// 2. The identical request must be a cache hit with the same bytes.
-	hit, err := c.SubmitWait(ctx, sweepRequest(cfg.circuit, cfg.points, false))
+	// 2. The identical request must be a cache hit whose whole result, the
+	// manifest included, has the first response's bytes.
+	hit, replay, err := c.SubmitWaitRaw(ctx, sweepRequest(cfg.circuit, cfg.points, false))
 	if err != nil {
 		return fmt.Errorf("cache replay: %w", err)
 	}
-	if !hit.Cached || hit.Result.Output != offline {
+	if !hit.Cached || !bytes.Equal(replay, first) {
 		return fmt.Errorf("cache replay missed or diverged (cached=%v)", hit.Cached)
 	}
-	fmt.Fprintf(out, "ok  cache-hit       identical request served from cache, bytes unchanged\n")
+	fmt.Fprintf(out, "ok  cache-hit       identical request served from cache, result bytes unchanged (%d bytes)\n", len(replay))
 
 	// 3. SSE: a job's event stream must deliver progress and a done frame.
 	if err := smokeEvents(ctx, cfg, out); err != nil {

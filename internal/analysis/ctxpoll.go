@@ -14,7 +14,7 @@ import (
 //
 // What counts as reaching evaluation: a direct call to an Engine
 // full-evaluation method (Delays/Arrivals/Slacks/CriticalDelay/CriticalPath/
-// Energy/MeetsBudgets), a call to a same-module function whose CallsEval
+// Energy), a call to a same-module function whose CallsEval
 // fact is set (computed transitively within each package — core's evalPoint
 // and everything funneling into it), or a call to a local closure whose body
 // does either. Per-gate probes (ProbeWidth, GateDelayWith, GateDelayOverride,

@@ -275,7 +275,7 @@ func calleeRef(info *types.Info, call *ast.CallExpr) (path, key string, ok bool)
 var engineEvalMethods = map[string]bool{
 	"Delays": true, "Arrivals": true, "Slacks": true,
 	"CriticalDelay": true, "CriticalPath": true,
-	"Energy": true, "MeetsBudgets": true,
+	"Energy": true,
 }
 
 // isEngineEvalCall reports a call to an eval.Engine full-circuit evaluation.

@@ -506,20 +506,3 @@ func (e *Evaluator) Slacks(a *design.Assignment, T float64) []float64 {
 	}
 	return slack
 }
-
-// MeetsBudgets reports whether every gate's delay is within its per-gate
-// budget (+Inf budgets always pass; Input gates are skipped).
-//
-//cmosvet:unit budget s
-func (e *Evaluator) MeetsBudgets(a *design.Assignment, budget []float64) bool {
-	td := e.Delays(a)
-	for i := range e.C.Gates {
-		if !e.C.Gates[i].IsLogic() {
-			continue
-		}
-		if td[i] > budget[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -320,24 +320,6 @@ func TestSlacksChain(t *testing.T) {
 	}
 }
 
-func TestMeetsBudgets(t *testing.T) {
-	c, ev := fixture(t)
-	a := design.Uniform(c.N(), 1.0, 0.3, 2)
-	td := ev.Delays(a)
-	loose := make([]float64, c.N())
-	tight := make([]float64, c.N())
-	for i := range loose {
-		loose[i] = td[i] * 2
-		tight[i] = td[i] * 0.5
-	}
-	if !ev.MeetsBudgets(a, loose) {
-		t.Error("loose budgets should pass")
-	}
-	if ev.MeetsBudgets(a, tight) {
-		t.Error("tight budgets should fail")
-	}
-}
-
 func TestWiderFanoutLoadsDriver(t *testing.T) {
 	// Widening a fanout gate must slow its driver.
 	c, ev := fixture(t)

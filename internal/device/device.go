@@ -113,6 +113,11 @@ func Default250() Tech {
 
 // Validate checks the parameter set for physical plausibility.
 func (t *Tech) Validate() error {
+	for _, key := range techKeys() {
+		if v := *techFields[key](t); math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("device: %s = %v must be finite", key, v)
+		}
+	}
 	pos := []struct {
 		v    float64
 		name string
@@ -125,8 +130,8 @@ func (t *Tech) Validate() error {
 		name string
 	}{t.LeakStack, "LeakStack"})
 	for _, p := range pos {
-		if p.v <= 0 || math.IsNaN(p.v) || math.IsInf(p.v, 0) {
-			return fmt.Errorf("device: %s = %v must be positive and finite", p.name, p.v)
+		if p.v <= 0 {
+			return fmt.Errorf("device: %s = %v must be positive", p.name, p.v)
 		}
 	}
 	if t.IJunc < 0 || t.Cmi < 0 || t.COut < 0 {

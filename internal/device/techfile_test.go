@@ -32,6 +32,12 @@ func TestParseTechRejects(t *testing.T) {
 		{"bad value", "ksat = banana\n", "bad value"},
 		{"no equals", "just words\n", "expected key = value"},
 		{"invalid result", "alpha = 9\n", "Alpha"},
+		{"NaN cmi", "cmi = NaN\n", "cmi = NaN must be finite"},
+		{"NaN cout", "cout = NaN\n", "cout = NaN must be finite"},
+		{"NaN ijunc", "ijunc = NaN\n", "ijunc = NaN must be finite"},
+		{"Inf vddmax", "vddmax = Inf\n", "vddmax = +Inf must be finite"},
+		{"Inf vtsmax", "vtsmax = Inf\n", "vtsmax = +Inf must be finite"},
+		{"Inf wmax", "wmax = +Inf\n", "wmax = +Inf must be finite"},
 	}
 	for _, tc := range cases {
 		_, err := ParseTech(Default350(), strings.NewReader(tc.src))

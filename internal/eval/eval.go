@@ -475,21 +475,6 @@ func (e *Engine) slacksFrom(td, arr []float64, T float64) []float64 {
 	return e.slack
 }
 
-// MeetsBudgets reports whether every logic gate's delay is within its
-// per-gate budget, allocation-free.
-//
-//cmosvet:hotpath
-//cmosvet:unit budget s
-func (e *Engine) MeetsBudgets(a *design.Assignment, budget []float64) bool {
-	e.delaysInto(e.td, a)
-	for i, logic := range e.cs.IsLogic {
-		if logic && e.td[i] > budget[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // gateEnergy evaluates one gate's energy through the coefficient cache.
 //
 //cmosvet:hotpath

@@ -38,7 +38,9 @@ func Workers(n int) int {
 // over up to `workers` goroutines (0 = GOMAXPROCS) and blocking until all
 // complete. The worker index identifies the goroutine (0 ≤ worker < number
 // of workers actually started), so callers can give each worker exclusive
-// mutable state — an engine clone, a scratch assignment — via Pool.
+// mutable state — an engine clone, a scratch assignment — via Pool. If a
+// body panics, For stops handing out iterations, waits for the running ones
+// and panics with the first panic value on the calling goroutine.
 func For(workers, n int, body func(worker, i int)) {
 	w := Workers(workers)
 	if w > n {
@@ -68,11 +70,22 @@ func For(workers, n int, body func(worker, i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var firstPanic sync.Once
+	var panicked any
 	wg.Add(w)
 	t0 := time.Now() //cmosvet:allow determinism — pool wall time feeds obs only; scheduling is unchanged
 	for wk := 0; wk < w; wk++ {
 		go func(wk int) {
 			defer wg.Done()
+			// A panic on a pool goroutine would kill the process, since no
+			// caller can recover it there. Keep the first one, hand out no
+			// more iterations, and re-raise it on the calling goroutine.
+			defer func() {
+				if p := recover(); p != nil {
+					firstPanic.Do(func() { panicked = p })
+					next.Store(int64(n))
+				}
+			}()
 			if reg == nil {
 				for {
 					i := int(next.Add(1)) - 1
@@ -105,6 +118,9 @@ func For(workers, n int, body func(worker, i int)) {
 		}(wk)
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 	if reg != nil {
 		//cmosvet:allow determinism — pool wall time feeds obs only; scheduling is unchanged
 		recordPool(reg, n, time.Since(t0))

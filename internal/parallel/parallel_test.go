@@ -58,6 +58,22 @@ func TestForSerialRunsInline(t *testing.T) {
 	})
 }
 
+// A body's panic on a pool goroutine reaches For's caller, which can recover
+// it; on any other goroutine it would crash the process.
+func TestForPassesPanicToCaller(t *testing.T) {
+	defer func() {
+		if p := recover(); p != "boom" {
+			t.Errorf("recovered %v, want boom", p)
+		}
+	}()
+	For(2, 100, func(_, i int) {
+		if i == 7 {
+			panic("boom")
+		}
+	})
+	t.Error("For returned normally after a body panicked")
+}
+
 func TestMapOrderedResults(t *testing.T) {
 	for _, w := range []int{1, 3, 8} {
 		out := Map(w, 50, func(_, i int) int { return i * i })

@@ -166,6 +166,11 @@ func (r *Request) normalize() error {
 	if r.InputProb < 0 || r.InputProb > 1 || r.Activity < 0 || r.Activity > 1 {
 		return fmt.Errorf("input_prob/activity outside [0,1]")
 	}
+	// Parse the overrides now, so a bad one is refused at admission instead
+	// of failing later as a queued job.
+	if _, err := requestTech(r); err != nil {
+		return err
+	}
 	return nil
 }
 
@@ -248,6 +253,12 @@ const (
 )
 
 // JobStatus is the wire form of one job's lifecycle position.
+//
+// A status response encodes a done job's Result only once, when the job
+// succeeds (writeStatus appends the stored bytes to the encoded envelope).
+// That is exact because of two invariants, held by
+// TestWriteStatusMatchesEncoder: Result is the last field, and ID and State
+// are never empty, so the envelope always has a field before the Result.
 type JobStatus struct {
 	ID     string  `json:"id"`
 	State  string  `json:"state"`

@@ -43,6 +43,7 @@ func TestNormalizeRejects(t *testing.T) {
 		{"bad range", Request{Kind: KindSweep, Circuit: "s27", FromHz: 2e8, ToHz: 1e8}, "bad sweep range"},
 		{"negative timeout", Request{Circuit: "s27", TimeoutMS: -5}, "negative"},
 		{"bad skew", Request{Circuit: "s27", Skew: 1.5}, "skew"},
+		{"unknown tech key", Request{Circuit: "s27", Tech: "vdd_max=3.0"}, "unknown parameter"},
 	}
 	for _, tc := range cases {
 		err := tc.req.normalize()
@@ -78,7 +79,7 @@ func TestCacheKeying(t *testing.T) {
 		{Circuit: "s27", Mode: "baseline"},
 		{Circuit: "s27", Mode: "multivt"},
 		{Circuit: "s27", Skew: 0.9},
-		{Circuit: "s27", Tech: "vdd_max=3.0"},
+		{Circuit: "s27", Tech: "vddmax=3.0"},
 		{Kind: KindSweep, Circuit: "s27"},
 	}
 	seen := map[string]int{base: -1}

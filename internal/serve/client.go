@@ -108,6 +108,27 @@ func (c *Client) SubmitWait(ctx context.Context, req *Request) (JobStatus, error
 	return st, err
 }
 
+// SubmitWaitRaw is SubmitWait that also returns the result object's JSON
+// exactly as the server sent it, so a caller can compare two results byte
+// for byte.
+func (c *Client) SubmitWaitRaw(ctx context.Context, req *Request) (JobStatus, json.RawMessage, error) {
+	var body json.RawMessage
+	if err := c.do(ctx, http.MethodPost, "/v1/jobs?wait=1", req, &body); err != nil {
+		return JobStatus{}, nil, err
+	}
+	var st JobStatus
+	var raw struct {
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		return st, nil, fmt.Errorf("serve client: decoding /v1/jobs: %w", err)
+	}
+	if err := json.Unmarshal(body, &raw); err != nil {
+		return st, nil, fmt.Errorf("serve client: decoding /v1/jobs: %w", err)
+	}
+	return st, raw.Result, nil
+}
+
 // Job fetches a job's current status.
 func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
 	var st JobStatus

@@ -28,8 +28,16 @@ type job struct {
 	mu     sync.Mutex
 	state  string
 	cached bool
-	res    *Result
+	res    *storedResult
 	err    error
+}
+
+// storedResult is a finished job's Result together with its one encoding.
+// The executor builds it when the job succeeds; the job and the result cache
+// share it, and nothing modifies it afterwards.
+type storedResult struct {
+	res  *Result
+	json []byte // res as encodeResult encodes it
 }
 
 // begin moves queued → running; false means the job was canceled while it
@@ -47,7 +55,7 @@ func (j *job) begin() bool {
 // finish records the terminal state once and reports whether this call did;
 // later calls are ignored (a cancel racing a natural completion keeps
 // whichever landed first). The caller that wins closes done.
-func (j *job) finish(state string, res *Result, err error) bool {
+func (j *job) finish(state string, res *storedResult, err error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch j.state {
@@ -62,11 +70,21 @@ func (j *job) finish(state string, res *Result, err error) bool {
 
 // status snapshots the job for the wire.
 func (j *job) status() JobStatus {
+	s, res := j.envelope()
+	if res != nil {
+		s.Result = res.res
+	}
+	return s
+}
+
+// envelope snapshots the job's status without its Result, and returns the
+// stored result (nil until the job is done).
+func (j *job) envelope() (JobStatus, *storedResult) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	s := JobStatus{ID: j.id, State: j.state, Key: j.key, Cached: j.cached, Result: j.res}
+	s := JobStatus{ID: j.id, State: j.state, Key: j.key, Cached: j.cached}
 	if j.err != nil {
 		s.Error = j.err.Error()
 	}
-	return s
+	return s, j.res
 }

@@ -97,7 +97,7 @@ type Server struct {
 	jobs   map[string]*job
 	order  []string // submission order, for bounded retention
 
-	results  *lru[*Result]
+	results  *lru[*storedResult]
 	netlists *lru[string]
 
 	running  atomic.Int64
@@ -117,7 +117,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		queue:    make(chan *job, cfg.QueueDepth),
 		jobs:     make(map[string]*job),
-		results:  newLRU[*Result](cfg.CacheEntries),
+		results:  newLRU[*storedResult](cfg.CacheEntries),
 		netlists: newLRU[string](cfg.NetlistEntries),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
@@ -183,7 +183,7 @@ func (s *Server) run(j *job) {
 	defer s.running.Add(-1)
 	defer j.cancel() // release the deadline timer
 
-	res, err := s.cfg.Runner(j.ctx, j.req, s.cfg.Workers, j.reg)
+	res, err := s.runJob(j)
 	switch {
 	case err == nil:
 		// Cache first, then finish: finish releases the waiters, and a
@@ -201,12 +201,28 @@ func (s *Server) run(j *job) {
 	}
 }
 
+// runJob calls the runner and encodes its result once, for every response
+// that will carry it. A runner panic becomes the job's error, so one bad job
+// cannot take down the server and every other in-flight job with it.
+func (s *Server) runJob(j *job) (res *storedResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("serve: job panicked: %v", p)
+		}
+	}()
+	r, err := s.cfg.Runner(j.ctx, j.req, s.cfg.Workers, j.reg)
+	if err != nil || r == nil {
+		return nil, err
+	}
+	return encodeResult(r)
+}
+
 // finish is the one place a job reaches a terminal state. When this call
 // ends the job, the transition is counted once in the /v1/stats counter and
 // once in the registry as serve.<state>, so the two views cannot drift, and
 // only then are the job's waiters released, so a client whose wait returns
 // reads counters that already include its job.
-func (s *Server) finish(j *job, state string, res *Result, err error) {
+func (s *Server) finish(j *job, state string, res *storedResult, err error) {
 	if !j.finish(state, res, err) {
 		return
 	}
@@ -403,6 +419,41 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // the client hung up; nothing useful to do
 }
 
+// encodeResult builds the stored form of a runner's result: the bytes
+// writeJSON's indenting encoder writes for res at the "result" position of a
+// JobStatus, one level deep, which writeStatus splices in. It only reads res,
+// so a runner may hand the same *Result to several jobs.
+func encodeResult(res *Result) (*storedResult, error) {
+	b, err := json.MarshalIndent(res, "  ", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("serve: encoding result: %w", err)
+	}
+	return &storedResult{res: res, json: b}, nil
+}
+
+// writeStatus writes j's status exactly as writeJSON(w, status, j.status())
+// would, but encodes only the envelope and appends the result's stored
+// encoding instead of encoding the Result again. The splice relies on the
+// two invariants stated at JobStatus.
+func writeStatus(w http.ResponseWriter, status int, j *job) {
+	st, res := j.envelope()
+	if res == nil {
+		writeJSON(w, status, st)
+		return
+	}
+	// An envelope holds only strings and a bool, which always encode.
+	env, _ := json.MarshalIndent(st, "", "  ")
+	const field = ",\n  \"result\": "
+	b := make([]byte, 0, len(env)+len(field)+len(res.json)+len("\n}\n"))
+	b = append(b, env[:len(env)-len("\n}")]...)
+	b = append(b, field...)
+	b = append(b, res.json...)
+	b = append(b, "\n}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(b) // the client hung up; nothing useful to do
+}
+
 func writeError(w http.ResponseWriter, err error) {
 	var ae *apiError
 	if !errors.As(err, &ae) {
@@ -453,14 +504,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			// Client gave up on the wait; the job itself keeps running.
 		}
-		writeJSON(w, http.StatusOK, j.status())
+		writeStatus(w, http.StatusOK, j)
 		return
 	}
 	status := http.StatusAccepted
 	if j.cached {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, j.status())
+	writeStatus(w, status, j)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -475,7 +526,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 		}
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	writeStatus(w, http.StatusOK, j)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -485,7 +536,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cancelJob(j)
-	writeJSON(w, http.StatusOK, j.status())
+	writeStatus(w, http.StatusOK, j)
 }
 
 func (s *Server) handleNetlistUpload(w http.ResponseWriter, r *http.Request) {

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
@@ -191,8 +193,11 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 }
 
 // The registry's serve.* counters are the shutdown manifest's copy of
-// /v1/stats, so after a done, a failed, a cached and a canceled-while-running
-// job every one of them must equal its Stats field.
+// /v1/stats, so after a failed, a panicked, an unencodable, a done, a cached
+// and a canceled-while-running job every one of them must equal its Stats
+// field. A runner panic fails only its own job: the sole executor survives
+// it and runs the next request. A result JSON cannot carry fails its job
+// rather than answering with an empty body.
 func TestLifecycleCountersMatchStats(t *testing.T) {
 	g := newGatedRunner() // never released: only a cancel ends its jobs
 	runner := func(ctx context.Context, req *Request, workers int, reg *obs.Registry) (*Result, error) {
@@ -201,6 +206,10 @@ func TestLifecycleCountersMatchStats(t *testing.T) {
 			return &Result{Output: "done\n"}, nil
 		case "c17":
 			return nil, errors.New("runner failed")
+		case "s344":
+			panic("runner blew up")
+		case "s349":
+			return &Result{Manifest: &obs.Manifest{FcHz: math.NaN()}}, nil
 		}
 		return g.run(ctx, req, workers, reg)
 	}
@@ -208,15 +217,19 @@ func TestLifecycleCountersMatchStats(t *testing.T) {
 	s, c := newTestServer(t, Config{Executors: 1, Runner: runner, Obs: reg})
 	ctx := context.Background()
 
-	for _, tc := range []struct{ circuit, state string }{
-		{"s27", StateDone}, {"c17", StateFailed}, {"s27", StateDone}, // the second s27 is a cache hit
+	for _, tc := range []struct{ circuit, state, err string }{
+		{"c17", StateFailed, "runner failed"},
+		{"s344", StateFailed, "runner blew up"},
+		{"s349", StateFailed, "encoding result"},
+		{"s27", StateDone, ""},
+		{"s27", StateDone, ""}, // a cache hit
 	} {
 		fin, err := c.SubmitWait(ctx, &Request{Circuit: tc.circuit})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fin.State != tc.state {
-			t.Fatalf("%s: state = %s, want %s", tc.circuit, fin.State, tc.state)
+		if fin.State != tc.state || !strings.Contains(fin.Error, tc.err) {
+			t.Fatalf("%s: state = %s, error %q, want %s with error %q", tc.circuit, fin.State, fin.Error, tc.state, tc.err)
 		}
 	}
 	running, err := c.Submit(ctx, &Request{Circuit: "s298"})
@@ -232,8 +245,8 @@ func TestLifecycleCountersMatchStats(t *testing.T) {
 	}
 
 	st := s.stats()
-	if st.Done != 1 || st.Failed != 1 || st.Canceled != 1 || st.CacheHits != 1 {
-		t.Fatalf("stats = %+v, want one done, failed, canceled and cache hit", st)
+	if st.Done != 1 || st.Failed != 3 || st.Canceled != 1 || st.CacheHits != 1 {
+		t.Fatalf("stats = %+v, want one done, three failed, one canceled and one cache hit", st)
 	}
 	want := map[string]int64{
 		"serve.accepted":     st.Accepted,
@@ -279,21 +292,21 @@ func TestResultCacheHitMissKeying(t *testing.T) {
 	_, c := newTestServer(t, Config{Runner: g.run})
 	ctx := context.Background()
 
-	first, err := c.SubmitWait(ctx, &Request{Circuit: "s27"})
+	first, firstRaw, err := c.SubmitWaitRaw(ctx, &Request{Circuit: "s27"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Cached || first.State != StateDone {
+	if first.Cached || first.State != StateDone || first.Result == nil {
 		t.Fatalf("first request: %+v", first)
 	}
 
 	// Same job with defaults spelled out: must hit, byte-identically.
-	hit, err := c.SubmitWait(ctx, &Request{Circuit: "s27", Mode: "joint", FcHz: 300e6})
+	hit, hitRaw, err := c.SubmitWaitRaw(ctx, &Request{Circuit: "s27", Mode: "joint", FcHz: 300e6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit.Cached || hit.Result == nil || hit.Result.Output != first.Result.Output {
-		t.Errorf("identical request missed or diverged: %+v", hit)
+	if !hit.Cached || len(hitRaw) == 0 || !bytes.Equal(hitRaw, firstRaw) {
+		t.Errorf("identical request missed or diverged: %+v\n%s\nvs\n%s", hit, hitRaw, firstRaw)
 	}
 	if got := g.runs.Load(); got != 1 {
 		t.Errorf("runner invoked %d times, want 1 (cache hit)", got)
@@ -568,6 +581,26 @@ func TestSubmitUnknownNetlistHash(t *testing.T) {
 		&Request{NetlistSHA256: HashNetlist("never uploaded")})
 	if err == nil {
 		t.Error("submit with unknown netlist hash accepted")
+	}
+}
+
+// A technology override the device model cannot use is refused at admission
+// with a 400, never queued as a job.
+func TestSubmitRejectsNonFiniteTech(t *testing.T) {
+	s, _ := newTestServer(t, Config{Runner: newGatedRunner().run})
+	for _, tech := range []string{"vtsmax = Inf", "cmi = NaN"} {
+		body, err := json.Marshal(Request{Circuit: "s27", Tech: tech})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "must be finite") {
+			t.Errorf("tech %q: %d %s, want 400 naming the bad value", tech, rec.Code, rec.Body)
+		}
+	}
+	if st := s.stats(); st.Accepted != 0 {
+		t.Errorf("stats = %+v, want nothing accepted", st)
 	}
 }
 
