@@ -724,8 +724,8 @@ func BenchmarkYield(b *testing.B) {
 }
 
 // BenchmarkRefine measures Procedure 2 with the Refine polish: the 9-point
-// grid scan fans out and the middle loop evaluates speculative Vts
-// candidates when at least three workers are available.
+// threshold scans fan out over the workers, while the bisection walk before
+// them stays serial.
 func BenchmarkRefine(b *testing.B) {
 	for _, w := range workerSet() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {

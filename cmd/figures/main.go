@@ -9,95 +9,16 @@
 package main
 
 import (
-	"flag"
-	"fmt"
 	"log"
 	"os"
 
 	"cmosopt/internal/cli"
-	"cmosopt/internal/experiments"
-	"cmosopt/internal/obs"
-	"cmosopt/internal/report"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
-
-	fig := flag.String("fig", "all", "which figure: 2a, 2b, all")
-	circuitName := flag.String("circuit", "s298", "benchmark circuit")
-	act := flag.Float64("activity", 0.5, "input activity level")
-	fc := flag.Float64("fc", 300e6, "required clock frequency (Hz)")
-	format := flag.String("format", "text", "output format: text, csv")
-	plot := flag.Bool("plot", false, "also render an ASCII plot of each series")
-	var of cli.ObsFlags
-	of.Register(flag.CommandLine)
-	flag.Parse()
-
-	reg, err := of.Begin(os.Stderr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := experiments.Default()
-	cfg.Fc = *fc
-	cfg.Obs = reg
-
-	emit := func(t *report.Table) {
-		var err error
-		switch *format {
-		case "text":
-			err = t.Render(os.Stdout)
-		case "csv":
-			err = t.RenderCSV(os.Stdout)
-		default:
-			err = fmt.Errorf("unknown format %q", *format)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println()
-	}
-
-	if *fig == "2a" || *fig == "all" {
-		tols := []float64{0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30}
-		pts, err := experiments.Figure2a(cfg, *circuitName, *act, tols)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit(experiments.Figure2aTable(pts))
-		if *plot {
-			s := report.Series{Name: "savings"}
-			for _, p := range pts {
-				s.X = append(s.X, p.Tol*100)
-				s.Y = append(s.Y, p.Savings)
-			}
-			fmt.Println(report.AsciiPlot("Figure 2(a): savings vs Vt tolerance (%)", []report.Series{s}, 48, 12))
-		}
-	}
-	if *fig == "2b" || *fig == "all" {
-		skews := []float64{0.55, 0.65, 0.75, 0.85, 0.95, 1.0}
-		pts, err := experiments.Figure2b(cfg, *circuitName, *act, skews)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit(experiments.Figure2bTable(pts))
-		if *plot {
-			s := report.Series{Name: "savings"}
-			for _, p := range pts {
-				s.X = append(s.X, p.Skew)
-				s.Y = append(s.Y, p.Savings)
-			}
-			fmt.Println(report.AsciiPlot("Figure 2(b): savings vs skew factor b", []report.Series{s}, 48, 12))
-		}
-	}
-	if *fig != "2a" && *fig != "2b" && *fig != "all" {
-		log.Fatalf("unknown -fig %q", *fig)
-	}
-
-	man := obs.NewManifest("figures")
-	man.Circuit = *circuitName
-	man.FcHz = *fc
-	if err := of.End(man, reg); err != nil {
+	if err := cli.Figures(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -8,121 +8,16 @@
 package main
 
 import (
-	"flag"
-	"fmt"
-	"io"
 	"log"
 	"os"
-	"strings"
 
 	"cmosopt/internal/cli"
-	"cmosopt/internal/core"
-	"cmosopt/internal/device"
-	"cmosopt/internal/experiments"
-	"cmosopt/internal/obs"
-	"cmosopt/internal/report"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tables: ")
-
-	table := flag.String("table", "all", "which table: 1, 2, all, sa, multivt, processvt, nodes")
-	circuits := flag.String("circuits", "", "comma-separated benchmark names (default: full suite)")
-	activities := flag.String("activities", "0.1,0.5", "comma-separated input activity levels")
-	fc := flag.Float64("fc", 300e6, "required clock frequency (Hz)")
-	m := flag.Int("M", 12, "bisection steps per Procedure 2 loop")
-	format := flag.String("format", "text", "output format: text, markdown, csv")
-	var of cli.ObsFlags
-	of.Register(flag.CommandLine)
-	flag.Parse()
-
-	reg, err := of.Begin(os.Stderr)
-	if err != nil {
+	if err := cli.Tables(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	cfg := experiments.Default()
-	cfg.Fc = *fc
-	cfg.Opts.M = *m
-	cfg.Obs = reg
-	if *circuits != "" {
-		cfg.Circuits = strings.Split(*circuits, ",")
-	}
-	var acts []float64
-	for _, s := range strings.Split(*activities, ",") {
-		var a float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &a); err != nil {
-			log.Fatalf("bad activity %q: %v", s, err)
-		}
-		acts = append(acts, a)
-	}
-	cfg.Activities = acts
-
-	emit := func(t *report.Table) {
-		if err := render(os.Stdout, t, *format); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println()
-	}
-
-	switch *table {
-	case "1", "2", "all":
-		entries, err := experiments.RunSuite(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *table == "1" || *table == "all" {
-			emit(experiments.Table1(entries))
-		}
-		if *table == "2" || *table == "all" {
-			emit(experiments.Table2(entries))
-		}
-	case "sa":
-		ao := core.DefaultAnnealOptions()
-		entries, err := experiments.SACompare(cfg, cfg.Circuits, cfg.Activities[0], ao)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit(experiments.SATable(entries))
-	case "multivt":
-		entries, err := experiments.MultiVtStudy(cfg, cfg.Circuits[0], cfg.Activities[0], []int{1, 2, 3})
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit(experiments.MultiVtTable(entries))
-	case "processvt":
-		rec, entries, err := experiments.ProcessVtStudy(cfg, cfg.Activities[0])
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit(experiments.ProcessVtTable(rec, entries))
-	case "nodes":
-		entries, err := experiments.CrossNodeStudy(cfg, cfg.Activities[0],
-			[]device.Tech{device.Default350(), device.Default250()})
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit(experiments.CrossNodeTable(entries))
-	default:
-		log.Fatalf("unknown -table %q", *table)
-	}
-
-	man := obs.NewManifest("tables")
-	man.FcHz = *fc
-	man.Workers = cfg.Opts.Workers
-	if err := of.End(man, reg); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func render(w io.Writer, t *report.Table, format string) error {
-	switch format {
-	case "text":
-		return t.Render(w)
-	case "markdown":
-		return t.RenderMarkdown(w)
-	case "csv":
-		return t.RenderCSV(w)
-	}
-	return fmt.Errorf("unknown format %q", format)
 }

@@ -32,6 +32,9 @@ func TestLedger(t *testing.T) {
 	cmds = append(cmds,
 		command{"sweep-s298-points4-workers1", Sweep, []string{"-circuit", "s298", "-points", "4", "-workers", "1"}},
 		command{"sweep-s298-points4", Sweep, []string{"-circuit", "s298", "-points", "4"}},
+		command{"tables-all", Tables, []string{"-table", "all"}},
+		command{"tables-multivt", Tables, []string{"-table", "multivt"}},
+		command{"figures-all", Figures, []string{"-fig", "all"}},
 	)
 	for _, c := range cmds {
 		t.Run(c.name, func(t *testing.T) {

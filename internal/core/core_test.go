@@ -60,6 +60,7 @@ func TestNewProblemValidation(t *testing.T) {
 	}{
 		{"nil circuit", func(s *Spec) { s.Circuit = nil }},
 		{"zero fc", func(s *Spec) { s.Fc = 0 }},
+		{"fc too small for a finite budget", func(s *Spec) { s.Fc = 1e-310 }},
 		{"skew zero", func(s *Spec) { s.Skew = 0 }},
 		{"skew above 1", func(s *Spec) { s.Skew = 1.5 }},
 		{"bad tech", func(s *Spec) { s.Tech.KSat = -1 }},

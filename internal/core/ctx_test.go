@@ -59,8 +59,10 @@ func TestOptimizeJointCanceledBeforeStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.OptimizeJoint(DefaultOptions()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("OptimizeJoint with pre-canceled ctx: err = %v, want context.Canceled", err)
+	for _, name := range []string{"joint", "baseline", "baseline-3.3", "sensitivity"} {
+		if _, err := walkerRuns[name](p, DefaultOptions()); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s with pre-canceled ctx: err = %v, want context.Canceled", name, err)
+		}
 	}
 }
 
@@ -86,12 +88,14 @@ func TestOptimizeJointCancelMidRun(t *testing.T) {
 }
 
 func TestOptimizeBaselineCancel(t *testing.T) {
-	p, err := NewProblem(ctxSpec(t, "s27", &countdownCtx{left: 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.OptimizeBaseline(DefaultOptions()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("baseline cancel: err = %v, want context.Canceled", err)
+	for _, name := range []string{"baseline", "sensitivity"} {
+		p, err := NewProblem(ctxSpec(t, "s27", &countdownCtx{left: 2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := walkerRuns[name](p, DefaultOptions()); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s cancel: err = %v, want context.Canceled", name, err)
+		}
 	}
 }
 
@@ -111,6 +115,42 @@ func TestEDPStudyCancel(t *testing.T) {
 	spec := ctxSpec(t, "s27", ctx)
 	if _, _, err := EDPStudy(spec, []float64{100e6, 200e6}, DefaultOptions()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("EDP study cancel: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestVariationStudyCancel: a variation study on a canceled problem must
+// report the cancellation at every worker count, not a sweep of infeasible
+// points.
+func TestVariationStudyCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p, err := NewProblem(ctxSpec(t, "s27", ctx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := p.OptimizeBaseline(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	for _, w := range []int{1, 2} {
+		o := DefaultOptions()
+		o.Workers = w
+		if pts, err := p.VariationStudy([]float64{0, 0.1}, o, base); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: VariationStudy after cancel: err = %v (points %+v), want context.Canceled", w, err, pts)
+		}
+	}
+}
+
+// TestSlackStudyCancel: a cancel that lands after the reference baseline
+// (about 25 polls on s27) must fail the slack study, not turn its joint runs
+// into infeasible points.
+func TestSlackStudyCancel(t *testing.T) {
+	for _, left := range []int{40, 200} {
+		spec := ctxSpec(t, "s27", &countdownCtx{left: left})
+		if pts, err := SlackStudy(spec, []float64{0.7, 0.85, 0.95}, DefaultOptions()); !errors.Is(err, context.Canceled) {
+			t.Errorf("cancel after %d polls: err = %v (points %+v), want context.Canceled", left, err, pts)
+		}
 	}
 }
 

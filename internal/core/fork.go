@@ -12,7 +12,7 @@ import (
 // and the width solver's scratch is fresh, so independent solves never
 // share mutable state. The struct copy shares every other field by default,
 // leaving no field list to drift. The caller merges the fork's effort
-// counters back with absorb when its work is on-path.
+// counters back with absorb.
 func (p *Problem) fork() *Problem {
 	f := *p
 	f.Eval = p.Eval.Clone()
@@ -22,8 +22,8 @@ func (p *Problem) fork() *Problem {
 
 // absorb merges a worker engine's effort counters into the problem's main
 // meter. Counter totals are sums, so the merge order cannot change them:
-// after all on-path work is absorbed, the main meter reads exactly what a
-// serial run would have counted.
+// after all work is absorbed, the main meter reads exactly what a serial
+// run would have counted.
 func (p *Problem) absorb(e *eval.Engine) {
 	p.Eval.Metrics().Add(*e.Metrics())
 }
@@ -31,10 +31,10 @@ func (p *Problem) absorb(e *eval.Engine) {
 // fanOut runs n independent jobs on forks of p, one fork per worker
 // (0 = GOMAXPROCS), and merges every fork's effort counters back into the
 // main meter: every job here is work a serial loop would also perform
-// (exhaustive scans and sweeps, not speculation), so all of it is billed.
-// One worker is the same code with one fork. Jobs must write only state
-// indexed by their own iteration number; reductions belong to the caller,
-// in index order, so results are byte-identical at any worker count.
+// (exhaustive scans and sweeps), so all of it is billed. One worker is the
+// same code with one fork. Jobs must write only state indexed by their own
+// iteration number; reductions belong to the caller, in index order, so
+// results are byte-identical at any worker count.
 func (p *Problem) fanOut(workers, n int, job func(q *Problem, i int)) {
 	w := min(parallel.Workers(workers), max(n, 1)) // Pool reads 0 as GOMAXPROCS
 	forks := parallel.Pool(w, func(int) *Problem { return p.fork() })
@@ -57,7 +57,7 @@ func sweepWorkers(opts Options, n int) (int, Options) {
 	return w, opts
 }
 
-// pointRes is the outcome of one evalPoint candidate.
+// pointRes is the outcome of pricing one (Vdd, Vts) candidate.
 type pointRes struct {
 	e  float64
 	a  *design.Assignment
@@ -69,26 +69,7 @@ type pointRes struct {
 func (p *Problem) scanPoints(workers int, pts [][2]float64, o *Options) []pointRes {
 	out := make([]pointRes, len(pts))
 	p.fanOut(workers, len(pts), func(q *Problem, i int) {
-		e, a, ok := q.evalPoint(pts[i][0], pts[i][1], o)
-		out[i] = pointRes{e, a, ok}
+		out[i] = q.evalPoint(pts[i][0], pts[i][1], o)
 	})
 	return out
-}
-
-// specPoints evaluates a small batch of candidates concurrently, one fresh
-// fork per candidate, and returns the results together with each
-// candidate's own effort snapshot. Unlike scanPoints nothing is billed here:
-// speculative drivers bill only the candidates the serial walk would have
-// evaluated, which keeps reported evaluation counts byte-identical at any
-// worker count.
-func (p *Problem) specPoints(pts [][2]float64, o *Options) ([]pointRes, []eval.Metrics) {
-	out := make([]pointRes, len(pts))
-	mets := make([]eval.Metrics, len(pts))
-	forks := parallel.Pool(len(pts), func(int) *Problem { return p.fork() })
-	parallel.For(len(pts), len(pts), func(_, i int) {
-		e, a, ok := forks[i].evalPoint(pts[i][0], pts[i][1], o)
-		out[i] = pointRes{e, a, ok}
-		mets[i] = *forks[i].Eval.Metrics()
-	})
-	return out, mets
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"cmosopt/internal/design"
 	"cmosopt/internal/optimize"
 )
 
@@ -42,11 +41,7 @@ func (p *Problem) SampleLandscape(nVdd, nVts int, opts Options) (*Landscape, err
 	}
 	p.fanOut(opts.Workers, nVdd*nVts, func(q *Problem, k int) {
 		i, j := k/nVts, k%nVts
-		e, _, ok := q.evalPoint(ls.Vdd[i], ls.Vts[j], &opts)
-		if !ok {
-			e = math.Inf(1)
-		}
-		ls.E[i][j] = e
+		ls.E[i][j] = q.evalPoint(ls.Vdd[i], ls.Vts[j], &opts).e
 	})
 	return ls, nil
 }
@@ -88,43 +83,4 @@ func (l *Landscape) FeasibleFraction() float64 {
 		return 0
 	}
 	return float64(feas) / float64(total)
-}
-
-// PolishNelderMead refines an optimizer result with a bounded downhill
-// simplex over (V_dd, V_ts), the width solver underneath — an alternative to
-// the golden-section polish for the steering ablation. The returned result
-// is never worse than the input.
-func (p *Problem) PolishNelderMead(res *Result, opts Options) (*Result, error) {
-	opts.fill()
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if len(res.VtsValues) != 1 {
-		return res, nil // only single-threshold results have a 2-D surface
-	}
-	evals0 := p.Eval.FullEvalEquivalents()
-	bestE := res.Energy.Total()
-	var bestA *design.Assignment
-	obj := func(x []float64) float64 {
-		e, a, ok := p.evalPoint(x[0], x[1], &opts)
-		if !ok {
-			return math.Inf(1)
-		}
-		if e < bestE {
-			bestE, bestA = e, a
-		}
-		return e
-	}
-	bounds := []optimize.Range{
-		{Lo: p.Tech.VddMin, Hi: p.Tech.VddMax},
-		{Lo: p.Tech.VtsMin, Hi: p.Tech.VtsMax},
-	}
-	optimize.NelderMead(obj, []float64{res.Vdd, res.VtsValues[0]}, bounds, 0.05, 1e-18, 60)
-	if bestA == nil {
-		return res, nil
-	}
-	out := p.finishResult(res.Method+"+nm", bestA, true, evals0)
-	out.Objective = bestE
-	out.Evaluations += res.Evaluations
-	return out, nil
 }

@@ -71,24 +71,6 @@ func TestLandscapeMinNearProcedure2Optimum(t *testing.T) {
 	}
 }
 
-func TestPolishNelderMeadNeverWorse(t *testing.T) {
-	p := problemFor(t, s298(t), 0.5)
-	res, err := p.OptimizeJoint(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	polished, err := p.PolishNelderMead(res, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if polished.Energy.Total() > res.Energy.Total()*(1+1e-9) {
-		t.Errorf("NM polish made it worse: %v vs %v", polished.Energy.Total(), res.Energy.Total())
-	}
-	if !polished.Feasible {
-		t.Error("polished result infeasible")
-	}
-}
-
 func TestYieldStudyBasics(t *testing.T) {
 	p := problemFor(t, smallCircuit(t), 0.5)
 	res, err := p.OptimizeJoint(DefaultOptions())

@@ -242,13 +242,9 @@ func (p *Problem) CheckRailRule(a *design.Assignment) int {
 		return 0
 	}
 	bad := 0
-	for i := range p.C.Gates {
-		g := p.C.Gate(i)
-		if !g.IsLogic() {
-			continue
-		}
-		for _, f := range g.Fanout {
-			if a.VddPer[f] > a.VddPer[i]+1e-9 {
+	for _, id := range p.logicOrder() {
+		for _, f := range p.cs.Fanouts(id) {
+			if a.VddPer[f] > a.VddPer[id]+1e-9 {
 				bad++
 			}
 		}

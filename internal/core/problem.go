@@ -137,6 +137,10 @@ func NewProblem(s Spec) (*Problem, error) {
 	if s.Skew <= 0 || s.Skew > 1 {
 		return nil, fmt.Errorf("core: skew factor %v outside (0,1]", s.Skew)
 	}
+	// An infinite budget would pass every delay check (Inf ≤ Inf).
+	if math.IsInf(s.Skew/s.Fc, 1) {
+		return nil, fmt.Errorf("core: clock frequency %v too small: cycle budget %v/fc is not finite", s.Fc, s.Skew)
+	}
 	if err := s.Tech.Validate(); err != nil {
 		return nil, err
 	}

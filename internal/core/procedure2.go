@@ -5,8 +5,8 @@ import (
 	"math"
 
 	"cmosopt/internal/design"
+	"cmosopt/internal/obs"
 	"cmosopt/internal/optimize"
-	"cmosopt/internal/parallel"
 )
 
 // Options parameterizes the heuristic optimizers.
@@ -36,10 +36,10 @@ type Options struct {
 	// process corner, ≤ 1 in variation studies). Zero means 1 (nominal).
 	VtPowerFactor float64 //cmosvet:unit 1
 	// Workers caps the goroutines used by the parallel drivers (landscape
-	// grids, Refine's scans, speculative candidate evaluation, the study
-	// sweeps). 0 means one worker per CPU (GOMAXPROCS); 1 forces serial
-	// execution. Results are byte-identical for any value — only wall-clock
-	// time changes.
+	// grids, Refine's scans, the multi-Vt grid, the study sweeps). 0 means
+	// one worker per CPU (GOMAXPROCS); 1 forces serial execution. Procedure
+	// 2's bisection walk itself is serial at every value. Results are
+	// byte-identical for any value — only wall-clock time changes.
 	Workers int
 }
 
@@ -82,11 +82,11 @@ func (o *Options) validate() error {
 	return nil
 }
 
-// evalPoint solves widths at one (Vdd, Vts) candidate and returns the
+// evalPoint solves widths at one (Vdd, Vts) candidate and prices it: the
 // objective energy (corner-adjusted when variation factors are set), the
 // solved nominal assignment, and feasibility. Infeasible points get +Inf.
 // Parallel drivers price independent candidates on forks.
-func (p *Problem) evalPoint(vdd, vts float64, o *Options) (float64, *design.Assignment, bool) {
+func (p *Problem) evalPoint(vdd, vts float64, o *Options) pointRes {
 	n := p.C.N()
 	node := p.trace.Child("point")
 	ptT := node.Start()
@@ -105,7 +105,7 @@ func (p *Problem) evalPoint(vdd, vts float64, o *Options) (float64, *design.Assi
 	ok := p.solveWidths(timingView, o.M, o.WidthPasses)
 	wT.Stop()
 	if !ok {
-		return math.Inf(1), nominal, false
+		return pointRes{math.Inf(1), nominal, false}
 	}
 	powerView := nominal
 	if o.VtPowerFactor != 1 {
@@ -117,7 +117,116 @@ func (p *Problem) evalPoint(vdd, vts float64, o *Options) (float64, *design.Assi
 	eT := node.StartChild("energy")
 	e := p.Eval.Energy(powerView).Total()
 	eT.Stop()
-	return e, nominal, true
+	return pointRes{e, nominal, true}
+}
+
+// pricer selects how the walker sizes and prices one (Vdd, Vts) candidate.
+type pricer int
+
+const (
+	budgetWidths      pricer = iota // evalPoint: width search against Procedure 1 budgets
+	sensitivitySizing               // sensitivityPoint: greedy TILOS-style upsizing
+)
+
+// price runs the walker's pricer on one candidate. It is a method rather
+// than a func parameter so that ctxpoll sees the walker's loops reach
+// evaluation.
+func (p *Problem) price(how pricer, vdd, vts float64, o *Options) pointRes {
+	if how == sensitivitySizing {
+		return p.sensitivityPoint(vdd, vts)
+	}
+	return p.evalPoint(vdd, vts, o)
+}
+
+// incumbent is the best feasible point a search has seen, with the voltages
+// it was priced at.
+type incumbent struct {
+	pointRes
+	vdd, vts float64 //cmosvet:unit V
+}
+
+// consider makes r, priced at (vdd, vts), the incumbent when it is feasible
+// and strictly better.
+func (b *incumbent) consider(r pointRes, vdd, vts float64) {
+	if r.ok && r.e < b.e {
+		*b = incumbent{r, vdd, vts}
+	}
+}
+
+// axis returns one voltage's search range and bisection depth: the tech
+// range in m steps when the voltage is free (pin ≤ 0), otherwise the pinned
+// value as a zero-width range priced once.
+func axis(lo, hi, pin float64, m int) (optimize.Range, int) {
+	if pin > 0 {
+		return optimize.Range{Lo: pin, Hi: pin}, 1
+	}
+	return optimize.Range{Lo: lo, Hi: hi}, m
+}
+
+// walk is Procedure 2's nested directional bisection, the one search behind
+// the joint optimizer, the Table 1 baseline and the sensitivity comparator.
+// The outer loop bisects the supply range; at each supply the middle loop
+// bisects the threshold range, pricing each candidate with how. A voltage
+// pinned by pinVdd or pinVt (> 0) is priced once per level instead. Both
+// loops steer by the paper's rule: a feasible candidate (for the supply,
+// the level's best) whose energy did not rise moves the range toward lower
+// energy, anything else toward speed; infeasible candidates price at +Inf.
+// It returns the best feasible point seen anywhere, since the procedure's
+// final iterate is never better than its incumbent. The walk is serial at
+// every worker count. A canceled run stops at the next candidate boundary
+// and leaves the error to the caller's Canceled check.
+func (p *Problem) walk(span *obs.Span, o *Options, pinVdd, pinVt float64, how pricer) incumbent {
+	lvl := span.Child("vdd-level")
+	oldTrace := p.setTrace(lvl)
+	defer p.setTrace(oldTrace)
+	vddR, vddSteps := axis(p.Tech.VddMin, p.Tech.VddMax, pinVdd, o.M)
+	vts0, vtsSteps := axis(p.Tech.VtsMin, p.Tech.VtsMax, pinVt, o.M)
+	best := incumbent{pointRes: pointRes{e: math.Inf(1)}}
+	prevVdd := math.Inf(1)
+	for i := 0; i < vddSteps; i++ {
+		// Cancellation polls: between candidates, never inside one, so an
+		// uncanceled run takes the exact same steps.
+		if p.ctx.Err() != nil {
+			break
+		}
+		vdd := vddR.Mid()
+		lvlT := lvl.Start()
+		vtsR := vts0
+		levelE, prevVts := math.Inf(1), math.Inf(1)
+		for j := 0; j < vtsSteps; j++ {
+			if p.ctx.Err() != nil {
+				break
+			}
+			vts := vtsR.Mid()
+			r := p.price(how, vdd, vts, o)
+			best.consider(r, vdd, vts)
+			if r.e < levelE {
+				levelE = r.e
+			}
+			// Feasible and energy did not rise → raise the threshold range
+			// (chase lower leakage); otherwise lower it (buy speed).
+			if r.ok && r.e <= prevVts {
+				vtsR = vtsR.Higher()
+			} else {
+				vtsR = vtsR.Lower()
+			}
+			if r.e < prevVts {
+				prevVts = r.e
+			}
+		}
+		lvlT.Stop()
+		// Feasible and energy did not rise → lower the supply range (chase
+		// lower switching energy); otherwise raise it.
+		if !math.IsInf(levelE, 1) && levelE <= prevVdd {
+			vddR = vddR.Lower()
+		} else {
+			vddR = vddR.Higher()
+		}
+		if levelE < prevVdd {
+			prevVdd = levelE
+		}
+	}
+	return best
 }
 
 // OptimizeJoint runs the paper's Procedure 2: nested directional bisection of
@@ -138,119 +247,13 @@ func (p *Problem) OptimizeJoint(opts Options) (*Result, error) {
 	joint := p.span("optimize.joint")
 	jointT := joint.Start()
 	defer jointT.Stop()
-	lvl := joint.Child("vdd-level")
-	oldTrace := p.setTrace(lvl)
-	defer p.setTrace(oldTrace)
-
-	type incumbent struct {
-		e   float64
-		a   *design.Assignment
-		vdd float64
-		vts float64
-		ok  bool
-	}
-	best := incumbent{e: math.Inf(1)}
-
-	consider := func(e float64, a *design.Assignment, vdd, vts float64, ok bool) {
-		if ok && e < best.e {
-			best = incumbent{e: e, a: a, vdd: vdd, vts: vts, ok: true}
-		}
-	}
-
-	// evalVts runs the middle (threshold) loop at one supply voltage and
-	// returns the best objective found there. The bisection chain is
-	// sequential — each candidate's result steers the next range — but both
-	// possible next ranges are known before the result is: with ≥ 3 workers
-	// the loop prices the current candidate and the two reachable next
-	// candidates in one speculative batch on forks, resolving two bisection
-	// levels per batch. Only on-path candidates feed the incumbent, the
-	// steering state and the effort meter, so the walk — and the reported
-	// evaluation count — is byte-identical to the serial one at any worker
-	// count; the discarded branch's work is the price of the latency win.
-	speculate := parallel.Workers(opts.Workers) >= 3
-	evalVts := func(vdd float64) float64 {
-		vtsR := optimize.Range{Lo: p.Tech.VtsMin, Hi: p.Tech.VtsMax}
-		bestHere := math.Inf(1)
-		prev := math.Inf(1)
-		// step applies one bisection level exactly as the paper's serial walk
-		// does and reports whether the range moved higher.
-		step := func(r pointRes, vts float64) bool {
-			consider(r.e, r.a, vdd, vts, r.ok)
-			if r.e < bestHere {
-				bestHere = r.e
-			}
-			// Paper: feasible and energy decreased → raise the threshold
-			// range (chase lower leakage); otherwise lower it (buy speed).
-			higher := r.ok && r.e <= prev
-			if higher {
-				vtsR = vtsR.Higher()
-			} else {
-				vtsR = vtsR.Lower()
-			}
-			if r.e < prev {
-				prev = r.e
-			}
-			return higher
-		}
-		for j := 0; j < opts.M; {
-			// Cancellation poll: between candidates, never inside one, so
-			// an uncanceled run takes the exact same steps.
-			if p.ctx.Err() != nil {
-				break
-			}
-			vts := vtsR.Mid()
-			if !speculate || j+1 >= opts.M {
-				e, a, ok := p.evalPoint(vdd, vts, &opts)
-				step(pointRes{e, a, ok}, vts)
-				j++
-				continue
-			}
-			hi, lo := vtsR.Higher().Mid(), vtsR.Lower().Mid()
-			rs, mets := p.specPoints([][2]float64{{vdd, vts}, {vdd, hi}, {vdd, lo}}, &opts)
-			joint.Add("speculative_batches", 1)
-			p.Eval.Metrics().Add(mets[0])
-			next, nextVts, nextMet := rs[2], lo, mets[2]
-			if step(rs[0], vts) {
-				next, nextVts, nextMet = rs[1], hi, mets[1]
-			}
-			j++
-			// The chosen branch's candidate is already priced: consume it as
-			// the next level without waiting.
-			p.Eval.Metrics().Add(nextMet)
-			step(next, nextVts)
-			j++
-		}
-		return bestHere
-	}
-
-	vddR := optimize.Range{Lo: p.Tech.VddMin, Hi: p.Tech.VddMax}
-	prevVdd := math.Inf(1)
-	for i := 0; i < opts.M; i++ {
-		if p.ctx.Err() != nil {
-			break
-		}
-		vdd := vddR.Mid()
-		lvlT := lvl.Start()
-		e := evalVts(vdd)
-		lvlT.Stop()
-		// Paper: feasible and energy decreased → lower the supply range
-		// (chase lower switching energy); otherwise raise it.
-		if !math.IsInf(e, 1) && e <= prevVdd {
-			vddR = vddR.Lower()
-		} else {
-			vddR = vddR.Higher()
-		}
-		if e < prevVdd {
-			prevVdd = e
-		}
-	}
-
+	best := p.walk(joint, &opts, 0, 0, budgetWidths)
 	if err := p.Canceled(); err != nil {
 		return nil, err
 	}
 
 	if opts.Refine && best.ok {
-		p.refine(&best.e, &best.a, &best.vdd, &best.vts, &opts)
+		p.refine(&best, &opts)
 		if err := p.Canceled(); err != nil {
 			return nil, err
 		}
@@ -276,18 +279,16 @@ func (p *Problem) OptimizeJoint(opts Options) (*Result, error) {
 // parallel: it fans out over forks, with the incumbent updates and the
 // argmin applied afterwards in grid order, exactly as the serial scan would
 // have.
-func (p *Problem) refine(bestE *float64, bestA **design.Assignment, bestVdd, bestVts *float64, opts *Options) {
+func (p *Problem) refine(best *incumbent, opts *Options) {
 	node := p.span("optimize.joint").Child("refine")
 	nT := node.Start()
 	defer nT.Stop()
 	oldTrace := p.setTrace(node)
 	defer p.setTrace(oldTrace)
 	track := func(vdd, vts float64) float64 {
-		e, a, ok := p.evalPoint(vdd, vts, opts)
-		if ok && e < *bestE {
-			*bestE, *bestA, *bestVdd, *bestVts = e, a, vdd, vts
-		}
-		return e
+		r := p.evalPoint(vdd, vts, opts)
+		best.consider(r, vdd, vts)
+		return r.e
 	}
 	// Local supply candidates around the incumbent (multiplicative steps so
 	// the scan is scale-free).
@@ -297,7 +298,7 @@ func (p *Problem) refine(bestE *float64, bestA **design.Assignment, bestVdd, bes
 		if p.Canceled() != nil {
 			return
 		}
-		vdd := optimize.Range{Lo: p.Tech.VddMin, Hi: p.Tech.VddMax}.Clamp(*bestVdd * f)
+		vdd := optimize.Range{Lo: p.Tech.VddMin, Hi: p.Tech.VddMax}.Clamp(best.vdd * f)
 		// Robust threshold scan, then a short golden polish around it.
 		vtR := optimize.Range{Lo: p.Tech.VtsMin, Hi: p.Tech.VtsMax}
 		cands := vtR.Linspace(9)
@@ -308,9 +309,7 @@ func (p *Problem) refine(bestE *float64, bestA **design.Assignment, bestVdd, bes
 		rs := p.scanPoints(opts.Workers, pts, opts)
 		gx, ge := vtR.Lo, math.Inf(1)
 		for i, r := range rs {
-			if r.ok && r.e < *bestE {
-				*bestE, *bestA, *bestVdd, *bestVts = r.e, r.a, vdd, cands[i]
-			}
+			best.consider(r, vdd, cands[i])
 			if r.e < ge {
 				gx, ge = cands[i], r.e
 			}
@@ -339,16 +338,6 @@ func (p *Problem) OptimizeBaseline(opts Options) (*Result, error) {
 	if vt < p.Tech.VtsMin || vt > p.Tech.VtsMax {
 		return nil, fmt.Errorf("core: fixed Vt %v outside tech range [%v,%v]", vt, p.Tech.VtsMin, p.Tech.VtsMax)
 	}
-	evals0 := p.Eval.FullEvalEquivalents()
-
-	node := p.span("optimize.baseline")
-	nT := node.Start()
-	defer nT.Stop()
-	oldTrace := p.setTrace(node)
-	defer p.setTrace(oldTrace)
-
-	bestE := math.Inf(1)
-	var bestA *design.Assignment
 	method := "baseline"
 	if opts.FixedVdd > 0 {
 		// Widths-only reference at a pinned supply.
@@ -356,39 +345,20 @@ func (p *Problem) OptimizeBaseline(opts Options) (*Result, error) {
 			return nil, fmt.Errorf("core: fixed Vdd %v outside tech range [%v,%v]", opts.FixedVdd, p.Tech.VddMin, p.Tech.VddMax)
 		}
 		method = "baseline-fixed-vdd"
-		e, a, ok := p.evalPoint(opts.FixedVdd, vt, &opts)
-		if ok {
-			bestE, bestA = e, a
-		}
-	} else {
-		vddR := optimize.Range{Lo: p.Tech.VddMin, Hi: p.Tech.VddMax}
-		prev := math.Inf(1)
-		for i := 0; i < opts.M; i++ {
-			if p.ctx.Err() != nil {
-				break
-			}
-			vdd := vddR.Mid()
-			e, a, ok := p.evalPoint(vdd, vt, &opts)
-			if ok && e < bestE {
-				bestE, bestA = e, a
-			}
-			if ok && e <= prev {
-				vddR = vddR.Lower()
-			} else {
-				vddR = vddR.Higher()
-			}
-			if e < prev {
-				prev = e
-			}
-		}
 	}
+	evals0 := p.Eval.FullEvalEquivalents()
+
+	node := p.span("optimize.baseline")
+	nT := node.Start()
+	defer nT.Stop()
+	best := p.walk(node, &opts, opts.FixedVdd, vt, budgetWidths)
 	if err := p.Canceled(); err != nil {
 		return nil, err
 	}
-	if bestA == nil {
+	if !best.ok {
 		return nil, fmt.Errorf("core: no feasible baseline design for %q at fc=%v with Vt=%v", p.C.Name, p.Fc, vt)
 	}
-	res := p.finishResult(method, bestA, true, evals0)
-	res.Objective = bestE
+	res := p.finishResult(method, best.a, true, evals0)
+	res.Objective = best.e
 	return res, nil
 }

@@ -56,6 +56,10 @@ func (p *Problem) VariationStudy(tols []float64, opts Options, baseline *Result)
 		out[i] = pt
 	})
 	p.Eval.FlushObs()
+	// A canceled run's points read infeasible; report the cancel instead.
+	if err := p.Canceled(); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -116,6 +120,9 @@ func SlackStudy(spec Spec, skews []float64, opts Options) ([]SlackPoint, error) 
 		if e != nil {
 			return nil, e
 		}
+	}
+	if spec.Ctx != nil && spec.Ctx.Err() != nil {
+		return nil, fmt.Errorf("core: slack study canceled: %w", spec.Ctx.Err())
 	}
 	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"cmosopt/internal/design"
-	"cmosopt/internal/optimize"
 )
 
 // Sensitivity-based sizing, in the TILOS tradition (the greedy ancestor of
@@ -72,21 +71,20 @@ func (p *Problem) sizeSensitivity(a *design.Assignment, step float64) bool {
 // ov ≥ 0, gate ov's width is taken as wOv wherever it appears (its own
 // switching width and the load it presents to its drivers).
 func (p *Problem) localDelay(a *design.Assignment, id int, td []float64, ov int, wOv float64) float64 {
-	g := p.C.Gate(id)
+	cs := p.cs
 	maxIn := 0.0
-	for _, f := range g.Fanin {
+	for _, f := range cs.Fanins(int32(id)) {
 		if td[f] > maxIn {
 			maxIn = td[f]
 		}
 	}
 	sum := p.Eval.GateDelayOverride(id, a, ov, wOv, maxIn)
-	for _, f := range g.Fanin {
-		d := &p.C.Gates[f]
-		if !d.IsLogic() {
+	for _, f := range cs.Fanins(int32(id)) {
+		if !cs.IsLogic[f] {
 			continue
 		}
 		dIn := 0.0
-		for _, ff := range d.Fanin {
+		for _, ff := range cs.Fanins(f) {
 			if td[ff] > dIn {
 				dIn = td[ff]
 			}
@@ -96,78 +94,41 @@ func (p *Problem) localDelay(a *design.Assignment, id int, td []float64, ov int,
 	return sum
 }
 
-// OptimizeJointSensitivity runs the outer Procedure 2 voltage bisections
-// with the sensitivity sizer in place of the budget-driven width solver.
+// sensitivityPoint prices one (Vdd, Vts) candidate with the sensitivity
+// sizer in place of the budget-driven width solver. Infeasible points get
+// +Inf.
+func (p *Problem) sensitivityPoint(vdd, vts float64) pointRes {
+	const step = 0.25
+	a := design.Uniform(p.C.N(), vdd, vts, p.Tech.WMin)
+	szT := p.trace.StartChild("size")
+	ok := p.sizeSensitivity(a, step)
+	szT.Stop()
+	if !ok {
+		return pointRes{e: math.Inf(1)}
+	}
+	return pointRes{p.Eval.Energy(a).Total(), a, true}
+}
+
+// OptimizeJointSensitivity runs Procedure 2's voltage bisections with the
+// sensitivity sizer in place of the budget-driven width solver.
 func (p *Problem) OptimizeJointSensitivity(opts Options) (*Result, error) {
 	opts.fill()
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	evals0 := p.Eval.FullEvalEquivalents()
-	const step = 0.25
 
 	node := p.span("optimize.sensitivity")
 	nT := node.Start()
 	defer nT.Stop()
-
-	bestE := math.Inf(1)
-	var bestA *design.Assignment
-	eval := func(vdd, vts float64) (float64, bool) {
-		a := design.Uniform(p.C.N(), vdd, vts, p.Tech.WMin)
-		szT := node.StartChild("size")
-		ok := p.sizeSensitivity(a, step)
-		szT.Stop()
-		if !ok {
-			return math.Inf(1), false
-		}
-		e := p.Eval.Energy(a).Total()
-		if e < bestE {
-			bestE, bestA = e, a
-		}
-		return e, true
+	best := p.walk(node, &opts, 0, 0, sensitivitySizing)
+	if err := p.Canceled(); err != nil {
+		return nil, err
 	}
-
-	vddR := optimize.Range{Lo: p.Tech.VddMin, Hi: p.Tech.VddMax}
-	prevV := math.Inf(1)
-	for i := 0; i < opts.M; i++ {
-		if err := p.Canceled(); err != nil {
-			return nil, err
-		}
-		vdd := vddR.Mid()
-		vtsR := optimize.Range{Lo: p.Tech.VtsMin, Hi: p.Tech.VtsMax}
-		prevT := math.Inf(1)
-		bestHere := math.Inf(1)
-		for j := 0; j < opts.M; j++ {
-			if err := p.Canceled(); err != nil {
-				return nil, err
-			}
-			vts := vtsR.Mid()
-			e, ok := eval(vdd, vts)
-			if e < bestHere {
-				bestHere = e
-			}
-			if ok && e <= prevT {
-				vtsR = vtsR.Higher()
-			} else {
-				vtsR = vtsR.Lower()
-			}
-			if e < prevT {
-				prevT = e
-			}
-		}
-		if !math.IsInf(bestHere, 1) && bestHere <= prevV {
-			vddR = vddR.Lower()
-		} else {
-			vddR = vddR.Higher()
-		}
-		if bestHere < prevV {
-			prevV = bestHere
-		}
-	}
-	if bestA == nil {
+	if !best.ok {
 		return nil, fmt.Errorf("core: sensitivity sizing found no feasible point for %q", p.C.Name)
 	}
-	res := p.finishResult("joint-sensitivity", bestA, true, evals0)
-	res.Objective = bestE
+	res := p.finishResult("joint-sensitivity", best.a, true, evals0)
+	res.Objective = best.e
 	return res, nil
 }

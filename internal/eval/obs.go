@@ -12,8 +12,8 @@ import (
 //
 //   - histograms, recorded live at the instrumentation site (full-sweep
 //     latency in delaysInto, dirty-cone drain sizes in propagate). These are
-//     wall-clock truth: clones share the sink, so speculative work that the
-//     determinism contract excludes from Metrics billing still shows up here;
+//     wall-clock truth: clones share the sink, so a clone's work shows up
+//     here as it happens, before its Metrics are absorbed by the parent;
 //   - counters, exported by FlushObs as deltas of the engine's Metrics since
 //     the previous flush. The billed Metrics stay the determinism-relevant
 //     effort meter; the registry counters mirror them for manifests and

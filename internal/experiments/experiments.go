@@ -2,9 +2,9 @@
 // figure of the paper's evaluation (§5): Table 1 (fixed-Vt baseline),
 // Table 2 (joint heuristic with savings), Figure 2(a) (Vt process-variation
 // sweep), Figure 2(b) (cycle-time slack sweep), the simulated-annealing
-// comparison, and the multi-threshold extension study. The cmd/tables and
-// cmd/figures executables and the root bench harness are thin wrappers over
-// this package.
+// comparison, and the multi-threshold extension study. cli.Tables and
+// cli.Figures (the cmd/tables and cmd/figures executables) and the root
+// bench harness are thin wrappers over this package.
 package experiments
 
 import (

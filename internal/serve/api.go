@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"cmosopt/internal/cli"
 	"cmosopt/internal/obs"
@@ -156,6 +157,15 @@ func (r *Request) normalize() error {
 	}
 	if r.Skew <= 0 || r.Skew > 1 {
 		return fmt.Errorf("skew %v outside (0,1]", r.Skew)
+	}
+	// The slowest clock sets the largest cycle budget skew/f; an infinite
+	// one would pass every delay check (core.NewProblem rejects it too).
+	clock, field := r.FcHz, "fc_hz"
+	if r.Kind == KindSweep {
+		clock, field = r.FromHz, "from_hz"
+	}
+	if math.IsInf(r.Skew/clock, 1) {
+		return fmt.Errorf("%s %v too small: cycle budget skew/%s is not finite", field, clock, field)
 	}
 	if r.InputProb == 0 {
 		r.InputProb = 0.5

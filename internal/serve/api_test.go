@@ -43,6 +43,8 @@ func TestNormalizeRejects(t *testing.T) {
 		{"bad range", Request{Kind: KindSweep, Circuit: "s27", FromHz: 2e8, ToHz: 1e8}, "bad sweep range"},
 		{"negative timeout", Request{Circuit: "s27", TimeoutMS: -5}, "negative"},
 		{"bad skew", Request{Circuit: "s27", Skew: 1.5}, "skew"},
+		{"fc too small", Request{Circuit: "s27", FcHz: 1e-310}, "fc_hz"},
+		{"sweep from too small", Request{Kind: KindSweep, Circuit: "s27", FromHz: 1e-310}, "from_hz"},
 		{"unknown tech key", Request{Circuit: "s27", Tech: "vdd_max=3.0"}, "unknown parameter"},
 	}
 	for _, tc := range cases {
