@@ -3,7 +3,9 @@
 // Smoke mode (-smoke) is the correctness end-to-end the serve-e2e CI job
 // runs: it submits a sweep and asserts the served bytes are identical to
 // the offline cmd/sweep rendering computed in-process, replays the request
-// to prove a cache hit returns the same bytes, cancels a mid-flight
+// to prove a cache hit returns the same bytes, streams a job's SSE events
+// live and again after it ended (the late stream must carry the final spans
+// in one frame and the same done frame), cancels a mid-flight
 // 100k-gate job and checks it resolves promptly as canceled, fills the
 // admission queue until the server answers 429 + Retry-After, drains it,
 // and verifies the server accepts work again.
@@ -27,11 +29,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"os"
 	"strings"
 	"sync"
@@ -217,24 +221,69 @@ func smokeEvents(ctx context.Context, cfg config, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("events submit: %w", err)
 	}
-	var progress, done int
-	err = cfg.client.Events(ctx, sub.ID, func(ev serve.Event) bool {
-		switch ev.Name {
+	live, err := subscribe(ctx, cfg.client, sub.ID)
+	if err != nil {
+		return err
+	}
+	if len(live.done) != 1 || live.progress < 1 {
+		return fmt.Errorf("event stream delivered %d progress / %d done frames", live.progress, len(live.done))
+	}
+	fmt.Fprintf(out, "ok  sse             %d progress frame(s) and a done frame streamed\n", live.progress)
+
+	// A subscriber arriving after the job ended gets its final spans in one
+	// progress frame, and the live stream's done frame.
+	late, err := subscribe(ctx, cfg.client, sub.ID)
+	if err != nil {
+		return err
+	}
+	if late.progress != 1 || len(late.done) != 1 {
+		return fmt.Errorf("late event stream delivered %d progress / %d done frames, want 1 / 1", late.progress, len(late.done))
+	}
+	if !maps.Equal(late.counts, live.counts) {
+		return fmt.Errorf("late event stream's spans %v differ from the live stream's final %v", late.counts, live.counts)
+	}
+	if !bytes.Equal(late.done[0], live.done[0]) {
+		return fmt.Errorf("late done frame differs from the live one:\n%s\n%s", late.done[0], live.done[0])
+	}
+	fmt.Fprintf(out, "ok  sse-late        late subscriber got the final %d span(s) in one frame and the same done frame\n", len(late.counts))
+	return nil
+}
+
+// events is what one SSE subscription delivered: the span counts by path
+// (a later progress frame's entry replaces an earlier one), the number of
+// progress frames, and the data of every done frame.
+type events struct {
+	counts   map[string]int64
+	progress int
+	done     [][]byte
+}
+
+func subscribe(ctx context.Context, c *serve.Client, id string) (events, error) {
+	ev := events{counts: map[string]int64{}}
+	var bad error
+	err := c.Events(ctx, id, func(e serve.Event) bool {
+		switch e.Name {
 		case "progress":
-			progress++
+			var delta []obs.FlatSpan
+			if bad = json.Unmarshal(e.Data, &delta); bad != nil {
+				return false
+			}
+			for _, f := range delta {
+				ev.counts[f.Path] = f.Count
+			}
+			ev.progress++
 		case "done":
-			done++
+			ev.done = append(ev.done, e.Data)
 		}
 		return true
 	})
+	if err == nil && bad != nil {
+		err = fmt.Errorf("progress frame: %w", bad)
+	}
 	if err != nil {
-		return fmt.Errorf("event stream: %w", err)
+		return ev, fmt.Errorf("event stream: %w", err)
 	}
-	if done != 1 || progress < 1 {
-		return fmt.Errorf("event stream delivered %d progress / %d done frames", progress, done)
-	}
-	fmt.Fprintf(out, "ok  sse             %d progress frame(s) and a done frame streamed\n", progress)
-	return nil
+	return ev, nil
 }
 
 func smokeCancel(ctx context.Context, cfg config, out io.Writer) error {

@@ -50,7 +50,7 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 		}
 		lhs, rhs, ok := strings.Cut(line, "=")
 		if !ok {
-			return nil, fmt.Errorf("%s:%d: unrecognized line %q", name, lineNo, line)
+			return nil, fmt.Errorf("%s:%d: unrecognized line %q", name, lineNo, excerpt(line))
 		}
 		gname := strings.TrimSpace(lhs)
 		fn, args, err := parseCall(strings.TrimSpace(rhs))
@@ -72,7 +72,7 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 	var gates []Gate
 	addGate := func(gname string, typ GateType) (int, error) {
 		if _, dup := byName[gname]; dup {
-			return 0, fmt.Errorf("%s: signal %q defined twice", name, gname)
+			return 0, fmt.Errorf("%s: signal %q defined twice", name, excerpt(gname))
 		}
 		id := len(gates)
 		gates = append(gates, Gate{ID: id, Name: gname, Type: typ})
@@ -98,7 +98,7 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 		for _, fn := range p.fanins {
 			fid, ok := byName[fn]
 			if !ok {
-				return nil, fmt.Errorf("%s:%d: gate %q references undefined signal %q", name, p.line, p.name, fn)
+				return nil, fmt.Errorf("%s:%d: gate %q references undefined signal %q", name, p.line, excerpt(p.name), excerpt(fn))
 			}
 			gates[id].Fanin = append(gates[id].Fanin, int32(fid))
 			gates[fid].Fanout = append(gates[fid].Fanout, int32(id))
@@ -108,7 +108,7 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 	for _, out := range outputs {
 		id, ok := byName[out]
 		if !ok {
-			return nil, fmt.Errorf("%s: OUTPUT(%s) references undefined signal", name, out)
+			return nil, fmt.Errorf("%s: OUTPUT(%s) references undefined signal", name, excerpt(out))
 		}
 		pos = append(pos, id)
 	}
@@ -139,14 +139,14 @@ func parseDirective(line, keyword string) (arg string, ok bool) {
 func parseCall(s string) (fn string, args []string, err error) {
 	open := strings.IndexByte(s, '(')
 	if open < 0 || !strings.HasSuffix(s, ")") {
-		return "", nil, fmt.Errorf("malformed gate expression %q", s)
+		return "", nil, fmt.Errorf("malformed gate expression %q", excerpt(s))
 	}
 	fn = strings.TrimSpace(s[:open])
 	inner := s[open+1 : len(s)-1]
 	for _, a := range strings.Split(inner, ",") {
 		a = strings.TrimSpace(a)
 		if a == "" {
-			return "", nil, fmt.Errorf("empty operand in %q", s)
+			return "", nil, fmt.Errorf("empty operand in %q", excerpt(s))
 		}
 		args = append(args, a)
 	}
@@ -174,7 +174,7 @@ func gateTypeFromBench(fn string) (GateType, error) {
 	case "DFF":
 		return DFF, nil
 	}
-	return 0, fmt.Errorf("unknown gate function %q", fn)
+	return 0, fmt.Errorf("unknown gate function %q", excerpt(fn))
 }
 
 // WriteBench writes the circuit in .bench format. ParseBench(WriteBench(c))

@@ -132,6 +132,62 @@ func TestParseBenchErrors(t *testing.T) {
 	}
 }
 
+// A parse error quotes a bounded excerpt of the offending input, never the
+// whole of it: a .bench line may be 1 MiB long and a Verilog statement has no
+// cap. The file:line prefix stays, and errors over short input keep its text.
+func TestParseErrorsQuoteBoundedExcerpt(t *testing.T) {
+	long := strings.Repeat("x", 1<<20-64)
+	bench := func(text string) error {
+		_, err := ParseBenchString("big", text)
+		return err
+	}
+	verilog := func(src string) error {
+		_, err := ParseVerilogString("big", src)
+		return err
+	}
+	for _, tc := range []struct {
+		name string
+		err  error
+		want string // the error's text up to its excerpt
+	}{
+		{"1 MiB line", bench("INPUT(a)\n" + long + "\n"), `big:2: unrecognized line "xxx`},
+		{"long gate expression", bench("INPUT(a)\ng = NAND(a, " + long + "\n"), `big:2: malformed gate expression "NAND(a, xxx`},
+		{"empty operand", bench("INPUT(a)\ng = NAND(a,," + long + ")\n"), `big:2: empty operand in "NAND(a,,xxx`},
+		{"long signal name", bench("INPUT(a)\ng = NOT(" + long + ")\n"), `big:2: gate "g" references undefined signal "xxx`},
+		{"long gate name", bench("INPUT(a)\n" + long + " = NAND(a)\n"), `big: gate "xxx`},
+		{"long statement", verilog("module t (a, y);\ninput a;\noutput y;\nnot u1 (y " + long + ");\nendmodule\n"),
+			`big: instance "not u1 (y xxx`},
+		{"long primitive", verilog("module t (a, y);\ninput a;\n" + long + " u1 (y, a);\nendmodule\n"),
+			`big: unknown primitive "xxx`},
+	} {
+		if tc.err == nil {
+			t.Errorf("%s: parsed", tc.name)
+			continue
+		}
+		msg := tc.err.Error()
+		if len(msg) > 300 || !strings.HasPrefix(msg, tc.want) || !strings.Contains(msg, "…") {
+			t.Errorf("%s: error of %d bytes, want a short one starting %q with an excerpt marked …: %.300s",
+				tc.name, len(msg), tc.want, msg)
+		}
+	}
+
+	for text, want := range map[string]string{
+		"INPUT(a)\nwhat is this\n":           `short:2: unrecognized line "what is this"`,
+		"INPUT(a)\ng = NOT a\n":              `short:2: malformed gate expression "NOT a"`,
+		"INPUT(a)\ng = NOT(zz)\n":            `short:2: gate "g" references undefined signal "zz"`,
+		"INPUT(a)\ng = NAND(a)\n":            `short: gate "g": NAND with 1 fanins`,
+		"INPUT(a)\nOUTPUT(qq)\ng = NOT(a)\n": `short: OUTPUT(qq) references undefined signal`,
+	} {
+		if _, err := ParseBenchString("short", text); err == nil || err.Error() != want {
+			t.Errorf("%q: err = %v, want %s", text, err, want)
+		}
+	}
+	const stmt = "module t (a, y);\ninput a;\noutput y;\nnot u1 y, a;\nendmodule\n"
+	if _, err := ParseVerilogString("short", stmt); err == nil || err.Error() != `short: malformed instance "not u1 y, a"` {
+		t.Errorf("short Verilog statement: err = %v", err)
+	}
+}
+
 func TestBenchRoundTrip(t *testing.T) {
 	orig, err := ParseBenchString("c17", c17Bench)
 	if err != nil {

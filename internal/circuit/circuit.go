@@ -91,35 +91,35 @@ func (c *Circuit) Validate() error {
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		if g.ID != i {
-			return fmt.Errorf("gate %q: ID %d does not match index %d", g.Name, g.ID, i)
+			return fmt.Errorf("gate %q: ID %d does not match index %d", excerpt(g.Name), g.ID, i)
 		}
 		if !g.Type.Valid() || g.Type == numGateTypes {
-			return fmt.Errorf("gate %q: invalid type %d", g.Name, g.Type)
+			return fmt.Errorf("gate %q: invalid type %d", excerpt(g.Name), g.Type)
 		}
 		if g.Name == "" {
 			return fmt.Errorf("gate %d: empty name", i)
 		}
 		if prev, dup := names[g.Name]; dup {
-			return fmt.Errorf("duplicate gate name %q (gates %d and %d)", g.Name, prev, i)
+			return fmt.Errorf("duplicate gate name %q (gates %d and %d)", excerpt(g.Name), prev, i)
 		}
 		names[g.Name] = i
 		if n := g.NumFanin(); n < g.Type.MinFanin() || (g.Type.MaxFanin() >= 0 && n > g.Type.MaxFanin()) {
-			return fmt.Errorf("gate %q: %s with %d fanins", g.Name, g.Type, n)
+			return fmt.Errorf("gate %q: %s with %d fanins", excerpt(g.Name), g.Type, n)
 		}
 		for _, f := range g.Fanin {
 			if f < 0 || int(f) >= len(c.Gates) {
-				return fmt.Errorf("gate %q: fanin %d out of range", g.Name, f)
+				return fmt.Errorf("gate %q: fanin %d out of range", excerpt(g.Name), f)
 			}
 			if !containsID(c.Gates[f].Fanout, i) {
-				return fmt.Errorf("gate %q: fanin %q does not list it as fanout", g.Name, c.Gates[f].Name)
+				return fmt.Errorf("gate %q: fanin %q does not list it as fanout", excerpt(g.Name), excerpt(c.Gates[f].Name))
 			}
 		}
 		for _, f := range g.Fanout {
 			if f < 0 || int(f) >= len(c.Gates) {
-				return fmt.Errorf("gate %q: fanout %d out of range", g.Name, f)
+				return fmt.Errorf("gate %q: fanout %d out of range", excerpt(g.Name), f)
 			}
 			if !containsID(c.Gates[f].Fanin, i) {
-				return fmt.Errorf("gate %q: fanout %q does not list it as fanin", g.Name, c.Gates[f].Name)
+				return fmt.Errorf("gate %q: fanout %q does not list it as fanin", excerpt(g.Name), excerpt(c.Gates[f].Name))
 			}
 		}
 	}
@@ -128,7 +128,7 @@ func (c *Circuit) Validate() error {
 			return fmt.Errorf("PI id %d out of range", id)
 		}
 		if c.Gates[id].Type != Input {
-			return fmt.Errorf("PI %q is not an Input gate", c.Gates[id].Name)
+			return fmt.Errorf("PI %q is not an Input gate", excerpt(c.Gates[id].Name))
 		}
 	}
 	for _, id := range c.POs {

@@ -76,15 +76,15 @@ func ParseVerilog(name string, r io.Reader) (*Circuit, error) {
 		default:
 			typ, err := gateTypeFromVerilog(word)
 			if err != nil {
-				return nil, fmt.Errorf("%s: %v (statement %q)", name, err, stmt)
+				return nil, fmt.Errorf("%s: %v (statement %q)", name, err, excerpt(stmt))
 			}
 			open := strings.IndexByte(rest, '(')
 			if open < 0 || !strings.HasSuffix(rest, ")") {
-				return nil, fmt.Errorf("%s: malformed instance %q", name, stmt)
+				return nil, fmt.Errorf("%s: malformed instance %q", name, excerpt(stmt))
 			}
 			terms := splitSignalList(rest[open+1 : len(rest)-1])
 			if len(terms) < 2 {
-				return nil, fmt.Errorf("%s: instance %q needs an output and at least one input", name, stmt)
+				return nil, fmt.Errorf("%s: instance %q needs an output and at least one input", name, excerpt(stmt))
 			}
 			protos = append(protos, protoGate{typ: typ, out: terms[0], inputs: terms[1:]})
 		}
@@ -99,7 +99,7 @@ func ParseVerilog(name string, r io.Reader) (*Circuit, error) {
 	var gates []Gate
 	add := func(sig string, typ GateType) (int, error) {
 		if _, dup := byName[sig]; dup {
-			return 0, fmt.Errorf("%s: signal %q driven twice", name, sig)
+			return 0, fmt.Errorf("%s: signal %q driven twice", name, excerpt(sig))
 		}
 		id := len(gates)
 		gates = append(gates, Gate{ID: id, Name: sig, Type: typ})
@@ -124,7 +124,7 @@ func ParseVerilog(name string, r io.Reader) (*Circuit, error) {
 		for _, in := range p.inputs {
 			fid, ok := byName[in]
 			if !ok {
-				return nil, fmt.Errorf("%s: instance output %q references undriven signal %q", name, p.out, in)
+				return nil, fmt.Errorf("%s: instance output %q references undriven signal %q", name, excerpt(p.out), excerpt(in))
 			}
 			gates[id].Fanin = append(gates[id].Fanin, int32(fid))
 			gates[fid].Fanout = append(gates[fid].Fanout, int32(id))
@@ -134,7 +134,7 @@ func ParseVerilog(name string, r io.Reader) (*Circuit, error) {
 	for _, out := range outputs {
 		id, ok := byName[out]
 		if !ok {
-			return nil, fmt.Errorf("%s: output %q is never driven", name, out)
+			return nil, fmt.Errorf("%s: output %q is never driven", name, excerpt(out))
 		}
 		pos = append(pos, id)
 	}
@@ -206,7 +206,7 @@ func gateTypeFromVerilog(prim string) (GateType, error) {
 	case "dff":
 		return DFF, nil
 	}
-	return 0, fmt.Errorf("unknown primitive %q", prim)
+	return 0, fmt.Errorf("unknown primitive %q", excerpt(prim))
 }
 
 // WriteVerilog writes the circuit as a structural-Verilog module; the result

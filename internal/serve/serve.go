@@ -176,14 +176,15 @@ func (s *Server) executor() {
 
 // run executes one dequeued job through the configured runner.
 func (s *Server) run(j *job) {
-	if !j.begin() {
+	req, reg, ok := j.begin()
+	if !ok {
 		return // canceled while queued
 	}
 	s.running.Add(1)
 	defer s.running.Add(-1)
 	defer j.cancel() // release the deadline timer
 
-	res, err := s.runJob(j)
+	res, err := s.runJob(j.ctx, req, reg)
 	switch {
 	case err == nil:
 		// Cache first, then finish: finish releases the waiters, and a
@@ -204,13 +205,13 @@ func (s *Server) run(j *job) {
 // runJob calls the runner and encodes its result once, for every response
 // that will carry it. A runner panic becomes the job's error, so one bad job
 // cannot take down the server and every other in-flight job with it.
-func (s *Server) runJob(j *job) (res *storedResult, err error) {
+func (s *Server) runJob(ctx context.Context, req *Request, reg *obs.Registry) (res *storedResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("serve: job panicked: %v", p)
 		}
 	}()
-	r, err := s.cfg.Runner(j.ctx, j.req, s.cfg.Workers, j.reg)
+	r, err := s.cfg.Runner(ctx, req, s.cfg.Workers, reg)
 	if err != nil || r == nil {
 		return nil, err
 	}
@@ -221,9 +222,11 @@ func (s *Server) runJob(j *job) (res *storedResult, err error) {
 // ends the job, the transition is counted once in the /v1/stats counter and
 // once in the registry as serve.<state>, so the two views cannot drift, and
 // only then are the job's waiters released, so a client whose wait returns
-// reads counters that already include its job.
+// reads counters that already include its job. The job's spans are
+// flattened first, outside its lock, for the SSE endpoint to stream once
+// the registry is gone.
 func (s *Server) finish(j *job, state string, res *storedResult, err error) {
-	if !j.finish(state, res, err) {
+	if !j.finish(state, res, err, j.progress()) {
 		return
 	}
 	switch state {
@@ -264,6 +267,7 @@ func (s *Server) submit(req *Request) (*job, error) {
 			j.cached = true
 			j.state = StateDone
 			j.res = res
+			j.spans = idleSpans
 			close(j.done)
 			s.registerLocked(j)
 			return j, nil
@@ -273,6 +277,7 @@ func (s *Server) submit(req *Request) (*job, error) {
 	}
 
 	j := s.newJobLocked(req, key)
+	j.req, j.reg = req, obs.NewRegistry()
 	select {
 	case s.queue <- j:
 	default:
@@ -291,7 +296,8 @@ func (s *Server) submit(req *Request) (*job, error) {
 	return j, nil
 }
 
-// newJobLocked allocates a job with its context chain and registry.
+// newJobLocked allocates a queued job with its context chain. A job that
+// will run also needs its request and a registry, which the caller sets.
 func (s *Server) newJobLocked(req *Request, key string) *job {
 	s.nextID++
 	ctx, cancel := context.WithCancel(s.baseCtx)
@@ -304,9 +310,7 @@ func (s *Server) newJobLocked(req *Request, key string) *job {
 	}
 	return &job{
 		id:     "j" + strconv.FormatInt(s.nextID, 10),
-		req:    req,
 		key:    key,
-		reg:    obs.NewRegistry(),
 		ctx:    ctx,
 		cancel: cancel,
 		done:   make(chan struct{}),
@@ -321,23 +325,32 @@ func (s *Server) registerLocked(j *job) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	for len(s.order) > s.cfg.RetainJobs {
-		evicted := false
-		for i, id := range s.order {
-			old := s.jobs[id]
-			old.mu.Lock()
-			terminal := old.state == StateDone || old.state == StateFailed || old.state == StateCanceled
-			old.mu.Unlock()
-			if terminal {
-				delete(s.jobs, id)
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
+		i := s.oldestTerminalLocked()
+		if i < 0 {
 			break // every retained job is still live; let the table grow
 		}
+		delete(s.jobs, s.order[i])
+		// Shift the live ids ahead of it up one slot and re-slice past the
+		// head: those are at most the queued and running jobs, where
+		// closing the gap from the tail would move every retained id.
+		copy(s.order[1:i+1], s.order[:i])
+		s.order = s.order[1:]
 	}
+}
+
+// oldestTerminalLocked returns the index in s.order of the oldest terminal
+// job, or -1 when every retained job is live.
+func (s *Server) oldestTerminalLocked() int {
+	for i, id := range s.order {
+		j := s.jobs[id]
+		j.mu.Lock()
+		terminal := j.state == StateDone || j.state == StateFailed || j.state == StateCanceled
+		j.mu.Unlock()
+		if terminal {
+			return i
+		}
+	}
+	return -1
 }
 
 // jobByID looks a job up.
@@ -428,13 +441,13 @@ func encodeResult(res *Result) (*storedResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: encoding result: %w", err)
 	}
-	return &storedResult{res: res, json: b}, nil
+	return &storedResult{json: b}, nil
 }
 
-// writeStatus writes j's status exactly as writeJSON(w, status, j.status())
-// would, but encodes only the envelope and appends the result's stored
-// encoding instead of encoding the Result again. The splice relies on the
-// two invariants stated at JobStatus.
+// writeStatus writes j's status exactly as writeJSON would encode the
+// envelope with the job's Result in it, but encodes only the envelope and
+// appends the result's stored encoding instead of encoding the Result again.
+// The splice relies on the two invariants stated at JobStatus.
 func writeStatus(w http.ResponseWriter, status int, j *job) {
 	st, res := j.envelope()
 	if res == nil {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -605,7 +606,9 @@ func TestSubmitRejectsNonFiniteTech(t *testing.T) {
 }
 
 // SSE: the event stream delivers progress frames built from the job's span
-// tree and a terminal done frame carrying the full status.
+// tree and a terminal done frame carrying the full status. A subscriber that
+// arrives after the job ended gets the live stream's final span paths and
+// counts in one progress frame, and the same done frame.
 func TestEventsStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the real optimizer")
@@ -617,31 +620,31 @@ func TestEventsStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var progress int
-	var done JobStatus
-	err = c.Events(ctx, sub.ID, func(ev Event) bool {
-		switch ev.Name {
-		case "progress":
-			var spans []obs.FlatSpan
-			if err := json.Unmarshal(ev.Data, &spans); err != nil {
-				t.Errorf("progress payload: %v", err)
-			}
-			progress += len(spans)
-		case "done":
-			if err := json.Unmarshal(ev.Data, &done); err != nil {
-				t.Errorf("done payload: %v", err)
-			}
-		}
-		return true
-	})
+	live, err := subscribe(ctx, c, sub.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if progress == 0 {
+	if len(live.spans) == 0 {
 		t.Error("no span progress delivered before done")
+	}
+	var done JobStatus
+	if err := json.Unmarshal(live.done, &done); err != nil {
+		t.Fatalf("done payload %s: %v", live.done, err)
 	}
 	if done.State != StateDone || done.Result == nil {
 		t.Errorf("done frame: %+v", done)
+	}
+
+	late, err := subscribe(ctx, c, sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late.frames != 1 || !reflect.DeepEqual(pathsAndCounts(late.spans), pathsAndCounts(live.spans)) {
+		t.Errorf("late subscriber: %d progress frame(s) with %v, want one with the live stream's final %v",
+			late.frames, pathsAndCounts(late.spans), pathsAndCounts(live.spans))
+	}
+	if !bytes.Equal(late.done, live.done) {
+		t.Errorf("late done frame differs from the live one:\n%s\n%s", late.done, live.done)
 	}
 }
 
@@ -674,7 +677,7 @@ func TestShutdown(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %s vanished", id)
 		}
-		if st := j.status(); st.State != StateCanceled {
+		if st, _ := j.envelope(); st.State != StateCanceled {
 			t.Errorf("job %s after shutdown: state = %s, want canceled", id, st.State)
 		}
 	}
@@ -683,13 +686,25 @@ func TestShutdown(t *testing.T) {
 	}
 }
 
-// Bounded retention forgets the oldest terminal jobs but never a live one.
+// Bounded retention forgets the oldest terminal jobs but never a live one:
+// a running job at the head of the submission order survives every eviction
+// behind it, and the count stays at the bound.
 func TestJobRetention(t *testing.T) {
-	g := newGatedRunner()
-	close(g.release)
-	s, c := newTestServer(t, Config{RetainJobs: 3, Runner: g.run})
+	g := newGatedRunner() // holds only the s298 job
+	runner := func(ctx context.Context, req *Request, workers int, reg *obs.Registry) (*Result, error) {
+		if req.Circuit == "s298" {
+			return g.run(ctx, req, workers, reg)
+		}
+		return &Result{Output: "done\n"}, nil
+	}
+	s, c := newTestServer(t, Config{RetainJobs: 3, Runner: runner})
 	ctx := context.Background()
 
+	live, err := c.Submit(ctx, &Request{Circuit: "s298", NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.waitStart(t)
 	var ids []string
 	for i := 0; i < 5; i++ {
 		st, err := c.SubmitWait(ctx, &Request{Circuit: "s27", NoCache: true})
@@ -697,14 +712,31 @@ func TestJobRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids = append(ids, st.ID)
+		if got, want := s.stats().Retained, min(i+2, 3); got != want {
+			t.Errorf("after %d submissions: retained = %d, want %d", i+2, got, want)
+		}
+	}
+	if _, ok := s.jobByID(live.ID); !ok {
+		t.Error("running job at the head evicted")
+	}
+	for i, id := range ids {
+		if _, ok := s.jobByID(id); ok != (i >= 3) {
+			t.Errorf("job %d addressable = %v, want only the two newest terminal jobs", i, ok)
+		}
+	}
+
+	// Once it ends, the head job is the oldest terminal one and goes next.
+	close(g.release)
+	if st, err := c.Wait(ctx, live.ID); err != nil || st.State != StateDone {
+		t.Fatalf("head job: %+v, %v", st, err)
+	}
+	if _, err := c.SubmitWait(ctx, &Request{Circuit: "s27", NoCache: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.jobByID(live.ID); ok {
+		t.Error("terminal head job still addressable past the retention bound")
 	}
 	if got := s.stats().Retained; got != 3 {
 		t.Errorf("retained = %d, want 3", got)
-	}
-	if _, ok := s.jobByID(ids[0]); ok {
-		t.Error("oldest job still addressable past the retention bound")
-	}
-	if _, ok := s.jobByID(ids[4]); !ok {
-		t.Error("newest job evicted")
 	}
 }

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -38,8 +40,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	var prev []obs.FlatSpan
 	emit := func() {
-		snap := j.reg.Root().Snapshot()
-		cur := snap.Flatten()
+		cur := j.progress()
 		if delta := obs.DiffFlat(prev, cur); len(delta) > 0 {
 			writeEvent(w, "progress", delta)
 			fl.Flush()
@@ -50,7 +51,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-j.done:
 			emit() // the final spans, so totals are never lost to timing
-			writeEvent(w, "done", j.status())
+			writeDone(w, j)
 			fl.Flush()
 			return
 		case <-r.Context().Done():
@@ -63,10 +64,34 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // writeEvent renders one SSE frame. Payloads are single-line JSON, so the
 // data field never needs splitting.
-func writeEvent(w http.ResponseWriter, event string, v any) {
+func writeEvent(w io.Writer, event string, v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
 		b = []byte(fmt.Sprintf("%q", "marshal: "+err.Error()))
 	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
+	writeFrame(w, event, b)
+}
+
+func writeFrame(w io.Writer, event string, data []byte) {
+	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+}
+
+// writeDone renders the "done" frame: j's status as json.Marshal encodes it
+// with the job's Result in it. Like writeStatus it encodes only the envelope
+// and splices in the stored result, here compacted: indenting adds only
+// whitespace outside strings, so compacting gives back json.Marshal's bytes.
+func writeDone(w io.Writer, j *job) {
+	st, res := j.envelope()
+	if res == nil {
+		writeEvent(w, "done", st)
+		return
+	}
+	env, _ := json.Marshal(st) // strings and a bool always encode
+	var b bytes.Buffer
+	b.Grow(len(env) + len(res.json))
+	b.Write(env[:len(env)-len("}")])
+	b.WriteString(`,"result":`)
+	_ = json.Compact(&b, res.json) // the encoder wrote them: valid JSON
+	b.WriteString("}")
+	writeFrame(w, "done", b.Bytes())
 }

@@ -20,21 +20,24 @@ import (
 // character, U+2028 and other non-ASCII text.
 const awkward = "<b>a & b</b> \"quoted\" back\\slash\ttab\x01 ünïcödé ✓ \u2028 end"
 
-// checkStatus compares writeStatus with the reference: writeJSON encoding the
-// job's full status, which encodes the Result itself and never reads the
-// stored bytes.
-func checkStatus(t *testing.T, s *Server, id, state string) {
+// checkStatus compares writeStatus and the SSE done frame with their
+// references: writeJSON and json.Marshal encoding the job's envelope with
+// res, the runner's own Result (nil unless the job is done), in it. Neither
+// reference reads the stored bytes.
+func checkStatus(t *testing.T, s *Server, id, state string, res *Result) {
 	t.Helper()
 	j, ok := s.jobByID(id)
 	if !ok {
 		t.Fatalf("job %s not addressable", id)
 	}
-	if got := j.status().State; got != state {
-		t.Fatalf("job %s: state %s, want %s", id, got, state)
+	st, _ := j.envelope()
+	if st.State != state {
+		t.Fatalf("job %s: state %s, want %s", id, st.State, state)
 	}
+	st.Result = res
 	got, want := httptest.NewRecorder(), httptest.NewRecorder()
 	writeStatus(got, http.StatusAccepted, j)
-	writeJSON(want, http.StatusAccepted, j.status())
+	writeJSON(want, http.StatusAccepted, st)
 	if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
 		t.Errorf("job %s (%s): status %d %q, want %d %q", id, state,
 			got.Code, got.Header().Get("Content-Type"), want.Code, want.Header().Get("Content-Type"))
@@ -43,10 +46,50 @@ func checkStatus(t *testing.T, s *Server, id, state string) {
 		t.Errorf("job %s (%s): writeStatus differs from the encoder\n--- writeStatus ---\n%s--- encoder ---\n%s",
 			id, state, got.Body, want.Body)
 	}
+
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame bytes.Buffer
+	writeDone(&frame, j)
+	if wantFrame := "event: done\ndata: " + string(data) + "\n\n"; frame.String() != wantFrame {
+		t.Errorf("job %s (%s): done frame differs from json.Marshal\n--- frame ---\n%s--- json.Marshal ---\n%s",
+			id, state, frame.String(), wantFrame)
+	}
 }
 
-// writeStatus must write the bytes the indenting encoder writes for the
-// job's whole status, in every job state, including text the encoder
+// resultsByKey records each Result a runner returns under its request's
+// cache key, so a test can encode the runner's own Result for a job, a
+// cache hit included.
+type resultsByKey struct {
+	mu sync.Mutex
+	m  map[string]*Result
+}
+
+func (r *resultsByKey) wrap(run Runner) Runner {
+	return func(ctx context.Context, req *Request, workers int, reg *obs.Registry) (*Result, error) {
+		res, err := run(ctx, req, workers, reg)
+		if err == nil {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			if r.m == nil {
+				r.m = make(map[string]*Result)
+			}
+			r.m[req.cacheKey()] = res
+		}
+		return res, err
+	}
+}
+
+func (r *resultsByKey) get(key string) *Result {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.m[key]
+}
+
+// writeStatus and the SSE done frame must write the bytes the encoders write
+// for the job's whole status, in every job state, including text the encoder
 // escapes in both the result and the error.
 func TestWriteStatusMatchesEncoder(t *testing.T) {
 	g := newGatedRunner()
@@ -74,18 +117,18 @@ func TestWriteStatusMatchesEncoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStatus(t, s, running.ID, StateRunning)
-	checkStatus(t, s, queued.ID, StateQueued)
+	checkStatus(t, s, running.ID, StateRunning, nil)
+	checkStatus(t, s, queued.ID, StateQueued, nil)
 	if _, err := c.Cancel(ctx, queued.ID); err != nil {
 		t.Fatal(err)
 	}
-	checkStatus(t, s, queued.ID, StateCanceled)
+	checkStatus(t, s, queued.ID, StateCanceled, nil)
 
 	close(g.release)
 	if _, err := c.Wait(ctx, running.ID); err != nil {
 		t.Fatal(err)
 	}
-	checkStatus(t, s, running.ID, StateDone)
+	checkStatus(t, s, running.ID, StateDone, res)
 	hit, err := c.SubmitWait(ctx, &Request{Circuit: "s27"})
 	if err != nil {
 		t.Fatal(err)
@@ -93,12 +136,12 @@ func TestWriteStatusMatchesEncoder(t *testing.T) {
 	if !hit.Cached {
 		t.Fatalf("resubmission missed the cache: %+v", hit)
 	}
-	checkStatus(t, s, hit.ID, StateDone)
+	checkStatus(t, s, hit.ID, StateDone, res)
 	failed, err := c.SubmitWait(ctx, &Request{Circuit: "c17"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStatus(t, s, failed.ID, StateFailed)
+	checkStatus(t, s, failed.ID, StateFailed, nil)
 }
 
 // The same equivalence on real results: every optimize mode and a sweep on
@@ -107,7 +150,8 @@ func TestWriteStatusMatchesEncoderRealResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the real optimizer")
 	}
-	s, c := newTestServer(t, Config{})
+	var results resultsByKey
+	s, c := newTestServer(t, Config{Runner: results.wrap(DefaultRunner)})
 	ctx := context.Background()
 	reqs := []func() *Request{func() *Request { return &Request{Kind: KindSweep, Circuit: "s27", Points: 3} }}
 	for _, mode := range []string{"joint", "baseline", "anneal", "multivt", "dualvdd", "sensitivity"} {
@@ -122,7 +166,7 @@ func TestWriteStatusMatchesEncoderRealResults(t *testing.T) {
 			if st.Cached != cached || st.Result == nil {
 				t.Fatalf("%+v: cached = %v with result %v, want cached = %v with a result", req(), st.Cached, st.Result != nil, cached)
 			}
-			checkStatus(t, s, st.ID, StateDone)
+			checkStatus(t, s, st.ID, StateDone, results.get(st.Key))
 		}
 	}
 }
@@ -150,8 +194,10 @@ func TestWriteStatusConcurrentHits(t *testing.T) {
 		if !ok {
 			return fmt.Errorf("job %s not addressable", st.ID)
 		}
+		ref, _ := j.envelope()
+		ref.Result = shared
 		want := httptest.NewRecorder()
-		writeJSON(want, http.StatusOK, j.status())
+		writeJSON(want, http.StatusOK, ref)
 		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
 			return fmt.Errorf("job %s: response %d differs from the encoder\n--- response ---\n%s--- encoder ---\n%s",
 				st.ID, rec.Code, rec.Body, want.Body)
