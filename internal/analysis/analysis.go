@@ -25,7 +25,8 @@
 //     invariant;
 //   - locksafe (locksafe.go): every sync.Mutex/RWMutex Lock is released on
 //     all exit paths, and no FlushObs/blocking send/engine evaluation runs
-//     under a held lock — the PR 2/PR 3 sharded-cache discipline;
+//     under a held lock — the discipline of the observability registry and
+//     the service's shared tables;
 //   - keypure (keypure.go): execution controls never flow into the
 //     cmosopt/key/v1 cache key — the PR 8 content-addressing invariant.
 //

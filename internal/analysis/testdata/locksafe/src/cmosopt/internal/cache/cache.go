@@ -1,5 +1,5 @@
 // Package cache (fixture): lock-discipline cases for the locksafe analyzer,
-// shaped like the coefficient-cache shards.
+// shaped like the shards of a mutex-guarded map cache.
 package cache
 
 import (
@@ -125,8 +125,8 @@ func (s *shard) GoSend(ch chan int) {
 	s.mu.Unlock()
 }
 
-// BadEval runs a full engine evaluation under the shard lock — evaluation
-// takes the coeff-cache shard locks itself.
+// BadEval runs a full engine evaluation under the shard lock, stalling every
+// waiter on it for the length of the evaluation.
 func (s *shard) BadEval(e *eval.Engine) {
 	s.mu.Lock()
 	_ = e.Energy(0) // want `engine evaluation while s.mu is held`

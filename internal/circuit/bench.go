@@ -101,7 +101,6 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 				return nil, fmt.Errorf("%s:%d: gate %q references undefined signal %q", name, p.line, excerpt(p.name), excerpt(fn))
 			}
 			gates[id].Fanin = append(gates[id].Fanin, int32(fid))
-			gates[fid].Fanout = append(gates[fid].Fanout, int32(id))
 		}
 	}
 	var pos []int
@@ -245,8 +244,11 @@ type Stats struct {
 	TypeCounts map[GateType]int
 }
 
-// ComputeStats gathers structural statistics. Depth is 0 (with no error) for
+// ComputeStats gathers structural statistics of a circuit built by a
+// Builder, a parser or Combinational. Depth is 0 (with no error) for
 // sequential circuits whose raw graph is cyclic; cut DFFs first for depth.
+// The fanout counts read the sealed CSR lists, which seal derives even for
+// a cyclic netlist.
 func ComputeStats(c *Circuit) Stats {
 	s := Stats{Name: c.Name, TypeCounts: make(map[GateType]int)}
 	totalFanout, drivers := 0, 0
@@ -264,11 +266,12 @@ func ComputeStats(c *Circuit) Stats {
 		if n := g.NumFanin(); n > s.MaxFanin {
 			s.MaxFanin = n
 		}
-		if n := g.NumFanout(); n > s.MaxFanout {
-			s.MaxFanout = n
+		fo := c.csr.NumFanout(int32(i))
+		if fo > s.MaxFanout {
+			s.MaxFanout = fo
 		}
-		if g.NumFanout() > 0 {
-			totalFanout += g.NumFanout()
+		if fo > 0 {
+			totalFanout += fo
 			drivers++
 		}
 	}

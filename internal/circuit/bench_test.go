@@ -21,6 +21,29 @@ OUTPUT(23)
 23 = NAND(16, 19)
 `
 
+// s27Bench is the raw ISCAS'89 s27 netlist: three DFFs close loops, so its
+// graph is cyclic until Combinational cuts them.
+const s27Bench = `# s27
+INPUT(G0)
+INPUT(G1)
+INPUT(G2)
+INPUT(G3)
+OUTPUT(G17)
+G5 = DFF(G10)
+G6 = DFF(G11)
+G7 = DFF(G13)
+G14 = NOT(G0)
+G17 = NOT(G11)
+G8 = AND(G14, G6)
+G15 = OR(G12, G8)
+G16 = OR(G3, G8)
+G9 = NAND(G16, G15)
+G10 = NOR(G14, G11)
+G11 = NOR(G5, G9)
+G12 = NOR(G1, G7)
+G13 = NAND(G2, G12)
+`
+
 func TestParseBenchC17(t *testing.T) {
 	c, err := ParseBenchString("c17", c17Bench)
 	if err != nil {
@@ -257,6 +280,20 @@ func TestComputeStats(t *testing.T) {
 	}
 	if !strings.Contains(s.String(), "gates=6") {
 		t.Errorf("String() = %q", s.String())
+	}
+
+	// The raw s27 has no CSR order (its DFF loops are uncut), but its
+	// fanout lists are sealed all the same.
+	raw, err := ParseBenchString("s27", s27Bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.CSR(); err == nil {
+		t.Fatal("raw s27 should be cyclic")
+	}
+	s = ComputeStats(raw)
+	if s.Gates != 10 || s.DFFs != 3 || s.Depth != 0 || s.MaxFanout != 3 || s.AvgFanout != 1.3125 {
+		t.Errorf("raw s27 stats = %+v, want 10 gates, 3 DFFs, depth 0, max fanout 3, avg fanout 1.3125", s)
 	}
 }
 

@@ -118,8 +118,8 @@ func InsertBuffers(c *Circuit, maxFanout int) (*Circuit, int, error) {
 			}
 			newID[id] = b.Gate(g.Type, g.Name, fanin...)
 		}
-		if len(g.Fanout) > maxFanout {
-			buildTree(int(id), newID[id], g.Fanout)
+		if cs.NumFanout(id) > maxFanout {
+			buildTree(int(id), newID[id], cs.Fanouts(id))
 		}
 	}
 	for _, po := range c.POs {

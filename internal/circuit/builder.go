@@ -55,7 +55,6 @@ func (b *Builder) add(t GateType, name string, fanin ...int) int {
 	in := make([]int32, len(fanin))
 	for i, f := range fanin {
 		in[i] = int32(f)
-		b.gates[f].Fanout = append(b.gates[f].Fanout, int32(id))
 	}
 	b.gates = append(b.gates, Gate{ID: id, Name: name, Type: t, Fanin: in})
 	b.byN[name] = id

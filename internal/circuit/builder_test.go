@@ -20,7 +20,7 @@ func TestBuilderBasic(t *testing.T) {
 	if c.N() != 4 || len(c.PIs) != 2 || len(c.POs) != 2 {
 		t.Errorf("got N=%d PIs=%d POs=%d", c.N(), len(c.PIs), len(c.POs))
 	}
-	if got := c.Gates[a].Fanout; len(got) != 2 {
+	if got := c.csr.Fanouts(int32(a)); len(got) != 2 {
 		t.Errorf("input a fanout = %v, want 2 entries", got)
 	}
 }

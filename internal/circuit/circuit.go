@@ -84,8 +84,8 @@ func (c *Circuit) Depth() (int, error) {
 }
 
 // Validate checks structural invariants: gate IDs match indices, fanin counts
-// are legal for each type, fanin/fanout cross-references are consistent, all
-// PIs are Input gates, PO IDs are in range, and names are unique.
+// are legal for each type, fanins are in range, all PIs are Input gates, PO
+// IDs are in range, and names are unique.
 func (c *Circuit) Validate() error {
 	names := make(map[string]int, len(c.Gates))
 	for i := range c.Gates {
@@ -110,17 +110,6 @@ func (c *Circuit) Validate() error {
 			if f < 0 || int(f) >= len(c.Gates) {
 				return fmt.Errorf("gate %q: fanin %d out of range", excerpt(g.Name), f)
 			}
-			if !containsID(c.Gates[f].Fanout, i) {
-				return fmt.Errorf("gate %q: fanin %q does not list it as fanout", excerpt(g.Name), excerpt(c.Gates[f].Name))
-			}
-		}
-		for _, f := range g.Fanout {
-			if f < 0 || int(f) >= len(c.Gates) {
-				return fmt.Errorf("gate %q: fanout %d out of range", excerpt(g.Name), f)
-			}
-			if !containsID(c.Gates[f].Fanin, i) {
-				return fmt.Errorf("gate %q: fanout %q does not list it as fanin", excerpt(g.Name), excerpt(c.Gates[f].Name))
-			}
 		}
 	}
 	for _, id := range c.PIs {
@@ -139,23 +128,15 @@ func (c *Circuit) Validate() error {
 	return nil
 }
 
-func containsID(s []int32, id int) bool {
-	for _, v := range s {
-		if int(v) == id {
-			return true
-		}
-	}
-	return false
-}
-
 // Combinational returns a copy of the circuit with every DFF cut: the flop's
 // output becomes a pseudo primary input (an Input gate keeping the DFF's
 // fanouts) and the flop's driver becomes a pseudo primary output. This is the
 // standard register-to-register view under which the paper's cycle-time
 // constraint applies. Circuits with no DFFs are returned as a plain copy.
 func (c *Circuit) Combinational() (*Circuit, error) {
-	// The copied gates share c's edge views until seal gives them their own
-	// lists; the cut replaces the slices it changes instead of editing them.
+	// The copied gates share c's fanin views until seal gives them their own
+	// list; the cut drops a flop's fanin instead of editing it, and seal
+	// derives the fanouts without it.
 	nc := &Circuit{
 		Name:  c.Name,
 		Gates: append([]Gate(nil), c.Gates...),
@@ -173,8 +154,6 @@ func (c *Circuit) Combinational() (*Circuit, error) {
 		}
 		// The driver becomes a pseudo-PO (its path must settle in a cycle).
 		d := int(g.Fanin[0])
-		driver := &nc.Gates[d]
-		driver.Fanout = withoutID(driver.Fanout, i)
 		if !poSet[d] {
 			nc.POs = append(nc.POs, d)
 			poSet[d] = true
@@ -196,17 +175,6 @@ func (c *Circuit) Combinational() (*Circuit, error) {
 		return nil, nc.cycleErr
 	}
 	return nc, nil
-}
-
-// withoutID returns a new slice holding s's elements other than id.
-func withoutID(s []int32, id int) []int32 {
-	out := make([]int32, 0, len(s))
-	for _, v := range s {
-		if int(v) != id {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 func indexOf(s []int, id int) int {

@@ -144,7 +144,6 @@ func TestValidateRejectsBadStructures(t *testing.T) {
 		gates := make([]Gate, len(c.Gates))
 		for i, g := range c.Gates {
 			g.Fanin = append([]int32(nil), g.Fanin...)
-			g.Fanout = append([]int32(nil), g.Fanout...)
 			gates[i] = g
 		}
 		return &Circuit{Name: c.Name, Gates: gates, PIs: append([]int(nil), c.PIs...), POs: append([]int(nil), c.POs...)}
@@ -158,7 +157,6 @@ func TestValidateRejectsBadStructures(t *testing.T) {
 		{"dup name", func(c *Circuit) { c.Gates[2].Name = c.Gates[1].Name }},
 		{"bad fanin count", func(c *Circuit) { c.Gates[3].Fanin = c.Gates[3].Fanin[:1] }},
 		{"fanin out of range", func(c *Circuit) { c.Gates[3].Fanin[0] = 99 }},
-		{"dangling fanout", func(c *Circuit) { c.Gates[0].Fanout = append(c.Gates[0].Fanout, 3) }},
 		{"PI not input", func(c *Circuit) { c.PIs = append(c.PIs, 3) }},
 		{"PO out of range", func(c *Circuit) { c.POs = append(c.POs, -1) }},
 	}
@@ -176,9 +174,9 @@ func TestCycleDetected(t *testing.T) {
 	c := &Circuit{
 		Name: "cyclic",
 		Gates: []Gate{
-			{ID: 0, Name: "a", Type: Input, Fanout: []int32{1}},
-			{ID: 1, Name: "g1", Type: Nand, Fanin: []int32{0, 2}, Fanout: []int32{2}},
-			{ID: 2, Name: "g2", Type: Not, Fanin: []int32{1}, Fanout: []int32{1}},
+			{ID: 0, Name: "a", Type: Input},
+			{ID: 1, Name: "g1", Type: Nand, Fanin: []int32{0, 2}},
+			{ID: 2, Name: "g2", Type: Not, Fanin: []int32{1}},
 		},
 		PIs: []int{0},
 		POs: []int{2},
@@ -242,7 +240,7 @@ func TestCombinationalCutsDFFs(t *testing.T) {
 		t.Error("DFF driver d should be a pseudo-PO")
 	}
 	// q must no longer be in d's fanout.
-	for _, f := range d.Fanout {
+	for _, f := range cc.csr.Fanouts(int32(d.ID)) {
 		if int(f) == q.ID {
 			t.Error("driver still fans out to the cut flop")
 		}

@@ -14,15 +14,16 @@ import (
 // and a million gates.
 //
 // A CSR is the only stored topology of its Circuit: seal builds it once when
-// the circuit is constructed, and each Gate.Fanin/Fanout is a view of
-// FaninList/FanoutList. It is immutable and shared by every engine clone. All
-// arrays are indexed by gate ID. Callers must treat every exposed slice as
-// read-only.
+// the circuit is constructed, each Gate.Fanin is a view of FaninList, and
+// FanoutList is derived from the fanins and held nowhere else. It is
+// immutable and shared by every engine clone. All arrays are indexed by gate
+// ID. Callers must treat every exposed slice as read-only.
 type CSR struct {
 	// FaninStart/FaninList: gate id's fanins are
 	// FaninList[FaninStart[id]:FaninStart[id+1]], in declaration order —
-	// the same backing array as Gate.Fanin. FanoutStart/FanoutList hold
-	// Gate.Fanout the same way.
+	// the same backing array as Gate.Fanin. FanoutStart/FanoutList hold the
+	// fanouts the same way: gate id's consumers in ascending ID, a consumer
+	// listed once per fanin pin it connects to id.
 	FaninStart  []int32
 	FaninList   []int32
 	FanoutStart []int32
@@ -65,7 +66,7 @@ func (s *CSR) Fanins(id int32) []int32 {
 	return s.FaninList[s.FaninStart[id]:s.FaninStart[id+1]]
 }
 
-// Fanouts returns gate id's fanout IDs (read-only).
+// Fanouts returns gate id's fanout IDs (read-only, ascending).
 //
 //cmosvet:hotpath
 func (s *CSR) Fanouts(id int32) []int32 {
@@ -79,7 +80,9 @@ func (s *CSR) NumFanin(id int32) int {
 	return int(s.FaninStart[id+1] - s.FaninStart[id])
 }
 
-// NumFanout returns gate id's fanout count.
+// NumFanout returns gate id's fanout count (f_oi in the paper). A primary
+// output with no internal fanout reports 0; the power and delay models add
+// its one off-module load.
 //
 //cmosvet:hotpath
 func (s *CSR) NumFanout(id int32) int {
@@ -108,60 +111,65 @@ func (c *Circuit) CSR() (*CSR, error) {
 }
 
 // seal finalizes a freshly constructed, validated circuit: it interns the
-// names, flattens the edges into the CSR lists with every Gate.Fanin/Fanout
-// re-pointed at its slice of them, and levelizes the network — or, for a
-// cyclic one (a raw sequential netlist with a DFF loop), records the error
-// CSR reports. After seal only the name index (see GateByName) is ever
-// written.
+// names, flattens the fanins into the CSR list with every Gate.Fanin
+// re-pointed at its slice of it, derives the fanout lists, and levelizes the
+// network — or, for a cyclic one (a raw sequential netlist with a DFF loop),
+// records the error CSR reports. After seal only the name index (see
+// GateByName) is ever written.
 func (c *Circuit) seal() {
 	c.internNames()
 	c.csr = flatten(c)
 	c.cycleErr = c.csr.levelize(c)
 }
 
-// flatten copies every gate's edges into the CSR lists and re-points each
-// Gate.Fanin/Fanout at its own capacity-capped subslice of them, so a stray
+// flatten copies every gate's fanins into the CSR fanin list and re-points
+// each Gate.Fanin at its own capacity-capped subslice of it, so a stray
 // append can never bleed into a neighbor and a million-gate circuit holds
-// two edge allocations instead of millions. Edge sequences are unchanged.
+// one fanin allocation instead of millions. It then derives the fanout lists
+// by a counting pass: each driver's consumers in ascending ID, one entry per
+// fanin pin.
 func flatten(c *Circuit) *CSR {
 	n := len(c.Gates)
-	nf, no := 0, 0
+	nf := 0
 	for i := range c.Gates {
 		nf += len(c.Gates[i].Fanin)
-		no += len(c.Gates[i].Fanout)
 	}
 	s := &CSR{
 		FaninStart:  make([]int32, n+1),
 		FaninList:   make([]int32, 0, nf),
 		FanoutStart: make([]int32, n+1),
-		FanoutList:  make([]int32, 0, no),
+		FanoutList:  make([]int32, nf),
 		IsLogic:     make([]bool, n),
 		IsPO:        make([]bool, n),
 	}
 	for i := range c.Gates {
 		g := &c.Gates[i]
-		s.FaninStart[i] = int32(len(s.FaninList))
-		s.FanoutStart[i] = int32(len(s.FanoutList))
-		g.Fanin = appendView(&s.FaninList, g.Fanin)
-		g.Fanout = appendView(&s.FanoutList, g.Fanout)
+		lo := len(s.FaninList)
+		s.FaninStart[i] = int32(lo)
+		if len(g.Fanin) > 0 { // an input keeps a nil Fanin
+			s.FaninList = append(s.FaninList, g.Fanin...)
+			g.Fanin = s.FaninList[lo:len(s.FaninList):len(s.FaninList)]
+		}
+		for _, f := range g.Fanin {
+			s.FanoutStart[f+1]++
+		}
 		s.IsLogic[i] = g.IsLogic()
 	}
-	s.FaninStart[n], s.FanoutStart[n] = int32(nf), int32(no)
+	s.FaninStart[n] = int32(nf)
+	for i := range n {
+		s.FanoutStart[i+1] += s.FanoutStart[i]
+	}
+	next := append([]int32(nil), s.FanoutStart[:n]...) // each driver's fill cursor
+	for id := range int32(n) {
+		for _, f := range s.Fanins(id) {
+			s.FanoutList[next[f]] = id
+			next[f]++
+		}
+	}
 	for _, id := range c.POs {
 		s.IsPO[id] = true
 	}
 	return s
-}
-
-// appendView appends edges to a list preallocated to its final length and
-// returns them as a capacity-capped view of it (nil when there are none).
-func appendView(list *[]int32, edges []int32) []int32 {
-	if len(edges) == 0 {
-		return nil
-	}
-	start := len(*list)
-	*list = append(*list, edges...)
-	return (*list)[start:len(*list):len(*list)]
 }
 
 // levelize computes the topological order, ranks, levels and level groups

@@ -8,11 +8,26 @@ import (
 	"testing"
 )
 
+// refFanouts is the reference reverse adjacency of a circuit, built from
+// Gate.Fanin alone: each driver lists its consumers in ascending ID, once per
+// fanin pin. The CSR must keep exactly this order: Kahn's walk and every
+// fanout loop follow it, so any other order would move optimizer output.
+func refFanouts(c *Circuit) [][]int32 {
+	fo := make([][]int32, len(c.Gates))
+	for i := range c.Gates {
+		for _, f := range c.Gates[i].Fanin {
+			fo[f] = append(fo[f], int32(i))
+		}
+	}
+	return fo
+}
+
 // legacyTopoOrder is the pre-CSR Kahn FIFO walk over the Gate slices, kept
 // here as the reference implementation: the CSR levelized order must
 // reproduce it element for element on every Validate-passing circuit.
 func legacyTopoOrder(c *Circuit) ([]int, error) {
 	n := len(c.Gates)
+	fanouts := refFanouts(c)
 	indeg := make([]int, n)
 	for i := range c.Gates {
 		indeg[i] = len(c.Gates[i].Fanin)
@@ -24,7 +39,7 @@ func legacyTopoOrder(c *Circuit) ([]int, error) {
 		}
 	}
 	for head := 0; head < len(order); head++ {
-		for _, f := range c.Gates[order[head]].Fanout {
+		for _, f := range fanouts[order[head]] {
 			indeg[f]--
 			if indeg[f] == 0 {
 				order = append(order, int(f))
@@ -106,16 +121,48 @@ func randomDAG(t *testing.T, seed int64, nIn, nGates int) *Circuit {
 }
 
 // checkCSREquivalence verifies every CSR invariant against the legacy
-// slice-walk reference on one circuit.
+// slice-walk reference on one circuit. A raw cyclic netlist has its edge
+// lists checked but no order to check.
 func checkCSREquivalence(t *testing.T, c *Circuit) {
 	t.Helper()
-	s, err := c.CSR()
-	if err != nil {
-		t.Fatalf("%s: CSR: %v", c.Name, err)
+	s := c.csr
+	if s == nil {
+		t.Fatalf("%s: not sealed", c.Name)
 	}
 	n := c.N()
 	if s.N() != n {
 		t.Fatalf("%s: CSR.N() = %d, want %d", c.Name, s.N(), n)
+	}
+
+	// Fanin views reproduce the Gate slices in declaration order; fanout
+	// lists equal the reverse adjacency of the fanins.
+	ref := refFanouts(c)
+	for id := range c.Gates {
+		g := &c.Gates[id]
+		fi := s.Fanins(int32(id))
+		if len(fi) != len(g.Fanin) || s.NumFanin(int32(id)) != len(g.Fanin) {
+			t.Fatalf("%s: gate %d fanin count %d, want %d", c.Name, id, len(fi), len(g.Fanin))
+		}
+		for j, f := range g.Fanin {
+			if fi[j] != f {
+				t.Fatalf("%s: gate %d fanin[%d] = %d, want %d", c.Name, id, j, fi[j], f)
+			}
+		}
+		fo := s.Fanouts(int32(id))
+		if len(fo) != len(ref[id]) || s.NumFanout(int32(id)) != len(ref[id]) {
+			t.Fatalf("%s: gate %d fanout count %d, want %d", c.Name, id, len(fo), len(ref[id]))
+		}
+		for j, f := range ref[id] {
+			if fo[j] != f {
+				t.Fatalf("%s: gate %d fanout[%d] = %d, want %d", c.Name, id, j, fo[j], f)
+			}
+		}
+		if s.IsLogic[id] != g.IsLogic() {
+			t.Fatalf("%s: gate %d IsLogic %v, want %v", c.Name, id, s.IsLogic[id], g.IsLogic())
+		}
+	}
+	if c.cycleErr != nil {
+		return
 	}
 
 	// Topological order matches the legacy Kahn FIFO walk exactly.
@@ -144,32 +191,6 @@ func checkCSREquivalence(t *testing.T, c *Circuit) {
 	for id := range wantLv {
 		if int(s.Level[id]) != wantLv[id] {
 			t.Fatalf("%s: CSR.Level[%d] = %d, want %d", c.Name, id, s.Level[id], wantLv[id])
-		}
-	}
-
-	// Fanin/fanout views reproduce the Gate slices in declaration order.
-	for id := range c.Gates {
-		g := &c.Gates[id]
-		fi := s.Fanins(int32(id))
-		if len(fi) != len(g.Fanin) || s.NumFanin(int32(id)) != len(g.Fanin) {
-			t.Fatalf("%s: gate %d fanin count %d, want %d", c.Name, id, len(fi), len(g.Fanin))
-		}
-		for j, f := range g.Fanin {
-			if fi[j] != f {
-				t.Fatalf("%s: gate %d fanin[%d] = %d, want %d", c.Name, id, j, fi[j], f)
-			}
-		}
-		fo := s.Fanouts(int32(id))
-		if len(fo) != len(g.Fanout) || s.NumFanout(int32(id)) != len(g.Fanout) {
-			t.Fatalf("%s: gate %d fanout count %d, want %d", c.Name, id, len(fo), len(g.Fanout))
-		}
-		for j, f := range g.Fanout {
-			if fo[j] != f {
-				t.Fatalf("%s: gate %d fanout[%d] = %d, want %d", c.Name, id, j, fo[j], f)
-			}
-		}
-		if s.IsLogic[id] != g.IsLogic() {
-			t.Fatalf("%s: gate %d IsLogic %v, want %v", c.Name, id, s.IsLogic[id], g.IsLogic())
 		}
 	}
 
@@ -227,6 +248,33 @@ func TestCSRMatchesLegacyWalkRandom(t *testing.T) {
 	}
 }
 
+// TestCSRMatchesLegacyWalkParsed runs the equivalence check on every other
+// constructor: the Verilog parser, the DFF cut, a raw cyclic netlist (edge
+// lists only) and a gate that reads one signal on two pins.
+func TestCSRMatchesLegacyWalkParsed(t *testing.T) {
+	verilog, err := ParseVerilogString("s27.v", s27Verilog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut, err := verilog.Combinational()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if verilog.cycleErr == nil {
+		t.Fatal("raw s27 should be cyclic")
+	}
+	repeated, err := ParseBenchString("repeated", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\ny = NAND(a, a)\nz = AND(b, y, y)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := repeated.csr.Fanouts(0); len(got) != 2 {
+		t.Fatalf("a drives y on two pins, fanouts %v", got)
+	}
+	for _, c := range []*Circuit{verilog, cut, seqCircuit(t), repeated} {
+		checkCSREquivalence(t, c)
+	}
+}
+
 func TestCSRCountingSortFallback(t *testing.T) {
 	// A hand-assembled circuit whose Kahn order is NOT level-monotone: gate
 	// "late" has zero fanins but is a logic gate (degenerate; Validate rejects
@@ -235,14 +283,13 @@ func TestCSRCountingSortFallback(t *testing.T) {
 		Name: "degenerate",
 		Gates: []Gate{
 			{ID: 0, Name: "i", Type: Input},
-			{ID: 1, Name: "g", Type: Not, Fanin: []int32{0}, Fanout: []int32{2}},
+			{ID: 1, Name: "g", Type: Not, Fanin: []int32{0}},
 			{ID: 2, Name: "h", Type: Not, Fanin: []int32{1}},
 			{ID: 3, Name: "late", Type: And}, // zero-fanin logic gate: level 1, but Kahn emits it at the front
 		},
 		PIs: []int{0},
 		POs: []int{2, 3},
 	}
-	c.Gates[0].Fanout = []int32{1}
 	c.seal()
 	s, err := c.CSR()
 	if err != nil {
@@ -275,9 +322,9 @@ func TestCSRCycleError(t *testing.T) {
 	c := &Circuit{
 		Name: "cyclic",
 		Gates: []Gate{
-			{ID: 0, Name: "i", Type: Input, Fanout: []int32{1}},
-			{ID: 1, Name: "a", Type: And, Fanin: []int32{0, 2}, Fanout: []int32{2}},
-			{ID: 2, Name: "b", Type: Not, Fanin: []int32{1}, Fanout: []int32{1}},
+			{ID: 0, Name: "i", Type: Input},
+			{ID: 1, Name: "a", Type: And, Fanin: []int32{0, 2}},
+			{ID: 2, Name: "b", Type: Not, Fanin: []int32{1}},
 		},
 		PIs: []int{0},
 	}
@@ -288,8 +335,8 @@ func TestCSRCycleError(t *testing.T) {
 }
 
 // TestSealedEdgesAreCSRViews checks that the CSR is the only stored
-// topology: on every sealed circuit, each gate's Fanin/Fanout is a
-// capacity-capped view of its own range of the CSR edge lists.
+// topology: on every sealed circuit, each gate's Fanin is a capacity-capped
+// view of its own range of the CSR fanin list.
 func TestSealedEdgesAreCSRViews(t *testing.T) {
 	built := randomDAG(t, 3, 5, 60)
 	seq := seqCircuit(t) // cyclic until cut: its edges are sealed all the same
@@ -305,24 +352,20 @@ func TestSealedEdgesAreCSRViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(c *Circuit, id int, dir string, view, list, start []int32) {
-		t.Helper()
-		lo, hi := start[id], start[id+1]
-		if len(view) != int(hi-lo) || cap(view) != len(view) {
-			t.Fatalf("%s: gate %d %s len %d cap %d, want both %d", c.Name, id, dir, len(view), cap(view), hi-lo)
-		}
-		if len(view) > 0 && &view[0] != &list[lo] {
-			t.Fatalf("%s: gate %d %s does not share the CSR list", c.Name, id, dir)
-		}
-	}
 	for _, c := range []*Circuit{built, seq, cut, verilog} {
 		s := c.csr
 		if s == nil {
 			t.Fatalf("%s: not sealed", c.Name)
 		}
 		for id := range c.Gates {
-			check(c, id, "fanin", c.Gates[id].Fanin, s.FaninList, s.FaninStart)
-			check(c, id, "fanout", c.Gates[id].Fanout, s.FanoutList, s.FanoutStart)
+			view := c.Gates[id].Fanin
+			lo, hi := s.FaninStart[id], s.FaninStart[id+1]
+			if len(view) != int(hi-lo) || cap(view) != len(view) {
+				t.Fatalf("%s: gate %d fanin len %d cap %d, want both %d", c.Name, id, len(view), cap(view), hi-lo)
+			}
+			if len(view) > 0 && &view[0] != &s.FaninList[lo] {
+				t.Fatalf("%s: gate %d fanin does not share the CSR list", c.Name, id)
+			}
 		}
 	}
 }
@@ -377,7 +420,7 @@ func TestGateByNameFirstWinsOnDuplicates(t *testing.T) {
 	c := &Circuit{
 		Name: "dups",
 		Gates: []Gate{
-			{ID: 0, Name: "x", Type: Input, Fanout: []int32{1}},
+			{ID: 0, Name: "x", Type: Input},
 			{ID: 1, Name: "x", Type: Not, Fanin: []int32{0}},
 		},
 		PIs: []int{0},

@@ -85,25 +85,20 @@ func (t GateType) MaxFanin() int {
 	}
 }
 
-// Gate is one node of the network. Fanin and Fanout hold gate IDs, which are
-// indices into Circuit.Gates. A Gate value is owned by its Circuit; on a
-// sealed circuit the slices are views of the CSR edge lists, so callers must
-// treat them as read-only.
+// Gate is one node of the network. Fanin holds the gate IDs (indices into
+// Circuit.Gates) of its drivers, in declaration order. A Gate value is owned
+// by its Circuit; on a sealed circuit Fanin is a view of the CSR fanin list,
+// so callers must treat it as read-only. Fanouts (f_oi in the paper) are
+// derived, and only the CSR holds them (CSR.Fanouts).
 type Gate struct {
-	ID     int
-	Name   string
-	Type   GateType
-	Fanin  []int32
-	Fanout []int32
+	ID    int
+	Name  string
+	Type  GateType
+	Fanin []int32
 }
 
 // NumFanin returns the number of fanin connections (f_ii in the paper).
 func (g *Gate) NumFanin() int { return len(g.Fanin) }
-
-// NumFanout returns the number of fanout connections (f_oi in the paper).
-// Primary outputs with no internal fanout report 0 here; the power and delay
-// models treat such gates as driving one off-module load.
-func (g *Gate) NumFanout() int { return len(g.Fanout) }
 
 // IsLogic reports whether the gate is a combinational logic gate (i.e. it
 // dissipates power and contributes delay): anything but Input and DFF.

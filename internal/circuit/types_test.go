@@ -77,11 +77,17 @@ func TestGateIsLogic(t *testing.T) {
 }
 
 func TestGateFaninFanoutCounts(t *testing.T) {
-	g := Gate{Fanin: []int32{1, 2, 3}, Fanout: []int32{4}}
-	if g.NumFanin() != 3 {
-		t.Errorf("NumFanin = %d, want 3", g.NumFanin())
+	b := NewBuilder("counts")
+	g := b.Gate(And, "g", b.Input("a"), b.Input("b"), b.Input("c"))
+	b.Output(b.Gate(Not, "y", g))
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if g.NumFanout() != 1 {
-		t.Errorf("NumFanout = %d, want 1", g.NumFanout())
+	if n := c.Gates[g].NumFanin(); n != 3 {
+		t.Errorf("NumFanin = %d, want 3", n)
+	}
+	if n := c.csr.NumFanout(int32(g)); n != 1 {
+		t.Errorf("NumFanout = %d, want 1", n)
 	}
 }

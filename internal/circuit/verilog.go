@@ -127,7 +127,6 @@ func ParseVerilog(name string, r io.Reader) (*Circuit, error) {
 				return nil, fmt.Errorf("%s: instance output %q references undriven signal %q", name, excerpt(p.out), excerpt(in))
 			}
 			gates[id].Fanin = append(gates[id].Fanin, int32(fid))
-			gates[fid].Fanout = append(gates[fid].Fanout, int32(id))
 		}
 	}
 	var pos []int

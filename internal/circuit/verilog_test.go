@@ -41,26 +41,7 @@ func TestParseVerilogS27(t *testing.T) {
 		t.Errorf("stats = %+v", s)
 	}
 	// Must match the embedded .bench version structurally.
-	bench, err := ParseBenchString("s27", `
-INPUT(G0)
-INPUT(G1)
-INPUT(G2)
-INPUT(G3)
-OUTPUT(G17)
-G5 = DFF(G10)
-G6 = DFF(G11)
-G7 = DFF(G13)
-G14 = NOT(G0)
-G17 = NOT(G11)
-G8 = AND(G14, G6)
-G15 = OR(G12, G8)
-G16 = OR(G3, G8)
-G9 = NAND(G16, G15)
-G10 = NOR(G14, G11)
-G11 = NOR(G5, G9)
-G12 = NOR(G1, G7)
-G13 = NAND(G2, G12)
-`)
+	bench, err := ParseBenchString("s27", s27Bench)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,9 +219,10 @@ func PrintResult(out io.Writer, p *core.Problem, res *core.Result) {
 	}
 	fmt.Fprintf(out, "widths     min %.1f / avg %.1f / max %.1f (x min feature width)\n", minW, sumW/float64(n), maxW)
 
+	// One routed branch per fanout pin; a Problem's circuit always has a CSR.
 	edges := 0
-	for i := range p.C.Gates {
-		edges += p.C.Gates[i].NumFanout()
+	if cs, err := p.C.CSR(); err == nil {
+		edges = len(cs.FanoutList)
 	}
 	fmt.Fprintf(out, "placement  ~%s die edge, ~%s total routed wire (Rent estimate)\n",
 		report.Eng(p.Wire.DieEdge(), "m"), report.Eng(p.Wire.TotalWireEstimate(edges), "m"))

@@ -49,9 +49,12 @@ func (p *SweepParams) SetDefaults() {
 	}
 }
 
-// Validate rejects unusable sweep ranges.
+// Validate rejects unusable sweep ranges, among them one whose to/from ratio
+// is not finite: it overflows, or a bound is NaN, and the clock targets
+// would be +Inf or NaN.
 func (p *SweepParams) Validate() error {
-	if p.FromHz <= 0 || p.ToHz <= p.FromHz || p.Points < 2 {
+	ratio := p.ToHz / p.FromHz
+	if p.FromHz <= 0 || p.ToHz <= p.FromHz || p.Points < 2 || math.IsInf(ratio, 0) || math.IsNaN(ratio) {
 		return fmt.Errorf("bad sweep range [%v, %v] x %d", p.FromHz, p.ToHz, p.Points)
 	}
 	if p.Points > 256 {

@@ -41,6 +41,19 @@ func TestSweepBadFlags(t *testing.T) {
 	}
 }
 
+// TestSweepRangeNonFinite refuses a range whose to/from ratio is not finite
+// up front, with the range rule's own message, instead of running a study
+// at an infinite or NaN clock.
+func TestSweepRangeNonFinite(t *testing.T) {
+	for _, r := range [][2]string{{"1e-300", "1e300"}, {"NaN", "3e8"}, {"1e8", "NaN"}} {
+		var out bytes.Buffer
+		err := Sweep([]string{"-circuit", "s27", "-from", r[0], "-to", r[1], "-points", "3"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "bad sweep range") {
+			t.Errorf("Sweep over [%s, %s]: err = %v, want a bad sweep range", r[0], r[1], err)
+		}
+	}
+}
+
 // TestRunSweepDeterministic locks the server-vs-offline byte-identity
 // contract at its root: two runs with identical parameters (at different
 // worker counts, one canceled context-free and one with a live context)

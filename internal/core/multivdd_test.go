@@ -74,7 +74,7 @@ func TestCheckRailRuleDetectsViolations(t *testing.T) {
 	// while its fanouts stay high: must be flagged.
 	for i := range p.C.Gates {
 		g := p.C.Gate(i)
-		if g.IsLogic() && g.NumFanout() > 0 {
+		if g.IsLogic() && p.cs.NumFanout(int32(i)) > 0 {
 			a.VddPer[i] = 0.5
 			break
 		}
@@ -125,7 +125,7 @@ func TestPerGateVddAffectsModels(t *testing.T) {
 	var sink int
 	for i := range p.C.Gates {
 		g := p.C.Gate(i)
-		if g.IsLogic() && g.NumFanout() == 0 {
+		if g.IsLogic() && p.cs.NumFanout(int32(i)) == 0 {
 			sink = i
 			break
 		}

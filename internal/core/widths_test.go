@@ -57,7 +57,7 @@ func TestOptimizeJointEffortPinned(t *testing.T) {
 			p := problemFor(t, c, 0.5)
 			m0 := *p.Eval.Metrics()
 			o := DefaultOptions()
-			o.Workers = 1 // keeps the shared coefficient cache's misses exact
+			o.Workers = 1 // misses are exact on one worker: each clone's cache starts empty
 			res, err := walkerRuns[tc.run](p, o)
 			if err != nil {
 				t.Fatal(err)

@@ -127,8 +127,8 @@ func (e *Evaluator) GateDelayWith(id int, a *design.Assignment, maxFaninDelay fl
 //cmosvet:unit maxFaninDelay s
 //cmosvet:unit return s
 func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int, wOv, maxFaninDelay float64, k Coeffs) float64 {
-	g := e.C.Gate(id)
-	if !g.IsLogic() {
+	cs := e.cs
+	if !cs.IsLogic[id] {
 		return 0
 	}
 	// Per-gate supply in multi-Vdd designs. The gate drive uses its own
@@ -138,7 +138,7 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 	vdd := a.VddAt(id)
 	t := e.Tech
 
-	fii := float64(g.NumFanin())
+	fii := float64(cs.NumFanin(int32(id)))
 
 	drive, stalled := netDrive(k, fii)
 	if stalled {
@@ -152,14 +152,15 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 	// wire contribution is this gate's own net (per-net after SampleNets).
 	load := w * t.CPD
 	cb := e.Wire.BranchCapNet(id)
-	for _, f := range g.Fanout {
+	fo := cs.Fanouts(int32(id))
+	for _, f := range fo {
 		wf := a.W[f]
 		if int(f) == ov {
 			wf = wOv
 		}
 		load += branchLoad(t, wf, cb)
 	}
-	if e.cs.IsPO[id] {
+	if cs.IsPO[id] {
 		load += poLoad(t, cb)
 	}
 	td += switchingTerm(vdd, load, w, drive)
@@ -168,7 +169,7 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 	rb := e.Wire.BranchResNet(id)
 	fl := e.Wire.FlightTimeNet(id)
 	worst := 0.0
-	for _, f := range g.Fanout {
+	for _, f := range fo {
 		wf := a.W[f]
 		if int(f) == ov {
 			wf = wOv
@@ -177,7 +178,7 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 			worst = b
 		}
 	}
-	if e.cs.IsPO[id] {
+	if cs.IsPO[id] {
 		if b := branchDelay(rb, poLoad(t, cb), fl); b > worst {
 			worst = b
 		}
@@ -309,14 +310,14 @@ func (e *Evaluator) NewPrepared() Prepared {
 //cmosvet:hotpath
 //cmosvet:unit maxFaninDelay s
 func (e *Evaluator) Prepare(p *Prepared, id int, a *design.Assignment, maxFaninDelay float64, k Coeffs) {
-	g := e.C.Gate(id)
-	if !g.IsLogic() {
+	cs := e.cs
+	if !cs.IsLogic[id] {
 		p.fixed, p.fixedTd = true, 0
 		return
 	}
 	vdd := a.VddAt(id)
 	t := e.Tech
-	fii := float64(g.NumFanin())
+	fii := float64(cs.NumFanin(int32(id)))
 	drive, stalled := netDrive(k, fii)
 	if stalled {
 		p.fixed, p.fixedTd = true, math.Inf(1)
@@ -328,14 +329,14 @@ func (e *Evaluator) Prepare(p *Prepared, id int, a *design.Assignment, maxFaninD
 	fl := e.Wire.FlightTimeNet(id)
 	loads := p.loads[:0]
 	worst := 0.0
-	for _, f := range g.Fanout {
+	for _, f := range cs.Fanouts(int32(id)) {
 		l := branchLoad(t, a.W[f], cb)
 		loads = append(loads, l)
 		if b := branchDelay(rb, l, fl); b > worst {
 			worst = b
 		}
 	}
-	if e.cs.IsPO[id] {
+	if cs.IsPO[id] {
 		l := poLoad(t, cb)
 		loads = append(loads, l)
 		if b := branchDelay(rb, l, fl); b > worst {
@@ -493,8 +494,7 @@ func (e *Evaluator) Slacks(a *design.Assignment, T float64) []float64 {
 	}
 	for i := len(e.cs.Order) - 1; i >= 0; i-- {
 		id := e.cs.Order[i]
-		g := &e.C.Gates[id]
-		for _, f := range g.Fanout {
+		for _, f := range e.cs.Fanouts(id) {
 			if r := req[f] - td[f]; r < req[id] {
 				req[id] = r
 			}

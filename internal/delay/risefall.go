@@ -72,7 +72,8 @@ func (e *Evaluator) GateDelayRiseFall(id int, a *design.Assignment, maxFaninDela
 	slope := e.SlopeCoeff(vdd, vts) * maxFaninDelay
 	load := w * t.CPD
 	cb := e.Wire.BranchCapNet(id)
-	for _, f := range g.Fanout {
+	fo := e.cs.Fanouts(int32(id))
+	for _, f := range fo {
 		load += a.W[f]*t.Ct + cb
 	}
 	if e.cs.IsPO[id] {
@@ -81,7 +82,7 @@ func (e *Evaluator) GateDelayRiseFall(id int, a *design.Assignment, maxFaninDela
 	rb := e.Wire.BranchResNet(id)
 	fl := e.Wire.FlightTimeNet(id)
 	inter := 0.0
-	for _, f := range g.Fanout {
+	for _, f := range fo {
 		if b := rb*(a.W[f]*t.Ct+cb) + fl; b > inter {
 			inter = b
 		}

@@ -21,9 +21,6 @@ func TestCloneMatchesParent(t *testing.T) {
 	a := design.Uniform(c.N(), 1.6, 0.32, 4)
 	cl := eng.Clone()
 
-	if cl.CoeffCacheShared() != eng.CoeffCacheShared() {
-		t.Fatal("clone must share the parent's coefficient cache")
-	}
 	wantCd, wantE := eng.CriticalDelay(a), eng.Energy(a)
 	if got := cl.CriticalDelay(a); got != wantCd {
 		t.Errorf("clone critical delay %v, parent %v", got, wantCd)
@@ -45,7 +42,7 @@ func TestCloneMatchesParent(t *testing.T) {
 func TestClonesEvaluateConcurrently(t *testing.T) {
 	// N clones sweep different operating points of the same circuit at once;
 	// each must agree with a serial evaluation of its own point. Run under
-	// -race this also exercises the shared coefficient cache.
+	// -race this also checks that clones share no mutable state.
 	c, eng, _, _ := buildCase(t, 12)
 	const workers = 8
 	type out struct{ cd, e float64 }
@@ -72,39 +69,20 @@ func TestClonesEvaluateConcurrently(t *testing.T) {
 	}
 }
 
-func TestCoeffCacheConcurrentAccess(t *testing.T) {
-	// Hammer one shared cache from many goroutines over overlapping keys,
-	// including enough distinct keys to trip shard eviction, and check every
-	// returned value against a direct model computation.
-	_, eng, dm, _ := buildCase(t, 13)
-	cc := eng.CoeffCacheShared()
-	const workers = 8
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	errs := make(chan string, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			cl := eng.Clone()
-			n := maxCoeffEntries/workers + 50
-			for i := 0; i < n; i++ {
-				// Half the keys collide across workers, half are unique.
-				vdd := 1.0 + 0.001*float64(i%32)
-				vts := 0.2 + 1e-6*float64(i*(1+w%2))
-				got := cl.coeffs(vdd, vts)
-				if want := dm.CoeffsAt(vdd, vts); got != want {
-					errs <- "cached coefficients diverge from the model"
-					return
-				}
-			}
-		}(w)
+// TestCloneCachesArePrivate pins the coefficient cache's ownership: each
+// engine prices its own pairs, so a pair first priced on a clone is still a
+// miss on its parent, and the other way round.
+func TestCloneCachesArePrivate(t *testing.T) {
+	c, eng, _, _ := buildCase(t, 13)
+	a := design.Uniform(c.N(), 1.5, 0.35, 4)
+	eng.Clone().Delays(a)
+	eng.Delays(a)
+	if m := eng.Metrics().CoeffMisses; m != 1 {
+		t.Errorf("parent: %d coefficient misses on a pair a clone priced first, want 1", m)
 	}
-	wg.Wait()
-	close(errs)
-	for msg := range errs {
-		t.Fatal(msg)
-	}
-	if got := cc.Len(); got > maxCoeffEntries {
-		t.Errorf("shared cache holds %d entries, cap %d", got, maxCoeffEntries)
+	cl := eng.Clone()
+	cl.Delays(a)
+	if m := cl.Metrics().CoeffMisses; m != 1 {
+		t.Errorf("clone: %d coefficient misses on a pair its parent priced first, want 1", m)
 	}
 }

@@ -11,7 +11,8 @@
 //     drive current I_Dw and leakage I_off depend on the voltage pair only,
 //     yet cost three transcendental evaluations per gate-delay call when
 //     recomputed inline — Procedure 2 probes every gate dozens of times at a
-//     fixed voltage pair, so one cached triple serves thousands of calls;
+//     fixed voltage pair, so one cached triple serves thousands of calls.
+//     Each engine owns its cache, so no lookup takes a lock;
 //   - width-override probes (ProbeWidth, GateDelayOverride) that answer
 //     "what would this gate's delay be at width w" without the
 //     mutate-and-restore pattern on the assignment, and the prepared width
@@ -24,13 +25,13 @@
 //     model call is counted, and FullEvalEquivalents converts the count into
 //     full-circuit-evaluation units, the paper's O(M³) currency.
 //
-// An Engine is NOT safe for concurrent use: the scratch buffers and the
-// tracked state are engine-owned. Give each goroutine its own Engine —
-// Clone (clone.go) makes that cheap by sharing every immutable structure
-// (circuit, technology, activity, wiring, model evaluators, topological
-// order) and the concurrency-safe device-coefficient cache, allocating only
-// fresh scratch. Parallel drivers build one clone per worker through
-// internal/parallel.
+// An Engine is NOT safe for concurrent use: the scratch buffers, the
+// coefficient cache and the tracked state are engine-owned. Give each
+// goroutine its own Engine — Clone (clone.go) makes that cheap by sharing
+// every immutable structure (circuit, technology, activity, wiring, model
+// evaluators, topological order), allocating only fresh scratch and an
+// empty coefficient cache. Parallel drivers build one clone per worker
+// through internal/parallel.
 package eval
 
 import (
@@ -47,10 +48,9 @@ import (
 	"cmosopt/internal/wiring"
 )
 
-// maxCoeffEntries bounds the shared coefficient cache. Optimizers visit a
+// maxCoeffEntries bounds an engine's coefficient cache. Optimizers visit a
 // handful of voltage pairs per run, but Monte-Carlo studies draw a fresh V_TS
-// per gate per die; a shard that fills is cleared rather than grown without
-// bound (see clone.go).
+// per gate per die; a full cache is cleared rather than grown without bound.
 const maxCoeffEntries = 4096
 
 type coeffKey struct {
@@ -73,13 +73,14 @@ type Engine struct {
 	cs       *circuit.CSR // levelized struct-of-arrays view, shared by clones
 	numLogic int
 
-	// Device-coefficient cache: a private single-entry fast path (within one
+	// Device-coefficient cache: a single-entry fast path (within one
 	// optimizer probe sequence nearly every call shares one voltage pair)
-	// over a sharded concurrency-safe map shared with all clones.
+	// over a map of the pairs this engine has priced. Clones start empty:
+	// almost no pair one worker prices is priced by another.
 	lastKey   coeffKey
 	lastCoeff delay.Coeffs
 	haveLast  bool
-	cache     *CoeffCache
+	cache     map[coeffKey]delay.Coeffs
 
 	// Scratch for the full-evaluation APIs (valid until the next Engine call).
 	td    []float64 //cmosvet:unit s
@@ -147,7 +148,7 @@ func NewDelayOnly(c *circuit.Circuit, tech *device.Tech, wire *wiring.Model) (*E
 		dm:       dm,
 		cs:       cs,
 		numLogic: c.NumLogic(),
-		cache:    NewCoeffCache(),
+		cache:    make(map[coeffKey]delay.Coeffs),
 		primary:  true,
 		td:       make([]float64, c.N()),
 		arr:      make([]float64, c.N()),
@@ -182,16 +183,16 @@ func (e *Engine) coeffs(vdd, vts float64) delay.Coeffs {
 		e.met.CoeffHits++
 		return e.lastCoeff
 	}
-	c, ok := e.cache.lookup(k)
-	if !ok {
-		// CoeffsAt is a pure function of the pair, so a concurrent clone
-		// computing the same key stores an identical value — losing the
-		// store race never changes a result.
+	c, ok := e.cache[k]
+	if ok {
+		e.met.CoeffHits++
+	} else {
 		e.met.CoeffMisses++
 		c = e.dm.CoeffsAt(vdd, vts)
-		e.cache.store(k, c)
-	} else {
-		e.met.CoeffHits++
+		if len(e.cache) >= maxCoeffEntries {
+			clear(e.cache)
+		}
+		e.cache[k] = c
 	}
 	e.lastKey, e.lastCoeff, e.haveLast = k, c, true
 	return c

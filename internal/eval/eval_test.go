@@ -209,7 +209,7 @@ func TestGateDelayOverrideMatchesMutateRestore(t *testing.T) {
 		}
 		// Override the gate's own width, and each fanout's width as a load.
 		targets := []int{id}
-		for _, f := range g.Fanout {
+		for _, f := range eng.cs.Fanouts(int32(id)) {
 			targets = append(targets, int(f))
 		}
 		for _, ov := range targets {
@@ -266,7 +266,7 @@ func TestCoeffCacheOverflowClears(t *testing.T) {
 		a.SetVts(vts)
 		eng.CriticalDelay(a)
 	}
-	if got := eng.cache.Len(); got > maxCoeffEntries {
+	if got := len(eng.cache); got > maxCoeffEntries {
 		t.Fatalf("coefficient cache grew to %d entries, cap is %d", got, maxCoeffEntries)
 	}
 }

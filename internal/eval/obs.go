@@ -1,10 +1,6 @@
 package eval
 
-import (
-	"fmt"
-
-	"cmosopt/internal/obs"
-)
+import "cmosopt/internal/obs"
 
 // Observability. An engine optionally carries a sink into an obs.Registry;
 // nothing here is ever read back by evaluation, so attaching a sink cannot
@@ -50,9 +46,8 @@ func (e *Engine) AttachObs(reg *obs.Registry) {
 }
 
 // FlushObs exports the engine's Metrics growth since the last flush as
-// registry counters, plus the shared coefficient cache's per-shard hit/miss
-// statistics (absolute gauges — the cache is shared by all clones, so Set is
-// idempotent across engines). No-op without an attached sink, and no-op on
+// registry counters, plus the size of its coefficient cache as the
+// eval.cache.entries gauge. No-op without an attached sink, and no-op on
 // clones: a clone's Metrics are absorbed into its parent engine by the
 // drivers, so only the primary engine flushes — each unit of work is
 // exported exactly once.
@@ -77,19 +72,5 @@ func (e *Engine) FlushObs() {
 	add("eval.coeff_hits", d.CoeffHits-f.CoeffHits)
 	add("eval.coeff_misses", d.CoeffMisses-f.CoeffMisses)
 	e.flushed = d
-
-	stats := e.cache.ShardStats()
-	var hits, misses, entries int64
-	for i, st := range stats {
-		hits += st.Hits
-		misses += st.Misses
-		entries += int64(st.Entries)
-		if st.Hits != 0 || st.Misses != 0 {
-			s.reg.Counter(fmt.Sprintf("eval.cache.shard%02d.hits", i)).Set(st.Hits)
-			s.reg.Counter(fmt.Sprintf("eval.cache.shard%02d.misses", i)).Set(st.Misses)
-		}
-	}
-	s.reg.Counter("eval.cache.hits").Set(hits)
-	s.reg.Counter("eval.cache.misses").Set(misses)
-	s.reg.Counter("eval.cache.entries").Set(entries)
+	s.reg.Counter("eval.cache.entries").Set(int64(len(e.cache)))
 }

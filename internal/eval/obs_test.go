@@ -112,29 +112,3 @@ func TestAttachObsDetach(t *testing.T) {
 		t.Fatalf("detached engine exported %d sweeps", v)
 	}
 }
-
-func TestShardStatsMonotonic(t *testing.T) {
-	c, eng, _, _ := buildCase(t, 15)
-	a := design.Uniform(c.N(), 1.5, 0.35, 4)
-	// A uniform assignment touches the shared cache exactly once per engine:
-	// the first lookup misses, every later one stops at the engine's one-entry
-	// memo. A clone has a cold memo, so its first lookup is a shard hit.
-	eng.Delays(a)
-	var hits, misses int64
-	for _, st := range eng.cache.ShardStats() {
-		hits += st.Hits
-		misses += st.Misses
-	}
-	if misses != 1 || hits != 0 {
-		t.Errorf("after first sweep: %d hits, %d misses; want 0/1", hits, misses)
-	}
-	eng.Clone().Delays(a)
-	hits, misses = 0, 0
-	for _, st := range eng.cache.ShardStats() {
-		hits += st.Hits
-		misses += st.Misses
-	}
-	if hits != 1 || misses != 1 {
-		t.Errorf("after clone sweep: %d hits, %d misses; want 1/1", hits, misses)
-	}
-}

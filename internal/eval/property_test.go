@@ -110,7 +110,7 @@ func TestIncrementalSkipsUntouchedCone(t *testing.T) {
 	// its logic fanins.
 	target := -1
 	for _, id := range c.POs {
-		if c.Gate(id).IsLogic() && len(c.Gate(id).Fanout) == 0 {
+		if c.Gate(id).IsLogic() && eng.cs.NumFanout(int32(id)) == 0 {
 			target = id
 			break
 		}
@@ -132,7 +132,7 @@ func TestIncrementalSkipsUntouchedCone(t *testing.T) {
 			return
 		}
 		reach[id] = true
-		for _, f := range c.Gate(id).Fanout {
+		for _, f := range eng.cs.Fanouts(int32(id)) {
 			mark(int(f))
 		}
 	}

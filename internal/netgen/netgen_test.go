@@ -60,7 +60,8 @@ func TestGenerateAcyclicAndConnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CSR(); err != nil {
+	cs, err := c.CSR()
+	if err != nil {
 		t.Fatalf("cycle: %v", err)
 	}
 	// Every sink logic gate must be a PO (full observability).
@@ -70,7 +71,7 @@ func TestGenerateAcyclicAndConnected(t *testing.T) {
 	}
 	for i := range c.Gates {
 		g := &c.Gates[i]
-		if g.IsLogic() && g.NumFanout() == 0 && !poSet[g.ID] {
+		if g.IsLogic() && cs.NumFanout(int32(i)) == 0 && !poSet[g.ID] {
 			t.Errorf("sink gate %q is not a PO", g.Name)
 		}
 	}

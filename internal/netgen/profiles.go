@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"cmosopt/internal/circuit"
 )
@@ -88,7 +89,38 @@ func LoadNamed(name string) (*circuit.Circuit, error) {
 		return c, nil
 	}
 	return nil, fmt.Errorf("netgen: unknown benchmark %q (have s27, c17, %v, %v, %v)",
-		name, SuiteNames(), Suite85Names(), ScaleNames())
+		excerpt(name), SuiteNames(), Suite85Names(), ScaleNames())
+}
+
+// CheckName reports whether LoadNamed resolves name, without generating
+// anything: it returns nil for a built-in benchmark and otherwise an error
+// that quotes at most maxExcerpt bytes of the name, so a served request can
+// be refused at admission with a bounded answer.
+func CheckName(name string) error {
+	_, in89 := profiles[name]
+	_, in85 := profiles85[name]
+	_, inScale := scaleProfiles[name]
+	if name == "s27" || name == "c17" || in89 || in85 || inScale {
+		return nil
+	}
+	return fmt.Errorf("netgen: unknown benchmark %q", excerpt(name))
+}
+
+// maxExcerpt bounds how many bytes of an unknown name an error quotes: a
+// served job keeps its error and sends it in every status response.
+const maxExcerpt = 80
+
+// excerpt returns s for quoting in an error message: s itself when short,
+// else its first maxExcerpt bytes, cut at a rune boundary and marked "…".
+func excerpt(s string) string {
+	if len(s) <= maxExcerpt {
+		return s
+	}
+	n := maxExcerpt
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
+	}
+	return s[:n] + "…"
 }
 
 // Suite generates all benchmark circuits of the paper's tables.

@@ -1,6 +1,8 @@
 package netgen
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -28,6 +30,26 @@ func TestLoadNamedResolvesScaleProfiles(t *testing.T) {
 	}
 	if _, err := LoadNamed("definitely-not-a-benchmark"); err == nil {
 		t.Fatal("unknown name accepted")
+	}
+}
+
+// TestCheckName accepts exactly the names LoadNamed resolves, and both
+// refuse an unknown name quoting at most maxExcerpt bytes of it.
+func TestCheckName(t *testing.T) {
+	names := append([]string{"s27", "c17"}, SuiteNames()...)
+	names = append(names, Suite85Names()...)
+	for _, n := range append(names, ScaleNames()...) {
+		if err := CheckName(n); err != nil {
+			t.Errorf("CheckName(%q) = %v", n, err)
+		}
+	}
+	huge := strings.Repeat("é", 1<<19) // 1 MiB of two-byte runes
+	if err := CheckName(huge); err == nil || len(err.Error()) > 200 {
+		t.Errorf("CheckName(1 MiB name) = %d-byte error, want one under 200", len(fmt.Sprint(err)))
+	}
+	_, err := LoadNamed(huge)
+	if err == nil || !strings.Contains(err.Error(), excerpt(huge)) || strings.Contains(err.Error(), huge[:2*maxExcerpt]) {
+		t.Errorf("LoadNamed(1 MiB name) does not quote a bounded excerpt: %d-byte error", len(fmt.Sprint(err)))
 	}
 }
 

@@ -109,10 +109,9 @@ func (e *Evaluator) GateEnergyCoeff(id int, a *design.Assignment, ioff float64) 
 //
 //cmosvet:unit return F
 func (e *Evaluator) OutputLoad(id int, a *design.Assignment) float64 {
-	g := e.C.Gate(id)
 	cb := e.Wire.BranchCapNet(id) // the net this gate drives
 	load := 0.0
-	for _, f := range g.Fanout {
+	for _, f := range e.cs.Fanouts(int32(id)) {
 		load += a.W[f]*e.Tech.Ct + cb
 	}
 	if e.cs.IsPO[id] {

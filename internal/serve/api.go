@@ -20,6 +20,7 @@ import (
 	"math"
 
 	"cmosopt/internal/cli"
+	"cmosopt/internal/netgen"
 	"cmosopt/internal/obs"
 )
 
@@ -91,6 +92,11 @@ func (r *Request) normalize() error {
 	if sources != 1 {
 		return fmt.Errorf("exactly one of circuit, bench, netlist_sha256 required (got %d)", sources)
 	}
+	if r.Circuit != "" {
+		if err := netgen.CheckName(r.Circuit); err != nil {
+			return err
+		}
+	}
 	if r.TimeoutMS < 0 {
 		return fmt.Errorf("timeout_ms %d negative", r.TimeoutMS)
 	}
@@ -139,9 +145,6 @@ func (r *Request) normalize() error {
 		if r.Points == 0 {
 			r.Points = 8
 		}
-		if r.FromHz <= 0 || r.ToHz <= r.FromHz || r.Points < 2 || r.Points > 256 {
-			return fmt.Errorf("bad sweep range [%v, %v] x %d", r.FromHz, r.ToHz, r.Points)
-		}
 		switch r.Format {
 		case "":
 			r.Format = "text"
@@ -166,6 +169,13 @@ func (r *Request) normalize() error {
 	}
 	if math.IsInf(r.Skew/clock, 1) {
 		return fmt.Errorf("%s %v too small: cycle budget skew/%s is not finite", field, clock, field)
+	}
+	if r.Kind == KindSweep {
+		// cmd/sweep's own range rule.
+		sweep := cli.SweepParams{FromHz: r.FromHz, ToHz: r.ToHz, Points: r.Points}
+		if err := sweep.Validate(); err != nil {
+			return err
+		}
 	}
 	if r.InputProb == 0 {
 		r.InputProb = 0.5

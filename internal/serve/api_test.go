@@ -27,6 +27,7 @@ func TestNormalizeDefaults(t *testing.T) {
 }
 
 func TestNormalizeRejects(t *testing.T) {
+	huge := strings.Repeat("x", 1<<20)
 	cases := []struct {
 		name string
 		req  Request
@@ -46,11 +47,21 @@ func TestNormalizeRejects(t *testing.T) {
 		{"fc too small", Request{Circuit: "s27", FcHz: 1e-310}, "fc_hz"},
 		{"sweep from too small", Request{Kind: KindSweep, Circuit: "s27", FromHz: 1e-310}, "from_hz"},
 		{"unknown tech key", Request{Circuit: "s27", Tech: "vdd_max=3.0"}, "unknown parameter"},
+		{"unknown circuit", Request{Circuit: "s28"}, "unknown benchmark"},
+		{"unknown sweep circuit", Request{Kind: KindSweep, Circuit: "s28"}, "unknown benchmark"},
+		{"huge circuit name", Request{Circuit: huge}, "unknown benchmark"},
+		{"huge sweep circuit name", Request{Kind: KindSweep, Circuit: huge}, "unknown benchmark"},
+		{"sweep ratio overflows", Request{Kind: KindSweep, Circuit: "s27", FromHz: 1e-300, ToHz: 1e300, Points: 3}, "bad sweep range"},
 	}
 	for _, tc := range cases {
 		err := tc.req.normalize()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
+			continue
+		}
+		// A refusal quotes a bounded excerpt of what it refuses.
+		if n := len(err.Error()); n >= 200 {
+			t.Errorf("%s: error is %d bytes, want under 200", tc.name, n)
 		}
 	}
 }

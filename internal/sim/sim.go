@@ -27,9 +27,9 @@ import (
 
 // Simulator drives one circuit with per-gate delays fixed at construction.
 type Simulator struct {
-	c     *circuit.Circuit
-	td    []float64 // per-gate propagation delay (s)
-	order []int32   // the circuit's CSR topological order
+	c  *circuit.Circuit
+	td []float64    // per-gate propagation delay (s)
+	cs *circuit.CSR // the circuit's topology: order and fanouts
 
 	val     []bool
 	pending []int // per gate: index of the youngest scheduled event, -1 if none
@@ -67,7 +67,7 @@ func New(c *circuit.Circuit, de *delay.Evaluator, a *design.Assignment) (*Simula
 	s := &Simulator{
 		c:       c,
 		td:      td,
-		order:   cs.Order,
+		cs:      cs,
 		val:     make([]bool, c.N()),
 		pending: make([]int, c.N()),
 		trans:   make([]int64, c.N()),
@@ -90,7 +90,7 @@ func (s *Simulator) SetInput(id int, v bool) error {
 	}
 	s.val[id] = v
 	s.trans[id]++
-	for _, f := range g.Fanout {
+	for _, f := range s.cs.Fanouts(int32(id)) {
 		s.evaluate(int(f))
 	}
 	return nil
@@ -164,7 +164,7 @@ func (s *Simulator) Run(horizon float64) float64 {
 		s.val[ev.gate] = ev.val
 		s.trans[ev.gate]++
 		last = ev.t
-		for _, f := range s.c.Gate(ev.gate).Fanout {
+		for _, f := range s.cs.Fanouts(int32(ev.gate)) {
 			s.evaluate(int(f))
 		}
 	}
@@ -175,7 +175,7 @@ func (s *Simulator) Run(horizon float64) float64 {
 // Settle zero-delay-initializes the network to be consistent with the
 // current input values without counting transitions or consuming time.
 func (s *Simulator) Settle() {
-	for _, id := range s.order {
+	for _, id := range s.cs.Order {
 		g := &s.c.Gates[id]
 		if g.Type == circuit.Input {
 			continue
@@ -377,7 +377,7 @@ func (s *Simulator) runOne() {
 	}
 	s.val[ev.gate] = ev.val
 	s.trans[ev.gate]++
-	for _, f := range s.c.Gate(ev.gate).Fanout {
+	for _, f := range s.cs.Fanouts(int32(ev.gate)) {
 		s.evaluate(int(f))
 	}
 }

@@ -19,12 +19,11 @@ func allPathsExhaustive(a *Analysis) [][]int {
 	var walk func(id int)
 	walk = func(id int) {
 		path = append(path, id)
-		g := c.Gate(id)
-		end := len(g.Fanout) == 0 || a.cs.IsPO[id]
+		end := a.cs.NumFanout(int32(id)) == 0 || a.cs.IsPO[id]
 		if end {
 			out = append(out, append([]int(nil), path...))
 		}
-		for _, f := range g.Fanout {
+		for _, f := range a.cs.Fanouts(int32(id)) {
 			if c.Gates[f].IsLogic() {
 				walk(int(f))
 			}
@@ -184,7 +183,7 @@ func TestKBestPathsStructure(t *testing.T) {
 			}
 		}
 		last := c.Gate(p[len(p)-1])
-		if len(last.Fanout) != 0 && !a.cs.IsPO[p[len(p)-1]] {
+		if a.cs.NumFanout(int32(last.ID)) != 0 && !a.cs.IsPO[last.ID] {
 			t.Fatalf("path %v ends mid-network at %q", p, last.Name)
 		}
 	}
