@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,15 +10,16 @@ import (
 	"cmosopt/internal/analysis"
 )
 
-// chdirCanary moves into the seeded-violation canary module for the duration
-// of one test (standalone resolves the module from the working directory).
-func chdirCanary(t *testing.T) {
+// chdirTestdata moves into the module testdata/<name> (the seeded-violation
+// canary, say) for the duration of one test: standalone resolves the module
+// from the working directory.
+func chdirTestdata(t *testing.T, name string) {
 	t.Helper()
 	old, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Chdir(filepath.Join("testdata", "canary")); err != nil {
+	if err := os.Chdir(filepath.Join("testdata", name)); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { os.Chdir(old) })
@@ -60,8 +60,8 @@ func captureStdout(t *testing.T, f func()) string {
 // TestCanaryFailsStandalone is the in-repo half of the CI canary: the seeded
 // module must make cmosvet exit non-zero, proving the gate can still fail.
 func TestCanaryFailsStandalone(t *testing.T) {
-	chdirCanary(t)
-	if exit := standalone([]string{"./..."}, analysis.All(), runOptions{}); exit != 1 {
+	chdirTestdata(t, "canary")
+	if exit := standalone([]string{"./..."}, analysis.All(), false); exit != 1 {
 		t.Fatalf("standalone over canary exited %d, want 1 (seeded violation must be found)", exit)
 	}
 }
@@ -70,10 +70,10 @@ func TestCanaryFailsStandalone(t *testing.T) {
 // -json output: the floateq finding in seeded.go and the dimcheck finding in
 // seededunits.go, each with a module-relative path.
 func TestCanarySeedsExactlyTwoViolations(t *testing.T) {
-	chdirCanary(t)
+	chdirTestdata(t, "canary")
 	var exit int
 	out := captureStdout(t, func() {
-		exit = standalone([]string{"./..."}, analysis.All(), runOptions{jsonOut: true})
+		exit = standalone([]string{"./..."}, analysis.All(), true)
 	})
 	if exit != 1 {
 		t.Fatalf("exit = %d, want 1", exit)
@@ -108,179 +108,32 @@ func TestCanarySeedsExactlyTwoViolations(t *testing.T) {
 	}
 }
 
-// TestWriteBaselineSuppresses closes the burn-down loop: -writebaseline over
-// a dirty tree, then a plain run against that baseline, must be clean.
-func TestWriteBaselineSuppresses(t *testing.T) {
-	bl := filepath.Join(t.TempDir(), "baseline.json")
-	chdirCanary(t)
-	if exit := standalone([]string{"./..."}, analysis.All(), runOptions{baselinePath: bl, writeBaseline: true}); exit != 0 {
-		t.Fatalf("-writebaseline exited %d, want 0", exit)
+// TestExternalTestPackagesAnalyzed: the walk loads each directory's external
+// test package ("package core_test") as a package of its own, so evalroute
+// reports the evaluator its test constructs outside the model packages.
+func TestExternalTestPackagesAnalyzed(t *testing.T) {
+	chdirTestdata(t, "xtest")
+	var exit int
+	out := captureStdout(t, func() {
+		exit = standalone([]string{"./..."}, []*analysis.Analyzer{analysis.EvalRoute}, true)
+	})
+	if exit != 1 {
+		t.Fatalf("exit = %d, want 1 (the external test's delay.New must be found)", exit)
 	}
-	set, err := loadBaseline(bl)
-	if err != nil {
-		t.Fatalf("loadBaseline: %v", err)
+	var rows []jsonDiagnostic
+	if err := json.Unmarshal([]byte(out), &rows); err != nil {
+		t.Fatalf("-json output is not a JSON array: %v\n%s", err, out)
 	}
-	want := baselineEntry{File: "internal/core/seeded.go", Analyzer: "floateq"}
-	found := false
-	for e := range set {
-		if e.File == want.File && e.Analyzer == want.Analyzer {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("baseline %v lacks the canary entry", set)
-	}
-	if exit := standalone([]string{"./..."}, analysis.All(), runOptions{baselinePath: bl}); exit != 0 {
-		t.Fatalf("run against fresh baseline exited %d, want 0 (finding suppressed)", exit)
-	}
-}
-
-func TestLoadBaselineMissingIsEmpty(t *testing.T) {
-	set, err := loadBaseline(filepath.Join(t.TempDir(), "absent.json"))
-	if err != nil {
-		t.Fatalf("missing baseline must read as empty, got error: %v", err)
-	}
-	if len(set) != 0 {
-		t.Fatalf("missing baseline produced %d entries", len(set))
-	}
-}
-
-func TestLoadBaselineRejectsMalformed(t *testing.T) {
-	dir := t.TempDir()
-	cases := map[string]string{
-		"bad-json.json":     `{not json`,
-		"wrong-schema.json": `{"schema":"cmosvet/baseline/v999","suppressions":[]}`,
-	}
-	for name, body := range cases {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o666); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := loadBaseline(p); err == nil {
-			t.Errorf("%s: loadBaseline accepted a malformed file", name)
-		}
-	}
-}
-
-// TestCommittedBaselineIsCleanAndValid: the repo's checked-in baseline must
-// parse under the current schema and stay empty — the tree itself is clean,
-// and any future suppression should arrive through a reviewed -writebaseline.
-func TestCommittedBaselineIsCleanAndValid(t *testing.T) {
-	root, _, err := findModule(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := loadBaseline(filepath.Join(root, baselineName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set) != 0 {
-		t.Fatalf("committed baseline carries %d suppressions; the tree is supposed to be clean", len(set))
-	}
-}
-
-// TestBaselineRoundTripStable: write → load → write must be byte-identical,
-// so regenerating an unchanged tree never dirties the diff.
-func TestBaselineRoundTripStable(t *testing.T) {
-	dir := t.TempDir()
-	p1 := filepath.Join(dir, "b1.json")
-	p2 := filepath.Join(dir, "b2.json")
-	diags := []analysis.Diagnostic{
-		{Pos: pos("b.go", 3, 1), Analyzer: "hotalloc", Message: "m2"},
-		{Pos: pos("a.go", 9, 4), Analyzer: "ctxpoll", Message: "m1"},
-		{Pos: pos("a.go", 9, 4), Analyzer: "ctxpoll", Message: "m1"}, // dup collapses
-	}
-	if err := writeBaselineFile(p1, dir, diags); err != nil {
-		t.Fatal(err)
-	}
-	set, err := loadBaseline(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set) != 2 {
-		t.Fatalf("loaded %d entries, want 2 (duplicate collapsed)", len(set))
-	}
-	kept, suppressed, matched := filterBaseline(dir, set, diags)
-	if len(kept) != 0 || suppressed != 3 {
-		t.Fatalf("filter over its own source: kept %d suppressed %d, want 0/3", len(kept), suppressed)
-	}
-	if len(matched) != 2 {
-		t.Fatalf("filter matched %d entries, want 2 (every suppression is live)", len(matched))
-	}
-	// Re-derive the file from the same findings in a different order.
-	reordered := []analysis.Diagnostic{diags[1], diags[2], diags[0]}
-	if err := writeBaselineFile(p2, dir, reordered); err != nil {
-		t.Fatal(err)
-	}
-	b1, _ := os.ReadFile(p1)
-	b2, _ := os.ReadFile(p2)
-	if string(b1) != string(b2) {
-		t.Fatalf("baseline bytes depend on finding order:\n%s\nvs\n%s", b1, b2)
-	}
-}
-
-func pos(file string, line, col int) token.Position {
-	return token.Position{Filename: file, Line: line, Column: col}
-}
-
-// TestPruneBaselineDropsStale is the prune round trip: write a baseline over
-// the canary, plant a stale entry in it, prune, and the baseline must come
-// back holding exactly the live suppressions.
-func TestPruneBaselineDropsStale(t *testing.T) {
-	bl := filepath.Join(t.TempDir(), "baseline.json")
-	chdirCanary(t)
-	if exit := standalone([]string{"./..."}, analysis.All(), runOptions{baselinePath: bl, writeBaseline: true}); exit != 0 {
-		t.Fatalf("-writebaseline exited %d, want 0", exit)
-	}
-	live, err := loadBaseline(bl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(live) == 0 {
-		t.Fatal("canary baseline is empty; nothing to round-trip")
-	}
-	stale := baselineEntry{File: "internal/core/gone.go", Analyzer: "floateq", Message: "fixed long ago"}
-	entries := []baselineEntry{stale}
-	for e := range live {
-		entries = append(entries, e)
-	}
-	if err := writeBaselineEntries(bl, entries); err != nil {
-		t.Fatal(err)
-	}
-	if exit := standalone([]string{"./..."}, analysis.All(), runOptions{baselinePath: bl, pruneBaseline: true}); exit != 0 {
-		t.Fatalf("-prunebaseline exited %d, want 0 (every finding suppressed)", exit)
-	}
-	after, err := loadBaseline(bl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after[stale] {
-		t.Error("stale entry survived -prunebaseline")
-	}
-	if len(after) != len(live) {
-		t.Fatalf("pruned baseline has %d entries, want the %d live ones", len(after), len(live))
-	}
-	for e := range live {
-		if !after[e] {
-			t.Errorf("live suppression %+v lost by -prunebaseline", e)
-		}
-	}
-}
-
-// TestPruneBaselineRequiresWholeModule: staleness is undecidable from a
-// partial run, so prune over a single package must refuse.
-func TestPruneBaselineRequiresWholeModule(t *testing.T) {
-	chdirCanary(t)
-	exit := standalone([]string{"./internal/core"}, analysis.All(), runOptions{pruneBaseline: true})
-	if exit != 2 {
-		t.Fatalf("partial -prunebaseline exited %d, want 2 (usage error)", exit)
+	if len(rows) != 1 || filepath.ToSlash(rows[0].File) != "internal/core/core_test.go" ||
+		!strings.Contains(rows[0].Message, "delay.New") {
+		t.Fatalf("findings = %+v, want the one delay.New in internal/core/core_test.go", rows)
 	}
 }
 
 // TestUnitsReport pins the -units=report shape over the canary module: valid
 // JSON under the units fact schema, carrying the seeded parameter bindings.
 func TestUnitsReport(t *testing.T) {
-	chdirCanary(t)
+	chdirTestdata(t, "canary")
 	var exit int
 	out := captureStdout(t, func() { exit = runUnits("report", []string{"./..."}) })
 	if exit != 0 {
@@ -290,8 +143,8 @@ func TestUnitsReport(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("report is not valid JSON: %v\n%s", err, out)
 	}
-	if rep.Schema != analysis.UnitsSchema {
-		t.Errorf("schema = %q, want %q", rep.Schema, analysis.UnitsSchema)
+	if rep.Schema != unitsSchema {
+		t.Errorf("schema = %q, want %q", rep.Schema, unitsSchema)
 	}
 	units := rep.Packages["canary/internal/core"]
 	if units["perCycle.param.e"] != "J" || units["perCycle.param.p"] != "W" {
@@ -315,7 +168,7 @@ func TestUnitsCoverageMeetsFloor(t *testing.T) {
 // TestUnitsCoverageRejectsEmptySurface: a module with no exported float
 // fields cannot satisfy the gate vacuously.
 func TestUnitsCoverageRejectsEmptySurface(t *testing.T) {
-	chdirCanary(t)
+	chdirTestdata(t, "canary")
 	if exit := runUnits("coverage", []string{"./..."}); exit != 2 {
 		t.Errorf("coverage over fieldless module exited %d, want 2", exit)
 	}

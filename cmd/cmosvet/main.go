@@ -1,80 +1,46 @@
 // Command cmosvet is the repository's invariant checker: a multichecker over
 // the internal/analysis analyzers — the syntactic four (evalroute,
-// determinism, obswriteonly, floateq), the flow-aware four (hotalloc,
-// ctxpoll, locksafe, keypure), and the dimensional-analysis pass (dimcheck),
-// which type-checks //cmosvet:unit annotations (volts, joules, watts,
-// seconds, …) across the whole model. It runs two ways:
+// determinism, obswriteonly, floateq), the flow-aware three (hotalloc,
+// ctxpoll, locksafe), and the dimensional-analysis pass (dimcheck), which
+// type-checks //cmosvet:unit annotations (volts, joules, watts, seconds, …)
+// across the whole model:
 //
-//	cmosvet ./...                         # standalone, over the module
-//	go vet -vettool=$(which cmosvet) ./... # as a vet tool (CI uses this)
+//	cmosvet ./...                  # every package of the module, CI runs this
+//	cmosvet -analyzers dimcheck ./internal/...
 //
-// As a vet tool it speaks cmd/go's unit-checker protocol — -V=full for the
-// build cache, -flags for the flag handshake, then one JSON config file per
-// package — implemented in unitchecker.go on the standard library alone
-// (golang.org/x/tools is deliberately not a dependency). Cross-package
-// function facts (hotpath, allocates, calls-eval, polls-ctx) ride the
-// protocol's vetx fact files; in standalone mode the loader computes them on
-// demand.
+// It walks the module from the working directory and loads each package from
+// source, with its in-package tests and, as a package of its own, its
+// external test package ("package foo_test"); cross-package function facts
+// (hotpath, allocates, calls-eval, polls-ctx, units) are computed by the
+// loader on demand. golang.org/x/tools is deliberately not a dependency.
 //
 // Output is deterministic: diagnostics are merged across analyzers and
 // packages and sorted by (file, line, col, analyzer) before printing. -json
 // swaps the human lines for a JSON array on stdout (CI archives it as an
-// artifact). A committed .cmosvet-baseline.json (regenerated with
-// -writebaseline, overridden with -baseline) suppresses known findings so a
-// newly tightened analyzer can land before its backlog is burned down.
+// artifact). A deliberate exception is waived in the source with a
+// //cmosvet:allow comment (see internal/analysis).
 //
-// Exit status: 0 clean, 1 diagnostics reported (2 in vet-tool mode, matching
-// unitchecker), 2 usage or internal error.
+// Exit status: 0 clean, 1 diagnostics reported, 2 usage or internal error.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"cmosopt/internal/analysis"
 )
 
-// runOptions carries the output-shaping flags shared by the standalone and
-// unit-checker drivers.
-type runOptions struct {
-	jsonOut       bool
-	baselinePath  string // "" = module root's .cmosvet-baseline.json
-	writeBaseline bool
-	pruneBaseline bool
-}
-
 func main() {
-	args := os.Args[1:]
-	// cmd/go handshakes before any real run: -V=full asks for a version
-	// string to key the build cache, -flags for the supported flag set.
-	if len(args) == 1 && (args[0] == "-V=full" || args[0] == "-V") {
-		printVersion()
-		return
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		printFlagDefs()
-		return
-	}
-
 	fs := flag.NewFlagSet("cmosvet", flag.ExitOnError)
-	names := fs.String("analyzers", "all", "comma-separated analyzer subset (evalroute,determinism,obswriteonly,floateq,hotalloc,ctxpoll,locksafe,keypure,dimcheck) or \"all\"")
-	var opts runOptions
-	fs.BoolVar(&opts.jsonOut, "json", false, "emit diagnostics as a JSON array on stdout instead of text on stderr")
-	fs.StringVar(&opts.baselinePath, "baseline", "", "baseline suppression file (default: <module>/.cmosvet-baseline.json)")
-	fs.BoolVar(&opts.writeBaseline, "writebaseline", false, "regenerate the baseline file from the current findings and exit 0")
-	fs.BoolVar(&opts.pruneBaseline, "prunebaseline", false, "drop baseline entries no current finding matches (whole-module runs only)")
+	names := fs.String("analyzers", "all", "comma-separated analyzer subset (evalroute,determinism,obswriteonly,floateq,hotalloc,ctxpoll,locksafe,dimcheck) or \"all\"")
+	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array on stdout instead of text on stderr")
 	units := fs.String("units", "", "unit-annotation introspection: \"report\" dumps the unit environment as JSON, \"coverage\" enforces the annotation floor")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: cmosvet [-analyzers list] [-json] [-baseline file] [-writebaseline] [-prunebaseline] [-units report|coverage] [./... | dir | package.cfg]\n")
+		fmt.Fprintf(os.Stderr, "usage: cmosvet [-analyzers list] [-json] [-units report|coverage] [./... | dir]\n")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
 	if *units != "" {
@@ -82,67 +48,7 @@ func main() {
 	}
 	analyzers, err := analysis.ByName(*names)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cmosvet: %v\n", err)
-		os.Exit(2)
+		os.Exit(fail(err))
 	}
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		os.Exit(unitcheck(rest[0], analyzers, opts))
-	}
-	if len(rest) == 0 {
-		rest = []string{"./..."}
-	}
-	os.Exit(standalone(rest, analyzers, opts))
-}
-
-// printVersion emits the tool identity cmd/go hashes into its build cache:
-// "name version hash". The hash is the binary's own content, so editing an
-// analyzer and rebuilding invalidates every cached vet result.
-func printVersion() {
-	name := filepath.Base(os.Args[0])
-	name = strings.TrimSuffix(name, ".exe")
-	fmt.Printf("%s version %s\n", name, binaryHash())
-}
-
-func binaryHash() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:12])
-}
-
-// printFlagDefs answers cmd/go's -flags handshake with the JSON flag
-// descriptors it validates user-supplied vet flags against. Every flag the
-// FlagSet accepts must appear here or `go vet -vettool` rejects it.
-func printFlagDefs() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	defs := []jsonFlag{
-		{Name: "analyzers", Bool: false, Usage: "comma-separated analyzer subset or \"all\""},
-		{Name: "json", Bool: true, Usage: "emit diagnostics as JSON on stdout"},
-		{Name: "baseline", Bool: false, Usage: "baseline suppression file"},
-		{Name: "writebaseline", Bool: true, Usage: "regenerate the baseline file from current findings"},
-		{Name: "prunebaseline", Bool: true, Usage: "drop baseline entries no current finding matches"},
-		{Name: "units", Bool: false, Usage: "unit-annotation introspection: report or coverage"},
-	}
-	data, err := json.MarshalIndent(defs, "", "\t")
-	if err != nil {
-		os.Exit(2)
-	}
-	os.Stdout.Write(data)
-	fmt.Println()
+	os.Exit(standalone(fs.Args(), analyzers, *jsonOut))
 }

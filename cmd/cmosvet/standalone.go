@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,127 +14,81 @@ import (
 	"cmosopt/internal/analysis"
 )
 
-// standalone walks the module from the current directory and runs the
-// analyzers over every matched package. Diagnostics are collected across all
-// packages and analyzers, merged, baseline-filtered and printed once in the
-// byte-stable (file, line, col, analyzer) order. Returns the process exit
-// code.
-//
-// Loading is sequential (the type-checker memoizes shared dependencies), but
-// the analyzers over each loaded package run concurrently — they only read
-// the package and go through the mutex-guarded fact provider.
-func standalone(patterns []string, analyzers []*analysis.Analyzer, opts runOptions) int {
+// standalone runs the analyzers over every package the patterns match (the
+// whole module by default) and prints the diagnostics, merged across
+// packages and analyzers, once in the byte-stable (file, line, col,
+// analyzer) order. Returns the process exit code.
+func standalone(patterns []string, analyzers []*analysis.Analyzer, jsonOut bool) int {
+	var all []analysis.Diagnostic
+	err := forEachPackage(patterns, func(pkg *analysis.LoadedPackage, facts analysis.FactProvider) error {
+		diags, err := analyzePackage(pkg, facts, analyzers)
+		all = append(all, diags...)
+		return err
+	})
+	analysis.SortDiagnostics(all)
+	printDiagnostics(all, jsonOut)
+	switch {
+	case err != nil:
+		return fail(err)
+	case len(all) > 0:
+		return 1
+	}
+	return 0
+}
+
+// fail reports an internal or usage error and returns its exit code.
+func fail(err error) int {
+	fmt.Fprintf(os.Stderr, "cmosvet: %v\n", err)
+	return 2
+}
+
+// forEachPackage loads every package the patterns match ("./..." when none
+// are given) and hands each to fn with the loader as its fact provider: a
+// directory's package, then its external test package if it has one. This
+// is the one package walk every cmosvet mode shares. Loading is sequential
+// (the type-checker memoizes shared dependencies); the first load or fn
+// error ends the walk.
+func forEachPackage(patterns []string, fn func(pkg *analysis.LoadedPackage, facts analysis.FactProvider) error) error {
 	modRoot, modPath, err := findModule(".")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cmosvet: %v\n", err)
-		return 2
+		return err
+	}
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
 	dirs, err := matchDirs(modRoot, patterns)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cmosvet: %v\n", err)
-		return 2
+		return err
 	}
 	loader := analysis.NewLoader(analysis.Root{Prefix: modPath, Dir: modRoot})
 	loader.IncludeTests = true
-
-	exit := 0
-	var all []analysis.Diagnostic
 	for _, dir := range dirs {
 		rel, err := filepath.Rel(modRoot, dir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cmosvet: %v\n", err)
-			return 2
+			return err
 		}
 		importPath := modPath
 		if rel != "." {
 			importPath = modPath + "/" + filepath.ToSlash(rel)
 		}
-		pkg, err := loader.LoadDir(importPath, dir)
+		pkgs, err := loader.LoadDir(importPath, dir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cmosvet: %v\n", err)
-			exit = 2
-			continue
+			return err
 		}
-		diags, errs := analyzePackage(loader, pkg, analyzers)
-		for _, err := range errs {
-			fmt.Fprintf(os.Stderr, "cmosvet: %v\n", err)
-			exit = 2
-		}
-		all = append(all, diags...)
-	}
-
-	bpath := baselinePathFor(opts.baselinePath, modRoot)
-	if opts.writeBaseline {
-		analysis.SortDiagnostics(all)
-		if err := writeBaselineFile(bpath, modRoot, all); err != nil {
-			fmt.Fprintf(os.Stderr, "cmosvet: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "cmosvet: wrote %d suppression(s) to %s\n", len(all), relPath(bpath))
-		return exit
-	}
-	set, err := loadBaseline(bpath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cmosvet: %v\n", err)
-		return 2
-	}
-	kept, suppressed, matched := filterBaseline(modRoot, set, all)
-	analysis.SortDiagnostics(kept)
-	printDiagnostics(kept, opts.jsonOut, relPath)
-	if suppressed > 0 {
-		fmt.Fprintf(os.Stderr, "cmosvet: %d finding(s) suppressed by %s\n", suppressed, relPath(bpath))
-	}
-	// Dead-entry handling: an entry no finding matches is a fixed violation
-	// whose suppression outlived it. Only a whole-module run can judge
-	// staleness (a partial pattern simply doesn't see the finding), so the
-	// report and -prunebaseline are gated on having analyzed everything.
-	if wholeModule(patterns) {
-		stale := staleEntries(set, matched)
-		if opts.pruneBaseline {
-			keptEntries := make([]baselineEntry, 0, len(matched))
-			for e := range matched {
-				keptEntries = append(keptEntries, e)
-			}
-			if err := writeBaselineEntries(bpath, keptEntries); err != nil {
-				fmt.Fprintf(os.Stderr, "cmosvet: %v\n", err)
-				return 2
-			}
-			fmt.Fprintf(os.Stderr, "cmosvet: pruned %d stale suppression(s) from %s, %d kept\n",
-				len(stale), relPath(bpath), len(keptEntries))
-		} else {
-			for _, e := range stale {
-				fmt.Fprintf(os.Stderr, "cmosvet: stale baseline entry (no current finding): %s [%s] %q\n",
-					e.File, e.Analyzer, e.Message)
-			}
-			if len(stale) > 0 {
-				fmt.Fprintf(os.Stderr, "cmosvet: %d stale suppression(s) in %s; run -prunebaseline to drop them\n",
-					len(stale), relPath(bpath))
+		for _, pkg := range pkgs {
+			if err := fn(pkg, loader); err != nil {
+				return err
 			}
 		}
-	} else if opts.pruneBaseline {
-		fmt.Fprintf(os.Stderr, "cmosvet: -prunebaseline requires a whole-module pattern (./...)\n")
-		return 2
 	}
-	if len(kept) > 0 && exit == 0 {
-		exit = 1
-	}
-	return exit
+	return nil
 }
 
-// wholeModule reports whether the patterns cover the entire module, which is
-// what makes baseline staleness decidable.
-func wholeModule(patterns []string) bool {
-	for _, p := range patterns {
-		if p == "./..." || p == "..." {
-			return true
-		}
-	}
-	return false
-}
-
-// analyzePackage runs the analyzers over one package concurrently and returns
-// their diagnostics (unsorted — the caller merges and sorts globally).
-func analyzePackage(loader *analysis.Loader, pkg *analysis.LoadedPackage, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, []error) {
+// analyzePackage runs the analyzers over one package concurrently — they
+// only read the package and go through the mutex-guarded fact provider — and
+// returns their diagnostics (unsorted: the caller merges and sorts
+// globally).
+func analyzePackage(pkg *analysis.LoadedPackage, facts analysis.FactProvider, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
 	diags := make([][]analysis.Diagnostic, len(analyzers))
 	errs := make([]error, len(analyzers))
 	var wg sync.WaitGroup
@@ -140,19 +96,46 @@ func analyzePackage(loader *analysis.Loader, pkg *analysis.LoadedPackage, analyz
 		wg.Add(1)
 		go func(i int, a *analysis.Analyzer) {
 			defer wg.Done()
-			diags[i], errs[i] = analysis.Analyze(a, pkg, loader)
+			diags[i], errs[i] = analysis.Analyze(a, pkg, facts)
 		}(i, a)
 	}
 	wg.Wait()
 	var out []analysis.Diagnostic
-	var outErrs []error
-	for i := range analyzers {
-		out = append(out, diags[i]...)
-		if errs[i] != nil {
-			outErrs = append(outErrs, errs[i])
-		}
+	for _, d := range diags {
+		out = append(out, d...)
 	}
-	return out, outErrs
+	return out, errors.Join(errs...)
+}
+
+// jsonDiagnostic is the -json output row; file is printed exactly as the
+// human output would print it.
+type jsonDiagnostic struct {
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
+}
+
+// printDiagnostics emits the (already sorted) findings: JSON array on stdout
+// when jsonOut, conventional file:line:col lines on stderr otherwise.
+func printDiagnostics(diags []analysis.Diagnostic, jsonOut bool) {
+	if !jsonOut {
+		for _, d := range diags {
+			fmt.Fprintf(os.Stderr, "%s:%d:%d: %s: %s\n", relPath(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
+		}
+		return
+	}
+	rows := make([]jsonDiagnostic, 0, len(diags))
+	for _, d := range diags {
+		rows = append(rows, jsonDiagnostic{
+			File: relPath(d.Pos.Filename), Line: d.Pos.Line, Col: d.Pos.Column,
+			Analyzer: d.Analyzer, Message: d.Message,
+		})
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "\t")
+	enc.Encode(rows)
 }
 
 func relPath(p string) string {

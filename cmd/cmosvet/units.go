@@ -16,15 +16,18 @@ import (
 //	cmosvet -units=coverage ./...  # enforce the annotation-coverage floor
 //
 // report emits one JSON object on stdout (schema cmosvet/units/v1): per
-// package, the flat declaration-key → canonical-dimension table that rides
-// the .vetx fact files — exactly what cross-package dimcheck resolution
-// sees. CI archives it as an artifact so the annotated surface is diffable
-// across commits.
+// package, the flat declaration-key → canonical-dimension table the package
+// facts carry — exactly what cross-package dimcheck resolution sees. CI
+// archives it as an artifact so the annotated surface is diffable across
+// commits.
 //
 // coverage counts the exported float-carrier fields of exported struct types
 // in the model packages and fails (exit 1) when fewer than coverageFloor of
 // them carry a unit annotation — the regression gate that keeps the physical
 // surface annotated as it grows.
+
+// unitsSchema identifies the -units=report JSON shape.
+const unitsSchema = "cmosvet/units/v1"
 
 // coverageFloor is the minimum annotated fraction of exported float fields.
 const coverageFloor = 0.90
@@ -69,76 +72,32 @@ func runUnits(mode string, patterns []string) int {
 		if len(patterns) == 0 {
 			var err error
 			if patterns, err = defaultCoveragePatterns(); err != nil {
-				fmt.Fprintf(os.Stderr, "cmosvet: %v\n", err)
-				return 2
+				return fail(err)
 			}
 		}
 		return unitsCoverage(patterns)
 	default:
-		fmt.Fprintf(os.Stderr, "cmosvet: -units=%q: want \"report\" or \"coverage\"\n", mode)
-		return 2
+		return fail(fmt.Errorf("-units=%q: want \"report\" or \"coverage\"", mode))
 	}
-}
-
-// forEachPackage loads every package the patterns match and hands it to fn
-// with its import path. Returns the process exit code (0 or 2).
-func forEachPackage(patterns []string, fn func(importPath string, pkg *analysis.LoadedPackage) error) int {
-	modRoot, modPath, err := findModule(".")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cmosvet: %v\n", err)
-		return 2
-	}
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	dirs, err := matchDirs(modRoot, patterns)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cmosvet: %v\n", err)
-		return 2
-	}
-	loader := analysis.NewLoader(analysis.Root{Prefix: modPath, Dir: modRoot})
-	loader.IncludeTests = true
-	for _, dir := range dirs {
-		rel, err := filepath.Rel(modRoot, dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cmosvet: %v\n", err)
-			return 2
-		}
-		importPath := modPath
-		if rel != "." {
-			importPath = modPath + "/" + filepath.ToSlash(rel)
-		}
-		pkg, err := loader.LoadDir(importPath, dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cmosvet: %v\n", err)
-			return 2
-		}
-		if err := fn(importPath, pkg); err != nil {
-			fmt.Fprintf(os.Stderr, "cmosvet: %v\n", err)
-			return 2
-		}
-	}
-	return 0
 }
 
 // unitsReport dumps every matched package's unit-fact table as one JSON
 // object on stdout.
 func unitsReport(patterns []string) int {
-	report := unitsReportFile{Schema: analysis.UnitsSchema, Packages: map[string]map[string]string{}}
-	if exit := forEachPackage(patterns, func(importPath string, pkg *analysis.LoadedPackage) error {
+	report := unitsReportFile{Schema: unitsSchema, Packages: map[string]map[string]string{}}
+	if err := forEachPackage(patterns, func(pkg *analysis.LoadedPackage, _ analysis.FactProvider) error {
 		units := analysis.ComputePkgFacts(pkg).Units
 		if len(units) > 0 {
-			report.Packages[importPath] = units
+			report.Packages[pkg.Path] = units
 		}
 		return nil
-	}); exit != 0 {
-		return exit
+	}); err != nil {
+		return fail(err)
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "\t")
 	if err := enc.Encode(report); err != nil {
-		fmt.Fprintf(os.Stderr, "cmosvet: %v\n", err)
-		return 2
+		return fail(err)
 	}
 	return 0
 }
@@ -153,22 +112,22 @@ func unitsCoverage(patterns []string) int {
 		missing          []string
 	}
 	var rows []row
-	if exit := forEachPackage(patterns, func(importPath string, pkg *analysis.LoadedPackage) error {
-		a, n, missing := analysis.UnitCoverage(pkg)
-		rows = append(rows, row{path: importPath, annotated: a, total: n, missing: missing})
+	if err := forEachPackage(patterns, func(pkg *analysis.LoadedPackage, _ analysis.FactProvider) error {
+		// A package without exported float fields (an external test
+		// package, say) has nothing to measure and prints no row.
+		if a, n, missing := analysis.UnitCoverage(pkg); n > 0 {
+			rows = append(rows, row{path: pkg.Path, annotated: a, total: n, missing: missing})
+		}
 		return nil
-	}); exit != 0 {
-		return exit
+	}); err != nil {
+		return fail(err)
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].path < rows[j].path })
 	annotated, total := 0, 0
 	for _, r := range rows {
 		annotated += r.annotated
 		total += r.total
-		pct := 100.0
-		if r.total > 0 {
-			pct = 100 * float64(r.annotated) / float64(r.total)
-		}
+		pct := 100 * float64(r.annotated) / float64(r.total)
 		fmt.Printf("%s: %d/%d exported float fields annotated (%.0f%%)\n", r.path, r.annotated, r.total, pct)
 		sort.Strings(r.missing)
 		for _, key := range r.missing {

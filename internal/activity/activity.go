@@ -24,12 +24,14 @@ type InputSpec struct {
 	Density float64 //cmosvet:unit 1
 }
 
+// validate rejects specs outside the realizable region. The range checks
+// are written so that NaN, which fails every comparison, fails them too.
 func (s InputSpec) validate() error {
-	if s.Prob < 0 || s.Prob > 1 {
+	if !(s.Prob >= 0 && s.Prob <= 1) {
 		return fmt.Errorf("activity: probability %v outside [0,1]", s.Prob)
 	}
-	if s.Density < 0 {
-		return fmt.Errorf("activity: negative density %v", s.Density)
+	if !(s.Density >= 0) {
+		return fmt.Errorf("activity: density %v is not a non-negative number", s.Density)
 	}
 	if lim := 2 * min(s.Prob, 1-s.Prob); s.Density > lim+1e-12 {
 		return fmt.Errorf("activity: density %v unrealizable for probability %v (max %v)", s.Density, s.Prob, lim)

@@ -132,6 +132,12 @@ func TestPropagateErrors(t *testing.T) {
 	if _, err := PropagateUniform(c, 0.9, 0.5); err == nil {
 		t.Error("unrealizable density accepted (max 2·min(p,1-p))")
 	}
+	if _, err := PropagateUniform(c, math.NaN(), 0.1); err == nil {
+		t.Error("NaN probability accepted")
+	}
+	if _, err := PropagateUniform(c, 0.5, math.NaN()); err == nil {
+		t.Error("NaN density accepted")
+	}
 	seq, err := circuit.ParseBenchString("seq", "INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n")
 	if err != nil {
 		t.Fatal(err)

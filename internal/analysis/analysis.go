@@ -13,7 +13,7 @@
 //   - floateq (floateq.go): no raw float ==/!= in bisection/convergence
 //     code; comparisons route through internal/floats.
 //
-// Four flow-aware analyzers reason over a per-function CFG (cfg.go), a
+// Three flow-aware analyzers reason over a per-function CFG (cfg.go), a
 // generic forward dataflow fixpoint (dataflow.go) and cross-package function
 // facts (facts.go):
 //
@@ -26,24 +26,21 @@
 //   - locksafe (locksafe.go): every sync.Mutex/RWMutex Lock is released on
 //     all exit paths, and no FlushObs/blocking send/engine evaluation runs
 //     under a held lock — the discipline of the observability registry and
-//     the service's shared tables;
-//   - keypure (keypure.go): execution controls never flow into the
-//     cmosopt/key/v1 cache key — the PR 8 content-addressing invariant.
+//     the service's shared tables.
 //
-// A ninth analyzer, dimcheck (dimcheck.go), runs dimensional analysis over
+// An eighth analyzer, dimcheck (dimcheck.go), runs dimensional analysis over
 // the model's float surface: //cmosvet:unit annotations on declaration sites
 // (units.go) seed a lattice of physical dimensions (dim.go) that a forward
 // dataflow fixpoint propagates through expressions, rejecting additions,
 // subtractions and comparisons of unequal dimensions (energy+power,
 // delay<voltage) while */÷ compose exponents. Cross-package declarations
-// resolve through the cmosvet/units/v1 fact schema riding the same .vetx
-// pipeline as the function facts.
+// resolve through the unit tables the package facts carry.
 //
 // The x/tools module is deliberately not vendored (this module has zero
 // dependencies); the subset reimplemented here — Analyzer, Pass, Diagnostic,
-// an analysistest-style fixture runner (analysistest/) and the `go vet
-// -vettool` unit-checker protocol (cmd/cmosvet) — is small and uses only the
-// standard library's go/ast, go/types and go/parser.
+// a source loader (loader.go) and an analysistest-style fixture runner
+// (analysistest/) — is small and uses only the standard library's go/ast,
+// go/types and go/parser. cmd/cmosvet drives it over the module.
 //
 // # Suppression
 //
@@ -254,7 +251,7 @@ func SortDiagnostics(ds []Diagnostic) {
 
 // All returns the cmosvet analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{EvalRoute, Determinism, ObsWriteOnly, FloatEq, HotAlloc, CtxPoll, LockSafe, KeyPure, DimCheck}
+	return []*Analyzer{EvalRoute, Determinism, ObsWriteOnly, FloatEq, HotAlloc, CtxPoll, LockSafe, DimCheck}
 }
 
 // ByName returns the named analyzers from the suite ("" or "all" → all).

@@ -11,7 +11,7 @@ import (
 // switch/type-switch/select/labeled statements, break/continue/goto/
 // fallthrough, return, and path-terminating calls (panic, os.Exit,
 // log.Fatal*). The flow-aware analyzers (hotalloc, ctxpoll, locksafe,
-// keypure) run dataflow fixpoints over it via Forward (dataflow.go).
+// dimcheck) run dataflow fixpoints over it via Forward (dataflow.go).
 
 // Block is one basic block: a maximal straight-line node sequence with edges
 // to its successors. Nodes are statements and the condition/tag expressions

@@ -297,10 +297,10 @@ func TestDiagnosticSortIsByteStable(t *testing.T) {
 		mk("a.go", 9, 2, "locksafe", "m"),
 		mk("a.go", 9, 2, "ctxpoll", "m"),
 		mk("a.go", 9, 1, "locksafe", "m"),
-		mk("a.go", 2, 7, "keypure", "m"),
+		mk("a.go", 2, 7, "floateq", "m"),
 	}
 	want := []string{
-		"a.go:2:7:keypure",
+		"a.go:2:7:floateq",
 		"a.go:9:1:locksafe",
 		"a.go:9:2:ctxpoll",
 		"a.go:9:2:locksafe",

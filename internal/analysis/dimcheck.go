@@ -18,8 +18,8 @@ package analysis
 //     math.Sqrt halves them); a non-constant exponent yields ⊤;
 //   - math.Exp/Log/trig demand dimensionless arguments;
 //   - calls check annotated parameters and adopt annotated results, with
-//     cross-package declarations resolved through the cmosvet/units/v1 fact
-//     schema riding the same .vetx pipeline as the function facts;
+//     cross-package declarations resolved through the unit tables the
+//     loader's package facts carry;
 //   - assignments into annotated fields, variables and composite-literal
 //     fields must match the declared dimension, and returns must match the
 //     declared result dimension.

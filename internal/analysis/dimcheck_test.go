@@ -1,7 +1,6 @@
 package analysis_test
 
 import (
-	"strings"
 	"testing"
 
 	"cmosopt/internal/analysis"
@@ -49,13 +48,5 @@ func TestDimCheckUnitFacts(t *testing.T) {
 		if got != unit {
 			t.Errorf("unit fact %q = %q, want %q", key, got, unit)
 		}
-	}
-	// Round-trip through the vetx encoding keeps the table intact.
-	decoded := analysis.DecodeFacts(analysis.EncodeFacts(facts))
-	if len(decoded.Units) != len(facts.Units) {
-		t.Fatalf("vetx round trip lost units: %d → %d", len(facts.Units), len(decoded.Units))
-	}
-	if !strings.Contains(string(analysis.EncodeFacts(facts)), analysis.UnitsSchema) {
-		t.Fatalf("encoded facts carry no %s schema tag", analysis.UnitsSchema)
 	}
 }

@@ -74,12 +74,8 @@ func runEvalRoute(pass *Pass) error {
 	return nil
 }
 
-// normalizePkgPath maps the package-path variants `go vet` presents for test
-// builds back to the base package: "p [p.test]" (in-package test variant)
-// and "p_test [p.test]" (external test package) both normalize to "p".
+// normalizePkgPath maps an external test package ("p_test", as LoadDir
+// names it) to the package it tests, so scope rules apply to both alike.
 func normalizePkgPath(path string) string {
-	if i := strings.Index(path, " ["); i >= 0 {
-		path = path[:i]
-	}
 	return strings.TrimSuffix(path, "_test")
 }

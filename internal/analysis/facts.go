@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -15,41 +14,33 @@ import (
 // heap-allocate, does it funnel into an Engine full evaluation, does it poll
 // a context? A FuncFacts record answers those per function; PkgFacts collects
 // them per package, keyed "Func" for package functions and "Type.Method" for
-// methods.
-//
-// Facts flow between packages two ways:
-//
-//   - in standalone/fixture mode the Loader computes them from source on
-//     demand (Loader.PackageFacts);
-//   - under `go vet -vettool` each compilation unit writes its facts to the
-//     .vetx file cmd/go hands it (schema cmosvet/facts/v1) and reads its
-//     dependencies' facts from the PackageVetx map, mirroring how
-//     golang.org/x/tools analysis facts ride the export pipeline.
+// methods. The Loader computes them from source on demand
+// (Loader.PackageFacts).
 
 // FuncFacts are the per-function properties the flow-aware analyzers share.
 type FuncFacts struct {
 	// Hotpath is set by a //cmosvet:hotpath directive on the declaration:
 	// the function promises not to heap-allocate (enforced by hotalloc).
-	Hotpath bool `json:"hotpath,omitempty"`
+	Hotpath bool
 	// Allocates reports a direct heap-allocating construct in the body
 	// (make/new, slice/map or address-taken composite literals, capturing
 	// closures, string concatenation, interface boxing). Direct only — no
 	// call-graph closure — so a hot caller is judged against what the callee
 	// itself does, not against its cold error paths' callees.
-	Allocates bool `json:"allocates,omitempty"`
+	Allocates bool
 	// CallsEval reports that the function reaches an Engine full evaluation
 	// (Delays/Energy/...), directly or through same-package calls. Loops
 	// over such functions are candidate loops to ctxpoll.
-	CallsEval bool `json:"callseval,omitempty"`
+	CallsEval bool
 	// PollsCtx reports that the function observes a context.Context
 	// (ctx.Err/ctx.Done), directly or through same-package calls; calling it
 	// counts as a cancellation poll to ctxpoll.
-	PollsCtx bool `json:"pollsctx,omitempty"`
+	PollsCtx bool
 }
 
 // PkgFacts bundles one package's cross-package facts: per-function behavior
 // facts under "Func" / "Type.Method" keys, and the unit-annotation table of
-// its declaration sites (schema cmosvet/units/v1, consumed by dimcheck).
+// its declaration sites (consumed by dimcheck).
 type PkgFacts struct {
 	Funcs map[string]FuncFacts
 	// Units maps declaration keys — "Type.Field", "ConstName",
@@ -58,57 +49,11 @@ type PkgFacts struct {
 	Units map[string]string
 }
 
-// Empty reports a facts value carrying no information (unknown package).
-func (f PkgFacts) Empty() bool { return f.Funcs == nil && f.Units == nil }
-
 // FactProvider hands a pass the facts of any package by (normalized) import
 // path; the zero PkgFacts means the package is unknown (standard library,
 // unanalyzed).
 type FactProvider interface {
 	PackageFacts(path string) PkgFacts
-}
-
-// FactsSchema identifies the vetx facts serialization.
-const FactsSchema = "cmosvet/facts/v1"
-
-type factsFile struct {
-	Schema string               `json:"schema"`
-	Funcs  map[string]FuncFacts `json:"funcs,omitempty"`
-	// The unit table rides the same file under its own schema tag so the
-	// two fact families can version independently.
-	UnitsSchema string            `json:"unitsSchema,omitempty"`
-	Units       map[string]string `json:"units,omitempty"`
-}
-
-// EncodeFacts serializes package facts for a .vetx file (deterministic: JSON
-// object keys marshal sorted).
-func EncodeFacts(f PkgFacts) []byte {
-	file := factsFile{Schema: FactsSchema, Funcs: f.Funcs}
-	if len(f.Units) > 0 {
-		file.UnitsSchema = UnitsSchema
-		file.Units = f.Units
-	}
-	b, err := json.Marshal(file)
-	if err != nil { // maps of bools and strings cannot fail to marshal
-		return []byte(`{"schema":"` + FactsSchema + `"}`)
-	}
-	return append(b, '\n')
-}
-
-// DecodeFacts parses a .vetx facts payload; unknown or legacy payloads (other
-// tools' vetx, the pre-facts placeholder) decode to the zero PkgFacts rather
-// than erroring, because missing facts only widen what the analyzers accept.
-// A units block under the wrong schema is dropped on its own.
-func DecodeFacts(data []byte) PkgFacts {
-	var f factsFile
-	if err := json.Unmarshal(data, &f); err != nil || f.Schema != FactsSchema {
-		return PkgFacts{}
-	}
-	out := PkgFacts{Funcs: f.Funcs}
-	if f.UnitsSchema == UnitsSchema {
-		out.Units = f.Units
-	}
-	return out
 }
 
 var hotpathRx = regexp.MustCompile(`^//\s*cmosvet:hotpath\b`)

@@ -5,69 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"reflect"
 	"testing"
 
 	"cmosopt/internal/analysis"
 )
-
-func TestFactsRoundTrip(t *testing.T) {
-	in := analysis.PkgFacts{
-		Funcs: map[string]analysis.FuncFacts{
-			"Engine.Energy": {CallsEval: true},
-			"Helper":        {Hotpath: true, Allocates: true},
-			"Canceled":      {PollsCtx: true},
-		},
-		Units: map[string]string{
-			"Tech.VTherm":        "V",
-			"Breakdown.Static":   "J",
-			"Tech.KSat":          "A/V^a",
-			"Tech.IdUnit.return": "A",
-		},
-	}
-	out := analysis.DecodeFacts(analysis.EncodeFacts(in))
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip: got %#v, want %#v", out, in)
-	}
-}
-
-func TestEncodeFactsDeterministic(t *testing.T) {
-	f := analysis.PkgFacts{
-		Funcs: map[string]analysis.FuncFacts{"B": {Hotpath: true}, "A": {Allocates: true}, "C": {CallsEval: true}},
-		Units: map[string]string{"Z.F": "Hz", "A.F": "F", "M.F": "s^2"},
-	}
-	first := string(analysis.EncodeFacts(f))
-	for i := 0; i < 8; i++ {
-		if got := string(analysis.EncodeFacts(f)); got != first {
-			t.Fatalf("encoding varies across runs:\n%s\nvs\n%s", first, got)
-		}
-	}
-}
-
-func TestDecodeFactsTolerant(t *testing.T) {
-	cases := map[string]string{
-		"empty":          "",
-		"not json":       "cmosvet vetx placeholder\n",
-		"wrong schema":   `{"schema":"someothertool/v9","funcs":{"F":{"hotpath":true}}}`,
-		"non-object":     `[1,2,3]`,
-		"missing schema": `{"funcs":{"F":{"hotpath":true}}}`,
-	}
-	for name, payload := range cases {
-		if got := analysis.DecodeFacts([]byte(payload)); !got.Empty() {
-			t.Errorf("%s: DecodeFacts = %#v, want empty", name, got)
-		}
-	}
-	// A units block under a stale schema is dropped without losing the
-	// function facts riding the same file.
-	mixed := `{"schema":"cmosvet/facts/v1","funcs":{"F":{"hotpath":true}},"unitsSchema":"cmosvet/units/v0","units":{"T.F":"V"}}`
-	got := analysis.DecodeFacts([]byte(mixed))
-	if !got.Funcs["F"].Hotpath {
-		t.Errorf("mixed schema: function facts lost: %#v", got)
-	}
-	if got.Units != nil {
-		t.Errorf("mixed schema: stale units kept: %#v", got.Units)
-	}
-}
 
 // typecheckPkg type-checks a single-file package with no imports under the
 // given import path, returning it shaped as the loader would.

@@ -17,8 +17,8 @@ func TestFloatEq(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	all, err := analysis.ByName("all")
-	if err != nil || len(all) != 9 {
-		t.Fatalf("ByName(all) = %d analyzers, err %v; want 9", len(all), err)
+	if err != nil || len(all) != 8 {
+		t.Fatalf("ByName(all) = %d analyzers, err %v; want 8", len(all), err)
 	}
 	two, err := analysis.ByName("floateq,determinism")
 	if err != nil || len(two) != 2 || two[0].Name != "floateq" || two[1].Name != "determinism" {

@@ -30,11 +30,3 @@ func TestLockSafe(t *testing.T) {
 		"cmosopt/internal/eval",  // clean engine stub
 	)
 }
-
-func TestKeyPure(t *testing.T) {
-	td := analysistest.Testdata(t, "keypure")
-	analysistest.Run(t, td, analysis.KeyPure,
-		"cmosopt/internal/serve", // taint into the key form: literals, field writes, merges
-		"cmosopt/internal/other", // negative: outside scope
-	)
-}

@@ -32,6 +32,10 @@ type LoadedPackage struct {
 	Types *types.Package
 	Info  *types.Info
 	Fset  *token.FileSet
+
+	// xtestFiles are the directory's external test files ("package
+	// foo_test"), parsed with the package and type-checked by LoadDir.
+	xtestFiles []*ast.File
 }
 
 // Loader parses and type-checks packages from source, resolving module
@@ -42,8 +46,9 @@ type Loader struct {
 	Fset *token.FileSet
 	// Roots are tried in order; the first prefix match wins.
 	Roots []Root
-	// IncludeTests adds in-package *_test.go files to each loaded package
-	// (external "_test"-suffixed test packages are never loaded).
+	// IncludeTests adds in-package *_test.go files to each loaded package;
+	// LoadDir then also returns the directory's external test package
+	// ("package foo_test"), which is never mixed into the package it tests.
 	IncludeTests bool
 
 	std     types.ImporterFrom
@@ -139,18 +144,27 @@ func (l *Loader) Load(path string) (*LoadedPackage, error) {
 }
 
 // LoadDir loads the package in dir under the given import path without
-// consulting Roots (used by the standalone walker, which discovers
-// directories first).
-func (l *Loader) LoadDir(path, dir string) (*LoadedPackage, error) {
-	if p, ok := l.pkgs[path]; ok && p != nil {
-		return p, nil
+// consulting Roots (used by the cmd/cmosvet walk, which discovers
+// directories first). With IncludeTests, the directory's external test
+// package, if it has one, follows under path+"_test": it is type-checked
+// after the package it tests, which it may import.
+func (l *Loader) LoadDir(path, dir string) ([]*LoadedPackage, error) {
+	p := l.pkgs[path]
+	if p == nil {
+		var err error
+		if p, err = l.loadDir(path, dir); err != nil {
+			return nil, err
+		}
+		l.pkgs[path] = p
 	}
-	p, err := l.loadDir(path, dir)
+	if len(p.xtestFiles) == 0 {
+		return []*LoadedPackage{p}, nil
+	}
+	x, err := l.check(path+"_test", p.xtestFiles)
 	if err != nil {
 		return nil, err
 	}
-	l.pkgs[path] = p
-	return p, nil
+	return []*LoadedPackage{p, x}, nil
 }
 
 func (l *Loader) loadDir(path, dir string) (*LoadedPackage, error) {
@@ -175,13 +189,14 @@ func (l *Loader) loadDir(path, dir string) (*LoadedPackage, error) {
 		}(i, name)
 	}
 	wg.Wait()
-	var files []*ast.File
+	var files, xtestFiles []*ast.File
 	for i, f := range parsed {
 		if errs[i] != nil {
 			return nil, errs[i]
 		}
 		// Never mix an external test package ("foo_test") into "foo".
 		if strings.HasSuffix(f.Name.Name, "_test") {
+			xtestFiles = append(xtestFiles, f)
 			continue
 		}
 		files = append(files, f)
@@ -189,6 +204,16 @@ func (l *Loader) loadDir(path, dir string) (*LoadedPackage, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("analysis: only external-test Go files in %s", dir)
 	}
+	p, err := l.check(path, files)
+	if err != nil {
+		return nil, err
+	}
+	p.xtestFiles = xtestFiles
+	return p, nil
+}
+
+// check type-checks one package's parsed files under the given import path.
+func (l *Loader) check(path string, files []*ast.File) (*LoadedPackage, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -234,7 +259,7 @@ func goFilesIn(dir string, includeTests bool) ([]string, error) {
 // PackageDirs walks root and returns every directory holding buildable Go
 // files, skipping hidden and underscore-prefixed directories, testdata
 // fixture trees and vendored source. This is the "./..." expansion shared by
-// the standalone cmd/cmosvet walker and the loader tests.
+// the cmd/cmosvet package walk and the loader tests.
 func PackageDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {

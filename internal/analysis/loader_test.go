@@ -44,6 +44,9 @@ func TestLoaderBuildConstraints(t *testing.T) {
 	if hasSymbol(p, "THelper") {
 		t.Fatal("_test.go file loaded without IncludeTests")
 	}
+	if pkgs, err := l.LoadDir("taggy", loaderRoot(t, "src", "taggy")); err != nil || len(pkgs) != 1 {
+		t.Fatalf("LoadDir(taggy) without IncludeTests: %d packages, err %v; want the package alone", len(pkgs), err)
+	}
 }
 
 func TestLoaderIncludeTests(t *testing.T) {
@@ -65,6 +68,15 @@ func TestLoaderIncludeTests(t *testing.T) {
 	}
 	if hasSymbol(p, "External") {
 		t.Fatal("external test package symbol merged into the package under test")
+	}
+	// LoadDir returns the external test package as a package of its own,
+	// after the package it tests (here already loaded by Load).
+	pkgs, err := l.LoadDir("taggy", loaderRoot(t, "src", "taggy"))
+	if err != nil {
+		t.Fatalf("LoadDir(taggy): %v", err)
+	}
+	if len(pkgs) != 2 || pkgs[0] != p || pkgs[1].Path != "taggy_test" || !hasSymbol(pkgs[1], "External") {
+		t.Fatalf("LoadDir(taggy) = %d packages, want taggy then taggy_test declaring External", len(pkgs))
 	}
 }
 

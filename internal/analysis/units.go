@@ -29,8 +29,8 @@ package analysis
 //
 // collectUnits resolves a package's annotations twice over: a flat
 // string-keyed table ("Type.Field", "Name", "Func.param.x", "Type.Meth.return")
-// exported through the cmosvet/units/v1 fact schema for cross-package
-// resolution, and a types.Object-keyed table for in-package precision.
+// carried in PkgFacts.Units for cross-package resolution, and a
+// types.Object-keyed table for in-package precision.
 
 import (
 	"fmt"
@@ -40,9 +40,6 @@ import (
 	"regexp"
 	"strings"
 )
-
-// UnitsSchema identifies the unit-fact serialization riding the .vetx files.
-const UnitsSchema = "cmosvet/units/v1"
 
 var unitRx = regexp.MustCompile(`//.*?cmosvet:unit\s+(.+?)\s*$`)
 

@@ -56,6 +56,17 @@ func TestLowPowerFlagErrors(t *testing.T) {
 			t.Errorf("case %d (%v): accepted", i, args)
 		}
 	}
+	// NaN input statistics must fail activity validation, not end a whole
+	// search as infeasible.
+	for _, args := range [][]string{
+		{"-circuit", "s27", "-activity", "nan"},
+		{"-circuit", "s27", "-prob", "nan"},
+	} {
+		var out bytes.Buffer
+		if err := LowPower(args, &out); err == nil || !strings.Contains(err.Error(), "activity:") {
+			t.Errorf("%v: error %v, want an activity validation error", args, err)
+		}
+	}
 }
 
 func TestSaveVerifyRoundTrip(t *testing.T) {
@@ -92,6 +103,23 @@ func TestVerifyFlagErrors(t *testing.T) {
 	}
 	if err := Verify([]string{"-design", "/no/file", "-circuit", "s27"}, &out); err == nil {
 		t.Error("missing design file accepted")
+	}
+}
+
+func TestTablesFlagErrors(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-activities", "0.5abc"}, `bad activity "0.5abc"`}, // trailing garbage
+		{[]string{"-activities", "0.1,"}, `bad activity ""`},         // empty token
+		{[]string{"-table", "nosuch"}, `unknown -table "nosuch"`},
+	}
+	for _, c := range cases {
+		var out bytes.Buffer
+		if err := Tables(c.args, &out); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: error %v, want %q", c.args, err, c.want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"cmosopt/internal/core"
@@ -39,8 +40,8 @@ func Tables(args []string, out io.Writer) error {
 	}
 	var acts []float64
 	for _, s := range strings.Split(*activities, ",") {
-		var a float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &a); err != nil {
+		a, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if err != nil {
 			return fmt.Errorf("bad activity %q: %v", s, err)
 		}
 		acts = append(acts, a)

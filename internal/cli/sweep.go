@@ -63,7 +63,7 @@ func (p *SweepParams) Validate() error {
 	if p.Workers < 0 {
 		return fmt.Errorf("bad worker count %d", p.Workers)
 	}
-	if p.Activity < 0 || p.Activity > 1 {
+	if !(p.Activity >= 0 && p.Activity <= 1) { // NaN fails too
 		return fmt.Errorf("activity %v outside [0,1]", p.Activity)
 	}
 	return nil

@@ -66,6 +66,8 @@ func TestNewProblemValidation(t *testing.T) {
 		{"bad tech", func(s *Spec) { s.Tech.KSat = -1 }},
 		{"bad wiring", func(s *Spec) { s.Wiring.RentP = 0 }},
 		{"bad activity", func(s *Spec) { s.InputDensity = 5 }},
+		{"NaN activity", func(s *Spec) { s.InputDensity = math.NaN() }},
+		{"NaN probability", func(s *Spec) { s.InputProb = math.NaN() }},
 		{"unknown input name", func(s *Spec) {
 			s.Inputs = map[string]activity.InputSpec{"nope": {Prob: 0.5, Density: 0.1}}
 		}},

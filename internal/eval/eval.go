@@ -423,18 +423,6 @@ func (e *Engine) CriticalPath(a *design.Assignment) ([]int, float64) {
 	return e.dm.CriticalPath(a)
 }
 
-// Slacks runs a full required-time analysis against the cycle budget T into
-// engine scratch (valid until the next Engine call).
-//
-//cmosvet:hotpath
-//cmosvet:unit T s
-//cmosvet:unit return s
-func (e *Engine) Slacks(a *design.Assignment, T float64) []float64 {
-	e.delaysInto(e.td, a)
-	e.arrivalsInto(e.arr, e.td)
-	return e.slacksFrom(e.td, e.arr, T)
-}
-
 // slacksFrom computes slacks from already-known delays and arrivals — pure
 // graph propagation, no device-model calls.
 //

@@ -80,13 +80,6 @@ func TestEngineMatchesModels(t *testing.T) {
 	if got, want := eng.Energy(a), pm.Total(a); got != want {
 		t.Fatalf("energy: engine %+v, model %+v", got, want)
 	}
-	wantSl := dm.Slacks(a, 10e-9)
-	gotSl := eng.Slacks(a, 10e-9)
-	for i := range wantSl {
-		if gotSl[i] != wantSl[i] {
-			t.Fatalf("gate %d slack: engine %v, model %v", i, gotSl[i], wantSl[i])
-		}
-	}
 }
 
 func TestProbeWidthMatchesMutateRestore(t *testing.T) {

@@ -6,19 +6,17 @@ import (
 )
 
 // Incremental evaluation. Bind attaches the engine to one assignment and
-// computes its full timing and energy state once; after that, point edits
-// (SetWidth, SetGateVts) re-evaluate only the gates the edit can reach:
+// computes its full timing and energy state once; after that, a width edit
+// (SetWidth) re-evaluates only the gates it can reach:
 //
 //   - a width change at gate i re-prices gate i itself (its own switching
 //     width) and its logic fanins (their output load includes w_i·C_t and the
 //     worst interconnect branch), then propagates delay/arrival changes
 //     through the fanout cone in topological-rank order, stopping wherever
 //     both t_d and arrival are bitwise unchanged;
-//   - a threshold change at gate i re-prices gate i only (no other gate's
-//     load depends on V_TSi) and propagates the same way;
 //   - energy needs no propagation at all: E_i depends on w_i, V_TSi and the
-//     widths of i's fanouts, so the edited gate and (for width edits) its
-//     logic fanins are the only stale entries in the per-gate energy arrays.
+//     widths of i's fanouts, so the edited gate and its logic fanins are the
+//     only stale entries in the per-gate energy arrays.
 //
 // The propagation recomputes each dirty gate with the exact same model call
 // the full sweep uses, reading cached fanin values — so bound results are
@@ -31,7 +29,7 @@ import (
 
 // Bind attaches the engine to a for incremental evaluation and performs the
 // initial full delay + energy computation. The engine holds a reference: all
-// subsequent edits to a must go through SetWidth/SetGateVts or a fresh Bind,
+// subsequent edits to a must go through SetWidth or a fresh Bind,
 // and bound accessors reflect a's current state. Bind replaces any prior
 // binding.
 func (e *Engine) Bind(a *design.Assignment) {
@@ -97,25 +95,6 @@ func (e *Engine) SetWidth(id int, w float64) {
 			}
 		}
 	}
-	if e.pm != nil {
-		e.refreshEnergy(id)
-	}
-	e.propagate()
-}
-
-// SetGateVts sets the bound assignment's threshold of gate id and
-// incrementally re-evaluates its delay cone and its (static) energy.
-//
-//cmosvet:hotpath
-//cmosvet:unit vts V
-func (e *Engine) SetGateVts(id int, vts float64) {
-	a := e.bound
-	if a.Vts[id] == vts {
-		return
-	}
-	a.Vts[id] = vts
-	e.met.IncrementalEdits++
-	e.push(id)
 	if e.pm != nil {
 		e.refreshEnergy(id)
 	}

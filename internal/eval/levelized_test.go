@@ -80,15 +80,6 @@ func checkLevelizedAgreesWithFlatWalk(t *testing.T, eng *Engine, n int, label st
 		if got, want := eng.CriticalDelay(a), dm.CriticalDelay(a); got != want {
 			t.Fatalf("%s @%v: critical delay %v != %v", label, pt, got, want)
 		}
-		T := dm.CriticalDelay(a) * 1.2
-		wantSl := dm.Slacks(a, T)
-		gotSl := eng.Slacks(a, T)
-		for i := range wantSl {
-			if gotSl[i] != wantSl[i] {
-				t.Fatalf("%s @%v: gate %d slack %v (levelized) != %v (flat walk)",
-					label, pt, i, gotSl[i], wantSl[i])
-			}
-		}
 	}
 }
 

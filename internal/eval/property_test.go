@@ -52,12 +52,10 @@ func TestIncrementalMatchesFull(t *testing.T) {
 
 			for step := 0; step < 120; step++ {
 				id := rng.Intn(c.N())
-				switch rng.Intn(6) {
+				switch rng.Intn(5) {
 				case 0, 1, 2: // width edits dominate real optimizer traffic
 					eng.SetWidth(id, randW())
-				case 3:
-					eng.SetGateVts(id, randVts())
-				case 4: // global moves re-bind: every gate is stale
+				case 3: // global moves re-bind: every gate is stale
 					a.Vdd = randVdd()
 					eng.Bind(a)
 				default:

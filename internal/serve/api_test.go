@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -83,8 +84,37 @@ func TestCacheKeying(t *testing.T) {
 	if base != spelled {
 		t.Errorf("spelled-out defaults changed the key: %s vs %s", base, spelled)
 	}
-	if k := key(Request{Circuit: "s27", TimeoutMS: 5000, NoCache: true}); k != base {
-		t.Errorf("execution controls leaked into the key")
+	// Every JSON field of Request is either content, which the key covers,
+	// or an execution control, which it must not: requests that differ only
+	// in how the server runs them are the same job and share a cache entry.
+	// A new field fails here until it is classified.
+	keyFields := map[string]bool{
+		"kind": true, "circuit": true, "bench": true, "netlist_sha256": true,
+		"mode": true, "nv": true, "fc_hz": true, "skew": true, "input_prob": true,
+		"activity": true, "m": true, "from_hz": true, "to_hz": true,
+		"points": true, "format": true, "tech": true,
+	}
+	controls := map[string]any{"timeout_ms": 5000, "nocache": true}
+	rt := reflect.TypeOf(Request{})
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if keyFields[name] {
+			continue
+		}
+		v, ok := controls[name]
+		if !ok {
+			t.Errorf("Request.%s (json %q) is neither a key field nor an execution control", f.Name, name)
+			continue
+		}
+		r := Request{Circuit: "s27"}
+		reflect.ValueOf(&r).Elem().Field(i).Set(reflect.ValueOf(v))
+		if key(r) != base {
+			t.Errorf("execution control %q leaked into the key", name)
+		}
 	}
 	distinct := []Request{
 		{Circuit: "c17"},
