@@ -67,27 +67,63 @@ func TestNormalizeRejects(t *testing.T) {
 	}
 }
 
-// The cache key must collide for requests that mean the same job (defaults
-// spelled out vs omitted) and differ whenever any result-bearing field
-// differs — while execution controls must never reach the key at all.
-func TestCacheKeying(t *testing.T) {
-	key := func(r Request) string {
+// cacheKeyOf returns a function that normalizes a request and returns its
+// cache key, failing t if the request does not normalize.
+func cacheKeyOf(t *testing.T) func(Request) string {
+	return func(r Request) string {
 		t.Helper()
 		if err := r.normalize(); err != nil {
 			t.Fatalf("normalize %+v: %v", r, err)
 		}
 		return r.cacheKey()
 	}
+}
+
+// The cache key must collide for requests that mean the same job (defaults
+// spelled out vs omitted) and differ whenever any result-bearing field
+// differs. TestCacheKeyPure checks that execution controls never reach it.
+func TestCacheKeying(t *testing.T) {
+	key := cacheKeyOf(t)
 	base := key(Request{Circuit: "s27"})
 	spelled := key(Request{Circuit: "s27", Kind: KindOptimize, Mode: "joint",
 		FcHz: 300e6, M: 12, Skew: 0.95, InputProb: 0.5, Activity: 0.5})
 	if base != spelled {
 		t.Errorf("spelled-out defaults changed the key: %s vs %s", base, spelled)
 	}
-	// Every JSON field of Request is either content, which the key covers,
-	// or an execution control, which it must not: requests that differ only
-	// in how the server runs them are the same job and share a cache entry.
-	// A new field fails here until it is classified.
+	distinct := []Request{
+		{Circuit: "c17"},
+		{Circuit: "s27", FcHz: 200e6},
+		{Circuit: "s27", Mode: "baseline"},
+		{Circuit: "s27", Mode: "multivt"},
+		{Circuit: "s27", Skew: 0.9},
+		{Circuit: "s27", Tech: "vddmax=3.0"},
+		{Kind: KindSweep, Circuit: "s27"},
+	}
+	seen := map[string]int{base: -1}
+	for i, r := range distinct {
+		k := key(r)
+		if prev, dup := seen[k]; dup {
+			t.Errorf("requests %d and %d share a key", i, prev)
+		}
+		seen[k] = i
+	}
+
+	// Inline netlist text and its upload hash are the same content address.
+	bench := "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n"
+	inline := key(Request{Bench: bench})
+	uploaded := key(Request{NetlistSHA256: HashNetlist(bench)})
+	if inline != uploaded {
+		t.Errorf("inline vs uploaded netlist keys differ")
+	}
+}
+
+// Every JSON field of Request is either content, which the cache key covers,
+// or an execution control, which it must not: requests that differ only in
+// how the server runs them are the same job and share a cache entry. A new
+// field fails here until it is classified.
+func TestCacheKeyPure(t *testing.T) {
+	key := cacheKeyOf(t)
+	base := key(Request{Circuit: "s27"})
 	keyFields := map[string]bool{
 		"kind": true, "circuit": true, "bench": true, "netlist_sha256": true,
 		"mode": true, "nv": true, "fc_hz": true, "skew": true, "input_prob": true,
@@ -115,31 +151,6 @@ func TestCacheKeying(t *testing.T) {
 		if key(r) != base {
 			t.Errorf("execution control %q leaked into the key", name)
 		}
-	}
-	distinct := []Request{
-		{Circuit: "c17"},
-		{Circuit: "s27", FcHz: 200e6},
-		{Circuit: "s27", Mode: "baseline"},
-		{Circuit: "s27", Mode: "multivt"},
-		{Circuit: "s27", Skew: 0.9},
-		{Circuit: "s27", Tech: "vddmax=3.0"},
-		{Kind: KindSweep, Circuit: "s27"},
-	}
-	seen := map[string]int{base: -1}
-	for i, r := range distinct {
-		k := key(r)
-		if prev, dup := seen[k]; dup {
-			t.Errorf("requests %d and %d share a key", i, prev)
-		}
-		seen[k] = i
-	}
-
-	// Inline netlist text and its upload hash are the same content address.
-	bench := "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n"
-	inline := key(Request{Bench: bench})
-	uploaded := key(Request{NetlistSHA256: HashNetlist(bench)})
-	if inline != uploaded {
-		t.Errorf("inline vs uploaded netlist keys differ")
 	}
 }
 
