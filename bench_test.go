@@ -648,6 +648,52 @@ func BenchmarkEngineFullEval(b *testing.B) {
 	}
 }
 
+// widthSink keeps BenchmarkEngineWidthSearch's searches observable.
+//
+//cmosvet:unit 1
+var widthSink float64
+
+// BenchmarkEngineWidthSearch measures Procedure 2's width-search layer
+// alone: one op prepares every logic gate of the circuit and searches its
+// width once (M = 12, widths [WMin, WMax]) against its Procedure 1 budget,
+// near s510's joint optimum (0.5 V, 0.17 V) with every width at WMin and
+// fixed fanin delays. Of s510's 211 searches, 2 miss the budget at WMax, 53
+// meet it at WMin and 156 bisect. width-probes per op is an exact count,
+// and the searches allocate nothing.
+func BenchmarkEngineWidthSearch(b *testing.B) {
+	b.Run("s510", func(b *testing.B) {
+		p := problemFor(b, "s510", 0.5)
+		a := design.Uniform(p.C.N(), 0.5, 0.17, p.Tech.WMin)
+		ids, err := p.C.LogicIDs()
+		if err != nil {
+			b.Fatal(err)
+		}
+		td := p.Eval.Delays(a)
+		maxIn := make([]float64, len(ids))
+		for k, id := range ids {
+			for _, f := range p.C.Gate(id).Fanin {
+				maxIn[k] = max(maxIn[k], td[f])
+			}
+		}
+		m := core.DefaultOptions().M
+		searchAll := func() {
+			for k, id := range ids {
+				pr := p.Eval.PrepareWidth(id, a, maxIn[k])
+				widthSink, _ = pr.MinWidth(p.Tech.WMin, p.Tech.WMax, m, p.Budgets.TMax[id])
+			}
+		}
+		searchAll() // warm the caches: the regression gate times 3 ops of ~20 µs
+		b.ReportAllocs()
+		probes0 := p.Eval.Metrics().WidthProbes
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			searchAll()
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(p.Eval.Metrics().WidthProbes-probes0)/float64(b.N), "width-probes")
+	})
+}
+
 // BenchmarkEngineIncremental measures a bound width edit: re-time the dirty
 // cone and re-price the touched gates instead of sweeping the circuit.
 func BenchmarkEngineIncremental(b *testing.B) {

@@ -13,14 +13,14 @@ import (
 // job's cancel would silently stop working for that loop shape.
 //
 // What counts as reaching evaluation: a direct call to an Engine
-// full-evaluation method (Delays/Arrivals/Slacks/CriticalDelay/CriticalPath/
+// full-evaluation method (Delays/Arrivals/CriticalDelay/CriticalPath/
 // Energy), a call to a same-module function whose CallsEval
 // fact is set (computed transitively within each package — core's evalPoint
 // and everything funneling into it), or a call to a local closure whose body
 // does either. Per-gate probes (ProbeWidth, GateDelayWith, GateDelayOverride,
-// and the prepared probe's PrepareWidth, WidthProbe.At and
-// WidthProbe.Settled) are deliberately not "evaluation": a width-solve pass
-// inside one candidate loops over them by design and polls only at its
+// and the prepared probe's PrepareWidth, WidthProbe.At, WidthProbe.MinWidth
+// and WidthProbe.Settled) are deliberately not "evaluation": a width-solve
+// pass inside one candidate loops over them by design and polls only at its
 // candidate boundary.
 //
 // What counts as a poll: ctx.Err()/ctx.Done() on a context.Context, a call

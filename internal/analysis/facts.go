@@ -214,11 +214,11 @@ func calleeRef(info *types.Info, call *ast.CallExpr) (path, key string, ok bool)
 // circuit — the "one candidate evaluation" granularity of the PR 8
 // cancellation contract. Per-gate probes (ProbeWidth, GateDelayWith,
 // GateDelayOverride, GateEnergy, and the prepared probe's PrepareWidth,
-// WidthProbe.At and WidthProbe.Settled) and incremental Bound* reads are
-// deliberately excluded: a width-solve pass inside one candidate may loop
-// over them without polling.
+// WidthProbe.At, WidthProbe.MinWidth and WidthProbe.Settled) and
+// incremental Bound* reads are deliberately excluded: a width-solve pass
+// inside one candidate may loop over them without polling.
 var engineEvalMethods = map[string]bool{
-	"Delays": true, "Arrivals": true, "Slacks": true,
+	"Delays": true, "Arrivals": true,
 	"CriticalDelay": true, "CriticalPath": true,
 	"Energy": true,
 }

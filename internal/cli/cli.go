@@ -400,7 +400,9 @@ func Verify(args []string, out io.Writer) error {
 		return fmt.Errorf("design violates technology limits: %v", err)
 	}
 
-	cd := p.Eval.CriticalDelay(a)
+	// Sign-off re-times the design with the reference delay evaluator, not
+	// the engine whose caches and prepared probes optimized it.
+	cd := p.Eval.DelayModel().CriticalDelay(a)
 	e := p.Eval.Energy(a)
 	budget := p.CycleBudget()
 	fmt.Fprintf(out, "circuit        %s (%d gates)\n", p.C.Name, p.C.NumLogic())

@@ -2,10 +2,18 @@ package cli
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"cmosopt/internal/core"
+	"cmosopt/internal/design"
+	"cmosopt/internal/device"
+	"cmosopt/internal/obs"
+	"cmosopt/internal/report"
+	"cmosopt/internal/wiring"
 )
 
 func TestLowPowerJointReport(t *testing.T) {
@@ -93,6 +101,60 @@ func TestSaveVerifyRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "TIMING FAIL") {
 		t.Errorf("missing fail marker:\n%s", out.String())
+	}
+}
+
+// Sign-off re-times a saved joint design with the reference delay
+// evaluator: its critical-delay line, its manifest record and its verdict
+// are those of the delay.Evaluator of a problem built apart from the one
+// Verify builds.
+func TestVerifySignsOffWithReferenceEvaluator(t *testing.T) {
+	dir := t.TempDir()
+	designPath := filepath.Join(dir, "d.json")
+	manifestPath := filepath.Join(dir, "verify.json")
+	var out bytes.Buffer
+	if err := LowPower([]string{"-circuit", "s298", "-mode", "joint", "-save", designPath}, &out); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := Verify([]string{"-design", designPath, "-circuit", "s298", "-metrics", manifestPath}, &out); err != nil {
+		t.Fatalf("verify: %v\n%s", err, out.String())
+	}
+
+	c, err := LoadCircuit("s298", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewProblem(core.Spec{
+		Circuit: c, Tech: device.Default350(), Wiring: wiring.Default350(),
+		Fc: 300e6, Skew: 0.95, InputProb: 0.5, InputDensity: 0.5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(designPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := design.Load(f, p.C)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd, budget := p.Eval.DelayModel().CriticalDelay(a), p.CycleBudget()
+	if cd > budget {
+		t.Fatalf("reference critical delay %v exceeds the budget %v", cd, budget)
+	}
+	line := fmt.Sprintf("critical delay %s (budget %s)\n", report.Eng(cd, "s"), report.Eng(budget, "s"))
+	if !strings.Contains(out.String(), line) || !strings.Contains(out.String(), "TIMING PASS") {
+		t.Errorf("verify output lacks %q and TIMING PASS:\n%s", line, out.String())
+	}
+	man, err := obs.ReadManifest(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Results) != 1 || man.Results[0].CriticalDelayS != cd || !man.Results[0].Feasible {
+		t.Errorf("manifest results %+v, want one feasible record with critical delay %v", man.Results, cd)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmosopt/internal/design"
-	"cmosopt/internal/optimize"
 )
 
 // solveWidths is the innermost loop of Procedure 2: for the supply and
@@ -22,7 +21,7 @@ import (
 func (p *Problem) solveWidths(a *design.Assignment, mSteps, passes int) bool {
 	logic := p.logicOrder()
 	budget := p.Budgets.TMax
-	wRange := optimize.Range{Lo: p.Tech.WMin, Hi: p.Tech.WMax}
+	wMin, wMax := p.Tech.WMin, p.Tech.WMax
 	if p.wtd == nil {
 		p.wtd = make([]float64, p.C.N())
 	}
@@ -51,10 +50,7 @@ func (p *Problem) solveWidths(a *design.Assignment, mSteps, passes int) bool {
 			// other delay terms are derived once for both searches and
 			// its final delay.
 			pr := p.Eval.PrepareWidth(int(id), a, maxIn)
-			pred := func(w float64) bool {
-				return pr.At(w) <= target
-			}
-			w, ok := optimize.MinSatisfying(wRange, mSteps, pred)
+			w, ok := pr.MinWidth(wMin, wMax, mSteps, target)
 			if !ok {
 				// The budget is unreachable at any width (a squeezed
 				// Procedure 1 target; the paper repairs such assignments in
@@ -62,13 +58,11 @@ func (p *Problem) solveWidths(a *design.Assignment, mSteps, passes int) bool {
 				// 10 % of the best achievable delay instead of paying the
 				// full WMax energy; the cycle-time check below still
 				// guards the real constraint.
-				dBest := pr.At(wRange.Hi)
-				w, _ = optimize.MinSatisfying(wRange, mSteps, func(wc float64) bool {
-					return pr.At(wc) <= dBest*1.1
-				})
+				dBest := pr.At(wMax)
+				w, _ = pr.MinWidth(wMin, wMax, mSteps, dBest*1.1)
 				// The change detection below measures against the width the
 				// gate ends the search with; on this path that was WMax.
-				a.W[id] = wRange.Hi
+				a.W[id] = wMax
 			}
 			if rel := w - a.W[id]; rel > 1e-3*a.W[id] || rel < -1e-3*a.W[id] {
 				changed = true

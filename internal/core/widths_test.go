@@ -21,6 +21,13 @@ var walkerRuns = map[string]func(p *Problem, o Options) (*Result, error){
 		o.M = 4 // the greedy sizer costs tens of budget solves per point
 		return p.OptimizeJointSensitivity(o)
 	},
+	// The joint search at an odd depth; TestOptimizeJointEffortPinned runs
+	// it on widths in [1.3, 37.7], whose bisection midpoints are not short
+	// binary fractions.
+	"joint-narrow": func(p *Problem, o Options) (*Result, error) {
+		o.M = 7
+		return p.OptimizeJoint(o)
+	},
 }
 
 // Procedure 2's effort is deterministic, so every flow that runs its walker
@@ -47,6 +54,8 @@ func TestOptimizeJointEffortPinned(t *testing.T) {
 		{"s510", "baseline", effort{603, 127202, 114120, 14, 12}, bits{0x3d842ae3f2fb6016, 0x3ffd166666666665, 0x3fe6666666666666}},
 		{"s510", "baseline-3.3", effort{21, 4533, 3056, 3, 0}, bits{0x3d96ef332b9b9165, 0x400a666666666666, 0x3fe6666666666666}},
 		{"s510", "sensitivity", effort{103602, 21859920, 21280344, 18, 16}, bits{0x3d5088d790ee3a9c, 0x3fe0000000000000, 0x3fd0000000000000}},
+		{"s298", "joint-narrow", effort{1231, 146485, 118758, 51, 49}, bits{0x3d5568f5f7d5faa1, 0x3fd999999999999a, 0x3fc199999999999a}},
+		{"s510", "joint-narrow", effort{1645, 346992, 294875, 51, 49}, bits{0x3d5d913a9c0d29fe, 0x3fe0000000000000, 0x3fc6666666666666}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.circuit+"/"+tc.run, func(t *testing.T) {
@@ -54,7 +63,14 @@ func TestOptimizeJointEffortPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := problemFor(t, c, 0.5)
+			spec := specFor(c, 0.5)
+			if tc.run == "joint-narrow" {
+				spec.Tech.WMin, spec.Tech.WMax = 1.3, 37.7
+			}
+			p, err := NewProblem(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
 			m0 := *p.Eval.Metrics()
 			o := DefaultOptions()
 			o.Workers = 1 // misses are exact on one worker: each clone's cache starts empty

@@ -277,6 +277,11 @@ func stackTerm(q, w, idw float64) float64 { return q / (2 * w * idw) }
 // and the gate's voltages do not change in between. Its load scratch comes
 // from NewPrepared, sized for every gate of the circuit, so Prepare does not
 // allocate.
+//
+// Prepare also keeps the same delay in the form Eq. A3 takes in 1/w_i,
+// At(w) ≈ c0 + c1/w: the slope and interconnect terms do not depend on the
+// gate's own width, and the switching and series-stack terms are a constant
+// plus a multiple of 1/w_i. Bracket decides "At(w) <= target" from it.
 type Prepared struct {
 	slope  float64 // input-slope component //cmosvet:unit s
 	vdd    float64 // the gate's supply //cmosvet:unit V
@@ -295,7 +300,22 @@ type Prepared struct {
 	// input gate, +Inf when the operating point cannot switch the gate.
 	fixed   bool
 	fixedTd float64 //cmosvet:unit s
+
+	// The closed form: c0 = slope + worst + V_dd·C_PD/(2·drive) and
+	// c1 = V_dd·Σloads/(2·drive), plus stack/(2·I_Dw) when f_ii > 1.
+	// affine marks the gates whose closed form Bracket may use.
+	c0     float64 //cmosvet:unit s
+	c1     float64 //cmosvet:unit s
+	affine bool
 }
+
+// bracketMargin is Bracket's relative margin on the target and on the
+// width, and maxBracketLoads the largest load count whose rounding error it
+// covers: (2²⁰+10)·2⁻⁵³ < 1.2·10⁻¹⁰.
+const (
+	bracketMargin   = 1e-9
+	maxBracketLoads = 1 << 20
+)
 
 // NewPrepared returns an empty Prepared whose load scratch fits the
 // largest fanout in the circuit.
@@ -328,10 +348,13 @@ func (e *Evaluator) Prepare(p *Prepared, id int, a *design.Assignment, maxFaninD
 	rb := e.Wire.BranchResNet(id)
 	fl := e.Wire.FlightTimeNet(id)
 	loads := p.loads[:0]
-	worst := 0.0
+	worst, sum := 0.0, 0.0
+	signed := false // a negative load: sums may cancel, so no closed form
 	for _, f := range cs.Fanouts(int32(id)) {
 		l := branchLoad(t, a.W[f], cb)
 		loads = append(loads, l)
+		sum += l
+		signed = signed || l < 0
 		if b := branchDelay(rb, l, fl); b > worst {
 			worst = b
 		}
@@ -339,6 +362,8 @@ func (e *Evaluator) Prepare(p *Prepared, id int, a *design.Assignment, maxFaninD
 	if cs.IsPO[id] {
 		l := poLoad(t, cb)
 		loads = append(loads, l)
+		sum += l
+		signed = signed || l < 0
 		if b := branchDelay(rb, l, fl); b > worst {
 			worst = b
 		}
@@ -355,6 +380,20 @@ func (e *Evaluator) Prepare(p *Prepared, id int, a *design.Assignment, maxFaninD
 	p.series = fii > 1
 	p.loads = loads
 	p.fixed = false
+
+	perCap := vdd / (2 * drive) // switching delay per unit of load, times w
+	c0 := p.slope + worst + t.CPD*perCap
+	c1 := sum * perCap
+	if p.series {
+		c1 += p.stack / (2 * k.Idw)
+	}
+	p.c0, p.c1 = c0, c1
+	// Bracket's error bound needs every term of At non-negative (drive and
+	// I_Dw are positive on a gate that switches), few enough loads, and
+	// finite coefficients; NaN fails every comparison here.
+	p.affine = !signed && p.slope >= 0 && vdd > 0 && t.CPD >= 0 &&
+		(!p.series || p.stack >= 0) && len(loads) <= maxBracketLoads &&
+		c0 <= math.MaxFloat64 && c1 <= math.MaxFloat64
 }
 
 // At returns the prepared gate's delay at width w, adding the terms in
@@ -378,6 +417,49 @@ func (p *Prepared) At(w float64) float64 {
 		td += stackTerm(p.stack, w, p.idw)
 	}
 	return td
+}
+
+// Bracket returns two widths that decide "At(w) <= target" for any width
+// 0 < w < +Inf without calling At: it holds at every w >= wTrue and fails
+// at every w <= wFalse. Only widths strictly between them, next to the
+// crossing, need At. A NaN threshold decides nothing (every comparison with
+// it is false); both are NaN for a fixed gate, a gate without a usable
+// closed form, or a target that is not finite and positive.
+//
+// The thresholds come from c0 + c1/w with a relative margin of 10⁻⁹ on the
+// target and on the width, which covers the rounding of both forms. Every
+// term of At is non-negative, so At(w) lies within a relative (n+10)·2⁻⁵³ of
+// the exact value of Eq. A3 at the prepared terms, for n loads: n+1
+// roundings form the load, three the switching term, two the stack term
+// and three the final sum. c0 and c1 are within the same bound of the exact
+// coefficients, and the width margin covers the four roundings of a
+// threshold. Prepare turns the closed form off past maxBracketLoads loads,
+// before the bound nears the margin. The argument assumes no intermediate
+// result is subnormal; Eq. A3's delays, capacitances and currents sit
+// hundreds of decades above that.
+//
+//cmosvet:hotpath
+//cmosvet:unit target s
+//cmosvet:unit return1 1
+//cmosvet:unit return2 1
+func (p *Prepared) Bracket(target float64) (wTrue, wFalse float64) {
+	wTrue, wFalse = math.NaN(), math.NaN()
+	if p.fixed || !p.affine || !(target > 0 && target <= math.MaxFloat64) {
+		return wTrue, wFalse
+	}
+	// c0 + c1/w <= target·(1−margin) for w >= c1/(target·(1−margin) − c0);
+	// below c0 no width reaches the target.
+	if d := target*(1-bracketMargin) - p.c0; d > 0 {
+		wTrue = p.c1 / d * (1 + bracketMargin)
+	}
+	// c0 + c1/w >= target·(1+margin) for w <= c1/(target·(1+margin) − c0),
+	// and for every width once c0 alone reaches it.
+	if d := target*(1+bracketMargin) - p.c0; d > 0 {
+		wFalse = p.c1 / d * (1 - bracketMargin)
+	} else {
+		wFalse = math.Inf(1)
+	}
+	return wTrue, wFalse
 }
 
 // Delays returns the per-gate delay t_di for the whole network, computed in

@@ -6,7 +6,7 @@
 // makes iterative optimization cheap:
 //
 //   - per-engine scratch buffers, so steady-state full-circuit evaluation
-//     (Delays, Arrivals, CriticalDelay, Slacks, Energy) is allocation-free;
+//     (Delays, Arrivals, CriticalDelay, Energy) is allocation-free;
 //   - a per-(V_dd, V_TS) device-coefficient cache: the slope coefficient,
 //     drive current I_Dw and leakage I_off depend on the voltage pair only,
 //     yet cost three transcendental evaluations per gate-delay call when
@@ -17,12 +17,16 @@
 //     "what would this gate's delay be at width w" without the
 //     mutate-and-restore pattern on the assignment, and the prepared width
 //     probe (PrepareWidth, WidthProbe) that answers it for a whole width
-//     search after deriving the gate's width-independent terms once;
+//     search after deriving the gate's width-independent terms once.
+//     WidthProbe.MinWidth runs that search: a probe is one width it tests,
+//     answered by Eq. A3's closed form c0 + c1/w when that decides it and
+//     by the term-by-term sum otherwise, with the same verdict either way;
 //   - incremental re-evaluation (Bind/SetWidth in incremental.go): editing
 //     one gate's width dirties only its fanin loads and its fanout cone, not
 //     the whole circuit;
 //   - a standardized evaluation-effort meter (Metrics): every gate-delay
-//     model call is counted, and FullEvalEquivalents converts the count into
+//     model call and every width probe is counted, however it is answered,
+//     and FullEvalEquivalents converts the count into
 //     full-circuit-evaluation units, the paper's O(M³) currency.
 //
 // An Engine is NOT safe for concurrent use: the scratch buffers, the
@@ -270,6 +274,79 @@ func (p *WidthProbe) At(w float64) float64 {
 	p.met.WidthProbes++
 	p.met.GateDelayCalls++
 	return p.d.At(w)
+}
+
+// MinWidth returns the smallest width in [lo, hi] at which the prepared
+// gate's delay meets target, by the bisection of Procedure 2's width search:
+// it tests hi, then lo, then steps midpoints lo + (hi−lo)/2, keeping the
+// failing end in lo and the passing end in hi, and returns hi. The second
+// result is false when even hi misses the target, and the width is then hi;
+// when lo already meets it, the width is lo.
+//
+// Each tested width is one probe and counts as At does. Most are decided by
+// comparing the width against the delay.Prepared.Bracket thresholds, which
+// MinWidth derives once per search; the rest by At. Both are Eq. A3 and give
+// the same answer, so the tested widths, the result and the counts are
+// those of a bisection that calls At at every width.
+//
+//cmosvet:hotpath
+//cmosvet:unit lo 1
+//cmosvet:unit hi 1
+//cmosvet:unit target s
+//cmosvet:unit return1 1
+func (p *WidthProbe) MinWidth(lo, hi float64, steps int, target float64) (float64, bool) {
+	wTrue, wFalse := math.NaN(), math.NaN()
+	if lo > 0 && hi > 0 && lo <= math.MaxFloat64 && hi <= math.MaxFloat64 {
+		// Every tested width lies in [lo, hi], where Bracket holds.
+		wTrue, wFalse = p.d.Bracket(target)
+	}
+	if !p.meets(hi, wTrue, wFalse, target) {
+		p.count(1)
+		return hi, false
+	}
+	if p.meets(lo, wTrue, wFalse, target) {
+		p.count(2)
+		return lo, true
+	}
+	for i := 0; i < steps; i++ {
+		mid := lo + (hi-lo)/2
+		// p.meets(mid, …) written out: the call would not inline, and it
+		// costs as much as the comparisons that decide most midpoints.
+		if mid >= wTrue || !(mid <= wFalse) && p.d.At(mid) <= target {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	p.count(2 + int64(max(steps, 0)))
+	return hi, true
+}
+
+// meets reports whether the prepared delay at width w is at most target,
+// from the thresholds when they decide it and from At otherwise. A NaN
+// threshold fails both comparisons, so it leaves every width to At.
+//
+//cmosvet:hotpath
+//cmosvet:unit w 1
+//cmosvet:unit wTrue 1
+//cmosvet:unit wFalse 1
+//cmosvet:unit target s
+func (p *WidthProbe) meets(w, wTrue, wFalse, target float64) bool {
+	if w >= wTrue {
+		return true
+	}
+	if w <= wFalse {
+		return false
+	}
+	return p.d.At(w) <= target
+}
+
+// count records n width probes.
+//
+//cmosvet:hotpath
+func (p *WidthProbe) count(n int64) {
+	p.met.WidthProbes += n
+	p.met.GateDelayCalls += n
 }
 
 // Settled returns the prepared gate's delay at the width its search settled

@@ -154,8 +154,8 @@ func TestWidthProbeMatchesProbeWidth(t *testing.T) {
 	}
 }
 
-// Preparing and probing allocates nothing, on the engine and on a clone,
-// for the gate with the widest fanout.
+// Preparing, probing and searching allocates nothing, on the engine and on
+// a clone, for the gate with the widest fanout.
 func TestWidthProbeZeroAlloc(t *testing.T) {
 	c, eng, _, _ := buildCase(t, 5)
 	a := design.Uniform(c.N(), 1.2, 0.3, 3)
@@ -174,9 +174,10 @@ func TestWidthProbeZeroAlloc(t *testing.T) {
 			pr := e.PrepareWidth(hub, a, 1e-10)
 			_ = pr.At(2)
 			_ = pr.Settled(2)
+			_, _ = pr.MinWidth(1, 100, 12, pr.At(7))
 		})
 		if allocs != 0 {
-			t.Errorf("PrepareWidth + At + Settled on gate %d (fanout %d): %v allocs per run, want 0",
+			t.Errorf("PrepareWidth + At + Settled + MinWidth on gate %d (fanout %d): %v allocs per run, want 0",
 				hub, cs.NumFanout(int32(hub)), allocs)
 		}
 	}

@@ -6,16 +6,6 @@ import (
 	"cmosopt/internal/optimize"
 )
 
-func ExampleMinSatisfying() {
-	// Smallest width meeting a delay target, the inner move of Procedure 2:
-	// delay(w) = 10/w + 1 must be ≤ 3, so w ≥ 5.
-	w, ok := optimize.MinSatisfying(optimize.Range{Lo: 1, Hi: 100}, 40, func(w float64) bool {
-		return 10/w+1 <= 3
-	})
-	fmt.Printf("ok=%v w=%.3f\n", ok, w)
-	// Output: ok=true w=5.000
-}
-
 func ExampleGoldenSection() {
 	x, fx := optimize.GoldenSection(func(x float64) float64 {
 		return (x - 2) * (x - 2)

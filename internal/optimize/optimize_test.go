@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestRangeBasics(t *testing.T) {
@@ -45,35 +44,6 @@ func TestLinspace(t *testing.T) {
 	}
 	if pts := (Range{0, 1}).Linspace(1); len(pts) != 1 || pts[0] != 0.5 {
 		t.Errorf("degenerate linspace = %v", pts)
-	}
-}
-
-func TestMinSatisfying(t *testing.T) {
-	// pred: x >= 3.7 on [0,10].
-	x, ok := MinSatisfying(Range{0, 10}, 40, func(v float64) bool { return v >= 3.7 })
-	if !ok || math.Abs(x-3.7) > 1e-9 {
-		t.Errorf("MinSatisfying = %v ok=%v, want ~3.7", x, ok)
-	}
-	// Never satisfiable.
-	if _, ok := MinSatisfying(Range{0, 10}, 40, func(v float64) bool { return false }); ok {
-		t.Error("unsatisfiable predicate reported ok")
-	}
-	// Already satisfied at Lo.
-	x, ok = MinSatisfying(Range{5, 10}, 40, func(v float64) bool { return v >= 1 })
-	if !ok || x != 5 {
-		t.Errorf("lo-satisfied = %v ok=%v", x, ok)
-	}
-}
-
-func TestMinSatisfyingAlwaysReturnsSatisfying(t *testing.T) {
-	f := func(threshRaw float64, steps uint8) bool {
-		thresh := math.Mod(math.Abs(threshRaw), 10)
-		pred := func(v float64) bool { return v >= thresh }
-		x, ok := MinSatisfying(Range{0, 10}, int(steps%30)+1, pred)
-		return ok && pred(x)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 
