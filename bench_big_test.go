@@ -66,9 +66,10 @@ func TestBigScale1M(t *testing.T) {
 	t.Logf("s1m: generate %v, elaborate %v, live heap %.0f B/gate", genDur, elabDur, perGate)
 
 	// The whole elaborated problem — circuit, CSR core, activity, wiring,
-	// budgets, engine — measures 177 B/gate. The 190 bound leaves headroom
-	// for allocator noise but fails a layout in which each Gate repeats its
-	// fanouts (197). See DESIGN.md §8 for the field-by-field budget.
+	// budgets, engine, width-solve order — measures 181 B/gate. The 190
+	// bound leaves headroom for allocator noise but fails a layout in which
+	// each Gate repeats its fanouts (197). See DESIGN.md §8 for the
+	// field-by-field budget.
 	const maxBytesPerGate = 190
 	if perGate > maxBytesPerGate {
 		t.Fatalf("live heap %.0f B/gate exceeds %d B/gate budget", perGate, maxBytesPerGate)

@@ -212,10 +212,13 @@ func BenchmarkMultiVt(b *testing.B) {
 // 100,000-gate random-logic network (coarser M = 8 bisection, and
 // WidthPasses = 6: at 10⁵ gates the width fixed-point needs the extra sweeps
 // for the drift tail of its 100k budget checks to settle inside the
-// verification tolerance).
+// verification tolerance). Allocations are reported per op, elaboration
+// included: the walk reuses its discarded candidates, so a solve allocates
+// its assignments once rather than once per (V_dd, V_TS) point.
 func BenchmarkProcedure2(b *testing.B) {
 	for _, name := range []string{"s298", "s510", "s100k"} {
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			var evals int
 			var probes int64
 			for i := 0; i < b.N; i++ {

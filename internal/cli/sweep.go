@@ -49,13 +49,24 @@ func (p *SweepParams) SetDefaults() {
 	}
 }
 
+// MaxClockHz is the fastest clock target a sweep or a served request may
+// ask for. Its cycle budget is under 1 ps, and the fastest gate of the
+// default 0.35 µm technology takes about 15 ps, so a faster target could
+// only end in "no feasible design point" after a whole search.
+//
+//cmosvet:unit Hz
+const MaxClockHz = 1e12
+
 // Validate rejects unusable sweep ranges, among them one whose to/from ratio
 // is not finite: it overflows, or a bound is NaN, and the clock targets
-// would be +Inf or NaN.
+// would be +Inf or NaN. It also rejects clocks above MaxClockHz.
 func (p *SweepParams) Validate() error {
 	ratio := p.ToHz / p.FromHz
 	if p.FromHz <= 0 || p.ToHz <= p.FromHz || p.Points < 2 || math.IsInf(ratio, 0) || math.IsNaN(ratio) {
 		return fmt.Errorf("bad sweep range [%v, %v] x %d", p.FromHz, p.ToHz, p.Points)
+	}
+	if p.ToHz > MaxClockHz {
+		return fmt.Errorf("sweep clock %v Hz above the %v Hz ceiling", p.ToHz, MaxClockHz)
 	}
 	if p.Points > 256 {
 		return fmt.Errorf("sweep of %d points exceeds the 256-point cap", p.Points)

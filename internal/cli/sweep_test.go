@@ -54,6 +54,26 @@ func TestSweepRangeNonFinite(t *testing.T) {
 	}
 }
 
+// TestSweepClockCeiling admits a sweep up to MaxClockHz and refuses one
+// that reaches past it.
+func TestSweepClockCeiling(t *testing.T) {
+	for _, tc := range []struct {
+		from, to float64
+		ok       bool
+	}{
+		{1e8, MaxClockHz, true},
+		{1e8, 2 * MaxClockHz, false},
+		{2 * MaxClockHz, 3 * MaxClockHz, false},
+		{MaxClockHz, 1e300, false},
+	} {
+		p := SweepParams{FromHz: tc.from, ToHz: tc.to, Points: 3}
+		err := p.Validate()
+		if tc.ok != (err == nil) || err != nil && !strings.Contains(err.Error(), "ceiling") {
+			t.Errorf("sweep [%v, %v]: err = %v, want ok %v or a ceiling refusal", tc.from, tc.to, err, tc.ok)
+		}
+	}
+}
+
 // TestRunSweepDeterministic locks the server-vs-offline byte-identity
 // contract at its root: two runs with identical parameters (at different
 // worker counts, one canceled context-free and one with a live context)

@@ -7,9 +7,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"cmosopt/internal/activity"
 	"cmosopt/internal/circuit"
@@ -91,7 +93,12 @@ type Problem struct {
 	// running optimizer (setTrace) and inherited by forks, so parallel scans
 	// attach to the same node. Nil (spans off) without a registry.
 	trace *obs.Span
-	wtd   []float64 // solveWidths per-pass delay scratch (lazily allocated)
+	// sizeOrder holds the logic gates level by level, each level grouped
+	// by gate shape (see shapeOrder): the order solveWidths sizes them in.
+	// Built once by NewProblem and shared read-only by forks.
+	sizeOrder []int32
+	wtd       []float64          // solveWidths per-pass delay scratch (lazily allocated)
+	spare     *design.Assignment // a candidate buffer the walk discarded (see candidate)
 }
 
 // Canceled reports whether the problem's context has been canceled or has
@@ -123,6 +130,28 @@ func (p *Problem) setTrace(s *obs.Span) *obs.Span {
 // CSR order: in a combinational circuit they are exactly the gates above
 // level 0.
 func (p *Problem) logicOrder() []int32 { return p.cs.Order[p.cs.LevelStart[1]:] }
+
+// shapeOrder returns the logic gates level by level, as logicOrder does,
+// with each level's gates grouped by shape: by fanin count, then by load
+// count (fanouts, plus one for a primary output), in topological order
+// within a group. A width sweep over it runs each gate's fanin and load
+// loops for the same trip counts many times in a row.
+func shapeOrder(cs *circuit.CSR) []int32 {
+	base := cs.LevelStart[1]
+	order := slices.Clone(cs.Order[base:])
+	loads := func(id int32) int {
+		if cs.IsPO[id] {
+			return cs.NumFanout(id) + 1
+		}
+		return cs.NumFanout(id)
+	}
+	for l := 1; l < cs.NumLevels(); l++ {
+		slices.SortStableFunc(order[cs.LevelStart[l]-base:cs.LevelStart[l+1]-base], func(a, b int32) int {
+			return cmp.Or(cmp.Compare(cs.NumFanin(a), cs.NumFanin(b)), cmp.Compare(loads(a), loads(b)))
+		})
+	}
+	return order
+}
 
 // NewProblem elaborates a Spec: cuts DFFs, propagates activities, builds the
 // wiring and model evaluators, and runs Procedure 1 (with repair) to budget
@@ -234,6 +263,7 @@ func NewProblem(s Spec) (*Problem, error) {
 	if p.cs, err = c.CSR(); err != nil {
 		return nil, err
 	}
+	p.sizeOrder = shapeOrder(p.cs)
 	p.otrace = s.Obs.Root()
 	p.ctx = s.Ctx
 	if p.ctx == nil {

@@ -93,7 +93,7 @@ func (p *Problem) evalPoint(vdd, vts float64, o *Options) pointRes {
 	defer ptT.Stop()
 	// Timing view: thresholds at the slow corner share the width slice with
 	// the nominal assignment, so the width solve writes through.
-	nominal := design.Uniform(n, vdd, vts, p.Tech.WMin)
+	nominal := p.candidate(vdd, vts)
 	timingView := nominal
 	if o.VtTimingFactor != 1 {
 		timingView = &design.Assignment{Vdd: vdd, Vts: make([]float64, n), W: nominal.W}
@@ -118,6 +118,24 @@ func (p *Problem) evalPoint(vdd, vts float64, o *Options) pointRes {
 	e := p.Eval.Energy(powerView).Total()
 	eT.Stop()
 	return pointRes{e, nominal, true}
+}
+
+// candidate returns the assignment a pricer starts from: (vdd, vts) on every
+// gate and every width at WMin, as design.Uniform builds it. It reuses the
+// buffer of a candidate the walk discarded when there is one, so a walk
+// allocates its assignments once rather than once per point.
+func (p *Problem) candidate(vdd, vts float64) *design.Assignment {
+	a := p.spare
+	if a == nil {
+		return design.Uniform(p.C.N(), vdd, vts, p.Tech.WMin)
+	}
+	p.spare = nil
+	a.Vdd, a.VddPer = vdd, nil
+	for i := range a.W {
+		a.Vts[i] = vts
+		a.W[i] = p.Tech.WMin
+	}
+	return a
 }
 
 // pricer selects how the walker sizes and prices one (Vdd, Vts) candidate.
@@ -146,11 +164,15 @@ type incumbent struct {
 }
 
 // consider makes r, priced at (vdd, vts), the incumbent when it is feasible
-// and strictly better.
-func (b *incumbent) consider(r pointRes, vdd, vts float64) {
+// and strictly better. It returns the assignment that is not the incumbent
+// afterwards: r's, or the one r displaced (nil when there was none).
+func (b *incumbent) consider(r pointRes, vdd, vts float64) *design.Assignment {
 	if r.ok && r.e < b.e {
+		old := b.a
 		*b = incumbent{r, vdd, vts}
+		return old
 	}
+	return r.a
 }
 
 // axis returns one voltage's search range and bisection depth: the tech
@@ -199,7 +221,9 @@ func (p *Problem) walk(span *obs.Span, o *Options, pinVdd, pinVt float64, how pr
 			}
 			vts := vtsR.Mid()
 			r := p.price(how, vdd, vts, o)
-			best.consider(r, vdd, vts)
+			// The assignment that lost is referenced nowhere else: the next
+			// candidate reuses it.
+			p.spare = best.consider(r, vdd, vts)
 			if r.e < levelE {
 				levelE = r.e
 			}

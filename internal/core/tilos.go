@@ -99,12 +99,12 @@ func (p *Problem) localDelay(a *design.Assignment, id int, td []float64, ov int,
 // +Inf.
 func (p *Problem) sensitivityPoint(vdd, vts float64) pointRes {
 	const step = 0.25
-	a := design.Uniform(p.C.N(), vdd, vts, p.Tech.WMin)
+	a := p.candidate(vdd, vts)
 	szT := p.trace.StartChild("size")
 	ok := p.sizeSensitivity(a, step)
 	szT.Stop()
 	if !ok {
-		return pointRes{e: math.Inf(1)}
+		return pointRes{math.Inf(1), a, false}
 	}
 	return pointRes{p.Eval.Energy(a).Total(), a, true}
 }

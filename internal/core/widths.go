@@ -16,10 +16,16 @@ import (
 // the ablation benchmark); the default in Options is a small fixed-point
 // iteration, which strictly dominates it.
 //
+// Each sweep walks the logic gates level by level in p.sizeOrder. No gate
+// of a level is a fanin or a fanout of another gate of that level, so every
+// gate reads the same fanin delays and fanout widths in any order within its
+// level, and the widths, the verdict and the summed effort counters are
+// those of a sweep in topological order.
+//
 // It returns true only if, after the final sweep, a full delay recomputation
 // meets every budget. Widths are left in a (best effort) either way.
 func (p *Problem) solveWidths(a *design.Assignment, mSteps, passes int) bool {
-	logic := p.logicOrder()
+	logic := p.sizeOrder
 	budget := p.Budgets.TMax
 	wMin, wMax := p.Tech.WMin, p.Tech.WMax
 	if p.wtd == nil {

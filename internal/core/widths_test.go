@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"cmosopt/internal/circuit"
+	"cmosopt/internal/design"
 	"cmosopt/internal/netgen"
 )
 
@@ -94,5 +98,168 @@ func TestOptimizeJointEffortPinned(t *testing.T) {
 				t.Errorf("(objective, Vdd, Vts) bits %#x, want %#x", gotBits, tc.bits)
 			}
 		})
+	}
+}
+
+// solveWidthsTopo is solveWidths with every sweep in the CSR's topological
+// order rather than in p.sizeOrder: the oracle for the shape-grouped order.
+func solveWidthsTopo(p *Problem, a *design.Assignment, mSteps, passes int) bool {
+	logic := p.logicOrder()
+	budget := p.Budgets.TMax
+	wMin, wMax := p.Tech.WMin, p.Tech.WMax
+	td := make([]float64, p.C.N())
+	const searchMargin = 0.97
+	for pass := 0; pass < passes; pass++ {
+		changed := false
+		clear(td)
+		for _, id := range logic {
+			maxIn := 0.0
+			for _, f := range p.cs.Fanins(id) {
+				if td[f] > maxIn {
+					maxIn = td[f]
+				}
+			}
+			target := budget[id] * searchMargin
+			pr := p.Eval.PrepareWidth(int(id), a, maxIn)
+			w, ok := pr.MinWidth(wMin, wMax, mSteps, target)
+			if !ok {
+				dBest := pr.At(wMax)
+				w, _ = pr.MinWidth(wMin, wMax, mSteps, dBest*1.1)
+				a.W[id] = wMax
+			}
+			if rel := w - a.W[id]; rel > 1e-3*a.W[id] || rel < -1e-3*a.W[id] {
+				changed = true
+			}
+			a.W[id] = w
+			td[id] = pr.Settled(w)
+		}
+		if !changed {
+			break
+		}
+	}
+	const budgetTol = 1.03
+	final := p.Eval.Delays(a)
+	for _, id := range logic {
+		if final[id] > budget[id]*budgetTol {
+			return false
+		}
+	}
+	return true
+}
+
+// solveWidths sizes each level's gates grouped by shape instead of in
+// topological order. No gate of a level feeds another, so the widths, the
+// verdict and every effort counter must match the topological sweep bit
+// for bit: on two paper circuits and a 2000-gate netlist, at uniform
+// voltages, with two thresholds and with per-gate supplies, at two search
+// depths (one on an inexact width grid) and pass counts. Coefficient misses
+// match because each problem starts from an empty cache and sees the same
+// voltage pairs in the same order of width solves.
+func TestSolveWidthsLevelOrderInvariant(t *testing.T) {
+	gen, err := netgen.Generate(netgen.Config{Name: "gen2k", Gates: 2000, Depth: 30, PIs: 60, POs: 40}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuits := []*circuit.Circuit{gen}
+	for _, name := range []string{"s298", "s510"} {
+		c, err := netgen.Profile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits = append(circuits, c)
+	}
+	type variant struct {
+		name string
+		make func(n int, vdd, vts float64) *design.Assignment
+	}
+	variants := []variant{
+		{"uniform", func(n int, vdd, vts float64) *design.Assignment { return design.Uniform(n, vdd, vts, 1) }},
+		{"two-vt", func(n int, vdd, vts float64) *design.Assignment {
+			a := design.Uniform(n, vdd, vts, 1)
+			for i := 0; i < n; i += 2 {
+				a.Vts[i] = vts + 0.08
+			}
+			return a
+		}},
+		{"vdd-per-gate", func(n int, vdd, vts float64) *design.Assignment {
+			a := design.Uniform(n, vdd, vts, 1)
+			a.VddPer = make([]float64, n)
+			for i := range a.VddPer {
+				a.VddPer[i] = vdd * (1 + 0.25*float64(i%3))
+			}
+			return a
+		}},
+	}
+	points := [][2]float64{{0.5, 0.17}, {1.0, 0.15}, {0.3, 0.1}, {2.0, 0.4}}
+	var gates, moved, feasible, infeasible int
+	for _, c := range circuits {
+		for _, narrow := range []bool{false, true} {
+			spec := specFor(c, 0.5)
+			if narrow {
+				spec.Tech.WMin, spec.Tech.WMax = 1.3, 37.7
+			}
+			oracle, err := NewProblem(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shaped, err := NewProblem(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logic := shaped.logicOrder()
+			cs := shaped.cs
+			for l := 1; l < cs.NumLevels(); l++ {
+				lv := cs.LevelStart[l] - cs.LevelStart[1]
+				hv := cs.LevelStart[l+1] - cs.LevelStart[1]
+				got := slices.Clone(shaped.sizeOrder[lv:hv])
+				want := slices.Clone(logic[lv:hv])
+				slices.Sort(got)
+				slices.Sort(want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: level %d of the size order is not a permutation of the level's gates", c.Name, l)
+				}
+			}
+			for i := range logic {
+				gates++
+				if logic[i] != shaped.sizeOrder[i] {
+					moved++
+				}
+			}
+			for _, v := range variants {
+				for _, pt := range points {
+					for _, run := range []struct{ m, passes int }{{12, 4}, {7, 1}} {
+						a1 := v.make(c.N(), pt[0], pt[1])
+						a2 := a1.Clone()
+						want := solveWidthsTopo(oracle, a1, run.m, run.passes)
+						got := shaped.solveWidths(a2, run.m, run.passes)
+						// Both problems start alike and run the same solves,
+						// so their running totals must agree after each.
+						wantM, gotM := *oracle.Eval.Metrics(), *shaped.Eval.Metrics()
+						where := fmt.Sprintf("%s narrow=%v %s (%v V, %v V) M=%d passes=%d", c.Name, narrow, v.name, pt[0], pt[1], run.m, run.passes)
+						if got != want {
+							t.Errorf("%s: verdict %v, topological order %v", where, got, want)
+						}
+						if gotM != wantM {
+							t.Errorf("%s: metrics %+v, topological order %+v", where, gotM, wantM)
+						}
+						for i := range a1.W {
+							if math.Float64bits(a1.W[i]) != math.Float64bits(a2.W[i]) {
+								t.Errorf("%s: gate %d width %v, topological order %v", where, i, a2.W[i], a1.W[i])
+								break
+							}
+						}
+						if want {
+							feasible++
+						} else {
+							infeasible++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d of %d logic gates sized out of topological order; %d feasible and %d infeasible solves compared", moved, gates, feasible, infeasible)
+	if moved == 0 || feasible == 0 || infeasible == 0 {
+		t.Errorf("the comparison needs reordered gates, feasible and infeasible solves: %d, %d, %d", moved, feasible, infeasible)
 	}
 }

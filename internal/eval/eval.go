@@ -41,6 +41,7 @@ package eval
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"cmosopt/internal/activity"
@@ -247,8 +248,9 @@ func (e *Engine) ProbeWidth(id int, a *design.Assignment, w, maxFaninDelay float
 // and each At applies only the probed width. Its results are bitwise equal
 // to ProbeWidth's, and it counts the same work.
 type WidthProbe struct {
-	met *Metrics
-	d   delay.Prepared
+	met  *Metrics
+	d    delay.Prepared
+	grid bisectGrid // MinWidth's grid for the last (lo, hi, steps) it searched
 }
 
 // PrepareWidth prepares gate id for a width search at a's voltages and
@@ -287,7 +289,10 @@ func (p *WidthProbe) At(w float64) float64 {
 // comparing the width against the delay.Prepared.Bracket thresholds, which
 // MinWidth derives once per search; the rest by At. Both are Eq. A3 and give
 // the same answer, so the tested widths, the result and the counts are
-// those of a bisection that calls At at every width.
+// those of a bisection that calls At at every width. When the thresholds
+// decide every midpoint and the midpoints are exact grid points (see
+// bisectGrid), MinWidth takes the bisection's final cell directly instead
+// of walking to it.
 //
 //cmosvet:hotpath
 //cmosvet:unit lo 1
@@ -308,6 +313,13 @@ func (p *WidthProbe) MinWidth(lo, hi float64, steps int, target float64) (float6
 		p.count(2)
 		return lo, true
 	}
+	p.count(2 + int64(max(steps, 0)))
+	if p.grid.lo != lo || p.grid.hi != hi || p.grid.steps != steps {
+		p.grid = newBisectGrid(lo, hi, steps)
+	}
+	if w, ok := p.grid.final(wTrue, wFalse); ok {
+		return w, true
+	}
 	for i := 0; i < steps; i++ {
 		mid := lo + (hi-lo)/2
 		// p.meets(mid, …) written out: the call would not inline, and it
@@ -318,8 +330,87 @@ func (p *WidthProbe) MinWidth(lo, hi float64, steps int, target float64) (float6
 			lo = mid
 		}
 	}
-	p.count(2 + int64(max(steps, 0)))
 	return hi, true
+}
+
+// bisectGrid holds the widths a MinWidth bisection over [lo, hi] in steps
+// halvings can test: lo + j·step for j = 0 … n, with step = (hi−lo)/2^steps
+// and n = 2^steps. When lo, hi and step are all multiples of one power of
+// two q and hi < 2^53·q, every sum and difference the bisection forms is an
+// integer multiple of q below 2^53·q, hence exact: each midpoint it tests
+// is exactly lo + j·step, with no rounding. The default width range [1, 100]
+// has such a grid up to 46 steps; a bound like 1.3, whose mantissa has its
+// low bits set, has none. step is 0 when the grid is not exact.
+type bisectGrid struct {
+	lo, hi float64 //cmosvet:unit 1
+	steps  int
+	step   float64 //cmosvet:unit 1
+	n      int64
+}
+
+// newBisectGrid returns the grid of a bisection over [lo, hi] in steps
+// halvings, with step 0 unless every midpoint is exact.
+//
+//cmosvet:hotpath
+//cmosvet:unit lo 1
+//cmosvet:unit hi 1
+func newBisectGrid(lo, hi float64, steps int) bisectGrid {
+	g := bisectGrid{lo: lo, hi: hi, steps: steps}
+	if steps < 1 || !(0 < lo && lo < hi && hi <= math.MaxFloat64) {
+		return g
+	}
+	step := math.Ldexp(hi-lo, -steps)
+	q := min(lowBit(lo), lowBit(hi), lowBit(step))
+	// The second test rejects a step rounded below the normal range; an exact
+	// grid also has fewer than 2^53 cells, which keeps n in range.
+	if hi < math.Ldexp(1, 53+q) && math.Ldexp(step, steps) == hi-lo {
+		g.step, g.n = step, int64(1)<<steps
+	}
+	return g
+}
+
+// lowBit returns the exponent of the lowest set bit of a finite x > 0: the
+// largest power of two x is a multiple of.
+//
+//cmosvet:hotpath
+//cmosvet:unit x 1
+func lowBit(x float64) int {
+	frac, e := math.Frexp(x)
+	return e - 53 + bits.TrailingZeros64(uint64(math.Ldexp(frac, 53)))
+}
+
+// final returns the width a bisection over an exact grid ends on when the
+// thresholds alone decide every midpoint it tests, and false otherwise. The
+// bisection starts from a failing lo and a passing hi. Grid points at or
+// above wTrue meet the target and those at or below wFalse miss it, so when
+// the point below the first one at or above wTrue is at most wFalse, every
+// midpoint is decided and the bisection narrows to that first point: the
+// smallest passing grid point, whatever At would say between the
+// thresholds. A NaN wFalse decides nothing; a NaN wTrue or one above hi
+// leaves hi as the first passing point.
+//
+//cmosvet:hotpath
+//cmosvet:unit wTrue 1
+//cmosvet:unit wFalse 1
+//cmosvet:unit return1 1
+func (g *bisectGrid) final(wTrue, wFalse float64) (float64, bool) {
+	if g.step == 0 {
+		return 0, false
+	}
+	k := g.n
+	if wTrue <= g.hi {
+		// The first grid point at or above wTrue, above a failing lo. The
+		// ceiling of the rounded quotient is exact: wTrue − lo is exact (lo
+		// is a multiple of q, and q of wTrue's ulp), and a wTrue above grid
+		// point j lies at least one ulp of that point above it, more than
+		// half an ulp of j in quotient units, so the quotient never rounds
+		// down onto j. It never rounds above an integer it does not exceed.
+		k = max(int64(math.Ceil((wTrue-g.lo)/g.step)), 1)
+	}
+	if !(g.lo+float64(k-1)*g.step <= wFalse) {
+		return 0, false
+	}
+	return g.lo + float64(k)*g.step, true
 }
 
 // meets reports whether the prepared delay at width w is at most target,

@@ -120,6 +120,9 @@ func (r *Request) normalize() error {
 		if r.FcHz <= 0 {
 			return fmt.Errorf("fc_hz %v must be positive", r.FcHz)
 		}
+		if r.FcHz > cli.MaxClockHz {
+			return fmt.Errorf("fc_hz %v above the %v Hz ceiling", r.FcHz, cli.MaxClockHz)
+		}
 		if r.M == 0 {
 			r.M = 12
 		}

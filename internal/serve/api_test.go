@@ -27,6 +27,18 @@ func TestNormalizeDefaults(t *testing.T) {
 	}
 }
 
+// Clocks up to the ceiling are admitted.
+func TestNormalizeClockCeiling(t *testing.T) {
+	for _, r := range []Request{
+		{Circuit: "s27", FcHz: 1e12},
+		{Kind: KindSweep, Circuit: "s27", FromHz: 1e11, ToHz: 1e12},
+	} {
+		if err := r.normalize(); err != nil {
+			t.Errorf("normalize %+v: %v", r, err)
+		}
+	}
+}
+
 func TestNormalizeRejects(t *testing.T) {
 	huge := strings.Repeat("x", 1<<20)
 	cases := []struct {
@@ -53,6 +65,9 @@ func TestNormalizeRejects(t *testing.T) {
 		{"huge circuit name", Request{Circuit: huge}, "unknown benchmark"},
 		{"huge sweep circuit name", Request{Kind: KindSweep, Circuit: huge}, "unknown benchmark"},
 		{"sweep ratio overflows", Request{Kind: KindSweep, Circuit: "s27", FromHz: 1e-300, ToHz: 1e300, Points: 3}, "bad sweep range"},
+		{"fc above ceiling", Request{Circuit: "s27", FcHz: 2e12}, "ceiling"},
+		{"sweep to above ceiling", Request{Kind: KindSweep, Circuit: "s27", FromHz: 1e8, ToHz: 2e12}, "ceiling"},
+		{"sweep above ceiling", Request{Kind: KindSweep, Circuit: "s27", FromHz: 2e12, ToHz: 3e12}, "ceiling"},
 	}
 	for _, tc := range cases {
 		err := tc.req.normalize()

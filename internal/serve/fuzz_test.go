@@ -45,6 +45,7 @@ func FuzzSubmit(f *testing.F) {
 		{`{"circuit":"c17","tech":"vtsmax = Inf"}`, ""},      // bad tech value
 		{`{"circuit":"c17","tech":"no key here","m":2}`, ""}, // bad tech syntax
 		{`{"circuit":"c17","m":2,"fc_hz":1e-310}`, ""},       // cycle budget overflows
+		{`{"circuit":"c17","m":2,"fc_hz":2e12}`, ""},         // clock above the ceiling
 		{`[1,2,3]`, "INPUT(a)\nOUTPUT(y)\ny = DFF(a)\n"},     // not an object; sequential netlist
 	} {
 		f.Add(seed.body, seed.bench)
