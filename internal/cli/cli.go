@@ -118,6 +118,9 @@ func LowPower(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := CheckClock("-fc", *fc); err != nil {
+		return err
+	}
 
 	ct, err := LoadCircuit(*name, *benchPath)
 	if err != nil {
@@ -264,6 +267,9 @@ func ECO(args []string, out io.Writer) error {
 	if *designPath == "" || *prevBench == "" {
 		return fmt.Errorf("-design and -prev are required")
 	}
+	if err := CheckClock("-fc", *fc); err != nil {
+		return err
+	}
 	prevC, err := LoadCircuit("", *prevBench)
 	if err != nil {
 		return err
@@ -360,6 +366,9 @@ func Verify(args []string, out io.Writer) error {
 	}
 	if *designPath == "" {
 		return fmt.Errorf("-design is required")
+	}
+	if err := CheckClock("-fc", *fc); err != nil {
+		return err
 	}
 	ct, err := LoadCircuit(*name, *benchPath)
 	if err != nil {

@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,6 +74,36 @@ func TestLowPowerFlagErrors(t *testing.T) {
 		var out bytes.Buffer
 		if err := LowPower(args, &out); err == nil || !strings.Contains(err.Error(), "activity:") {
 			t.Errorf("%v: error %v, want an activity validation error", args, err)
+		}
+	}
+}
+
+// Every command that takes -fc refuses a clock that is not positive, not
+// finite or above MaxClockHz, before it loads anything: the circuit, design
+// and netlist named here do not exist.
+func TestClockFlagRejected(t *testing.T) {
+	commands := []struct {
+		name string
+		run  func([]string, io.Writer) error
+		args []string
+	}{
+		{"lowpower", LowPower, []string{"-circuit", "nosuch"}},
+		{"eco", ECO, []string{"-design", "/no/design.json", "-prev", "/no/prev.bench", "-circuit", "nosuch"}},
+		{"verify", Verify, []string{"-design", "/no/design.json", "-circuit", "nosuch"}},
+	}
+	for _, cmd := range commands {
+		for _, tc := range []struct{ fc, want string }{
+			{"2e12", "-fc 2e+12 Hz above the 1e+12 Hz ceiling"},
+			{"+Inf", "-fc +Inf Hz above the 1e+12 Hz ceiling"},
+			{"0", "-fc 0 must be positive"},
+			{"-3e8", "-fc -3e+08 must be positive"},
+			{"NaN", "-fc NaN must be positive"},
+		} {
+			var out bytes.Buffer
+			err := cmd.run(append([]string{"-fc", tc.fc}, cmd.args...), &out)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s -fc %s: error %v, want %q", cmd.name, tc.fc, err, tc.want)
+			}
 		}
 	}
 }

@@ -57,6 +57,19 @@ func (p *SweepParams) SetDefaults() {
 //cmosvet:unit Hz
 const MaxClockHz = 1e12
 
+// CheckClock rejects a clock target that is not positive (NaN included) or
+// lies above MaxClockHz (+Inf included), naming it by field. Sweeps, served
+// requests and the -fc flags of lowpower, eco and verify share it.
+func CheckClock(field string, hz float64) error {
+	if !(hz > 0) {
+		return fmt.Errorf("%s %v must be positive", field, hz)
+	}
+	if hz > MaxClockHz {
+		return fmt.Errorf("%s %v Hz above the %v Hz ceiling", field, hz, MaxClockHz)
+	}
+	return nil
+}
+
 // Validate rejects unusable sweep ranges, among them one whose to/from ratio
 // is not finite: it overflows, or a bound is NaN, and the clock targets
 // would be +Inf or NaN. It also rejects clocks above MaxClockHz.
@@ -65,8 +78,8 @@ func (p *SweepParams) Validate() error {
 	if p.FromHz <= 0 || p.ToHz <= p.FromHz || p.Points < 2 || math.IsInf(ratio, 0) || math.IsNaN(ratio) {
 		return fmt.Errorf("bad sweep range [%v, %v] x %d", p.FromHz, p.ToHz, p.Points)
 	}
-	if p.ToHz > MaxClockHz {
-		return fmt.Errorf("sweep clock %v Hz above the %v Hz ceiling", p.ToHz, MaxClockHz)
+	if err := CheckClock("sweep clock", p.ToHz); err != nil {
+		return err
 	}
 	if p.Points > 256 {
 		return fmt.Errorf("sweep of %d points exceeds the 256-point cap", p.Points)

@@ -7,14 +7,50 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
 )
 
-// readAll is the package's body reader; io.ReadAll behind a name the
-// handlers share.
-func readAll(r io.Reader) ([]byte, error) { return io.ReadAll(r) }
+// bodyPresize caps the buffer readBody allocates from a declared length
+// before any byte arrives: a client may declare MaxBodyBytes and send 60.
+const bodyPresize = 64 << 10
+
+// readBody is the package's body reader, for requests and responses alike.
+// It reads r to EOF like io.ReadAll, but sizes its buffer from declared, the
+// declared length (ContentLength; -1 when unknown): it starts at declared+1,
+// so that the read meeting EOF needs no growth, capped at bodyPresize. Past
+// that it doubles, never beyond declared+1 while the body keeps within it, so
+// a long body costs about twice its size in buffers, not io.ReadAll's five.
+func readBody(r io.Reader, declared int64) ([]byte, error) {
+	want := -1 // the capacity an honestly declared body needs
+	if declared >= 0 && declared < math.MaxInt {
+		want = int(declared) + 1
+	}
+	n := 512 // io.ReadAll's first buffer
+	if want > 0 {
+		n = min(want, bodyPresize)
+	}
+	b := make([]byte, 0, n)
+	for {
+		m, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			c := 2 * cap(b)
+			if want > cap(b) {
+				c = min(c, want)
+			}
+			b = append(make([]byte, 0, c), b...)
+		}
+	}
+}
 
 // Client is a typed view of the server's HTTP API, shared by cmd/loadgen
 // and the end-to-end tests so neither hand-rolls requests.
@@ -63,7 +99,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		return fmt.Errorf("serve client: %w", err)
 	}
 	defer resp.Body.Close()
-	raw, err := readAll(resp.Body)
+	raw, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return fmt.Errorf("serve client: reading response: %w", err)
 	}
@@ -185,7 +221,7 @@ func (c *Client) UploadNetlist(ctx context.Context, bench string) (string, error
 		return "", fmt.Errorf("serve client: %w", err)
 	}
 	defer resp.Body.Close()
-	raw, err := readAll(resp.Body)
+	raw, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return "", fmt.Errorf("serve client: reading response: %w", err)
 	}
@@ -222,7 +258,7 @@ func (c *Client) Events(ctx context.Context, id string, fn func(Event) bool) err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		raw, _ := readAll(resp.Body)
+		raw, _ := readBody(resp.Body, resp.ContentLength)
 		return fmt.Errorf("serve client: events: %s: %s", resp.Status, apiMessage(raw))
 	}
 	sc := bufio.NewScanner(resp.Body)

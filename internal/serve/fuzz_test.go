@@ -19,7 +19,9 @@ import (
 // pipeline: the first input is sent as the request body as it stands, the
 // second, when not empty, as an inline .bench netlist. Whatever arrives, the
 // server must not panic and must answer a JSON body with 200, 202 or a 4xx;
-// a job that ends done must report finite, non-negative energies.
+// a job that ends done must report finite, non-negative energies. Each body
+// is sent twice, and the replay must answer as the body index promises (see
+// checkSubmit).
 func FuzzSubmit(f *testing.F) {
 	s27, err := netgen.LoadNamed("s27")
 	if err != nil {
@@ -75,12 +77,12 @@ func FuzzSubmit(f *testing.F) {
 	})
 }
 
-// checkSubmit sends one waited submission and checks the answer.
+// checkSubmit sends one waited submission and checks the answer, then sends
+// the same bytes again: a 4xx answer must repeat, and a done job with a
+// cache key must come back as a cache hit with byte-equal result JSON.
 func checkSubmit(t *testing.T, h http.Handler, body []byte) {
 	t.Helper()
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", bytes.NewReader(body)))
-	code, out := rec.Code, rec.Body.Bytes()
+	code, out := sendSubmit(h, body)
 	if code != http.StatusOK && code != http.StatusAccepted && (code < 400 || code > 499) {
 		t.Fatalf("status %d for %q: %s", code, body, out)
 	}
@@ -88,6 +90,9 @@ func checkSubmit(t *testing.T, h http.Handler, body []byte) {
 		t.Fatalf("status %d for %q: body is not JSON: %q", code, body, out)
 	}
 	if code >= 400 {
+		if again, replay := sendSubmit(h, body); again != code {
+			t.Fatalf("status %d for %q, then %d on its replay: %s", code, body, again, replay)
+		}
 		return
 	}
 	var st JobStatus
@@ -108,4 +113,26 @@ func checkSubmit(t *testing.T, h http.Handler, body []byte) {
 			}
 		}
 	}
+	if st.Key == "" {
+		return
+	}
+	again, replay := sendSubmit(h, body)
+	var first, second struct {
+		Cached bool            `json:"cached"`
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(out, &first); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(replay, &second); again != http.StatusOK || err != nil ||
+		!second.Cached || !bytes.Equal(second.Result, first.Result) {
+		t.Fatalf("replay of done job %q: status %d, %v: %s\nfirst answer: %s", body, again, err, replay, out)
+	}
+}
+
+// sendSubmit posts body to /v1/jobs?wait=1 through h.
+func sendSubmit(h http.Handler, body []byte) (int, []byte) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", bytes.NewReader(body)))
+	return rec.Code, rec.Body.Bytes()
 }

@@ -52,6 +52,18 @@ type storedResult struct {
 // never modified.
 var idleSpans = flatten(obs.NewRegistry())
 
+// hitCtx and hitDone are every cache hit's context and done channel: a hit
+// is created done, so one canceled context and one closed channel serve them
+// all. Nothing cancels or closes them again: finish ignores a job that is
+// already done.
+var hitCtx, hitDone = func() (context.Context, chan struct{}) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	done := make(chan struct{})
+	close(done)
+	return ctx, done
+}()
+
 func flatten(reg *obs.Registry) []obs.FlatSpan {
 	snap := reg.Root().Snapshot()
 	return snap.Flatten()

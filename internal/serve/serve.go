@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -97,8 +99,11 @@ type Server struct {
 	jobs   map[string]*job
 	order  []string // submission order, for bounded retention
 
-	results  *lru[*storedResult]
-	netlists *lru[string]
+	results  *lru[string, *storedResult]
+	netlists *lru[string, string]
+	// bodies maps the SHA-256 of each request body admitted with a cache
+	// key to that key (see replay). It never holds a body.
+	bodies *lru[[sha256.Size]byte, string]
 
 	running  atomic.Int64
 	accepted atomic.Int64
@@ -117,8 +122,9 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		queue:    make(chan *job, cfg.QueueDepth),
 		jobs:     make(map[string]*job),
-		results:  newLRU[*storedResult](cfg.CacheEntries),
-		netlists: newLRU[string](cfg.NetlistEntries),
+		results:  newLRU[string, *storedResult](cfg.CacheEntries),
+		netlists: newLRU[string, string](cfg.NetlistEntries),
+		bodies:   newLRU[[sha256.Size]byte, string](cfg.CacheEntries),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.mux = http.NewServeMux()
@@ -257,27 +263,13 @@ func (s *Server) submit(req *Request) (*job, error) {
 
 	if key != "" {
 		if res, ok := s.results.get(key); ok {
-			s.hits.Add(1)
-			s.obsCount("serve.cache_hits", 1)
-			j := s.newJobLocked(req, key)
-			// A hit never runs: release its context (and deadline timer)
-			// now, or every hit leaves a child registered on baseCtx. A
-			// later cancel through the API finds a done job and is a no-op.
-			j.cancel()
-			j.cached = true
-			j.state = StateDone
-			j.res = res
-			j.spans = idleSpans
-			close(j.done)
-			s.registerLocked(j)
-			return j, nil
+			return s.hitLocked(key, res), nil
 		}
 		s.misses.Add(1)
 		s.obsCount("serve.cache_misses", 1)
 	}
 
 	j := s.newJobLocked(req, key)
-	j.req, j.reg = req, obs.NewRegistry()
 	select {
 	case s.queue <- j:
 	default:
@@ -296,10 +288,56 @@ func (s *Server) submit(req *Request) (*job, error) {
 	return j, nil
 }
 
-// newJobLocked allocates a queued job with its context chain. A job that
-// will run also needs its request and a registry, which the caller sets.
+// replay answers a byte-identical resubmission from the result cache without
+// decoding it. normalize and cacheKey depend only on the body bytes and the
+// server's fixed defaults, so the key recorded for a body's digest is the key
+// decoding it again would give. nil sends the body down the decode path: it
+// was never recorded, its result has left the cache, or the server is
+// shutting down (the decode path answers that with its 503).
+func (s *Server) replay(sum [sha256.Size]byte) *job {
+	key, ok := s.bodies.get(sum)
+	if !ok {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	res, ok := s.results.get(key)
+	if !ok {
+		return nil
+	}
+	s.obsCount("serve.body_hits", 1)
+	return s.hitLocked(key, res)
+}
+
+// hitLocked registers a job answered from the result cache. A hit never
+// runs, so it is created done, with no request or registry, the idle spans,
+// and the closed channel and canceled context all hits share: it leaves no
+// child context on baseCtx and no deadline timer. A later cancel through
+// the API finds a done job and is a no-op.
+func (s *Server) hitLocked(key string, res *storedResult) *job {
+	s.hits.Add(1)
+	s.obsCount("serve.cache_hits", 1)
+	j := &job{
+		id:     s.newIDLocked(),
+		key:    key,
+		ctx:    hitCtx,
+		cancel: func() {},
+		done:   hitDone,
+		state:  StateDone,
+		cached: true,
+		res:    res,
+		spans:  idleSpans,
+	}
+	s.registerLocked(j)
+	return j
+}
+
+// newJobLocked allocates a queued job with its request, a registry and its
+// context chain.
 func (s *Server) newJobLocked(req *Request, key string) *job {
-	s.nextID++
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
@@ -309,13 +347,21 @@ func (s *Server) newJobLocked(req *Request, key string) *job {
 		ctx, cancel = context.WithTimeout(s.baseCtx, timeout)
 	}
 	return &job{
-		id:     "j" + strconv.FormatInt(s.nextID, 10),
+		id:     s.newIDLocked(),
 		key:    key,
 		ctx:    ctx,
 		cancel: cancel,
 		done:   make(chan struct{}),
 		state:  StateQueued,
+		req:    req,
+		reg:    obs.NewRegistry(),
 	}
+}
+
+// newIDLocked returns the next job id.
+func (s *Server) newIDLocked() string {
+	s.nextID++
+	return "j" + strconv.FormatInt(s.nextID, 10)
 }
 
 // registerLocked indexes the job and evicts beyond the retention bound.
@@ -462,7 +508,10 @@ func writeStatus(w http.ResponseWriter, status int, j *job) {
 	b = append(b, field...)
 	b = append(b, res.json...)
 	b = append(b, "\n}\n"...)
+	// A result is a few KB: with its length declared the response goes out
+	// whole instead of chunked past net/http's 2 KiB buffer.
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
 	_, _ = w.Write(b) // the client hung up; nothing useful to do
 }
@@ -482,34 +531,22 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.stats())
 }
 
+// handleSubmit reads the body whole and answers a byte-identical replay of
+// a body admitted before from its digest (replay); any other body is decoded
+// and admitted (admit).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
+	if err != nil {
 		writeError(w, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	if err := req.normalize(); err != nil {
-		writeError(w, err)
-		return
-	}
-	if req.NetlistSHA256 != "" {
-		text, ok := s.netlists.get(req.NetlistSHA256)
-		if !ok {
-			writeError(w, &apiError{status: http.StatusNotFound,
-				msg: fmt.Sprintf("netlist %s not found (upload it to /v1/netlists first)", req.NetlistSHA256)})
+	sum := sha256.Sum256(body)
+	j := s.replay(sum)
+	if j == nil {
+		if j, err = s.admit(body, sum); err != nil {
+			writeError(w, err)
 			return
 		}
-		req.benchText = text
-	} else if req.Bench != "" {
-		req.benchText = req.Bench
-	}
-
-	j, err := s.submit(&req)
-	if err != nil {
-		writeError(w, err)
-		return
 	}
 	if r.URL.Query().Get("wait") == "1" {
 		select {
@@ -525,6 +562,39 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusOK
 	}
 	writeStatus(w, status, j)
+}
+
+// admit decodes, normalizes and submits a request body. A body submitted
+// with a cache key is then recorded under its digest sum, so its replays skip
+// all of this, unless it names an uploaded netlist: its answer depends on the
+// netlist store too, and must stay a 404 once the upload is evicted, even
+// while its result is cached.
+func (s *Server) admit(body []byte, sum [sha256.Size]byte) (*job, error) {
+	var req Request
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, fmt.Errorf("bad request body: %w", err)
+	}
+	if err := req.normalize(); err != nil {
+		return nil, err
+	}
+	if req.NetlistSHA256 != "" {
+		text, ok := s.netlists.get(req.NetlistSHA256)
+		if !ok {
+			return nil, &apiError{status: http.StatusNotFound,
+				msg: fmt.Sprintf("netlist %s not found (upload it to /v1/netlists first)", req.NetlistSHA256)}
+		}
+		req.benchText = text
+	} else if req.Bench != "" {
+		req.benchText = req.Bench
+	}
+
+	j, err := s.submit(&req)
+	if err == nil && j.key != "" && req.NetlistSHA256 == "" {
+		s.bodies.put(sum, j.key)
+	}
+	return j, err
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -553,7 +623,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleNetlistUpload(w http.ResponseWriter, r *http.Request) {
-	body, err := readAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
 	if err != nil {
 		writeError(w, fmt.Errorf("reading netlist: %w", err))
 		return

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 
+	"cmosopt/internal/circuit"
+	"cmosopt/internal/netgen"
 	"cmosopt/internal/obs"
 )
 
@@ -231,31 +233,47 @@ func TestWriteStatusConcurrentHits(t *testing.T) {
 
 // BenchmarkServeHit measures the serve layer's cache lookup and render: one
 // cache-hit POST /v1/jobs?wait=1 through Server.Handler() against a primed
-// s298 joint result, with no network in between.
+// joint result, with no network in between. /name replays s298 by name,
+// /inline replays s510 as inline .bench text, a body of about 5.5 KB.
 func BenchmarkServeHit(b *testing.B) {
-	s := New(Config{})
-	b.Cleanup(func() {
-		if err := s.Shutdown(context.Background()); err != nil {
-			b.Error(err)
-		}
-	})
-	h := s.Handler()
-	send := func() *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", strings.NewReader(`{"circuit":"s298"}`)))
-		if rec.Code != http.StatusOK {
-			b.Fatalf("%d %s", rec.Code, rec.Body)
-		}
-		return rec
+	s510, err := netgen.LoadNamed("s510")
+	if err != nil {
+		b.Fatal(err)
 	}
-	send() // prime
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		send()
+	inline, err := json.Marshal(Request{Bench: circuit.BenchString(s510)})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.StopTimer()
-	if rec := send(); !strings.Contains(rec.Body.String(), `"cached": true`) {
-		b.Fatalf("not a cache hit: %s", rec.Body)
+	for _, bc := range []struct{ name, body string }{
+		{"name", `{"circuit":"s298"}`},
+		{"inline", string(inline)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := New(Config{})
+			b.Cleanup(func() {
+				if err := s.Shutdown(context.Background()); err != nil {
+					b.Error(err)
+				}
+			})
+			h := s.Handler()
+			send := func() *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", strings.NewReader(bc.body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("%d %s", rec.Code, rec.Body)
+				}
+				return rec
+			}
+			send() // prime
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				send()
+			}
+			b.StopTimer()
+			if rec := send(); !strings.Contains(rec.Body.String(), `"cached": true`) {
+				b.Fatalf("not a cache hit: %s", rec.Body)
+			}
+		})
 	}
 }
