@@ -1,7 +1,10 @@
 package core
 
 import (
+	"math"
+
 	"cmosopt/internal/design"
+	"cmosopt/internal/floats"
 )
 
 // solveWidths is the innermost loop of Procedure 2: for the supply and
@@ -45,11 +48,11 @@ func (p *Problem) solveWidths(a *design.Assignment, mSteps, passes int) bool {
 			td[i] = 0
 		}
 		for _, id := range logic {
+			// The fanin delays are data: a compare-and-branch here
+			// mispredicts.
 			maxIn := 0.0
 			for _, f := range p.cs.Fanins(id) {
-				if td[f] > maxIn {
-					maxIn = td[f]
-				}
+				maxIn = floats.MaxNonNeg(maxIn, td[f])
 			}
 			target := budget[id] * searchMargin
 			// Only the gate's own width changes while it is sized, so its
@@ -70,9 +73,7 @@ func (p *Problem) solveWidths(a *design.Assignment, mSteps, passes int) bool {
 				// gate ends the search with; on this path that was WMax.
 				a.W[id] = wMax
 			}
-			if rel := w - a.W[id]; rel > 1e-3*a.W[id] || rel < -1e-3*a.W[id] {
-				changed = true
-			}
+			changed = changed || math.Abs(w-a.W[id]) > 1e-3*a.W[id]
 			a.W[id] = w
 			td[id] = pr.Settled(w)
 		}

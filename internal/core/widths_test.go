@@ -190,8 +190,12 @@ func TestSolveWidthsLevelOrderInvariant(t *testing.T) {
 			return a
 		}},
 	}
-	points := [][2]float64{{0.5, 0.17}, {1.0, 0.15}, {0.3, 0.1}, {2.0, 0.4}}
-	var gates, moved, feasible, infeasible int
+	// At (0.1 V, 0.2 V) a gate with two or more fanins stalls (I_Dw <
+	// f_ii·I_off, delay +Inf) and a single-fanin gate does not, so width
+	// passes there take fanin maxima over +Inf and finite delays alike.
+	stallPoint := [2]float64{0.1, 0.2}
+	points := [][2]float64{{0.5, 0.17}, {1.0, 0.15}, {0.3, 0.1}, {2.0, 0.4}, stallPoint}
+	var gates, moved, feasible, infeasible, infDelays, finiteDelays, mixedFanins int
 	for _, c := range circuits {
 		for _, narrow := range []bool{false, true} {
 			spec := specFor(c, 0.5)
@@ -253,6 +257,12 @@ func TestSolveWidthsLevelOrderInvariant(t *testing.T) {
 						} else {
 							infeasible++
 						}
+						if pt == stallPoint {
+							inf, finite, mixed := stallCounts(oracle, a1)
+							infDelays += inf
+							finiteDelays += finite
+							mixedFanins += mixed
+						}
 					}
 				}
 			}
@@ -262,4 +272,30 @@ func TestSolveWidthsLevelOrderInvariant(t *testing.T) {
 	if moved == 0 || feasible == 0 || infeasible == 0 {
 		t.Errorf("the comparison needs reordered gates, feasible and infeasible solves: %d, %d, %d", moved, feasible, infeasible)
 	}
+	t.Logf("at (%v V, %v V): %d logic gate delays +Inf, %d finite, %d gates with both among their fanins", stallPoint[0], stallPoint[1], infDelays, finiteDelays, mixedFanins)
+	if infDelays == 0 || finiteDelays == 0 || mixedFanins == 0 {
+		t.Errorf("the stall point needs +Inf and finite delays and gates whose fanins mix them: %d, %d, %d", infDelays, finiteDelays, mixedFanins)
+	}
+}
+
+// stallCounts returns how many logic gates of a have a +Inf delay and a
+// finite one, by the reference evaluator, and how many have fanins of both.
+func stallCounts(p *Problem, a *design.Assignment) (inf, finite, mixed int) {
+	td := p.Eval.DelayModel().Delays(a)
+	for _, id := range p.logicOrder() {
+		if math.IsInf(td[id], 1) {
+			inf++
+		} else {
+			finite++
+		}
+		var infIn, finiteIn bool
+		for _, f := range p.cs.Fanins(id) {
+			infIn = infIn || math.IsInf(td[f], 1)
+			finiteIn = finiteIn || !math.IsInf(td[f], 1)
+		}
+		if infIn && finiteIn {
+			mixed++
+		}
+	}
+	return inf, finite, mixed
 }

@@ -22,6 +22,7 @@ import (
 	"cmosopt/internal/circuit"
 	"cmosopt/internal/design"
 	"cmosopt/internal/device"
+	"cmosopt/internal/floats"
 	"cmosopt/internal/wiring"
 )
 
@@ -281,7 +282,8 @@ func stackTerm(q, w, idw float64) float64 { return q / (2 * w * idw) }
 // Prepare also keeps the same delay in the form Eq. A3 takes in 1/w_i,
 // At(w) ≈ c0 + c1/w: the slope and interconnect terms do not depend on the
 // gate's own width, and the switching and series-stack terms are a constant
-// plus a multiple of 1/w_i. Bracket decides "At(w) <= target" from it.
+// plus a multiple of 1/w_i. BracketTrue and BracketFalse decide
+// "At(w) <= target" from it.
 type Prepared struct {
 	slope  float64 // input-slope component //cmosvet:unit s
 	vdd    float64 // the gate's supply //cmosvet:unit V
@@ -303,15 +305,15 @@ type Prepared struct {
 
 	// The closed form: c0 = slope + worst + V_dd·C_PD/(2·drive) and
 	// c1 = V_dd·Σloads/(2·drive), plus stack/(2·I_Dw) when f_ii > 1.
-	// affine marks the gates whose closed form Bracket may use.
+	// affine marks the gates whose closed form the thresholds may use.
 	c0     float64 //cmosvet:unit s
 	c1     float64 //cmosvet:unit s
 	affine bool
 }
 
-// bracketMargin is Bracket's relative margin on the target and on the
-// width, and maxBracketLoads the largest load count whose rounding error it
-// covers: (2²⁰+10)·2⁻⁵³ < 1.2·10⁻¹⁰.
+// bracketMargin is the thresholds' relative margin on the target and on
+// the width, and maxBracketLoads the largest load count whose rounding
+// error it covers: (2²⁰+10)·2⁻⁵³ < 1.2·10⁻¹⁰.
 const (
 	bracketMargin   = 1e-9
 	maxBracketLoads = 1 << 20
@@ -355,18 +357,15 @@ func (e *Evaluator) Prepare(p *Prepared, id int, a *design.Assignment, maxFaninD
 		loads = append(loads, l)
 		sum += l
 		signed = signed || l < 0
-		if b := branchDelay(rb, l, fl); b > worst {
-			worst = b
-		}
+		// The branch delays are data: a compare-and-branch here mispredicts.
+		worst = floats.MaxNonNeg(worst, branchDelay(rb, l, fl))
 	}
 	if cs.IsPO[id] {
 		l := poLoad(t, cb)
 		loads = append(loads, l)
 		sum += l
 		signed = signed || l < 0
-		if b := branchDelay(rb, l, fl); b > worst {
-			worst = b
-		}
+		worst = floats.MaxNonNeg(worst, branchDelay(rb, l, fl))
 	}
 	// Field by field: a composite-literal store copies the whole struct
 	// through a temporary, a measurable share of a width search.
@@ -388,9 +387,9 @@ func (e *Evaluator) Prepare(p *Prepared, id int, a *design.Assignment, maxFaninD
 		c1 += p.stack / (2 * k.Idw)
 	}
 	p.c0, p.c1 = c0, c1
-	// Bracket's error bound needs every term of At non-negative (drive and
-	// I_Dw are positive on a gate that switches), few enough loads, and
-	// finite coefficients; NaN fails every comparison here.
+	// The thresholds' error bound needs every term of At non-negative
+	// (drive and I_Dw are positive on a gate that switches), few enough
+	// loads, and finite coefficients; NaN fails every comparison here.
 	p.affine = !signed && p.slope >= 0 && vdd > 0 && t.CPD >= 0 &&
 		(!p.series || p.stack >= 0) && len(loads) <= maxBracketLoads &&
 		c0 <= math.MaxFloat64 && c1 <= math.MaxFloat64
@@ -419,12 +418,14 @@ func (p *Prepared) At(w float64) float64 {
 	return td
 }
 
-// Bracket returns two widths that decide "At(w) <= target" for any width
-// 0 < w < +Inf without calling At: it holds at every w >= wTrue and fails
-// at every w <= wFalse. Only widths strictly between them, next to the
+// BracketTrue and BracketFalse return two widths that decide
+// "At(w) <= target" for any width 0 < w < +Inf without calling At: it holds
+// at every w >= BracketTrue(target) and fails at every
+// w <= BracketFalse(target). Only widths strictly between them, next to the
 // crossing, need At. A NaN threshold decides nothing (every comparison with
 // it is false); both are NaN for a fixed gate, a gate without a usable
-// closed form, or a target that is not finite and positive.
+// closed form, or a target that is not finite and positive. A search that
+// BracketTrue already decides never needs BracketFalse.
 //
 // The thresholds come from c0 + c1/w with a relative margin of 10⁻⁹ on the
 // target and on the width, which covers the rounding of both forms. Every
@@ -440,26 +441,35 @@ func (p *Prepared) At(w float64) float64 {
 //
 //cmosvet:hotpath
 //cmosvet:unit target s
-//cmosvet:unit return1 1
-//cmosvet:unit return2 1
-func (p *Prepared) Bracket(target float64) (wTrue, wFalse float64) {
-	wTrue, wFalse = math.NaN(), math.NaN()
+//cmosvet:unit return 1
+func (p *Prepared) BracketTrue(target float64) float64 {
 	if p.fixed || !p.affine || !(target > 0 && target <= math.MaxFloat64) {
-		return wTrue, wFalse
+		return math.NaN()
 	}
 	// c0 + c1/w <= target·(1−margin) for w >= c1/(target·(1−margin) − c0);
 	// below c0 no width reaches the target.
 	if d := target*(1-bracketMargin) - p.c0; d > 0 {
-		wTrue = p.c1 / d * (1 + bracketMargin)
+		return p.c1 / d * (1 + bracketMargin)
+	}
+	return math.NaN()
+}
+
+// BracketFalse returns the width at or below which At misses target; see
+// BracketTrue.
+//
+//cmosvet:hotpath
+//cmosvet:unit target s
+//cmosvet:unit return 1
+func (p *Prepared) BracketFalse(target float64) float64 {
+	if p.fixed || !p.affine || !(target > 0 && target <= math.MaxFloat64) {
+		return math.NaN()
 	}
 	// c0 + c1/w >= target·(1+margin) for w <= c1/(target·(1+margin) − c0),
 	// and for every width once c0 alone reaches it.
 	if d := target*(1+bracketMargin) - p.c0; d > 0 {
-		wFalse = p.c1 / d * (1 - bracketMargin)
-	} else {
-		wFalse = math.Inf(1)
+		return p.c1 / d * (1 - bracketMargin)
 	}
-	return wTrue, wFalse
+	return math.Inf(1)
 }
 
 // Delays returns the per-gate delay t_di for the whole network, computed in

@@ -286,13 +286,14 @@ func (p *WidthProbe) At(w float64) float64 {
 // when lo already meets it, the width is lo.
 //
 // Each tested width is one probe and counts as At does. Most are decided by
-// comparing the width against the delay.Prepared.Bracket thresholds, which
-// MinWidth derives once per search; the rest by At. Both are Eq. A3 and give
-// the same answer, so the tested widths, the result and the counts are
-// those of a bisection that calls At at every width. When the thresholds
-// decide every midpoint and the midpoints are exact grid points (see
-// bisectGrid), MinWidth takes the bisection's final cell directly instead
-// of walking to it.
+// comparing the width against the delay.Prepared thresholds, which MinWidth
+// derives once per search; the rest by At. Both are Eq. A3 and give the
+// same answer, so the tested widths, the result and the counts are those of
+// a bisection that calls At at every width. A search that ends at lo reads
+// only BracketTrue; the others also derive BracketFalse. When the
+// thresholds decide every midpoint and the midpoints are exact grid points
+// (see bisectGrid), MinWidth takes the bisection's final cell directly
+// instead of walking to it.
 //
 //cmosvet:hotpath
 //cmosvet:unit lo 1
@@ -300,10 +301,20 @@ func (p *WidthProbe) At(w float64) float64 {
 //cmosvet:unit target s
 //cmosvet:unit return1 1
 func (p *WidthProbe) MinWidth(lo, hi float64, steps int, target float64) (float64, bool) {
+	// Every tested width lies in [lo, hi], where the thresholds hold when lo
+	// and hi are finite and positive.
+	finite := lo > 0 && hi > 0 && lo <= math.MaxFloat64 && hi <= math.MaxFloat64
 	wTrue, wFalse := math.NaN(), math.NaN()
-	if lo > 0 && hi > 0 && lo <= math.MaxFloat64 && hi <= math.MaxFloat64 {
-		// Every tested width lies in [lo, hi], where Bracket holds.
-		wTrue, wFalse = p.d.Bracket(target)
+	if finite {
+		wTrue = p.d.BracketTrue(target)
+	}
+	if lo >= wTrue && hi >= wTrue {
+		// Both ends meet the target: the search ends at lo.
+		p.count(2)
+		return lo, true
+	}
+	if finite {
+		wFalse = p.d.BracketFalse(target)
 	}
 	if !p.meets(hi, wTrue, wFalse, target) {
 		p.count(1)

@@ -41,7 +41,7 @@ func minSatisfying(lo, hi float64, steps int, pred func(float64) bool) (float64,
 // grids, a range exact at 12 halvings but not at 13, and inexact grids,
 // which take the loop. The adversarial targets equal the delay at a width
 // the search tests, or lie 1–3 ulps from it, which only the margin in
-// delay.Prepared.Bracket keeps exact; others put a Bracket threshold on a
+// delay.Prepared's thresholds keep exact; others put a threshold on a
 // grid point, or 1–3 ulps to either side of it, where the direct cell's
 // two comparisons decide.
 func TestMinWidthMatchesBisection(t *testing.T) {
@@ -126,7 +126,7 @@ func TestMinWidthMatchesBisection(t *testing.T) {
 						m0 := *eng.Metrics()
 						w, ok := pr.MinWidth(lo, hi, steps, target)
 						m1 := *eng.Metrics()
-						wTrue, wFalse := pr.d.Bracket(target)
+						wTrue, wFalse := pr.d.BracketTrue(target), pr.d.BracketFalse(target)
 						wantW, wantOK := minSatisfying(lo, hi, steps, func(w float64) bool {
 							if w >= wTrue || w <= wFalse {
 								decided++
@@ -211,15 +211,15 @@ func TestMinWidthMatchesBisection(t *testing.T) {
 						continue
 					}
 					gp := lo + float64(1+rng.Int63n(grid.n-1))*grid.step
-					for _, pick := range []func(wTrue, wFalse float64) float64{
-						func(wTrue, _ float64) float64 { return wTrue },
-						func(_, wFalse float64) float64 { return wFalse },
+					for _, pick := range []func(*delay.Prepared, float64) float64{
+						(*delay.Prepared).BracketTrue,
+						(*delay.Prepared).BracketFalse,
 					} {
 						target, found := thresholdCrossing(&pr.d, gp, pick)
 						if !found {
 							continue
 						}
-						if wt, wf := pr.d.Bracket(target); wt == gp || wf == gp {
+						if pr.d.BracketTrue(target) == gp || pr.d.BracketFalse(target) == gp {
 							onGrid++
 						}
 						checkNear(steps, target)
@@ -245,13 +245,13 @@ func TestMinWidthMatchesBisection(t *testing.T) {
 	}
 }
 
-// thresholdCrossing returns the smallest target at which pick's threshold
-// of d.Bracket is at most w, found by bisecting the float order of targets
+// thresholdCrossing returns the smallest target at which the threshold pick
+// returns for d is at most w, found by bisecting the float order of targets
 // near the delay at w, and false when the threshold does not cross w there.
 // Both thresholds fall as the target rises; a NaN threshold counts as +Inf.
-func thresholdCrossing(d *delay.Prepared, w float64, pick func(wTrue, wFalse float64) float64) (float64, bool) {
+func thresholdCrossing(d *delay.Prepared, w float64, pick func(*delay.Prepared, float64) float64) (float64, bool) {
 	at := d.At(w)
-	above := func(b uint64) bool { return !(pick(d.Bracket(math.Float64frombits(b))) <= w) }
+	above := func(b uint64) bool { return !(pick(d, math.Float64frombits(b)) <= w) }
 	lo, hi := math.Float64bits(at*(1-1e-6)), math.Float64bits(at*(1+1e-6))
 	if !(at > 0 && at <= math.MaxFloat64) || !above(lo) || above(hi) {
 		return 0, false

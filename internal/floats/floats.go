@@ -10,6 +10,9 @@
 // ~1e-3 relative model fidelity) yet far above accumulated float64 rounding,
 // so Eq answers "did the iteration stop moving" without ever confusing two
 // genuinely different operating points.
+//
+// MaxNonNeg, the branch-free running maximum of Procedure 2's width search,
+// lives here too: like Eq, it is a float comparison with one convention.
 package floats
 
 import "math"
@@ -49,3 +52,28 @@ func EqTol(a, b, rel float64) bool {
 
 // Zero reports whether x is exactly zero or within AbsEps of it.
 func Zero(x float64) bool { return math.Abs(x) <= AbsEps }
+
+// infBits is the bit pattern of +Inf, the largest non-negative non-NaN.
+const infBits = 0x7ff0000000000000
+
+// MaxNonNeg returns the running maximum m updated by x: the result of
+// `if x > m { m = x }`, bit for bit, for any x and any m that is +0,
+// positive or +Inf.
+//
+// It compares bit patterns: non-negative doubles from +0 to +Inf order as
+// their bits do as int64. A negative x, −0 or a NaN with the sign bit set
+// reads as a negative integer and is never chosen, as x > m is false for
+// it; a NaN with the sign bit clear lies above +Inf and is clamped to 0,
+// so it is never chosen either. Ties keep m. Both selections compile to
+// conditional moves, so a running maximum over data-dependent values pays
+// no mispredicted branch.
+func MaxNonNeg(m, x float64) float64 {
+	mb, xb := int64(math.Float64bits(m)), int64(math.Float64bits(x))
+	if xb > infBits {
+		xb = 0
+	}
+	if xb > mb {
+		mb = xb
+	}
+	return math.Float64frombits(uint64(mb))
+}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 
 	"cmosopt/internal/circuit"
@@ -135,4 +136,64 @@ func sendSubmit(h http.Handler, body []byte) (int, []byte) {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", bytes.NewReader(body)))
 	return rec.Code, rec.Body.Bytes()
+}
+
+// waitQueries are raw queries whose "wait" flag url.ParseQuery decides in
+// each of its ways: repeated keys, escaped keys and values, '+', ';' in a
+// value or a key, a value that fails to unescape, and empty pairs and keys.
+var waitQueries = []struct {
+	raw  string
+	want bool
+}{
+	{"", false},
+	{"wait=1", true},
+	{"wait=1&wait=0", true},
+	{"wait=0&wait=1", false},
+	{"wai%74=1", true},
+	{"wait=%31", true},
+	{"wait=+1", false},
+	{"wait=1;x=2", false},
+	{"x;=1&wait=1", true},
+	{"wait=%zz&wait=1", true},
+	{"wait", false},
+	{"=1", false},
+	{"&&wait=1", true},
+	{"wait=1&", true},
+	{"x=%zz&wait=1", true},
+	{"%zz=1&wait=1", true},
+	{"wait=10", false},
+}
+
+// wantWait is the oracle: the flag as the handlers read it before
+// waitRequested.
+func wantWait(raw string) bool {
+	v, _ := url.ParseQuery(raw)
+	return v.Get("wait") == "1"
+}
+
+// waitRequested must read the flag as url.ParseQuery does, on the table
+// above, and without allocating for the plain "wait=1" every waiting client
+// sends.
+func TestWaitRequested(t *testing.T) {
+	for _, q := range waitQueries {
+		if got, want := waitRequested(q.raw), wantWait(q.raw); got != want || got != q.want {
+			t.Errorf("waitRequested(%q) = %v, url.ParseQuery says %v, table says %v", q.raw, got, want, q.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { waitRequested("wait=1") }); n != 0 {
+		t.Errorf("waitRequested(%q) allocates %v times, want 0", "wait=1", n)
+	}
+}
+
+// FuzzWaitRequested checks waitRequested against url.ParseQuery on
+// arbitrary raw queries, seeded with the table's.
+func FuzzWaitRequested(f *testing.F) {
+	for _, q := range waitQueries {
+		f.Add(q.raw)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		if got, want := waitRequested(raw), wantWait(raw); got != want {
+			t.Errorf("waitRequested(%q) = %v, url.ParseQuery says %v", raw, got, want)
+		}
+	})
 }

@@ -8,7 +8,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -548,7 +550,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if r.URL.Query().Get("wait") == "1" {
+	if waitRequested(r.URL.RawQuery) {
 		select {
 		case <-j.done:
 		case <-r.Context().Done():
@@ -603,13 +605,36 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &apiError{status: http.StatusNotFound, msg: "no such job"})
 		return
 	}
-	if r.URL.Query().Get("wait") == "1" {
+	if waitRequested(r.URL.RawQuery) {
 		select {
 		case <-j.done:
 		case <-r.Context().Done():
 		}
 	}
 	writeStatus(w, http.StatusOK, j)
+}
+
+// waitRequested reports whether a raw query asks to wait for the job:
+// r.URL.Query().Get("wait") == "1", without building the url.Values map.
+// It follows url.ParseQuery: pairs split on '&', a pair holding ';' is
+// skipped, as is one whose key or value fails to unescape, and the first
+// surviving "wait" decides.
+func waitRequested(rawQuery string) bool {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != "wait" {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v == "1"
+		}
+	}
+	return false
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
