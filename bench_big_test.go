@@ -66,13 +66,31 @@ func TestBigScale1M(t *testing.T) {
 	t.Logf("s1m: generate %v, elaborate %v, live heap %.0f B/gate", genDur, elabDur, perGate)
 
 	// The whole elaborated problem — circuit, CSR core, activity, wiring,
-	// budgets, engine, width-solve order — measures 181 B/gate. The 190
-	// bound leaves headroom for allocator noise but fails a layout in which
-	// each Gate repeats its fanouts (197). See DESIGN.md §8 for the
-	// field-by-field budget.
+	// budgets, engine — measures 177 B/gate. The 190 bound leaves headroom
+	// for allocator noise but fails a layout in which each Gate repeats its
+	// fanouts (197). See DESIGN.md §8 for the field-by-field budget.
 	const maxBytesPerGate = 190
 	if perGate > maxBytesPerGate {
 		t.Fatalf("live heap %.0f B/gate exceeds %d B/gate budget", perGate, maxBytesPerGate)
+	}
+
+	// One width solve adds the width kernel's gate table (33 B/gate) and
+	// scratch (24 B/gate), and the solved candidate (16 B/gate): a joint run
+	// at M = 1 prices a single point, and the problem then measures
+	// 249 B/gate. The bound keeps the elaboration bound's 9 B/gate of
+	// headroom. Whether the point is feasible does not matter here, so the
+	// error is not checked; the result keeps the candidate alive either way.
+	start = time.Now()
+	o := core.DefaultOptions()
+	o.M = 1
+	res, _ := p.OptimizeJoint(o)
+	solveDur := time.Since(start)
+	solved := float64(heapLive()-base) / n
+	runtime.KeepAlive(res)
+	t.Logf("s1m: one width solve %v, live heap %.0f B/gate", solveDur, solved)
+	const maxSolvedBytesPerGate = 258
+	if solved > maxSolvedBytesPerGate {
+		t.Fatalf("live heap after a solve %.0f B/gate exceeds %d B/gate budget", solved, maxSolvedBytesPerGate)
 	}
 
 	// Steady-state sweeps reuse the engine scratch: after one warm-up to fill

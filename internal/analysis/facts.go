@@ -213,10 +213,9 @@ func calleeRef(info *types.Info, call *ast.CallExpr) (path, key string, ok bool)
 // engineEvalMethods are the Engine entry points that evaluate the whole
 // circuit — the "one candidate evaluation" granularity of the PR 8
 // cancellation contract. Per-gate probes (ProbeWidth, GateDelayWith,
-// GateDelayOverride, GateEnergy, and the prepared probe's PrepareWidth,
-// WidthProbe.At, WidthProbe.MinWidth and WidthProbe.Settled) and
-// incremental Bound* reads are deliberately excluded: a width-solve pass
-// inside one candidate may loop over them without polling.
+// GateDelayOverride, GateEnergy), the width kernel's passes (SizeWidths) and
+// incremental Bound* reads are deliberately excluded: a width solve inside
+// one candidate may run them without polling.
 var engineEvalMethods = map[string]bool{
 	"Delays": true, "Arrivals": true,
 	"CriticalDelay": true, "CriticalPath": true,

@@ -8,7 +8,7 @@ import (
 
 // fork returns a worker's private copy of the problem, the one unit of
 // worker state in every parallel driver. Circuit, activity, wiring, timing,
-// budgets, the span node and the width solver's gate order are shared
+// budgets, the span node and the width kernel's gate table are shared
 // read-only; the engine is a clone and the width solver's scratch and the
 // walk's spare candidate are fresh, so independent solves never share
 // mutable state. The struct copy shares every other field by default,
@@ -17,7 +17,7 @@ import (
 func (p *Problem) fork() *Problem {
 	f := *p
 	f.Eval = p.Eval.Clone()
-	f.wtd, f.spare = nil, nil
+	f.wscr, f.spare = nil, nil
 	return &f
 }
 

@@ -7,11 +7,10 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"slices"
+	"sync"
 
 	"cmosopt/internal/activity"
 	"cmosopt/internal/circuit"
@@ -93,12 +92,19 @@ type Problem struct {
 	// running optimizer (setTrace) and inherited by forks, so parallel scans
 	// attach to the same node. Nil (spans off) without a registry.
 	trace *obs.Span
-	// sizeOrder holds the logic gates level by level, each level grouped
-	// by gate shape (see shapeOrder): the order solveWidths sizes them in.
-	// Built once by NewProblem and shared read-only by forks.
-	sizeOrder []int32
-	wtd       []float64          // solveWidths per-pass delay scratch (lazily allocated)
-	spare     *design.Assignment // a candidate buffer the walk discarded (see candidate)
+	// widths holds the width kernel's gate table: built on the first width
+	// solve and shared read-only by forks through the pointer, so two forks
+	// never both build it. wscr is the solver's per-solve scratch over it,
+	// one per fork (allocated on the fork's first solve).
+	widths *widthTable
+	wscr   *eval.WidthScratch
+	spare  *design.Assignment // a candidate buffer the walk discarded (see candidate)
+}
+
+// widthTable builds the width kernel's gate table once.
+type widthTable struct {
+	once sync.Once
+	t    *eval.WidthTable
 }
 
 // Canceled reports whether the problem's context has been canceled or has
@@ -130,28 +136,6 @@ func (p *Problem) setTrace(s *obs.Span) *obs.Span {
 // CSR order: in a combinational circuit they are exactly the gates above
 // level 0.
 func (p *Problem) logicOrder() []int32 { return p.cs.Order[p.cs.LevelStart[1]:] }
-
-// shapeOrder returns the logic gates level by level, as logicOrder does,
-// with each level's gates grouped by shape: by fanin count, then by load
-// count (fanouts, plus one for a primary output), in topological order
-// within a group. A width sweep over it runs each gate's fanin and load
-// loops for the same trip counts many times in a row.
-func shapeOrder(cs *circuit.CSR) []int32 {
-	base := cs.LevelStart[1]
-	order := slices.Clone(cs.Order[base:])
-	loads := func(id int32) int {
-		if cs.IsPO[id] {
-			return cs.NumFanout(id) + 1
-		}
-		return cs.NumFanout(id)
-	}
-	for l := 1; l < cs.NumLevels(); l++ {
-		slices.SortStableFunc(order[cs.LevelStart[l]-base:cs.LevelStart[l+1]-base], func(a, b int32) int {
-			return cmp.Or(cmp.Compare(cs.NumFanin(a), cs.NumFanin(b)), cmp.Compare(loads(a), loads(b)))
-		})
-	}
-	return order
-}
 
 // NewProblem elaborates a Spec: cuts DFFs, propagates activities, builds the
 // wiring and model evaluators, and runs Procedure 1 (with repair) to budget
@@ -263,7 +247,7 @@ func NewProblem(s Spec) (*Problem, error) {
 	if p.cs, err = c.CSR(); err != nil {
 		return nil, err
 	}
-	p.sizeOrder = shapeOrder(p.cs)
+	p.widths = new(widthTable)
 	p.otrace = s.Obs.Root()
 	p.ctx = s.Ctx
 	if p.ctx == nil {

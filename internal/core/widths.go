@@ -1,10 +1,8 @@
 package core
 
 import (
-	"math"
-
 	"cmosopt/internal/design"
-	"cmosopt/internal/floats"
+	"cmosopt/internal/eval"
 )
 
 // solveWidths is the innermost loop of Procedure 2: for the supply and
@@ -19,68 +17,30 @@ import (
 // the ablation benchmark); the default in Options is a small fixed-point
 // iteration, which strictly dominates it.
 //
-// Each sweep walks the logic gates level by level in p.sizeOrder. No gate
-// of a level is a fanin or a fanout of another gate of that level, so every
-// gate reads the same fanin delays and fanout widths in any order within its
-// level, and the widths, the verdict and the summed effort counters are
-// those of a sweep in topological order.
+// The sweeps run in the evaluation engine's width kernel (eval.SizeWidths),
+// over the problem's width table: the logic gates level by level, each
+// level grouped by gate shape. No gate of a level is a fanin or a fanout of
+// another gate of that level, so every gate reads the same fanin delays and
+// fanout widths in any order within its level, and the widths, the verdict
+// and the summed effort counters are those of a sweep in topological order.
 //
 // It returns true only if, after the final sweep, a full delay recomputation
 // meets every budget. Widths are left in a (best effort) either way.
 func (p *Problem) solveWidths(a *design.Assignment, mSteps, passes int) bool {
-	logic := p.sizeOrder
-	budget := p.Budgets.TMax
-	wMin, wMax := p.Tech.WMin, p.Tech.WMax
-	if p.wtd == nil {
-		p.wtd = make([]float64, p.C.N())
-	}
-	td := p.wtd
-
+	s := p.widthScratch()
 	// The per-gate search targets a slightly tightened budget so the small
 	// delay drift caused by fanouts widening in later sweeps (a gate's load)
 	// cannot push an exactly-met budget into violation; the final
-	// verification below uses the true budgets.
+	// verification below uses the true budgets. The targets are gathered on
+	// every solve: a caller may rewrite the budgets between solves.
 	const searchMargin = 0.97
-
-	for pass := 0; pass < passes; pass++ {
-		changed := false
-		for i := range td {
-			td[i] = 0
-		}
-		for _, id := range logic {
-			// The fanin delays are data: a compare-and-branch here
-			// mispredicts.
-			maxIn := 0.0
-			for _, f := range p.cs.Fanins(id) {
-				maxIn = floats.MaxNonNeg(maxIn, td[f])
-			}
-			target := budget[id] * searchMargin
-			// Only the gate's own width changes while it is sized, so its
-			// other delay terms are derived once for both searches and
-			// its final delay.
-			pr := p.Eval.PrepareWidth(int(id), a, maxIn)
-			w, ok := pr.MinWidth(wMin, wMax, mSteps, target)
-			if !ok {
-				// The budget is unreachable at any width (a squeezed
-				// Procedure 1 target; the paper repairs such assignments in
-				// §4.2's post-processing). Take the smallest width within
-				// 10 % of the best achievable delay instead of paying the
-				// full WMax energy; the cycle-time check below still
-				// guards the real constraint.
-				dBest := pr.At(wMax)
-				w, _ = pr.MinWidth(wMin, wMax, mSteps, dBest*1.1)
-				// The change detection below measures against the width the
-				// gate ends the search with; on this path that was WMax.
-				a.W[id] = wMax
-			}
-			changed = changed || math.Abs(w-a.W[id]) > 1e-3*a.W[id]
-			a.W[id] = w
-			td[id] = pr.Settled(w)
-		}
-		if !changed {
-			break
-		}
+	budget := p.Budgets.TMax
+	t := p.widths.t
+	for i := range s.Target {
+		s.Target[i] = budget[t.ID(i)] * searchMargin
 	}
+	p.Eval.SizeWidths(s, a, p.Tech.WMin, p.Tech.WMax, mSteps, passes)
+
 	// Budgets are verified with a small relative tolerance: the width
 	// fixed-point leaves each gate within a couple of percent of its target
 	// (neighbor widths shift after a gate is sized), and a uniform ε-overrun
@@ -88,10 +48,20 @@ func (p *Problem) solveWidths(a *design.Assignment, mSteps, passes int) bool {
 	// strict cycle-time constraint is re-checked on the final result.
 	const budgetTol = 1.03
 	final := p.Eval.Delays(a)
-	for _, id := range logic {
+	for _, id := range p.logicOrder() {
 		if final[id] > budget[id]*budgetTol {
 			return false
 		}
 	}
 	return true
+}
+
+// widthScratch returns the fork's width-solve scratch, building the shared
+// width table on the problem's first solve and the scratch on the fork's.
+func (p *Problem) widthScratch() *eval.WidthScratch {
+	if p.wscr == nil {
+		p.widths.once.Do(func() { p.widths.t = p.Eval.NewWidthTable() })
+		p.wscr = p.widths.t.NewScratch()
+	}
+	return p.wscr
 }

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"cmosopt/internal/circuit"
 	"cmosopt/internal/design"
+	"cmosopt/internal/eval"
 	"cmosopt/internal/netgen"
 )
 
@@ -101,12 +103,26 @@ func TestOptimizeJointEffortPinned(t *testing.T) {
 	}
 }
 
-// solveWidthsTopo is solveWidths with every sweep in the CSR's topological
-// order rather than in p.sizeOrder: the oracle for the shape-grouped order.
-func solveWidthsTopo(p *Problem, a *design.Assignment, mSteps, passes int) bool {
+// solveWidthsTopo is the oracle for the width kernel: a plain pass loop in
+// the CSR's topological order that bisects each gate's width by evaluating
+// Eq. A3 term by term (delay.Evaluator.GateDelayAt) at every width it
+// tests, with no thresholds and no grid shortcut. It bills its engine's
+// meter with the counts its search implies — 2 + M probes per bisected
+// search, 2 when WMin meets the target, 1 when WMax misses it, plus 1 for
+// the delay at WMax and the second search on that path — and takes each
+// gate's settled delay through GateDelayWith, one gate-delay call and one
+// coefficient lookup per gate-pass. It returns the verdict and the last
+// pass's settled delays by gate ID.
+func solveWidthsTopo(p *Problem, a *design.Assignment, mSteps, passes int) (bool, []float64) {
 	logic := p.logicOrder()
 	budget := p.Budgets.TMax
 	wMin, wMax := p.Tech.WMin, p.Tech.WMax
+	dm := p.Eval.DelayModel()
+	met := p.Eval.Metrics()
+	count := func(n int) {
+		met.WidthProbes += int64(n)
+		met.GateDelayCalls += int64(n)
+	}
 	td := make([]float64, p.C.N())
 	const searchMargin = 0.97
 	for pass := 0; pass < passes; pass++ {
@@ -119,19 +135,43 @@ func solveWidthsTopo(p *Problem, a *design.Assignment, mSteps, passes int) bool 
 					maxIn = td[f]
 				}
 			}
-			target := budget[id] * searchMargin
-			pr := p.Eval.PrepareWidth(int(id), a, maxIn)
-			w, ok := pr.MinWidth(wMin, wMax, mSteps, target)
-			if !ok {
-				dBest := pr.At(wMax)
-				w, _ = pr.MinWidth(wMin, wMax, mSteps, dBest*1.1)
-				a.W[id] = wMax
+			k := dm.CoeffsAt(a.VddAt(int(id)), a.Vts[id])
+			meets := func(w, target float64) bool {
+				return dm.GateDelayAt(int(id), a, w, -1, 0, maxIn, k) <= target
 			}
-			if rel := w - a.W[id]; rel > 1e-3*a.W[id] || rel < -1e-3*a.W[id] {
+			search := func(target float64) (float64, bool) {
+				if !meets(wMax, target) {
+					count(1)
+					return wMax, false
+				}
+				if meets(wMin, target) {
+					count(2)
+					return wMin, true
+				}
+				count(2 + mSteps)
+				lo, hi := wMin, wMax
+				for i := 0; i < mSteps; i++ {
+					if mid := lo + (hi-lo)/2; meets(mid, target) {
+						hi = mid
+					} else {
+						lo = mid
+					}
+				}
+				return hi, true
+			}
+			w, ok := search(budget[id] * searchMargin)
+			wOld := a.W[id]
+			if !ok {
+				dBest := dm.GateDelayAt(int(id), a, wMax, -1, 0, maxIn, k)
+				count(1)
+				w, _ = search(dBest * 1.1)
+				wOld = wMax
+			}
+			if rel := w - wOld; rel > 1e-3*wOld || rel < -1e-3*wOld {
 				changed = true
 			}
 			a.W[id] = w
-			td[id] = pr.Settled(w)
+			td[id] = p.Eval.GateDelayWith(int(id), a, maxIn)
 		}
 		if !changed {
 			break
@@ -141,20 +181,21 @@ func solveWidthsTopo(p *Problem, a *design.Assignment, mSteps, passes int) bool 
 	final := p.Eval.Delays(a)
 	for _, id := range logic {
 		if final[id] > budget[id]*budgetTol {
-			return false
+			return false, td
 		}
 	}
-	return true
+	return true, td
 }
 
-// solveWidths sizes each level's gates grouped by shape instead of in
-// topological order. No gate of a level feeds another, so the widths, the
-// verdict and every effort counter must match the topological sweep bit
-// for bit: on two paper circuits and a 2000-gate netlist, at uniform
-// voltages, with two thresholds and with per-gate supplies, at two search
-// depths (one on an inexact width grid) and pass counts. Coefficient misses
-// match because each problem starts from an empty cache and sees the same
-// voltage pairs in the same order of width solves.
+// The width kernel sizes each level's gates grouped by shape, decides most
+// searches from Eq. A3's closed form and lands bisections on their final
+// grid cell directly, so it must match the oracle bit for bit: the widths,
+// the verdict, the last pass's settled delays and every effort counter, on
+// two paper circuits and a 2000-gate netlist, at uniform voltages, with two
+// thresholds and with per-gate supplies, at two search depths (one on an
+// inexact width grid) and pass counts, and with per-net wire lengths.
+// Coefficient misses match because each problem starts from an empty cache
+// and sees the same voltage pairs in the same order of width solves.
 func TestSolveWidthsLevelOrderInvariant(t *testing.T) {
 	gen, err := netgen.Generate(netgen.Config{Name: "gen2k", Gates: 2000, Depth: 30, PIs: 60, POs: 40}, 5)
 	if err != nil {
@@ -197,10 +238,13 @@ func TestSolveWidthsLevelOrderInvariant(t *testing.T) {
 	points := [][2]float64{{0.5, 0.17}, {1.0, 0.15}, {0.3, 0.1}, {2.0, 0.4}, stallPoint}
 	var gates, moved, feasible, infeasible, infDelays, finiteDelays, mixedFanins int
 	for _, c := range circuits {
-		for _, narrow := range []bool{false, true} {
+		for _, setup := range []string{"default", "narrow", "sampled-nets"} {
 			spec := specFor(c, 0.5)
-			if narrow {
+			switch setup {
+			case "narrow":
 				spec.Tech.WMin, spec.Tech.WMax = 1.3, 37.7
+			case "sampled-nets":
+				spec.SampleNets, spec.NetSeed = true, 9
 			}
 			oracle, err := NewProblem(spec)
 			if err != nil {
@@ -212,20 +256,28 @@ func TestSolveWidthsLevelOrderInvariant(t *testing.T) {
 			}
 			logic := shaped.logicOrder()
 			cs := shaped.cs
+			tab := shaped.Eval.NewWidthTable()
+			if tab.Len() != len(logic) {
+				t.Fatalf("%s: width table holds %d gates, want the %d logic gates", c.Name, tab.Len(), len(logic))
+			}
+			order := make([]int32, tab.Len())
+			for i := range order {
+				order[i] = tab.ID(i)
+			}
 			for l := 1; l < cs.NumLevels(); l++ {
 				lv := cs.LevelStart[l] - cs.LevelStart[1]
 				hv := cs.LevelStart[l+1] - cs.LevelStart[1]
-				got := slices.Clone(shaped.sizeOrder[lv:hv])
+				got := slices.Clone(order[lv:hv])
 				want := slices.Clone(logic[lv:hv])
 				slices.Sort(got)
 				slices.Sort(want)
 				if !slices.Equal(got, want) {
-					t.Fatalf("%s: level %d of the size order is not a permutation of the level's gates", c.Name, l)
+					t.Fatalf("%s: level %d of the width table is not a permutation of the level's gates", c.Name, l)
 				}
 			}
 			for i := range logic {
 				gates++
-				if logic[i] != shaped.sizeOrder[i] {
+				if logic[i] != order[i] {
 					moved++
 				}
 			}
@@ -234,21 +286,27 @@ func TestSolveWidthsLevelOrderInvariant(t *testing.T) {
 					for _, run := range []struct{ m, passes int }{{12, 4}, {7, 1}} {
 						a1 := v.make(c.N(), pt[0], pt[1])
 						a2 := a1.Clone()
-						want := solveWidthsTopo(oracle, a1, run.m, run.passes)
+						want, wantTd := solveWidthsTopo(oracle, a1, run.m, run.passes)
 						got := shaped.solveWidths(a2, run.m, run.passes)
 						// Both problems start alike and run the same solves,
 						// so their running totals must agree after each.
 						wantM, gotM := *oracle.Eval.Metrics(), *shaped.Eval.Metrics()
-						where := fmt.Sprintf("%s narrow=%v %s (%v V, %v V) M=%d passes=%d", c.Name, narrow, v.name, pt[0], pt[1], run.m, run.passes)
+						where := fmt.Sprintf("%s %s %s (%v V, %v V) M=%d passes=%d", c.Name, setup, v.name, pt[0], pt[1], run.m, run.passes)
 						if got != want {
-							t.Errorf("%s: verdict %v, topological order %v", where, got, want)
+							t.Errorf("%s: verdict %v, oracle %v", where, got, want)
 						}
 						if gotM != wantM {
-							t.Errorf("%s: metrics %+v, topological order %+v", where, gotM, wantM)
+							t.Errorf("%s: metrics %+v, oracle %+v", where, gotM, wantM)
 						}
 						for i := range a1.W {
 							if math.Float64bits(a1.W[i]) != math.Float64bits(a2.W[i]) {
-								t.Errorf("%s: gate %d width %v, topological order %v", where, i, a2.W[i], a1.W[i])
+								t.Errorf("%s: gate %d width %v, oracle %v", where, i, a2.W[i], a1.W[i])
+								break
+							}
+						}
+						for i, d := range shaped.wscr.Delay {
+							if id := tab.ID(i); math.Float64bits(d) != math.Float64bits(wantTd[id]) {
+								t.Errorf("%s: gate %d last-pass delay %v, oracle %v", where, id, d, wantTd[id])
 								break
 							}
 						}
@@ -278,6 +336,62 @@ func TestSolveWidthsLevelOrderInvariant(t *testing.T) {
 	}
 }
 
+// Forks made before any width solve share one width table: two forks of a
+// fresh problem that solve concurrently build it once between them (run
+// under -race), and each matches a serial solve of the same point bit for
+// bit, widths and counters alike.
+func TestForksShareWidthTable(t *testing.T) {
+	c, err := netgen.Profile("s510")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProblem(specFor(c, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := NewProblem(specFor(c, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := [][2]float64{{0.5, 0.17}, {1.0, 0.15}}
+	forks := []*Problem{p.fork(), p.fork()}
+	got := make([]*design.Assignment, len(forks))
+	var wg sync.WaitGroup
+	for i, f := range forks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = design.Uniform(c.N(), points[i][0], points[i][1], 1)
+			f.solveWidths(got[i], 12, 4)
+		}()
+	}
+	wg.Wait()
+	if forks[0].widths.t == nil || forks[0].widths.t != forks[1].widths.t || p.widths.t != forks[0].widths.t {
+		t.Fatalf("forks hold width tables %p and %p, the problem %p: want one shared table",
+			forks[0].widths.t, forks[1].widths.t, p.widths.t)
+	}
+	for i, f := range forks {
+		want := design.Uniform(c.N(), points[i][0], points[i][1], 1)
+		before := *serial.Eval.Metrics()
+		serial.solveWidths(want, 12, 4)
+		for j := range want.W {
+			if math.Float64bits(want.W[j]) != math.Float64bits(got[i].W[j]) {
+				t.Fatalf("fork %d: gate %d width %v, serial solve %v", i, j, got[i].W[j], want.W[j])
+			}
+		}
+		// Each fork's clone starts with fresh counters and an empty cache,
+		// and each point is new to the serial problem too.
+		wantM := *serial.Eval.Metrics()
+		wantM.Add(eval.Metrics{
+			GateDelayCalls: -before.GateDelayCalls, FullDelaySweeps: -before.FullDelaySweeps,
+			WidthProbes: -before.WidthProbes, CoeffHits: -before.CoeffHits, CoeffMisses: -before.CoeffMisses,
+		})
+		if gotM := *f.Eval.Metrics(); gotM != wantM {
+			t.Errorf("fork %d: metrics %+v, serial solve %+v", i, gotM, wantM)
+		}
+	}
+}
+
 // stallCounts returns how many logic gates of a have a +Inf delay and a
 // finite one, by the reference evaluator, and how many have fanins of both.
 func stallCounts(p *Problem, a *design.Assignment) (inf, finite, mixed int) {
@@ -298,4 +412,60 @@ func stallCounts(p *Problem, a *design.Assignment) (inf, finite, mixed int) {
 		}
 	}
 	return inf, finite, mixed
+}
+
+// widthSolvePoints are (V_dd, V_TS) points on the joint walk's bisection
+// lattice over the default ranges, from its first point (1.7 V, 0.4 V) to
+// the neighbourhood of s510's optimum near (0.5 V, 0.17 V), feasible and
+// infeasible, ordered so that consecutive points differ in both voltages.
+var widthSolvePoints = [][2]float64{
+	{1.7, 0.4}, {0.9, 0.25}, {0.5, 0.175}, {2.5, 0.55},
+	{0.3, 0.1375}, {1.3, 0.325}, {0.7, 0.2125}, {0.6, 0.15625},
+}
+
+// BenchmarkWidthSolve measures Procedure 2's width-search layer as the
+// walk runs it: one op is a whole width solve (M = 12, 4 passes, the
+// verification sweep included) on s510 at each of widthSolvePoints in
+// turn, from every width at WMin, so no solve repeats the previous solve's
+// point and its searches. width-probes per op is an exact count, and once
+// the width table exists and the points are priced, a solve allocates
+// nothing.
+func BenchmarkWidthSolve(b *testing.B) {
+	b.Run("s510", func(b *testing.B) {
+		c, err := netgen.Profile("s510")
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := NewProblem(specFor(c, 0.5))
+		if err != nil {
+			b.Fatal(err)
+		}
+		o := DefaultOptions()
+		as := make([]*design.Assignment, len(widthSolvePoints))
+		for i, pt := range widthSolvePoints {
+			as[i] = design.Uniform(c.N(), pt[0], pt[1], p.Tech.WMin)
+		}
+		feasible := 0
+		solveAll := func() {
+			feasible = 0
+			for _, a := range as {
+				for i := range a.W {
+					a.W[i] = p.Tech.WMin
+				}
+				if p.solveWidths(a, o.M, o.WidthPasses) {
+					feasible++
+				}
+			}
+		}
+		solveAll() // builds the width table and prices every point
+		b.ReportAllocs()
+		probes0 := p.Eval.Metrics().WidthProbes
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			solveAll()
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(p.Eval.Metrics().WidthProbes-probes0)/float64(b.N), "width-probes")
+		b.ReportMetric(float64(feasible), "feasible-points")
+	})
 }

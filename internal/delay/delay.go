@@ -22,7 +22,6 @@ import (
 	"cmosopt/internal/circuit"
 	"cmosopt/internal/design"
 	"cmosopt/internal/device"
-	"cmosopt/internal/floats"
 	"cmosopt/internal/wiring"
 )
 
@@ -32,8 +31,7 @@ type Evaluator struct {
 	Tech *device.Tech
 	Wire *wiring.Model
 
-	cs        *circuit.CSR
-	maxFanout int // sizes Prepared load scratch
+	cs *circuit.CSR
 }
 
 // New builds a delay evaluator. The circuit must be combinational.
@@ -48,11 +46,7 @@ func New(c *circuit.Circuit, tech *device.Tech, wire *wiring.Model) (*Evaluator,
 	if err != nil {
 		return nil, err
 	}
-	maxFanout := 0
-	for id := range int32(cs.N()) {
-		maxFanout = max(maxFanout, cs.NumFanout(id))
-	}
-	return &Evaluator{C: c, Tech: tech, Wire: wire, cs: cs, maxFanout: maxFanout}, nil
+	return &Evaluator{C: c, Tech: tech, Wire: wire, cs: cs}, nil
 }
 
 // SlopeCoeff returns the input-rise-time coefficient
@@ -117,10 +111,10 @@ func (e *Evaluator) GateDelayWith(id int, a *design.Assignment, maxFaninDelay fl
 // (or a cache of it) for this gate's (V_dd, V_TS) pair. Optimizers use this to
 // probe "what if this width changed" without mutating the assignment.
 //
-// GateDelayAt is the one-call form and the bitwise reference of the model; a
-// search that evaluates one gate at many widths prepares it once instead
-// (Prepare, Prepared.At), which splits the same per-term helpers around the
-// gate's own width.
+// GateDelayAt is the one-call form and the bitwise reference of the model.
+// Procedure 2's width passes (internal/eval's width kernel) evaluate a gate
+// at many widths and form the same delay from the same exported term
+// helpers below, split around the gate's own width.
 //
 //cmosvet:hotpath
 //cmosvet:unit w 1
@@ -141,13 +135,13 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 
 	fii := float64(cs.NumFanin(int32(id)))
 
-	drive, stalled := netDrive(k, fii)
+	drive, stalled := NetDrive(k, fii)
 	if stalled {
 		return math.Inf(1)
 	}
 
 	// Slope component.
-	td := slopeTerm(k, maxFaninDelay)
+	td := SlopeTerm(k, maxFaninDelay)
 
 	// Switching component: total output load over net drive current. The
 	// wire contribution is this gate's own net (per-net after SampleNets).
@@ -159,12 +153,12 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 		if int(f) == ov {
 			wf = wOv
 		}
-		load += branchLoad(t, wf, cb)
+		load += BranchLoad(wf, t.Ct, cb)
 	}
 	if cs.IsPO[id] {
-		load += poLoad(t, cb)
+		load += POLoad(t.COut, cb)
 	}
-	td += switchingTerm(vdd, load, w, drive)
+	td += SwitchingTerm(vdd, load, w, drive)
 
 	// Interconnect component: worst fanout branch RC plus time of flight.
 	rb := e.Wire.BranchResNet(id)
@@ -175,12 +169,12 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 		if int(f) == ov {
 			wf = wOv
 		}
-		if b := branchDelay(rb, branchLoad(t, wf, cb), fl); b > worst {
+		if b := BranchDelay(rb, BranchLoad(wf, t.Ct, cb), fl); b > worst {
 			worst = b
 		}
 	}
 	if cs.IsPO[id] {
-		if b := branchDelay(rb, poLoad(t, cb), fl); b > worst {
+		if b := BranchDelay(rb, POLoad(t.COut, cb), fl); b > worst {
 			worst = b
 		}
 	}
@@ -188,289 +182,97 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 
 	// Series-stack component: charging f_ii−1 intermediate nodes.
 	if fii > 1 {
-		td += stackTerm(stackCharge(t, fii, vdd), w, k.Idw)
+		td += StackTerm(StackCharge(fii, t.Cmi, vdd), w, k.Idw)
 	}
 	return td
 }
 
-// The Eq. A3 terms. GateDelayAt and the prepared form (Prepare, At) both
+// The Eq. A3 terms. GateDelayAt and the width kernel (internal/eval) both
 // build the delay from these helpers, so the two share one formula and
-// round identically.
+// round identically. Each takes scalars, so a caller that hoists the
+// technology constants out of a loop passes the same values.
 
-// netDrive returns the net drive current per unit width, I_Dw − f_ii·I_off,
+// NetDrive returns the net drive current per unit width, I_Dw − f_ii·I_off,
 // and whether the operating point stalls the gate (the off stacks' leakage
 // matches or exceeds the drive, or there is no drive at all).
 //
+//cmosvet:hotpath
 //cmosvet:unit fii 1
 //cmosvet:unit return1 A
-func netDrive(k Coeffs, fii float64) (drive float64, stalled bool) {
+func NetDrive(k Coeffs, fii float64) (drive float64, stalled bool) {
 	drive = k.Idw - fii*k.Ioff
 	return drive, drive <= 0 || k.Idw <= 0
 }
 
-// slopeTerm is the input-slope component k_slope · max_j t_dij. The
+// SlopeTerm is the input-slope component k_slope · max_j t_dij. The
 // conversion rounds the product on its own, so a compiler that fuses
-// multiply-adds cannot fold it into the next addition in one form and not
-// in the other.
+// multiply-adds cannot fold it into the next addition in one caller and not
+// in another.
 //
+//cmosvet:hotpath
 //cmosvet:unit maxFaninDelay s
 //cmosvet:unit return s
-func slopeTerm(k Coeffs, maxFaninDelay float64) float64 {
+func SlopeTerm(k Coeffs, maxFaninDelay float64) float64 {
 	return float64(k.Slope * maxFaninDelay)
 }
 
-// branchLoad is the load one fanout branch puts on the driver: the fanout
+// BranchLoad is the load one fanout branch puts on the driver: the fanout
 // gate's input capacitance w_f·C_t plus the branch wire C_INT.
 //
+//cmosvet:hotpath
 //cmosvet:unit wf 1
+//cmosvet:unit ct F
 //cmosvet:unit cb F
 //cmosvet:unit return F
-func branchLoad(t *device.Tech, wf, cb float64) float64 { return wf*t.Ct + cb }
+func BranchLoad(wf, ct, cb float64) float64 { return wf*ct + cb }
 
-// poLoad is the load of a primary output's external branch.
+// POLoad is the load of a primary output's external branch: C_out plus the
+// branch wire C_INT.
 //
+//cmosvet:hotpath
+//cmosvet:unit cout F
 //cmosvet:unit cb F
 //cmosvet:unit return F
-func poLoad(t *device.Tech, cb float64) float64 { return t.COut + cb }
+func POLoad(cout, cb float64) float64 { return cout + cb }
 
-// branchDelay is one fanout branch's interconnect delay: R_INT times the
+// BranchDelay is one fanout branch's interconnect delay: R_INT times the
 // branch load plus the time of flight.
 //
+//cmosvet:hotpath
 //cmosvet:unit rb V/A
 //cmosvet:unit load F
 //cmosvet:unit fl s
 //cmosvet:unit return s
-func branchDelay(rb, load, fl float64) float64 { return rb*load + fl }
+func BranchDelay(rb, load, fl float64) float64 { return rb*load + fl }
 
-// switchingTerm is the switching component V_dd·C_load / (2·w·drive).
+// SwitchingTerm is the switching component V_dd·C_load / (2·w·drive).
 //
+//cmosvet:hotpath
 //cmosvet:unit vdd V
 //cmosvet:unit load F
 //cmosvet:unit w 1
 //cmosvet:unit drive A
 //cmosvet:unit return s
-func switchingTerm(vdd, load, w, drive float64) float64 { return vdd * load / (2 * w * drive) }
+func SwitchingTerm(vdd, load, w, drive float64) float64 { return vdd * load / (2 * w * drive) }
 
-// stackCharge is the series-stack numerator (f_ii−1)·C_mi·V_dd: the charge
+// StackCharge is the series-stack numerator (f_ii−1)·C_mi·V_dd: the charge
 // of the intermediate nodes.
 //
+//cmosvet:hotpath
 //cmosvet:unit fii 1
+//cmosvet:unit cmi F
 //cmosvet:unit vdd V
 //cmosvet:unit return F*V
-func stackCharge(t *device.Tech, fii, vdd float64) float64 { return (fii - 1) * t.Cmi * vdd }
+func StackCharge(fii, cmi, vdd float64) float64 { return (fii - 1) * cmi * vdd }
 
-// stackTerm is the series-stack component: charge q over 2·w·I_Dw.
+// StackTerm is the series-stack component: charge q over 2·w·I_Dw.
 //
+//cmosvet:hotpath
 //cmosvet:unit q F*V
 //cmosvet:unit w 1
 //cmosvet:unit idw A
 //cmosvet:unit return s
-func stackTerm(q, w, idw float64) float64 { return q / (2 * w * idw) }
-
-// Prepared is one gate's Eq. A3 delay with every term that does not depend
-// on the gate's own width already evaluated. Procedure 2 binary-searches a
-// gate's width while the gate's voltages, fanin delay and fanout widths stay
-// fixed; Prepare derives those terms once per search and At applies each
-// probe width.
-//
-// At(w) is bitwise equal to GateDelayAt(id, a, w, -1, 0, maxFaninDelay, k)
-// for the arguments Prepare was given, as long as the fanout widths in a
-// and the gate's voltages do not change in between. Its load scratch comes
-// from NewPrepared, sized for every gate of the circuit, so Prepare does not
-// allocate.
-//
-// Prepare also keeps the same delay in the form Eq. A3 takes in 1/w_i,
-// At(w) ≈ c0 + c1/w: the slope and interconnect terms do not depend on the
-// gate's own width, and the switching and series-stack terms are a constant
-// plus a multiple of 1/w_i. BracketTrue and BracketFalse decide
-// "At(w) <= target" from it.
-type Prepared struct {
-	slope  float64 // input-slope component //cmosvet:unit s
-	vdd    float64 // the gate's supply //cmosvet:unit V
-	cpd    float64 // output parasitic capacitance per unit width //cmosvet:unit F
-	drive  float64 // net drive current I_Dw − f_ii·I_off //cmosvet:unit A
-	idw    float64 // drive current I_Dw //cmosvet:unit A
-	worst  float64 // worst fanout branch RC plus time of flight //cmosvet:unit s
-	stack  float64 // series-stack charge (f_ii−1)·C_mi·V_dd //cmosvet:unit F*V
-	series bool    // f_ii > 1: the series-stack component applies
-
-	// loads holds w_f·C_t + C_INT for each fanout in fanout order, then the
-	// primary-output load: the order GateDelayAt adds them in.
-	loads []float64 //cmosvet:unit F
-
-	// fixed marks a delay that does not depend on the width: 0 for an
-	// input gate, +Inf when the operating point cannot switch the gate.
-	fixed   bool
-	fixedTd float64 //cmosvet:unit s
-
-	// The closed form: c0 = slope + worst + V_dd·C_PD/(2·drive) and
-	// c1 = V_dd·Σloads/(2·drive), plus stack/(2·I_Dw) when f_ii > 1.
-	// affine marks the gates whose closed form the thresholds may use.
-	c0     float64 //cmosvet:unit s
-	c1     float64 //cmosvet:unit s
-	affine bool
-}
-
-// bracketMargin is the thresholds' relative margin on the target and on
-// the width, and maxBracketLoads the largest load count whose rounding
-// error it covers: (2²⁰+10)·2⁻⁵³ < 1.2·10⁻¹⁰.
-const (
-	bracketMargin   = 1e-9
-	maxBracketLoads = 1 << 20
-)
-
-// NewPrepared returns an empty Prepared whose load scratch fits the
-// largest fanout in the circuit.
-func (e *Evaluator) NewPrepared() Prepared {
-	return Prepared{loads: make([]float64, 0, e.maxFanout+1)}
-}
-
-// Prepare evaluates gate id's width-independent delay terms into p. The
-// arguments mean what they mean for GateDelayAt: the fanout widths come
-// from a, and k must be CoeffsAt of the gate's (V_dd, V_TS) pair.
-//
-//cmosvet:hotpath
-//cmosvet:unit maxFaninDelay s
-func (e *Evaluator) Prepare(p *Prepared, id int, a *design.Assignment, maxFaninDelay float64, k Coeffs) {
-	cs := e.cs
-	if !cs.IsLogic[id] {
-		p.fixed, p.fixedTd = true, 0
-		return
-	}
-	vdd := a.VddAt(id)
-	t := e.Tech
-	fii := float64(cs.NumFanin(int32(id)))
-	drive, stalled := netDrive(k, fii)
-	if stalled {
-		p.fixed, p.fixedTd = true, math.Inf(1)
-		return
-	}
-
-	cb := e.Wire.BranchCapNet(id)
-	rb := e.Wire.BranchResNet(id)
-	fl := e.Wire.FlightTimeNet(id)
-	loads := p.loads[:0]
-	worst, sum := 0.0, 0.0
-	signed := false // a negative load: sums may cancel, so no closed form
-	for _, f := range cs.Fanouts(int32(id)) {
-		l := branchLoad(t, a.W[f], cb)
-		loads = append(loads, l)
-		sum += l
-		signed = signed || l < 0
-		// The branch delays are data: a compare-and-branch here mispredicts.
-		worst = floats.MaxNonNeg(worst, branchDelay(rb, l, fl))
-	}
-	if cs.IsPO[id] {
-		l := poLoad(t, cb)
-		loads = append(loads, l)
-		sum += l
-		signed = signed || l < 0
-		worst = floats.MaxNonNeg(worst, branchDelay(rb, l, fl))
-	}
-	// Field by field: a composite-literal store copies the whole struct
-	// through a temporary, a measurable share of a width search.
-	p.slope = slopeTerm(k, maxFaninDelay)
-	p.vdd = vdd
-	p.cpd = t.CPD
-	p.drive = drive
-	p.idw = k.Idw
-	p.worst = worst
-	p.stack = stackCharge(t, fii, vdd)
-	p.series = fii > 1
-	p.loads = loads
-	p.fixed = false
-
-	perCap := vdd / (2 * drive) // switching delay per unit of load, times w
-	c0 := p.slope + worst + t.CPD*perCap
-	c1 := sum * perCap
-	if p.series {
-		c1 += p.stack / (2 * k.Idw)
-	}
-	p.c0, p.c1 = c0, c1
-	// The thresholds' error bound needs every term of At non-negative
-	// (drive and I_Dw are positive on a gate that switches), few enough
-	// loads, and finite coefficients; NaN fails every comparison here.
-	p.affine = !signed && p.slope >= 0 && vdd > 0 && t.CPD >= 0 &&
-		(!p.series || p.stack >= 0) && len(loads) <= maxBracketLoads &&
-		c0 <= math.MaxFloat64 && c1 <= math.MaxFloat64
-}
-
-// At returns the prepared gate's delay at width w, adding the terms in
-// GateDelayAt's order.
-//
-//cmosvet:hotpath
-//cmosvet:unit w 1
-//cmosvet:unit return s
-func (p *Prepared) At(w float64) float64 {
-	if p.fixed {
-		return p.fixedTd
-	}
-	load := w * p.cpd
-	for _, l := range p.loads {
-		load += l
-	}
-	td := p.slope
-	td += switchingTerm(p.vdd, load, w, p.drive)
-	td += p.worst
-	if p.series {
-		td += stackTerm(p.stack, w, p.idw)
-	}
-	return td
-}
-
-// BracketTrue and BracketFalse return two widths that decide
-// "At(w) <= target" for any width 0 < w < +Inf without calling At: it holds
-// at every w >= BracketTrue(target) and fails at every
-// w <= BracketFalse(target). Only widths strictly between them, next to the
-// crossing, need At. A NaN threshold decides nothing (every comparison with
-// it is false); both are NaN for a fixed gate, a gate without a usable
-// closed form, or a target that is not finite and positive. A search that
-// BracketTrue already decides never needs BracketFalse.
-//
-// The thresholds come from c0 + c1/w with a relative margin of 10⁻⁹ on the
-// target and on the width, which covers the rounding of both forms. Every
-// term of At is non-negative, so At(w) lies within a relative (n+10)·2⁻⁵³ of
-// the exact value of Eq. A3 at the prepared terms, for n loads: n+1
-// roundings form the load, three the switching term, two the stack term
-// and three the final sum. c0 and c1 are within the same bound of the exact
-// coefficients, and the width margin covers the four roundings of a
-// threshold. Prepare turns the closed form off past maxBracketLoads loads,
-// before the bound nears the margin. The argument assumes no intermediate
-// result is subnormal; Eq. A3's delays, capacitances and currents sit
-// hundreds of decades above that.
-//
-//cmosvet:hotpath
-//cmosvet:unit target s
-//cmosvet:unit return 1
-func (p *Prepared) BracketTrue(target float64) float64 {
-	if p.fixed || !p.affine || !(target > 0 && target <= math.MaxFloat64) {
-		return math.NaN()
-	}
-	// c0 + c1/w <= target·(1−margin) for w >= c1/(target·(1−margin) − c0);
-	// below c0 no width reaches the target.
-	if d := target*(1-bracketMargin) - p.c0; d > 0 {
-		return p.c1 / d * (1 + bracketMargin)
-	}
-	return math.NaN()
-}
-
-// BracketFalse returns the width at or below which At misses target; see
-// BracketTrue.
-//
-//cmosvet:hotpath
-//cmosvet:unit target s
-//cmosvet:unit return 1
-func (p *Prepared) BracketFalse(target float64) float64 {
-	if p.fixed || !p.affine || !(target > 0 && target <= math.MaxFloat64) {
-		return math.NaN()
-	}
-	// c0 + c1/w >= target·(1+margin) for w <= c1/(target·(1+margin) − c0),
-	// and for every width once c0 alone reaches it.
-	if d := target*(1+bracketMargin) - p.c0; d > 0 {
-		return p.c1 / d * (1 - bracketMargin)
-	}
-	return math.Inf(1)
-}
+func StackTerm(q, w, idw float64) float64 { return q / (2 * w * idw) }
 
 // Delays returns the per-gate delay t_di for the whole network, computed in
 // topological order so each gate sees its drivers' final delays.

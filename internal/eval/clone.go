@@ -1,7 +1,5 @@
 package eval
 
-import "cmosopt/internal/delay"
-
 // Engine cloning.
 //
 // A single Engine stays single-goroutine (scratch buffers, coefficient
@@ -9,9 +7,8 @@ import "cmosopt/internal/delay"
 // after construction: the circuit, the technology, the activity profile, the
 // wiring model, the pure delay/power evaluators and the topological order.
 // Clone shares all of that and allocates only fresh scratch, so a worker
-// engine costs two float slices, a fanout-sized load buffer and an empty
-// coefficient map — cheap enough to build one per worker in every parallel
-// driver.
+// engine costs two float slices and an empty coefficient map — cheap enough
+// to build one per worker in every parallel driver.
 //
 // Clones do not share coefficient caches. Workers price disjoint voltage
 // pairs (a landscape cell, a refine candidate, a sweep point each), so a
@@ -28,20 +25,20 @@ import "cmosopt/internal/delay"
 func (e *Engine) Clone() *Engine {
 	n := e.C.N()
 	c := &Engine{
-		C:        e.C,
-		Tech:     e.Tech,
-		Act:      e.Act,
-		Wire:     e.Wire,
-		Fc:       e.Fc,
-		dm:       e.dm,
-		pm:       e.pm,
-		cs:       e.cs,
-		numLogic: e.numLogic,
-		cache:    make(map[coeffKey]delay.Coeffs),
-		sink:     e.sink,
-		td:       make([]float64, n),
-		arr:      make([]float64, n),
+		C:         e.C,
+		Tech:      e.Tech,
+		Act:       e.Act,
+		Wire:      e.Wire,
+		Fc:        e.Fc,
+		dm:        e.dm,
+		pm:        e.pm,
+		cs:        e.cs,
+		numLogic:  e.numLogic,
+		cache:     make(map[coeffKey]coeffEntry),
+		fanStride: e.fanStride,
+		sink:      e.sink,
+		td:        make([]float64, n),
+		arr:       make([]float64, n),
 	}
-	c.probe = WidthProbe{met: &c.met, d: e.dm.NewPrepared()}
 	return c
 }

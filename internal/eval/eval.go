@@ -15,12 +15,12 @@
 //     Each engine owns its cache, so no lookup takes a lock;
 //   - width-override probes (ProbeWidth, GateDelayOverride) that answer
 //     "what would this gate's delay be at width w" without the
-//     mutate-and-restore pattern on the assignment, and the prepared width
-//     probe (PrepareWidth, WidthProbe) that answers it for a whole width
-//     search after deriving the gate's width-independent terms once.
-//     WidthProbe.MinWidth runs that search: a probe is one width it tests,
-//     answered by Eq. A3's closed form c0 + c1/w when that decides it and
-//     by the term-by-term sum otherwise, with the same verdict either way;
+//     mutate-and-restore pattern on the assignment;
+//   - the width kernel (SizeWidths, widths.go): Procedure 2's width passes
+//     as one fused loop over a solve-order gate table. A probe is one
+//     width a search tests, answered by Eq. A3's closed form c0 + c1/w
+//     when that decides it and by the term-by-term sum otherwise, with the
+//     same verdict either way;
 //   - incremental re-evaluation (Bind/SetWidth in incremental.go): editing
 //     one gate's width dirties only its fanin loads and its fanout cone, not
 //     the whole circuit;
@@ -41,7 +41,6 @@ package eval
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"time"
 
 	"cmosopt/internal/activity"
@@ -63,6 +62,14 @@ type coeffKey struct {
 	vts float64 //cmosvet:unit V
 }
 
+// coeffEntry is one voltage pair's cached coefficients, with its
+// per-fanin-count width constants: nil until a width pass first sizes a
+// gate at the pair (see widthRow).
+type coeffEntry struct {
+	k   delay.Coeffs
+	row []fanConst
+}
+
 // Engine evaluates delay and energy for one circuit under one technology,
 // wiring model, activity profile and clock frequency.
 type Engine struct {
@@ -82,10 +89,16 @@ type Engine struct {
 	// optimizer probe sequence nearly every call shares one voltage pair)
 	// over a map of the pairs this engine has priced. Clones start empty:
 	// almost no pair one worker prices is priced by another.
-	lastKey   coeffKey
-	lastCoeff delay.Coeffs
-	haveLast  bool
-	cache     map[coeffKey]delay.Coeffs
+	lastKey  coeffKey
+	last     coeffEntry
+	haveLast bool
+	cache    map[coeffKey]coeffEntry
+
+	// The width kernel's per-fanin-count constants come in rows of
+	// fanStride, one per voltage pair it sizes at, carved from blocks of
+	// fanBlockRows rows; fanFree is the current block's unused tail.
+	fanFree   []fanConst
+	fanStride int
 
 	// Scratch for the full-evaluation APIs (valid until the next Engine call).
 	td    []float64 //cmosvet:unit s
@@ -103,10 +116,6 @@ type Engine struct {
 	inDirty []bool
 
 	met Metrics
-
-	// The engine's prepared width probe (PrepareWidth); its load scratch
-	// is sized for the circuit's largest fanout.
-	probe WidthProbe
 
 	// Optional observability sink (obs.go). Write-only from evaluation's
 	// perspective: nothing here feeds back into any result.
@@ -147,18 +156,18 @@ func NewDelayOnly(c *circuit.Circuit, tech *device.Tech, wire *wiring.Model) (*E
 		return nil, err
 	}
 	e := &Engine{
-		C:        c,
-		Tech:     tech,
-		Wire:     wire,
-		dm:       dm,
-		cs:       cs,
-		numLogic: c.NumLogic(),
-		cache:    make(map[coeffKey]delay.Coeffs),
-		primary:  true,
-		td:       make([]float64, c.N()),
-		arr:      make([]float64, c.N()),
+		C:         c,
+		Tech:      tech,
+		Wire:      wire,
+		dm:        dm,
+		cs:        cs,
+		numLogic:  c.NumLogic(),
+		cache:     make(map[coeffKey]coeffEntry),
+		fanStride: fanStride(cs),
+		primary:   true,
+		td:        make([]float64, c.N()),
+		arr:       make([]float64, c.N()),
 	}
-	e.probe = WidthProbe{met: &e.met, d: dm.NewPrepared()}
 	return e, nil
 }
 
@@ -186,21 +195,21 @@ func (e *Engine) coeffs(vdd, vts float64) delay.Coeffs {
 	k := coeffKey{vdd, vts}
 	if e.haveLast && k == e.lastKey {
 		e.met.CoeffHits++
-		return e.lastCoeff
+		return e.last.k
 	}
 	c, ok := e.cache[k]
 	if ok {
 		e.met.CoeffHits++
 	} else {
 		e.met.CoeffMisses++
-		c = e.dm.CoeffsAt(vdd, vts)
+		c = coeffEntry{k: e.dm.CoeffsAt(vdd, vts)}
 		if len(e.cache) >= maxCoeffEntries {
 			clear(e.cache)
 		}
 		e.cache[k] = c
 	}
-	e.lastKey, e.lastCoeff, e.haveLast = k, c, true
-	return c
+	e.lastKey, e.last, e.haveLast = k, c, true
+	return c.k
 }
 
 // gateDelay evaluates gate id's delay at width w through the coefficient
@@ -240,227 +249,6 @@ func (e *Engine) GateDelayWith(id int, a *design.Assignment, maxFaninDelay float
 func (e *Engine) ProbeWidth(id int, a *design.Assignment, w, maxFaninDelay float64) float64 {
 	e.met.WidthProbes++
 	return e.gateDelay(id, a, w, maxFaninDelay)
-}
-
-// WidthProbe is one gate's delay prepared for a width search: Procedure 2
-// evaluates a gate at a dozen widths while its voltages, fanin delay and
-// fanout widths stay fixed, so PrepareWidth derives everything else once
-// and each At applies only the probed width. Its results are bitwise equal
-// to ProbeWidth's, and it counts the same work.
-type WidthProbe struct {
-	met  *Metrics
-	d    delay.Prepared
-	grid bisectGrid // MinWidth's grid for the last (lo, hi, steps) it searched
-}
-
-// PrepareWidth prepares gate id for a width search at a's voltages and
-// fanout widths and the given largest fanin delay, with one coefficient
-// lookup, and returns the engine's probe. The probe is engine scratch,
-// valid until the next PrepareWidth on this engine and only while id's
-// voltages and its fanouts' widths in a stay unchanged.
-//
-//cmosvet:hotpath
-//cmosvet:unit maxFaninDelay s
-func (e *Engine) PrepareWidth(id int, a *design.Assignment, maxFaninDelay float64) *WidthProbe {
-	e.dm.Prepare(&e.probe.d, id, a, maxFaninDelay, e.coeffs(a.VddAt(id), a.Vts[id]))
-	return &e.probe
-}
-
-// At returns the prepared gate's delay at width w. It is one width probe:
-// it counts as ProbeWidth does, in WidthProbes and GateDelayCalls.
-//
-//cmosvet:hotpath
-//cmosvet:unit w 1
-//cmosvet:unit return s
-func (p *WidthProbe) At(w float64) float64 {
-	p.met.WidthProbes++
-	p.met.GateDelayCalls++
-	return p.d.At(w)
-}
-
-// MinWidth returns the smallest width in [lo, hi] at which the prepared
-// gate's delay meets target, by the bisection of Procedure 2's width search:
-// it tests hi, then lo, then steps midpoints lo + (hi−lo)/2, keeping the
-// failing end in lo and the passing end in hi, and returns hi. The second
-// result is false when even hi misses the target, and the width is then hi;
-// when lo already meets it, the width is lo.
-//
-// Each tested width is one probe and counts as At does. Most are decided by
-// comparing the width against the delay.Prepared thresholds, which MinWidth
-// derives once per search; the rest by At. Both are Eq. A3 and give the
-// same answer, so the tested widths, the result and the counts are those of
-// a bisection that calls At at every width. A search that ends at lo reads
-// only BracketTrue; the others also derive BracketFalse. When the
-// thresholds decide every midpoint and the midpoints are exact grid points
-// (see bisectGrid), MinWidth takes the bisection's final cell directly
-// instead of walking to it.
-//
-//cmosvet:hotpath
-//cmosvet:unit lo 1
-//cmosvet:unit hi 1
-//cmosvet:unit target s
-//cmosvet:unit return1 1
-func (p *WidthProbe) MinWidth(lo, hi float64, steps int, target float64) (float64, bool) {
-	// Every tested width lies in [lo, hi], where the thresholds hold when lo
-	// and hi are finite and positive.
-	finite := lo > 0 && hi > 0 && lo <= math.MaxFloat64 && hi <= math.MaxFloat64
-	wTrue, wFalse := math.NaN(), math.NaN()
-	if finite {
-		wTrue = p.d.BracketTrue(target)
-	}
-	if lo >= wTrue && hi >= wTrue {
-		// Both ends meet the target: the search ends at lo.
-		p.count(2)
-		return lo, true
-	}
-	if finite {
-		wFalse = p.d.BracketFalse(target)
-	}
-	if !p.meets(hi, wTrue, wFalse, target) {
-		p.count(1)
-		return hi, false
-	}
-	if p.meets(lo, wTrue, wFalse, target) {
-		p.count(2)
-		return lo, true
-	}
-	p.count(2 + int64(max(steps, 0)))
-	if p.grid.lo != lo || p.grid.hi != hi || p.grid.steps != steps {
-		p.grid = newBisectGrid(lo, hi, steps)
-	}
-	if w, ok := p.grid.final(wTrue, wFalse); ok {
-		return w, true
-	}
-	for i := 0; i < steps; i++ {
-		mid := lo + (hi-lo)/2
-		// p.meets(mid, …) written out: the call would not inline, and it
-		// costs as much as the comparisons that decide most midpoints.
-		if mid >= wTrue || !(mid <= wFalse) && p.d.At(mid) <= target {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, true
-}
-
-// bisectGrid holds the widths a MinWidth bisection over [lo, hi] in steps
-// halvings can test: lo + j·step for j = 0 … n, with step = (hi−lo)/2^steps
-// and n = 2^steps. When lo, hi and step are all multiples of one power of
-// two q and hi < 2^53·q, every sum and difference the bisection forms is an
-// integer multiple of q below 2^53·q, hence exact: each midpoint it tests
-// is exactly lo + j·step, with no rounding. The default width range [1, 100]
-// has such a grid up to 46 steps; a bound like 1.3, whose mantissa has its
-// low bits set, has none. step is 0 when the grid is not exact.
-type bisectGrid struct {
-	lo, hi float64 //cmosvet:unit 1
-	steps  int
-	step   float64 //cmosvet:unit 1
-	n      int64
-}
-
-// newBisectGrid returns the grid of a bisection over [lo, hi] in steps
-// halvings, with step 0 unless every midpoint is exact.
-//
-//cmosvet:hotpath
-//cmosvet:unit lo 1
-//cmosvet:unit hi 1
-func newBisectGrid(lo, hi float64, steps int) bisectGrid {
-	g := bisectGrid{lo: lo, hi: hi, steps: steps}
-	if steps < 1 || !(0 < lo && lo < hi && hi <= math.MaxFloat64) {
-		return g
-	}
-	step := math.Ldexp(hi-lo, -steps)
-	q := min(lowBit(lo), lowBit(hi), lowBit(step))
-	// The second test rejects a step rounded below the normal range; an exact
-	// grid also has fewer than 2^53 cells, which keeps n in range.
-	if hi < math.Ldexp(1, 53+q) && math.Ldexp(step, steps) == hi-lo {
-		g.step, g.n = step, int64(1)<<steps
-	}
-	return g
-}
-
-// lowBit returns the exponent of the lowest set bit of a finite x > 0: the
-// largest power of two x is a multiple of.
-//
-//cmosvet:hotpath
-//cmosvet:unit x 1
-func lowBit(x float64) int {
-	frac, e := math.Frexp(x)
-	return e - 53 + bits.TrailingZeros64(uint64(math.Ldexp(frac, 53)))
-}
-
-// final returns the width a bisection over an exact grid ends on when the
-// thresholds alone decide every midpoint it tests, and false otherwise. The
-// bisection starts from a failing lo and a passing hi. Grid points at or
-// above wTrue meet the target and those at or below wFalse miss it, so when
-// the point below the first one at or above wTrue is at most wFalse, every
-// midpoint is decided and the bisection narrows to that first point: the
-// smallest passing grid point, whatever At would say between the
-// thresholds. A NaN wFalse decides nothing; a NaN wTrue or one above hi
-// leaves hi as the first passing point.
-//
-//cmosvet:hotpath
-//cmosvet:unit wTrue 1
-//cmosvet:unit wFalse 1
-//cmosvet:unit return1 1
-func (g *bisectGrid) final(wTrue, wFalse float64) (float64, bool) {
-	if g.step == 0 {
-		return 0, false
-	}
-	k := g.n
-	if wTrue <= g.hi {
-		// The first grid point at or above wTrue, above a failing lo. The
-		// ceiling of the rounded quotient is exact: wTrue − lo is exact (lo
-		// is a multiple of q, and q of wTrue's ulp), and a wTrue above grid
-		// point j lies at least one ulp of that point above it, more than
-		// half an ulp of j in quotient units, so the quotient never rounds
-		// down onto j. It never rounds above an integer it does not exceed.
-		k = max(int64(math.Ceil((wTrue-g.lo)/g.step)), 1)
-	}
-	if !(g.lo+float64(k-1)*g.step <= wFalse) {
-		return 0, false
-	}
-	return g.lo + float64(k)*g.step, true
-}
-
-// meets reports whether the prepared delay at width w is at most target,
-// from the thresholds when they decide it and from At otherwise. A NaN
-// threshold fails both comparisons, so it leaves every width to At.
-//
-//cmosvet:hotpath
-//cmosvet:unit w 1
-//cmosvet:unit wTrue 1
-//cmosvet:unit wFalse 1
-//cmosvet:unit target s
-func (p *WidthProbe) meets(w, wTrue, wFalse, target float64) bool {
-	if w >= wTrue {
-		return true
-	}
-	if w <= wFalse {
-		return false
-	}
-	return p.d.At(w) <= target
-}
-
-// count records n width probes.
-//
-//cmosvet:hotpath
-func (p *WidthProbe) count(n int64) {
-	p.met.WidthProbes += n
-	p.met.GateDelayCalls += n
-}
-
-// Settled returns the prepared gate's delay at the width its search settled
-// on. It counts as GateDelayWith does, in GateDelayCalls only: it is the
-// gate's own delay, not a probe.
-//
-//cmosvet:hotpath
-//cmosvet:unit w 1
-//cmosvet:unit return s
-func (p *WidthProbe) Settled(w float64) float64 {
-	p.met.GateDelayCalls++
-	return p.d.At(w)
 }
 
 // GateDelayOverride returns gate id's delay with gate ov's width taken as wOv

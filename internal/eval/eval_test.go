@@ -21,6 +21,12 @@ const (
 	vtsStep = 1e-7 //cmosvet:unit V
 )
 
+// Base and step of the width-pass targets, named so they stay in seconds.
+const (
+	targetBase = 0.2e-9  //cmosvet:unit s
+	targetStep = 0.01e-9 //cmosvet:unit s
+)
+
 // buildCase returns a synthetic circuit with its engine plus the raw model
 // evaluators the engine must agree with.
 func buildCase(t testing.TB, seed int64) (*circuit.Circuit, *Engine, *delay.Evaluator, *power.Evaluator) {
@@ -108,78 +114,130 @@ func TestProbeWidthMatchesMutateRestore(t *testing.T) {
 	}
 }
 
-// The prepared width probe answers what ProbeWidth and GateDelayWith
-// answer, bit for bit, and counts the same work: At is a width probe,
-// Settled a plain gate-delay call. A preparation looks the device
-// coefficients up once, and a clone carries its own probe.
+// A width pass's settled delays are what ProbeWidth answers at the widths
+// it chose, bit for bit, given the fanout widths before the pass and the
+// fanin delays the pass produced; and the pass counts what a per-gate probe
+// loop would: one coefficient lookup and one settled gate-delay call per
+// gate, and one gate-delay call per width probe. A clone runs the same pass
+// on the same shared table with its own scratch and counters.
 func TestWidthProbeMatchesProbeWidth(t *testing.T) {
-	c, eng, dm, _ := buildCase(t, 4)
+	c, eng, _, _ := buildCase(t, 4)
 	a := design.Uniform(c.N(), 1.2, 0.3, 3)
 	for i := range a.W {
 		a.W[i] = 1 + float64(i%7)
 	}
-	td := dm.Delays(a)
+	tab := eng.NewWidthTable()
 	ref := eng.Clone()
 	for _, e := range []*Engine{eng, eng.Clone()} {
-		for id := range c.Gates {
-			if !c.Gates[id].IsLogic() {
-				continue
-			}
+		s := tab.NewScratch()
+		for i := range s.Target {
+			s.Target[i] = targetBase + targetStep*float64(i%11)
+		}
+		b := a.Clone()
+		m0 := *e.Metrics()
+		e.SizeWidths(s, b, 1, 100, 12, 1)
+		m := *e.Metrics()
+		pos := make(map[int32]int, tab.Len())
+		for i := range tab.Len() {
+			pos[tab.ID(i)] = i
+		}
+		moved := 0
+		for i := range tab.Len() {
+			id := tab.ID(i)
 			maxIn := 0.0
-			for _, f := range c.Gate(id).Fanin {
-				maxIn = max(maxIn, td[f])
-			}
-			m0 := *e.Metrics()
-			pr := e.PrepareWidth(id, a, maxIn)
-			ws := []float64{1, 2.5, 7, 40}
-			for _, w := range ws {
-				if got, want := pr.At(w), ref.ProbeWidth(id, a, w, maxIn); got != want {
-					t.Fatalf("gate %d At(%v) = %v, ProbeWidth %v", id, w, got, want)
+			for _, f := range c.Gate(int(id)).Fanin {
+				if p, ok := pos[f]; ok {
+					maxIn = max(maxIn, s.Delay[p])
 				}
 			}
-			if got, want := pr.Settled(a.W[id]), ref.GateDelayWith(id, a, maxIn); got != want {
-				t.Fatalf("gate %d Settled = %v, GateDelayWith %v", id, got, want)
+			if got, want := s.Delay[i], ref.ProbeWidth(int(id), a, b.W[id], maxIn); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("gate %d: settled delay %v at width %v, ProbeWidth %v", id, got, b.W[id], want)
 			}
-			m := *e.Metrics()
-			if got := m.WidthProbes - m0.WidthProbes; got != int64(len(ws)) {
-				t.Errorf("gate %d: %d width probes counted, want %d", id, got, len(ws))
+			if b.W[id] != a.W[id] {
+				moved++
 			}
-			if got := m.GateDelayCalls - m0.GateDelayCalls; got != int64(len(ws)+1) {
-				t.Errorf("gate %d: %d gate-delay calls counted, want %d", id, got, len(ws)+1)
-			}
-			if got := m.CoeffHits + m.CoeffMisses - m0.CoeffHits - m0.CoeffMisses; got != 1 {
-				t.Errorf("gate %d: %d coefficient lookups, want 1", id, got)
-			}
+		}
+		if moved == 0 {
+			t.Fatal("the pass moved no width")
+		}
+		n := int64(tab.Len())
+		probes := m.WidthProbes - m0.WidthProbes
+		if got := m.GateDelayCalls - m0.GateDelayCalls; probes < 2*n || got != probes+n {
+			t.Errorf("%d width probes and %d gate-delay calls for %d gates, want at least %d probes and one call more per gate", probes, got, n, 2*n)
+		}
+		if got := m.CoeffHits + m.CoeffMisses - m0.CoeffHits - m0.CoeffMisses; got != n {
+			t.Errorf("%d coefficient lookups for %d gates, want one per gate", got, n)
 		}
 	}
 }
 
-// Preparing, probing and searching allocates nothing, on the engine and on
-// a clone, for the gate with the widest fanout.
+// Once its table, scratch and cache entry exist, a width solve allocates
+// nothing, on the engine and on a clone: on a random circuit, and on a hub
+// gate that drives nine fanouts and a primary output.
 func TestWidthProbeZeroAlloc(t *testing.T) {
-	c, eng, _, _ := buildCase(t, 5)
-	a := design.Uniform(c.N(), 1.2, 0.3, 3)
-	cs, err := c.CSR()
+	_, eng, _, _ := buildCase(t, 5)
+	b := circuit.NewBuilder("hub")
+	in := b.Input("a")
+	hub := b.Gate(circuit.Not, "hub", in)
+	for i := 0; i < 9; i++ {
+		b.Output(b.Gate(circuit.Not, "o"+string(rune('0'+i)), hub))
+	}
+	b.Output(hub) // the PO load goes after the nine fanouts
+	hc, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := 0
-	for id := range c.Gates {
-		if cs.IsLogic[id] && cs.NumFanout(int32(id)) > cs.NumFanout(int32(hub)) {
-			hub = id
+	hubEng, err := NewDelayOnly(hc, eng.Tech, eng.Wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, base := range []*Engine{eng, hubEng} {
+		tab := base.NewWidthTable()
+		for _, e := range []*Engine{base, base.Clone()} {
+			s := tab.NewScratch()
+			for i := range s.Target {
+				s.Target[i] = targetBase
+			}
+			a := design.Uniform(base.C.N(), 1.2, 0.3, 3)
+			e.SizeWidths(s, a, 1, 100, 12, 4) // prices the voltage pair
+			allocs := testing.AllocsPerRun(20, func() {
+				e.SizeWidths(s, a, 1, 100, 12, 4)
+			})
+			if allocs != 0 {
+				t.Errorf("%s: a width solve allocated %v times per run, want 0", base.C.Name, allocs)
+			}
 		}
 	}
-	for _, e := range []*Engine{eng, eng.Clone()} {
-		allocs := testing.AllocsPerRun(20, func() {
-			pr := e.PrepareWidth(hub, a, 1e-10)
-			_ = pr.At(2)
-			_ = pr.Settled(2)
-			_, _ = pr.MinWidth(1, 100, 12, pr.At(7))
-		})
-		if allocs != 0 {
-			t.Errorf("PrepareWidth + At + Settled + MinWidth on gate %d (fanout %d): %v allocs per run, want 0",
-				hub, cs.NumFanout(int32(hub)), allocs)
+
+	// The hub's settled delay after one pass is GateDelayAt's at the width
+	// the pass chose, with its nine fanouts and the PO at their widths
+	// before the pass.
+	dm, err := delay.New(hc, eng.Tech, eng.Wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := hubEng.NewWidthTable()
+	s := tab.NewScratch()
+	for i := range s.Target {
+		s.Target[i] = targetBase
+	}
+	pre := design.Uniform(hc.N(), 1.5, 0.3, 2)
+	a := pre.Clone()
+	hubEng.SizeWidths(s, a, 1, 100, 12, 1)
+	id := hc.GateByName("hub").ID
+	checked := false
+	for i := range tab.Len() {
+		if tab.ID(i) != int32(id) {
+			continue
 		}
+		checked = true
+		want := dm.GateDelayAt(id, pre, a.W[id], -1, 0, 0, dm.CoeffsAt(1.5, 0.3))
+		if got := s.Delay[i]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("hub gate at width %v: settled delay %v, GateDelayAt %v", a.W[id], got, want)
+		}
+	}
+	if !checked {
+		t.Error("the hub gate is not in the width table")
 	}
 }
 

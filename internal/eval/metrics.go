@@ -5,16 +5,16 @@ package eval
 // GateDelayCalls is a faithful effort meter across full sweeps, width probes
 // and incremental propagation alike; FullEvalEquivalents converts it into the
 // O(M³) full-circuit-evaluation units the paper counts in. A width probe is
-// one width a search tests: WidthProbe.MinWidth answers it from Eq. A3's
-// closed form c0 + c1/w or from the term-by-term sum, and counts one probe
-// and one gate-delay call either way, since the paper's currency counts
-// search steps and both forms are Eq. A3.
+// one width a search tests: the width kernel (SizeWidths) answers it from
+// Eq. A3's closed form c0 + c1/w or from the term-by-term sum, and counts
+// one probe and one gate-delay call either way, since the paper's currency
+// counts search steps and both forms are Eq. A3.
 type Metrics struct {
 	GateDelayCalls   int64 // single-gate delay-model evaluations (all sources)
 	GateEnergyCalls  int64 // single-gate energy-model evaluations
 	FullDelaySweeps  int64 // whole-circuit delay computations (Delays/Arrivals/…)
 	FullEnergySweeps int64 // whole-circuit energy computations (Energy)
-	WidthProbes      int64 // widths tested (ProbeWidth, GateDelayOverride, WidthProbe.At, each MinWidth test)
+	WidthProbes      int64 // widths tested (ProbeWidth, GateDelayOverride, each width a SizeWidths search tests)
 	IncrementalEdits int64 // bound-assignment width edits (SetWidth)
 	DirtyGates       int64 // gates re-evaluated by incremental propagation
 	CoeffHits        int64 // device-coefficient cache hits

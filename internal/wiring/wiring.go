@@ -76,6 +76,16 @@ type Model struct {
 
 	meanPitches float64   // expected point-to-point length in gate pitches //cmosvet:unit 1
 	netPitches  []float64 // per-net sampled lengths (nil = use the mean) //cmosvet:unit 1
+
+	// Each net's branch C_INT, R_INT and time of flight, derived from its
+	// length once (derive) so that the per-net accessors are loads: for the
+	// mean length, and per sampled net (nil while unsampled).
+	meanCap    float64   //cmosvet:unit F
+	meanRes    float64   //cmosvet:unit V/A
+	meanFlight float64   //cmosvet:unit s
+	netCap     []float64 //cmosvet:unit F
+	netRes     []float64 //cmosvet:unit V/A
+	netFlight  []float64 //cmosvet:unit s
 }
 
 // New builds the wiring model for a network of n logic gates.
@@ -88,7 +98,21 @@ func New(p Params, n int) (*Model, error) {
 	}
 	m := &Model{P: p, N: n}
 	m.meanPitches = m.computeMean()
+	m.meanCap, m.meanRes, m.meanFlight = m.derive(m.meanPitches)
 	return m, nil
+}
+
+// derive returns the branch C_INT, R_INT and time of flight of a net whose
+// branches are the given number of pitches long: the length in meters times
+// the per-length capacitance and resistance, and over the velocity.
+//
+//cmosvet:unit pitches 1
+//cmosvet:unit return1 F
+//cmosvet:unit return2 V/A
+//cmosvet:unit return3 s
+func (m *Model) derive(pitches float64) (c, r, flight float64) {
+	l := pitches * m.P.GatePitch
+	return l * m.P.CPerLen, l * m.P.RPerLen, l / m.P.Velocity
 }
 
 // Density returns the (unnormalized) expected number of connections of
@@ -141,7 +165,7 @@ func (m *Model) MeanPitches() float64 { return m.meanPitches }
 // lengths; the aggregate mean still converges to MeanPitches.
 func (m *Model) SampleNets(nNets int, seed int64) {
 	if nNets <= 0 {
-		m.netPitches = nil
+		m.netPitches, m.netCap, m.netRes, m.netFlight = nil, nil, nil, nil
 		return
 	}
 	// Discrete CDF over l = 1..2√N.
@@ -154,6 +178,9 @@ func (m *Model) SampleNets(nNets int, seed int64) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	m.netPitches = make([]float64, nNets)
+	m.netCap = make([]float64, nNets)
+	m.netRes = make([]float64, nNets)
+	m.netFlight = make([]float64, nNets)
 	for i := range m.netPitches {
 		u := rng.Float64() * sum
 		idx := sort.SearchFloat64s(cdf, u)
@@ -161,6 +188,7 @@ func (m *Model) SampleNets(nNets int, seed int64) {
 			idx = lMax - 1
 		}
 		m.netPitches[i] = float64(idx + 1)
+		m.netCap[i], m.netRes[i], m.netFlight[i] = m.derive(m.netPitches[i])
 	}
 }
 
@@ -202,33 +230,54 @@ func (m *Model) NetLength(fanout int) float64 {
 // branch (F).
 //
 //cmosvet:unit return F
-func (m *Model) BranchCap() float64 { return m.BranchLength() * m.P.CPerLen }
+func (m *Model) BranchCap() float64 { return m.meanCap }
 
-// BranchCapNet is BranchCap for the net driven by gate id.
+// BranchCapNet is BranchCap for the net driven by gate id: a load of the
+// value derived when the nets were sampled, the mean's when they were not
+// or id is out of range.
 //
+//cmosvet:hotpath
 //cmosvet:unit return F
-func (m *Model) BranchCapNet(id int) float64 { return m.BranchLengthNet(id) * m.P.CPerLen }
+func (m *Model) BranchCapNet(id int) float64 {
+	if uint(id) < uint(len(m.netCap)) {
+		return m.netCap[id]
+	}
+	return m.meanCap
+}
 
 // BranchRes returns R_INTij: the interconnect resistance of one fanout
 // branch (Ω = V/A).
 //
 //cmosvet:unit return V/A
-func (m *Model) BranchRes() float64 { return m.BranchLength() * m.P.RPerLen }
+func (m *Model) BranchRes() float64 { return m.meanRes }
 
-// BranchResNet is BranchRes for the net driven by gate id.
+// BranchResNet is BranchRes for the net driven by gate id; see BranchCapNet.
 //
+//cmosvet:hotpath
 //cmosvet:unit return V/A
-func (m *Model) BranchResNet(id int) float64 { return m.BranchLengthNet(id) * m.P.RPerLen }
+func (m *Model) BranchResNet(id int) float64 {
+	if uint(id) < uint(len(m.netRes)) {
+		return m.netRes[id]
+	}
+	return m.meanRes
+}
 
 // FlightTime returns the time-of-flight over one fanout branch (s).
 //
 //cmosvet:unit return s
-func (m *Model) FlightTime() float64 { return m.BranchLength() / m.P.Velocity }
+func (m *Model) FlightTime() float64 { return m.meanFlight }
 
-// FlightTimeNet is FlightTime for the net driven by gate id.
+// FlightTimeNet is FlightTime for the net driven by gate id; see
+// BranchCapNet.
 //
+//cmosvet:hotpath
 //cmosvet:unit return s
-func (m *Model) FlightTimeNet(id int) float64 { return m.BranchLengthNet(id) / m.P.Velocity }
+func (m *Model) FlightTimeNet(id int) float64 {
+	if uint(id) < uint(len(m.netFlight)) {
+		return m.netFlight[id]
+	}
+	return m.meanFlight
+}
 
 // RCDelay returns the distributed RC delay of one fanout branch (s), using
 // the 0.5·R·C distributed-line factor: (V/A)·F composes to s.

@@ -245,3 +245,39 @@ func TestDieAndTotalWireEstimates(t *testing.T) {
 		t.Errorf("negative edges should clamp to 0, got %v", got)
 	}
 }
+
+// The per-net accessors load constants derived once, in New and in
+// SampleNets. They must equal the expressions they replace bit for bit:
+// the branch length in meters times C or R per length, or over the
+// velocity, for sampled and unsampled nets and for ids out of range.
+func TestNetConstantsMatchExpressions(t *testing.T) {
+	odd := Default350()
+	odd.GatePitch, odd.CPerLen, odd.RPerLen, odd.Velocity = 3.7e-6, 1.9e-10, 0.7e5, 1.3e8
+	for _, p := range []Params{Default350(), odd} {
+		for _, sampled := range []bool{false, true} {
+			m, err := New(p, 500)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sampled {
+				m.SampleNets(300, 11)
+			}
+			same := func(what string, id int, got, want float64) {
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("sampled=%v net %d: %s %v (%#x), expression %v (%#x)",
+						sampled, id, what, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+			bl := m.BranchLength()
+			same("BranchCap", -1, m.BranchCap(), bl*m.P.CPerLen)
+			same("BranchRes", -1, m.BranchRes(), bl*m.P.RPerLen)
+			same("FlightTime", -1, m.FlightTime(), bl/m.P.Velocity)
+			for id := -2; id < 305; id++ {
+				l := m.BranchLengthNet(id)
+				same("BranchCapNet", id, m.BranchCapNet(id), l*m.P.CPerLen)
+				same("BranchResNet", id, m.BranchResNet(id), l*m.P.RPerLen)
+				same("FlightTimeNet", id, m.FlightTimeNet(id), l/m.P.Velocity)
+			}
+		}
+	}
+}
