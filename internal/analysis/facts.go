@@ -212,14 +212,15 @@ func calleeRef(info *types.Info, call *ast.CallExpr) (path, key string, ok bool)
 
 // engineEvalMethods are the Engine entry points that evaluate the whole
 // circuit — the "one candidate evaluation" granularity of the PR 8
-// cancellation contract. Per-gate probes (ProbeWidth, GateDelayWith,
-// GateDelayOverride, GateEnergy), the width kernel's passes (SizeWidths) and
-// incremental Bound* reads are deliberately excluded: a width solve inside
-// one candidate may run them without polling.
+// cancellation contract. WidthDelays, the width kernel's verification sweep,
+// is one: it is how a width solve re-times the circuit. Per-gate probes
+// (ProbeWidth, GateDelayWith, GateDelayOverride, GateEnergy), the width
+// kernel's passes (SizeWidths) and incremental Bound* reads are deliberately
+// excluded: a width solve inside one candidate may run them without polling.
 var engineEvalMethods = map[string]bool{
 	"Delays": true, "Arrivals": true,
 	"CriticalDelay": true, "CriticalPath": true,
-	"Energy": true,
+	"Energy": true, "WidthDelays": true,
 }
 
 // isEngineEvalCall reports a call to an eval.Engine full-circuit evaluation.

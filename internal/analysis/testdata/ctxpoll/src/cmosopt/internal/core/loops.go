@@ -117,6 +117,32 @@ func (p *Problem) NestedBad(rows [][]float64) float64 {
 	return e
 }
 
+// solveWidths mirrors the real width solve: width passes, then the
+// verification sweep on the width table, which makes it evaluation.
+func (p *Problem) solveWidths(v float64) bool {
+	return p.Eng.WidthDelays(p.Eng.SizeWidths(v)) <= 1
+}
+
+// WidthsBad solves widths at every point and never polls.
+func (p *Problem) WidthsBad(points []float64) int {
+	n := 0
+	for _, v := range points { // want `does not poll Spec.Ctx on every iteration path`
+		if p.solveWidths(v) {
+			n++
+		}
+	}
+	return n
+}
+
+// PassesOnly loops over width passes alone: not a candidate loop.
+func (p *Problem) PassesOnly(points []float64) float64 {
+	w := 0.0
+	for _, v := range points {
+		w += p.Eng.SizeWidths(v) // ok: passes, not full evaluation
+	}
+	return w
+}
+
 // ProbeOnly loops over a per-gate probe: not a candidate loop.
 func (p *Problem) ProbeOnly(points []float64) float64 {
 	w := 0.0

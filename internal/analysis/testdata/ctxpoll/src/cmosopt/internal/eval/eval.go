@@ -13,3 +13,9 @@ func (e *Engine) Energy(v float64) float64 { return v * v }
 
 // ProbeWidth is a per-gate probe — deliberately not "evaluation".
 func (e *Engine) ProbeWidth(v float64) float64 { return v }
+
+// SizeWidths runs width passes — deliberately not "evaluation".
+func (e *Engine) SizeWidths(v float64) float64 { return v / 2 }
+
+// WidthDelays re-times a width solve's gates: a full-circuit evaluation.
+func (e *Engine) WidthDelays(v float64) float64 { return v * float64(e.n) }

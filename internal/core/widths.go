@@ -25,7 +25,11 @@ import (
 // and the summed effort counters are those of a sweep in topological order.
 //
 // It returns true only if, after the final sweep, a full delay recomputation
-// meets every budget. Widths are left in a (best effort) either way.
+// meets every budget. That recomputation also runs on the width table
+// (eval.WidthDelays): one sweep in solve order that forms each delay as
+// Delays would, bit for bit, and is billed as one Delays call; it leaves the
+// final delays in the scratch's Delay by solve position. Widths are left in
+// a (best effort) either way.
 func (p *Problem) solveWidths(a *design.Assignment, mSteps, passes int) bool {
 	s := p.widthScratch()
 	// The per-gate search targets a slightly tightened budget so the small
@@ -47,9 +51,9 @@ func (p *Problem) solveWidths(a *design.Assignment, mSteps, passes int) bool {
 	// of per-gate budgets perturbs path sums by at most the same ε. The
 	// strict cycle-time constraint is re-checked on the final result.
 	const budgetTol = 1.03
-	final := p.Eval.Delays(a)
-	for _, id := range p.logicOrder() {
-		if final[id] > budget[id]*budgetTol {
+	p.Eval.WidthDelays(s, a)
+	for i, d := range s.Delay {
+		if d > budget[t.ID(i)]*budgetTol {
 			return false
 		}
 	}

@@ -111,8 +111,9 @@ func TestOptimizeJointEffortPinned(t *testing.T) {
 // search, 2 when WMin meets the target, 1 when WMax misses it, plus 1 for
 // the delay at WMax and the second search on that path — and takes each
 // gate's settled delay through GateDelayWith, one gate-delay call and one
-// coefficient lookup per gate-pass. It returns the verdict and the last
-// pass's settled delays by gate ID.
+// coefficient lookup per gate-pass. It verifies the budgets with the
+// engine's Delays, the CSR sweep, and returns the verdict and that sweep's
+// delays by gate ID.
 func solveWidthsTopo(p *Problem, a *design.Assignment, mSteps, passes int) (bool, []float64) {
 	logic := p.logicOrder()
 	budget := p.Budgets.TMax
@@ -178,19 +179,20 @@ func solveWidthsTopo(p *Problem, a *design.Assignment, mSteps, passes int) (bool
 		}
 	}
 	const budgetTol = 1.03
-	final := p.Eval.Delays(a)
+	final := slices.Clone(p.Eval.Delays(a))
 	for _, id := range logic {
 		if final[id] > budget[id]*budgetTol {
-			return false, td
+			return false, final
 		}
 	}
-	return true, td
+	return true, final
 }
 
 // The width kernel sizes each level's gates grouped by shape, decides most
 // searches from Eq. A3's closed form and lands bisections on their final
-// grid cell directly, so it must match the oracle bit for bit: the widths,
-// the verdict, the last pass's settled delays and every effort counter, on
+// grid cell directly, and verifies the budgets on its gate table, so it
+// must match the oracle bit for bit: the widths, the verdict, the final
+// delays the verification sweep leaves and every effort counter, on
 // two paper circuits and a 2000-gate netlist, at uniform voltages, with two
 // thresholds and with per-gate supplies, at two search depths (one on an
 // inexact width grid) and pass counts, and with per-net wire lengths.
@@ -286,7 +288,7 @@ func TestSolveWidthsLevelOrderInvariant(t *testing.T) {
 					for _, run := range []struct{ m, passes int }{{12, 4}, {7, 1}} {
 						a1 := v.make(c.N(), pt[0], pt[1])
 						a2 := a1.Clone()
-						want, wantTd := solveWidthsTopo(oracle, a1, run.m, run.passes)
+						want, wantFinal := solveWidthsTopo(oracle, a1, run.m, run.passes)
 						got := shaped.solveWidths(a2, run.m, run.passes)
 						// Both problems start alike and run the same solves,
 						// so their running totals must agree after each.
@@ -305,8 +307,8 @@ func TestSolveWidthsLevelOrderInvariant(t *testing.T) {
 							}
 						}
 						for i, d := range shaped.wscr.Delay {
-							if id := tab.ID(i); math.Float64bits(d) != math.Float64bits(wantTd[id]) {
-								t.Errorf("%s: gate %d last-pass delay %v, oracle %v", where, id, d, wantTd[id])
+							if id := tab.ID(i); math.Float64bits(d) != math.Float64bits(wantFinal[id]) {
+								t.Errorf("%s: gate %d final delay %v, oracle %v", where, id, d, wantFinal[id])
 								break
 							}
 						}

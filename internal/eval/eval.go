@@ -20,7 +20,9 @@
 //     as one fused loop over a solve-order gate table. A probe is one
 //     width a search tests, answered by Eq. A3's closed form c0 + c1/w
 //     when that decides it and by the term-by-term sum otherwise, with the
-//     same verdict either way;
+//     same verdict either way. WidthDelays, the solve's verification
+//     sweep, re-times the circuit over the same table, with the bits and
+//     the bill of one Delays call;
 //   - incremental re-evaluation (Bind/SetWidth in incremental.go): editing
 //     one gate's width dirties only its fanin loads and its fanout cone, not
 //     the whole circuit;

@@ -1,0 +1,174 @@
+package eval
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"cmosopt/internal/circuit"
+	"cmosopt/internal/design"
+	"cmosopt/internal/device"
+	"cmosopt/internal/netgen"
+	"cmosopt/internal/obs"
+	"cmosopt/internal/wiring"
+)
+
+// wideCircuit returns a netlist whose middle gate has 70 fanins, more than
+// the width kernel's per-fanin-count constants cover, so it is a cold slot:
+// 70 inputs each drive an inverter, the inverters feed one NAND, and the
+// NAND drives three inverters and a primary output.
+func wideCircuit(t *testing.T) *circuit.Circuit {
+	t.Helper()
+	b := circuit.NewBuilder("wide")
+	ins := make([]int, 70)
+	for i := range ins {
+		ins[i] = b.Gate(circuit.Not, fmt.Sprintf("n%d", i), b.Input(fmt.Sprintf("i%d", i)))
+	}
+	wide := b.Gate(circuit.Nand, "wide", ins...)
+	for i := range 3 {
+		b.Output(b.Gate(circuit.Not, fmt.Sprintf("o%d", i), wide))
+	}
+	b.Output(wide)
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// WidthDelays re-times a width solve on its table in one sweep in solve
+// order. After SizeWidths its delays must be bitwise those of the engine's
+// CSR sweep (Delays) and of the reference evaluator (delay.Evaluator), and
+// it must bill exactly what one Delays call bills: a twin engine that ran
+// the same width solves and then Delays ends with equal Metrics, and each
+// records one eval.full_sweep_ns observation. Covered: two paper circuits,
+// a 2000-gate netlist and a gate with 70 fanins (a cold slot), with mean
+// and sampled per-net wires (what Spec.SampleNets draws), at uniform
+// voltages, with two thresholds and with per-gate supplies, at five points
+// including one where multi-fanin gates stall, after four passes, one pass
+// (whose settled delays the fanouts' later widening leaves stale) and no
+// pass (the sweep then prices the voltage pairs itself).
+func TestWidthDelaysMatchDelays(t *testing.T) {
+	gen, err := netgen.Generate(netgen.Config{Name: "gen2k", Gates: 2000, Depth: 30, PIs: 60, POs: 40}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuits := []*circuit.Circuit{gen, wideCircuit(t)}
+	for _, name := range []string{"s298", "s510"} {
+		c, err := netgen.Profile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, err = c.Combinational(); err != nil {
+			t.Fatal(err)
+		}
+		circuits = append(circuits, c)
+	}
+	variants := []struct {
+		name string
+		make func(n int, vdd, vts float64) *design.Assignment
+	}{
+		{"uniform", func(n int, vdd, vts float64) *design.Assignment { return design.Uniform(n, vdd, vts, 1) }},
+		{"two-vt", func(n int, vdd, vts float64) *design.Assignment {
+			a := design.Uniform(n, vdd, vts, 1)
+			for i := 0; i < n; i += 2 {
+				a.Vts[i] = vts + 0.08
+			}
+			return a
+		}},
+		{"vdd-per-gate", func(n int, vdd, vts float64) *design.Assignment {
+			a := design.Uniform(n, vdd, vts, 1)
+			a.VddPer = make([]float64, n)
+			for i := range a.VddPer {
+				a.VddPer[i] = vdd * (1 + 0.25*float64(i%3))
+			}
+			return a
+		}},
+	}
+	// At (0.1 V, 0.2 V) a gate with two or more fanins stalls.
+	points := [][2]float64{{0.5, 0.17}, {1.0, 0.15}, {0.3, 0.1}, {2.0, 0.4}, {0.1, 0.2}}
+	runs := []struct{ m, passes int }{{12, 4}, {7, 1}, {12, 0}}
+	tech := device.Default350()
+	var compared, infinite, coldGates, stale int
+	for _, c := range circuits {
+		for _, sampled := range []bool{false, true} {
+			wire, err := wiring.New(wiring.Default350(), max(c.NumLogic(), 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sampled {
+				wire.SampleNets(c.N(), 9)
+			}
+			eng, err := NewDelayOnly(c, &tech, wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin := eng.Clone()
+			regE, regT := obs.NewRegistry(), obs.NewRegistry()
+			eng.AttachObs(regE)
+			twin.AttachObs(regT)
+			sweeps := func(r *obs.Registry) int64 { return r.Histogram("eval.full_sweep_ns").Snapshot().Count }
+			dm := eng.DelayModel()
+			tab := eng.NewWidthTable()
+			s, s2 := tab.NewScratch(), tab.NewScratch()
+			for _, v := range variants {
+				for _, pt := range points {
+					for _, run := range runs {
+						where := fmt.Sprintf("%s sampled=%v %s (%v V, %v V) M=%d passes=%d", c.Name, sampled, v.name, pt[0], pt[1], run.m, run.passes)
+						a := v.make(c.N(), pt[0], pt[1])
+						b := a.Clone()
+						// Targets from 0.5× to 1.1× each gate's delay at
+						// width 1: some searches bisect, some end at WMin
+						// and some miss.
+						d0 := dm.Delays(a)
+						for i := range s.Target {
+							tg := d0[tab.ID(i)] * (0.5 + 0.1*float64(i%7))
+							s.Target[i], s2.Target[i] = tg, tg
+						}
+						eng.SizeWidths(s, a, 1, 100, run.m, run.passes)
+						twin.SizeWidths(s2, b, 1, 100, run.m, run.passes)
+						if *eng.Metrics() != *twin.Metrics() {
+							t.Fatalf("%s: twin engines' metrics diverged before the sweep", where)
+						}
+						settled := slices.Clone(s.Delay)
+						m0 := *eng.Metrics()
+						h0, h0t := sweeps(regE), sweeps(regT)
+						eng.WidthDelays(s, a)
+						want := twin.Delays(b)
+						ref := dm.Delays(a)
+						for i, d := range s.Delay {
+							id := tab.ID(i)
+							if math.Float64bits(d) != math.Float64bits(want[id]) || math.Float64bits(d) != math.Float64bits(ref[id]) {
+								t.Fatalf("%s: gate %d delay %v, Delays %v, reference %v", where, id, d, want[id], ref[id])
+							}
+							compared++
+							if math.IsInf(d, 1) {
+								infinite++
+							}
+							if tab.slots[i].flags&slotCold != 0 {
+								coldGates++
+							}
+							if run.passes > 0 && math.Float64bits(d) != math.Float64bits(settled[i]) {
+								stale++
+							}
+						}
+						if got, gotT := *eng.Metrics(), *twin.Metrics(); got != gotT {
+							t.Errorf("%s: metrics %+v, after Delays %+v", where, got, gotT)
+						}
+						if got := eng.Metrics().FullDelaySweeps - m0.FullDelaySweeps; got != 1 {
+							t.Errorf("%s: %d full sweeps billed, want 1", where, got)
+						}
+						if got, gotT := sweeps(regE)-h0, sweeps(regT)-h0t; got != 1 || gotT != 1 {
+							t.Errorf("%s: %d and %d sweep-latency observations, want 1 each", where, got, gotT)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d delays compared: %d +Inf, %d of cold slots, %d differing from the last pass's settled delay", compared, infinite, coldGates, stale)
+	if infinite == 0 || infinite == compared || coldGates == 0 || stale == 0 {
+		t.Errorf("the comparison needs +Inf and finite delays, cold slots and stale settled delays: %d, %d, %d, %d", infinite, compared-infinite, coldGates, stale)
+	}
+}

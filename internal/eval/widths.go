@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"time"
 
 	"cmosopt/internal/circuit"
 	"cmosopt/internal/delay"
@@ -22,7 +23,9 @@ import (
 // delay) for the gate's fanouts to read. SizeWidths runs the passes over a
 // WidthTable, which lists the gates with their fanins and fanouts as solve
 // positions, so a pass walks dense arrays in order; the widths, settled
-// delays and targets live in a WidthScratch indexed the same way.
+// delays and targets live in a WidthScratch indexed the same way. After the
+// passes, WidthDelays re-times every gate at the final widths over the same
+// table: the sweep a width solve verifies its budgets on.
 //
 // The common gate-pass is decided inline. Eq. A3 is affine in 1/w, so the
 // pass forms c0 + c1/w from the loads and the per-(V_dd, V_TS) constants of
@@ -189,8 +192,10 @@ func (t *WidthTable) ID(i int) int32 { return t.slots[i].id }
 
 // WidthScratch is one solver's per-solve state over a WidthTable, indexed
 // by solve position: the search targets, which the caller sets before each
-// solve, the settled delays of the last pass, and the widths, which
-// SizeWidths gathers from the assignment and scatters back.
+// solve, the delays, and the widths, which SizeWidths gathers from the
+// assignment and scatters back. SizeWidths leaves the last pass's settled
+// delays in Delay; WidthDelays writes over them with the delays at the
+// final widths.
 type WidthScratch struct {
 	Target []float64 //cmosvet:unit s
 	Delay  []float64 //cmosvet:unit s
@@ -419,6 +424,94 @@ func (e *Engine) widthPass(ws *widthSolve) bool {
 	e.met.WidthProbes += probes
 	e.met.GateDelayCalls += probes + int64(n)
 	return changed
+}
+
+// WidthDelays re-times every gate of s's table at the widths SizeWidths
+// left in s, in solve order, writing each gate's delay over s.Delay. Solve
+// order is topological, so each gate reads its fanins' new delays, and each
+// delay is formed from delay's Eq. A3 term helpers in GateDelayAt's order of
+// terms (+Inf for a stalled gate, GateDelayAt itself for a cold slot): the
+// delays are bitwise those Delays returns for the same assignment. It is
+// billed as one Delays call: one full sweep, one gate-delay call and one
+// coefficient lookup per logic gate, counted as coeffs counts it, and one
+// eval.full_sweep_ns observation.
+//
+//cmosvet:hotpath
+func (e *Engine) WidthDelays(s *WidthScratch, a *design.Assignment) {
+	t := s.t
+	if t.cs != e.cs {
+		panic("eval: width table built for another circuit")
+	}
+	e.met.FullDelaySweeps++
+	var t0 time.Time
+	if e.sink != nil {
+		t0 = time.Now() //cmosvet:allow determinism — sweep latency feeds an obs histogram only, never a result
+	}
+	slots := t.slots
+	finPos, foutPos := t.finPos, t.foutPos
+	n := len(slots) - 1
+	w, td := s.w[:n], s.Delay[:n]
+	vts, vddPer, vddAll := a.Vts, a.VddPer, a.Vdd
+	tech, wire := e.Tech, e.Wire
+	cpd, ct, cout := tech.CPD, tech.Ct, tech.COut
+	var hits int64
+	kv, kt := math.NaN(), math.NaN() // no pair is looked up yet
+	var k delay.Coeffs
+	var fan []fanConst
+	for i := 0; i < n; i++ {
+		sl := slots[i]
+		end := &slots[i+1]
+		id := int(sl.id)
+		vdd := vddAll
+		if vddPer != nil {
+			vdd = vddPer[id]
+		}
+		if vt := vts[id]; vdd != kv || vt != kt {
+			kv, kt = vdd, vt
+			k, fan = e.widthRow(vdd, vt)
+		} else {
+			hits++
+		}
+		maxIn := 0.0
+		for _, f := range finPos[sl.fin:end.fin] {
+			maxIn = floats.MaxNonNeg(maxIn, td[f])
+		}
+		if sl.flags&slotCold != 0 {
+			td[i] = e.dm.GateDelayAt(id, a, w[i], -1, 0, maxIn, k)
+			continue
+		}
+		fc := &fan[sl.nf]
+		if fc.drive <= 0 || k.Idw <= 0 { // delay.NetDrive's stall
+			td[i] = math.Inf(1)
+			continue
+		}
+		wi := w[i]
+		cb, rb, fl := wire.BranchCapNet(id), wire.BranchResNet(id), wire.FlightTimeNet(id)
+		load, worst := wi*cpd, 0.0
+		for _, f := range foutPos[sl.fout:end.fout] {
+			l := delay.BranchLoad(w[f], ct, cb)
+			load += l
+			worst = floats.MaxNonNeg(worst, delay.BranchDelay(rb, l, fl))
+		}
+		if sl.flags&slotPO != 0 {
+			l := delay.POLoad(cout, cb)
+			load += l
+			worst = floats.MaxNonNeg(worst, delay.BranchDelay(rb, l, fl))
+		}
+		d := delay.SlopeTerm(k, maxIn)
+		d += delay.SwitchingTerm(vdd, load, wi, fc.drive)
+		d += worst
+		if sl.nf > 1 {
+			d += delay.StackTerm(fc.stack, wi, k.Idw)
+		}
+		td[i] = d
+	}
+	e.met.CoeffHits += hits
+	e.met.GateDelayCalls += int64(n)
+	if e.sink != nil {
+		//cmosvet:allow determinism — sweep latency feeds an obs histogram only, never a result
+		e.sink.sweepNS.ObserveDuration(time.Since(t0))
+	}
 }
 
 // gateTerms is one gate's Eq. A3 delay with every term that does not depend
