@@ -16,10 +16,10 @@ import (
 	"testing"
 
 	"cmosopt/internal/activity"
-	"cmosopt/internal/circuit"
 	"cmosopt/internal/core"
 	"cmosopt/internal/design"
 	"cmosopt/internal/device"
+	"cmosopt/internal/eval"
 	"cmosopt/internal/experiments"
 	"cmosopt/internal/netgen"
 	"cmosopt/internal/timing"
@@ -418,87 +418,6 @@ func BenchmarkAblationSizingPolicy(b *testing.B) {
 	b.ReportMetric(ratio, "sensitivity/budget(x)")
 }
 
-// BenchmarkBufferInsertion measures whether capping high-fanout nets with
-// buffer trees before optimization helps: hubs concentrate criticality
-// (their FoEff dominates path budgets), and splitting them trades buffer
-// energy against drive energy. The metric is buffered/unbuffered total
-// energy (< 1 means buffering wins).
-func BenchmarkBufferInsertion(b *testing.B) {
-	var ratio float64
-	var bufs int
-	for i := 0; i < b.N; i++ {
-		c, err := netgen.Profile("s298")
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := problemFor(b, "s298", 0.5)
-		plain, err := p.OptimizeJoint(core.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-
-		bc, nb, err := circuit.InsertBuffers(c, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bufs = nb
-		pb, err := core.NewProblem(core.Spec{
-			Circuit: bc, Tech: device.Default350(), Wiring: wiring.Default350(),
-			Fc: 300e6, Skew: 0.95, InputProb: 0.5, InputDensity: 0.5,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		buffered, err := pb.OptimizeJoint(core.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = buffered.Energy.Total() / plain.Energy.Total()
-	}
-	b.ReportMetric(ratio, "buffered/plain(x)")
-	b.ReportMetric(float64(bufs), "buffers")
-}
-
-// BenchmarkAblationRiseFall quantifies the paper's "symmetric pull-up /
-// pull-down" assumption: the rise/fall-resolved critical delay of the
-// joint-optimized design relative to the symmetric analysis it was timed
-// with. A ratio above 1 is margin a sign-off with asymmetric stacks would
-// demand back.
-func BenchmarkAblationRiseFall(b *testing.B) {
-	var baseRatio float64
-	var jointStuck float64
-	for i := 0; i < b.N; i++ {
-		p := problemFor(b, "s298", 0.5)
-		base, err := p.OptimizeBaseline(core.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		baseRatio = p.Eval.DelayModel().CriticalDelayRiseFall(base.Assignment) / base.CriticalDelay
-
-		joint, err := p.OptimizeJoint(core.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// At the near-threshold joint optimum, deep stacks may not switch at
-		// all once drive is divided by stack depth: count them. A nonzero
-		// count means the symmetric assumption is load-bearing there.
-		stuck := 0
-		ids, err := p.C.LogicIDs()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, id := range ids {
-			r, f := p.Eval.DelayModel().GateDelayRiseFall(id, joint.Assignment, 0)
-			if r > 1 || f > 1 { // +Inf or absurd: unswitchable
-				stuck++
-			}
-		}
-		jointStuck = float64(stuck)
-	}
-	b.ReportMetric(baseRatio, "baseline-risefall/symmetric(x)")
-	b.ReportMetric(jointStuck, "joint-unswitchable-gates")
-}
-
 // BenchmarkAblationActivityObjective asks whether the correlation-aware
 // activity engine buys the *optimizer* anything: optimize s298 under the
 // Najm objective and under the correlated objective, then judge both
@@ -652,7 +571,7 @@ func BenchmarkEngineFullEval(b *testing.B) {
 }
 
 // BenchmarkEngineIncremental measures a bound width edit: re-time the dirty
-// cone and re-price the touched gates instead of sweeping the circuit.
+// cone instead of sweeping the circuit.
 func BenchmarkEngineIncremental(b *testing.B) {
 	p := problemFor(b, "s510", 0.5)
 	a := design.Uniform(p.C.N(), 1.0, 0.15, 2)
@@ -662,13 +581,12 @@ func BenchmarkEngineIncremental(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p.Eval.Metrics().Reset()
+	*p.Eval.Metrics() = eval.Metrics{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := ids[i%len(ids)]
 		p.Eval.SetWidth(id, 2+float64(i%7))
 		_ = p.Eval.BoundCriticalDelay()
-		_ = p.Eval.BoundEnergy()
 	}
 	b.StopTimer()
 	m := p.Eval.Metrics()

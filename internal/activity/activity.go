@@ -176,15 +176,3 @@ func exclProduct(probs []float64, i int) float64 {
 	}
 	return prod
 }
-
-// Total returns the sum of logic-gate output densities — a single-number
-// activity measure used in reports.
-func (p *Profile) Total(c *circuit.Circuit) float64 {
-	sum := 0.0
-	for i := range c.Gates {
-		if c.Gates[i].IsLogic() {
-			sum += p.Density[i]
-		}
-	}
-	return sum
-}

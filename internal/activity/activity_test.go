@@ -190,12 +190,3 @@ func TestZeroDensityInputsGiveZeroActivity(t *testing.T) {
 		}
 	}
 }
-
-func TestTotalSumsLogicGatesOnly(t *testing.T) {
-	c := gate1(t, circuit.Nand, 2)
-	prof := propUniform(t, c, 0.5, 0.2)
-	y := c.GateByName("y")
-	if got := prof.Total(c); !approx(got, prof.Density[y.ID], 1e-12) {
-		t.Errorf("Total = %v, want %v (inputs excluded)", got, prof.Density[y.ID])
-	}
-}

@@ -9,6 +9,31 @@ import (
 	"cmosopt/internal/netgen"
 )
 
+// ReconvergenceError returns the maximum absolute difference between the
+// first-order propagated probabilities and the exact ones — a direct measure
+// of how much the independence approximation costs on a given circuit.
+func ReconvergenceError(c *circuit.Circuit, prob float64) (float64, error) {
+	exact, err := ExactProbabilitiesUniform(c, prob)
+	if err != nil {
+		return 0, err
+	}
+	approx, err := PropagateUniform(c, prob, 0)
+	if err != nil {
+		return 0, err
+	}
+	worst := 0.0
+	for i := range exact {
+		d := exact[i] - approx.Prob[i]
+		if d < 0 {
+			d = -d
+		}
+		if d > worst {
+			worst = d
+		}
+	}
+	return worst, nil
+}
+
 func TestExactMatchesHandComputation(t *testing.T) {
 	// y = NAND(a, b) at p=0.5: P(y)=0.75. Exact == closed form.
 	b := circuit.NewBuilder("g")

@@ -11,7 +11,7 @@
 //     the observability and tool layers — the PR 3 "instrumentation never
 //     changes outputs" invariant;
 //   - floateq (floateq.go): no raw float ==/!= in bisection/convergence
-//     code; comparisons route through internal/floats.
+//     code; comparisons state an explicit tolerance.
 //
 // Three flow-aware analyzers reason over a per-function CFG (cfg.go), a
 // generic forward dataflow fixpoint (dataflow.go) and cross-package function

@@ -12,15 +12,16 @@ import (
 // width that stopped moving — rarely are bit-identical after different
 // arithmetic paths, so exact equality either never fires (a convergence
 // check that cannot terminate) or fires spuriously (a branch taken on
-// rounding noise). Comparisons route through the shared epsilon helper
-// internal/floats (floats.Eq / floats.EqTol).
+// rounding noise). A comparison states its tolerance explicitly
+// (|a−b| ≤ tol, with tol chosen for the quantity compared), or carries a
+// //cmosvet:allow floateq annotation saying why exactness is intended.
 //
 // Comparisons against a compile-time constant are exempt: `opts.FixedVt != 0`
 // and friends are deliberate "knob is unset" sentinels on values that are
 // assigned, not computed.
 var FloatEq = &Analyzer{
 	Name: "floateq",
-	Doc:  "no exact float ==/!= in bisection/convergence code; use internal/floats",
+	Doc:  "no exact float ==/!= in bisection/convergence code; compare within an explicit tolerance",
 	Run:  runFloatEq,
 }
 
@@ -47,7 +48,7 @@ func runFloatEq(pass *Pass) error {
 				return true // sentinel comparison against a literal/constant
 			}
 			pass.Reportf(be.Pos(),
-				"exact float %s in convergence code: bit-equality of computed floats is unreliable; use floats.Eq or floats.EqTol (internal/floats)", be.Op)
+				"exact float %s in convergence code: bit-equality of computed floats is unreliable; compare within an explicit tolerance (|a-b| <= tol)", be.Op)
 			return true
 		})
 	}

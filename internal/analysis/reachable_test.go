@@ -1,0 +1,201 @@
+package analysis_test
+
+import (
+	"go/token"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"cmosopt/internal/analysis"
+)
+
+// reachAllowlist holds the functions of internal/ that no main reaches and
+// that stay anyway. An entry is one of three kinds:
+//
+//   - oracle: a test checks production output against it;
+//   - harness: tests in more than one package call it;
+//   - deferred: an open ROADMAP item decides whether it stays, and names it.
+//
+// Anything else no main reaches is deleted, or moves into its package's
+// _test.go files when only that package's tests call it. An entry that
+// becomes reachable, or whose function is gone, fails the test until it is
+// dropped, so the list only shrinks.
+var reachAllowlist = []reachEntry{
+	{"timing.AssignBudgetsEnumerated", "oracle", "TestAssignBudgetsEnumeratedAgrees"},
+	{"timing.Analysis.KBestPaths", "oracle", "TestKBestPathsMatchesExhaustive"},
+	{"timing.Analysis.streamPaths", "oracle", "TestKBestPathsMatchesExhaustive"},
+	{"timing.Analysis.PathCriticality", "oracle", "TestKBestPathsMatchesExhaustive"},
+	{"timing.CheckBudgets", "oracle", "TestAssignBudgetsInvariantRandom"},
+	{"activity.ExactProbabilities", "oracle", "TestCorrelatedBeatsIndependenceOnRandomCircuits"},
+	{"activity.ExactProbabilitiesUniform", "oracle", "TestCorrelatedBeatsIndependenceOnRandomCircuits"},
+	{"delay.Evaluator.Slacks", "oracle", "TestIncrementalMatchesFull"},
+	{"power.Evaluator.Total", "oracle", "TestEngineMatchesModels"},
+	{"power.Evaluator.GateEnergy", "oracle", "TestEngineMatchesModels"},
+	{"core.Problem.CheckRailRule", "oracle", "TestDualVddRespectsRailRule"},
+	{"device.BodyBias.Vt", "oracle", "TestBiasForRoundTrip"},
+	{"device.WriteTech", "oracle", "TestTechRoundTrip"},
+
+	{"analysistest", "harness", "TestFloatEq"},
+	{"activity.PropagateUniform", "harness", "TestEngineMatchesModels"},
+	{"netgen.ScaleConfig", "harness", "BenchmarkProcedure2"},
+	{"netgen.Profile85Config", "harness", "BenchmarkScalability"},
+	{"netgen.Sequentialize", "harness", "TestFullPipeline"},
+
+	{"core.Problem.YieldStudy", "deferred", "Prove or remove the parallel layer."},
+	{"core.substream", "deferred", "Prove or remove the parallel layer."},
+	{"obs.Span.Add", "deferred", "Subtract, with reachability as a gate."},
+}
+
+// TestReachable fails on any function of internal/ that no program of the
+// module can call and reachAllowlist does not hold, and on any stale entry
+// of that list. The programs are the main of every package under cmd/ and
+// examples/ and of perfbench; the initialization of every package they
+// import runs too.
+func TestReachable(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset, pkgs := loadTree(t, "cmosopt", root)
+	var mains []*analysis.LoadedPackage
+	for _, p := range pkgs {
+		rel := strings.TrimPrefix(p.Path, "cmosopt/")
+		if p.Types.Name() == "main" && (strings.HasPrefix(rel, "cmd/") || strings.HasPrefix(rel, "examples/") || rel == "perfbench") {
+			mains = append(mains, p)
+		}
+	}
+	roadmap, err := os.ReadFile(filepath.Join(root, "ROADMAP.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newReachGraph(fset, pkgs)
+	reached := g.walk(g.roots(mains))
+	for _, p := range checkReach(g, reached, g.unreachable(reached, "cmosopt/internal"), reachAllowlist, string(roadmap)) {
+		t.Error(p)
+	}
+}
+
+// reachLoader type-checks the module and the fixture tree of every
+// reachability test through one Loader, so that the standard library and
+// each package are checked once.
+var reachLoader *analysis.Loader
+
+// loadTree type-checks every package under dir, with its tests, naming each
+// by prefix joined with its directory relative to dir ("" for the
+// GOPATH-style fixture tree).
+func loadTree(t *testing.T, prefix, dir string) (*token.FileSet, []*analysis.LoadedPackage) {
+	t.Helper()
+	if reachLoader == nil {
+		module, err := filepath.Abs(filepath.Join("..", ".."))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixture, err := filepath.Abs(filepath.Join("testdata", "reach", "src"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reachLoader = analysis.NewLoader(analysis.Root{Prefix: "cmosopt", Dir: module}, analysis.Root{Prefix: "", Dir: fixture})
+		reachLoader.IncludeTests = true
+	}
+	dirs, err := analysis.PackageDirs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []*analysis.LoadedPackage
+	for _, d := range dirs {
+		rel, err := filepath.Rel(dir, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.ToSlash(rel)
+		switch {
+		case path == ".":
+			path = prefix
+		case prefix != "":
+			path = prefix + "/" + path
+		}
+		loaded, err := reachLoader.LoadDir(path, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, loaded...)
+	}
+	return reachLoader.Fset, pkgs
+}
+
+// loadReachFixture loads testdata/reach and returns its graph, the set its
+// one main reaches, and what it leaves unreachable.
+func loadReachFixture(t *testing.T) (*reachGraph, map[*reachNode]bool, []*reachNode) {
+	t.Helper()
+	src, err := filepath.Abs(filepath.Join("testdata", "reach", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset, pkgs := loadTree(t, "", src)
+	var mains []*analysis.LoadedPackage
+	for _, p := range pkgs {
+		if p.Types.Name() == "main" {
+			mains = append(mains, p)
+		}
+	}
+	g := newReachGraph(fset, pkgs)
+	reached := g.walk(g.roots(mains))
+	return g, reached, g.unreachable(reached, "reachlib")
+}
+
+// TestReachFixture checks each way the fixture's main keeps a function
+// alive: an interface call, a value handed to sort.Sort, a String method
+// only fmt calls, a method value, a package-level var initializer, an init
+// function and a generic call. Exactly the dead function and the dead
+// method are left.
+func TestReachFixture(t *testing.T) {
+	_, _, dead := loadReachFixture(t)
+	var got []string
+	for _, n := range dead {
+		got = append(got, n.key)
+	}
+	if want := []string{"reachlib.Sq.Perimeter", "reachlib.unused"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("unreachable = %v, want %v", got, want)
+	}
+}
+
+// TestReachAllowlistCheck checks that the allowlist check accepts a list
+// that covers the fixture's dead code through tests that call it, and
+// names every kind of stale or missing entry.
+func TestReachAllowlistCheck(t *testing.T) {
+	g, reached, dead := loadReachFixture(t)
+	roadmap := "## Open items\n\n- **Decide.** Keep `reachlib.unused` for now.\n- **Other.** Nothing.\n"
+	good := []reachEntry{
+		{"reachlib.unused", "oracle", "TestUnused"},
+		{"reachlib.Sq.Perimeter", "harness", "TestPerimeter"},
+	}
+	if p := checkReach(g, reached, dead, good, roadmap); len(p) != 0 {
+		t.Fatalf("a complete allowlist reported %q", p)
+	}
+	cases := []struct {
+		name  string
+		allow []reachEntry
+		want  string
+	}{
+		{"unlisted", good[:1], "reachlib.Sq.Perimeter is reachable from no main"},
+		{"reachable", append(good, reachEntry{"reachlib.Sq.Area", "oracle", "TestUnused"}), "entry reachlib.Sq.Area is reachable"},
+		{"gone", append(good, reachEntry{"reachlib.gone", "oracle", "TestUnused"}), "entry reachlib.gone no longer exists"},
+		{"no such test", []reachEntry{good[0], {"reachlib.Sq.Perimeter", "oracle", "TestNoSuch"}}, "names test TestNoSuch, which does not exist"},
+		{"test does not refer", []reachEntry{good[0], {"reachlib.Sq.Perimeter", "oracle", "TestUnused"}}, "names test TestUnused, which does not refer to it"},
+		{"bad category", []reachEntry{good[0], {"reachlib.Sq.Perimeter", "kept", "TestPerimeter"}}, `has category "kept"`},
+		{"deferred", []reachEntry{{"reachlib.unused", "deferred", "Decide."}, good[1]}, ""},
+		{"deferred elsewhere", []reachEntry{{"reachlib.unused", "deferred", "Other."}, good[1]}, `waits on ROADMAP item "Other.", which does not name it`},
+		{"deferred unknown", []reachEntry{{"reachlib.unused", "deferred", "Missing."}, good[1]}, `waits on ROADMAP item "Missing."`},
+	}
+	for _, tc := range cases {
+		p := checkReach(g, reached, dead, tc.allow, roadmap)
+		switch {
+		case tc.want == "" && len(p) != 0:
+			t.Errorf("%s: reported %q, want nothing", tc.name, p)
+		case tc.want != "" && (len(p) != 1 || !strings.Contains(p[0], tc.want)):
+			t.Errorf("%s: reported %q, want one problem containing %q", tc.name, p, tc.want)
+		}
+	}
+}

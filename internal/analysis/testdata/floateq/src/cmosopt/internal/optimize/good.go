@@ -23,7 +23,7 @@ func Deliberate(a, b float64) bool {
 	return a == b
 }
 
-// Tolerant is the steered-to pattern (a local stand-in for floats.Eq).
+// Tolerant is the steered-to pattern: an explicit tolerance.
 func Tolerant(a, b, eps float64) bool {
 	d := a - b
 	if d < 0 {

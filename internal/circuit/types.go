@@ -50,16 +50,6 @@ func (t GateType) String() string {
 // Valid reports whether t is one of the defined gate types.
 func (t GateType) Valid() bool { return t < numGateTypes }
 
-// Inverting reports whether the gate's output is the complement of its
-// "natural" function (NAND/NOR/NOT/XNOR). Used by activity propagation.
-func (t GateType) Inverting() bool {
-	switch t {
-	case Not, Nand, Nor, Xnor:
-		return true
-	}
-	return false
-}
-
 // MinFanin returns the smallest legal fanin count for the type.
 func (t GateType) MinFanin() int {
 	switch t {

@@ -32,18 +32,6 @@ func TestGateTypeValid(t *testing.T) {
 	}
 }
 
-func TestGateTypeInverting(t *testing.T) {
-	inverting := map[GateType]bool{
-		Not: true, Nand: true, Nor: true, Xnor: true,
-		Buf: false, And: false, Or: false, Xor: false, Input: false, DFF: false,
-	}
-	for gt, want := range inverting {
-		if got := gt.Inverting(); got != want {
-			t.Errorf("%s.Inverting() = %v, want %v", gt, got, want)
-		}
-	}
-}
-
 func TestGateTypeFaninBounds(t *testing.T) {
 	cases := []struct {
 		t        GateType

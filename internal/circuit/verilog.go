@@ -145,11 +145,6 @@ func ParseVerilog(name string, r io.Reader) (*Circuit, error) {
 	return c, nil
 }
 
-// ParseVerilogString is ParseVerilog over in-memory source.
-func ParseVerilogString(name, src string) (*Circuit, error) {
-	return ParseVerilog(name, strings.NewReader(src))
-}
-
 func stripVerilogComments(s string) string {
 	var sb strings.Builder
 	for i := 0; i < len(s); {

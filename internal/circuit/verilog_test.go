@@ -6,6 +6,11 @@ import (
 	"testing"
 )
 
+// ParseVerilogString is ParseVerilog over in-memory source.
+func ParseVerilogString(name, src string) (*Circuit, error) {
+	return ParseVerilog(name, strings.NewReader(src))
+}
+
 const s27Verilog = `
 // ISCAS'89 s27 in structural Verilog
 module s27 (G0, G1, G2, G3, G17);

@@ -14,8 +14,16 @@ func TestSampleLandscapeShape(t *testing.T) {
 	if len(ls.E) != 7 || len(ls.E[0]) != 7 {
 		t.Fatalf("grid %dx%d", len(ls.E), len(ls.E[0]))
 	}
-	frac := ls.FeasibleFraction()
-	if frac <= 0 || frac >= 1 {
+	total, feas := 0, 0
+	for i := range ls.E {
+		for _, v := range ls.E[i] {
+			total++
+			if !math.IsInf(v, 1) {
+				feas++
+			}
+		}
+	}
+	if frac := float64(feas) / float64(total); frac <= 0 || frac >= 1 {
 		t.Errorf("feasible fraction %v should be interior (wall exists)", frac)
 	}
 	vdd, vts, e, ok := ls.Min()

@@ -263,12 +263,6 @@ func NewProblem(s Spec) (*Problem, error) {
 //cmosvet:unit return s
 func (p *Problem) CycleBudget() float64 { return p.Skew / p.Fc }
 
-// Evaluations returns the full-circuit-evaluation-equivalent work performed
-// so far (the unit of the paper's O(M³) complexity claim): every single-gate
-// delay-model call — full sweeps, width-bisection probes, incremental cone
-// updates — counts as 1/M of a full circuit evaluation.
-func (p *Problem) Evaluations() int { return int(math.Round(p.Eval.FullEvalEquivalents())) }
-
 // Result is the outcome of one optimization run.
 type Result struct {
 	Method        string

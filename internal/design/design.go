@@ -34,46 +34,6 @@ func (a *Assignment) VddAt(id int) float64 {
 	return a.Vdd
 }
 
-// MaxVdd returns the highest supply in use (the rail the module needs).
-//
-//cmosvet:unit return V
-func (a *Assignment) MaxVdd() float64 {
-	if a.VddPer == nil {
-		return a.Vdd
-	}
-	max := a.Vdd
-	for _, v := range a.VddPer {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// DistinctVdds returns the set of distinct supply values in use.
-//
-//cmosvet:unit return V
-func (a *Assignment) DistinctVdds() []float64 {
-	if a.VddPer == nil {
-		return []float64{a.Vdd}
-	}
-	const tol = 1e-9
-	var out []float64
-	for _, v := range a.VddPer {
-		seen := false
-		for _, u := range out {
-			if math.Abs(u-v) < tol {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // Uniform returns an assignment with the same threshold and width on all n
 // gates.
 //
@@ -133,26 +93,4 @@ func (a *Assignment) Validate(t *device.Tech, n int) error {
 		}
 	}
 	return nil
-}
-
-// DistinctVts returns the set of distinct threshold values in use, within a
-// small tolerance — the paper's n_v.
-//
-//cmosvet:unit return V
-func (a *Assignment) DistinctVts() []float64 {
-	const tol = 1e-9
-	var out []float64
-	for _, v := range a.Vts {
-		seen := false
-		for _, u := range out {
-			if math.Abs(u-v) < tol {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			out = append(out, v)
-		}
-	}
-	return out
 }

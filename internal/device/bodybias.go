@@ -54,12 +54,6 @@ func (b BodyBias) Vt(vsb float64) float64 {
 	return b.Vt0 + b.Gamma*(math.Sqrt(b.Phi2F+vsb)-math.Sqrt(b.Phi2F))
 }
 
-// MaxVt returns the threshold reachable at the given maximum reverse bias.
-//
-//cmosvet:unit vsbMax V
-//cmosvet:unit return V
-func (b BodyBias) MaxVt(vsbMax float64) float64 { return b.Vt(vsbMax) }
-
 // BiasFor inverts the body-effect relation: the reverse bias that realizes
 // the target threshold. It fails for targets below the natural threshold
 // (forward body bias is outside the paper's static scheme) or beyond the

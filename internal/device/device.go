@@ -152,40 +152,6 @@ func (t *Tech) Validate() error {
 	return nil
 }
 
-// ReferenceTempK is the junction temperature the default parameter sets are
-// calibrated at (≈100 °C hot chip).
-const ReferenceTempK = 373.0 //cmosvet:unit K
-
-// leakDoublingK is the temperature step over which junction leakage roughly
-// doubles.
-const leakDoublingK = 10.0 //cmosvet:unit K
-
-// AtTemperature returns a copy of the technology re-parameterized for a
-// different junction temperature (kelvin):
-//
-//   - the thermal voltage scales linearly (vT = kT/q), which moves the
-//     subthreshold swing and, exponentially, the leakage;
-//   - carrier mobility falls as (T/T_ref)^-1.5, scaling the drive factor;
-//   - the junction leakage roughly doubles every 10 K.
-//
-// Cooling a design therefore cuts leakage dramatically while slightly
-// improving drive — which is why the energy-optimal threshold drops with
-// temperature (see core's temperature study).
-//
-//cmosvet:unit tempK K
-func (t Tech) AtTemperature(tempK float64) (Tech, error) {
-	if tempK < 200 || tempK > 500 {
-		return t, fmt.Errorf("device: temperature %v K outside the model's [200,500] range", tempK)
-	}
-	out := t
-	ratio := tempK / ReferenceTempK
-	out.VTherm = t.VTherm * ratio
-	out.KSat = t.KSat * math.Pow(ratio, -1.5)
-	out.IJunc = t.IJunc * math.Pow(2, (tempK-ReferenceTempK)/leakDoublingK)
-	out.Name = fmt.Sprintf("%s@%.0fK", t.Name, tempK)
-	return out, nil
-}
-
 // Overdrive returns the smoothed overdrive g(V) in volts.
 //
 //cmosvet:unit vgs V
@@ -223,32 +189,4 @@ func (t *Tech) IdUnit(vgs, vts float64) float64 {
 //cmosvet:unit return A
 func (t *Tech) IoffUnit(vts float64) float64 {
 	return t.LeakStack * (t.IdUnit(0, vts) + t.IJunc)
-}
-
-// SubthresholdSwing returns the model's subthreshold swing in volts per
-// current decade: n·vT·ln10/α.
-//
-//cmosvet:unit return V
-func (t *Tech) SubthresholdSwing() float64 {
-	return t.N * t.VTherm * math.Ln10 / t.Alpha
-}
-
-// Corner describes a worst-case threshold-voltage process corner pair used by
-// the variation study of the paper's Figure 2(a).
-type Corner struct {
-	Low  float64 // fast/leaky corner: V_TS·(1 − tol) //cmosvet:unit V
-	High float64 // slow corner:       V_TS·(1 + tol) //cmosvet:unit V
-}
-
-// Corners returns the ±tol fractional corners of a nominal threshold,
-// clamped to stay positive. tol = 0.1 means ±10 %.
-//
-//cmosvet:unit vtsNominal V
-//cmosvet:unit tol 1
-func Corners(vtsNominal, tol float64) Corner {
-	lo := vtsNominal * (1 - tol)
-	if lo < 0 {
-		lo = 0
-	}
-	return Corner{Low: lo, High: vtsNominal * (1 + tol)}
 }

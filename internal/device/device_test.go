@@ -15,6 +15,12 @@ func tech(t *testing.T) Tech {
 	return tc
 }
 
+// swing is the model's subthreshold swing in volts per current decade:
+// n·vT·ln10/α.
+func swing(tc Tech) float64 {
+	return tc.N * tc.VTherm * math.Ln10 / tc.Alpha
+}
+
 func TestDefaultValidates(t *testing.T) { tech(t) }
 
 func TestValidateRejectsBadParams(t *testing.T) {
@@ -57,7 +63,7 @@ func TestCalibrationAnchors(t *testing.T) {
 	}
 	// Subthreshold swing ≈ 125 mV/dec at hot-chip temperature (incl. the
 	// DIBL-like flattening a static-CMOS leakage stack sees).
-	if s := tc.SubthresholdSwing(); s < 0.10 || s > 0.15 {
+	if s := swing(tc); s < 0.10 || s > 0.15 {
 		t.Errorf("swing = %v V/dec, want ~0.125", s)
 	}
 }
@@ -66,7 +72,7 @@ func TestSwingMatchesIoffRatio(t *testing.T) {
 	// Lowering Vts by one swing must raise Ioff by ~10x (away from the
 	// junction-leakage floor).
 	tc := tech(t)
-	s := tc.SubthresholdSwing()
+	s := swing(tc)
 	r := tc.IdUnit(0, 0.4-s) / tc.IdUnit(0, 0.4)
 	if r < 9 || r > 11 {
 		t.Errorf("one-swing Ioff ratio = %v, want ~10", r)
@@ -143,20 +149,10 @@ func TestIoffIncludesJunctionFloor(t *testing.T) {
 	}
 }
 
-func TestCorners(t *testing.T) {
-	c := Corners(0.2, 0.15)
-	if math.Abs(c.Low-0.17) > 1e-12 || math.Abs(c.High-0.23) > 1e-12 {
-		t.Errorf("corners = %+v", c)
-	}
-	if c := Corners(0.1, 2.0); c.Low != 0 {
-		t.Errorf("low corner should clamp at 0, got %v", c.Low)
-	}
-}
-
 func TestSubthresholdCurrentExponential(t *testing.T) {
 	// Deep subthreshold: Id(Vgs) rises one decade per swing.
 	tc := tech(t)
-	s := tc.SubthresholdSwing()
+	s := swing(tc)
 	r := tc.IdUnit(0.2+s, 0.6) / tc.IdUnit(0.2, 0.6)
 	if r < 9 || r > 11 {
 		t.Errorf("subthreshold Vgs decade ratio = %v, want ~10", r)
@@ -189,43 +185,5 @@ func TestDefault250Scaling(t *testing.T) {
 	}
 	if fom(t250) >= fom(t350) {
 		t.Errorf("CV/I did not improve: %v vs %v", fom(t250), fom(t350))
-	}
-}
-
-func TestAtTemperature(t *testing.T) {
-	hot := Default350()
-	cold, err := hot.AtTemperature(300) // ~27 C
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Leakage collapses when cold (steeper subthreshold slope).
-	if cold.IoffUnit(0.3) >= hot.IoffUnit(0.3) {
-		t.Errorf("cold leakage %v not below hot %v", cold.IoffUnit(0.3), hot.IoffUnit(0.3))
-	}
-	if r := hot.IoffUnit(0.3) / cold.IoffUnit(0.3); r < 3 {
-		t.Errorf("hot/cold leakage ratio %v implausibly small", r)
-	}
-	// Drive improves slightly when cold (mobility).
-	if cold.IdUnit(1.0, 0.2) <= hot.IdUnit(1.0, 0.2) {
-		t.Error("cold drive should improve")
-	}
-	// Swing steepens when cold.
-	if cold.SubthresholdSwing() >= hot.SubthresholdSwing() {
-		t.Error("cold swing should steepen")
-	}
-	// Identity at the reference temperature.
-	same, err := hot.AtTemperature(ReferenceTempK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same.VTherm != hot.VTherm || same.KSat != hot.KSat {
-		t.Error("reference temperature should be an identity")
-	}
-	// Range checks.
-	if _, err := hot.AtTemperature(100); err == nil {
-		t.Error("cryogenic temperature accepted")
-	}
-	if _, err := hot.AtTemperature(600); err == nil {
-		t.Error("oven temperature accepted")
 	}
 }

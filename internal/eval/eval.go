@@ -112,8 +112,6 @@ type Engine struct {
 	bound   *design.Assignment
 	curTd   []float64 //cmosvet:unit s
 	curArr  []float64 //cmosvet:unit s
-	stE     []float64 //cmosvet:unit J
-	dyE     []float64 //cmosvet:unit J
 	dirty   []int     // binary heap of gate IDs ordered by rank
 	inDirty []bool
 

@@ -280,7 +280,7 @@ func TestGateDelayOverrideMatchesMutateRestore(t *testing.T) {
 func TestCoeffCache(t *testing.T) {
 	c, eng, _, _ := buildCase(t, 4)
 	a := design.Uniform(c.N(), 1.5, 0.35, 4)
-	eng.Metrics().Reset()
+	*eng.Metrics() = Metrics{}
 	eng.CriticalDelay(a)
 	m := eng.Metrics()
 	if m.CoeffMisses != 1 {
@@ -296,7 +296,7 @@ func TestCoeffCache(t *testing.T) {
 		t.Errorf("one sweep should be 1 full-eval equivalent, got %v", got)
 	}
 	// The cache survives a voltage change and returning to a seen pair.
-	eng.Metrics().Reset()
+	*eng.Metrics() = Metrics{}
 	a.Vdd = 2.0
 	eng.CriticalDelay(a)
 	a.Vdd = 1.5

@@ -1,34 +1,28 @@
 package eval
 
-import (
-	"cmosopt/internal/design"
-	"cmosopt/internal/power"
-)
+import "cmosopt/internal/design"
 
 // Incremental evaluation. Bind attaches the engine to one assignment and
-// computes its full timing and energy state once; after that, a width edit
-// (SetWidth) re-evaluates only the gates it can reach:
-//
-//   - a width change at gate i re-prices gate i itself (its own switching
-//     width) and its logic fanins (their output load includes w_i·C_t and the
-//     worst interconnect branch), then propagates delay/arrival changes
-//     through the fanout cone in topological-rank order, stopping wherever
-//     both t_d and arrival are bitwise unchanged;
-//   - energy needs no propagation at all: E_i depends on w_i, V_TSi and the
-//     widths of i's fanouts, so the edited gate and its logic fanins are the
-//     only stale entries in the per-gate energy arrays.
+// computes its full timing state once; after that, a width edit (SetWidth)
+// re-evaluates only the gates it can reach: a width change at gate i
+// re-prices gate i itself (its own switching width) and its logic fanins
+// (their output load includes w_i·C_t and the worst interconnect branch),
+// then propagates delay/arrival changes through the fanout cone in
+// topological-rank order, stopping wherever both t_d and arrival are
+// bitwise unchanged. The one caller, the sensitivity flow, reads delays
+// only, so the bound state carries no energy.
 //
 // The propagation recomputes each dirty gate with the exact same model call
 // the full sweep uses, reading cached fanin values — so bound results are
 // bitwise identical to a from-scratch evaluation of the same assignment
 // (the eval property test pins this down).
 //
-// Bound accessors (BoundDelays, BoundCriticalDelay, BoundEnergy, …) read the
+// Bound accessors (BoundDelays, BoundCriticalDelay, BoundSlacks) read the
 // tracked state without touching the device model; the full-evaluation APIs
 // in eval.go keep working while bound because they use separate scratch.
 
 // Bind attaches the engine to a for incremental evaluation and performs the
-// initial full delay + energy computation. The engine holds a reference: all
+// initial full delay computation. The engine holds a reference: all
 // subsequent edits to a must go through SetWidth or a fresh Bind,
 // and bound accessors reflect a's current state. Bind replaces any prior
 // binding.
@@ -40,10 +34,6 @@ func (e *Engine) Bind(a *design.Assignment) {
 		e.curArr = make([]float64, n)
 		e.inDirty = make([]bool, n)
 		e.dirty = make([]int, 0, 64)
-	}
-	if e.pm != nil && e.stE == nil {
-		e.stE = make([]float64, n)
-		e.dyE = make([]float64, n)
 	}
 	e.refreshAll()
 }
@@ -58,24 +48,11 @@ func (e *Engine) refreshAll() {
 	a := e.bound
 	e.delaysInto(e.curTd, a)
 	e.arrivalsInto(e.curArr, e.curTd)
-	if e.pm != nil {
-		for i := range e.C.Gates {
-			e.refreshEnergy(i)
-		}
-	}
-}
-
-// refreshEnergy re-prices one gate's energy into the tracked arrays.
-//
-//cmosvet:hotpath
-func (e *Engine) refreshEnergy(id int) {
-	b := e.gateEnergy(id, e.bound)
-	e.stE[id], e.dyE[id] = b.Static, b.Dynamic
 }
 
 // SetWidth sets the bound assignment's width of gate id and incrementally
 // re-evaluates: the gate itself, the fanin loads, and the dirtied fanout
-// cone for timing; the gate and its logic fanins for energy.
+// cone.
 //
 //cmosvet:hotpath
 //cmosvet:unit w 1
@@ -90,13 +67,7 @@ func (e *Engine) SetWidth(id int, w float64) {
 	for _, f := range e.cs.Fanins(int32(id)) {
 		if e.cs.IsLogic[f] {
 			e.push(int(f))
-			if e.pm != nil {
-				e.refreshEnergy(int(f))
-			}
 		}
-	}
-	if e.pm != nil {
-		e.refreshEnergy(id)
 	}
 	e.propagate()
 }
@@ -107,13 +78,6 @@ func (e *Engine) SetWidth(id int, w float64) {
 //cmosvet:hotpath
 //cmosvet:unit return s
 func (e *Engine) BoundDelays() []float64 { return e.curTd }
-
-// BoundArrivals returns the tracked per-gate worst arrival times
-// (engine-owned; do not modify; valid until the next edit).
-//
-//cmosvet:hotpath
-//cmosvet:unit return s
-func (e *Engine) BoundArrivals() []float64 { return e.curArr }
 
 // BoundCriticalDelay returns the tracked critical delay — a max over primary
 // outputs, no model calls.
@@ -128,21 +92,6 @@ func (e *Engine) BoundCriticalDelay() float64 {
 		}
 	}
 	return worst
-}
-
-// BoundEnergy returns the tracked whole-network energy breakdown, summed in
-// gate-index order so the result is bitwise identical to Energy on the same
-// assignment.
-//
-//cmosvet:hotpath
-func (e *Engine) BoundEnergy() power.Breakdown {
-	e.mustPower()
-	var sum power.Breakdown
-	for i := range e.stE {
-		sum.Static += e.stE[i]
-		sum.Dynamic += e.dyE[i]
-	}
-	return sum
 }
 
 // BoundSlacks computes slacks against cycle budget T from the tracked delays

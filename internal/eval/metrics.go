@@ -21,9 +21,6 @@ type Metrics struct {
 	CoeffMisses      int64 // device-coefficient cache misses (transcendental work)
 }
 
-// Reset zeroes all counters.
-func (m *Metrics) Reset() { *m = Metrics{} }
-
 // Add accumulates another metrics snapshot.
 func (m *Metrics) Add(o Metrics) {
 	m.GateDelayCalls += o.GateDelayCalls

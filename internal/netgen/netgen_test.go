@@ -1,10 +1,34 @@
 package netgen
 
 import (
+	"fmt"
 	"testing"
 
 	"cmosopt/internal/circuit"
 )
+
+// ProfileConfig returns the structural parameters of a named profile.
+func ProfileConfig(name string) (Config, error) {
+	cfg, ok := profiles[name]
+	if !ok {
+		return Config{}, fmt.Errorf("netgen: unknown benchmark profile %q", name)
+	}
+	return cfg, nil
+}
+
+// Suite generates all benchmark circuits of the paper's tables.
+func Suite() ([]*circuit.Circuit, error) {
+	names := SuiteNames()
+	out := make([]*circuit.Circuit, 0, len(names))
+	for _, n := range names {
+		c, err := Profile(n)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, c)
+	}
+	return out, nil
+}
 
 func TestGenerateMatchesConfig(t *testing.T) {
 	cfg := Config{Name: "t1", Gates: 80, Depth: 8, PIs: 5, POs: 4, DFFs: 3}

@@ -60,15 +60,6 @@ func Profile(name string) (*circuit.Circuit, error) {
 	return Generate(cfg, profileSeed(name))
 }
 
-// ProfileConfig returns the structural parameters of a named profile.
-func ProfileConfig(name string) (Config, error) {
-	cfg, ok := profiles[name]
-	if !ok {
-		return Config{}, fmt.Errorf("netgen: unknown benchmark profile %q", name)
-	}
-	return cfg, nil
-}
-
 // LoadNamed resolves any built-in benchmark name: the embedded genuine
 // netlists ("s27", "c17"), the ISCAS'89-profile suite, or the ISCAS'85-scale
 // profiles.
@@ -121,20 +112,6 @@ func excerpt(s string) string {
 		n--
 	}
 	return s[:n] + "…"
-}
-
-// Suite generates all benchmark circuits of the paper's tables.
-func Suite() ([]*circuit.Circuit, error) {
-	names := SuiteNames()
-	out := make([]*circuit.Circuit, 0, len(names))
-	for _, n := range names {
-		c, err := Profile(n)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
 }
 
 // Sequentialize converts a generated combinational circuit (whose "ff*"

@@ -22,11 +22,6 @@ type AnnealConfig struct {
 	Stop func() bool
 }
 
-// DefaultAnnealConfig returns a schedule sized for the benchmark circuits.
-func DefaultAnnealConfig() AnnealConfig {
-	return AnnealConfig{Passes: 3, StepsPerPass: 2000, T0: 1.0, TFinal: 1e-4, Seed: 1}
-}
-
 func (c AnnealConfig) validate() error {
 	switch {
 	case c.Passes < 1:

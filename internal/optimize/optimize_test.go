@@ -20,18 +20,6 @@ func TestRangeBasics(t *testing.T) {
 	if r.Clamp(0) != 2 || r.Clamp(9) != 6 || r.Clamp(3) != 3 {
 		t.Error("Clamp broken")
 	}
-	if !r.Contains(2) || !r.Contains(6) || r.Contains(6.1) {
-		t.Error("Contains broken")
-	}
-	if err := r.Validate(); err != nil {
-		t.Error(err)
-	}
-	if err := (Range{3, 1}).Validate(); err == nil {
-		t.Error("inverted range accepted")
-	}
-	if err := (Range{math.NaN(), 1}).Validate(); err == nil {
-		t.Error("NaN range accepted")
-	}
 }
 
 func TestLinspace(t *testing.T) {
@@ -77,7 +65,7 @@ func TestAnnealQuadratic(t *testing.T) {
 }
 
 func TestAnnealDeterministicPerSeed(t *testing.T) {
-	cfg := DefaultAnnealConfig()
+	cfg := AnnealConfig{Passes: 3, StepsPerPass: 2000, T0: 1.0, TFinal: 1e-4, Seed: 1}
 	energy := func(x float64) float64 { return math.Abs(x - 1) }
 	neighbor := func(x float64, rng *rand.Rand) float64 { return x + rng.NormFloat64()*0.5 }
 	a1, e1, _ := Anneal(cfg, 0.0, energy, neighbor)

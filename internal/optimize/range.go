@@ -5,19 +5,9 @@
 // the paper's §5 comparison. Only the standard library is used.
 package optimize
 
-import "fmt"
-
 // Range is a closed interval [Lo, Hi] supporting the MID / LOWER / HIGHER
 // refinement of the paper's Procedure 2.
 type Range struct{ Lo, Hi float64 }
-
-// Validate reports an error when the interval is inverted.
-func (r Range) Validate() error {
-	if !(r.Lo <= r.Hi) { // also catches NaN
-		return fmt.Errorf("optimize: invalid range [%v,%v]", r.Lo, r.Hi)
-	}
-	return nil
-}
 
 // Mid returns the interval's center, the paper's MID(XRange).
 func (r Range) Mid() float64 { return r.Lo + (r.Hi-r.Lo)/2 }
@@ -41,9 +31,6 @@ func (r Range) Clamp(x float64) float64 {
 	}
 	return x
 }
-
-// Contains reports whether x lies in the closed interval.
-func (r Range) Contains(x float64) bool { return x >= r.Lo && x <= r.Hi }
 
 // Linspace returns n evenly spaced points from Lo to Hi inclusive (n ≥ 2).
 func (r Range) Linspace(n int) []float64 {

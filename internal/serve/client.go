@@ -165,13 +165,6 @@ func (c *Client) SubmitWaitRaw(ctx context.Context, req *Request) (JobStatus, js
 	return st, raw.Result, nil
 }
 
-// Job fetches a job's current status.
-func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
-	var st JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
-	return st, err
-}
-
 // Wait blocks until the job is terminal and returns its final status.
 func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
 	var st JobStatus
@@ -205,36 +198,6 @@ func (c *Client) Healthy(ctx context.Context) bool {
 	}
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
-}
-
-// UploadNetlist stores a .bench netlist and returns its content address,
-// usable as Request.NetlistSHA256.
-func (c *Client) UploadNetlist(ctx context.Context, bench string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/netlists",
-		strings.NewReader(bench))
-	if err != nil {
-		return "", fmt.Errorf("serve client: %w", err)
-	}
-	req.Header.Set("Content-Type", "text/plain")
-	resp, err := c.httpc().Do(req)
-	if err != nil {
-		return "", fmt.Errorf("serve client: %w", err)
-	}
-	defer resp.Body.Close()
-	raw, err := readBody(resp.Body, resp.ContentLength)
-	if err != nil {
-		return "", fmt.Errorf("serve client: reading response: %w", err)
-	}
-	if resp.StatusCode >= 400 {
-		return "", fmt.Errorf("serve client: upload: %s: %s", resp.Status, apiMessage(raw))
-	}
-	var out struct {
-		SHA256 string `json:"sha256"`
-	}
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return "", fmt.Errorf("serve client: decoding upload response: %w", err)
-	}
-	return out.SHA256, nil
 }
 
 // Event is one server-sent progress frame.

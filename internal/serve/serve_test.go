@@ -542,6 +542,36 @@ func TestServedOptimizeByteIdenticalToLowPower(t *testing.T) {
 }
 
 // An uploaded netlist is addressable by hash and optimizable.
+// UploadNetlist stores a .bench netlist and returns its content address,
+// usable as Request.NetlistSHA256.
+func (c *Client) UploadNetlist(ctx context.Context, bench string) (string, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/netlists",
+		strings.NewReader(bench))
+	if err != nil {
+		return "", fmt.Errorf("serve client: %w", err)
+	}
+	req.Header.Set("Content-Type", "text/plain")
+	resp, err := c.httpc().Do(req)
+	if err != nil {
+		return "", fmt.Errorf("serve client: %w", err)
+	}
+	defer resp.Body.Close()
+	raw, err := readBody(resp.Body, resp.ContentLength)
+	if err != nil {
+		return "", fmt.Errorf("serve client: reading response: %w", err)
+	}
+	if resp.StatusCode >= 400 {
+		return "", fmt.Errorf("serve client: upload: %s: %s", resp.Status, apiMessage(raw))
+	}
+	var out struct {
+		SHA256 string `json:"sha256"`
+	}
+	if err := json.Unmarshal(raw, &out); err != nil {
+		return "", fmt.Errorf("serve client: decoding upload response: %w", err)
+	}
+	return out.SHA256, nil
+}
+
 func TestNetlistUploadAndOptimize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the real optimizer")

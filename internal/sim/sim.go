@@ -193,29 +193,6 @@ func (s *Simulator) Settle() {
 	}
 }
 
-// Value returns the present logic value of a gate.
-func (s *Simulator) Value(id int) bool { return s.val[id] }
-
-// Now returns the current simulation time.
-func (s *Simulator) Now() float64 { return s.now }
-
-// Transitions returns the transition count of a gate since the last Settle.
-func (s *Simulator) Transitions(id int) int64 { return s.trans[id] }
-
-// PropagationDelay applies one input event at the current state and returns
-// the time until the network goes quiet (0 if nothing propagates).
-func (s *Simulator) PropagationDelay(inputID int, v bool, horizon float64) (float64, error) {
-	start := s.now
-	if err := s.SetInput(inputID, v); err != nil {
-		return 0, err
-	}
-	end := s.Run(start + horizon)
-	if end < start {
-		return 0, nil
-	}
-	return end - start, nil
-}
-
 // RandomVectorStats clocks the simulator with random input vectors (each
 // input independently drawn per cycle from the stationary distribution of
 // its spec, with Markov transition rates matching its density) and returns

@@ -14,6 +14,26 @@ import (
 	"cmosopt/internal/wiring"
 )
 
+// Value returns the present logic value of a gate.
+func (s *Simulator) Value(id int) bool { return s.val[id] }
+
+// Transitions returns the transition count of a gate since the last Settle.
+func (s *Simulator) Transitions(id int) int64 { return s.trans[id] }
+
+// PropagationDelay applies one input event at the current state and returns
+// the time until the network goes quiet (0 if nothing propagates).
+func (s *Simulator) PropagationDelay(inputID int, v bool, horizon float64) (float64, error) {
+	start := s.now
+	if err := s.SetInput(inputID, v); err != nil {
+		return 0, err
+	}
+	end := s.Run(start + horizon)
+	if end < start {
+		return 0, nil
+	}
+	return end - start, nil
+}
+
 func setup(t *testing.T, c *circuit.Circuit) (*Simulator, *delay.Evaluator, *design.Assignment) {
 	t.Helper()
 	tech := device.Default350()

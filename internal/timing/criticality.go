@@ -111,23 +111,6 @@ func (a *Analysis) PathCriticality(path []int) int {
 	return n
 }
 
-// MaxCriticality returns the criticality of the most critical path in the
-// network.
-func (a *Analysis) MaxCriticality() int {
-	best := 0
-	for i, logic := range a.cs.IsLogic {
-		if logic {
-			// Down of input-fed gates bounds full paths; Up+Down−FoEff of any
-			// gate is the max path through it, so taking max over the
-			// through-criticality of all gates is equivalent.
-			if th := a.Through(i); th > best {
-				best = th
-			}
-		}
-	}
-	return best
-}
-
 // Through returns the criticality of the most critical full path passing
 // through gate id.
 func (a *Analysis) Through(id int) int {
@@ -171,24 +154,6 @@ func (a *Analysis) pathThrough(id int) []int {
 		cur = next
 	}
 	return path
-}
-
-// MostCriticalPath returns one maximally critical input-to-output path as
-// logic gate IDs in input-to-output order.
-func (a *Analysis) MostCriticalPath() []int {
-	bestID, best := -1, -1
-	for i, logic := range a.cs.IsLogic {
-		if !logic {
-			continue
-		}
-		if th := a.Through(i); th > best {
-			best, bestID = th, i
-		}
-	}
-	if bestID < 0 {
-		return nil
-	}
-	return a.pathThrough(bestID)
 }
 
 // critCursor selects, in amortized O(n log n) total, the unassigned logic

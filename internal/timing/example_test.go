@@ -37,22 +37,3 @@ func ExampleAssignBudgets() {
 	fmt.Printf("g1: %.2f ns, g2: %.2f ns\n", res.TMax[g1]*1e9, res.TMax[g2]*1e9)
 	// Output: g1: 1.80 ns, g2: 1.20 ns
 }
-
-func ExampleAnalysis_MostCriticalPath() {
-	b := circuit.NewBuilder("chain")
-	in := b.Input("in")
-	g1 := b.Gate(circuit.Not, "g1", in)
-	g2 := b.Gate(circuit.Nand, "g2", g1, in)
-	b.Output(g2)
-	c, _ := b.Build()
-	a, _ := timing.NewAnalysis(c)
-	path := a.MostCriticalPath()
-	for i, id := range path {
-		if i > 0 {
-			fmt.Print(" -> ")
-		}
-		fmt.Print(c.Gate(id).Name)
-	}
-	fmt.Printf("  (criticality %d)\n", a.PathCriticality(path))
-	// Output: g1 -> g2  (criticality 4)
-}

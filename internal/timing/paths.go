@@ -50,18 +50,6 @@ func (a *Analysis) KBestPaths(k int) [][]int {
 	return out
 }
 
-// KBestCriticalities returns only the criticalities of the up-to-k most
-// critical paths, non-increasing — the whole-distribution statistic Procedure
-// 1 reporting needs, without reconstructing a single gate sequence.
-func (a *Analysis) KBestCriticalities(k int) []int {
-	arena, ends := a.streamPaths(k)
-	out := make([]int, len(ends))
-	for i, e := range ends {
-		out[i] = int(arena[e].acc)
-	}
-	return out
-}
-
 // streamPaths runs the levelized sweep and returns the record arena plus the
 // arena indices of the top-k complete paths, ordered by (criticality desc,
 // then discovery order — terminal gates in topological sequence).

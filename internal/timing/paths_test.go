@@ -86,14 +86,13 @@ func TestKBestPathsMatchesExhaustive(t *testing.T) {
 
 		for _, k := range []int{1, 2, 3, 5, 10, len(ref), len(ref) + 50} {
 			paths := a.KBestPaths(k)
-			crits := a.KBestCriticalities(k)
 			wantN := k
 			if wantN > len(ref) {
 				wantN = len(ref)
 			}
-			if len(paths) != wantN || len(crits) != wantN {
-				t.Fatalf("%s k=%d: got %d paths / %d crits, want %d (of %d total)",
-					cfg.Name, k, len(paths), len(crits), wantN, len(ref))
+			if len(paths) != wantN {
+				t.Fatalf("%s k=%d: got %d paths, want %d (of %d total)",
+					cfg.Name, k, len(paths), wantN, len(ref))
 			}
 			seen := map[string]bool{}
 			for i, p := range paths {
@@ -101,10 +100,6 @@ func TestKBestPathsMatchesExhaustive(t *testing.T) {
 				if pc != refCrit[i] {
 					t.Fatalf("%s k=%d: path %d criticality %d, want %d (exhaustive rank)",
 						cfg.Name, k, i, pc, refCrit[i])
-				}
-				if crits[i] != pc {
-					t.Fatalf("%s k=%d: KBestCriticalities[%d] = %d, KBestPaths says %d",
-						cfg.Name, k, i, crits[i], pc)
 				}
 				key := pathKey(p)
 				want, ok := valid[key]
@@ -136,28 +131,6 @@ func TestStreamPathsArenaBounded(t *testing.T) {
 		arena, _ := a.streamPaths(k)
 		if max := c.NumLogic() * k; len(arena) > max {
 			t.Fatalf("k=%d: arena holds %d records, bound is %d", k, len(arena), max)
-		}
-	}
-}
-
-// TestKBestCriticalitiesLarge sanity-checks the criticalities-only variant on
-// a circuit big enough that materializing all paths would be prohibitive.
-func TestKBestCriticalitiesLarge(t *testing.T) {
-	c, err := netgen.Generate(netgen.Config{Name: "kl", Gates: 3000, Depth: 30, PIs: 40, POs: 30}, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := analysis(t, c)
-	crits := a.KBestCriticalities(100)
-	if len(crits) != 100 {
-		t.Fatalf("got %d criticalities, want 100", len(crits))
-	}
-	if crits[0] != a.MaxCriticality() {
-		t.Fatalf("top criticality %d != MaxCriticality %d", crits[0], a.MaxCriticality())
-	}
-	for i := 1; i < len(crits); i++ {
-		if crits[i] > crits[i-1] {
-			t.Fatalf("criticalities out of order at %d: %d > %d", i, crits[i], crits[i-1])
 		}
 	}
 }

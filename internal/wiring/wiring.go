@@ -153,16 +153,10 @@ func (m *Model) computeMean() float64 {
 	return num / den
 }
 
-// MeanPitches returns the expected point-to-point connection length in gate
-// pitches.
-//
-//cmosvet:unit return 1
-func (m *Model) MeanPitches() float64 { return m.meanPitches }
-
 // SampleNets draws one length per driver net (indexed by the driving gate's
 // ID, nNets entries) from the Davis distribution by inverse-CDF sampling,
 // deterministically for a given seed. Subsequent *Net accessors use these
-// lengths; the aggregate mean still converges to MeanPitches.
+// lengths; their mean converges to the model's expected branch length.
 func (m *Model) SampleNets(nNets int, seed int64) {
 	if nNets <= 0 {
 		m.netPitches, m.netCap, m.netRes, m.netFlight = nil, nil, nil, nil
@@ -192,49 +186,15 @@ func (m *Model) SampleNets(nNets int, seed int64) {
 	}
 }
 
-// pitchesOf returns the length in pitches of the net driven by gate id
-// (mean when nets are not sampled or the id is out of range).
-//
-//cmosvet:unit return 1
-func (m *Model) pitchesOf(id int) float64 {
-	if m.netPitches == nil || id < 0 || id >= len(m.netPitches) {
-		return m.meanPitches
-	}
-	return m.netPitches[id]
-}
-
 // BranchLength returns the expected length in meters of one fanout branch
 // (one point-to-point connection of a net).
 //
 //cmosvet:unit return m
 func (m *Model) BranchLength() float64 { return m.meanPitches * m.P.GatePitch }
 
-// BranchLengthNet returns the branch length of the net driven by gate id,
-// which differs per net after SampleNets.
-//
-//cmosvet:unit return m
-func (m *Model) BranchLengthNet(id int) float64 { return m.pitchesOf(id) * m.P.GatePitch }
-
-// NetLength returns the expected total routed length of a net with the given
-// fanout, modeled as a star of point-to-point branches.
-//
-//cmosvet:unit return m
-func (m *Model) NetLength(fanout int) float64 {
-	if fanout < 1 {
-		fanout = 1
-	}
-	return float64(fanout) * m.BranchLength()
-}
-
-// BranchCap returns C_INTij: the interconnect capacitance of one fanout
-// branch (F).
-//
-//cmosvet:unit return F
-func (m *Model) BranchCap() float64 { return m.meanCap }
-
-// BranchCapNet is BranchCap for the net driven by gate id: a load of the
-// value derived when the nets were sampled, the mean's when they were not
-// or id is out of range.
+// BranchCapNet returns C_INTij, the interconnect capacitance of one fanout
+// branch of the net driven by gate id (F): the value derived when the nets
+// were sampled, the mean net's when they were not or id is out of range.
 //
 //cmosvet:hotpath
 //cmosvet:unit return F
@@ -245,13 +205,8 @@ func (m *Model) BranchCapNet(id int) float64 {
 	return m.meanCap
 }
 
-// BranchRes returns R_INTij: the interconnect resistance of one fanout
-// branch (Ω = V/A).
-//
-//cmosvet:unit return V/A
-func (m *Model) BranchRes() float64 { return m.meanRes }
-
-// BranchResNet is BranchRes for the net driven by gate id; see BranchCapNet.
+// BranchResNet returns R_INTij, the interconnect resistance of one fanout
+// branch of the net driven by gate id (Ω = V/A); see BranchCapNet.
 //
 //cmosvet:hotpath
 //cmosvet:unit return V/A
@@ -262,13 +217,8 @@ func (m *Model) BranchResNet(id int) float64 {
 	return m.meanRes
 }
 
-// FlightTime returns the time-of-flight over one fanout branch (s).
-//
-//cmosvet:unit return s
-func (m *Model) FlightTime() float64 { return m.meanFlight }
-
-// FlightTimeNet is FlightTime for the net driven by gate id; see
-// BranchCapNet.
+// FlightTimeNet returns the time of flight over one fanout branch of the
+// net driven by gate id (s); see BranchCapNet.
 //
 //cmosvet:hotpath
 //cmosvet:unit return s
@@ -278,12 +228,6 @@ func (m *Model) FlightTimeNet(id int) float64 {
 	}
 	return m.meanFlight
 }
-
-// RCDelay returns the distributed RC delay of one fanout branch (s), using
-// the 0.5·R·C distributed-line factor: (V/A)·F composes to s.
-//
-//cmosvet:unit return s
-func (m *Model) RCDelay() float64 { return 0.5 * m.BranchRes() * m.BranchCap() }
 
 // DieEdge returns the edge length of the (square) placement region implied
 // by the gate count and pitch (m).

@@ -78,6 +78,16 @@ func TestDensityDecreasingTail(t *testing.T) {
 	}
 }
 
+// branchLengthNet is the branch length of the net driven by gate id (m):
+// its sampled length, or the mean's when the nets are not sampled or id is
+// out of range.
+func branchLengthNet(m *Model, id int) float64 {
+	if id < 0 || id >= len(m.netPitches) {
+		return m.BranchLength()
+	}
+	return m.netPitches[id] * m.P.GatePitch
+}
+
 func TestMeanPitchesBounds(t *testing.T) {
 	f := func(raw uint16) bool {
 		n := int(raw)%5000 + 2
@@ -85,7 +95,7 @@ func TestMeanPitchesBounds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		mean := m.MeanPitches()
+		mean := m.meanPitches
 		return mean >= 1 && mean <= 2*math.Sqrt(float64(n))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -98,9 +108,9 @@ func TestMeanGrowsWithNForHighRent(t *testing.T) {
 	p.RentP = 0.7
 	small, _ := New(p, 100)
 	large, _ := New(p, 10000)
-	if large.MeanPitches() <= small.MeanPitches() {
+	if large.meanPitches <= small.meanPitches {
 		t.Errorf("mean should grow with N for p=0.7: %v vs %v",
-			small.MeanPitches(), large.MeanPitches())
+			small.meanPitches, large.meanPitches)
 	}
 }
 
@@ -109,9 +119,9 @@ func TestHigherRentExponentLongerWires(t *testing.T) {
 	lo.RentP, hi.RentP = 0.45, 0.75
 	ml, _ := New(lo, 2000)
 	mh, _ := New(hi, 2000)
-	if mh.MeanPitches() <= ml.MeanPitches() {
+	if mh.meanPitches <= ml.meanPitches {
 		t.Errorf("p=0.75 should give longer wires than p=0.45: %v vs %v",
-			mh.MeanPitches(), ml.MeanPitches())
+			mh.meanPitches, ml.meanPitches)
 	}
 }
 
@@ -121,23 +131,14 @@ func TestDerivedQuantities(t *testing.T) {
 	if bl <= 0 {
 		t.Fatal("non-positive branch length")
 	}
-	if got := m.NetLength(3); math.Abs(got-3*bl) > 1e-18 {
-		t.Errorf("NetLength(3) = %v, want %v", got, 3*bl)
+	if got := m.BranchCapNet(0); math.Abs(got-bl*m.P.CPerLen) > 1e-30 {
+		t.Errorf("BranchCapNet = %v", got)
 	}
-	if got := m.NetLength(0); got != bl {
-		t.Errorf("NetLength(0) should clamp to one branch, got %v", got)
+	if got := m.BranchResNet(0); math.Abs(got-bl*m.P.RPerLen) > 1e-12 {
+		t.Errorf("BranchResNet = %v", got)
 	}
-	if got := m.BranchCap(); math.Abs(got-bl*m.P.CPerLen) > 1e-30 {
-		t.Errorf("BranchCap = %v", got)
-	}
-	if got := m.BranchRes(); math.Abs(got-bl*m.P.RPerLen) > 1e-12 {
-		t.Errorf("BranchRes = %v", got)
-	}
-	if got := m.FlightTime(); math.Abs(got-bl/m.P.Velocity) > 1e-24 {
-		t.Errorf("FlightTime = %v", got)
-	}
-	if got := m.RCDelay(); math.Abs(got-0.5*m.BranchRes()*m.BranchCap()) > 1e-30 {
-		t.Errorf("RCDelay = %v", got)
+	if got := m.FlightTimeNet(0); math.Abs(got-bl/m.P.Velocity) > 1e-24 {
+		t.Errorf("FlightTimeNet = %v", got)
 	}
 }
 
@@ -148,10 +149,10 @@ func TestRealisticMagnitudes(t *testing.T) {
 	if l := m.BranchLength(); l < 5e-6 || l > 500e-6 {
 		t.Errorf("branch length %v m implausible", l)
 	}
-	if c := m.BranchCap(); c < 0.5e-15 || c > 100e-15 {
+	if c := m.BranchCapNet(0); c < 0.5e-15 || c > 100e-15 {
 		t.Errorf("branch cap %v F implausible", c)
 	}
-	if ft := m.FlightTime(); ft > 5e-12 {
+	if ft := m.FlightTimeNet(0); ft > 5e-12 {
 		t.Errorf("flight time %v s implausible", ft)
 	}
 }
@@ -163,7 +164,7 @@ func TestSampleNetsStatistics(t *testing.T) {
 	var sum, minL, maxL float64
 	minL = math.Inf(1)
 	for i := 0; i < nets; i++ {
-		l := m.BranchLengthNet(i) / m.P.GatePitch
+		l := branchLengthNet(m, i) / m.P.GatePitch
 		sum += l
 		if l < minL {
 			minL = l
@@ -173,8 +174,8 @@ func TestSampleNetsStatistics(t *testing.T) {
 		}
 	}
 	mean := sum / nets
-	if rel := math.Abs(mean-m.MeanPitches()) / m.MeanPitches(); rel > 0.05 {
-		t.Errorf("sampled mean %v deviates from analytic %v by %v", mean, m.MeanPitches(), rel)
+	if rel := math.Abs(mean-m.meanPitches) / m.meanPitches; rel > 0.05 {
+		t.Errorf("sampled mean %v deviates from analytic %v by %v", mean, m.meanPitches, rel)
 	}
 	if minL < 1 || maxL > 2*math.Sqrt(400)+1 {
 		t.Errorf("sampled lengths [%v, %v] outside distribution support", minL, maxL)
@@ -189,14 +190,14 @@ func TestSampleNetsDeterministic(t *testing.T) {
 	m1.SampleNets(50, 3)
 	m2.SampleNets(50, 3)
 	for i := 0; i < 50; i++ {
-		if m1.BranchLengthNet(i) != m2.BranchLengthNet(i) {
+		if branchLengthNet(m1, i) != branchLengthNet(m2, i) {
 			t.Fatalf("net %d differs across same-seed samples", i)
 		}
 	}
 	m2.SampleNets(50, 4)
 	same := true
 	for i := 0; i < 50; i++ {
-		if m1.BranchLengthNet(i) != m2.BranchLengthNet(i) {
+		if branchLengthNet(m1, i) != branchLengthNet(m2, i) {
 			same = false
 		}
 	}
@@ -208,26 +209,26 @@ func TestSampleNetsDeterministic(t *testing.T) {
 func TestSampleNetsFallbacks(t *testing.T) {
 	m := model(t, 100)
 	// Without sampling, per-net accessors return the mean-based values.
-	if m.BranchLengthNet(5) != m.BranchLength() {
+	if branchLengthNet(m, 5) != m.BranchLength() {
 		t.Error("unsampled per-net length should equal the mean")
 	}
 	m.SampleNets(10, 1)
 	// Out-of-range IDs fall back to the mean.
-	if m.BranchLengthNet(99) != m.BranchLength() {
+	if branchLengthNet(m, 99) != m.BranchLength() {
 		t.Error("out-of-range net should fall back to the mean")
 	}
-	if m.BranchCapNet(3) != m.BranchLengthNet(3)*m.P.CPerLen {
+	if m.BranchCapNet(3) != branchLengthNet(m, 3)*m.P.CPerLen {
 		t.Error("BranchCapNet inconsistent")
 	}
-	if m.BranchResNet(3) != m.BranchLengthNet(3)*m.P.RPerLen {
+	if m.BranchResNet(3) != branchLengthNet(m, 3)*m.P.RPerLen {
 		t.Error("BranchResNet inconsistent")
 	}
-	if m.FlightTimeNet(3) != m.BranchLengthNet(3)/m.P.Velocity {
+	if m.FlightTimeNet(3) != branchLengthNet(m, 3)/m.P.Velocity {
 		t.Error("FlightTimeNet inconsistent")
 	}
 	// Disabling restores the mean.
 	m.SampleNets(0, 1)
-	if m.BranchLengthNet(3) != m.BranchLength() {
+	if branchLengthNet(m, 3) != m.BranchLength() {
 		t.Error("SampleNets(0) should disable sampling")
 	}
 }
@@ -268,12 +269,8 @@ func TestNetConstantsMatchExpressions(t *testing.T) {
 						sampled, id, what, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 			}
-			bl := m.BranchLength()
-			same("BranchCap", -1, m.BranchCap(), bl*m.P.CPerLen)
-			same("BranchRes", -1, m.BranchRes(), bl*m.P.RPerLen)
-			same("FlightTime", -1, m.FlightTime(), bl/m.P.Velocity)
 			for id := -2; id < 305; id++ {
-				l := m.BranchLengthNet(id)
+				l := branchLengthNet(m, id)
 				same("BranchCapNet", id, m.BranchCapNet(id), l*m.P.CPerLen)
 				same("BranchResNet", id, m.BranchResNet(id), l*m.P.RPerLen)
 				same("FlightTimeNet", id, m.FlightTimeNet(id), l/m.P.Velocity)
