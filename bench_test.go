@@ -288,28 +288,6 @@ func BenchmarkAblationBudgeting(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSteering compares the paper's directional bisection with
-// the golden-section-refined search (Options.Refine), checking how much the
-// monotonicity assumption leaves on the table.
-func BenchmarkAblationSteering(b *testing.B) {
-	var gain float64
-	for i := 0; i < b.N; i++ {
-		p := problemFor(b, "s298", 0.5)
-		plain, err := p.OptimizeJoint(core.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		o := core.DefaultOptions()
-		o.Refine = true
-		refined, err := p.OptimizeJoint(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gain = plain.Energy.Total() / refined.Energy.Total()
-	}
-	b.ReportMetric(gain, "bisection/refined(x)")
-}
-
 // BenchmarkAblationWidthIteration compares the paper's literal single-pass
 // width solve (WidthPasses = 1) against the fixed-point iteration the
 // library defaults to.
@@ -416,68 +394,6 @@ func BenchmarkAblationSizingPolicy(b *testing.B) {
 		ratio = sens.Energy.Total() / budget.Energy.Total()
 	}
 	b.ReportMetric(ratio, "sensitivity/budget(x)")
-}
-
-// BenchmarkAblationActivityObjective asks whether the correlation-aware
-// activity engine buys the *optimizer* anything: optimize s298 under the
-// Najm objective and under the correlated objective, then judge both
-// designs by re-pricing their dynamic energy with zero-delay Monte-Carlo
-// densities (the closest thing to ground truth). A ratio below 1 means the
-// correlated objective produced the genuinely better design.
-func BenchmarkAblationActivityObjective(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		c, err := netgen.Profile("s298")
-		if err != nil {
-			b.Fatal(err)
-		}
-		mk := func(correlated bool) (*core.Problem, *core.Result) {
-			cc, err := netgen.Profile("s298")
-			if err != nil {
-				b.Fatal(err)
-			}
-			p, err := core.NewProblem(core.Spec{
-				Circuit: cc, Tech: device.Default350(), Wiring: wiring.Default350(),
-				Fc: 300e6, Skew: 0.95, InputProb: 0.5, InputDensity: 0.5,
-				CorrelatedActivity: correlated,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := p.OptimizeJoint(core.DefaultOptions())
-			if err != nil {
-				b.Fatal(err)
-			}
-			return p, res
-		}
-		pn, najm := mk(false)
-		pc, corr := mk(true)
-
-		// Ground-truth densities from zero-delay Monte Carlo.
-		in := make(map[int]activity.InputSpec, len(c.PIs))
-		for _, id := range c.PIs {
-			in[id] = activity.InputSpec{Prob: 0.5, Density: 0.5}
-		}
-		mc, err := activity.MonteCarlo(pn.C, in, 40000, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		truth := func(p *core.Problem, res *core.Result) float64 {
-			total := res.Energy.Static
-			for gi := range p.C.Gates {
-				if !p.C.Gates[gi].IsLogic() {
-					continue
-				}
-				base := p.Eval.GateEnergy(gi, res.Assignment).Dynamic
-				if d := p.Act.Density[gi]; d > 1e-12 {
-					total += base * mc.Density[gi] / d
-				}
-			}
-			return total
-		}
-		ratio = truth(pc, corr) / truth(pn, najm)
-	}
-	b.ReportMetric(ratio, "corr-objective/najm-objective(x)")
 }
 
 // --- Micro-benchmarks of the hot analysis paths ---
@@ -637,27 +553,6 @@ func BenchmarkYield(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := p.YieldStudy(res.Assignment, 0.1, 500, 42, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRefine measures Procedure 2 with the Refine polish: the 9-point
-// threshold scans fan out over the workers, while the bisection walk before
-// them stays serial.
-func BenchmarkRefine(b *testing.B) {
-	for _, w := range workerSet() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.Workers = w
-			opts.Refine = true
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				p := problemFor(b, "s298", 0.5)
-				b.StartTimer()
-				if _, err := p.OptimizeJoint(opts); err != nil {
 					b.Fatal(err)
 				}
 			}

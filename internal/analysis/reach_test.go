@@ -29,6 +29,27 @@ import (
 //   - a concrete value converted to any interface reaches the methods of
 //     stdAsserted it implements, which the standard library finds by type
 //     assertion (fmt asks for String and Error, go/types for ImportFrom).
+//
+// The same scan records the struct fields each body reads and writes, for
+// the field rule: a field that reached code reads and no reached code
+// writes is zero in every run, so whatever it selects runs only under
+// tests. Reading is selecting the field (x.f). Writing is any of:
+//
+//   - a keyed or positional element of a composite literal;
+//   - the left side of =, op=, ++ or --, or a range clause's key or value;
+//   - taking its address (&x.f);
+//   - calling a pointer-receiver method on it or on one of its array
+//     elements (x.mu.Lock(), x.slots[i].Add(1));
+//   - handing a pointer to its struct, as an interface value, to a function
+//     outside the analyzed packages (json.Unmarshal(b, &req) sets every
+//     field it can reach).
+//
+// Storing into x.f.g or x.f[i] writes f too when f holds a struct or an
+// array by value; through a pointer, slice or map it does not, since f
+// must then have been set elsewhere. Fields are compared by Origin, so a
+// write to Box[int].V is a write to Box[T].V. The rule cannot see a
+// default: a field a constructor writes counts as written even when no
+// caller ever changes it.
 
 // stdAsserted names, by package path and type name, the standard-library
 // interfaces that standard-library code looks for by dynamic type assertion
@@ -56,9 +77,11 @@ type reachNode struct {
 	test bool // declared in a _test.go file
 	pkg  *types.Package
 
-	refs  []*types.Func // concrete functions and methods the body references
-	names []string      // interface methods the body references, by name
-	convs []reachConv   // concrete values the body converts to an interface
+	refs   []*types.Func // concrete functions and methods the body references
+	names  []string      // interface methods the body references, by name
+	convs  []reachConv   // concrete values the body converts to an interface
+	reads  []*types.Var  // struct fields the body selects, by Origin
+	writes []*types.Var  // struct fields the body writes, by Origin
 }
 
 type reachConv struct {
@@ -75,6 +98,7 @@ type reachGraph struct {
 	imports map[string][]string      // by package path: the imports of its non-test files
 	local   map[*types.Package]bool  // packages loaded from source
 	asserts []*types.Interface       // stdAsserted, as far as the loaded packages import them
+	fields  map[*types.Var]string    // fields of the named structs declared in pkgs, by key
 }
 
 // newReachGraph scans every declaration of pkgs. Test files are scanned
@@ -87,6 +111,7 @@ func newReachGraph(fset *token.FileSet, pkgs []*analysis.LoadedPackage) *reachGr
 		inits:   make(map[string]*reachNode),
 		imports: make(map[string][]string),
 		local:   make(map[*types.Package]bool),
+		fields:  make(map[*types.Var]string),
 	}
 	for _, p := range pkgs {
 		g.local[p.Types] = true
@@ -135,6 +160,15 @@ func lookupAsserted(pkgs []*analysis.LoadedPackage) []*types.Interface {
 func (g *reachGraph) scanPackage(p *analysis.LoadedPackage) {
 	init := &reachNode{pkg: p.Types}
 	g.inits[p.Path] = init
+	for _, obj := range p.Info.Defs {
+		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					g.fields[st.Field(i)] = p.Types.Name() + "." + tn.Name() + "." + st.Field(i).Name()
+				}
+			}
+		}
+	}
 	for _, f := range p.Files {
 		test := strings.HasSuffix(g.fset.Position(f.Pos()).Filename, "_test.go")
 		if !test {
@@ -222,6 +256,27 @@ func (g *reachGraph) scanBody(n *reachNode, info *types.Info, body ast.Node, sig
 			} else {
 				n.refs = append(n.refs, fn.Origin())
 			}
+		case *ast.SelectorExpr:
+			sel := info.Selections[x]
+			switch {
+			case sel == nil:
+			case sel.Kind() == types.FieldVal:
+				n.reads = append(n.reads, sel.Obj().(*types.Var).Origin())
+			case sel.Kind() == types.MethodVal && !isPointer(sel.Recv()) &&
+				isPointer(sel.Obj().Type().(*types.Signature).Recv().Type()):
+				n.store(info, x.X) // the call takes x.X's address
+			}
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				n.store(info, x.X)
+			}
+		case *ast.IncDecStmt:
+			n.store(info, x.X)
+		case *ast.RangeStmt:
+			if x.Tok == token.ASSIGN {
+				n.store(info, x.Key)
+				n.store(info, x.Value)
+			}
 		case *ast.CallExpr:
 			if tv := info.Types[x.Fun]; tv.IsType() {
 				if len(x.Args) == 1 {
@@ -233,16 +288,30 @@ func (g *reachGraph) scanBody(n *reachNode, info *types.Info, body ast.Node, sig
 			if !ok {
 				return true
 			}
+			fn := callee(info, x.Fun)
+			foreign := fn != nil && fn.Pkg() != nil && !g.local[fn.Pkg()]
 			params := callSig.Params()
 			for i, a := range x.Args {
+				var pt types.Type
 				switch {
 				case callSig.Variadic() && i >= params.Len()-1 && !x.Ellipsis.IsValid():
-					conv(params.At(params.Len()-1).Type().(*types.Slice).Elem(), a)
+					pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
 				case i < params.Len():
-					conv(params.At(i).Type(), a)
+					pt = params.At(i).Type()
+				}
+				conv(pt, a)
+				// A pointer handed as an interface to code outside the
+				// analyzed packages may be decoded into by reflection.
+				if ptr, ok := info.TypeOf(a).Underlying().(*types.Pointer); ok && foreign && pt != nil && types.IsInterface(pt) {
+					n.storeAll(ptr.Elem(), make(map[types.Type]bool))
 				}
 			}
 		case *ast.AssignStmt:
+			if x.Tok != token.DEFINE {
+				for _, l := range x.Lhs {
+					n.store(info, l)
+				}
+			}
 			if x.Tok == token.ASSIGN && len(x.Lhs) == len(x.Rhs) {
 				for i := range x.Lhs {
 					conv(info.TypeOf(x.Lhs[i]), x.Rhs[i])
@@ -265,15 +334,81 @@ func (g *reachGraph) scanBody(n *reachNode, info *types.Info, body ast.Node, sig
 				conv(ch.Elem(), x.Value)
 			}
 		case *ast.CompositeLit:
-			g.scanCompositeLit(info, x, conv)
+			n.scanCompositeLit(info, x, conv)
 		}
 		return true
 	})
 }
 
-// scanCompositeLit reports the elements of lit that convert to an
-// interface-typed field, element or key.
-func (g *reachGraph) scanCompositeLit(info *types.Info, lit *ast.CompositeLit, conv func(types.Type, ast.Expr)) {
+func isPointer(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Pointer)
+	return ok
+}
+
+// callee returns the function or concrete method a call expression names,
+// or nil when it calls a func value.
+func callee(info *types.Info, fun ast.Expr) *types.Func {
+	var id *ast.Ident
+	switch f := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}
+
+// store records the fields that storing through e writes: the field e
+// selects, and each field that holds it by value, out through struct
+// fields and array elements. It stops at a pointer, slice or map, whose
+// contents live apart from the field that refers to them.
+func (n *reachNode) store(info *types.Info, e ast.Expr) {
+	for e != nil {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			sel := info.Selections[x]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				return
+			}
+			n.writes = append(n.writes, sel.Obj().(*types.Var).Origin())
+			if sel.Indirect() {
+				return
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			if _, ok := info.TypeOf(x.X).Underlying().(*types.Array); !ok {
+				return
+			}
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
+// storeAll records every field a decoder handed a pointer to t can set:
+// the fields of t and, through pointers, slices, arrays, maps and fields,
+// of every struct t holds.
+func (n *reachNode) storeAll(t types.Type, seen map[types.Type]bool) {
+	if seen[t] {
+		return
+	}
+	seen[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			n.writes = append(n.writes, u.Field(i).Origin())
+			n.storeAll(u.Field(i).Type(), seen)
+		}
+	case *types.Pointer, *types.Slice, *types.Array, *types.Map:
+		n.storeAll(u.(interface{ Elem() types.Type }).Elem(), seen)
+	}
+}
+
+// scanCompositeLit records the struct fields lit sets and reports the
+// elements that convert to an interface-typed field, element or key.
+func (n *reachNode) scanCompositeLit(info *types.Info, lit *ast.CompositeLit, conv func(types.Type, ast.Expr)) {
 	t := info.TypeOf(lit)
 	if t == nil {
 		return
@@ -288,10 +423,12 @@ func (g *reachGraph) scanCompositeLit(info *types.Info, lit *ast.CompositeLit, c
 			if keyed {
 				if id, ok := kv.Key.(*ast.Ident); ok {
 					if v, ok := info.Uses[id].(*types.Var); ok {
+						n.writes = append(n.writes, v.Origin())
 						conv(v.Type(), kv.Value)
 					}
 				}
 			} else if i < u.NumFields() {
+				n.writes = append(n.writes, u.Field(i).Origin())
 				conv(u.Field(i).Type(), e)
 			}
 		case *types.Slice, *types.Array:
@@ -396,13 +533,60 @@ func (g *reachGraph) converted(c reachConv, visit func(*types.Func)) {
 	}
 }
 
+// under reports whether path is prefix or a package below it.
+func under(path, prefix string) bool {
+	return path == prefix || strings.HasPrefix(path, prefix+"/")
+}
+
 // unreachable lists the non-test functions of packages under prefix that
 // reached does not hold, sorted by key.
 func (g *reachGraph) unreachable(reached map[*reachNode]bool, prefix string) []*reachNode {
 	var out []*reachNode
 	for _, n := range g.funcs {
-		if !n.test && !reached[n] && (n.pkg.Path() == prefix || strings.HasPrefix(n.pkg.Path(), prefix+"/")) {
+		if !n.test && !reached[n] && under(n.pkg.Path(), prefix) {
 			out = append(out, n)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
+}
+
+// reachField is a struct field the field rule reports.
+type reachField struct {
+	v   *types.Var
+	key string // "pkg.Type.field"
+}
+
+// fieldUse returns the struct fields that the reached non-test functions
+// read and write.
+func fieldUse(reached map[*reachNode]bool) (read, written map[*types.Var]bool) {
+	read, written = make(map[*types.Var]bool), make(map[*types.Var]bool)
+	for n := range reached {
+		if n.test {
+			continue
+		}
+		for _, v := range n.reads {
+			read[v] = true
+		}
+		for _, v := range n.writes {
+			written[v] = true
+		}
+	}
+	return read, written
+}
+
+// unwritten lists the fields of structs declared in packages under prefix
+// that reached code reads and never writes, sorted by key.
+func (g *reachGraph) unwritten(reached map[*reachNode]bool, prefix string) []reachField {
+	read, written := fieldUse(reached)
+	var out []reachField
+	for v := range read {
+		if !written[v] && under(v.Pkg().Path(), prefix) {
+			key := g.fields[v]
+			if key == "" {
+				key = v.Pkg().Name() + "." + v.Name() // a field of an unnamed struct
+			}
+			out = append(out, reachField{v, key})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
@@ -425,10 +609,11 @@ func roadmapItem(roadmap, title string) string {
 	return item
 }
 
-// reachEntry is one allowlisted unreachable function, method or package.
+// reachEntry is one allowlisted unreachable function, method or package,
+// or one allowlisted field that no program writes.
 type reachEntry struct {
-	// Name is "pkg.Func", "pkg.Type.Method", or a package name for every
-	// function of that package.
+	// Name is "pkg.Func", "pkg.Type.Method", "pkg.Type.field", or a package
+	// name for every function of that package.
 	Name string
 	// Category is "oracle" (a test checks production output against it),
 	// "harness" (tests in more than one package call it) or "deferred"
@@ -443,21 +628,32 @@ func (e reachEntry) covers(key string) bool {
 	return key == e.Name || strings.HasPrefix(key, e.Name+".")
 }
 
-// checkReach returns one problem per unreachable function that no entry
-// covers, and one per entry that is stale: it covers no unreachable
-// function, names a test that does not exist or does not reach what it
-// covers, or names a ROADMAP item that does not name it.
-func checkReach(g *reachGraph, reached map[*reachNode]bool, dead []*reachNode, allow []reachEntry, roadmap string) []string {
+// checkReach returns one problem per unreachable function and per unwritten
+// field that no entry covers, and one per entry that is stale: it covers
+// neither, names a test that does not exist or does not reach or write what
+// it covers, or names a ROADMAP item that does not name it.
+func checkReach(g *reachGraph, reached map[*reachNode]bool, dead []*reachNode, unset []reachField, allow []reachEntry, roadmap string) []string {
 	var problems []string
-	for _, n := range dead {
-		listed := false
+	listed := func(key string) bool {
 		for _, e := range allow {
-			listed = listed || e.covers(n.key)
+			if e.covers(key) {
+				return true
+			}
 		}
-		if !listed {
+		return false
+	}
+	for _, n := range dead {
+		if !listed(n.key) {
 			pos := g.fset.Position(n.pos)
 			problems = append(problems, fmt.Sprintf("%s:%d: %s is reachable from no main: delete it, move it into its package's tests, or list it",
 				pos.Filename, pos.Line, n.key))
+		}
+	}
+	for _, f := range unset {
+		if !listed(f.key) {
+			pos := g.fset.Position(f.v.Pos())
+			problems = append(problems, fmt.Sprintf("%s:%d: field %s is read by a program and written by none, so it is zero in every run: delete it with the code it selects, set it in a program, or list it",
+				pos.Filename, pos.Line, f.key))
 		}
 	}
 	tests := make(map[string][]*reachNode)
@@ -473,15 +669,14 @@ func checkReach(g *reachGraph, reached map[*reachNode]bool, dead []*reachNode, a
 				covered = append(covered, n)
 			}
 		}
-		if len(covered) == 0 {
-			state := "no longer exists"
-			for n := range reached {
-				if n.key != "" && e.covers(n.key) {
-					state = "is reachable"
-					break
-				}
+		fields := make(map[*types.Var]bool)
+		for _, f := range unset {
+			if e.covers(f.key) {
+				fields[f.v] = true
 			}
-			problems = append(problems, fmt.Sprintf("allowlist entry %s %s: drop it", e.Name, state))
+		}
+		if len(covered) == 0 && len(fields) == 0 {
+			problems = append(problems, fmt.Sprintf("allowlist entry %s %s: drop it", e.Name, g.staleState(reached, e)))
 			continue
 		}
 		switch {
@@ -499,10 +694,37 @@ func checkReach(g *reachGraph, reached map[*reachNode]bool, dead []*reachNode, a
 			for _, n := range covered {
 				uses = uses || from[n]
 			}
+			for n := range from {
+				for _, v := range n.writes {
+					uses = uses || fields[v]
+				}
+			}
 			if !uses {
 				problems = append(problems, fmt.Sprintf("allowlist entry %s names test %s, which does not refer to it", e.Name, e.Ref))
 			}
 		}
 	}
 	return problems
+}
+
+// staleState says why entry e covers nothing the rules report: what it
+// names is reachable, is a field a program writes or none reads, or no
+// longer exists.
+func (g *reachGraph) staleState(reached map[*reachNode]bool, e reachEntry) string {
+	for n := range reached {
+		if n.key != "" && e.covers(n.key) {
+			return "is reachable"
+		}
+	}
+	read, written := fieldUse(reached)
+	for v, key := range g.fields {
+		switch {
+		case key != e.Name:
+		case written[v]:
+			return "is written by a program"
+		case !read[v]:
+			return "is read by no program"
+		}
+	}
+	return "no longer exists"
 }

@@ -11,16 +11,18 @@ import (
 	"cmosopt/internal/analysis"
 )
 
-// reachAllowlist holds the functions of internal/ that no main reaches and
-// that stay anyway. An entry is one of three kinds:
+// reachAllowlist holds the functions of internal/ that no main reaches, and
+// the fields that programs read and never write, that stay anyway. An entry
+// is one of three kinds:
 //
 //   - oracle: a test checks production output against it;
 //   - harness: tests in more than one package call it;
 //   - deferred: an open ROADMAP item decides whether it stays, and names it.
 //
 // Anything else no main reaches is deleted, or moves into its package's
-// _test.go files when only that package's tests call it. An entry that
-// becomes reachable, or whose function is gone, fails the test until it is
+// _test.go files when only that package's tests call it; a field no program
+// writes goes with the code it selects. An entry that becomes reachable or
+// written, or whose function or field is gone, fails the test until it is
 // dropped, so the list only shrinks.
 var reachAllowlist = []reachEntry{
 	{"timing.AssignBudgetsEnumerated", "oracle", "TestAssignBudgetsEnumeratedAgrees"},
@@ -28,8 +30,8 @@ var reachAllowlist = []reachEntry{
 	{"timing.Analysis.streamPaths", "oracle", "TestKBestPathsMatchesExhaustive"},
 	{"timing.Analysis.PathCriticality", "oracle", "TestKBestPathsMatchesExhaustive"},
 	{"timing.CheckBudgets", "oracle", "TestAssignBudgetsInvariantRandom"},
-	{"activity.ExactProbabilities", "oracle", "TestCorrelatedBeatsIndependenceOnRandomCircuits"},
-	{"activity.ExactProbabilitiesUniform", "oracle", "TestCorrelatedBeatsIndependenceOnRandomCircuits"},
+	{"activity.ExactProbabilities", "oracle", "TestExactWeightedInputs"},
+	{"activity.ExactProbabilitiesUniform", "oracle", "TestExactExposesReconvergenceError"},
 	{"delay.Evaluator.Slacks", "oracle", "TestIncrementalMatchesFull"},
 	{"power.Evaluator.Total", "oracle", "TestEngineMatchesModels"},
 	{"power.Evaluator.GateEnergy", "oracle", "TestEngineMatchesModels"},
@@ -46,13 +48,15 @@ var reachAllowlist = []reachEntry{
 	{"core.Problem.YieldStudy", "deferred", "Prove or remove the parallel layer."},
 	{"core.substream", "deferred", "Prove or remove the parallel layer."},
 	{"obs.Span.Add", "deferred", "Subtract, with reachability as a gate."},
+	{"obs.Span.counters", "deferred", "Subtract, with reachability as a gate."},
 }
 
 // TestReachable fails on any function of internal/ that no program of the
-// module can call and reachAllowlist does not hold, and on any stale entry
-// of that list. The programs are the main of every package under cmd/ and
-// examples/ and of perfbench; the initialization of every package they
-// import runs too.
+// module can call, and on any field of a struct declared in internal/ that
+// the programs read and never write, when reachAllowlist does not hold it;
+// and on any stale entry of that list. The programs are the main of every
+// package under cmd/ and examples/ and of perfbench; the initialization of
+// every package they import runs too.
 func TestReachable(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -72,7 +76,8 @@ func TestReachable(t *testing.T) {
 	}
 	g := newReachGraph(fset, pkgs)
 	reached := g.walk(g.roots(mains))
-	for _, p := range checkReach(g, reached, g.unreachable(reached, "cmosopt/internal"), reachAllowlist, string(roadmap)) {
+	const internal = "cmosopt/internal"
+	for _, p := range checkReach(g, reached, g.unreachable(reached, internal), g.unwritten(reached, internal), reachAllowlist, string(roadmap)) {
 		t.Error(p)
 	}
 }
@@ -126,8 +131,8 @@ func loadTree(t *testing.T, prefix, dir string) (*token.FileSet, []*analysis.Loa
 }
 
 // loadReachFixture loads testdata/reach and returns its graph, the set its
-// one main reaches, and what it leaves unreachable.
-func loadReachFixture(t *testing.T) (*reachGraph, map[*reachNode]bool, []*reachNode) {
+// one main reaches, and the functions and fields the rules report.
+func loadReachFixture(t *testing.T) (*reachGraph, map[*reachNode]bool, []*reachNode, []reachField) {
 	t.Helper()
 	src, err := filepath.Abs(filepath.Join("testdata", "reach", "src"))
 	if err != nil {
@@ -142,36 +147,45 @@ func loadReachFixture(t *testing.T) (*reachGraph, map[*reachNode]bool, []*reachN
 	}
 	g := newReachGraph(fset, pkgs)
 	reached := g.walk(g.roots(mains))
-	return g, reached, g.unreachable(reached, "reachlib")
+	return g, reached, g.unreachable(reached, "reachlib"), g.unwritten(reached, "reachlib")
 }
 
 // TestReachFixture checks each way the fixture's main keeps a function
 // alive: an interface call, a value handed to sort.Sort, a String method
 // only fmt calls, a method value, a package-level var initializer, an init
 // function and a generic call. Exactly the dead function and the dead
-// method are left.
+// method are left. It checks each way main writes a field it reads, too:
+// of all of them, only the field a test alone writes is reported.
 func TestReachFixture(t *testing.T) {
-	_, _, dead := loadReachFixture(t)
+	_, _, dead, unset := loadReachFixture(t)
 	var got []string
 	for _, n := range dead {
 		got = append(got, n.key)
 	}
 	if want := []string{"reachlib.Sq.Perimeter", "reachlib.unused"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("unreachable = %v, want %v", got, want)
+		t.Errorf("unreachable = %v, want %v", got, want)
+	}
+	got = nil
+	for _, f := range unset {
+		got = append(got, f.key)
+	}
+	if want := []string{"reachlib.Knobs.TestOnly"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("unwritten = %v, want %v", got, want)
 	}
 }
 
 // TestReachAllowlistCheck checks that the allowlist check accepts a list
-// that covers the fixture's dead code through tests that call it, and
-// names every kind of stale or missing entry.
+// that covers the fixture's dead code and unwritten field through tests
+// that use them, and names every kind of stale or missing entry.
 func TestReachAllowlistCheck(t *testing.T) {
-	g, reached, dead := loadReachFixture(t)
-	roadmap := "## Open items\n\n- **Decide.** Keep `reachlib.unused` for now.\n- **Other.** Nothing.\n"
+	g, reached, dead, unset := loadReachFixture(t)
+	roadmap := "## Open items\n\n- **Decide.** Keep `reachlib.unused` and `reachlib.Knobs.TestOnly` for now.\n- **Other.** Nothing.\n"
 	good := []reachEntry{
 		{"reachlib.unused", "oracle", "TestUnused"},
 		{"reachlib.Sq.Perimeter", "harness", "TestPerimeter"},
+		{"reachlib.Knobs.TestOnly", "harness", "TestTestOnly"},
 	}
-	if p := checkReach(g, reached, dead, good, roadmap); len(p) != 0 {
+	if p := checkReach(g, reached, dead, unset, good, roadmap); len(p) != 0 {
 		t.Fatalf("a complete allowlist reported %q", p)
 	}
 	cases := []struct {
@@ -179,18 +193,22 @@ func TestReachAllowlistCheck(t *testing.T) {
 		allow []reachEntry
 		want  string
 	}{
-		{"unlisted", good[:1], "reachlib.Sq.Perimeter is reachable from no main"},
+		{"unlisted", []reachEntry{good[0], good[2]}, "reachlib.Sq.Perimeter is reachable from no main"},
+		{"unlisted field", good[:2], "field reachlib.Knobs.TestOnly is read by a program and written by none"},
 		{"reachable", append(good, reachEntry{"reachlib.Sq.Area", "oracle", "TestUnused"}), "entry reachlib.Sq.Area is reachable"},
 		{"gone", append(good, reachEntry{"reachlib.gone", "oracle", "TestUnused"}), "entry reachlib.gone no longer exists"},
-		{"no such test", []reachEntry{good[0], {"reachlib.Sq.Perimeter", "oracle", "TestNoSuch"}}, "names test TestNoSuch, which does not exist"},
-		{"test does not refer", []reachEntry{good[0], {"reachlib.Sq.Perimeter", "oracle", "TestUnused"}}, "names test TestUnused, which does not refer to it"},
-		{"bad category", []reachEntry{good[0], {"reachlib.Sq.Perimeter", "kept", "TestPerimeter"}}, `has category "kept"`},
-		{"deferred", []reachEntry{{"reachlib.unused", "deferred", "Decide."}, good[1]}, ""},
-		{"deferred elsewhere", []reachEntry{{"reachlib.unused", "deferred", "Other."}, good[1]}, `waits on ROADMAP item "Other.", which does not name it`},
-		{"deferred unknown", []reachEntry{{"reachlib.unused", "deferred", "Missing."}, good[1]}, `waits on ROADMAP item "Missing."`},
+		{"written field", append(good, reachEntry{"reachlib.Knobs.Keyed", "deferred", "Decide."}), "entry reachlib.Knobs.Keyed is written by a program"},
+		{"gone field", append(good, reachEntry{"reachlib.Knobs.Gone", "deferred", "Decide."}), "entry reachlib.Knobs.Gone no longer exists"},
+		{"no such test", []reachEntry{good[0], {"reachlib.Sq.Perimeter", "oracle", "TestNoSuch"}, good[2]}, "names test TestNoSuch, which does not exist"},
+		{"test does not refer", []reachEntry{good[0], {"reachlib.Sq.Perimeter", "oracle", "TestUnused"}, good[2]}, "names test TestUnused, which does not refer to it"},
+		{"test does not write", []reachEntry{good[0], good[1], {"reachlib.Knobs.TestOnly", "harness", "TestPerimeter"}}, "names test TestPerimeter, which does not refer to it"},
+		{"bad category", []reachEntry{good[0], {"reachlib.Sq.Perimeter", "kept", "TestPerimeter"}, good[2]}, `has category "kept"`},
+		{"deferred", []reachEntry{{"reachlib.unused", "deferred", "Decide."}, good[1], {"reachlib.Knobs.TestOnly", "deferred", "Decide."}}, ""},
+		{"deferred elsewhere", []reachEntry{{"reachlib.unused", "deferred", "Other."}, good[1], good[2]}, `waits on ROADMAP item "Other.", which does not name it`},
+		{"deferred unknown", []reachEntry{{"reachlib.unused", "deferred", "Missing."}, good[1], good[2]}, `waits on ROADMAP item "Missing."`},
 	}
 	for _, tc := range cases {
-		p := checkReach(g, reached, dead, tc.allow, roadmap)
+		p := checkReach(g, reached, dead, unset, tc.allow, roadmap)
 		switch {
 		case tc.want == "" && len(p) != 0:
 			t.Errorf("%s: reported %q, want nothing", tc.name, p)

@@ -1,8 +1,10 @@
 // Command reachapp is the reachability fixture's program: each statement of
-// main keeps functions of reachlib alive in a different way.
+// main keeps functions of reachlib alive in a different way, and knobs
+// writes the fields of reachlib in every way the field rule counts.
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -27,4 +29,27 @@ func main() {
 
 	report := func() { fmt.Println(reachlib.Tally()) } // only a closure calls Tally
 	report()
+
+	knobs()
+}
+
+func knobs() {
+	k := reachlib.Knobs{Keyed: 1} // a keyed element
+	k.Assigned = 2
+	k.Summed += 3
+	k.Counted++
+	for _, k.Ranged = range []int{4} {
+	}
+	p := &k.Pointed
+	*p = 5
+	k.Mu.Lock() // Lock takes &k.Mu
+	k.Slots[1].Add(6)
+	fmt.Println(k.Keyed, k.Assigned, k.Summed, k.Counted, k.Ranged, k.Pointed, k.Slots[1].Load(), k.TestOnly)
+	k.Mu.Unlock()
+
+	pair := reachlib.Pair{7, 8} // positional elements
+	var w reachlib.Wire
+	if json.Unmarshal([]byte(`{"Name":"nine"}`), &w) == nil {
+		fmt.Println(pair.A, pair.B, w.Name)
+	}
 }

@@ -13,3 +13,9 @@ func TestPerimeter(t *testing.T) {
 		t.Fatal("perimeter")
 	}
 }
+
+func TestTestOnly(t *testing.T) {
+	if k := (Knobs{TestOnly: 1}); k.TestOnly != 1 {
+		t.Fatal("TestOnly")
+	}
+}

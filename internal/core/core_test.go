@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"cmosopt/internal/activity"
 	"cmosopt/internal/circuit"
 	"cmosopt/internal/device"
 	"cmosopt/internal/netgen"
@@ -67,16 +66,15 @@ func TestNewProblemValidation(t *testing.T) {
 		{"nil circuit", func(s *Spec) { s.Circuit = nil }},
 		{"zero fc", func(s *Spec) { s.Fc = 0 }},
 		{"fc too small for a finite budget", func(s *Spec) { s.Fc = 1e-310 }},
+		{"NaN fc", func(s *Spec) { s.Fc = math.NaN() }},
 		{"skew zero", func(s *Spec) { s.Skew = 0 }},
 		{"skew above 1", func(s *Spec) { s.Skew = 1.5 }},
+		{"NaN skew", func(s *Spec) { s.Skew = math.NaN() }},
 		{"bad tech", func(s *Spec) { s.Tech.KSat = -1 }},
 		{"bad wiring", func(s *Spec) { s.Wiring.RentP = 0 }},
 		{"bad activity", func(s *Spec) { s.InputDensity = 5 }},
 		{"NaN activity", func(s *Spec) { s.InputDensity = math.NaN() }},
 		{"NaN probability", func(s *Spec) { s.InputProb = math.NaN() }},
-		{"unknown input name", func(s *Spec) {
-			s.Inputs = map[string]activity.InputSpec{"nope": {Prob: 0.5, Density: 0.1}}
-		}},
 	}
 	for _, m := range mutations {
 		s := good
@@ -94,20 +92,6 @@ func TestNewProblemCutsSequential(t *testing.T) {
 	}
 	if len(p.C.PIs) != 7 { // 4 PIs + 3 flop outputs
 		t.Errorf("cut s27 PIs = %d, want 7", len(p.C.PIs))
-	}
-}
-
-func TestNewProblemPerInputOverride(t *testing.T) {
-	c := smallCircuit(t)
-	s := specFor(c, 0.2)
-	s.Inputs = map[string]activity.InputSpec{"pi0": {Prob: 0.9, Density: 0.05}}
-	p, err := NewProblem(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := p.C.GateByName("pi0").ID
-	if p.Act.Prob[id] != 0.9 || p.Act.Density[id] != 0.05 {
-		t.Errorf("override not applied: p=%v d=%v", p.Act.Prob[id], p.Act.Density[id])
 	}
 }
 
@@ -443,76 +427,6 @@ func TestEvaluationCounterMonotone(t *testing.T) {
 	}
 	if p.Evaluations() <= before {
 		t.Error("evaluation counter did not advance")
-	}
-}
-
-func TestSampledNetsOptimization(t *testing.T) {
-	// With per-net sampled wire loads, the flow still produces a feasible
-	// design, and the result differs from the mean-wire one (the variance
-	// reaches the models).
-	s := specFor(s298(t), 0.5)
-	s.SampleNets = true
-	s.NetSeed = 9
-	p, err := NewProblem(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.OptimizeJoint(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Feasible {
-		t.Fatal("sampled-net optimization infeasible")
-	}
-	mean := problemFor(t, s298(t), 0.5)
-	meanRes, err := mean.OptimizeJoint(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Energy.Total() == meanRes.Energy.Total() {
-		t.Error("sampled wire loads had no effect on the optimum")
-	}
-	// Same order of magnitude: sampling redistributes load, not its total.
-	r := res.Energy.Total() / meanRes.Energy.Total()
-	if r < 0.5 || r > 2 {
-		t.Errorf("sampled/mean energy ratio %v outside [0.5,2]", r)
-	}
-}
-
-func TestCorrelatedActivityOption(t *testing.T) {
-	s := specFor(s298(t), 0.5)
-	s.CorrelatedActivity = true
-	p, err := NewProblem(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.OptimizeJoint(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Feasible {
-		t.Fatal("correlated-activity optimization infeasible")
-	}
-	// The corrected (generally lower) activities shift the reported energy
-	// relative to the independence profile.
-	indep := problemFor(t, s298(t), 0.5)
-	indepRes, err := indep.OptimizeJoint(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Energy.Total() == indepRes.Energy.Total() {
-		t.Error("correlated activities had no effect")
-	}
-	// Oversized circuits are rejected, not silently blown up.
-	big := specFor(s298(t), 0.5)
-	big.CorrelatedActivity = true
-	c85, err := netgen.Profile85("c2670")
-	if err != nil {
-		t.Fatal(err)
-	}
-	big.Circuit = c85
-	if _, err := NewProblem(big); err == nil {
-		t.Error("oversized correlated-activity circuit accepted")
 	}
 }
 

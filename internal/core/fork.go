@@ -64,13 +64,3 @@ type pointRes struct {
 	a  *design.Assignment
 	ok bool
 }
-
-// scanPoints evaluates a list of (V_dd, V_TS) candidates — grid cells, line
-// scans — and returns results in input order, billing all of the work.
-func (p *Problem) scanPoints(workers int, pts [][2]float64, o *Options) []pointRes {
-	out := make([]pointRes, len(pts))
-	p.fanOut(workers, len(pts), func(q *Problem, i int) {
-		out[i] = q.evalPoint(pts[i][0], pts[i][1], o)
-	})
-	return out
-}

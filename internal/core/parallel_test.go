@@ -66,30 +66,6 @@ func TestYieldStudyWorkerInvariance(t *testing.T) {
 	}
 }
 
-func TestOptimizeJointRefineWorkerInvariance(t *testing.T) {
-	c := smallCircuit(t)
-	var ref *Result
-	for _, w := range workerCounts() {
-		p := problemFor(t, c, 0.5)
-		opts := DefaultOptions()
-		opts.Workers = w
-		opts.Refine = true
-		res, err := p.OptimizeJoint(opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		// Everything must match bit for bit — including the effort counter,
-		// which speculative evaluation bills on-path only.
-		if !reflect.DeepEqual(res, ref) {
-			t.Errorf("workers=%d: result differs from serial\n got %+v\nwant %+v", w, res, ref)
-		}
-	}
-}
-
 func TestEDPStudyWorkerInvariance(t *testing.T) {
 	c := smallCircuit(t)
 	fcs := []float64{100e6, 200e6, 400e6}

@@ -32,30 +32,9 @@ type Spec struct {
 	Fc      float64 // required clock frequency //cmosvet:unit Hz
 	Skew    float64 // clock-skew derating b ∈ (0,1]; budget is b/Fc //cmosvet:unit 1
 
-	// Input activity: either a uniform (Prob, Density) applied to every
-	// primary input, or an explicit per-PI map (by gate name).
-	InputProb    float64                       //cmosvet:unit 1
-	InputDensity float64                       //cmosvet:unit 1
-	Inputs       map[string]activity.InputSpec // optional override
-
-	// Budget repair parameters (see timing.RepairBudgets). Zero values take
-	// the defaults kappa = 0.16, gamma = 0.75, which track the delay model's
-	// slope coefficient over the search range.
-	RepairKappa float64 //cmosvet:unit 1
-	RepairGamma float64 //cmosvet:unit 1
-
-	// SampleNets draws an individual wire length per net from the full
-	// Davis distribution (deterministically from NetSeed) instead of using
-	// the distribution's mean for every net — wire-load variance then
-	// reaches the delay and energy models.
-	SampleNets bool
-	NetSeed    int64
-
-	// CorrelatedActivity replaces the first-order Najm propagation with the
-	// correlation-coefficient engine (the paper's [11] direction) for both
-	// signal probabilities and transition densities. Quadratic memory in the
-	// circuit size; limited to module-scale networks (≤ ~1000 gates).
-	CorrelatedActivity bool
+	// Input activity: one (Prob, Density) applied to every primary input.
+	InputProb    float64 //cmosvet:unit 1
+	InputDensity float64 //cmosvet:unit 1
 
 	// Obs, when non-nil, collects timing spans, evaluation counters and
 	// worker utilization for this problem and every optimizer run on it.
@@ -80,7 +59,6 @@ type Problem struct {
 	Act     *activity.Profile
 	Wire    *wiring.Model
 	Eval    *eval.Engine
-	Timing  *timing.Analysis
 	Budgets *timing.BudgetResult
 	Fc      float64 //cmosvet:unit Hz
 	Skew    float64 //cmosvet:unit 1
@@ -144,10 +122,11 @@ func NewProblem(s Spec) (*Problem, error) {
 	if s.Circuit == nil {
 		return nil, fmt.Errorf("core: nil circuit")
 	}
-	if s.Fc <= 0 {
+	// Negated range checks, so that NaN fails them.
+	if !(s.Fc > 0) {
 		return nil, fmt.Errorf("core: clock frequency %v must be positive", s.Fc)
 	}
-	if s.Skew <= 0 || s.Skew > 1 {
+	if !(s.Skew > 0 && s.Skew <= 1) {
 		return nil, fmt.Errorf("core: skew factor %v outside (0,1]", s.Skew)
 	}
 	// An infinite budget would pass every delay check (Inf ≤ Inf).
@@ -175,36 +154,15 @@ func NewProblem(s Spec) (*Problem, error) {
 	for _, id := range c.PIs {
 		specs[id] = activity.InputSpec{Prob: s.InputProb, Density: s.InputDensity}
 	}
-	for name, is := range s.Inputs {
-		g := c.GateByName(name)
-		if g == nil || g.Type != circuit.Input {
-			return nil, fmt.Errorf("core: input spec for %q does not name a primary input", name)
-		}
-		specs[g.ID] = is
-	}
 	act, err := activity.Propagate(c, specs)
 	if err != nil {
 		return nil, err
-	}
-	if s.CorrelatedActivity {
-		const corrGateLimit = 1000 // O(signals²) memory beyond this
-		if n := c.NumLogic(); n > corrGateLimit {
-			return nil, fmt.Errorf("core: correlated activity limited to %d gates, circuit has %d", corrGateLimit, n)
-		}
-		corr, err := activity.CorrelatedProbabilities(c, specs)
-		if err != nil {
-			return nil, err
-		}
-		act = &activity.Profile{Prob: corr.Prob, Density: corr.Density}
 	}
 	actT.Stop()
 
 	wire, err := wiring.New(s.Wiring, max(c.NumLogic(), 1))
 	if err != nil {
 		return nil, err
-	}
-	if s.SampleNets {
-		wire.SampleNets(c.N(), s.NetSeed)
 	}
 	ta, err := timing.NewAnalysis(c)
 	if err != nil {
@@ -217,16 +175,10 @@ func NewProblem(s Spec) (*Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Defaults track the slope coefficient of the delay model over the
-	// search range (≈0.08–0.16 for this technology's α).
-	kappa, gamma := s.RepairKappa, s.RepairGamma
-	if kappa == 0 {
-		kappa = 0.16
-	}
-	if gamma == 0 {
-		gamma = 0.75
-	}
-	if _, err := timing.RepairBudgets(ta, bres, kappa, gamma); err != nil {
+	// kappa = 0.16 tracks the slope coefficient of the delay model over the
+	// search range (≈0.08–0.16 for this technology's α); gamma = 0.75
+	// leaves a quarter of each driven gate's budget for its own switching.
+	if _, err := timing.RepairBudgets(ta, bres, 0.16, 0.75); err != nil {
 		return nil, err
 	}
 	p1T.Stop()
@@ -236,7 +188,6 @@ func NewProblem(s Spec) (*Problem, error) {
 		Tech:    s.Tech,
 		Act:     act,
 		Wire:    wire,
-		Timing:  ta,
 		Budgets: bres,
 		Fc:      s.Fc,
 		Skew:    s.Skew,

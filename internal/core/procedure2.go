@@ -25,10 +25,6 @@ type Options struct {
 	// design (the paper's Table 1 runs returned Vdd ≈ 3.3 V, making its
 	// reference numerically a fixed-3.3 V design).
 	FixedVdd float64 //cmosvet:unit V
-	// Refine runs a local grid + golden-section polish over (Vdd, Vts)
-	// around the best point after the directional bisection ends. Costlier,
-	// used by the steering ablation.
-	Refine bool
 	// VtTimingFactor scales thresholds during delay evaluation (slow process
 	// corner, ≥ 1 in variation studies). Zero means 1 (nominal).
 	VtTimingFactor float64 //cmosvet:unit 1
@@ -36,7 +32,7 @@ type Options struct {
 	// process corner, ≤ 1 in variation studies). Zero means 1 (nominal).
 	VtPowerFactor float64 //cmosvet:unit 1
 	// Workers caps the goroutines used by the parallel drivers (landscape
-	// grids, Refine's scans, the multi-Vt grid, the study sweeps). 0 means
+	// grids, the multi-Vt grid, the study sweeps). 0 means
 	// one worker per CPU (GOMAXPROCS); 1 forces serial execution. Procedure
 	// 2's bisection walk itself is serial at every value. Results are
 	// byte-identical for any value — only wall-clock time changes.
@@ -275,76 +271,12 @@ func (p *Problem) OptimizeJoint(opts Options) (*Result, error) {
 	if err := p.Canceled(); err != nil {
 		return nil, err
 	}
-
-	if opts.Refine && best.ok {
-		p.refine(&best, &opts)
-		if err := p.Canceled(); err != nil {
-			return nil, err
-		}
-	}
-
 	if !best.ok {
 		return nil, fmt.Errorf("core: no feasible design point for %q at fc=%v (budget %v s)", p.C.Name, p.Fc, p.CycleBudget())
 	}
 	res := p.finishResult("joint", best.a, true, evals0)
 	res.Objective = best.e
 	return res, nil
-}
-
-// refine polishes the incumbent with a local search around it: a coarse grid
-// pre-scan (robust against the infeasible plateaus that break pure
-// golden-section bracketing — at low V_dd most of the V_ts range is
-// infeasible and evaluates to +Inf), then golden-section over V_ts at the
-// best few supplies near the incumbent.
-//
-// The supply candidates are sequentially dependent (each is relative to the
-// incumbent the previous ones left behind) and golden-section is a dependent
-// chain, but each supply's 9-point threshold pre-scan is embarrassingly
-// parallel: it fans out over forks, with the incumbent updates and the
-// argmin applied afterwards in grid order, exactly as the serial scan would
-// have.
-func (p *Problem) refine(best *incumbent, opts *Options) {
-	node := p.span("optimize.joint").Child("refine")
-	nT := node.Start()
-	defer nT.Stop()
-	oldTrace := p.setTrace(node)
-	defer p.setTrace(oldTrace)
-	track := func(vdd, vts float64) float64 {
-		r := p.evalPoint(vdd, vts, opts)
-		best.consider(r, vdd, vts)
-		return r.e
-	}
-	// Local supply candidates around the incumbent (multiplicative steps so
-	// the scan is scale-free).
-	for _, f := range []float64{0.85, 0.93, 1.0, 1.08, 1.18} {
-		// Candidate boundary: a canceled run stops refining and keeps the
-		// incumbent (the caller re-polls and surfaces the error).
-		if p.Canceled() != nil {
-			return
-		}
-		vdd := optimize.Range{Lo: p.Tech.VddMin, Hi: p.Tech.VddMax}.Clamp(best.vdd * f)
-		// Robust threshold scan, then a short golden polish around it.
-		vtR := optimize.Range{Lo: p.Tech.VtsMin, Hi: p.Tech.VtsMax}
-		cands := vtR.Linspace(9)
-		pts := make([][2]float64, len(cands))
-		for i, v := range cands {
-			pts[i] = [2]float64{vdd, v}
-		}
-		rs := p.scanPoints(opts.Workers, pts, opts)
-		gx, ge := vtR.Lo, math.Inf(1)
-		for i, r := range rs {
-			best.consider(r, vdd, cands[i])
-			if r.e < ge {
-				gx, ge = cands[i], r.e
-			}
-		}
-		if math.IsInf(ge, 1) {
-			continue
-		}
-		step := vtR.Width() / 8
-		local := optimize.Range{Lo: vtR.Clamp(gx - step), Hi: vtR.Clamp(gx + step)}
-		optimize.GoldenSection(func(v float64) float64 { return track(vdd, v) }, local, 1e-3, 12)
-	}
 }
 
 // OptimizeBaseline reproduces the paper's Table 1 reference flow: the

@@ -44,7 +44,7 @@ func TestAnalyticDelayTracksTransient(t *testing.T) {
 		// interconnect terms by comparing against a transient with the same
 		// total load (own parasitic + module load + one wire branch).
 		analytic := ev.GateDelayWith(g, a, 0)
-		cl := w*tech.CPD + tech.COut + wire.BranchCapNet(g)
+		cl := w*tech.CPD + tech.COut + wire.BranchCap()
 		sim := &spice.GateSim{Tech: &tech, W: w, CL: cl, Vdd: pt.vdd, Vts: pt.vts, Fanin: 1}
 		tr, err := sim.FallDelay()
 		if err != nil {
@@ -89,7 +89,7 @@ func TestAnalyticDelayOrderingMatchesTransient(t *testing.T) {
 	for i, pt := range pts {
 		a := design.Uniform(c.N(), pt.vdd, pt.vts, pt.w)
 		analytic[i] = ev.GateDelayWith(g, a, 0)
-		cl := pt.w*tech.CPD + tech.COut + wire.BranchCapNet(g)
+		cl := pt.w*tech.CPD + tech.COut + wire.BranchCap()
 		sim := &spice.GateSim{Tech: &tech, W: pt.w, CL: cl, Vdd: pt.vdd, Vts: pt.vts, Fanin: 1}
 		tr, err := sim.FallDelay()
 		if err != nil {

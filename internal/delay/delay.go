@@ -143,10 +143,9 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 	// Slope component.
 	td := SlopeTerm(k, maxFaninDelay)
 
-	// Switching component: total output load over net drive current. The
-	// wire contribution is this gate's own net (per-net after SampleNets).
+	// Switching component: total output load over net drive current.
 	load := w * t.CPD
-	cb := e.Wire.BranchCapNet(id)
+	cb := e.Wire.BranchCap()
 	fo := cs.Fanouts(int32(id))
 	for _, f := range fo {
 		wf := a.W[f]
@@ -161,8 +160,7 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 	td += SwitchingTerm(vdd, load, w, drive)
 
 	// Interconnect component: worst fanout branch RC plus time of flight.
-	rb := e.Wire.BranchResNet(id)
-	fl := e.Wire.FlightTimeNet(id)
+	rb, fl := e.Wire.BranchRes(), e.Wire.FlightTime()
 	worst := 0.0
 	for _, f := range fo {
 		wf := a.W[f]

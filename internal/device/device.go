@@ -31,7 +31,6 @@ type Tech struct {
 	Name string
 
 	// Device model.
-	F      float64 // minimum feature size (m) //cmosvet:unit m
 	Alpha  float64 // α-power-law velocity-saturation exponent //cmosvet:unit 1
 	N      float64 // subthreshold ideality factor of the smooth model //cmosvet:unit 1
 	VTherm float64 // thermal voltage kT/q (V) //cmosvet:unit V
@@ -50,7 +49,6 @@ type Tech struct {
 
 	// Module-level loads.
 	COut float64 // external load seen by each primary output (F) //cmosvet:unit F
-	Beta float64 // PMOS/NMOS width ratio (documentation/energy bookkeeping) //cmosvet:unit 1
 
 	// Optimization ranges (the paper's Procedure 2 ranges).
 	VddMin, VddMax float64 // supply range (V) //cmosvet:unit V
@@ -72,7 +70,6 @@ type Tech struct {
 func Default350() Tech {
 	return Tech{
 		Name:      "generic-0.35um",
-		F:         0.35e-6,
 		Alpha:     1.05,
 		N:         1.76,  // with VTherm below: ≈125 mV/dec at hot-chip temperature
 		VTherm:    0.032, // kT/q at ≈100 °C junction temperature
@@ -83,7 +80,6 @@ func Default350() Tech {
 		CPD:       0.8e-15,
 		Cmi:       0.4e-15,
 		COut:      6.0e-15,
-		Beta:      2.0,
 		VddMin:    0.1, VddMax: 3.3,
 		VtsMin: 0.1, VtsMax: 0.7,
 		WMin: 1, WMax: 100,
@@ -91,7 +87,7 @@ func Default350() Tech {
 }
 
 // Default250 returns a parameter set for the next scaling node (0.25 µm,
-// V_dd,max = 2.5 V): feature size and capacitances scale by ~0.7×, drive per
+// V_dd,max = 2.5 V): capacitances scale by ~0.7×, drive per
 // unit width improves slightly, and the junction leakage floor doubles —
 // the standard constant-field scaling picture. Useful for cross-node
 // studies with the process-design mode (the paper's §1 application of the
@@ -99,7 +95,6 @@ func Default350() Tech {
 func Default250() Tech {
 	t := Default350()
 	t.Name = "generic-0.25um"
-	t.F = 0.25e-6
 	t.KSat = 3.8e-5 // slightly better velocity-saturated drive per width unit
 	t.IJunc = 2.0e-17
 	t.Ct = 1.05e-15 // ~0.7x of the 0.35 µm values
@@ -122,13 +117,9 @@ func (t *Tech) Validate() error {
 		v    float64
 		name string
 	}{
-		{t.F, "F"}, {t.Alpha, "Alpha"}, {t.N, "N"}, {t.VTherm, "VTherm"},
-		{t.KSat, "KSat"}, {t.Ct, "Ct"}, {t.CPD, "CPD"}, {t.Beta, "Beta"},
+		{t.Alpha, "Alpha"}, {t.N, "N"}, {t.VTherm, "VTherm"},
+		{t.KSat, "KSat"}, {t.Ct, "Ct"}, {t.CPD, "CPD"}, {t.LeakStack, "LeakStack"},
 	}
-	pos = append(pos, struct {
-		v    float64
-		name string
-	}{t.LeakStack, "LeakStack"})
 	for _, p := range pos {
 		if p.v <= 0 {
 			return fmt.Errorf("device: %s = %v must be positive", p.name, p.v)

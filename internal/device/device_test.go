@@ -25,7 +25,6 @@ func TestDefaultValidates(t *testing.T) { tech(t) }
 
 func TestValidateRejectsBadParams(t *testing.T) {
 	mutations := []func(*Tech){
-		func(x *Tech) { x.F = 0 },
 		func(x *Tech) { x.Alpha = 0.5 },
 		func(x *Tech) { x.Alpha = 2.5 },
 		func(x *Tech) { x.KSat = -1 },
@@ -166,9 +165,6 @@ func TestDefault250Scaling(t *testing.T) {
 	}
 	t350 := Default350()
 	// Constant-field scaling expectations.
-	if t250.F >= t350.F {
-		t.Error("feature size should shrink")
-	}
 	if t250.Ct >= t350.Ct || t250.CPD >= t350.CPD {
 		t.Error("capacitances should shrink")
 	}

@@ -15,7 +15,6 @@ import (
 //
 //	# my 0.25um process
 //	name   = my-0.25um
-//	f      = 0.25e-6
 //	alpha  = 1.2
 //	ksat   = 4.0e-5
 //	...
@@ -26,7 +25,6 @@ import (
 
 // techFields maps file keys to accessors, keeping parsing explicit.
 var techFields = map[string]func(*Tech) *float64{
-	"f":         func(t *Tech) *float64 { return &t.F },
 	"alpha":     func(t *Tech) *float64 { return &t.Alpha },
 	"n":         func(t *Tech) *float64 { return &t.N },
 	"vtherm":    func(t *Tech) *float64 { return &t.VTherm },
@@ -37,7 +35,6 @@ var techFields = map[string]func(*Tech) *float64{
 	"cpd":       func(t *Tech) *float64 { return &t.CPD },
 	"cmi":       func(t *Tech) *float64 { return &t.Cmi },
 	"cout":      func(t *Tech) *float64 { return &t.COut },
-	"beta":      func(t *Tech) *float64 { return &t.Beta },
 	"vddmin":    func(t *Tech) *float64 { return &t.VddMin },
 	"vddmax":    func(t *Tech) *float64 { return &t.VddMax },
 	"vtsmin":    func(t *Tech) *float64 { return &t.VtsMin },

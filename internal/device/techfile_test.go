@@ -29,6 +29,9 @@ alpha = 1.2
 func TestParseTechRejects(t *testing.T) {
 	cases := []struct{ name, src, want string }{
 		{"unknown key", "frobnicate = 3\n", "unknown parameter"},
+		// Keys no model reads are refused like any typo.
+		{"retired beta", "beta = 2\n", `unknown parameter "beta"`},
+		{"retired f", "f = 0.35e-6\n", `unknown parameter "f"`},
 		{"bad value", "ksat = banana\n", "bad value"},
 		{"no equals", "just words\n", "expected key = value"},
 		{"invalid result", "alpha = 9\n", "Alpha"},
@@ -53,6 +56,10 @@ func TestTechRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteTech(&buf, orig); err != nil {
 		t.Fatal(err)
+	}
+	// A comment, the name and one line per parameter.
+	if lines := strings.Count(buf.String(), "\n"); lines != 2+len(techFields) {
+		t.Errorf("WriteTech wrote %d lines, want %d:\n%s", lines, 2+len(techFields), buf.String())
 	}
 	back, err := ParseTech(Tech{}, &buf)
 	if err != nil {

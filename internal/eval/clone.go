@@ -11,7 +11,7 @@ package eval
 // to build one per worker in every parallel driver.
 //
 // Clones do not share coefficient caches. Workers price disjoint voltage
-// pairs (a landscape cell, a refine candidate, a sweep point each), so a
+// pairs (a landscape cell, a multi-Vt grid point, a sweep point each), so a
 // shared cache would save almost no transcendental evaluations and would put
 // a lock on the path of every gate-delay call that misses the fast path.
 

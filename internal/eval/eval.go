@@ -172,7 +172,8 @@ func NewDelayOnly(c *circuit.Circuit, tech *device.Tech, wire *wiring.Model) (*E
 }
 
 // DelayModel exposes the underlying pure delay evaluator for model-level
-// analyses the engine does not cache (rise/fall resolution, the simulator).
+// analyses the engine does not cache (the event simulator, critical-delay
+// cross-checks).
 func (e *Engine) DelayModel() *delay.Evaluator { return e.dm }
 
 // Metrics returns the engine's evaluation counters.

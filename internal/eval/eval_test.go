@@ -46,7 +46,6 @@ func buildCase(t testing.TB, seed int64) (*circuit.Circuit, *Engine, *delay.Eval
 	if err != nil {
 		t.Fatalf("wiring: %v", err)
 	}
-	wire.SampleNets(c.N(), seed)
 	eng, err := New(c, &tech, act, wire, 100e6)
 	if err != nil {
 		t.Fatalf("eval.New: %v", err)

@@ -43,8 +43,7 @@ func wideCircuit(t *testing.T) *circuit.Circuit {
 // it must bill exactly what one Delays call bills: a twin engine that ran
 // the same width solves and then Delays ends with equal Metrics, and each
 // records one eval.full_sweep_ns observation. Covered: two paper circuits,
-// a 2000-gate netlist and a gate with 70 fanins (a cold slot), with mean
-// and sampled per-net wires (what Spec.SampleNets draws), at uniform
+// a 2000-gate netlist and a gate with 70 fanins (a cold slot), at uniform
 // voltages, with two thresholds and with per-gate supplies, at five points
 // including one where multi-fanin gates stall, after four passes, one pass
 // (whose settled delays the fanouts' later widening leaves stale) and no
@@ -92,76 +91,71 @@ func TestWidthDelaysMatchDelays(t *testing.T) {
 	tech := device.Default350()
 	var compared, infinite, coldGates, stale int
 	for _, c := range circuits {
-		for _, sampled := range []bool{false, true} {
-			wire, err := wiring.New(wiring.Default350(), max(c.NumLogic(), 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sampled {
-				wire.SampleNets(c.N(), 9)
-			}
-			eng, err := NewDelayOnly(c, &tech, wire)
-			if err != nil {
-				t.Fatal(err)
-			}
-			twin := eng.Clone()
-			regE, regT := obs.NewRegistry(), obs.NewRegistry()
-			eng.AttachObs(regE)
-			twin.AttachObs(regT)
-			sweeps := func(r *obs.Registry) int64 { return r.Histogram("eval.full_sweep_ns").Snapshot().Count }
-			dm := eng.DelayModel()
-			tab := eng.NewWidthTable()
-			s, s2 := tab.NewScratch(), tab.NewScratch()
-			for _, v := range variants {
-				for _, pt := range points {
-					for _, run := range runs {
-						where := fmt.Sprintf("%s sampled=%v %s (%v V, %v V) M=%d passes=%d", c.Name, sampled, v.name, pt[0], pt[1], run.m, run.passes)
-						a := v.make(c.N(), pt[0], pt[1])
-						b := a.Clone()
-						// Targets from 0.5× to 1.1× each gate's delay at
-						// width 1: some searches bisect, some end at WMin
-						// and some miss.
-						d0 := dm.Delays(a)
-						for i := range s.Target {
-							tg := d0[tab.ID(i)] * (0.5 + 0.1*float64(i%7))
-							s.Target[i], s2.Target[i] = tg, tg
+		wire, err := wiring.New(wiring.Default350(), max(c.NumLogic(), 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewDelayOnly(c, &tech, wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin := eng.Clone()
+		regE, regT := obs.NewRegistry(), obs.NewRegistry()
+		eng.AttachObs(regE)
+		twin.AttachObs(regT)
+		sweeps := func(r *obs.Registry) int64 { return r.Histogram("eval.full_sweep_ns").Snapshot().Count }
+		dm := eng.DelayModel()
+		tab := eng.NewWidthTable()
+		s, s2 := tab.NewScratch(), tab.NewScratch()
+		for _, v := range variants {
+			for _, pt := range points {
+				for _, run := range runs {
+					where := fmt.Sprintf("%s %s (%v V, %v V) M=%d passes=%d", c.Name, v.name, pt[0], pt[1], run.m, run.passes)
+					a := v.make(c.N(), pt[0], pt[1])
+					b := a.Clone()
+					// Targets from 0.5× to 1.1× each gate's delay at
+					// width 1: some searches bisect, some end at WMin
+					// and some miss.
+					d0 := dm.Delays(a)
+					for i := range s.Target {
+						tg := d0[tab.ID(i)] * (0.5 + 0.1*float64(i%7))
+						s.Target[i], s2.Target[i] = tg, tg
+					}
+					eng.SizeWidths(s, a, 1, 100, run.m, run.passes)
+					twin.SizeWidths(s2, b, 1, 100, run.m, run.passes)
+					if *eng.Metrics() != *twin.Metrics() {
+						t.Fatalf("%s: twin engines' metrics diverged before the sweep", where)
+					}
+					settled := slices.Clone(s.Delay)
+					m0 := *eng.Metrics()
+					h0, h0t := sweeps(regE), sweeps(regT)
+					eng.WidthDelays(s, a)
+					want := twin.Delays(b)
+					ref := dm.Delays(a)
+					for i, d := range s.Delay {
+						id := tab.ID(i)
+						if math.Float64bits(d) != math.Float64bits(want[id]) || math.Float64bits(d) != math.Float64bits(ref[id]) {
+							t.Fatalf("%s: gate %d delay %v, Delays %v, reference %v", where, id, d, want[id], ref[id])
 						}
-						eng.SizeWidths(s, a, 1, 100, run.m, run.passes)
-						twin.SizeWidths(s2, b, 1, 100, run.m, run.passes)
-						if *eng.Metrics() != *twin.Metrics() {
-							t.Fatalf("%s: twin engines' metrics diverged before the sweep", where)
+						compared++
+						if math.IsInf(d, 1) {
+							infinite++
 						}
-						settled := slices.Clone(s.Delay)
-						m0 := *eng.Metrics()
-						h0, h0t := sweeps(regE), sweeps(regT)
-						eng.WidthDelays(s, a)
-						want := twin.Delays(b)
-						ref := dm.Delays(a)
-						for i, d := range s.Delay {
-							id := tab.ID(i)
-							if math.Float64bits(d) != math.Float64bits(want[id]) || math.Float64bits(d) != math.Float64bits(ref[id]) {
-								t.Fatalf("%s: gate %d delay %v, Delays %v, reference %v", where, id, d, want[id], ref[id])
-							}
-							compared++
-							if math.IsInf(d, 1) {
-								infinite++
-							}
-							if tab.slots[i].flags&slotCold != 0 {
-								coldGates++
-							}
-							if run.passes > 0 && math.Float64bits(d) != math.Float64bits(settled[i]) {
-								stale++
-							}
+						if tab.slots[i].flags&slotCold != 0 {
+							coldGates++
 						}
-						if got, gotT := *eng.Metrics(), *twin.Metrics(); got != gotT {
-							t.Errorf("%s: metrics %+v, after Delays %+v", where, got, gotT)
+						if run.passes > 0 && math.Float64bits(d) != math.Float64bits(settled[i]) {
+							stale++
 						}
-						if got := eng.Metrics().FullDelaySweeps - m0.FullDelaySweeps; got != 1 {
-							t.Errorf("%s: %d full sweeps billed, want 1", where, got)
-						}
-						if got, gotT := sweeps(regE)-h0, sweeps(regT)-h0t; got != 1 || gotT != 1 {
-							t.Errorf("%s: %d and %d sweep-latency observations, want 1 each", where, got, gotT)
-						}
+					}
+					if got, gotT := *eng.Metrics(), *twin.Metrics(); got != gotT {
+						t.Errorf("%s: metrics %+v, after Delays %+v", where, got, gotT)
+					}
+					if got := eng.Metrics().FullDelaySweeps - m0.FullDelaySweeps; got != 1 {
+						t.Errorf("%s: %d full sweeps billed, want 1", where, got)
+					}
+					if got, gotT := sweeps(regE)-h0, sweeps(regT)-h0t; got != 1 || gotT != 1 {
+						t.Errorf("%s: %d and %d sweep-latency observations, want 1 each", where, got, gotT)
 					}
 				}
 			}

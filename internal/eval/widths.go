@@ -328,6 +328,7 @@ func (e *Engine) widthPass(ws *widthSolve) bool {
 	vts, vddPer, vddAll := a.Vts, a.VddPer, a.Vdd
 	tech, wire := e.Tech, e.Wire
 	cpd, ct, cout := tech.CPD, tech.Ct, tech.COut
+	cb, rb, fl := wire.BranchCap(), wire.BranchRes(), wire.FlightTime()
 	lo, hi, closed := ws.lo, ws.hi, ws.closed
 	grid := &ws.grid
 	bisect := 2 + int64(max(ws.steps, 0))
@@ -359,7 +360,6 @@ func (e *Engine) widthPass(ws *widthSolve) bool {
 		}
 		fc := &fan[sl.nf]
 		slope := delay.SlopeTerm(k, maxIn)
-		cb, rb, fl := wire.BranchCapNet(id), wire.BranchResNet(id), wire.FlightTimeNet(id)
 		outs := foutPos[sl.fout:end.fout]
 		po := sl.flags&slotPO != 0
 		worst, sum := 0.0, 0.0
@@ -454,6 +454,7 @@ func (e *Engine) WidthDelays(s *WidthScratch, a *design.Assignment) {
 	vts, vddPer, vddAll := a.Vts, a.VddPer, a.Vdd
 	tech, wire := e.Tech, e.Wire
 	cpd, ct, cout := tech.CPD, tech.Ct, tech.COut
+	cb, rb, fl := wire.BranchCap(), wire.BranchRes(), wire.FlightTime()
 	var hits int64
 	kv, kt := math.NaN(), math.NaN() // no pair is looked up yet
 	var k delay.Coeffs
@@ -486,7 +487,6 @@ func (e *Engine) WidthDelays(s *WidthScratch, a *design.Assignment) {
 			continue
 		}
 		wi := w[i]
-		cb, rb, fl := wire.BranchCapNet(id), wire.BranchResNet(id), wire.FlightTimeNet(id)
 		load, worst := wi*cpd, 0.0
 		for _, f := range foutPos[sl.fout:end.fout] {
 			l := delay.BranchLoad(w[f], ct, cb)
@@ -598,9 +598,9 @@ func (e *Engine) prepareTerms(g *gateTerms, ws *widthSolve, i int, maxIn float64
 	}
 	g.outs = t.foutPos[sl.fout:t.slots[i+1].fout]
 	g.w = ws.s.w
-	g.ct, g.cout, g.cb = tech.Ct, tech.COut, e.Wire.BranchCapNet(id)
+	g.ct, g.cout, g.cb = tech.Ct, tech.COut, e.Wire.BranchCap()
 	g.po = sl.flags&slotPO != 0
-	rb, fl := e.Wire.BranchResNet(id), e.Wire.FlightTimeNet(id)
+	rb, fl := e.Wire.BranchRes(), e.Wire.FlightTime()
 	worst, sum := 0.0, 0.0
 	signed := false
 	nloads := len(g.outs)

@@ -109,7 +109,7 @@ func (e *Evaluator) GateEnergyCoeff(id int, a *design.Assignment, ioff float64) 
 //
 //cmosvet:unit return F
 func (e *Evaluator) OutputLoad(id int, a *design.Assignment) float64 {
-	cb := e.Wire.BranchCapNet(id) // the net this gate drives
+	cb := e.Wire.BranchCap()
 	load := 0.0
 	for _, f := range e.cs.Fanouts(int32(id)) {
 		load += a.W[f]*e.Tech.Ct + cb

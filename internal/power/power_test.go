@@ -92,7 +92,7 @@ func TestDynamicEnergyFormula(t *testing.T) {
 	a := design.Uniform(c.N(), 1.2, 0.25, 3)
 	g := c.GateByName("g") // NAND, 2 fanins, drives h only
 	h := c.GateByName("h")
-	cb := ev.Wire.BranchCapNet(g.ID)
+	cb := ev.Wire.BranchCap()
 	internal := 3 * (tech.CPD + 1*tech.Cmi) // fii−1 = 1
 	load := a.W[h.ID]*tech.Ct + cb
 	want := 0.5 * ev.Act.Density[g.ID] * testVdd * testVdd * (internal + load)
@@ -106,7 +106,7 @@ func TestPOGetsExternalLoad(t *testing.T) {
 	c, ev, tech := fixture(t)
 	a := design.Uniform(c.N(), 1.2, 0.25, 2)
 	h := c.GateByName("h") // PO, no internal fanout
-	cb := ev.Wire.BranchCapNet(h.ID)
+	cb := ev.Wire.BranchCap()
 	if got, want := ev.OutputLoad(h.ID, a), tech.COut+cb; math.Abs(got-want)/want > 1e-12 {
 		t.Errorf("PO load = %v, want %v", got, want)
 	}

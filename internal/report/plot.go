@@ -69,11 +69,10 @@ func Heatmap(title string, grid [][]float64, xLabel, yLabel string) string {
 	return sb.String()
 }
 
-// Series is one named line of an ASCII plot.
+// Series is one named line of an ASCII plot; every series is drawn in '*'.
 type Series struct {
-	Name   string
-	X, Y   []float64
-	Marker byte // plot glyph; 0 defaults to '*'
+	Name string
+	X, Y []float64
 }
 
 // AsciiPlot renders one or more series as a fixed-size character plot with
@@ -117,17 +116,13 @@ func AsciiPlot(title string, series []Series, width, height int) string {
 		grid[r] = []byte(strings.Repeat(" ", width))
 	}
 	for _, s := range series {
-		marker := s.Marker
-		if marker == 0 {
-			marker = '*'
-		}
 		for i := range s.X {
 			if math.IsNaN(s.X[i]) || math.IsNaN(s.Y[i]) || math.IsInf(s.Y[i], 0) {
 				continue
 			}
 			col := int(math.Round((s.X[i] - minX) / (maxX - minX) * float64(width-1)))
 			row := height - 1 - int(math.Round((s.Y[i]-minY)/(maxY-minY)*float64(height-1)))
-			grid[row][col] = marker
+			grid[row][col] = '*'
 		}
 	}
 
@@ -174,11 +169,7 @@ func AsciiPlot(title string, series []Series, width, height int) string {
 		if s.Name == "" {
 			continue
 		}
-		marker := s.Marker
-		if marker == 0 {
-			marker = '*'
-		}
-		fmt.Fprintf(&sb, "%s %c = %s\n", strings.Repeat(" ", pad), marker, s.Name)
+		fmt.Fprintf(&sb, "%s * = %s\n", strings.Repeat(" ", pad), s.Name)
 	}
 	return sb.String()
 }

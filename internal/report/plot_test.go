@@ -54,15 +54,16 @@ func TestAsciiPlotMonotoneSeriesDescends(t *testing.T) {
 
 func TestAsciiPlotTwoSeries(t *testing.T) {
 	s := []Series{
-		{Name: "a", X: []float64{0, 1}, Y: []float64{1, 2}, Marker: 'a'},
-		{Name: "b", X: []float64{0, 1}, Y: []float64{2, 1}, Marker: 'b'},
+		{Name: "a", X: []float64{0, 1}, Y: []float64{1, 2}},
+		{Name: "b", X: []float64{0, 1}, Y: []float64{2, 1}},
 	}
 	out := AsciiPlot("two", s, 20, 8)
-	if !strings.Contains(out, "a = a") || !strings.Contains(out, "b = b") {
+	if !strings.Contains(out, "* = a") || !strings.Contains(out, "* = b") {
 		t.Errorf("legend broken:\n%s", out)
 	}
-	if strings.Count(out, "a") < 2 || strings.Count(out, "b") < 2 {
-		t.Errorf("markers missing:\n%s", out)
+	// Four points in four corners, plus one '*' in each legend line.
+	if n := strings.Count(out, "*"); n != 6 {
+		t.Errorf("%d markers, want 4 points and 2 legend glyphs:\n%s", n, out)
 	}
 }
 

@@ -31,10 +31,10 @@ type GateSim struct {
 	Vdd   float64 // supply (V)
 	Vts   float64 // threshold (V)
 	Fanin int     // series stack depth (1 = inverter)
-	// Steps is the number of integration steps per analytic delay estimate;
-	// 0 selects the default (400).
-	Steps int
 }
+
+// steps is the number of integration steps per analytic delay estimate.
+const steps = 400
 
 func (s *GateSim) validate() error {
 	switch {
@@ -90,7 +90,10 @@ func (s *GateSim) analyticDelay() float64 {
 // which V_out crosses V_dd/2. It fails if the gate cannot discharge (drive
 // weaker than opposing leakage) or the waveform never crosses within 100×
 // the analytic estimate.
-func (s *GateSim) FallDelay() (float64, error) {
+func (s *GateSim) FallDelay() (float64, error) { return s.fallDelay(steps) }
+
+// fallDelay is FallDelay integrated in n steps per analytic delay estimate.
+func (s *GateSim) fallDelay(n int) (float64, error) {
 	if err := s.validate(); err != nil {
 		return 0, err
 	}
@@ -98,11 +101,7 @@ func (s *GateSim) FallDelay() (float64, error) {
 	if math.IsInf(ta, 1) {
 		return 0, fmt.Errorf("spice: gate cannot switch (leakage exceeds drive)")
 	}
-	steps := s.Steps
-	if steps == 0 {
-		steps = 400
-	}
-	dt := ta / float64(steps)
+	dt := ta / float64(n)
 	deriv := func(v float64) float64 {
 		return (-s.drainCurrent(v) + s.leakUp()) / s.CL
 	}
@@ -133,11 +132,7 @@ func (s *GateSim) RiseEnergy() (float64, error) {
 	if math.IsInf(ta, 1) {
 		return 0, fmt.Errorf("spice: gate cannot switch (leakage exceeds drive)")
 	}
-	steps := s.Steps
-	if steps == 0 {
-		steps = 400
-	}
-	dt := ta / float64(steps)
+	dt := ta / steps
 	// Pull-up drive mirrors the pull-down with Vsd = Vdd − Vout.
 	v := 0.0
 	energy := 0.0

@@ -152,13 +152,11 @@ func TestRiseEnergyQuadraticInVdd(t *testing.T) {
 
 func TestStepConvergence(t *testing.T) {
 	s := sim(t)
-	s.Steps = 200
-	d1, err := s.FallDelay()
+	d1, err := s.fallDelay(200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Steps = 1600
-	d2, err := s.FallDelay()
+	d2, err := s.fallDelay(1600)
 	if err != nil {
 		t.Fatal(err)
 	}

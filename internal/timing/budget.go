@@ -13,11 +13,9 @@ const BudgetFloorFrac = 1e-6 //cmosvet:unit 1
 
 // BudgetResult is the outcome of Procedure 1.
 type BudgetResult struct {
-	TMax       []float64 // per-gate maximum delay budget (Input gates: +Inf) //cmosvet:unit s
-	Paths      int       // number of critical paths processed
-	Floored    int       // gates that received the floor budget
-	Normalized int       // budgets scaled down by the final invariant pass
-	Repaired   int       // budgets tightened by RepairBudgets (0 until called)
+	TMax     []float64 // per-gate maximum delay budget (Input gates: +Inf) //cmosvet:unit s
+	Floored  int       // gates that received the floor budget
+	Repaired int       // budgets tightened by RepairBudgets (0 until called)
 }
 
 // AssignBudgets runs the paper's Procedure 1: walk paths in decreasing
@@ -69,7 +67,6 @@ func AssignBudgets(a *Analysis, T float64) (*BudgetResult, error) {
 			break // unreachable: remaining > 0 implies an unassigned gate
 		}
 		path := a.pathThrough(bestID)
-		res.Paths++
 
 		// Split the path into assigned (sum of budgets T_A) and unassigned
 		// (fanout sum) gates.
@@ -101,7 +98,7 @@ func AssignBudgets(a *Analysis, T float64) (*BudgetResult, error) {
 			remaining--
 		}
 	}
-	res.Normalized = normalizeBudgets(a, res.TMax, T)
+	normalizeBudgets(a, res.TMax, T)
 	return res, nil
 }
 
@@ -114,23 +111,19 @@ func AssignBudgets(a *Analysis, T float64) (*BudgetResult, error) {
 // Through(u) ≥ crit(Q) for every gate of Q — the invariant the paper asserts
 // for Procedure 1 holds by construction after this cap. The cap also bounds
 // every budget from below by FoEff·T/C_max, so no gate is squeezed into an
-// unreachable target. Returns the number of budgets reduced.
+// unreachable target.
 //
 //cmosvet:unit tMax s
 //cmosvet:unit T s
-func normalizeBudgets(a *Analysis, tMax []float64, T float64) int {
-	count := 0
+func normalizeBudgets(a *Analysis, tMax []float64, T float64) {
 	for i, logic := range a.cs.IsLogic {
 		if !logic {
 			continue
 		}
-		lim := float64(a.FoEff[i]) * T / float64(a.Through(i))
-		if tMax[i] > lim {
+		if lim := float64(a.FoEff[i]) * T / float64(a.Through(i)); tMax[i] > lim {
 			tMax[i] = lim
-			count++
 		}
 	}
-	return count
 }
 
 // AssignBudgetsEnumerated is the paper-literal form of Procedure 1: it walks
@@ -166,12 +159,10 @@ func AssignBudgetsEnumerated(a *Analysis, T float64, maxPaths int) (*BudgetResul
 		if remaining == 0 {
 			break
 		}
-		nd := 0
 		var tA float64
 		foSum := 0
 		for _, id := range path {
 			if assigned[id] {
-				nd++
 				tA += res.TMax[id]
 			} else {
 				foSum += a.FoEff[id]
@@ -180,7 +171,6 @@ func AssignBudgetsEnumerated(a *Analysis, T float64, maxPaths int) (*BudgetResul
 		if foSum == 0 {
 			continue // the paper's skip: every gate already assigned
 		}
-		res.Paths++
 		slack := T - tA
 		for _, id := range path {
 			if assigned[id] {
@@ -207,7 +197,6 @@ func AssignBudgetsEnumerated(a *Analysis, T float64, maxPaths int) (*BudgetResul
 			break
 		}
 		path := a.pathThrough(bestID)
-		res.Paths++
 		var tA float64
 		foSum := 0
 		for _, id := range path {
@@ -235,7 +224,7 @@ func AssignBudgetsEnumerated(a *Analysis, T float64, maxPaths int) (*BudgetResul
 			remaining--
 		}
 	}
-	res.Normalized = normalizeBudgets(a, res.TMax, T)
+	normalizeBudgets(a, res.TMax, T)
 	return res, nil
 }
 

@@ -16,8 +16,6 @@ package wiring
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 )
 
 // Params sets the stochastic wiring model's technology and architecture
@@ -64,28 +62,19 @@ func (p Params) validate() error {
 	return nil
 }
 
-// Model is the wiring estimate for one placed network of N gates.
-//
-// By default every fanout branch carries the distribution's mean length;
-// SampleNets draws an individual length per driver net from the full Davis
-// distribution instead, so wire-load variance (short local hops vs the long
-// tail) reaches the delay and energy models.
+// Model is the wiring estimate for one placed network of N gates. Every
+// fanout branch carries the distribution's mean length.
 type Model struct {
 	P Params
 	N int
 
-	meanPitches float64   // expected point-to-point length in gate pitches //cmosvet:unit 1
-	netPitches  []float64 // per-net sampled lengths (nil = use the mean) //cmosvet:unit 1
+	meanPitches float64 // expected point-to-point length in gate pitches //cmosvet:unit 1
 
-	// Each net's branch C_INT, R_INT and time of flight, derived from its
-	// length once (derive) so that the per-net accessors are loads: for the
-	// mean length, and per sampled net (nil while unsampled).
-	meanCap    float64   //cmosvet:unit F
-	meanRes    float64   //cmosvet:unit V/A
-	meanFlight float64   //cmosvet:unit s
-	netCap     []float64 //cmosvet:unit F
-	netRes     []float64 //cmosvet:unit V/A
-	netFlight  []float64 //cmosvet:unit s
+	// The mean branch's C_INT, R_INT and time of flight, derived from its
+	// length once in New so that the accessors are loads.
+	meanCap    float64 //cmosvet:unit F
+	meanRes    float64 //cmosvet:unit V/A
+	meanFlight float64 //cmosvet:unit s
 }
 
 // New builds the wiring model for a network of n logic gates.
@@ -98,21 +87,9 @@ func New(p Params, n int) (*Model, error) {
 	}
 	m := &Model{P: p, N: n}
 	m.meanPitches = m.computeMean()
-	m.meanCap, m.meanRes, m.meanFlight = m.derive(m.meanPitches)
+	l := m.BranchLength()
+	m.meanCap, m.meanRes, m.meanFlight = l*p.CPerLen, l*p.RPerLen, l/p.Velocity
 	return m, nil
-}
-
-// derive returns the branch C_INT, R_INT and time of flight of a net whose
-// branches are the given number of pitches long: the length in meters times
-// the per-length capacitance and resistance, and over the velocity.
-//
-//cmosvet:unit pitches 1
-//cmosvet:unit return1 F
-//cmosvet:unit return2 V/A
-//cmosvet:unit return3 s
-func (m *Model) derive(pitches float64) (c, r, flight float64) {
-	l := pitches * m.P.GatePitch
-	return l * m.P.CPerLen, l * m.P.RPerLen, l / m.P.Velocity
 }
 
 // Density returns the (unnormalized) expected number of connections of
@@ -153,81 +130,32 @@ func (m *Model) computeMean() float64 {
 	return num / den
 }
 
-// SampleNets draws one length per driver net (indexed by the driving gate's
-// ID, nNets entries) from the Davis distribution by inverse-CDF sampling,
-// deterministically for a given seed. Subsequent *Net accessors use these
-// lengths; their mean converges to the model's expected branch length.
-func (m *Model) SampleNets(nNets int, seed int64) {
-	if nNets <= 0 {
-		m.netPitches, m.netCap, m.netRes, m.netFlight = nil, nil, nil, nil
-		return
-	}
-	// Discrete CDF over l = 1..2√N.
-	lMax := int(math.Ceil(2 * math.Sqrt(float64(m.N))))
-	cdf := make([]float64, lMax)
-	sum := 0.0
-	for l := 1; l <= lMax; l++ {
-		sum += m.Density(float64(l))
-		cdf[l-1] = sum
-	}
-	rng := rand.New(rand.NewSource(seed))
-	m.netPitches = make([]float64, nNets)
-	m.netCap = make([]float64, nNets)
-	m.netRes = make([]float64, nNets)
-	m.netFlight = make([]float64, nNets)
-	for i := range m.netPitches {
-		u := rng.Float64() * sum
-		idx := sort.SearchFloat64s(cdf, u)
-		if idx >= lMax {
-			idx = lMax - 1
-		}
-		m.netPitches[i] = float64(idx + 1)
-		m.netCap[i], m.netRes[i], m.netFlight[i] = m.derive(m.netPitches[i])
-	}
-}
-
 // BranchLength returns the expected length in meters of one fanout branch
 // (one point-to-point connection of a net).
 //
 //cmosvet:unit return m
 func (m *Model) BranchLength() float64 { return m.meanPitches * m.P.GatePitch }
 
-// BranchCapNet returns C_INTij, the interconnect capacitance of one fanout
-// branch of the net driven by gate id (F): the value derived when the nets
-// were sampled, the mean net's when they were not or id is out of range.
+// BranchCap returns C_INTij, the interconnect capacitance of one fanout
+// branch (F): the mean branch's, which every net carries.
 //
 //cmosvet:hotpath
 //cmosvet:unit return F
-func (m *Model) BranchCapNet(id int) float64 {
-	if uint(id) < uint(len(m.netCap)) {
-		return m.netCap[id]
-	}
-	return m.meanCap
-}
+func (m *Model) BranchCap() float64 { return m.meanCap }
 
-// BranchResNet returns R_INTij, the interconnect resistance of one fanout
-// branch of the net driven by gate id (Ω = V/A); see BranchCapNet.
+// BranchRes returns R_INTij, the interconnect resistance of one fanout
+// branch (Ω = V/A); see BranchCap.
 //
 //cmosvet:hotpath
 //cmosvet:unit return V/A
-func (m *Model) BranchResNet(id int) float64 {
-	if uint(id) < uint(len(m.netRes)) {
-		return m.netRes[id]
-	}
-	return m.meanRes
-}
+func (m *Model) BranchRes() float64 { return m.meanRes }
 
-// FlightTimeNet returns the time of flight over one fanout branch of the
-// net driven by gate id (s); see BranchCapNet.
+// FlightTime returns the time of flight over one fanout branch (s); see
+// BranchCap.
 //
 //cmosvet:hotpath
 //cmosvet:unit return s
-func (m *Model) FlightTimeNet(id int) float64 {
-	if uint(id) < uint(len(m.netFlight)) {
-		return m.netFlight[id]
-	}
-	return m.meanFlight
-}
+func (m *Model) FlightTime() float64 { return m.meanFlight }
 
 // DieEdge returns the edge length of the (square) placement region implied
 // by the gate count and pitch (m).

@@ -78,16 +78,6 @@ func TestDensityDecreasingTail(t *testing.T) {
 	}
 }
 
-// branchLengthNet is the branch length of the net driven by gate id (m):
-// its sampled length, or the mean's when the nets are not sampled or id is
-// out of range.
-func branchLengthNet(m *Model, id int) float64 {
-	if id < 0 || id >= len(m.netPitches) {
-		return m.BranchLength()
-	}
-	return m.netPitches[id] * m.P.GatePitch
-}
-
 func TestMeanPitchesBounds(t *testing.T) {
 	f := func(raw uint16) bool {
 		n := int(raw)%5000 + 2
@@ -131,14 +121,14 @@ func TestDerivedQuantities(t *testing.T) {
 	if bl <= 0 {
 		t.Fatal("non-positive branch length")
 	}
-	if got := m.BranchCapNet(0); math.Abs(got-bl*m.P.CPerLen) > 1e-30 {
-		t.Errorf("BranchCapNet = %v", got)
+	if got := m.BranchCap(); math.Abs(got-bl*m.P.CPerLen) > 1e-30 {
+		t.Errorf("BranchCap = %v", got)
 	}
-	if got := m.BranchResNet(0); math.Abs(got-bl*m.P.RPerLen) > 1e-12 {
-		t.Errorf("BranchResNet = %v", got)
+	if got := m.BranchRes(); math.Abs(got-bl*m.P.RPerLen) > 1e-12 {
+		t.Errorf("BranchRes = %v", got)
 	}
-	if got := m.FlightTimeNet(0); math.Abs(got-bl/m.P.Velocity) > 1e-24 {
-		t.Errorf("FlightTimeNet = %v", got)
+	if got := m.FlightTime(); math.Abs(got-bl/m.P.Velocity) > 1e-24 {
+		t.Errorf("FlightTime = %v", got)
 	}
 }
 
@@ -149,87 +139,11 @@ func TestRealisticMagnitudes(t *testing.T) {
 	if l := m.BranchLength(); l < 5e-6 || l > 500e-6 {
 		t.Errorf("branch length %v m implausible", l)
 	}
-	if c := m.BranchCapNet(0); c < 0.5e-15 || c > 100e-15 {
+	if c := m.BranchCap(); c < 0.5e-15 || c > 100e-15 {
 		t.Errorf("branch cap %v F implausible", c)
 	}
-	if ft := m.FlightTimeNet(0); ft > 5e-12 {
+	if ft := m.FlightTime(); ft > 5e-12 {
 		t.Errorf("flight time %v s implausible", ft)
-	}
-}
-
-func TestSampleNetsStatistics(t *testing.T) {
-	m := model(t, 400)
-	const nets = 20000
-	m.SampleNets(nets, 7)
-	var sum, minL, maxL float64
-	minL = math.Inf(1)
-	for i := 0; i < nets; i++ {
-		l := branchLengthNet(m, i) / m.P.GatePitch
-		sum += l
-		if l < minL {
-			minL = l
-		}
-		if l > maxL {
-			maxL = l
-		}
-	}
-	mean := sum / nets
-	if rel := math.Abs(mean-m.meanPitches) / m.meanPitches; rel > 0.05 {
-		t.Errorf("sampled mean %v deviates from analytic %v by %v", mean, m.meanPitches, rel)
-	}
-	if minL < 1 || maxL > 2*math.Sqrt(400)+1 {
-		t.Errorf("sampled lengths [%v, %v] outside distribution support", minL, maxL)
-	}
-	if maxL == minL {
-		t.Error("sampling produced no variance")
-	}
-}
-
-func TestSampleNetsDeterministic(t *testing.T) {
-	m1, m2 := model(t, 200), model(t, 200)
-	m1.SampleNets(50, 3)
-	m2.SampleNets(50, 3)
-	for i := 0; i < 50; i++ {
-		if branchLengthNet(m1, i) != branchLengthNet(m2, i) {
-			t.Fatalf("net %d differs across same-seed samples", i)
-		}
-	}
-	m2.SampleNets(50, 4)
-	same := true
-	for i := 0; i < 50; i++ {
-		if branchLengthNet(m1, i) != branchLengthNet(m2, i) {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical samples")
-	}
-}
-
-func TestSampleNetsFallbacks(t *testing.T) {
-	m := model(t, 100)
-	// Without sampling, per-net accessors return the mean-based values.
-	if branchLengthNet(m, 5) != m.BranchLength() {
-		t.Error("unsampled per-net length should equal the mean")
-	}
-	m.SampleNets(10, 1)
-	// Out-of-range IDs fall back to the mean.
-	if branchLengthNet(m, 99) != m.BranchLength() {
-		t.Error("out-of-range net should fall back to the mean")
-	}
-	if m.BranchCapNet(3) != branchLengthNet(m, 3)*m.P.CPerLen {
-		t.Error("BranchCapNet inconsistent")
-	}
-	if m.BranchResNet(3) != branchLengthNet(m, 3)*m.P.RPerLen {
-		t.Error("BranchResNet inconsistent")
-	}
-	if m.FlightTimeNet(3) != branchLengthNet(m, 3)/m.P.Velocity {
-		t.Error("FlightTimeNet inconsistent")
-	}
-	// Disabling restores the mean.
-	m.SampleNets(0, 1)
-	if branchLengthNet(m, 3) != m.BranchLength() {
-		t.Error("SampleNets(0) should disable sampling")
 	}
 }
 
@@ -247,34 +161,25 @@ func TestDieAndTotalWireEstimates(t *testing.T) {
 	}
 }
 
-// The per-net accessors load constants derived once, in New and in
-// SampleNets. They must equal the expressions they replace bit for bit:
-// the branch length in meters times C or R per length, or over the
-// velocity, for sampled and unsampled nets and for ids out of range.
+// The accessors load constants derived once, in New. They must equal the
+// expressions they replace bit for bit: the branch length in meters times C
+// or R per length, or over the velocity.
 func TestNetConstantsMatchExpressions(t *testing.T) {
 	odd := Default350()
 	odd.GatePitch, odd.CPerLen, odd.RPerLen, odd.Velocity = 3.7e-6, 1.9e-10, 0.7e5, 1.3e8
 	for _, p := range []Params{Default350(), odd} {
-		for _, sampled := range []bool{false, true} {
-			m, err := New(p, 500)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sampled {
-				m.SampleNets(300, 11)
-			}
-			same := func(what string, id int, got, want float64) {
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("sampled=%v net %d: %s %v (%#x), expression %v (%#x)",
-						sampled, id, what, got, math.Float64bits(got), want, math.Float64bits(want))
-				}
-			}
-			for id := -2; id < 305; id++ {
-				l := branchLengthNet(m, id)
-				same("BranchCapNet", id, m.BranchCapNet(id), l*m.P.CPerLen)
-				same("BranchResNet", id, m.BranchResNet(id), l*m.P.RPerLen)
-				same("FlightTimeNet", id, m.FlightTimeNet(id), l/m.P.Velocity)
+		m, err := New(p, 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := func(what string, got, want float64) {
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s %v (%#x), expression %v (%#x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
+		l := m.BranchLength()
+		same("BranchCap", m.BranchCap(), l*m.P.CPerLen)
+		same("BranchRes", m.BranchRes(), l*m.P.RPerLen)
+		same("FlightTime", m.FlightTime(), l/m.P.Velocity)
 	}
 }
