@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	figures [-fig 2a|2b|all] [-circuit s298] [-activity 0.5] [-format text|csv]
+//	figures [-fig 2a|2b|all] [-circuit s298] [-activity 0.5] [-format text|markdown|csv]
 package main
 
 import (

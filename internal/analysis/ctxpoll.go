@@ -13,8 +13,8 @@ import (
 // job's cancel would silently stop working for that loop shape.
 //
 // What counts as reaching evaluation: a direct call to an Engine
-// full-evaluation method (Delays/Arrivals/CriticalDelay/CriticalPath/
-// Energy/WidthDelays), a call to a same-module function whose CallsEval
+// full-evaluation method (Delays/Arrivals/CriticalDelay/Energy/
+// WidthDelays), a call to a same-module function whose CallsEval
 // fact is set (computed transitively within each package — core's evalPoint
 // and everything funneling into it), or a call to a local closure whose body
 // does either. A width solve (core's solveWidths) reaches evaluation through

@@ -219,8 +219,7 @@ func calleeRef(info *types.Info, call *ast.CallExpr) (path, key string, ok bool)
 // excluded: a width solve inside one candidate may run them without polling.
 var engineEvalMethods = map[string]bool{
 	"Delays": true, "Arrivals": true,
-	"CriticalDelay": true, "CriticalPath": true,
-	"Energy": true, "WidthDelays": true,
+	"CriticalDelay": true, "Energy": true, "WidthDelays": true,
 }
 
 // isEngineEvalCall reports a call to an eval.Engine full-circuit evaluation.

@@ -613,7 +613,8 @@ func roadmapItem(roadmap, title string) string {
 // or one allowlisted field that no program writes.
 type reachEntry struct {
 	// Name is "pkg.Func", "pkg.Type.Method", "pkg.Type.field", or a package
-	// name for every function of that package.
+	// name for every function and field of that package. An oracle or
+	// harness entry lists only those of them its test reaches or writes.
 	Name string
 	// Category is "oracle" (a test checks production output against it),
 	// "harness" (tests in more than one package call it) or "deferred"
@@ -629,39 +630,22 @@ func (e reachEntry) covers(key string) bool {
 }
 
 // checkReach returns one problem per unreachable function and per unwritten
-// field that no entry covers, and one per entry that is stale: it covers
+// field that no entry lists, and one per entry that is stale: it covers
 // neither, names a test that does not exist or does not reach or write what
-// it covers, or names a ROADMAP item that does not name it.
+// it covers, or names a ROADMAP item that does not name it. A deferred entry
+// lists everything its name covers; an oracle or harness entry lists only
+// the functions its test reaches and the fields its test writes, so a
+// package entry cannot shelter what its test never calls.
 func checkReach(g *reachGraph, reached map[*reachNode]bool, dead []*reachNode, unset []reachField, allow []reachEntry, roadmap string) []string {
 	var problems []string
-	listed := func(key string) bool {
-		for _, e := range allow {
-			if e.covers(key) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, n := range dead {
-		if !listed(n.key) {
-			pos := g.fset.Position(n.pos)
-			problems = append(problems, fmt.Sprintf("%s:%d: %s is reachable from no main: delete it, move it into its package's tests, or list it",
-				pos.Filename, pos.Line, n.key))
-		}
-	}
-	for _, f := range unset {
-		if !listed(f.key) {
-			pos := g.fset.Position(f.v.Pos())
-			problems = append(problems, fmt.Sprintf("%s:%d: field %s is read by a program and written by none, so it is zero in every run: delete it with the code it selects, set it in a program, or list it",
-				pos.Filename, pos.Line, f.key))
-		}
-	}
 	tests := make(map[string][]*reachNode)
 	for _, n := range g.funcs {
 		if n.test && n.fn.Type().(*types.Signature).Recv() == nil {
 			tests[n.fn.Name()] = append(tests[n.fn.Name()], n)
 		}
 	}
+	listedFuncs := make(map[*reachNode]bool)
+	listedFields := make(map[*types.Var]bool)
 	for _, e := range allow {
 		var covered []*reachNode
 		for _, n := range dead {
@@ -684,6 +668,12 @@ func checkReach(g *reachGraph, reached map[*reachNode]bool, dead []*reachNode, u
 			if !strings.Contains(roadmapItem(roadmap, e.Ref), "`"+e.Name+"`") {
 				problems = append(problems, fmt.Sprintf("allowlist entry %s waits on ROADMAP item %q, which does not name it", e.Name, e.Ref))
 			}
+			for _, n := range covered {
+				listedFuncs[n] = true
+			}
+			for v := range fields {
+				listedFields[v] = true
+			}
 		case e.Category != "oracle" && e.Category != "harness":
 			problems = append(problems, fmt.Sprintf("allowlist entry %s has category %q; want oracle, harness or deferred", e.Name, e.Category))
 		case tests[e.Ref] == nil:
@@ -692,11 +682,15 @@ func checkReach(g *reachGraph, reached map[*reachNode]bool, dead []*reachNode, u
 			from := g.walk(tests[e.Ref])
 			uses := false
 			for _, n := range covered {
-				uses = uses || from[n]
+				if from[n] {
+					listedFuncs[n], uses = true, true
+				}
 			}
 			for n := range from {
 				for _, v := range n.writes {
-					uses = uses || fields[v]
+					if fields[v] {
+						listedFields[v], uses = true, true
+					}
 				}
 			}
 			if !uses {
@@ -704,7 +698,22 @@ func checkReach(g *reachGraph, reached map[*reachNode]bool, dead []*reachNode, u
 			}
 		}
 	}
-	return problems
+	var unlisted []string
+	for _, n := range dead {
+		if !listedFuncs[n] {
+			pos := g.fset.Position(n.pos)
+			unlisted = append(unlisted, fmt.Sprintf("%s:%d: %s is reachable from no main: delete it, move it into its package's tests, or list it",
+				pos.Filename, pos.Line, n.key))
+		}
+	}
+	for _, f := range unset {
+		if !listedFields[f.v] {
+			pos := g.fset.Position(f.v.Pos())
+			unlisted = append(unlisted, fmt.Sprintf("%s:%d: field %s is read by a program and written by none, so it is zero in every run: delete it with the code it selects, set it in a program, or list it",
+				pos.Filename, pos.Line, f.key))
+		}
+	}
+	return append(unlisted, problems...)
 }
 
 // staleState says why entry e covers nothing the rules report: what it

@@ -58,6 +58,7 @@ func TestLowPowerFlagErrors(t *testing.T) {
 		{"-circuit", "s27", "-fc", "0"},         // bad frequency
 		{"-bench", "/nonexistent/file.bench"},   // missing file
 		{"-circuit", "s27", "-tech", "/no/way"}, // missing tech file
+		{"-circuit", "s27", "-M", "0"},          // M = 0 is refused, not run at M = 12
 	}
 	for i, args := range cases {
 		var out bytes.Buffer
@@ -207,6 +208,7 @@ func TestTablesFlagErrors(t *testing.T) {
 		{[]string{"-activities", "0.5abc"}, `bad activity "0.5abc"`}, // trailing garbage
 		{[]string{"-activities", "0.1,"}, `bad activity ""`},         // empty token
 		{[]string{"-table", "nosuch"}, `unknown -table "nosuch"`},
+		{[]string{"-table", "multivt", "-circuits", "s27", "-M", "0"}, "M = 0 outside [1,64]"},
 	}
 	for _, c := range cases {
 		var out bytes.Buffer

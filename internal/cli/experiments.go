@@ -25,7 +25,7 @@ func Tables(args []string, out io.Writer) error {
 	activities := fs.String("activities", "0.1,0.5", "comma-separated input activity levels")
 	fc := fs.Float64("fc", 300e6, "required clock frequency (Hz)")
 	m := fs.Int("M", 12, "bisection steps per Procedure 2 loop")
-	format := fs.String("format", "text", "output format: text, markdown, csv")
+	format := formatFlag(fs)
 	var of ObsFlags
 	of.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -95,21 +95,7 @@ func Tables(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown -table %q", *table)
 	}
 	for _, t := range tables {
-		var err error
-		switch *format {
-		case "text":
-			err = t.Render(out)
-		case "markdown":
-			err = t.RenderMarkdown(out)
-		case "csv":
-			err = t.RenderCSV(out)
-		default:
-			err = fmt.Errorf("unknown format %q", *format)
-		}
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintln(out); err != nil {
+		if err := renderTable(out, t, *format); err != nil {
 			return err
 		}
 	}
@@ -118,6 +104,32 @@ func Tables(args []string, out io.Writer) error {
 	man.FcHz = *fc
 	man.Workers = cfg.Opts.Workers
 	return of.End(man, reg)
+}
+
+// formatFlag registers -format, the output format renderTable takes.
+func formatFlag(fs *flag.FlagSet) *string {
+	return fs.String("format", "text", "output format: text, markdown, csv")
+}
+
+// renderTable writes t to out in format (text, markdown or csv), followed
+// by a blank line. Tables and Figures render every table through it.
+func renderTable(out io.Writer, t *report.Table, format string) error {
+	var err error
+	switch format {
+	case "text":
+		err = t.Render(out)
+	case "markdown":
+		err = t.RenderMarkdown(out)
+	case "csv":
+		err = t.RenderCSV(out)
+	default:
+		err = fmt.Errorf("unknown format %q", format)
+	}
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintln(out)
+	return err
 }
 
 // Figures implements cmd/figures: regenerate the data series of the paper's
@@ -130,7 +142,7 @@ func Figures(args []string, out io.Writer) error {
 	circuitName := fs.String("circuit", "s298", "benchmark circuit")
 	act := fs.Float64("activity", 0.5, "input activity level")
 	fc := fs.Float64("fc", 300e6, "required clock frequency (Hz)")
-	format := fs.String("format", "text", "output format: text, csv")
+	format := formatFlag(fs)
 	plot := fs.Bool("plot", false, "also render an ASCII plot of each series")
 	var of ObsFlags
 	of.Register(fs)
@@ -152,25 +164,14 @@ func Figures(args []string, out io.Writer) error {
 	// emit prints one series as a table and, with -plot, as an ASCII plot
 	// of savings against x.
 	emit := func(t *report.Table, title string, x, savings []float64) error {
-		var err error
-		switch *format {
-		case "text":
-			err = t.Render(out)
-		case "csv":
-			err = t.RenderCSV(out)
-		default:
-			err = fmt.Errorf("unknown format %q", *format)
-		}
-		if err != nil {
+		if err := renderTable(out, t, *format); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintln(out); err != nil {
-			return err
+		if !*plot {
+			return nil
 		}
-		if *plot {
-			s := report.Series{Name: "savings", X: x, Y: savings}
-			_, err = fmt.Fprintln(out, report.AsciiPlot(title, []report.Series{s}, 48, 12))
-		}
+		s := report.Series{Name: "savings", X: x, Y: savings}
+		_, err := fmt.Fprintln(out, report.AsciiPlot(title, []report.Series{s}, 48, 12))
 		return err
 	}
 

@@ -35,6 +35,7 @@ func TestLedger(t *testing.T) {
 		command{"tables-all", Tables, []string{"-table", "all"}},
 		command{"tables-multivt", Tables, []string{"-table", "multivt"}},
 		command{"figures-all", Figures, []string{"-fig", "all"}},
+		command{"figures-all-markdown", Figures, []string{"-fig", "all", "-format", "markdown"}},
 	)
 	for _, c := range cmds {
 		t.Run(c.name, func(t *testing.T) {

@@ -246,6 +246,7 @@ func TestBaselineFixedVtRange(t *testing.T) {
 func TestOptionsValidation(t *testing.T) {
 	p := problemFor(t, smallCircuit(t), 0.5)
 	bad := []Options{
+		{M: 0, WidthPasses: 4}, // M = 0 is refused, not run at M = 12
 		{M: -1},
 		{M: 100},
 		{M: 8, WidthPasses: 40},

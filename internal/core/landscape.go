@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"cmosopt/internal/optimize"
 )
@@ -44,24 +43,4 @@ func (p *Problem) SampleLandscape(nVdd, nVts int, opts Options) (*Landscape, err
 		ls.E[i][j] = q.evalPoint(ls.Vdd[i], ls.Vts[j], &opts).e
 	})
 	return ls, nil
-}
-
-// Min returns the grid minimum and its coordinates; ok is false when the
-// whole grid is infeasible.
-//
-//cmosvet:unit return1 V
-//cmosvet:unit return2 V
-//cmosvet:unit return3 J
-func (l *Landscape) Min() (vdd, vts, e float64, ok bool) {
-	e = math.Inf(1)
-	for i := range l.E {
-		for j, v := range l.E[i] {
-			if v < e {
-				e = v
-				vdd, vts = l.Vdd[i], l.Vts[j]
-				ok = true
-			}
-		}
-	}
-	return vdd, vts, e, ok
 }

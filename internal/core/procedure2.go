@@ -44,13 +44,10 @@ func DefaultOptions() Options {
 	return Options{M: 12, WidthPasses: 4}
 }
 
+// fill gives the variation factors their nominal value 1 when unset. M and
+// WidthPasses have no such default: zero is refused by validate, so that a
+// caller's M = 0 never runs as M = 12.
 func (o *Options) fill() {
-	if o.M == 0 {
-		o.M = 12
-	}
-	if o.WidthPasses == 0 {
-		o.WidthPasses = 4
-	}
 	if o.VtTimingFactor == 0 {
 		o.VtTimingFactor = 1
 	}

@@ -39,7 +39,6 @@ func (p *Problem) VariationStudy(tols []float64, opts Options, baseline *Result)
 	w, inner := sweepWorkers(opts, len(tols))
 	p.fanOut(w, len(tols), func(q *Problem, i int) {
 		o := inner
-		o.fill()
 		o.VtTimingFactor = 1 + tols[i]
 		o.VtPowerFactor = 1 - tols[i]
 		pt := VariationPoint{Tol: tols[i]}

@@ -381,16 +381,6 @@ func (e *Engine) CriticalDelay(a *design.Assignment) float64 {
 	return worst
 }
 
-// CriticalPath returns the gate IDs of a worst path and its delay
-// (delegated to the model evaluator; this path is not performance-critical).
-//
-//cmosvet:unit return2 s
-func (e *Engine) CriticalPath(a *design.Assignment) ([]int, float64) {
-	e.met.FullDelaySweeps++
-	e.met.GateDelayCalls += int64(e.numLogic)
-	return e.dm.CriticalPath(a)
-}
-
 // slacksFrom computes slacks from already-known delays and arrivals — pure
 // graph propagation, no device-model calls.
 //

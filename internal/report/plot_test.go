@@ -82,49 +82,3 @@ func TestAsciiPlotDegenerate(t *testing.T) {
 		t.Errorf("single point missing:\n%s", out)
 	}
 }
-
-func TestHeatmapBasic(t *testing.T) {
-	grid := [][]float64{
-		{1, 2, 3},
-		{4, math.Inf(1), 6},
-		{7, 8, 9},
-	}
-	out := Heatmap("hm", grid, "x", "y")
-	if !strings.Contains(out, "hm") || !strings.Contains(out, "x") || !strings.Contains(out, "y") {
-		t.Errorf("labels missing:\n%s", out)
-	}
-	if !strings.Contains(out, "@") {
-		t.Errorf("minimum glyph missing:\n%s", out)
-	}
-	if !strings.Contains(out, ".") {
-		t.Errorf("infeasible glyph missing:\n%s", out)
-	}
-	if !strings.Contains(out, "1 (best)") {
-		t.Errorf("legend missing min value:\n%s", out)
-	}
-	lines := strings.Split(out, "\n")
-	rowLen := -1
-	for _, l := range lines {
-		if strings.HasPrefix(l, "  |") {
-			if rowLen == -1 {
-				rowLen = len(l)
-			} else if len(l) != rowLen {
-				t.Errorf("ragged rows:\n%s", out)
-			}
-		}
-	}
-}
-
-func TestHeatmapDegenerate(t *testing.T) {
-	if out := Heatmap("t", nil, "", ""); !strings.Contains(out, "no finite data") {
-		t.Errorf("empty heatmap = %q", out)
-	}
-	if out := Heatmap("t", [][]float64{{math.Inf(1)}}, "", ""); !strings.Contains(out, "no finite data") {
-		t.Errorf("all-inf heatmap = %q", out)
-	}
-	// Constant grid must not divide by zero.
-	out := Heatmap("t", [][]float64{{5, 5}}, "", "")
-	if !strings.Contains(out, "@") {
-		t.Errorf("constant grid:\n%s", out)
-	}
-}

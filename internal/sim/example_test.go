@@ -1,28 +1,7 @@
-// Activity decomposition example. The paper's dynamic-power numbers rest on
-// Najm's analytic transition density (§4.1), which differs from the real
-// switching activity in two opposite ways:
-//
-//   - it *overcounts* on reconvergent logic (spatially correlated fanins and
-//     simultaneous input switching violate its independence assumption);
-//   - it *undercounts* hazards (zero-delay analysis cannot see the glitches
-//     unequal path delays create).
-//
-// This example separates the two on the optimized s298 design by comparing
-// three measurements of total switching activity:
-//
-//	analytic   — Najm propagation (what the optimizer uses);
-//	zero-delay — Monte-Carlo logic simulation (true correlations, no
-//	             glitches);
-//	timed      — event-driven simulation with the design's real gate delays
-//	             (true correlations AND glitches, minus inertially filtered
-//	             pulses).
-//
-//	go run ./examples/glitch
-package main
+package sim_test
 
 import (
 	"fmt"
-	"log"
 
 	"cmosopt/internal/activity"
 	"cmosopt/internal/core"
@@ -33,12 +12,25 @@ import (
 	"cmosopt/internal/wiring"
 )
 
-func main() {
-	log.SetFlags(0)
-
+// Example_glitch separates the two ways Najm's analytic transition density
+// (§4.1), which the optimizer minimizes, differs from real switching on the
+// optimized s298 design:
+//
+//   - it overcounts on reconvergent logic, where correlated fanins and
+//     simultaneous input switching break its independence assumption;
+//   - it undercounts hazards, the glitches that unequal path delays create
+//     and zero-delay analysis cannot see.
+//
+// It compares three measurements of total switching activity: analytic
+// (Najm propagation), zero-delay (Monte-Carlo logic simulation: true
+// correlations, no glitches) and timed (event-driven simulation with the
+// design's gate delays: true correlations and glitches, minus inertially
+// filtered pulses).
+func Example_glitch() {
 	c, err := netgen.Profile("s298")
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	const act = 0.3
 	p, err := core.NewProblem(core.Spec{
@@ -51,11 +43,13 @@ func main() {
 		InputDensity: act,
 	})
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	res, err := p.OptimizeJoint(core.DefaultOptions())
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 
 	in := make(map[int]activity.InputSpec, len(p.C.PIs))
@@ -63,18 +57,20 @@ func main() {
 		in[id] = activity.InputSpec{Prob: 0.5, Density: act}
 	}
 	const cycles = 30000
-
 	zero, err := activity.MonteCarlo(p.C, in, cycles, 42)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	s, err := sim.New(p.C, p.Eval.DelayModel(), res.Assignment)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	timed, err := s.RandomVectorStats(in, cycles, 1/p.Fc, 42)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 
 	// Energy-weight each activity measure with the same per-gate switched
@@ -106,25 +102,13 @@ func main() {
 	fmt.Println("\nThe independence assumption overstates activity on reconvergent logic, while")
 	fmt.Println("hazards push the other way; the analytic estimate the paper (and this library)")
 	fmt.Println("optimizes against is conservative whenever the first effect dominates.")
-
-	// Bonus: the supply-power waveform, which the per-cycle energy metric
-	// integrates away. Peak-to-average matters for the power grid.
-	se := make([]float64, p.C.N())
-	for i := range p.C.Gates {
-		if p.C.Gates[i].IsLogic() {
-			se[i] = p.Eval.GateEnergy(i, res.Assignment).Dynamic
-			if d := p.Act.Density[i]; d > 1e-12 {
-				se[i] /= d // energy per single transition
-			}
-		}
-	}
-	s2, err := sim.New(p.C, p.Eval.DelayModel(), res.Assignment)
-	if err != nil {
-		log.Fatal(err)
-	}
-	_, p2a, err := s2.PowerTrace(in, se, 8000, 8, 1/p.Fc, 7)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nsupply power peak/average    %.1fx (event-driven trace, 1/8-cycle buckets)\n", p2a)
+	// Output:
+	// circuit                  s298 (joint-optimized, 300 MHz, input activity 0.3)
+	// analytic (Najm)          131 fJ/cycle   <- what the optimizer minimizes
+	// zero-delay simulation    39.8 fJ/cycle   (correlation overcount: +229.7%)
+	// timed simulation         49.2 fJ/cycle   (glitch contribution:   +23.4%)
+	//
+	// The independence assumption overstates activity on reconvergent logic, while
+	// hazards push the other way; the analytic estimate the paper (and this library)
+	// optimizes against is conservative whenever the first effect dominates.
 }

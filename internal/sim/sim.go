@@ -249,116 +249,6 @@ func (s *Simulator) RandomVectorStats(inputs map[int]activity.InputSpec, cycles 
 
 // eventHeap is a time-ordered event queue with an id→position index so
 // inertial cancellation removes events in O(log n) instead of scanning.
-// PowerTrace runs the random-vector workload while binning the switched
-// energy of every output transition into fixed time buckets, yielding the
-// supply-power waveform the average-power models integrate away. Each
-// transition deposits ½·C_sw·V² (C_sw = the gate's switched capacitance from
-// the energy model's perspective, passed per gate). Returns the per-bucket
-// average power (W) and the peak/average ratio — the number a supply-grid
-// designer wants that E/cycle hides.
-func (s *Simulator) PowerTrace(inputs map[int]activity.InputSpec, switchedEnergy []float64,
-	cycles, bucketsPerCycle int, period float64, seed int64) (trace []float64, peakToAvg float64, err error) {
-	if cycles < 1 || bucketsPerCycle < 1 {
-		return nil, 0, fmt.Errorf("sim: need positive cycles and buckets")
-	}
-	if period <= 0 {
-		return nil, 0, fmt.Errorf("sim: period %v must be positive", period)
-	}
-	if len(switchedEnergy) != s.c.N() {
-		return nil, 0, fmt.Errorf("sim: switchedEnergy sized %d, circuit has %d gates", len(switchedEnergy), s.c.N())
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for _, id := range s.c.PIs {
-		spec, ok := inputs[id]
-		if !ok {
-			return nil, 0, fmt.Errorf("sim: no input spec for PI %q", s.c.Gate(id).Name)
-		}
-		s.val[id] = rng.Float64() < spec.Prob
-	}
-	s.Settle()
-
-	nBuckets := cycles * bucketsPerCycle
-	bucketDur := period / float64(bucketsPerCycle)
-	energy := make([]float64, nBuckets)
-	start := s.now
-	deposit := func(at float64, e float64) {
-		b := int((at - start) / bucketDur)
-		if b >= 0 && b < nBuckets {
-			energy[b] += e
-		}
-	}
-
-	clock := s.now
-	for cy := 0; cy < cycles; cy++ {
-		for _, id := range s.c.PIs {
-			spec := inputs[id]
-			var alpha, beta float64
-			if spec.Prob > 0 && spec.Prob < 1 {
-				alpha = spec.Density / (2 * (1 - spec.Prob))
-				beta = spec.Density / (2 * spec.Prob)
-			}
-			flip := false
-			if s.val[id] {
-				flip = rng.Float64() < beta
-			} else {
-				flip = rng.Float64() < alpha
-			}
-			if flip {
-				if err := s.SetInput(id, !s.val[id]); err != nil {
-					return nil, 0, err
-				}
-				deposit(s.now, switchedEnergy[id])
-			}
-		}
-		// Drain this cycle's events, depositing each output transition.
-		for s.queue.Len() > 0 {
-			ev := s.queue.evs[0]
-			if ev.t > clock+period {
-				break
-			}
-			pre := s.trans[ev.gate]
-			s.runOne()
-			if s.trans[ev.gate] != pre {
-				deposit(ev.t, switchedEnergy[ev.gate])
-			}
-		}
-		clock += period
-		s.now = clock
-	}
-
-	trace = make([]float64, nBuckets)
-	var sum, peak float64
-	for i, e := range energy {
-		trace[i] = e / bucketDur
-		sum += trace[i]
-		if trace[i] > peak {
-			peak = trace[i]
-		}
-	}
-	avg := sum / float64(nBuckets)
-	if avg <= 0 {
-		return trace, 0, nil
-	}
-	return trace, peak / avg, nil
-}
-
-// runOne pops and applies exactly one event (caller checked the queue).
-func (s *Simulator) runOne() {
-	ev := heap.Pop(&s.queue).(event)
-	s.now = ev.t
-	if s.pending[ev.gate] == ev.id {
-		s.pending[ev.gate] = -1
-	}
-	if s.val[ev.gate] == ev.val {
-		return
-	}
-	s.val[ev.gate] = ev.val
-	s.trans[ev.gate]++
-	for _, f := range s.cs.Fanouts(int32(ev.gate)) {
-		s.evaluate(int(f))
-	}
-}
-
 type eventHeap struct {
 	evs []event
 	pos map[int]int // event id -> index in evs

@@ -221,74 +221,3 @@ func TestRandomVectorStatsValidation(t *testing.T) {
 		t.Error("missing specs accepted")
 	}
 }
-
-func TestPowerTrace(t *testing.T) {
-	c, err := netgen.Generate(netgen.Config{Name: "pt", Gates: 50, Depth: 6, PIs: 5, POs: 4}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _, a := setup(t, c)
-	in := make(map[int]activity.InputSpec, len(c.PIs))
-	for _, id := range c.PIs {
-		in[id] = activity.InputSpec{Prob: 0.5, Density: 0.3}
-	}
-	// Switched energy per transition: ½·C·V² with a crude per-gate C.
-	se := make([]float64, c.N())
-	for i := range se {
-		se[i] = 0.5 * 10e-15 * a.Vdd * a.Vdd
-	}
-	const cycles = 4000
-	trace, p2a, err := s.PowerTrace(in, se, cycles, 8, 1e-8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trace) != cycles*8 {
-		t.Fatalf("trace length %d", len(trace))
-	}
-	var sum float64
-	for _, p := range trace {
-		if p < 0 {
-			t.Fatal("negative power")
-		}
-		sum += p
-	}
-	if sum <= 0 {
-		t.Fatal("no power recorded")
-	}
-	// Bursty event-driven switching must exceed its own average somewhere.
-	if p2a <= 1 {
-		t.Errorf("peak/avg = %v, want > 1", p2a)
-	}
-	// Cross-check the average against the transition counts: total energy
-	// equals transitions x per-transition energy.
-	var wantE float64
-	for i := range c.Gates {
-		wantE += float64(s.Transitions(i)) * se[i]
-	}
-	gotE := 0.0
-	for _, p := range trace {
-		gotE += p * (1e-8 / 8)
-	}
-	if wantE <= 0 || gotE/wantE < 0.95 || gotE/wantE > 1.05 {
-		t.Errorf("trace energy %v vs transition energy %v", gotE, wantE)
-	}
-}
-
-func TestPowerTraceValidation(t *testing.T) {
-	c := chain(t, 2)
-	s, _, _ := setup(t, c)
-	in := map[int]activity.InputSpec{c.PIs[0]: {Prob: 0.5, Density: 0.2}}
-	se := make([]float64, c.N())
-	if _, _, err := s.PowerTrace(in, se, 0, 8, 1e-8, 1); err == nil {
-		t.Error("zero cycles accepted")
-	}
-	if _, _, err := s.PowerTrace(in, se, 10, 8, 0, 1); err == nil {
-		t.Error("zero period accepted")
-	}
-	if _, _, err := s.PowerTrace(in, se[:1], 10, 8, 1e-8, 1); err == nil {
-		t.Error("mismatched energies accepted")
-	}
-	if _, _, err := s.PowerTrace(nil, se, 10, 8, 1e-8, 1); err == nil {
-		t.Error("missing specs accepted")
-	}
-}

@@ -7,15 +7,13 @@ import (
 
 // BudgetFloorFrac is the fraction of the cycle budget given to a gate whose
 // path slack is already exhausted when it is reached (a degenerate case the
-// paper's Procedure 1 leaves implicit). Such assignments are counted in
-// BudgetResult.Floored and typically repaired downstream.
+// paper's Procedure 1 leaves implicit). Such budgets are typically repaired
+// downstream.
 const BudgetFloorFrac = 1e-6 //cmosvet:unit 1
 
 // BudgetResult is the outcome of Procedure 1.
 type BudgetResult struct {
-	TMax     []float64 // per-gate maximum delay budget (Input gates: +Inf) //cmosvet:unit s
-	Floored  int       // gates that received the floor budget
-	Repaired int       // budgets tightened by RepairBudgets (0 until called)
+	TMax []float64 // per-gate maximum delay budget (Input gates: +Inf) //cmosvet:unit s
 }
 
 // AssignBudgets runs the paper's Procedure 1: walk paths in decreasing
@@ -91,7 +89,6 @@ func AssignBudgets(a *Analysis, T float64) (*BudgetResult, error) {
 			}
 			if tm < floor {
 				tm = floor
-				res.Floored++
 			}
 			res.TMax[id] = tm
 			assigned[id] = true
@@ -182,7 +179,6 @@ func AssignBudgetsEnumerated(a *Analysis, T float64, maxPaths int) (*BudgetResul
 			}
 			if tm < floor {
 				tm = floor
-				res.Floored++
 			}
 			res.TMax[id] = tm
 			assigned[id] = true
@@ -217,7 +213,6 @@ func AssignBudgetsEnumerated(a *Analysis, T float64, maxPaths int) (*BudgetResul
 			}
 			if tm < floor {
 				tm = floor
-				res.Floored++
 			}
 			res.TMax[id] = tm
 			assigned[id] = true
@@ -235,7 +230,7 @@ func AssignBudgetsEnumerated(a *Analysis, T float64, maxPaths int) (*BudgetResul
 // tightens each driver's budget so that kappa·t_driver ≤ gamma·t_driven,
 // leaving a (1−gamma) fraction of the driven gate's budget for its own
 // switching. Tightening never violates the cycle-time invariant. Returns the
-// number of budgets reduced and records it in res.Repaired.
+// number of budgets reduced.
 //
 //cmosvet:unit kappa 1
 //cmosvet:unit gamma 1
@@ -265,7 +260,6 @@ func RepairBudgets(a *Analysis, res *BudgetResult, kappa, gamma float64) (int, e
 			repaired++
 		}
 	}
-	res.Repaired += repaired
 	return repaired, nil
 }
 

@@ -207,9 +207,6 @@ func TestAssignBudgetsLadder(t *testing.T) {
 			t.Errorf("%s budget = %v, want %v", name, res.TMax[id], T/3)
 		}
 	}
-	if res.Floored != 0 {
-		t.Errorf("unexpected floored budgets: %d", res.Floored)
-	}
 }
 
 func TestAssignBudgetsProportionalToFanout(t *testing.T) {
@@ -383,9 +380,6 @@ func TestRepairBudgets(t *testing.T) {
 	}
 	if res.TMax[g3] > 0.5*res.TMax[g4]/0.2+1e-18 {
 		t.Errorf("g3 budget %v not capped vs g4 %v", res.TMax[g3], res.TMax[g4])
-	}
-	if res.Repaired != n {
-		t.Errorf("Repaired counter %d != %d", res.Repaired, n)
 	}
 }
 
