@@ -31,8 +31,6 @@ var suite = netgen.SuiteNames()
 
 // benchLevelDelay is the assumed per-level delay used to derive a feasible
 // clock frequency for depth-scaled benchmark circuits.
-//
-//cmosvet:unit s
 const benchLevelDelay = 0.35e-9
 
 func problemFor(b *testing.B, name string, act float64) *core.Problem {

@@ -58,18 +58,24 @@ func captureStdout(t *testing.T, f func()) string {
 }
 
 // TestCanaryFailsStandalone is the in-repo half of the CI canary: the seeded
-// module must make cmosvet exit non-zero, proving the gate can still fail.
+// module must make cmosvet exit non-zero, with all analyzers and with each
+// one alone, proving no analyzer of the gate has gone blind.
 func TestCanaryFailsStandalone(t *testing.T) {
 	chdirTestdata(t, "canary")
 	if exit := standalone([]string{"./..."}, analysis.All(), false); exit != 1 {
-		t.Fatalf("standalone over canary exited %d, want 1 (seeded violation must be found)", exit)
+		t.Fatalf("standalone over canary exited %d, want 1 (seeded violations must be found)", exit)
+	}
+	for _, a := range analysis.All() {
+		if exit := standalone([]string{"./..."}, []*analysis.Analyzer{a}, false); exit != 1 {
+			t.Errorf("-analyzers %s over canary exited %d, want 1", a.Name, exit)
+		}
 	}
 }
 
-// TestCanarySeedsExactlyTwoViolations pins the canary's shape through the
-// -json output: the floateq finding in seeded.go and the dimcheck finding in
-// seededunits.go, each with a module-relative path.
-func TestCanarySeedsExactlyTwoViolations(t *testing.T) {
+// TestCanarySeedsOneViolationPerAnalyzer pins the canary's shape through the
+// -json output: exactly one finding per analyzer of the suite, in the file
+// named after it, each with a module-relative path.
+func TestCanarySeedsOneViolationPerAnalyzer(t *testing.T) {
 	chdirTestdata(t, "canary")
 	var exit int
 	out := captureStdout(t, func() {
@@ -82,17 +88,17 @@ func TestCanarySeedsExactlyTwoViolations(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &rows); err != nil {
 		t.Fatalf("-json output is not a JSON array: %v\n%s", err, out)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("canary produced %d findings, want exactly 2: %+v", len(rows), rows)
+	want := map[string]string{}
+	for _, a := range analysis.All() {
+		want[a.Name] = "internal/core/" + a.Name + ".go"
 	}
-	want := map[string]string{
-		"floateq":  "internal/core/seeded.go",
-		"dimcheck": "internal/core/seededunits.go",
+	if len(rows) != len(want) {
+		t.Fatalf("canary produced %d findings, want exactly %d: %+v", len(rows), len(want), rows)
 	}
 	for _, d := range rows {
 		file, ok := want[d.Analyzer]
 		if !ok {
-			t.Errorf("unexpected analyzer %q: %+v", d.Analyzer, d)
+			t.Errorf("unexpected or repeated analyzer %q: %+v", d.Analyzer, d)
 			continue
 		}
 		delete(want, d.Analyzer)
@@ -109,73 +115,23 @@ func TestCanarySeedsExactlyTwoViolations(t *testing.T) {
 }
 
 // TestExternalTestPackagesAnalyzed: the walk loads each directory's external
-// test package ("package core_test") as a package of its own, so evalroute
-// reports the evaluator its test constructs outside the model packages.
+// test package ("package core_test") as a package of its own, so hotalloc
+// reports the allocation in its hotpath helper.
 func TestExternalTestPackagesAnalyzed(t *testing.T) {
 	chdirTestdata(t, "xtest")
 	var exit int
 	out := captureStdout(t, func() {
-		exit = standalone([]string{"./..."}, []*analysis.Analyzer{analysis.EvalRoute}, true)
+		exit = standalone([]string{"./..."}, []*analysis.Analyzer{analysis.HotAlloc}, true)
 	})
 	if exit != 1 {
-		t.Fatalf("exit = %d, want 1 (the external test's delay.New must be found)", exit)
+		t.Fatalf("exit = %d, want 1 (the external test's allocation must be found)", exit)
 	}
 	var rows []jsonDiagnostic
 	if err := json.Unmarshal([]byte(out), &rows); err != nil {
 		t.Fatalf("-json output is not a JSON array: %v\n%s", err, out)
 	}
 	if len(rows) != 1 || filepath.ToSlash(rows[0].File) != "internal/core/core_test.go" ||
-		!strings.Contains(rows[0].Message, "delay.New") {
-		t.Fatalf("findings = %+v, want the one delay.New in internal/core/core_test.go", rows)
-	}
-}
-
-// TestUnitsReport pins the -units=report shape over the canary module: valid
-// JSON under the units fact schema, carrying the seeded parameter bindings.
-func TestUnitsReport(t *testing.T) {
-	chdirTestdata(t, "canary")
-	var exit int
-	out := captureStdout(t, func() { exit = runUnits("report", []string{"./..."}) })
-	if exit != 0 {
-		t.Fatalf("-units=report exited %d, want 0", exit)
-	}
-	var rep unitsReportFile
-	if err := json.Unmarshal([]byte(out), &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v\n%s", err, out)
-	}
-	if rep.Schema != unitsSchema {
-		t.Errorf("schema = %q, want %q", rep.Schema, unitsSchema)
-	}
-	units := rep.Packages["canary/internal/core"]
-	if units["perCycle.param.e"] != "J" || units["perCycle.param.p"] != "W" {
-		t.Errorf("canary package units = %v, want perCycle.param.e=J and perCycle.param.p=W", units)
-	}
-}
-
-// TestUnitsCoverageMeetsFloor runs the real coverage gate over the module's
-// model packages: the annotated surface must stay at or above the floor.
-func TestUnitsCoverageMeetsFloor(t *testing.T) {
-	out := captureStdout(t, func() {
-		if exit := runUnits("coverage", nil); exit != 0 {
-			t.Errorf("-units=coverage exited %d, want 0", exit)
-		}
-	})
-	if !strings.Contains(out, "floor") {
-		t.Errorf("coverage output lacks the floor summary:\n%s", out)
-	}
-}
-
-// TestUnitsCoverageRejectsEmptySurface: a module with no exported float
-// fields cannot satisfy the gate vacuously.
-func TestUnitsCoverageRejectsEmptySurface(t *testing.T) {
-	chdirTestdata(t, "canary")
-	if exit := runUnits("coverage", []string{"./..."}); exit != 2 {
-		t.Errorf("coverage over fieldless module exited %d, want 2", exit)
-	}
-}
-
-func TestUnitsUnknownMode(t *testing.T) {
-	if exit := runUnits("bogus", nil); exit != 2 {
-		t.Errorf("-units=bogus exited %d, want 2", exit)
+		!strings.Contains(rows[0].Message, "make in hotpath function ids") {
+		t.Fatalf("findings = %+v, want the one make in internal/core/core_test.go", rows)
 	}
 }

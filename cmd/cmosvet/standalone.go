@@ -19,12 +19,7 @@ import (
 // packages and analyzers, once in the byte-stable (file, line, col,
 // analyzer) order. Returns the process exit code.
 func standalone(patterns []string, analyzers []*analysis.Analyzer, jsonOut bool) int {
-	var all []analysis.Diagnostic
-	err := forEachPackage(patterns, func(pkg *analysis.LoadedPackage, facts analysis.FactProvider) error {
-		diags, err := analyzePackage(pkg, facts, analyzers)
-		all = append(all, diags...)
-		return err
-	})
+	all, err := analyzeModule(patterns, analyzers)
 	analysis.SortDiagnostics(all)
 	printDiagnostics(all, jsonOut)
 	switch {
@@ -42,30 +37,31 @@ func fail(err error) int {
 	return 2
 }
 
-// forEachPackage loads every package the patterns match ("./..." when none
-// are given) and hands each to fn with the loader as its fact provider: a
-// directory's package, then its external test package if it has one. This
-// is the one package walk every cmosvet mode shares. Loading is sequential
-// (the type-checker memoizes shared dependencies); the first load or fn
-// error ends the walk.
-func forEachPackage(patterns []string, fn func(pkg *analysis.LoadedPackage, facts analysis.FactProvider) error) error {
+// analyzeModule loads every package the patterns match ("./..." when none
+// are given) and runs the analyzers over each with the loader as their fact
+// provider: a directory's package, then its external test package if it has
+// one. Loading is sequential (the type-checker memoizes shared
+// dependencies); the first load or analysis error ends the walk, with the
+// diagnostics found so far.
+func analyzeModule(patterns []string, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
 	modRoot, modPath, err := findModule(".")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	dirs, err := matchDirs(modRoot, patterns)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	loader := analysis.NewLoader(analysis.Root{Prefix: modPath, Dir: modRoot})
 	loader.IncludeTests = true
+	var all []analysis.Diagnostic
 	for _, dir := range dirs {
 		rel, err := filepath.Rel(modRoot, dir)
 		if err != nil {
-			return err
+			return all, err
 		}
 		importPath := modPath
 		if rel != "." {
@@ -73,15 +69,17 @@ func forEachPackage(patterns []string, fn func(pkg *analysis.LoadedPackage, fact
 		}
 		pkgs, err := loader.LoadDir(importPath, dir)
 		if err != nil {
-			return err
+			return all, err
 		}
 		for _, pkg := range pkgs {
-			if err := fn(pkg, loader); err != nil {
-				return err
+			diags, err := analyzePackage(pkg, loader, analyzers)
+			all = append(all, diags...)
+			if err != nil {
+				return all, err
 			}
 		}
 	}
-	return nil
+	return all, nil
 }
 
 // analyzePackage runs the analyzers over one package concurrently — they

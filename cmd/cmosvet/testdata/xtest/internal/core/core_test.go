@@ -1,17 +1,23 @@
 // The one seeded violation of this module sits in an external test package:
-// it constructs a model evaluator outside internal/eval, which evalroute
-// flags in tests as anywhere else (TestExternalTestPackagesAnalyzed).
+// a hotpath helper that allocates, which hotalloc flags in tests as anywhere
+// else (TestExternalTestPackagesAnalyzed).
 package core_test
 
 import (
 	"testing"
 
 	"xtest/internal/core"
-	"xtest/internal/delay"
 )
 
+// ids is hotpath-annotated and allocates.
+//
+//cmosvet:hotpath
+func ids(n int) []int {
+	return make([]int, n)
+}
+
 func TestSize(t *testing.T) {
-	if delay.New() == nil || core.Size() != 1 {
+	if len(ids(core.Size())) != 1 {
 		t.Fatal("unreachable")
 	}
 }

@@ -20,8 +20,8 @@ import (
 // probability of being logic 1 and the expected transitions per cycle.
 // Physically realizable specs satisfy 0 ≤ Density ≤ 2·min(Prob, 1−Prob).
 type InputSpec struct {
-	Prob    float64 //cmosvet:unit 1
-	Density float64 //cmosvet:unit 1
+	Prob    float64
+	Density float64
 }
 
 // validate rejects specs outside the realizable region. The range checks
@@ -41,8 +41,8 @@ func (s InputSpec) validate() error {
 
 // Profile holds per-gate statistics, indexed by gate ID.
 type Profile struct {
-	Prob    []float64 // P(output = 1) //cmosvet:unit 1
-	Density []float64 // expected output transitions per cycle (a_i) //cmosvet:unit 1
+	Prob    []float64 // P(output = 1)
+	Density []float64 // expected output transitions per cycle (a_i)
 }
 
 // Propagate computes the activity profile of a combinational circuit given

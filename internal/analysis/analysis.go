@@ -1,40 +1,29 @@
 // Package analysis is a minimal, dependency-free static-analysis framework
-// modeled on golang.org/x/tools/go/analysis, plus the four cmosvet analyzers
-// that enforce this repository's architectural invariants at compile time:
+// modeled on golang.org/x/tools/go/analysis, plus the cmosvet analyzers. Each
+// one keeps its place by catching a bug that go test ./... misses, shown by
+// a mutant of real code in its fixture tree (DESIGN.md §10):
 //
-//   - evalroute (evalroute.go): every delay/power evaluator is constructed by
-//     internal/eval — the PR 1 "one evaluation route" invariant;
-//   - determinism (determinism.go): no wall-clock, no global math/rand, and
-//     no map-iteration order escaping into outputs in the deterministic
-//     packages — the PR 2 "byte-identical at any worker count" invariant;
+//   - determinism (determinism.go): no wall-clock read in the deterministic
+//     packages, where a time budget changes results only on slow runs;
 //   - obswriteonly (obswriteonly.go): instrumentation is write-only outside
-//     the observability and tool layers — the PR 3 "instrumentation never
-//     changes outputs" invariant;
-//   - floateq (floateq.go): no raw float ==/!= in bisection/convergence
-//     code; comparisons state an explicit tolerance.
+//     the observability and tool layers, so no obs read can steer a long
+//     run, which no test is;
 //
-// Three flow-aware analyzers reason over a per-function CFG (cfg.go), a
-// generic forward dataflow fixpoint (dataflow.go) and cross-package function
-// facts (facts.go):
+// and three flow-aware analyzers over a per-function CFG (cfg.go), a generic
+// forward dataflow fixpoint (dataflow.go) and cross-package function facts
+// (facts.go):
 //
 //   - hotalloc (hotalloc.go): //cmosvet:hotpath functions contain no
 //     heap-allocating construct on any reachable path — the PR 6
-//     "zero-allocation levelized sweeps" invariant;
+//     "zero-allocation levelized sweeps" invariant, where the incremental
+//     engine has no allocation test;
 //   - ctxpoll (ctxpoll.go): candidate loops that reach engine evaluation
 //     poll Spec.Ctx on every iteration path — the PR 8 cancellation
-//     invariant;
+//     invariant, for the loops no test cancels;
 //   - locksafe (locksafe.go): every sync.Mutex/RWMutex Lock is released on
 //     all exit paths, and no FlushObs/blocking send/engine evaluation runs
 //     under a held lock — the discipline of the observability registry and
 //     the service's shared tables.
-//
-// An eighth analyzer, dimcheck (dimcheck.go), runs dimensional analysis over
-// the model's float surface: //cmosvet:unit annotations on declaration sites
-// (units.go) seed a lattice of physical dimensions (dim.go) that a forward
-// dataflow fixpoint propagates through expressions, rejecting additions,
-// subtractions and comparisons of unequal dimensions (energy+power,
-// delay<voltage) while */÷ compose exponents. Cross-package declarations
-// resolve through the unit tables the package facts carry.
 //
 // The x/tools module is deliberately not vendored (this module has zero
 // dependencies); the subset reimplemented here — Analyzer, Pass, Diagnostic,
@@ -251,7 +240,7 @@ func SortDiagnostics(ds []Diagnostic) {
 
 // All returns the cmosvet analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{EvalRoute, Determinism, ObsWriteOnly, FloatEq, HotAlloc, CtxPoll, LockSafe, DimCheck}
+	return []*Analyzer{Determinism, ObsWriteOnly, HotAlloc, CtxPoll, LockSafe}
 }
 
 // ByName returns the named analyzers from the suite ("" or "all" → all).
@@ -304,38 +293,17 @@ func (p *Pass) pkgFunc(call *ast.CallExpr) (path, name string, ok bool) {
 	return pn.Imported().Path(), sel.Sel.Name, true
 }
 
-// methodOn resolves a call expression to (receiver type package path,
-// receiver type name, method name) for method calls on a named type or a
-// pointer to one.
-func (p *Pass) methodOn(call *ast.CallExpr) (pkgPath, typeName, method string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", "", false
-	}
-	selection, isMethod := p.TypesInfo.Selections[sel]
-	if !isMethod || selection.Kind() != types.MethodVal {
-		return "", "", "", false
-	}
-	recv := selection.Recv()
-	if ptr, isPtr := recv.(*types.Pointer); isPtr {
-		recv = ptr.Elem()
-	}
-	named, isNamed := recv.(*types.Named)
-	if !isNamed {
-		return "", "", "", false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return "", "", "", false
-	}
-	return obj.Pkg().Path(), obj.Name(), sel.Sel.Name, true
-}
-
 // pathHasSuffix reports whether the package path is exactly suffix or ends
 // with "/"+suffix (so "internal/eval" matches both the real module path and
 // fixture paths).
 func pathHasSuffix(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
+}
+
+// normalizePkgPath maps an external test package ("p_test", as LoadDir
+// names it) to the package it tests, so scope rules apply to both alike.
+func normalizePkgPath(path string) string {
+	return strings.TrimSuffix(path, "_test")
 }
 
 // pathIn reports whether path matches any of the given suffixes.

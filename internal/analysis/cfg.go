@@ -10,8 +10,8 @@ import (
 // CFG built from go/ast alone (no SSA, no x/tools), covering if/for/range/
 // switch/type-switch/select/labeled statements, break/continue/goto/
 // fallthrough, return, and path-terminating calls (panic, os.Exit,
-// log.Fatal*). The flow-aware analyzers (hotalloc, ctxpoll, locksafe,
-// dimcheck) run dataflow fixpoints over it via Forward (dataflow.go).
+// log.Fatal*). The flow-aware analyzers (hotalloc, ctxpoll, locksafe) run
+// over it, the last two through dataflow fixpoints (Forward, dataflow.go).
 
 // Block is one basic block: a maximal straight-line node sequence with edges
 // to its successors. Nodes are statements and the condition/tag expressions
@@ -19,7 +19,6 @@ import (
 // statement body except inside *ast.FuncLit (deliberate — a closure body runs
 // at call time, not here, so analyzers decide how to treat it).
 type Block struct {
-	Index int
 	Nodes []ast.Node
 	Succs []*Block
 }
@@ -146,7 +145,7 @@ func (b *cfgBuilder) finish(escape *Block) {
 }
 
 func (b *cfgBuilder) newBlock() *Block {
-	nb := &Block{Index: len(b.cfg.Blocks)}
+	nb := &Block{}
 	b.cfg.Blocks = append(b.cfg.Blocks, nb)
 	return nb
 }

@@ -217,12 +217,11 @@ func g() {}
 // mustPoll runs the shared must-analysis shape (meet = AND) the ctxpoll
 // analyzer uses: state is "a poll call was seen on every path so far".
 func mustPoll(c *analysis.CFG) map[*analysis.Block]bool {
-	in, _ := analysis.Forward(c, false,
+	return analysis.Forward(c, false,
 		func(b *analysis.Block, s bool) bool { return s || blockCalls(b, "poll") },
 		func(a, b bool) bool { return a && b },
 		func(a, b bool) bool { return a == b },
 	)
-	return in
 }
 
 func TestForwardMustAnalysisDiamond(t *testing.T) {
@@ -297,10 +296,10 @@ func TestDiagnosticSortIsByteStable(t *testing.T) {
 		mk("a.go", 9, 2, "locksafe", "m"),
 		mk("a.go", 9, 2, "ctxpoll", "m"),
 		mk("a.go", 9, 1, "locksafe", "m"),
-		mk("a.go", 2, 7, "floateq", "m"),
+		mk("a.go", 2, 7, "hotalloc", "m"),
 	}
 	want := []string{
-		"a.go:2:7:floateq",
+		"a.go:2:7:hotalloc",
 		"a.go:9:1:locksafe",
 		"a.go:9:2:ctxpoll",
 		"a.go:9:2:locksafe",

@@ -223,7 +223,7 @@ func checkLoop(pass *Pass, lt *localTraits, loop ast.Stmt, body *ast.BlockStmt, 
 	}
 	meet := func(a, b bool) bool { return a && b }
 	eq := func(a, b bool) bool { return a == b }
-	in, _ := Forward(cfg, false, transfer, meet, eq)
+	in := Forward(cfg, false, transfer, meet, eq)
 	polled, latchReached := in[cfg.Exit]
 	if latchReached && !polled {
 		pass.Reportf(loop.Pos(), "loop reaches engine evaluation but does not poll Spec.Ctx on every iteration path; add an early `if ctx.Err() != nil` (or Canceled()) check so served jobs stay cancelable at candidate boundaries")

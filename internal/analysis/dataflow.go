@@ -6,15 +6,15 @@ package analysis
 // the meet operator joining states at control-flow merges (union for a
 // may-analysis, intersection/AND for a must-analysis) and an equality test
 // that bounds the iteration. Only blocks reachable from Entry participate;
-// the returned maps give the fixpoint state at block entry and exit, with
-// unreachable blocks absent.
+// the returned map gives the fixpoint state at block entry, with unreachable
+// blocks absent.
 //
 // Termination is the analyzer's responsibility in the usual lattice sense
 // (meet monotone, finite height); a generous iteration budget cuts off a
 // non-converging client instead of hanging the tool.
-func Forward[S any](c *CFG, entry S, transfer func(*Block, S) S, meet func(S, S) S, equal func(S, S) bool) (in, out map[*Block]S) {
-	in = map[*Block]S{c.Entry: entry}
-	out = make(map[*Block]S)
+func Forward[S any](c *CFG, entry S, transfer func(*Block, S) S, meet func(S, S) S, equal func(S, S) bool) map[*Block]S {
+	in := map[*Block]S{c.Entry: entry}
+	out := make(map[*Block]S)
 
 	work := []*Block{c.Entry}
 	queued := map[*Block]bool{c.Entry: true}
@@ -47,5 +47,5 @@ func Forward[S any](c *CFG, entry S, transfer func(*Block, S) S, meet func(S, S)
 			}
 		}
 	}
-	return in, out
+	return in
 }

@@ -10,7 +10,7 @@ import (
 func TestDeterminism(t *testing.T) {
 	td := analysistest.Testdata(t, "determinism")
 	analysistest.Run(t, td, analysis.Determinism,
-		"cmosopt/internal/core",  // positive + negative cases in scope
+		"cmosopt/internal/core",  // positives, the anneal mutant the tests miss, allow
 		"cmosopt/internal/other", // negative: outside the deterministic scope
 		"cmosopt/internal/serve", // serving layer: clock reads flagged, ticker pacing allowed
 	)

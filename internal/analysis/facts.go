@@ -38,19 +38,12 @@ type FuncFacts struct {
 	PollsCtx bool
 }
 
-// PkgFacts bundles one package's cross-package facts: per-function behavior
-// facts under "Func" / "Type.Method" keys, and the unit-annotation table of
-// its declaration sites (consumed by dimcheck).
-type PkgFacts struct {
-	Funcs map[string]FuncFacts
-	// Units maps declaration keys — "Type.Field", "ConstName",
-	// "Func.param.x", "Type.Method.return" — to canonical unit expressions
-	// (Dim.String() / ParseUnit round-trip).
-	Units map[string]string
-}
+// PkgFacts holds one package's function facts under "Func" / "Type.Method"
+// keys.
+type PkgFacts map[string]FuncFacts
 
 // FactProvider hands a pass the facts of any package by (normalized) import
-// path; the zero PkgFacts means the package is unknown (standard library,
+// path; a nil PkgFacts means the package is unknown (standard library,
 // unanalyzed).
 type FactProvider interface {
 	PackageFacts(path string) PkgFacts
@@ -64,7 +57,7 @@ var hotpathRx = regexp.MustCompile(`^//\s*cmosvet:hotpath\b`)
 // helper that funnels into it, and Problem.Canceled marks its wrappers as
 // polls).
 func ComputePkgFacts(p *LoadedPackage) PkgFacts {
-	facts := map[string]FuncFacts{}
+	facts := PkgFacts{}
 	calls := map[string]map[string]bool{} // caller key → same-package callee keys
 	selfPath := normalizePkgPath(p.Types.Path())
 
@@ -121,7 +114,7 @@ func ComputePkgFacts(p *LoadedPackage) PkgFacts {
 			facts[caller] = cf
 		}
 	}
-	return PkgFacts{Funcs: facts, Units: collectUnits(p.Files, p.Info).UnitDecls()}
+	return facts
 }
 
 // directiveLines returns the line numbers of comments matching rx in file f.
@@ -242,7 +235,7 @@ func isCtxPollCall(info *types.Info, call *ast.CallExpr) bool {
 	return tv.Type.String() == "context.Context"
 }
 
-// methodOnInfo is Pass.methodOn without the Pass: resolves a method call to
+// methodOnInfo resolves a method call on a named type or a pointer to one to
 // (receiver package path, receiver type name, method name).
 func methodOnInfo(info *types.Info, call *ast.CallExpr) (pkgPath, typeName, method string, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -274,30 +267,8 @@ func (p *Pass) funcFact(path, key string) (FuncFacts, bool) {
 	if p.Facts == nil {
 		return FuncFacts{}, false
 	}
-	pf := p.Facts.PackageFacts(normalizePkgPath(path))
-	if pf.Funcs == nil {
-		return FuncFacts{}, false
-	}
-	f, ok := pf.Funcs[key]
+	f, ok := p.Facts.PackageFacts(normalizePkgPath(path))[key]
 	return f, ok
-}
-
-// unitFact resolves a declaration's unit through the pass's fact provider;
-// ⊤ (with ok=false) comes back for unknown packages or unannotated keys.
-func (p *Pass) unitFact(path, key string) (Dim, bool) {
-	if p.Facts == nil {
-		return TopDim(), false
-	}
-	pf := p.Facts.PackageFacts(normalizePkgPath(path))
-	expr, ok := pf.Units[key]
-	if !ok {
-		return TopDim(), false
-	}
-	d, err := ParseUnit(expr)
-	if err != nil {
-		return TopDim(), false
-	}
-	return d, true
 }
 
 // --- allocation-site scanning (shared by the Allocates fact and hotalloc) ---

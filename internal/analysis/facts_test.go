@@ -58,7 +58,7 @@ func outer(e *Engine) float64 { return helper(e) + 1 }
 
 	check := func(key string, want analysis.FuncFacts) {
 		t.Helper()
-		got, ok := facts.Funcs[key]
+		got, ok := facts[key]
 		if !ok {
 			t.Fatalf("no facts for %q (have %v)", key, keysOf(facts))
 		}
@@ -73,7 +73,7 @@ func outer(e *Engine) float64 { return helper(e) + 1 }
 	// outer never touches the engine directly: CallsEval arrives only through
 	// the same-package transitive closure.
 	check("outer", analysis.FuncFacts{CallsEval: true})
-	if f := facts.Funcs["Engine.Energy"]; f.CallsEval {
+	if f := facts["Engine.Energy"]; f.CallsEval {
 		t.Fatal("Energy's own body does not call an evaluation; closure must not mark the sink itself")
 	}
 }
@@ -89,17 +89,17 @@ func (b *box) Get(i int) int { return b.v[i] }
 func (b box) Grow(n int) { b.v = make([]int, n) }
 `)
 	facts := analysis.ComputePkgFacts(p)
-	if !facts.Funcs["box.Get"].Hotpath {
+	if !facts["box.Get"].Hotpath {
 		t.Fatalf("pointer-receiver method not keyed box.Get: %v", keysOf(facts))
 	}
-	if !facts.Funcs["box.Grow"].Allocates {
+	if !facts["box.Grow"].Allocates {
 		t.Fatalf("value-receiver method not keyed box.Grow: %v", keysOf(facts))
 	}
 }
 
 func keysOf(f analysis.PkgFacts) []string {
 	var ks []string
-	for k := range f.Funcs {
+	for k := range f {
 		ks = append(ks, k)
 	}
 	return ks

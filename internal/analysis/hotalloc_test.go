@@ -28,5 +28,6 @@ func TestLockSafe(t *testing.T) {
 	analysistest.Run(t, td, analysis.LockSafe,
 		"cmosopt/internal/cache", // leak/flush/send/eval positives + idiomatic negatives
 		"cmosopt/internal/eval",  // clean engine stub
+		"cmosopt/internal/serve", // the job-eviction mutant the tests miss
 	)
 }

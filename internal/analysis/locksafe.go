@@ -114,7 +114,7 @@ func checkLockFunc(pass *Pass, fd *ast.FuncDecl) {
 	transfer := func(b *Block, in string) string { return scanBlock(b, in, false) }
 	meet := func(a, b string) string { return unionHeld(a, b) }
 	eq := func(a, b string) bool { return a == b }
-	in, _ := Forward(cfg, "", transfer, meet, eq)
+	in := Forward(cfg, "", transfer, meet, eq)
 	for _, b := range cfg.Blocks {
 		if state, reached := in[b]; reached {
 			scanBlock(b, state, true)

@@ -9,19 +9,13 @@ import (
 // optimizer outputs. Outside internal/obs itself, internal/cli (the tool
 // shim that freezes registries into manifests), internal/serve (which
 // flattens per-job span snapshots into SSE progress events — serialization,
-// never control flow), cmd/* and *_test.go files:
-//
-//   - obs state may be written (Counter.Add/Set, Histogram.Observe,
-//     Span.Start, WorkerStat.Record, ...) but never read: calls to the read
-//     API — Counter.Value, Registry.Snapshot/Wall, Histogram.Snapshot,
-//     Span.Snapshot — are flagged, because a read is the only way
-//     instrumentation can leak into control flow;
-//   - eval.Engine.FlushObs may be invoked only from the primary-engine
-//     flush path: the internal/core drivers that own the primary engine
-//     (after absorbing clone metrics), internal/cli and cmd tools. A flush
-//     from anywhere else — in particular from a worker body handed to
-//     internal/parallel — would export clone deltas that the primary flush
-//     later double-counts.
+// never control flow), cmd/* and *_test.go files, obs state may be written
+// (Counter.Add/Set, Histogram.Observe, Span.Start, WorkerStat.Record, ...)
+// but never read: calls to the read API — Counter.Value,
+// Registry.Snapshot/Wall, Histogram.Snapshot, Span.Snapshot — are flagged,
+// because a read is the only way instrumentation can leak into control flow.
+// TestObsDoesNotChangeOptimizerOutput catches a read that steers a small
+// run; this catches the read that steers only a long or large one.
 var ObsWriteOnly = &Analyzer{
 	Name: "obswriteonly",
 	Doc:  "obs instrumentation is write-only outside the observability and tool layers",
@@ -30,28 +24,21 @@ var ObsWriteOnly = &Analyzer{
 
 // obsReadMethods is the read API of internal/obs, per receiver type.
 var obsReadMethods = map[string]map[string]bool{
-	"Counter":    {"Value": true},
-	"Registry":   {"Snapshot": true, "Wall": true},
-	"Histogram":  {"Snapshot": true},
-	"Span":       {"Snapshot": true},
-	"WorkerStat": {},
+	"Counter":   {"Value": true},
+	"Registry":  {"Snapshot": true, "Wall": true},
+	"Histogram": {"Snapshot": true},
+	"Span":      {"Snapshot": true},
 }
 
 // obsReadAllowed may read instrumentation state: the obs layer itself and
 // the tool layers that serialize it.
 var obsReadAllowed = []string{"internal/obs", "internal/cli", "internal/serve"}
 
-// flushAllowed may call eval.Engine.FlushObs: the engine, the core drivers
-// that own the primary engine, and the tool layers.
-var flushAllowed = []string{"internal/eval", "internal/core", "internal/cli"}
-
 func runObsWriteOnly(pass *Pass) error {
 	pkgPath := normalizePkgPath(pass.Pkg.Path())
-	if isCmdPkg(pkgPath) {
+	if isCmdPkg(pkgPath) || pathIn(pkgPath, obsReadAllowed...) {
 		return nil
 	}
-	readExempt := pathIn(pkgPath, obsReadAllowed...)
-	flushExempt := pathIn(pkgPath, flushAllowed...)
 	for _, f := range pass.Files {
 		if pass.isTestFile(f.Pos()) {
 			continue
@@ -61,25 +48,11 @@ func runObsWriteOnly(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			recvPath, recvType, method, ok := pass.methodOn(call)
-			if !ok {
-				return true
-			}
-			if !readExempt && pathHasSuffix(recvPath, "internal/obs") {
-				if reads, known := obsReadMethods[recvType]; known && reads[method] {
-					pass.Reportf(call.Pos(),
-						"obs.%s.%s reads instrumentation state outside the observability/tool layers; obs data must never feed back into an algorithm (write-only invariant)",
-						recvType, method)
-				}
-			}
-			if pathHasSuffix(recvPath, "internal/eval") && recvType == "Engine" && method == "FlushObs" {
-				if !flushExempt {
-					pass.Reportf(call.Pos(),
-						"FlushObs outside the primary-engine flush path (allowed: internal/core drivers, internal/cli, cmd tools); flushing elsewhere double-counts clone metrics")
-				} else if inParallelBody(pass, f, call) {
-					pass.Reportf(call.Pos(),
-						"FlushObs inside a parallel worker body: only the primary engine flushes, after clone metrics are absorbed")
-				}
+			recvPath, recvType, method, ok := methodOnInfo(pass.TypesInfo, call)
+			if ok && pathHasSuffix(recvPath, "internal/obs") && obsReadMethods[recvType][method] {
+				pass.Reportf(call.Pos(),
+					"obs.%s.%s reads instrumentation state outside the observability/tool layers; obs data must never feed back into an algorithm (write-only invariant)",
+					recvType, method)
 			}
 			return true
 		})
@@ -90,34 +63,4 @@ func runObsWriteOnly(pass *Pass) error {
 // isCmdPkg reports whether the package is a command-line tool (cmd/*).
 func isCmdPkg(path string) bool {
 	return strings.HasPrefix(path, "cmd/") || strings.Contains(path, "/cmd/")
-}
-
-// inParallelBody reports whether the call lies inside a function literal
-// passed to internal/parallel's For/Map/FirstError — i.e. a worker body.
-func inParallelBody(pass *Pass, f *ast.File, target *ast.CallExpr) bool {
-	found := false
-	ast.Inspect(f, func(n ast.Node) bool {
-		outer, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		path, name, ok := pass.pkgFunc(outer)
-		if !ok || !pathHasSuffix(path, "internal/parallel") {
-			return true
-		}
-		switch name {
-		case "For", "Map", "FirstError":
-		default:
-			return true
-		}
-		for _, arg := range outer.Args {
-			lit, isLit := arg.(*ast.FuncLit)
-			if isLit && lit.Pos() <= target.Pos() && target.End() <= lit.End() {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
 }

@@ -10,8 +10,8 @@ import (
 func TestObsWriteOnly(t *testing.T) {
 	td := analysistest.Testdata(t, "obswriteonly")
 	analysistest.Run(t, td, analysis.ObsWriteOnly,
-		"cmosopt/internal/badread", // positive: reads + stray FlushObs flagged
-		"cmosopt/internal/core",    // flush path allowed, worker-body flush flagged
+		"cmosopt/internal/badread", // positive: every read method flagged
+		"cmosopt/internal/core",    // the walk mutant the tests miss
 		"cmosopt/cmd/tool",         // negative: cmd/* may read
 		"cmosopt/internal/serve",   // negative: SSE serialization layer may read spans
 	)

@@ -45,7 +45,7 @@ var reachAllowlist = []reachEntry{
 	{"activity.evalAll", "oracle", "TestMonteCarloAgreesOnNetwork"},
 	{"core.Problem.SampleLandscape", "oracle", "TestLandscapeMinNearProcedure2Optimum"},
 
-	{"analysistest", "harness", "TestFloatEq"},
+	{"analysistest", "harness", "TestCtxPoll"},
 	{"activity.PropagateUniform", "harness", "TestEngineMatchesModels"},
 	{"netgen.ScaleConfig", "harness", "BenchmarkProcedure2"},
 	{"netgen.Profile85Config", "harness", "BenchmarkScalability"},

@@ -1,41 +1,13 @@
 // Package core (fixture): positive cases of the determinism analyzer.
 package core
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 // WallClock consults the wall clock inside a deterministic package.
 func WallClock() time.Duration {
 	t0 := time.Now() // want `time.Now in a deterministic package`
 	work()
 	return time.Since(t0) // want `time.Since in a deterministic package`
-}
-
-// GlobalRand draws from the shared process-global source.
-func GlobalRand(n int) int {
-	rand.Shuffle(n, func(i, j int) {}) // want `global rand.Shuffle in a deterministic package`
-	return rand.Intn(n)                // want `global rand.Intn in a deterministic package`
-}
-
-// MapOrderEscape appends map keys without a subsequent sort: hash order
-// leaks into the returned slice.
-func MapOrderEscape(m map[string]int) []string {
-	var names []string
-	for n := range m {
-		names = append(names, n) // want `append of map-iteration data to "names" with no subsequent sort`
-	}
-	return names
-}
-
-// MapFloatSum accumulates floats in map order.
-func MapFloatSum(m map[int]float64) float64 {
-	sum := 0.0
-	for _, v := range m {
-		sum += v // want `floating-point accumulation in map-iteration order`
-	}
-	return sum
 }
 
 func work() {}

@@ -1,55 +1,6 @@
 package core
 
-import (
-	"math/rand"
-	"sort"
-	"time"
-)
-
-// SeededRand uses a per-substream generator: the approved pattern.
-func SeededRand(seed int64, n int) int {
-	rng := rand.New(rand.NewSource(seed)) // ok: seeded substream
-	return rng.Intn(n)
-}
-
-// SortedKeys appends map keys and sorts them before they escape.
-func SortedKeys(m map[string]int) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n) // ok: sorted below
-	}
-	sort.Strings(names)
-	return names
-}
-
-// SortedBySlice is sorted through sort.Slice (the comparator receives the
-// slice as its first argument).
-func SortedBySlice(m map[string]int) []string {
-	var names []string
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
-	return names
-}
-
-// IntSum is an order-independent aggregate: integer addition is associative.
-func IntSum(m map[string]int) int {
-	sum := 0
-	for _, v := range m {
-		sum += v
-	}
-	return sum
-}
-
-// MapToMap re-keys into another map: no order dependence.
-func MapToMap(m map[string]int) map[int]string {
-	out := make(map[int]string, len(m))
-	for k, v := range m {
-		out[v] = k
-	}
-	return out
-}
+import "time"
 
 // InstrumentedWork shows the documented suppression for obs-only timing.
 func InstrumentedWork(record func(time.Duration)) {

@@ -1,14 +1,8 @@
-// Package other is outside the deterministic scope: wall-clock and global
-// rand are not flagged here.
+// Package other is outside the deterministic scope: wall-clock reads are not
+// flagged here.
 package other
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 // Timestamp is fine outside the deterministic packages.
 func Timestamp() time.Time { return time.Now() }
-
-// Draw is fine outside the deterministic packages.
-func Draw() float64 { return rand.Float64() }

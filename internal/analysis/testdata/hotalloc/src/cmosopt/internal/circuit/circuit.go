@@ -5,6 +5,16 @@ package circuit
 type CSR struct {
 	Order      []int32
 	LevelStart []int32
+	FaninStart []int32
+	FaninList  []int32
+	IsLogic    []bool
+}
+
+// Fanins returns a gate's fanin ids: a subslice, allocation-free.
+//
+//cmosvet:hotpath
+func (s *CSR) Fanins(id int32) []int32 {
+	return s.FaninList[s.FaninStart[id]:s.FaninStart[id+1]]
 }
 
 // LevelGates is hotpath-annotated: its own body is verified here, and

@@ -11,7 +11,7 @@ import (
 // invariant forbids.
 func Steer(reg *obs.Registry, e *eval.Engine) float64 {
 	c := reg.Counter("eval.gate_delay_calls")
-	c.Add(1) // ok: writes are always allowed
+	c.Add(1)             // ok: writes are always allowed
 	if c.Value() > 100 { // want `obs.Counter.Value reads instrumentation state`
 		return 0
 	}
@@ -20,7 +20,6 @@ func Steer(reg *obs.Registry, e *eval.Engine) float64 {
 		return 0
 	}
 	_ = reg.Wall() // want `obs.Registry.Wall reads instrumentation state`
-	e.FlushObs()   // want `FlushObs outside the primary-engine flush path`
 	return e.Delay()
 }
 

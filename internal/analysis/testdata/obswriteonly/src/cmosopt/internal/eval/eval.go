@@ -2,10 +2,7 @@
 package eval
 
 // Engine is the unified evaluation engine stub.
-type Engine struct{ primary bool }
-
-// FlushObs exports metric deltas (primary-engine flush path only).
-func (e *Engine) FlushObs() {}
+type Engine struct{}
 
 // Delay is a stand-in evaluation method.
 func (e *Engine) Delay() float64 { return 1 }

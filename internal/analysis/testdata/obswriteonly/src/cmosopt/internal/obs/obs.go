@@ -63,4 +63,4 @@ func (s *Span) Child(name string) *Span { return &Span{} }
 func (s *Span) Snapshot() SpanSnapshot { return SpanSnapshot{} }
 
 // SpanSnapshot is the frozen span state.
-type SpanSnapshot struct{ Count int64 }
+type SpanSnapshot struct{ Count, DurationNS int64 }

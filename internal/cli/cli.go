@@ -110,7 +110,7 @@ func LowPower(args []string, out io.Writer) error {
 	skew := fs.Float64("skew", 0.95, "clock-skew derating b (0,1]")
 	prob := fs.Float64("prob", 0.5, "input signal probability")
 	act := fs.Float64("activity", 0.5, "input transition density per cycle")
-	m := fs.Int("M", 12, "bisection steps per Procedure 2 loop")
+	m := fs.Int("M", 12, "bisection steps per Procedure 2 loop (refused by -mode anneal)")
 	techPath := fs.String("tech", "", "technology parameter file")
 	savePath := fs.String("save", "", "write the optimized design as JSON to this file")
 	var of ObsFlags
@@ -120,6 +120,9 @@ func LowPower(args []string, out io.Writer) error {
 	}
 	if err := CheckClock("-fc", *fc); err != nil {
 		return err
+	}
+	if *mode == "anneal" && flagSet(fs, "M") {
+		return fmt.Errorf("-M does not apply to -mode anneal: annealing has no bisection steps")
 	}
 
 	ct, err := LoadCircuit(*name, *benchPath)
@@ -181,6 +184,13 @@ func LowPower(args []string, out io.Writer) error {
 	man.FcHz = *fc
 	man.Results = append(man.Results, ResultRecord(*mode, *fc, res))
 	return of.End(man, reg)
+}
+
+// flagSet reports whether the command line set the named flag explicitly.
+func flagSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }
 
 // PrintResult renders the optimization report of cmd/lowpower.

@@ -52,13 +52,15 @@ func TestLowPowerModes(t *testing.T) {
 
 func TestLowPowerFlagErrors(t *testing.T) {
 	cases := [][]string{
-		{},                                      // neither circuit nor bench
-		{"-circuit", "nosuch"},                  // unknown benchmark
-		{"-circuit", "s27", "-bench", "x"},      // both sources
-		{"-circuit", "s27", "-fc", "0"},         // bad frequency
-		{"-bench", "/nonexistent/file.bench"},   // missing file
-		{"-circuit", "s27", "-tech", "/no/way"}, // missing tech file
-		{"-circuit", "s27", "-M", "0"},          // M = 0 is refused, not run at M = 12
+		{},                                                 // neither circuit nor bench
+		{"-circuit", "nosuch"},                             // unknown benchmark
+		{"-circuit", "s27", "-bench", "x"},                 // both sources
+		{"-circuit", "s27", "-fc", "0"},                    // bad frequency
+		{"-bench", "/nonexistent/file.bench"},              // missing file
+		{"-circuit", "s27", "-tech", "/no/way"},            // missing tech file
+		{"-circuit", "s27", "-M", "0"},                     // M = 0 is refused, not run at M = 12
+		{"-circuit", "s27", "-mode", "anneal", "-M", "0"},  // annealing reads no M
+		{"-circuit", "s27", "-mode", "anneal", "-M", "12"}, // not even the default
 	}
 	for i, args := range cases {
 		var out bytes.Buffer

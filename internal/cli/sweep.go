@@ -53,8 +53,6 @@ func (p *SweepParams) SetDefaults() {
 // ask for. Its cycle budget is under 1 ps, and the fastest gate of the
 // default 0.35 µm technology takes about 15 ps, so a faster target could
 // only end in "no feasible design point" after a whole search.
-//
-//cmosvet:unit Hz
 const MaxClockHz = 1e12
 
 // CheckClock rejects a clock target that is not positive (NaN included) or

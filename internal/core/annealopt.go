@@ -16,12 +16,12 @@ type AnnealOptions struct {
 	optimize.AnnealConfig
 	// VddSigma / VtsSigma are the Gaussian move sizes for the voltages;
 	// WidthSigma is the log-space move size for one gate's width.
-	VddSigma   float64 //cmosvet:unit V
-	VtsSigma   float64 //cmosvet:unit V
-	WidthSigma float64 //cmosvet:unit 1
+	VddSigma   float64
+	VtsSigma   float64
+	WidthSigma float64
 	// Penalty is the multiplier applied per unit of relative cycle-time
 	// violation (soft constraint so annealing can traverse the boundary).
-	Penalty float64 //cmosvet:unit 1
+	Penalty float64
 }
 
 // DefaultAnnealOptions returns a schedule comparable in circuit evaluations

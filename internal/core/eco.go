@@ -31,6 +31,9 @@ func (p *Problem) WarmStart(prevC *circuit.Circuit, prev *design.Assignment, opt
 	evals0 := p.Eval.FullEvalEquivalents()
 
 	// Default threshold for new gates: the previous design's dominant value.
+	// A tie goes to the lower threshold, the faster device, so the result
+	// does not depend on map order and the warm start is likelier to meet
+	// timing.
 	defVt := p.Tech.VtsMin
 	if len(prev.Vts) > 0 {
 		counts := map[float64]int{}
@@ -41,7 +44,7 @@ func (p *Problem) WarmStart(prevC *circuit.Circuit, prev *design.Assignment, opt
 		}
 		best := 0
 		for v, n := range counts {
-			if n > best {
+			if n > best || (n == best && v < defVt) {
 				best, defVt = n, v
 			}
 		}

@@ -121,3 +121,63 @@ func TestWarmStartValidation(t *testing.T) {
 		t.Error("nil previous design accepted")
 	}
 }
+
+// TestWarmStartBreaksThresholdTieLow: when two thresholds are equally common
+// in the previous design, new gates start at the lower one, the faster
+// device, whatever order the count map yields them in.
+func TestWarmStartBreaksThresholdTieLow(t *testing.T) {
+	base := s298(t)
+	p1 := problemFor(t, base, 0.5)
+	res1, err := p1.OptimizeJoint(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Split the logic gates evenly between two thresholds around the
+	// optimum; an odd one out takes a third value.
+	prev := res1.Assignment.Clone()
+	vt := res1.VtsValues[0]
+	lo, hi := vt-0.0005, vt+0.0005
+	var logic []int
+	for i := range p1.C.Gates {
+		if p1.C.Gates[i].IsLogic() {
+			logic = append(logic, i)
+		}
+	}
+	half := len(logic) / 2
+	for k, id := range logic {
+		switch {
+		case k < half:
+			prev.Vts[id] = lo
+		case k < 2*half:
+			prev.Vts[id] = hi
+		default:
+			prev.Vts[id] = vt
+		}
+	}
+
+	edited := editCircuit(t, p1.C)
+	var first *Result
+	for run := 0; run < 32; run++ {
+		p2 := problemFor(t, edited, 0.5)
+		res, _, fast, err := p2.WarmStart(p1.C, prev, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fast {
+			t.Fatal("warm start fell back to the full flow; the tie is not exercised")
+		}
+		for _, name := range []string{"eco_x", "eco_y"} {
+			if got := res.Assignment.Vts[p2.C.GateByName(name).ID]; got != lo {
+				t.Fatalf("run %d: new gate %s starts at Vt %v, want the lower tied value %v", run, name, got, lo)
+			}
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		if res.Energy != first.Energy || res.CriticalDelay != first.CriticalDelay {
+			t.Fatalf("run %d: energy %v, delay %v; run 0: energy %v, delay %v",
+				run, res.Energy, res.CriticalDelay, first.Energy, first.CriticalDelay)
+		}
+	}
+}

@@ -17,9 +17,9 @@ import (
 
 // EDPPoint is one sample of the energy-delay-product sweep.
 type EDPPoint struct {
-	Fc     float64 // the clock target of this sample //cmosvet:unit Hz
+	Fc     float64 // the clock target of this sample
 	Result *Result // joint optimization result at that target
-	EDP    float64 // Energy.Total() · CriticalDelay //cmosvet:unit J*s
+	EDP    float64 // Energy.Total() · CriticalDelay
 }
 
 // EDPStudy sweeps clock targets and returns all feasible samples plus the
@@ -27,8 +27,6 @@ type EDPPoint struct {
 // only when no target is feasible. Targets are independent whole-optimizer
 // runs and fan out over opts.Workers workers; results are identical at any
 // worker count.
-//
-//cmosvet:unit fcs Hz
 func EDPStudy(spec Spec, fcs []float64, opts Options) ([]EDPPoint, int, error) {
 	if len(fcs) == 0 {
 		return nil, -1, fmt.Errorf("core: EDP study needs at least one clock target")

@@ -13,9 +13,9 @@ import (
 // cliff at low threshold, and the unique interior optimum where they
 // balance.
 type Landscape struct {
-	Vdd []float64   // grid abscissae (rows) //cmosvet:unit V
-	Vts []float64   // grid ordinates (columns) //cmosvet:unit V
-	E   [][]float64 // E[i][j] at (Vdd[i], Vts[j]); +Inf = infeasible //cmosvet:unit J
+	Vdd []float64   // grid abscissae (rows)
+	Vts []float64   // grid ordinates (columns)
+	E   [][]float64 // E[i][j] at (Vdd[i], Vts[j]); +Inf = infeasible
 }
 
 // SampleLandscape evaluates an nVdd × nVts grid. Each sample is a full

@@ -13,10 +13,6 @@ import (
 
 // Min returns the grid minimum and its coordinates; ok is false when the
 // whole grid is infeasible.
-//
-//cmosvet:unit return1 V
-//cmosvet:unit return2 V
-//cmosvet:unit return3 J
 func (l *Landscape) Min() (vdd, vts, e float64, ok bool) {
 	e = math.Inf(1)
 	for i := range l.E {

@@ -186,10 +186,6 @@ func (p *Problem) OptimizeDualVdd(opts Options) (*Result, error) {
 // LowRailShare reports, for a dual-Vdd result, the fraction of logic gates
 // on the lower rail and the two rail voltages. It returns ok = false for
 // single-rail assignments.
-//
-//cmosvet:unit return1 1
-//cmosvet:unit return2 V
-//cmosvet:unit return3 V
 func (p *Problem) LowRailShare(r *Result) (frac float64, low, high float64, ok bool) {
 	a := r.Assignment
 	if a.VddPer == nil {

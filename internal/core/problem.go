@@ -29,12 +29,12 @@ type Spec struct {
 	Circuit *circuit.Circuit // may be sequential; DFFs are cut automatically
 	Tech    device.Tech
 	Wiring  wiring.Params
-	Fc      float64 // required clock frequency //cmosvet:unit Hz
-	Skew    float64 // clock-skew derating b ∈ (0,1]; budget is b/Fc //cmosvet:unit 1
+	Fc      float64 // required clock frequency
+	Skew    float64 // clock-skew derating b ∈ (0,1]; budget is b/Fc
 
 	// Input activity: one (Prob, Density) applied to every primary input.
-	InputProb    float64 //cmosvet:unit 1
-	InputDensity float64 //cmosvet:unit 1
+	InputProb    float64
+	InputDensity float64
 
 	// Obs, when non-nil, collects timing spans, evaluation counters and
 	// worker utilization for this problem and every optimizer run on it.
@@ -60,8 +60,8 @@ type Problem struct {
 	Wire    *wiring.Model
 	Eval    *eval.Engine
 	Budgets *timing.BudgetResult
-	Fc      float64 //cmosvet:unit Hz
-	Skew    float64 //cmosvet:unit 1
+	Fc      float64
+	Skew    float64
 
 	cs     *circuit.CSR    // the circuit's topology (read-only)
 	otrace *obs.Span       // root span of the attached registry (nil without one)
@@ -210,8 +210,6 @@ func NewProblem(s Spec) (*Problem, error) {
 }
 
 // CycleBudget returns the skew-derated cycle time b·T_c.
-//
-//cmosvet:unit return s
 func (p *Problem) CycleBudget() float64 { return p.Skew / p.Fc }
 
 // Result is the outcome of one optimization run.
@@ -219,21 +217,19 @@ type Result struct {
 	Method        string
 	Assignment    *design.Assignment
 	Energy        power.Breakdown // per-cycle energy at the solution
-	CriticalDelay float64         // achieved critical path delay //cmosvet:unit s
+	CriticalDelay float64         // achieved critical path delay
 	Feasible      bool            // critical delay ≤ b·T_c with all budgets met
-	Vdd           float64         //cmosvet:unit V
-	VtsValues     []float64       // distinct threshold voltages in use //cmosvet:unit V
-	Evaluations   int             // full-circuit evaluations consumed by this run
+	Vdd           float64
+	VtsValues     []float64 // distinct threshold voltages in use
+	Evaluations   int       // full-circuit evaluations consumed by this run
 	// Objective is the energy metric the optimizer minimized: equal to
 	// Energy.Total() at nominal corners, and the worst-case (leaky-corner)
 	// energy in variation studies.
-	Objective float64 //cmosvet:unit J
+	Objective float64
 }
 
 // Savings returns the total-energy ratio other/this (how many times less
 // energy this result consumes than other).
-//
-//cmosvet:unit return 1
 func (r *Result) Savings(other *Result) float64 {
 	t := r.Energy.Total()
 	if t <= 0 {
@@ -260,8 +256,6 @@ func (p *Problem) finishResult(method string, a *design.Assignment, feasible boo
 
 // distinctLogicVts returns the set of distinct thresholds actually used by
 // logic gates (Input-gate placeholder entries are ignored).
-//
-//cmosvet:unit return V
 func (p *Problem) distinctLogicVts(a *design.Assignment) []float64 {
 	const tol = 1e-9
 	var out []float64

@@ -19,18 +19,18 @@ type Options struct {
 	WidthPasses int
 	// FixedVt, when > 0, pins every gate's threshold (the Table 1 baseline
 	// uses 0.7 V) and optimizes only Vdd and widths.
-	FixedVt float64 //cmosvet:unit V
+	FixedVt float64
 	// FixedVdd, when > 0, additionally pins the supply in OptimizeBaseline,
 	// leaving only widths free — the conventional full-supply reference
 	// design (the paper's Table 1 runs returned Vdd ≈ 3.3 V, making its
 	// reference numerically a fixed-3.3 V design).
-	FixedVdd float64 //cmosvet:unit V
+	FixedVdd float64
 	// VtTimingFactor scales thresholds during delay evaluation (slow process
 	// corner, ≥ 1 in variation studies). Zero means 1 (nominal).
-	VtTimingFactor float64 //cmosvet:unit 1
+	VtTimingFactor float64
 	// VtPowerFactor scales thresholds during energy evaluation (leaky
 	// process corner, ≤ 1 in variation studies). Zero means 1 (nominal).
-	VtPowerFactor float64 //cmosvet:unit 1
+	VtPowerFactor float64
 	// Workers caps the goroutines used by the parallel drivers (landscape
 	// grids, the multi-Vt grid, the study sweeps). 0 means
 	// one worker per CPU (GOMAXPROCS); 1 forces serial execution. Procedure
@@ -153,7 +153,7 @@ func (p *Problem) price(how pricer, vdd, vts float64, o *Options) pointRes {
 // it was priced at.
 type incumbent struct {
 	pointRes
-	vdd, vts float64 //cmosvet:unit V
+	vdd, vts float64
 }
 
 // consider makes r, priced at (vdd, vts), the incumbent when it is feasible

@@ -53,9 +53,6 @@ func New(c *circuit.Circuit, tech *device.Tech, wire *wiring.Model) (*Evaluator,
 // ½ − (1 − V_TS/V_dd)/(1+α), clamped to [0, 1].
 //
 //cmosvet:hotpath
-//cmosvet:unit vdd V
-//cmosvet:unit vts V
-//cmosvet:unit return 1
 func (e *Evaluator) SlopeCoeff(vdd, vts float64) float64 {
 	k := 0.5 - (1-vts/vdd)/(1+e.Tech.Alpha)
 	if k < 0 {
@@ -72,17 +69,15 @@ func (e *Evaluator) SlopeCoeff(vdd, vts float64) float64 {
 // evaluation engine can compute them once per operating point and reuse them
 // across every gate call (see internal/eval). CoeffsAt is the sole producer.
 type Coeffs struct {
-	Slope float64 // input-slope coefficient ½ − (1 − V_TS/V_dd)/(1+α), clamped to [0,1] //cmosvet:unit 1
-	Idw   float64 // transregional drive current I_Dw per unit width at V_GS = V_dd //cmosvet:unit A
-	Ioff  float64 // off-state leakage I_off(V_TS) per unit width //cmosvet:unit A
+	Slope float64 // input-slope coefficient ½ − (1 − V_TS/V_dd)/(1+α), clamped to [0,1]
+	Idw   float64 // transregional drive current I_Dw per unit width at V_GS = V_dd
+	Ioff  float64 // off-state leakage I_off(V_TS) per unit width
 }
 
 // CoeffsAt computes the device coefficients of one (V_dd, V_TS) operating
 // point — the three transcendental evaluations every gate-delay call needs.
 //
 //cmosvet:hotpath
-//cmosvet:unit vdd V
-//cmosvet:unit vts V
 func (e *Evaluator) CoeffsAt(vdd, vts float64) Coeffs {
 	return Coeffs{
 		Slope: e.SlopeCoeff(vdd, vts),
@@ -97,8 +92,6 @@ func (e *Evaluator) CoeffsAt(vdd, vts float64) Coeffs {
 // current). Input gates have zero delay.
 //
 //cmosvet:hotpath
-//cmosvet:unit maxFaninDelay s
-//cmosvet:unit return s
 func (e *Evaluator) GateDelayWith(id int, a *design.Assignment, maxFaninDelay float64) float64 {
 	vdd := a.VddAt(id)
 	return e.GateDelayAt(id, a, a.W[id], -1, 0, maxFaninDelay, e.CoeffsAt(vdd, a.Vts[id]))
@@ -117,10 +110,6 @@ func (e *Evaluator) GateDelayWith(id int, a *design.Assignment, maxFaninDelay fl
 // helpers below, split around the gate's own width.
 //
 //cmosvet:hotpath
-//cmosvet:unit w 1
-//cmosvet:unit wOv 1
-//cmosvet:unit maxFaninDelay s
-//cmosvet:unit return s
 func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int, wOv, maxFaninDelay float64, k Coeffs) float64 {
 	cs := e.cs
 	if !cs.IsLogic[id] {
@@ -195,8 +184,6 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 // matches or exceeds the drive, or there is no drive at all).
 //
 //cmosvet:hotpath
-//cmosvet:unit fii 1
-//cmosvet:unit return1 A
 func NetDrive(k Coeffs, fii float64) (drive float64, stalled bool) {
 	drive = k.Idw - fii*k.Ioff
 	return drive, drive <= 0 || k.Idw <= 0
@@ -208,8 +195,6 @@ func NetDrive(k Coeffs, fii float64) (drive float64, stalled bool) {
 // in another.
 //
 //cmosvet:hotpath
-//cmosvet:unit maxFaninDelay s
-//cmosvet:unit return s
 func SlopeTerm(k Coeffs, maxFaninDelay float64) float64 {
 	return float64(k.Slope * maxFaninDelay)
 }
@@ -218,64 +203,38 @@ func SlopeTerm(k Coeffs, maxFaninDelay float64) float64 {
 // gate's input capacitance w_f·C_t plus the branch wire C_INT.
 //
 //cmosvet:hotpath
-//cmosvet:unit wf 1
-//cmosvet:unit ct F
-//cmosvet:unit cb F
-//cmosvet:unit return F
 func BranchLoad(wf, ct, cb float64) float64 { return wf*ct + cb }
 
 // POLoad is the load of a primary output's external branch: C_out plus the
 // branch wire C_INT.
 //
 //cmosvet:hotpath
-//cmosvet:unit cout F
-//cmosvet:unit cb F
-//cmosvet:unit return F
 func POLoad(cout, cb float64) float64 { return cout + cb }
 
 // BranchDelay is one fanout branch's interconnect delay: R_INT times the
 // branch load plus the time of flight.
 //
 //cmosvet:hotpath
-//cmosvet:unit rb V/A
-//cmosvet:unit load F
-//cmosvet:unit fl s
-//cmosvet:unit return s
 func BranchDelay(rb, load, fl float64) float64 { return rb*load + fl }
 
 // SwitchingTerm is the switching component V_dd·C_load / (2·w·drive).
 //
 //cmosvet:hotpath
-//cmosvet:unit vdd V
-//cmosvet:unit load F
-//cmosvet:unit w 1
-//cmosvet:unit drive A
-//cmosvet:unit return s
 func SwitchingTerm(vdd, load, w, drive float64) float64 { return vdd * load / (2 * w * drive) }
 
 // StackCharge is the series-stack numerator (f_ii−1)·C_mi·V_dd: the charge
 // of the intermediate nodes.
 //
 //cmosvet:hotpath
-//cmosvet:unit fii 1
-//cmosvet:unit cmi F
-//cmosvet:unit vdd V
-//cmosvet:unit return F*V
 func StackCharge(fii, cmi, vdd float64) float64 { return (fii - 1) * cmi * vdd }
 
 // StackTerm is the series-stack component: charge q over 2·w·I_Dw.
 //
 //cmosvet:hotpath
-//cmosvet:unit q F*V
-//cmosvet:unit w 1
-//cmosvet:unit idw A
-//cmosvet:unit return s
 func StackTerm(q, w, idw float64) float64 { return q / (2 * w * idw) }
 
 // Delays returns the per-gate delay t_di for the whole network, computed in
 // topological order so each gate sees its drivers' final delays.
-//
-//cmosvet:unit return s
 func (e *Evaluator) Delays(a *design.Assignment) []float64 {
 	td := make([]float64, e.C.N())
 	for _, id := range e.cs.Order {
@@ -295,9 +254,6 @@ func (e *Evaluator) Delays(a *design.Assignment) []float64 {
 }
 
 // Arrivals returns per-gate worst arrival times and per-gate delays.
-//
-//cmosvet:unit return1 s
-//cmosvet:unit return2 s
 func (e *Evaluator) Arrivals(a *design.Assignment) (arr, td []float64) {
 	td = e.Delays(a)
 	arr = make([]float64, e.C.N())
@@ -316,8 +272,6 @@ func (e *Evaluator) Arrivals(a *design.Assignment) (arr, td []float64) {
 
 // CriticalDelay returns the worst path delay from any input to any primary
 // output.
-//
-//cmosvet:unit return s
 func (e *Evaluator) CriticalDelay(a *design.Assignment) float64 {
 	arr, _ := e.Arrivals(a)
 	worst := 0.0
@@ -331,8 +285,6 @@ func (e *Evaluator) CriticalDelay(a *design.Assignment) float64 {
 
 // CriticalPath returns the gate IDs of a worst path (inputs included, in
 // input-to-output order) and its delay.
-//
-//cmosvet:unit return2 s
 func (e *Evaluator) CriticalPath(a *design.Assignment) ([]int, float64) {
 	arr, _ := e.Arrivals(a)
 	worstID, worst := -1, math.Inf(-1)
@@ -370,9 +322,6 @@ func (e *Evaluator) CriticalPath(a *design.Assignment) ([]int, float64) {
 // slack[i] = required[i] − arrival[i], where required times propagate
 // backward from T at every primary output. Negative slack marks gates on
 // violating paths; the minimum slack equals T − CriticalDelay.
-//
-//cmosvet:unit T s
-//cmosvet:unit return s
 func (e *Evaluator) Slacks(a *design.Assignment, T float64) []float64 {
 	arr, td := e.Arrivals(a)
 	req := make([]float64, e.C.N())

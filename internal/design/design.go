@@ -18,15 +18,13 @@ import (
 // one power supply voltage if desired", §4); nil means the single global Vdd
 // of the practical case. Use VddAt to read the effective supply of a gate.
 type Assignment struct {
-	Vdd    float64   //cmosvet:unit V
-	VddPer []float64 //cmosvet:unit V
-	Vts    []float64 //cmosvet:unit V
-	W      []float64 // channel-width multiplier //cmosvet:unit 1
+	Vdd    float64
+	VddPer []float64
+	Vts    []float64
+	W      []float64 // channel-width multiplier
 }
 
 // VddAt returns the supply voltage of gate id.
-//
-//cmosvet:unit return V
 func (a *Assignment) VddAt(id int) float64 {
 	if a.VddPer != nil {
 		return a.VddPer[id]
@@ -36,10 +34,6 @@ func (a *Assignment) VddAt(id int) float64 {
 
 // Uniform returns an assignment with the same threshold and width on all n
 // gates.
-//
-//cmosvet:unit vdd V
-//cmosvet:unit vts V
-//cmosvet:unit w 1
 func Uniform(n int, vdd, vts, w float64) *Assignment {
 	a := &Assignment{
 		Vdd: vdd,
@@ -67,8 +61,6 @@ func (a *Assignment) Clone() *Assignment {
 }
 
 // SetVts overwrites every gate's threshold with one value.
-//
-//cmosvet:unit vts V
 func (a *Assignment) SetVts(vts float64) {
 	for i := range a.Vts {
 		a.Vts[i] = vts

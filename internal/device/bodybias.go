@@ -19,9 +19,9 @@ import (
 // BodyBias describes the natural-device parameters needed to translate a
 // target threshold into a tub bias.
 type BodyBias struct {
-	Vt0   float64 // natural (zero-bias) threshold voltage //cmosvet:unit V
-	Gamma float64 // body-effect coefficient γ //cmosvet:unit V^1:2
-	Phi2F float64 // surface potential 2φ_F //cmosvet:unit V
+	Vt0   float64 // natural (zero-bias) threshold voltage
+	Gamma float64 // body-effect coefficient γ
+	Phi2F float64 // surface potential 2φ_F
 }
 
 // DefaultBodyBias returns natural-device parameters for the 0.35 µm flow of
@@ -44,9 +44,6 @@ func (b BodyBias) Validate() error {
 }
 
 // Vt returns the threshold at a reverse source-to-body bias V_SB ≥ 0.
-//
-//cmosvet:unit vsb V
-//cmosvet:unit return V
 func (b BodyBias) Vt(vsb float64) float64 {
 	if vsb < 0 {
 		vsb = 0
@@ -58,10 +55,6 @@ func (b BodyBias) Vt(vsb float64) float64 {
 // the target threshold. It fails for targets below the natural threshold
 // (forward body bias is outside the paper's static scheme) or beyond the
 // practical bias limit vsbMax.
-//
-//cmosvet:unit vtTarget V
-//cmosvet:unit vsbMax V
-//cmosvet:unit return V
 func (b BodyBias) BiasFor(vtTarget, vsbMax float64) (float64, error) {
 	if err := b.Validate(); err != nil {
 		return 0, err
@@ -86,8 +79,8 @@ func (b BodyBias) BiasFor(vtTarget, vsbMax float64) (float64, error) {
 // bias applied to the p-substrate (raising NMOS V_t) and to the n-well
 // (raising PMOS |V_t|), one pair per distinct threshold group.
 type TubBiases struct {
-	VSubstrate []float64 // per threshold group, below ground //cmosvet:unit V
-	VNWell     []float64 // per threshold group, above V_dd //cmosvet:unit V
+	VSubstrate []float64 // per threshold group, below ground
+	VNWell     []float64 // per threshold group, above V_dd
 }
 
 // PlanTubBiases maps a set of optimized threshold values to the substrate
@@ -95,9 +88,6 @@ type TubBiases struct {
 // devices (the paper treats both thresholds as equal in magnitude). Each
 // additional distinct threshold needs its own tub, which is the "migration
 // to a triple-tub process" cost the paper notes for n_v > 1.
-//
-//cmosvet:unit vts V
-//cmosvet:unit vsbMax V
 func PlanTubBiases(nmos, pmos BodyBias, vts []float64, vsbMax float64) (*TubBiases, error) {
 	if len(vts) == 0 {
 		return nil, fmt.Errorf("device: no threshold values to plan biases for")

@@ -31,29 +31,29 @@ type Tech struct {
 	Name string
 
 	// Device model.
-	Alpha  float64 // α-power-law velocity-saturation exponent //cmosvet:unit 1
-	N      float64 // subthreshold ideality factor of the smooth model //cmosvet:unit 1
-	VTherm float64 // thermal voltage kT/q (V) //cmosvet:unit V
-	KSat   float64 // drive factor: I_D = KSat·g^α for a unit-width device (A/V^α) //cmosvet:unit A/V^a
-	IJunc  float64 // drain-junction leakage of a unit-width device (A) //cmosvet:unit A
+	Alpha  float64 // α-power-law velocity-saturation exponent
+	N      float64 // subthreshold ideality factor of the smooth model
+	VTherm float64 // thermal voltage kT/q (V)
+	KSat   float64 // drive factor: I_D = KSat·g^α for a unit-width device (A/V^α)
+	IJunc  float64 // drain-junction leakage of a unit-width device (A)
 	// LeakStack is the effective number of unit-width off devices leaking
 	// per gate width unit: a static CMOS gate leaks through its whole
 	// pull-up or pull-down network (with the β-wider PMOS side), not one
 	// minimum device. It scales I_off only.
-	LeakStack float64 //cmosvet:unit 1
+	LeakStack float64
 
 	// Capacitances, per unit-width device.
-	Ct  float64 // gate-input capacitance C_t (F) //cmosvet:unit F
-	CPD float64 // output parasitic (overlap+junction+fringing) C_PD (F) //cmosvet:unit F
-	Cmi float64 // intermediate-node capacitance of series stacks C_mi (F) //cmosvet:unit F
+	Ct  float64 // gate-input capacitance C_t (F)
+	CPD float64 // output parasitic (overlap+junction+fringing) C_PD (F)
+	Cmi float64 // intermediate-node capacitance of series stacks C_mi (F)
 
 	// Module-level loads.
-	COut float64 // external load seen by each primary output (F) //cmosvet:unit F
+	COut float64 // external load seen by each primary output (F)
 
 	// Optimization ranges (the paper's Procedure 2 ranges).
-	VddMin, VddMax float64 // supply range (V) //cmosvet:unit V
-	VtsMin, VtsMax float64 // threshold range (V) //cmosvet:unit V
-	WMin, WMax     float64 // width multiplier range //cmosvet:unit 1
+	VddMin, VddMax float64 // supply range (V)
+	VtsMin, VtsMax float64 // threshold range (V)
+	WMin, WMax     float64 // width multiplier range
 }
 
 // Default350 returns a parameter set representative of a 1997-era 0.35 µm
@@ -144,10 +144,6 @@ func (t *Tech) Validate() error {
 }
 
 // Overdrive returns the smoothed overdrive g(V) in volts.
-//
-//cmosvet:unit vgs V
-//cmosvet:unit vts V
-//cmosvet:unit return V
 func (t *Tech) Overdrive(vgs, vts float64) float64 {
 	nvt := t.N * t.VTherm
 	x := (vgs - vts) / nvt
@@ -164,10 +160,6 @@ func (t *Tech) Overdrive(vgs, vts float64) float64 {
 
 // IdUnit returns the saturation drain current of a unit-width device at the
 // given gate drive and threshold (A).
-//
-//cmosvet:unit vgs V
-//cmosvet:unit vts V
-//cmosvet:unit return A
 func (t *Tech) IdUnit(vgs, vts float64) float64 {
 	return t.KSat * math.Pow(t.Overdrive(vgs, vts), t.Alpha)
 }
@@ -175,9 +167,6 @@ func (t *Tech) IdUnit(vgs, vts float64) float64 {
 // IoffUnit returns the off-state leakage per unit of gate width: the
 // subthreshold channel current at V_GS = 0 plus drain-junction leakage,
 // scaled by the gate's effective number of leaking stacks (LeakStack).
-//
-//cmosvet:unit vts V
-//cmosvet:unit return A
 func (t *Tech) IoffUnit(vts float64) float64 {
 	return t.LeakStack * (t.IdUnit(0, vts) + t.IJunc)
 }

@@ -83,7 +83,6 @@ func TestAlphaPowerLimit(t *testing.T) {
 	tc := tech(t)
 	got := tc.IdUnit(3.3, 0.7)
 	want := tc.KSat * math.Pow(3.3-0.7, tc.Alpha)
-	//cmosvet:allow dimcheck — a literal overdrive raised to α cannot carry the symbolic V^a that cancels KSat's denominator
 	if rel := math.Abs(got-want) / want; rel > 1e-9 {
 		t.Errorf("strong-inversion limit off by %v", rel)
 	}

@@ -7,13 +7,12 @@ import (
 	"cmosopt/internal/design"
 )
 
-// Base and step voltages of the concurrent-sweep test, named so the
-// per-worker operating points carry the volts the bare literals would drop.
+// Base and step voltages (V) of the concurrent-sweep test.
 const (
-	baseVdd = 1.2  //cmosvet:unit V
-	stepVdd = 0.1  //cmosvet:unit V
-	baseVts = 0.25 //cmosvet:unit V
-	stepVts = 0.02 //cmosvet:unit V
+	baseVdd = 1.2
+	stepVdd = 0.1
+	baseVts = 0.25
+	stepVts = 0.02
 )
 
 func TestCloneMatchesParent(t *testing.T) {

@@ -60,8 +60,8 @@ import (
 const maxCoeffEntries = 4096
 
 type coeffKey struct {
-	vdd float64 //cmosvet:unit V
-	vts float64 //cmosvet:unit V
+	vdd float64
+	vts float64
 }
 
 // coeffEntry is one voltage pair's cached coefficients, with its
@@ -79,7 +79,7 @@ type Engine struct {
 	Tech *device.Tech
 	Act  *activity.Profile
 	Wire *wiring.Model
-	Fc   float64 //cmosvet:unit Hz
+	Fc   float64
 
 	dm *delay.Evaluator
 	pm *power.Evaluator // nil for a delay-only engine
@@ -103,16 +103,16 @@ type Engine struct {
 	fanStride int
 
 	// Scratch for the full-evaluation APIs (valid until the next Engine call).
-	td    []float64 //cmosvet:unit s
-	arr   []float64 //cmosvet:unit s
-	req   []float64 //cmosvet:unit s
-	slack []float64 //cmosvet:unit s
+	td    []float64
+	arr   []float64
+	req   []float64
+	slack []float64
 
 	// Tracked state for incremental evaluation (see incremental.go).
 	bound   *design.Assignment
-	curTd   []float64 //cmosvet:unit s
-	curArr  []float64 //cmosvet:unit s
-	dirty   []int     // binary heap of gate IDs ordered by rank
+	curTd   []float64
+	curArr  []float64
+	dirty   []int // binary heap of gate IDs ordered by rank
 	inDirty []bool
 
 	met Metrics
@@ -126,8 +126,6 @@ type Engine struct {
 
 // New builds the evaluation engine for a combinational circuit, constructing
 // the delay and power model evaluators internally.
-//
-//cmosvet:unit fc Hz
 func New(c *circuit.Circuit, tech *device.Tech, act *activity.Profile, wire *wiring.Model, fc float64) (*Engine, error) {
 	e, err := NewDelayOnly(c, tech, wire)
 	if err != nil {
@@ -181,8 +179,6 @@ func (e *Engine) Metrics() *Metrics { return &e.met }
 
 // FullEvalEquivalents converts the gate-delay call count into full-circuit
 // evaluation units: one unit is one delay-model call per logic gate.
-//
-//cmosvet:unit return 1
 func (e *Engine) FullEvalEquivalents() float64 {
 	return float64(e.met.GateDelayCalls) / float64(max(e.numLogic, 1))
 }
@@ -190,8 +186,6 @@ func (e *Engine) FullEvalEquivalents() float64 {
 // coeffs returns the cached device coefficients of one voltage pair.
 //
 //cmosvet:hotpath
-//cmosvet:unit vdd V
-//cmosvet:unit vts V
 func (e *Engine) coeffs(vdd, vts float64) delay.Coeffs {
 	k := coeffKey{vdd, vts}
 	if e.haveLast && k == e.lastKey {
@@ -218,9 +212,6 @@ func (e *Engine) coeffs(vdd, vts float64) delay.Coeffs {
 // what makes the GateDelayCalls counter a faithful effort meter.
 //
 //cmosvet:hotpath
-//cmosvet:unit w 1
-//cmosvet:unit maxFaninDelay s
-//cmosvet:unit return s
 func (e *Engine) gateDelay(id int, a *design.Assignment, w, maxFaninDelay float64) float64 {
 	e.met.GateDelayCalls++
 	return e.dm.GateDelayAt(id, a, w, -1, 0, maxFaninDelay, e.coeffs(a.VddAt(id), a.Vts[id]))
@@ -230,8 +221,6 @@ func (e *Engine) gateDelay(id int, a *design.Assignment, w, maxFaninDelay float6
 // evaluated through the coefficient cache. Input gates have zero delay.
 //
 //cmosvet:hotpath
-//cmosvet:unit maxFaninDelay s
-//cmosvet:unit return s
 func (e *Engine) GateDelayWith(id int, a *design.Assignment, maxFaninDelay float64) float64 {
 	if !e.cs.IsLogic[id] {
 		return 0
@@ -244,9 +233,6 @@ func (e *Engine) GateDelayWith(id int, a *design.Assignment, maxFaninDelay float
 // mutation pattern in the width solver.
 //
 //cmosvet:hotpath
-//cmosvet:unit w 1
-//cmosvet:unit maxFaninDelay s
-//cmosvet:unit return s
 func (e *Engine) ProbeWidth(id int, a *design.Assignment, w, maxFaninDelay float64) float64 {
 	e.met.WidthProbes++
 	return e.gateDelay(id, a, w, maxFaninDelay)
@@ -259,9 +245,6 @@ func (e *Engine) ProbeWidth(id int, a *design.Assignment, w, maxFaninDelay float
 // move without mutating the assignment.
 //
 //cmosvet:hotpath
-//cmosvet:unit wOv 1
-//cmosvet:unit maxFaninDelay s
-//cmosvet:unit return s
 func (e *Engine) GateDelayOverride(id int, a *design.Assignment, ov int, wOv, maxFaninDelay float64) float64 {
 	if !e.cs.IsLogic[id] {
 		return 0
@@ -276,10 +259,6 @@ func (e *Engine) GateDelayOverride(id int, a *design.Assignment, ov int, wOv, ma
 }
 
 // SlopeCoeff returns the input-rise-time coefficient of one voltage pair.
-//
-//cmosvet:unit vdd V
-//cmosvet:unit vts V
-//cmosvet:unit return 1
 func (e *Engine) SlopeCoeff(vdd, vts float64) float64 { return e.dm.SlopeCoeff(vdd, vts) }
 
 // delaysInto computes per-gate delays into dst, walking the CSR level by
@@ -288,7 +267,6 @@ func (e *Engine) SlopeCoeff(vdd, vts float64) float64 { return e.dm.SlopeCoeff(v
 // matches the legacy flat walk exactly.
 //
 //cmosvet:hotpath
-//cmosvet:unit dst s
 func (e *Engine) delaysInto(dst []float64, a *design.Assignment) {
 	e.met.FullDelaySweeps++
 	var t0 time.Time
@@ -323,8 +301,6 @@ func (e *Engine) delaysInto(dst []float64, a *design.Assignment) {
 // arrivalsInto computes worst arrival times from the delays in td into dst.
 //
 //cmosvet:hotpath
-//cmosvet:unit dst s
-//cmosvet:unit td s
 func (e *Engine) arrivalsInto(dst, td []float64) {
 	cs := e.cs
 	for _, id := range cs.LevelGates(0) {
@@ -347,7 +323,6 @@ func (e *Engine) arrivalsInto(dst, td []float64) {
 // slice is engine scratch: read it before the next Engine call, copy to keep.
 //
 //cmosvet:hotpath
-//cmosvet:unit return s
 func (e *Engine) Delays(a *design.Assignment) []float64 {
 	e.delaysInto(e.td, a)
 	return e.td
@@ -357,8 +332,6 @@ func (e *Engine) Delays(a *design.Assignment) []float64 {
 // engine scratch (valid until the next Engine call).
 //
 //cmosvet:hotpath
-//cmosvet:unit return1 s
-//cmosvet:unit return2 s
 func (e *Engine) Arrivals(a *design.Assignment) (arr, td []float64) {
 	e.delaysInto(e.td, a)
 	e.arrivalsInto(e.arr, e.td)
@@ -369,7 +342,6 @@ func (e *Engine) Arrivals(a *design.Assignment) (arr, td []float64) {
 // output, allocation-free.
 //
 //cmosvet:hotpath
-//cmosvet:unit return s
 func (e *Engine) CriticalDelay(a *design.Assignment) float64 {
 	arr, _ := e.Arrivals(a)
 	worst := 0.0
@@ -385,10 +357,6 @@ func (e *Engine) CriticalDelay(a *design.Assignment) float64 {
 // graph propagation, no device-model calls.
 //
 //cmosvet:hotpath
-//cmosvet:unit td s
-//cmosvet:unit arr s
-//cmosvet:unit T s
-//cmosvet:unit return s
 func (e *Engine) slacksFrom(td, arr []float64, T float64) []float64 {
 	//cmosvet:allow hotalloc — one-time lazy init of slack scratch; every later sweep reuses it (0 allocs/op steady state)
 	if e.req == nil {
@@ -456,8 +424,6 @@ func (e *Engine) Energy(a *design.Assignment) power.Breakdown {
 
 // AvgPower converts a per-cycle energy into average power (W) at the
 // engine's clock frequency.
-//
-//cmosvet:unit return W
 func (e *Engine) AvgPower(b power.Breakdown) float64 {
 	e.mustPower()
 	return e.pm.Power(b)

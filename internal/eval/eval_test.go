@@ -14,17 +14,16 @@ import (
 	"cmosopt/internal/wiring"
 )
 
-// Base and step of the cache-overflow threshold sweep, named so the swept
-// operating points stay in volts.
+// Base and step (V) of the cache-overflow threshold sweep.
 const (
-	vtsBase = 0.2  //cmosvet:unit V
-	vtsStep = 1e-7 //cmosvet:unit V
+	vtsBase = 0.2
+	vtsStep = 1e-7
 )
 
-// Base and step of the width-pass targets, named so they stay in seconds.
+// Base and step (s) of the width-pass targets.
 const (
-	targetBase = 0.2e-9  //cmosvet:unit s
-	targetStep = 0.01e-9 //cmosvet:unit s
+	targetBase = 0.2e-9
+	targetStep = 0.01e-9
 )
 
 // buildCase returns a synthetic circuit with its engine plus the raw model
@@ -172,7 +171,9 @@ func TestWidthProbeMatchesProbeWidth(t *testing.T) {
 
 // Once its table, scratch and cache entry exist, a width solve allocates
 // nothing, on the engine and on a clone: on a random circuit, and on a hub
-// gate that drives nine fanouts and a primary output.
+// gate that drives nine fanouts and a primary output. Nor do the sweeps a
+// solve runs at each design point: WidthDelays, and CriticalDelay with
+// Energy.
 func TestWidthProbeZeroAlloc(t *testing.T) {
 	_, eng, _, _ := buildCase(t, 5)
 	b := circuit.NewBuilder("hub")
@@ -198,12 +199,22 @@ func TestWidthProbeZeroAlloc(t *testing.T) {
 				s.Target[i] = targetBase
 			}
 			a := design.Uniform(base.C.N(), 1.2, 0.3, 3)
-			e.SizeWidths(s, a, 1, 100, 12, 4) // prices the voltage pair
-			allocs := testing.AllocsPerRun(20, func() {
-				e.SizeWidths(s, a, 1, 100, 12, 4)
-			})
-			if allocs != 0 {
-				t.Errorf("%s: a width solve allocated %v times per run, want 0", base.C.Name, allocs)
+			full := func() { e.CriticalDelay(a) }
+			if base == eng { // hubEng is delay-only
+				full = func() { e.CriticalDelay(a); e.Energy(a) }
+			}
+			for _, sw := range []struct {
+				name string
+				run  func()
+			}{
+				{"a width solve", func() { e.SizeWidths(s, a, 1, 100, 12, 4) }},
+				{"WidthDelays", func() { e.WidthDelays(s, a) }},
+				{"the full sweeps", full},
+			} {
+				sw.run() // prices the voltage pair and sizes the sweep scratch
+				if allocs := testing.AllocsPerRun(20, sw.run); allocs != 0 {
+					t.Errorf("%s: %s allocated %v times per run, want 0", base.C.Name, sw.name, allocs)
+				}
 			}
 		}
 	}

@@ -55,7 +55,6 @@ func (e *Engine) refreshAll() {
 // cone.
 //
 //cmosvet:hotpath
-//cmosvet:unit w 1
 func (e *Engine) SetWidth(id int, w float64) {
 	a := e.bound
 	if a.W[id] == w {
@@ -76,14 +75,12 @@ func (e *Engine) SetWidth(id int, w float64) {
 // modify; valid until the next edit).
 //
 //cmosvet:hotpath
-//cmosvet:unit return s
 func (e *Engine) BoundDelays() []float64 { return e.curTd }
 
 // BoundCriticalDelay returns the tracked critical delay — a max over primary
 // outputs, no model calls.
 //
 //cmosvet:hotpath
-//cmosvet:unit return s
 func (e *Engine) BoundCriticalDelay() float64 {
 	worst := 0.0
 	for _, id := range e.C.POs {
@@ -99,8 +96,6 @@ func (e *Engine) BoundCriticalDelay() float64 {
 // returned slice is engine scratch (valid until the next Engine call).
 //
 //cmosvet:hotpath
-//cmosvet:unit T s
-//cmosvet:unit return s
 func (e *Engine) BoundSlacks(T float64) []float64 {
 	return e.slacksFrom(e.curTd, e.curArr, T)
 }

@@ -197,10 +197,10 @@ func (t *WidthTable) ID(i int) int32 { return t.slots[i].id }
 // delays in Delay; WidthDelays writes over them with the delays at the
 // final widths.
 type WidthScratch struct {
-	Target []float64 //cmosvet:unit s
-	Delay  []float64 //cmosvet:unit s
+	Target []float64
+	Delay  []float64
 	t      *WidthTable
-	w      []float64 //cmosvet:unit 1
+	w      []float64
 }
 
 // NewScratch returns fresh per-solve state for the table.
@@ -217,10 +217,10 @@ func (t *WidthTable) NewScratch() *WidthScratch {
 // positive, a negative C_PD or stack charge), which sends the gate-pass to
 // the cold path.
 type fanConst struct {
-	drive   float64 // I_Dw − f·I_off //cmosvet:unit A
-	perCap  float64 // V_dd/(2·drive) //cmosvet:unit V/A
-	stack   float64 // (f−1)·C_mi·V_dd //cmosvet:unit F*V
-	stackC1 float64 // stack/(2·I_Dw) when f > 1, else 0 //cmosvet:unit s
+	drive   float64 // I_Dw − f·I_off
+	perCap  float64 // V_dd/(2·drive)
+	stack   float64 // (f−1)·C_mi·V_dd
+	stackC1 float64 // stack/(2·I_Dw) when f > 1, else 0
 }
 
 // widthRow looks one voltage pair up as coeffs does, and counts it the same
@@ -230,8 +230,6 @@ type fanConst struct {
 // not written back.
 //
 //cmosvet:hotpath
-//cmosvet:unit vdd V
-//cmosvet:unit vts V
 func (e *Engine) widthRow(vdd, vts float64) (delay.Coeffs, []fanConst) {
 	k := e.coeffs(vdd, vts)
 	if e.last.row == nil {
@@ -267,7 +265,7 @@ func (e *Engine) widthRow(vdd, vts float64) (delay.Coeffs, []fanConst) {
 type widthSolve struct {
 	s      *WidthScratch
 	a      *design.Assignment
-	lo, hi float64 //cmosvet:unit 1
+	lo, hi float64
 	steps  int
 	grid   bisectGrid
 	closed bool // lo and hi are finite and positive: the thresholds apply
@@ -289,9 +287,6 @@ type widthSolve struct {
 // its search tests: 2 + steps for a bisection, 2 when lo meets the target
 // and 1 when hi misses it, plus 1 for the delay at hi and the second
 // search's on that path.
-//
-//cmosvet:unit lo 1
-//cmosvet:unit hi 1
 func (e *Engine) SizeWidths(s *WidthScratch, a *design.Assignment, lo, hi float64, steps, passes int) {
 	t := s.t
 	if t.cs != e.cs {
@@ -519,22 +514,22 @@ func (e *Engine) WidthDelays(s *WidthScratch, a *design.Assignment) {
 // widthPass derives inline. Its loads are re-read from the scratch widths
 // of the gate's fanouts at every width it evaluates.
 type gateTerms struct {
-	slope  float64 // input-slope component //cmosvet:unit s
-	vdd    float64 // the gate's supply //cmosvet:unit V
-	cpd    float64 // output parasitic capacitance per unit width //cmosvet:unit F
-	drive  float64 // net drive current I_Dw − f_ii·I_off //cmosvet:unit A
-	idw    float64 // drive current I_Dw //cmosvet:unit A
-	worst  float64 // worst fanout branch RC plus time of flight //cmosvet:unit s
-	stack  float64 // series-stack charge (f_ii−1)·C_mi·V_dd //cmosvet:unit F*V
+	slope  float64 // input-slope component
+	vdd    float64 // the gate's supply
+	cpd    float64 // output parasitic capacitance per unit width
+	drive  float64 // net drive current I_Dw − f_ii·I_off
+	idw    float64 // drive current I_Dw
+	worst  float64 // worst fanout branch RC plus time of flight
+	stack  float64 // series-stack charge (f_ii−1)·C_mi·V_dd
 	series bool    // f_ii > 1: the series-stack component applies
 
 	// The loads: w_f·C_t + C_INT for each fanout, in fanout order, then the
 	// primary-output load C_out + C_INT when po is set.
 	outs []int32
-	w    []float64 //cmosvet:unit 1
-	ct   float64   //cmosvet:unit F
-	cout float64   //cmosvet:unit F
-	cb   float64   //cmosvet:unit F
+	w    []float64
+	ct   float64
+	cout float64
+	cb   float64
 	po   bool
 
 	// stalled marks a gate the operating point cannot switch: its delay is
@@ -542,8 +537,8 @@ type gateTerms struct {
 	stalled bool
 
 	// The closed form c0 + c1/w, and whether the thresholds may use it.
-	c0     float64 //cmosvet:unit s
-	c1     float64 //cmosvet:unit s
+	c0     float64
+	c1     float64
 	affine bool
 }
 
@@ -554,10 +549,6 @@ type gateTerms struct {
 // it has made, and the settled delay.
 //
 //cmosvet:hotpath
-//cmosvet:unit maxIn s
-//cmosvet:unit return1 1
-//cmosvet:unit return2 1
-//cmosvet:unit return3 s
 func (e *Engine) widthGateCold(ws *widthSolve, i int, maxIn float64) (w, wOld, td float64) {
 	var g gateTerms
 	e.prepareTerms(&g, ws, i, maxIn)
@@ -582,7 +573,6 @@ func (e *Engine) widthGateCold(ws *widthSolve, i int, maxIn float64) (w, wOld, t
 // for this gate.
 //
 //cmosvet:hotpath
-//cmosvet:unit maxIn s
 func (e *Engine) prepareTerms(g *gateTerms, ws *widthSolve, i int, maxIn float64) {
 	t := ws.s.t
 	sl := t.slots[i]
@@ -644,8 +634,6 @@ func (e *Engine) prepareTerms(g *gateTerms, ws *widthSolve, i int, maxIn float64
 // GateDelayAt's order.
 //
 //cmosvet:hotpath
-//cmosvet:unit w 1
-//cmosvet:unit return s
 func (g *gateTerms) at(w float64) float64 {
 	if g.stalled {
 		return math.Inf(1)
@@ -674,8 +662,6 @@ func (g *gateTerms) at(w float64) float64 {
 // bisection that calls at at every width.
 //
 //cmosvet:hotpath
-//cmosvet:unit target s
-//cmosvet:unit return1 1
 func (e *Engine) minWidth(g *gateTerms, ws *widthSolve, target float64) (float64, bool) {
 	lo, hi, steps := ws.lo, ws.hi, ws.steps
 	// Every tested width lies in [lo, hi], where the thresholds hold when lo
@@ -720,10 +706,6 @@ func (e *Engine) minWidth(g *gateTerms, ws *widthSolve, target float64) (float64
 // threshold fails both comparisons, so it leaves every width to at.
 //
 //cmosvet:hotpath
-//cmosvet:unit w 1
-//cmosvet:unit wTrue 1
-//cmosvet:unit wFalse 1
-//cmosvet:unit target s
 func (g *gateTerms) meets(w, wTrue, wFalse, target float64) bool {
 	if w >= wTrue {
 		return true
@@ -764,10 +746,6 @@ func (e *Engine) countProbes(n int64) {
 // capacitances and currents sit hundreds of decades above that.
 //
 //cmosvet:hotpath
-//cmosvet:unit c0 s
-//cmosvet:unit c1 s
-//cmosvet:unit target s
-//cmosvet:unit return 1
 func bracketTrue(c0, c1, target float64) float64 {
 	// c0 + c1/w <= target·(1−margin) for w >= c1/(target·(1−margin) − c0);
 	// below c0 no width reaches the target.
@@ -781,10 +759,6 @@ func bracketTrue(c0, c1, target float64) float64 {
 // target; see bracketTrue.
 //
 //cmosvet:hotpath
-//cmosvet:unit c0 s
-//cmosvet:unit c1 s
-//cmosvet:unit target s
-//cmosvet:unit return 1
 func bracketFalse(c0, c1, target float64) float64 {
 	// c0 + c1/w >= target·(1+margin) for w <= c1/(target·(1+margin) − c0),
 	// and for every width once c0 alone reaches it.
@@ -803,17 +777,14 @@ func bracketFalse(c0, c1, target float64) float64 {
 // [1, 100] has such a grid up to 46 steps; a bound like 1.3, whose mantissa
 // has its low bits set, has none. step is 0 when the grid is not exact.
 type bisectGrid struct {
-	lo, hi float64 //cmosvet:unit 1
+	lo, hi float64
 	steps  int
-	step   float64 //cmosvet:unit 1
+	step   float64
 	n      int64
 }
 
 // newBisectGrid returns the grid of a bisection over [lo, hi] in steps
 // halvings, with step 0 unless every midpoint is exact.
-//
-//cmosvet:unit lo 1
-//cmosvet:unit hi 1
 func newBisectGrid(lo, hi float64, steps int) bisectGrid {
 	g := bisectGrid{lo: lo, hi: hi, steps: steps}
 	if steps < 1 || !(0 < lo && lo < hi && hi <= math.MaxFloat64) {
@@ -831,8 +802,6 @@ func newBisectGrid(lo, hi float64, steps int) bisectGrid {
 
 // lowBit returns the exponent of the lowest set bit of a finite x > 0: the
 // largest power of two x is a multiple of.
-//
-//cmosvet:unit x 1
 func lowBit(x float64) int {
 	frac, e := math.Frexp(x)
 	return e - 53 + bits.TrailingZeros64(uint64(math.Ldexp(frac, 53)))
@@ -849,9 +818,6 @@ func lowBit(x float64) int {
 // above hi leaves hi as the first passing point.
 //
 //cmosvet:hotpath
-//cmosvet:unit wTrue 1
-//cmosvet:unit wFalse 1
-//cmosvet:unit return1 1
 func (g *bisectGrid) final(wTrue, wFalse float64) (float64, bool) {
 	if g.step == 0 {
 		return 0, false

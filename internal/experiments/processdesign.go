@@ -21,18 +21,16 @@ import (
 // dimensionless: thresholds enter as Vt/refVt and the recommendation leaves
 // as refVt·exp(·), so the volts formally cancel and reappear. Dividing and
 // multiplying by exactly 1.0 is bitwise free.
-//
-//cmosvet:unit V
 const refVt = 1.0
 
 // ProcessVtEntry is the per-circuit outcome of the process-Vt study.
 type ProcessVtEntry struct {
 	Circuit   string
-	Activity  float64 //cmosvet:unit 1
-	OwnVt     float64 // the threshold the circuit's own joint optimum picked //cmosvet:unit V
-	OwnEnergy float64 //cmosvet:unit J
-	AtRecVt   float64 // total energy with Vt pinned at the recommendation //cmosvet:unit J
-	Penalty   float64 // AtRecVt / OwnEnergy (≥ 1) //cmosvet:unit 1
+	Activity  float64
+	OwnVt     float64 // the threshold the circuit's own joint optimum picked
+	OwnEnergy float64
+	AtRecVt   float64 // total energy with Vt pinned at the recommendation
+	Penalty   float64 // AtRecVt / OwnEnergy (≥ 1)
 }
 
 // ProcessVtStudy runs the joint optimizer per circuit, recommends the
@@ -40,9 +38,6 @@ type ProcessVtEntry struct {
 // target, then re-optimizes every circuit with the threshold pinned there
 // (supply and widths still free). It returns the recommendation and the
 // per-circuit entries.
-//
-//cmosvet:unit act 1
-//cmosvet:unit return1 V
 func ProcessVtStudy(cfg Config, act float64) (recommended float64, entries []ProcessVtEntry, err error) {
 	type own struct {
 		p   *core.Problem

@@ -21,13 +21,11 @@ import (
 
 // Breakdown splits an energy into its static and dynamic components (J).
 type Breakdown struct {
-	Static  float64 //cmosvet:unit J
-	Dynamic float64 //cmosvet:unit J
+	Static  float64
+	Dynamic float64
 }
 
 // Total returns static + dynamic energy.
-//
-//cmosvet:unit return J
 func (b Breakdown) Total() float64 { return b.Static + b.Dynamic }
 
 // Add accumulates another breakdown.
@@ -43,14 +41,12 @@ type Evaluator struct {
 	Tech *device.Tech
 	Act  *activity.Profile
 	Wire *wiring.Model
-	Fc   float64 // clock frequency //cmosvet:unit Hz
+	Fc   float64 // clock frequency
 
 	cs *circuit.CSR
 }
 
 // New builds a power evaluator. The circuit must be combinational.
-//
-//cmosvet:unit fc Hz
 func New(c *circuit.Circuit, tech *device.Tech, act *activity.Profile, wire *wiring.Model, fc float64) (*Evaluator, error) {
 	if c.IsSequential() {
 		return nil, fmt.Errorf("power: circuit %q is sequential; cut DFFs first", c.Name)
@@ -83,8 +79,6 @@ func (e *Evaluator) GateEnergy(id int, a *design.Assignment) Breakdown {
 // GateEnergyCoeff is GateEnergy with the gate's leakage coefficient
 // I_off(V_TS) supplied by the caller — the entry point for evaluation engines
 // that cache the per-(V_dd, V_TS) device coefficients (see internal/eval).
-//
-//cmosvet:unit ioff A
 func (e *Evaluator) GateEnergyCoeff(id int, a *design.Assignment, ioff float64) Breakdown {
 	g := e.C.Gate(id)
 	if !g.IsLogic() {
@@ -106,8 +100,6 @@ func (e *Evaluator) GateEnergyCoeff(id int, a *design.Assignment, ioff float64) 
 
 // OutputLoad returns the capacitance external to the gate at its output node:
 // fanout gate inputs, interconnect, and the module load on primary outputs.
-//
-//cmosvet:unit return F
 func (e *Evaluator) OutputLoad(id int, a *design.Assignment) float64 {
 	cb := e.Wire.BranchCap()
 	load := 0.0
@@ -132,6 +124,4 @@ func (e *Evaluator) Total(a *design.Assignment) Breakdown {
 
 // Power converts a per-cycle energy into average power at the evaluator's
 // clock frequency: J·Hz composes to W.
-//
-//cmosvet:unit return W
 func (e *Evaluator) Power(b Breakdown) float64 { return b.Total() * e.Fc }

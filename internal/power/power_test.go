@@ -12,11 +12,10 @@ import (
 	"cmosopt/internal/wiring"
 )
 
-const fc = 300e6 //cmosvet:unit Hz
+const fc = 300e6
 
-// testVdd names the supply literal of the formula tests so the energy
-// expressions below carry the volts the bare literal would drop.
-const testVdd = 1.2 //cmosvet:unit V
+// testVdd is the supply (V) of the formula tests.
+const testVdd = 1.2
 
 // fixture: in1,in2 -> NAND g -> NOT h (PO).
 func fixture(t *testing.T) (*circuit.Circuit, *Evaluator, device.Tech) {

@@ -120,6 +120,9 @@ func (r *Request) normalize() error {
 		if err := cli.CheckClock("fc_hz", r.FcHz); err != nil {
 			return err
 		}
+		if r.Mode == "anneal" && r.M != 0 {
+			return fmt.Errorf("m is not an anneal option")
+		}
 		if r.M == 0 {
 			r.M = 12
 		}

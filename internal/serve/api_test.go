@@ -51,6 +51,7 @@ func TestNormalizeRejects(t *testing.T) {
 		{"bad kind", Request{Kind: "frobnicate", Circuit: "s27"}, "unknown kind"},
 		{"bad mode", Request{Circuit: "s27", Mode: "psychic"}, "unknown mode"},
 		{"nv without multivt", Request{Circuit: "s27", Mode: "joint", NV: 3}, "multivt option"},
+		{"m with anneal", Request{Circuit: "s27", Mode: "anneal", M: 12}, "anneal option"},
 		{"sweep opts on optimize", Request{Circuit: "s27", Points: 4}, "sweep options"},
 		{"optimize opts on sweep", Request{Kind: KindSweep, Circuit: "s27", FcHz: 1e8}, "optimize options"},
 		{"sweep needs builtin", Request{Kind: KindSweep, Bench: "INPUT(a)"}, "built-in circuit"},

@@ -9,11 +9,11 @@ import (
 // path slack is already exhausted when it is reached (a degenerate case the
 // paper's Procedure 1 leaves implicit). Such budgets are typically repaired
 // downstream.
-const BudgetFloorFrac = 1e-6 //cmosvet:unit 1
+const BudgetFloorFrac = 1e-6
 
 // BudgetResult is the outcome of Procedure 1.
 type BudgetResult struct {
-	TMax []float64 // per-gate maximum delay budget (Input gates: +Inf) //cmosvet:unit s
+	TMax []float64 // per-gate maximum delay budget (Input gates: +Inf)
 }
 
 // AssignBudgets runs the paper's Procedure 1: walk paths in decreasing
@@ -37,8 +37,6 @@ type BudgetResult struct {
 // sum, one simultaneous pass restores the invariant exactly. The returned
 // budgets then satisfy: along every input-to-output path, the sum of budgets
 // is at most T.
-//
-//cmosvet:unit T s
 func AssignBudgets(a *Analysis, T float64) (*BudgetResult, error) {
 	if T <= 0 || math.IsNaN(T) {
 		return nil, fmt.Errorf("timing: cycle budget %v must be positive", T)
@@ -109,9 +107,6 @@ func AssignBudgets(a *Analysis, T float64) (*BudgetResult, error) {
 // for Procedure 1 holds by construction after this cap. The cap also bounds
 // every budget from below by FoEff·T/C_max, so no gate is squeezed into an
 // unreachable target.
-//
-//cmosvet:unit tMax s
-//cmosvet:unit T s
 func normalizeBudgets(a *Analysis, tMax []float64, T float64) {
 	for i, logic := range a.cs.IsLogic {
 		if !logic {
@@ -130,8 +125,6 @@ func normalizeBudgets(a *Analysis, tMax []float64, T float64) {
 // maxPaths. It exists to validate the production AssignBudgets (which
 // selects each next path in O(E) without materializing the list); the two
 // must produce identical budgets when maxPaths covers the circuit.
-//
-//cmosvet:unit T s
 func AssignBudgetsEnumerated(a *Analysis, T float64, maxPaths int) (*BudgetResult, error) {
 	if T <= 0 || math.IsNaN(T) {
 		return nil, fmt.Errorf("timing: cycle budget %v must be positive", T)
@@ -231,9 +224,6 @@ func AssignBudgetsEnumerated(a *Analysis, T float64, maxPaths int) (*BudgetResul
 // leaving a (1−gamma) fraction of the driven gate's budget for its own
 // switching. Tightening never violates the cycle-time invariant. Returns the
 // number of budgets reduced.
-//
-//cmosvet:unit kappa 1
-//cmosvet:unit gamma 1
 func RepairBudgets(a *Analysis, res *BudgetResult, kappa, gamma float64) (int, error) {
 	if kappa <= 0 || kappa >= 1 {
 		return 0, fmt.Errorf("timing: slope coefficient kappa %v outside (0,1)", kappa)
@@ -266,11 +256,6 @@ func RepairBudgets(a *Analysis, res *BudgetResult, kappa, gamma float64) (int, e
 // CheckBudgets verifies Procedure 1's invariant: the worst path sum of
 // budgets is at most T (within tolerance tol, which absorbs floor budgets).
 // It returns the worst path budget sum found.
-//
-//cmosvet:unit tMax s
-//cmosvet:unit T s
-//cmosvet:unit tol 1
-//cmosvet:unit return1 s
 func CheckBudgets(a *Analysis, tMax []float64, T, tol float64) (float64, bool) {
 	sum := make([]float64, a.C.N())
 	worst := 0.0

@@ -21,13 +21,13 @@ import (
 // Params sets the stochastic wiring model's technology and architecture
 // parameters.
 type Params struct {
-	RentP     float64 // Rent exponent (≈0.6 for random logic) //cmosvet:unit 1
-	RentK     float64 // Rent coefficient (≈4) //cmosvet:unit 1
-	AvgFanout float64 // average fanout used in the distribution's α = f/(f+1) //cmosvet:unit 1
-	GatePitch float64 // distance between adjacent gate sites //cmosvet:unit m
-	CPerLen   float64 // interconnect capacitance per length //cmosvet:unit F/m
-	RPerLen   float64 // interconnect resistance (Ω = V/A) per length //cmosvet:unit V/A/m
-	Velocity  float64 // signal propagation velocity on interconnect //cmosvet:unit m/s
+	RentP     float64 // Rent exponent (≈0.6 for random logic)
+	RentK     float64 // Rent coefficient (≈4)
+	AvgFanout float64 // average fanout used in the distribution's α = f/(f+1)
+	GatePitch float64 // distance between adjacent gate sites
+	CPerLen   float64 // interconnect capacitance per length
+	RPerLen   float64 // interconnect resistance (Ω = V/A) per length
+	Velocity  float64 // signal propagation velocity on interconnect
 }
 
 // Default350 returns wiring parameters representative of a 0.35 µm-era
@@ -68,13 +68,13 @@ type Model struct {
 	P Params
 	N int
 
-	meanPitches float64 // expected point-to-point length in gate pitches //cmosvet:unit 1
+	meanPitches float64 // expected point-to-point length in gate pitches
 
 	// The mean branch's C_INT, R_INT and time of flight, derived from its
 	// length once in New so that the accessors are loads.
-	meanCap    float64 //cmosvet:unit F
-	meanRes    float64 //cmosvet:unit V/A
-	meanFlight float64 //cmosvet:unit s
+	meanCap    float64
+	meanRes    float64
+	meanFlight float64
 }
 
 // New builds the wiring model for a network of n logic gates.
@@ -95,9 +95,6 @@ func New(p Params, n int) (*Model, error) {
 // Density returns the (unnormalized) expected number of connections of
 // length l gate pitches, the two-region Davis distribution. It is zero
 // outside [1, 2√N].
-//
-//cmosvet:unit l 1
-//cmosvet:unit return 1
 func (m *Model) Density(l float64) float64 {
 	sqN := math.Sqrt(float64(m.N))
 	if l < 1 || l > 2*sqN {
@@ -114,8 +111,6 @@ func (m *Model) Density(l float64) float64 {
 }
 
 // computeMean integrates l·i(l) / i(l) over the discrete lengths 1..2√N.
-//
-//cmosvet:unit return 1
 func (m *Model) computeMean() float64 {
 	lMax := int(math.Ceil(2 * math.Sqrt(float64(m.N))))
 	var num, den float64
@@ -132,43 +127,34 @@ func (m *Model) computeMean() float64 {
 
 // BranchLength returns the expected length in meters of one fanout branch
 // (one point-to-point connection of a net).
-//
-//cmosvet:unit return m
 func (m *Model) BranchLength() float64 { return m.meanPitches * m.P.GatePitch }
 
 // BranchCap returns C_INTij, the interconnect capacitance of one fanout
 // branch (F): the mean branch's, which every net carries.
 //
 //cmosvet:hotpath
-//cmosvet:unit return F
 func (m *Model) BranchCap() float64 { return m.meanCap }
 
 // BranchRes returns R_INTij, the interconnect resistance of one fanout
 // branch (Ω = V/A); see BranchCap.
 //
 //cmosvet:hotpath
-//cmosvet:unit return V/A
 func (m *Model) BranchRes() float64 { return m.meanRes }
 
 // FlightTime returns the time of flight over one fanout branch (s); see
 // BranchCap.
 //
 //cmosvet:hotpath
-//cmosvet:unit return s
 func (m *Model) FlightTime() float64 { return m.meanFlight }
 
 // DieEdge returns the edge length of the (square) placement region implied
 // by the gate count and pitch (m).
-//
-//cmosvet:unit return m
 func (m *Model) DieEdge() float64 { return math.Sqrt(float64(m.N)) * m.P.GatePitch }
 
 // TotalWireEstimate returns the expected total routed wire length of the
 // module (m), summing one branch per fanout connection: Σ_nets fanout·L̄ =
 // E · L̄ where E is the number of point-to-point connections. This is the
 // aggregate the Davis model was built to predict for wiring-layer planning.
-//
-//cmosvet:unit return m
 func (m *Model) TotalWireEstimate(totalFanoutEdges int) float64 {
 	if totalFanoutEdges < 0 {
 		totalFanoutEdges = 0
