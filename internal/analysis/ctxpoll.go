@@ -13,12 +13,12 @@ import (
 // job's cancel would silently stop working for that loop shape.
 //
 // What counts as reaching evaluation: a direct call to an Engine
-// full-evaluation method (Delays/Arrivals/CriticalDelay/Energy/
-// WidthDelays), a call to a same-module function whose CallsEval
-// fact is set (computed transitively within each package — core's evalPoint
-// and everything funneling into it), or a call to a local closure whose body
-// does either. A width solve (core's solveWidths) reaches evaluation through
-// its verification sweep, WidthDelays. Per-gate probes (ProbeWidth,
+// full-evaluation method (Delays/CriticalDelay/Energy/WidthDelays), a call
+// to a same-module function whose CallsEval fact is set (computed
+// transitively within each package — core's evalPoint and everything
+// funneling into it), or a call to a local closure whose body does either.
+// A width solve (core's solveWidths) reaches evaluation through its
+// verification sweep, WidthDelays. Per-gate probes (ProbeWidth,
 // GateDelayWith, GateDelayOverride) and the width kernel's passes
 // (SizeWidths) are deliberately not "evaluation": a width solve inside one
 // candidate runs them by design and polls only at its candidate boundary.

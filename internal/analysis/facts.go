@@ -211,8 +211,7 @@ func calleeRef(info *types.Info, call *ast.CallExpr) (path, key string, ok bool)
 // kernel's passes (SizeWidths) and incremental Bound* reads are deliberately
 // excluded: a width solve inside one candidate may run them without polling.
 var engineEvalMethods = map[string]bool{
-	"Delays": true, "Arrivals": true,
-	"CriticalDelay": true, "Energy": true, "WidthDelays": true,
+	"Delays": true, "CriticalDelay": true, "Energy": true, "WidthDelays": true,
 }
 
 // isEngineEvalCall reports a call to an eval.Engine full-circuit evaluation.

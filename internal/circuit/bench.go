@@ -238,9 +238,7 @@ type Stats struct {
 	Outputs    int
 	DFFs       int
 	Depth      int
-	MaxFanin   int
 	MaxFanout  int
-	AvgFanout  float64 // mean fanout over logic gates and inputs with fanout
 	TypeCounts map[GateType]int
 }
 
@@ -251,7 +249,6 @@ type Stats struct {
 // a cyclic netlist.
 func ComputeStats(c *Circuit) Stats {
 	s := Stats{Name: c.Name, TypeCounts: make(map[GateType]int)}
-	totalFanout, drivers := 0, 0
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		s.TypeCounts[g.Type]++
@@ -263,22 +260,11 @@ func ComputeStats(c *Circuit) Stats {
 		default:
 			s.Gates++
 		}
-		if n := g.NumFanin(); n > s.MaxFanin {
-			s.MaxFanin = n
-		}
-		fo := c.csr.NumFanout(int32(i))
-		if fo > s.MaxFanout {
+		if fo := c.csr.NumFanout(int32(i)); fo > s.MaxFanout {
 			s.MaxFanout = fo
-		}
-		if fo > 0 {
-			totalFanout += fo
-			drivers++
 		}
 	}
 	s.Outputs = len(c.POs)
-	if drivers > 0 {
-		s.AvgFanout = float64(totalFanout) / float64(drivers)
-	}
 	if d, err := c.Depth(); err == nil {
 		s.Depth = d
 	}

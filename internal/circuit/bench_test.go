@@ -272,9 +272,6 @@ func TestComputeStats(t *testing.T) {
 	if s.Depth != 3 {
 		t.Errorf("Depth = %d, want 3", s.Depth)
 	}
-	if s.MaxFanin != 2 {
-		t.Errorf("MaxFanin = %d, want 2", s.MaxFanin)
-	}
 	if s.TypeCounts[Nand] != 6 {
 		t.Errorf("NAND count = %d, want 6", s.TypeCounts[Nand])
 	}
@@ -292,25 +289,7 @@ func TestComputeStats(t *testing.T) {
 		t.Fatal("raw s27 should be cyclic")
 	}
 	s = ComputeStats(raw)
-	if s.Gates != 10 || s.DFFs != 3 || s.Depth != 0 || s.MaxFanout != 3 || s.AvgFanout != 1.3125 {
-		t.Errorf("raw s27 stats = %+v, want 10 gates, 3 DFFs, depth 0, max fanout 3, avg fanout 1.3125", s)
-	}
-}
-
-func TestStatsAvgFanout(t *testing.T) {
-	c, err := ParseBenchString("t", `
-INPUT(a)
-OUTPUT(o)
-g1 = NOT(a)
-g2 = NOT(g1)
-o = NAND(g1, g2)
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := ComputeStats(c)
-	// a->1, g1->2, g2->1: avg over 3 drivers = 4/3.
-	if s.AvgFanout < 1.33 || s.AvgFanout > 1.34 {
-		t.Errorf("AvgFanout = %v, want 4/3", s.AvgFanout)
+	if s.Gates != 10 || s.DFFs != 3 || s.Depth != 0 || s.MaxFanout != 3 {
+		t.Errorf("raw s27 stats = %+v, want 10 gates, 3 DFFs, depth 0, max fanout 3", s)
 	}
 }

@@ -370,7 +370,7 @@ func TestVariationStudyShape(t *testing.T) {
 		t.Fatalf("got %d points", len(pts))
 	}
 	for i, pt := range pts {
-		if !pt.Feasible {
+		if math.IsInf(pt.WorstEnergy, 1) {
 			t.Fatalf("point %d infeasible", i)
 		}
 		if pt.Savings <= 1 {
@@ -400,7 +400,7 @@ func TestSlackStudyShape(t *testing.T) {
 		t.Fatalf("got %d points", len(pts))
 	}
 	for _, pt := range pts {
-		if !pt.Feasible {
+		if math.IsInf(pt.JointEnergy, 1) {
 			t.Fatalf("skew %v infeasible", pt.Skew)
 		}
 	}

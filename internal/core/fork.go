@@ -8,16 +8,16 @@ import (
 
 // fork returns a worker's private copy of the problem, the one unit of
 // worker state in every parallel driver. Circuit, activity, wiring, timing,
-// budgets, the span node and the width kernel's gate table are shared
-// read-only; the engine is a clone and the width solver's scratch and the
-// walk's spare candidate are fresh, so independent solves never share
+// budgets and the span node are shared read-only; the engine is a clone
+// (sharing the width kernel's gate table, with its own scratch) and the
+// walk's spare candidate is fresh, so independent solves never share
 // mutable state. The struct copy shares every other field by default,
 // leaving no field list to drift. The caller merges the fork's effort
 // counters back with absorb.
 func (p *Problem) fork() *Problem {
 	f := *p
 	f.Eval = p.Eval.Clone()
-	f.wscr, f.spare = nil, nil
+	f.spare = nil
 	return &f
 }
 

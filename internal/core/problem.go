@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"cmosopt/internal/activity"
 	"cmosopt/internal/circuit"
@@ -70,19 +69,7 @@ type Problem struct {
 	// running optimizer (setTrace) and inherited by forks, so parallel scans
 	// attach to the same node. Nil (spans off) without a registry.
 	trace *obs.Span
-	// widths holds the width kernel's gate table: built on the first width
-	// solve and shared read-only by forks through the pointer, so two forks
-	// never both build it. wscr is the solver's per-solve scratch over it,
-	// one per fork (allocated on the fork's first solve).
-	widths *widthTable
-	wscr   *eval.WidthScratch
-	spare  *design.Assignment // a candidate buffer the walk discarded (see candidate)
-}
-
-// widthTable builds the width kernel's gate table once.
-type widthTable struct {
-	once sync.Once
-	t    *eval.WidthTable
+	spare *design.Assignment // a candidate buffer the walk discarded (see candidate)
 }
 
 // Canceled reports whether the problem's context has been canceled or has
@@ -198,7 +185,6 @@ func NewProblem(s Spec) (*Problem, error) {
 	if p.cs, err = c.CSR(); err != nil {
 		return nil, err
 	}
-	p.widths = new(widthTable)
 	p.otrace = s.Obs.Root()
 	p.ctx = s.Ctx
 	if p.ctx == nil {

@@ -149,20 +149,14 @@ func (p *Problem) price(how pricer, vdd, vts float64, o *Options) pointRes {
 	return p.evalPoint(vdd, vts, o)
 }
 
-// incumbent is the best feasible point a search has seen, with the voltages
-// it was priced at.
-type incumbent struct {
-	pointRes
-	vdd, vts float64
-}
-
-// consider makes r, priced at (vdd, vts), the incumbent when it is feasible
-// and strictly better. It returns the assignment that is not the incumbent
-// afterwards: r's, or the one r displaced (nil when there was none).
-func (b *incumbent) consider(r pointRes, vdd, vts float64) *design.Assignment {
+// consider makes r the incumbent b, the best feasible point a search has
+// seen, when r is feasible and strictly better. It returns the assignment
+// that is not the incumbent afterwards: r's, or the one r displaced (nil
+// when there was none).
+func (b *pointRes) consider(r pointRes) *design.Assignment {
 	if r.ok && r.e < b.e {
 		old := b.a
-		*b = incumbent{r, vdd, vts}
+		*b = r
 		return old
 	}
 	return r.a
@@ -190,13 +184,13 @@ func axis(lo, hi, pin float64, m int) (optimize.Range, int) {
 // final iterate is never better than its incumbent. The walk is serial at
 // every worker count. A canceled run stops at the next candidate boundary
 // and leaves the error to the caller's Canceled check.
-func (p *Problem) walk(span *obs.Span, o *Options, pinVdd, pinVt float64, how pricer) incumbent {
+func (p *Problem) walk(span *obs.Span, o *Options, pinVdd, pinVt float64, how pricer) pointRes {
 	lvl := span.Child("vdd-level")
 	oldTrace := p.setTrace(lvl)
 	defer p.setTrace(oldTrace)
 	vddR, vddSteps := axis(p.Tech.VddMin, p.Tech.VddMax, pinVdd, o.M)
 	vts0, vtsSteps := axis(p.Tech.VtsMin, p.Tech.VtsMax, pinVt, o.M)
-	best := incumbent{pointRes: pointRes{e: math.Inf(1)}}
+	best := pointRes{e: math.Inf(1)}
 	prevVdd := math.Inf(1)
 	for i := 0; i < vddSteps; i++ {
 		// Cancellation polls: between candidates, never inside one, so an
@@ -216,7 +210,7 @@ func (p *Problem) walk(span *obs.Span, o *Options, pinVdd, pinVt float64, how pr
 			r := p.price(how, vdd, vts, o)
 			// The assignment that lost is referenced nowhere else: the next
 			// candidate reuses it.
-			p.spare = best.consider(r, vdd, vts)
+			p.spare = best.consider(r)
 			if r.e < levelE {
 				levelE = r.e
 			}

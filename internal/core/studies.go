@@ -11,11 +11,10 @@ import (
 // function of the tolerated threshold-voltage process variation.
 type VariationPoint struct {
 	Tol         float64 // fractional Vt tolerance (0.1 = ±10 %)
-	WorstEnergy float64 // worst-case (leaky-corner) per-cycle energy of the optimized design
+	WorstEnergy float64 // worst-case (leaky-corner) per-cycle energy of the optimized design; +Inf when infeasible
 	Savings     float64 // baseline energy / WorstEnergy
 	Vdd         float64
 	Vts         float64 // nominal threshold chosen under the corners
-	Feasible    bool
 }
 
 // VariationStudy reproduces Figure 2(a): for each tolerance, the optimizer is
@@ -48,7 +47,6 @@ func (p *Problem) VariationStudy(tols []float64, opts Options, baseline *Result)
 			pt.Savings = baseline.Energy.Total() / res.Objective
 			pt.Vdd = res.Vdd
 			pt.Vts = res.VtsValues[0]
-			pt.Feasible = true
 		} else {
 			pt.WorstEnergy = math.Inf(1)
 		}
@@ -66,12 +64,11 @@ func (p *Problem) VariationStudy(tols []float64, opts Options, baseline *Result)
 // function of the available cycle time.
 type SlackPoint struct {
 	Skew           float64 // skew factor b (available budget = b·T_c)
-	JointEnergy    float64
+	JointEnergy    float64 // +Inf when no design point meets the budget
 	BaselineEnergy float64
 	Savings        float64 // baseline / joint at the same budget
 	JointVdd       float64
 	JointVts       float64
-	Feasible       bool
 }
 
 // SlackStudy reproduces Figure 2(b): the joint optimizer is re-run across a
@@ -109,7 +106,6 @@ func SlackStudy(spec Spec, skews []float64, opts Options) ([]SlackPoint, error) 
 			pt.Savings = pt.BaselineEnergy / pt.JointEnergy
 			pt.JointVdd = joint.Vdd
 			pt.JointVts = joint.VtsValues[0]
-			pt.Feasible = true
 		} else {
 			pt.JointEnergy = math.Inf(1)
 		}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"cmosopt/internal/design"
-	"cmosopt/internal/eval"
-)
+import "cmosopt/internal/design"
 
 // solveWidths is the innermost loop of Procedure 2: for the supply and
 // threshold voltages already set in a, find for every gate the smallest width
@@ -18,20 +15,21 @@ import (
 // iteration, which strictly dominates it.
 //
 // The sweeps run in the evaluation engine's width kernel (eval.SizeWidths),
-// over the problem's width table: the logic gates level by level, each
-// level grouped by gate shape. No gate of a level is a fanin or a fanout of
-// another gate of that level, so every gate reads the same fanin delays and
-// fanout widths in any order within its level, and the widths, the verdict
-// and the summed effort counters are those of a sweep in topological order.
+// over the engine's width table and scratch: the logic gates level by
+// level, each level grouped by gate shape. No gate of a level is a fanin or
+// a fanout of another gate of that level, so every gate reads the same
+// fanin delays and fanout widths in any order within its level, and the
+// widths, the verdict and the summed effort counters are those of a sweep
+// in topological order.
 //
 // It returns true only if, after the final sweep, a full delay recomputation
 // meets every budget. That recomputation also runs on the width table
-// (eval.WidthDelays): one sweep in solve order that forms each delay as
-// Delays would, bit for bit, and is billed as one Delays call; it leaves the
-// final delays in the scratch's Delay by solve position. Widths are left in
-// a (best effort) either way.
+// (eval.WidthDelays, the loop of the engine's full sweep): one sweep in
+// solve order, billed as one full sweep, that leaves the final delays in
+// the scratch's Delay by solve position. Widths are left in a (best effort)
+// either way.
 func (p *Problem) solveWidths(a *design.Assignment, mSteps, passes int) bool {
-	s := p.widthScratch()
+	s := p.Eval.WidthScratch()
 	// The per-gate search targets a slightly tightened budget so the small
 	// delay drift caused by fanouts widening in later sweeps (a gate's load)
 	// cannot push an exactly-met budget into violation; the final
@@ -39,9 +37,8 @@ func (p *Problem) solveWidths(a *design.Assignment, mSteps, passes int) bool {
 	// every solve: a caller may rewrite the budgets between solves.
 	const searchMargin = 0.97
 	budget := p.Budgets.TMax
-	t := p.widths.t
 	for i := range s.Target {
-		s.Target[i] = budget[t.ID(i)] * searchMargin
+		s.Target[i] = budget[s.ID(i)] * searchMargin
 	}
 	p.Eval.SizeWidths(s, a, p.Tech.WMin, p.Tech.WMax, mSteps, passes)
 
@@ -53,19 +50,9 @@ func (p *Problem) solveWidths(a *design.Assignment, mSteps, passes int) bool {
 	const budgetTol = 1.03
 	p.Eval.WidthDelays(s, a)
 	for i, d := range s.Delay {
-		if d > budget[t.ID(i)]*budgetTol {
+		if d > budget[s.ID(i)]*budgetTol {
 			return false
 		}
 	}
 	return true
-}
-
-// widthScratch returns the fork's width-solve scratch, building the shared
-// width table on the problem's first solve and the scratch on the fork's.
-func (p *Problem) widthScratch() *eval.WidthScratch {
-	if p.wscr == nil {
-		p.widths.once.Do(func() { p.widths.t = p.Eval.NewWidthTable() })
-		p.wscr = p.widths.t.NewScratch()
-	}
-	return p.wscr
 }

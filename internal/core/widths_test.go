@@ -111,9 +111,9 @@ func TestOptimizeJointEffortPinned(t *testing.T) {
 // search, 2 when WMin meets the target, 1 when WMax misses it, plus 1 for
 // the delay at WMax and the second search on that path — and takes each
 // gate's settled delay through GateDelayWith, one gate-delay call and one
-// coefficient lookup per gate-pass. It verifies the budgets with the
-// engine's Delays, the CSR sweep, and returns the verdict and that sweep's
-// delays by gate ID.
+// coefficient lookup per gate-pass. It verifies the budgets on the
+// reference evaluator's delays, billing one full sweep through the
+// engine's Delays, and returns the verdict and those delays by gate ID.
 func solveWidthsTopo(p *Problem, a *design.Assignment, mSteps, passes int) (bool, []float64) {
 	logic := p.logicOrder()
 	budget := p.Budgets.TMax
@@ -179,7 +179,8 @@ func solveWidthsTopo(p *Problem, a *design.Assignment, mSteps, passes int) (bool
 		}
 	}
 	const budgetTol = 1.03
-	final := slices.Clone(p.Eval.Delays(a))
+	p.Eval.Delays(a)
+	final := dm.Delays(a)
 	for _, id := range logic {
 		if final[id] > budget[id]*budgetTol {
 			return false, final
@@ -255,13 +256,13 @@ func TestSolveWidthsLevelOrderInvariant(t *testing.T) {
 			}
 			logic := shaped.logicOrder()
 			cs := shaped.cs
-			tab := shaped.Eval.NewWidthTable()
-			if tab.Len() != len(logic) {
-				t.Fatalf("%s: width table holds %d gates, want the %d logic gates", c.Name, tab.Len(), len(logic))
+			s := shaped.Eval.WidthScratch()
+			if len(s.Target) != len(logic) {
+				t.Fatalf("%s: width table holds %d gates, want the %d logic gates", c.Name, len(s.Target), len(logic))
 			}
-			order := make([]int32, tab.Len())
+			order := make([]int32, len(s.Target))
 			for i := range order {
-				order[i] = tab.ID(i)
+				order[i] = s.ID(i)
 			}
 			for l := 1; l < cs.NumLevels(); l++ {
 				lv := cs.LevelStart[l] - cs.LevelStart[1]
@@ -303,8 +304,8 @@ func TestSolveWidthsLevelOrderInvariant(t *testing.T) {
 								break
 							}
 						}
-						for i, d := range shaped.wscr.Delay {
-							if id := tab.ID(i); math.Float64bits(d) != math.Float64bits(wantFinal[id]) {
+						for i, d := range s.Delay {
+							if id := s.ID(i); math.Float64bits(d) != math.Float64bits(wantFinal[id]) {
 								t.Errorf("%s: gate %d final delay %v, oracle %v", where, id, d, wantFinal[id])
 								break
 							}
@@ -335,10 +336,11 @@ func TestSolveWidthsLevelOrderInvariant(t *testing.T) {
 	}
 }
 
-// Forks made before any width solve share one width table: two forks of a
-// fresh problem that solve concurrently build it once between them (run
-// under -race), and each matches a serial solve of the same point bit for
-// bit, widths and counters alike.
+// Forks made before any width solve share one width table through their
+// engine clones: two forks of a fresh problem that solve concurrently build
+// it once between them (run under -race; TestClonesShareWidthTable checks
+// the sharing itself), and each matches a serial solve of the same point
+// bit for bit, widths and counters alike.
 func TestForksShareWidthTable(t *testing.T) {
 	c, err := netgen.Profile("s510")
 	if err != nil {
@@ -365,10 +367,6 @@ func TestForksShareWidthTable(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if forks[0].widths.t == nil || forks[0].widths.t != forks[1].widths.t || p.widths.t != forks[0].widths.t {
-		t.Fatalf("forks hold width tables %p and %p, the problem %p: want one shared table",
-			forks[0].widths.t, forks[1].widths.t, p.widths.t)
-	}
 	for i, f := range forks {
 		want := design.Uniform(c.N(), points[i][0], points[i][1], 1)
 		before := *serial.Eval.Metrics()

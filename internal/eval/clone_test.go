@@ -85,3 +85,39 @@ func TestCloneCachesArePrivate(t *testing.T) {
 		t.Errorf("clone: %d coefficient misses on a pair its parent priced first, want 1", m)
 	}
 }
+
+// An engine and its clones share one width table, which the first of them
+// to sweep builds — here two clones of a fresh engine sweeping at once (run
+// under -race) — and each holds its own scratch over it.
+func TestClonesShareWidthTable(t *testing.T) {
+	c, eng, _, _ := buildCase(t, 14)
+	a := design.Uniform(c.N(), 1.5, 0.35, 4)
+	clones := []*Engine{eng.Clone(), eng.Clone()}
+	got := make([]float64, len(clones))
+	var wg sync.WaitGroup
+	for i, cl := range clones {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = cl.CriticalDelay(a)
+		}()
+	}
+	wg.Wait()
+	s := eng.WidthScratch()
+	if s.t == nil {
+		t.Fatal("no width table")
+	}
+	want := eng.CriticalDelay(a)
+	for i, cl := range clones {
+		cs := cl.WidthScratch()
+		if cs.t != s.t {
+			t.Errorf("clone %d sweeps on table %p, its parent on %p: want one shared table", i, cs.t, s.t)
+		}
+		if cs == s || cs == clones[1-i].WidthScratch() {
+			t.Errorf("clone %d shares its scratch", i)
+		}
+		if got[i] != want {
+			t.Errorf("clone %d critical delay %v, parent %v", i, got[i], want)
+		}
+	}
+}

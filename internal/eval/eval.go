@@ -5,8 +5,13 @@
 // only place that constructs those evaluators, and it adds the machinery that
 // makes iterative optimization cheap:
 //
-//   - per-engine scratch buffers, so steady-state full-circuit evaluation
-//     (Delays, Arrivals, CriticalDelay, Energy) is allocation-free;
+//   - one full-circuit delay sweep: Delays, CriticalDelay and Bind's
+//     refresh gather the assignment's widths into the engine's width-kernel
+//     scratch, run WidthDelays over the circuit's width table and then one
+//     arrival pass in the same order, so every full-circuit delay in the
+//     engine is formed by one loop. The table is built on first use and
+//     shared by clones; each engine's scratch is its own, so steady-state
+//     full-circuit evaluation (with Energy) is allocation-free;
 //   - a per-(V_dd, V_TS) device-coefficient cache: the slope coefficient,
 //     drive current I_Dw and leakage I_off depend on the voltage pair only,
 //     yet cost three transcendental evaluations per gate-delay call when
@@ -17,12 +22,11 @@
 //     "what would this gate's delay be at width w" without the
 //     mutate-and-restore pattern on the assignment;
 //   - the width kernel (SizeWidths, widths.go): Procedure 2's width passes
-//     as one fused loop over a solve-order gate table. A probe is one
+//     as one fused loop over the solve-order gate table. A probe is one
 //     width a search tests, answered by Eq. A3's closed form c0 + c1/w
 //     when that decides it and by the term-by-term sum otherwise, with the
-//     same verdict either way. WidthDelays, the solve's verification
-//     sweep, re-times the circuit over the same table, with the bits and
-//     the bill of one Delays call;
+//     same verdict either way. The solve verifies its budgets with
+//     WidthDelays on the widths the passes left;
 //   - incremental re-evaluation (Bind/SetWidth in incremental.go): editing
 //     one gate's width dirties only its fanin loads and its fanout cone, not
 //     the whole circuit;
@@ -35,15 +39,14 @@
 // coefficient cache and the tracked state are engine-owned. Give each
 // goroutine its own Engine — Clone (clone.go) makes that cheap by sharing
 // every immutable structure (circuit, technology, activity, wiring, model
-// evaluators, topological order), allocating only fresh scratch and an
-// empty coefficient cache. Parallel drivers build one clone per worker
-// through internal/parallel.
+// evaluators, topological order, width table) and starting with an empty
+// coefficient cache and no scratch. Parallel drivers build one clone per
+// worker through internal/parallel.
 package eval
 
 import (
-	"fmt"
 	"math"
-	"time"
+	"sync"
 
 	"cmosopt/internal/activity"
 	"cmosopt/internal/circuit"
@@ -82,10 +85,16 @@ type Engine struct {
 	Fc   float64
 
 	dm *delay.Evaluator
-	pm *power.Evaluator // nil for a delay-only engine
+	pm *power.Evaluator
 
 	cs       *circuit.CSR // levelized struct-of-arrays view, shared by clones
 	numLogic int
+
+	// table returns the width kernel's gate table, building it on the
+	// first call of the engine or any of its clones, which share it; ws is
+	// this engine's scratch over it (nil until first use).
+	table func() *widthTable
+	ws    *WidthScratch
 
 	// Device-coefficient cache: a single-entry fast path (within one
 	// optimizer probe sequence nearly every call shares one voltage pair)
@@ -102,9 +111,9 @@ type Engine struct {
 	fanFree   []fanConst
 	fanStride int
 
-	// Scratch for the full-evaluation APIs (valid until the next Engine call).
+	// Gate-ID scratch of Delays and the slacks, allocated on first use
+	// (valid until the next Engine call).
 	td    []float64
-	arr   []float64
 	req   []float64
 	slack []float64
 
@@ -121,30 +130,12 @@ type Engine struct {
 	// perspective: nothing here feeds back into any result.
 	sink    *obsSink
 	flushed Metrics // Metrics already exported by FlushObs
-	primary bool    // set by New/NewDelayOnly, false on clones (see FlushObs)
+	primary bool    // set by New, false on clones (see FlushObs)
 }
 
 // New builds the evaluation engine for a combinational circuit, constructing
 // the delay and power model evaluators internally.
 func New(c *circuit.Circuit, tech *device.Tech, act *activity.Profile, wire *wiring.Model, fc float64) (*Engine, error) {
-	e, err := NewDelayOnly(c, tech, wire)
-	if err != nil {
-		return nil, err
-	}
-	pm, err := power.New(c, tech, act, wire, fc)
-	if err != nil {
-		return nil, err
-	}
-	e.Act = act
-	e.Fc = fc
-	e.pm = pm
-	return e, nil
-}
-
-// NewDelayOnly builds an engine without an energy model (no activity profile
-// or clock needed) — enough for timing-only consumers such as the logic
-// simulator's tests. Energy methods panic on a delay-only engine.
-func NewDelayOnly(c *circuit.Circuit, tech *device.Tech, wire *wiring.Model) (*Engine, error) {
 	dm, err := delay.New(c, tech, wire)
 	if err != nil {
 		return nil, err
@@ -153,20 +144,26 @@ func NewDelayOnly(c *circuit.Circuit, tech *device.Tech, wire *wiring.Model) (*E
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
+	pm, err := power.New(c, tech, act, wire, fc)
+	if err != nil {
+		return nil, err
+	}
+	stride := fanStride(cs)
+	return &Engine{
 		C:         c,
 		Tech:      tech,
+		Act:       act,
 		Wire:      wire,
+		Fc:        fc,
 		dm:        dm,
+		pm:        pm,
 		cs:        cs,
 		numLogic:  c.NumLogic(),
+		table:     sync.OnceValue(func() *widthTable { return newWidthTable(cs, stride) }),
 		cache:     make(map[coeffKey]coeffEntry),
-		fanStride: fanStride(cs),
+		fanStride: stride,
 		primary:   true,
-		td:        make([]float64, c.N()),
-		arr:       make([]float64, c.N()),
-	}
-	return e, nil
+	}, nil
 }
 
 // DelayModel exposes the underlying pure delay evaluator for model-level
@@ -261,81 +258,46 @@ func (e *Engine) GateDelayOverride(id int, a *design.Assignment, ov int, wOv, ma
 // SlopeCoeff returns the input-rise-time coefficient of one voltage pair.
 func (e *Engine) SlopeCoeff(vdd, vts float64) float64 { return e.dm.SlopeCoeff(vdd, vts) }
 
-// delaysInto computes per-gate delays into dst, walking the CSR level by
-// level. Within a level the gates follow the topological order, so the
-// sequence of model calls — and therefore every cached value and counter —
-// matches the legacy flat walk exactly.
+// WidthScratch returns the engine's width-kernel scratch. The first call
+// builds it over the circuit's width table, which the first of the engine
+// and its clones to need it builds.
 //
 //cmosvet:hotpath
-func (e *Engine) delaysInto(dst []float64, a *design.Assignment) {
-	e.met.FullDelaySweeps++
-	var t0 time.Time
-	if e.sink != nil {
-		t0 = time.Now() //cmosvet:allow determinism — sweep latency feeds an obs histogram only, never a result
+func (e *Engine) WidthScratch() *WidthScratch {
+	//cmosvet:allow hotalloc — once per engine (the table once per circuit); every later call allocates nothing
+	if e.ws == nil {
+		e.ws = e.table().newScratch()
 	}
-	cs := e.cs
-	for _, id := range cs.LevelGates(0) {
-		dst[id] = 0 // level 0 is inputs (and zero-delay pseudo-inputs)
-	}
-	for l := 1; l < cs.NumLevels(); l++ {
-		for _, id := range cs.LevelGates(l) {
-			if !cs.IsLogic[id] {
-				dst[id] = 0 // a feed-forward DFF in a delay-only engine
-				continue
-			}
-			maxIn := 0.0
-			for _, f := range cs.Fanins(id) {
-				if dst[f] > maxIn {
-					maxIn = dst[f]
-				}
-			}
-			dst[id] = e.gateDelay(int(id), a, a.W[id], maxIn)
-		}
-	}
-	if e.sink != nil {
-		//cmosvet:allow determinism — sweep latency feeds an obs histogram only, never a result
-		e.sink.sweepNS.ObserveDuration(time.Since(t0))
-	}
+	return e.ws
 }
 
-// arrivalsInto computes worst arrival times from the delays in td into dst.
+// sweep is the engine's one full-circuit delay sweep: it gathers a's widths
+// into the engine's scratch, re-times every gate with WidthDelays and forms
+// the arrivals in the same order, leaving both in the scratch by solve
+// position. It returns the worst primary-output arrival. It bills what
+// WidthDelays bills; the arrival pass makes no model call.
 //
 //cmosvet:hotpath
-func (e *Engine) arrivalsInto(dst, td []float64) {
-	cs := e.cs
-	for _, id := range cs.LevelGates(0) {
-		dst[id] = td[id]
-	}
-	for l := 1; l < cs.NumLevels(); l++ {
-		for _, id := range cs.LevelGates(l) {
-			maxIn := 0.0
-			for _, f := range cs.Fanins(id) {
-				if dst[f] > maxIn {
-					maxIn = dst[f]
-				}
-			}
-			dst[id] = maxIn + td[id]
-		}
-	}
+func (e *Engine) sweep(a *design.Assignment) float64 {
+	s := e.WidthScratch()
+	s.gather(a)
+	e.WidthDelays(s, a)
+	return s.arrivals()
 }
 
 // Delays returns the per-gate delay t_di for the whole network. The returned
-// slice is engine scratch: read it before the next Engine call, copy to keep.
+// slice is engine scratch, allocated on the first call: read it before the
+// next Engine call, copy to keep.
 //
 //cmosvet:hotpath
 func (e *Engine) Delays(a *design.Assignment) []float64 {
-	e.delaysInto(e.td, a)
+	e.sweep(a)
+	//cmosvet:allow hotalloc — one-time lazy init of the gate-ID scratch; every later sweep reuses it (0 allocs/op steady state)
+	if e.td == nil {
+		e.td = make([]float64, e.C.N())
+	}
+	e.ws.scatter(e.td, e.ws.Delay)
 	return e.td
-}
-
-// Arrivals returns per-gate worst arrival times and per-gate delays, in
-// engine scratch (valid until the next Engine call).
-//
-//cmosvet:hotpath
-func (e *Engine) Arrivals(a *design.Assignment) (arr, td []float64) {
-	e.delaysInto(e.td, a)
-	e.arrivalsInto(e.arr, e.td)
-	return e.arr, e.td
 }
 
 // CriticalDelay returns the worst path delay from any input to any primary
@@ -343,14 +305,7 @@ func (e *Engine) Arrivals(a *design.Assignment) (arr, td []float64) {
 //
 //cmosvet:hotpath
 func (e *Engine) CriticalDelay(a *design.Assignment) float64 {
-	arr, _ := e.Arrivals(a)
-	worst := 0.0
-	for _, id := range e.C.POs {
-		if arr[id] > worst {
-			worst = arr[id]
-		}
-	}
-	return worst
+	return e.sweep(a)
 }
 
 // slacksFrom computes slacks from already-known delays and arrivals — pure
@@ -404,7 +359,6 @@ func (e *Engine) gateEnergy(id int, a *design.Assignment) power.Breakdown {
 
 // GateEnergy returns the per-cycle energy breakdown of one gate.
 func (e *Engine) GateEnergy(id int, a *design.Assignment) power.Breakdown {
-	e.mustPower()
 	return e.gateEnergy(id, a)
 }
 
@@ -413,7 +367,6 @@ func (e *Engine) GateEnergy(id int, a *design.Assignment) power.Breakdown {
 //
 //cmosvet:hotpath
 func (e *Engine) Energy(a *design.Assignment) power.Breakdown {
-	e.mustPower()
 	e.met.FullEnergySweeps++
 	var sum power.Breakdown
 	for i := range e.C.Gates {
@@ -425,12 +378,5 @@ func (e *Engine) Energy(a *design.Assignment) power.Breakdown {
 // AvgPower converts a per-cycle energy into average power (W) at the
 // engine's clock frequency.
 func (e *Engine) AvgPower(b power.Breakdown) float64 {
-	e.mustPower()
 	return e.pm.Power(b)
-}
-
-func (e *Engine) mustPower() {
-	if e.pm == nil {
-		panic(fmt.Sprintf("eval: engine for %q was built with NewDelayOnly; energy is unavailable", e.C.Name))
-	}
 }

@@ -72,12 +72,13 @@ func TestEngineMatchesModels(t *testing.T) {
 		}
 	}
 	wantArr, _ := dm.Arrivals(a)
-	gotArr, _ := eng.Arrivals(a)
+	eng.Bind(a)
 	for i := range wantArr {
-		if gotArr[i] != wantArr[i] {
-			t.Fatalf("gate %d arrival: engine %v, model %v", i, gotArr[i], wantArr[i])
+		if got := eng.curArr[i]; got != wantArr[i] {
+			t.Fatalf("gate %d arrival: engine %v, model %v", i, got, wantArr[i])
 		}
 	}
+	eng.Unbind()
 	if got, want := eng.CriticalDelay(a), dm.CriticalDelay(a); got != want {
 		t.Fatalf("critical delay: engine %v, model %v", got, want)
 	}
@@ -124,10 +125,9 @@ func TestWidthProbeMatchesProbeWidth(t *testing.T) {
 	for i := range a.W {
 		a.W[i] = 1 + float64(i%7)
 	}
-	tab := eng.NewWidthTable()
 	ref := eng.Clone()
 	for _, e := range []*Engine{eng, eng.Clone()} {
-		s := tab.NewScratch()
+		s := e.WidthScratch()
 		for i := range s.Target {
 			s.Target[i] = targetBase + targetStep*float64(i%11)
 		}
@@ -135,13 +135,13 @@ func TestWidthProbeMatchesProbeWidth(t *testing.T) {
 		m0 := *e.Metrics()
 		e.SizeWidths(s, b, 1, 100, 12, 1)
 		m := *e.Metrics()
-		pos := make(map[int32]int, tab.Len())
-		for i := range tab.Len() {
-			pos[tab.ID(i)] = i
+		pos := make(map[int32]int, len(s.Target))
+		for i := range s.Target {
+			pos[s.ID(i)] = i
 		}
 		moved := 0
-		for i := range tab.Len() {
-			id := tab.ID(i)
+		for i := range s.Target {
+			id := s.ID(i)
 			maxIn := 0.0
 			for _, f := range c.Gate(int(id)).Fanin {
 				if p, ok := pos[f]; ok {
@@ -158,7 +158,7 @@ func TestWidthProbeMatchesProbeWidth(t *testing.T) {
 		if moved == 0 {
 			t.Fatal("the pass moved no width")
 		}
-		n := int64(tab.Len())
+		n := int64(len(s.Target))
 		probes := m.WidthProbes - m0.WidthProbes
 		if got := m.GateDelayCalls - m0.GateDelayCalls; probes < 2*n || got != probes+n {
 			t.Errorf("%d width probes and %d gate-delay calls for %d gates, want at least %d probes and one call more per gate", probes, got, n, 2*n)
@@ -171,9 +171,10 @@ func TestWidthProbeMatchesProbeWidth(t *testing.T) {
 
 // Once its table, scratch and cache entry exist, a width solve allocates
 // nothing, on the engine and on a clone: on a random circuit, and on a hub
-// gate that drives nine fanouts and a primary output. Nor do the sweeps a
-// solve runs at each design point: WidthDelays, and CriticalDelay with
-// Energy.
+// gate that drives nine fanouts and a primary output. Nor do the sweeps that
+// run on the same table: WidthDelays, CriticalDelay with Energy, Delays,
+// and an incremental edit (Bind, then SetWidth with BoundCriticalDelay, and
+// a re-Bind).
 func TestWidthProbeZeroAlloc(t *testing.T) {
 	_, eng, _, _ := buildCase(t, 5)
 	b := circuit.NewBuilder("hub")
@@ -187,29 +188,37 @@ func TestWidthProbeZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hubEng, err := NewDelayOnly(hc, eng.Tech, eng.Wire)
+	hubAct, err := activity.PropagateUniform(hc, 0.5, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hubEng, err := New(hc, eng.Tech, hubAct, eng.Wire, 100e6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, base := range []*Engine{eng, hubEng} {
-		tab := base.NewWidthTable()
 		for _, e := range []*Engine{base, base.Clone()} {
-			s := tab.NewScratch()
+			s := e.WidthScratch()
 			for i := range s.Target {
 				s.Target[i] = targetBase
 			}
 			a := design.Uniform(base.C.N(), 1.2, 0.3, 3)
-			full := func() { e.CriticalDelay(a) }
-			if base == eng { // hubEng is delay-only
-				full = func() { e.CriticalDelay(a); e.Energy(a) }
-			}
+			bound := a.Clone()
+			id := int(s.ID(0))
 			for _, sw := range []struct {
 				name string
 				run  func()
 			}{
 				{"a width solve", func() { e.SizeWidths(s, a, 1, 100, 12, 4) }},
 				{"WidthDelays", func() { e.WidthDelays(s, a) }},
-				{"the full sweeps", full},
+				{"CriticalDelay with Energy", func() { e.CriticalDelay(a); e.Energy(a) }},
+				{"Delays", func() { e.Delays(a) }},
+				{"an incremental edit", func() {
+					e.Bind(bound)
+					e.SetWidth(id, 7-bound.W[id]) // 3 and 4 in turn
+					e.BoundCriticalDelay()
+					e.Bind(bound)
+				}},
 			} {
 				sw.run() // prices the voltage pair and sizes the sweep scratch
 				if allocs := testing.AllocsPerRun(20, sw.run); allocs != 0 {
@@ -226,8 +235,7 @@ func TestWidthProbeZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := hubEng.NewWidthTable()
-	s := tab.NewScratch()
+	s := hubEng.WidthScratch()
 	for i := range s.Target {
 		s.Target[i] = targetBase
 	}
@@ -236,8 +244,8 @@ func TestWidthProbeZeroAlloc(t *testing.T) {
 	hubEng.SizeWidths(s, a, 1, 100, 12, 1)
 	id := hc.GateByName("hub").ID
 	checked := false
-	for i := range tab.Len() {
-		if tab.ID(i) != int32(id) {
+	for i := range s.Target {
+		if s.ID(i) != int32(id) {
 			continue
 		}
 		checked = true
@@ -331,23 +339,4 @@ func TestCoeffCacheOverflowClears(t *testing.T) {
 	if got := len(eng.cache); got > maxCoeffEntries {
 		t.Fatalf("coefficient cache grew to %d entries, cap is %d", got, maxCoeffEntries)
 	}
-}
-
-func TestDelayOnlyEnginePanicsOnEnergy(t *testing.T) {
-	c, full, dm, _ := buildCase(t, 6)
-	tech := device.Default350()
-	eng, err := NewDelayOnly(c, &tech, full.Wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := design.Uniform(c.N(), 1.5, 0.35, 4)
-	if got, want := eng.CriticalDelay(a), dm.CriticalDelay(a); got != want {
-		t.Fatalf("delay-only critical delay: got %v, want %v", got, want)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Energy on a delay-only engine should panic")
-		}
-	}()
-	eng.Energy(a)
 }

@@ -12,9 +12,10 @@ import "cmosopt/internal/design"
 // bitwise unchanged. The one caller, the sensitivity flow, reads delays
 // only, so the bound state carries no energy.
 //
-// The propagation recomputes each dirty gate with the exact same model call
-// the full sweep uses, reading cached fanin values — so bound results are
-// bitwise identical to a from-scratch evaluation of the same assignment
+// Bind's refresh is the engine's full sweep, scattered into the tracked
+// state. The propagation recomputes each dirty gate with GateDelayAt, which
+// the full sweep matches bit for bit, reading cached fanin values — so
+// bound results match a from-scratch evaluation of the same assignment
 // (the eval property test pins this down).
 //
 // Bound accessors (BoundDelays, BoundCriticalDelay, BoundSlacks) read the
@@ -41,13 +42,14 @@ func (e *Engine) Bind(a *design.Assignment) {
 // Unbind detaches the engine from its bound assignment.
 func (e *Engine) Unbind() { e.bound = nil }
 
-// refreshAll recomputes the whole tracked state from the bound assignment.
+// refreshAll recomputes the whole tracked state from the bound assignment
+// with one full sweep.
 //
 //cmosvet:hotpath
 func (e *Engine) refreshAll() {
-	a := e.bound
-	e.delaysInto(e.curTd, a)
-	e.arrivalsInto(e.curArr, e.curTd)
+	e.sweep(e.bound)
+	e.ws.scatter(e.curTd, e.ws.Delay)
+	e.ws.scatter(e.curArr, e.ws.arr)
 }
 
 // SetWidth sets the bound assignment's width of gate id and incrementally

@@ -12,7 +12,7 @@ package eval
 type Metrics struct {
 	GateDelayCalls   int64 // single-gate delay-model evaluations (all sources)
 	GateEnergyCalls  int64 // single-gate energy-model evaluations
-	FullDelaySweeps  int64 // whole-circuit delay computations (Delays/Arrivals/…)
+	FullDelaySweeps  int64 // whole-circuit delay computations (Delays/CriticalDelay/…)
 	FullEnergySweeps int64 // whole-circuit energy computations (Energy)
 	WidthProbes      int64 // widths tested (ProbeWidth, GateDelayOverride, each width a SizeWidths search tests)
 	IncrementalEdits int64 // bound-assignment width edits (SetWidth)

@@ -88,12 +88,11 @@ func TestMinWidthMatchesBisection(t *testing.T) {
 		c, eng, dm, _ := buildCase(t, seed)
 		cs := eng.cs
 		tech := eng.Tech
-		tab := eng.NewWidthTable()
-		s := tab.NewScratch()
-		n := tab.Len()
+		s := eng.WidthScratch()
+		n := len(s.Target)
 		pos := make([]int, c.N())
 		for i := range n {
-			pos[tab.ID(i)] = i
+			pos[s.ID(i)] = i
 		}
 		rng := rand.New(rand.NewSource(seed))
 		uni := func(lo, hi float64) float64 { return lo + rng.Float64()*(hi-lo) }
@@ -135,7 +134,7 @@ func TestMinWidthMatchesBisection(t *testing.T) {
 				// gate-pass i.
 				maxIn := func(i int) float64 {
 					m := 0.0
-					for _, f := range cs.Fanins(tab.ID(i)) {
+					for _, f := range cs.Fanins(s.ID(i)) {
 						if cs.IsLogic[f] && s.Delay[pos[f]] > m {
 							m = s.Delay[pos[f]]
 						}
@@ -145,9 +144,9 @@ func TestMinWidthMatchesBisection(t *testing.T) {
 				// terms prepares gate-pass i as the cold path does, with
 				// the widths before the pass and the given fanin delay.
 				terms := func(i int, in float64) *gateTerms {
-					id := int(tab.ID(i))
+					id := int(s.ID(i))
 					for j := range s.w {
-						s.w[j] = pre[tab.ID(j)]
+						s.w[j] = pre[s.ID(j)]
 					}
 					eng.widthRow(ap.VddAt(id), ap.Vts[id])
 					g := new(gateTerms)
@@ -171,7 +170,7 @@ func TestMinWidthMatchesBisection(t *testing.T) {
 					m1 := *eng.Metrics()
 					var wantProbes int64
 					for i := range n {
-						id := int(tab.ID(i))
+						id := int(s.ID(i))
 						in := maxIn(i)
 						k := dm.CoeffsAt(ap.VddAt(id), ap.Vts[id])
 						at := func(w float64) float64 { return dm.GateDelayAt(id, ap, w, -1, 0, in, k) }
@@ -248,14 +247,14 @@ func TestMinWidthMatchesBisection(t *testing.T) {
 
 				// Random targets around each gate's delay at no fanin delay.
 				for i := range n {
-					id := int(tab.ID(i))
+					id := int(s.ID(i))
 					k := dm.CoeffsAt(ap.VddAt(id), ap.Vts[id])
 					s.Target[i] = uni(0.8, 1.5) * dm.GateDelayAt(id, ap, uni(lo, hi), -1, 0, 0, k)
 				}
 				pass()
 				for l := 1; l < cs.NumLevels(); l++ {
 					for i := range n {
-						if int(cs.Level[tab.ID(i)]) != l {
+						if int(cs.Level[s.ID(i)]) != l {
 							continue
 						}
 						adversarial++

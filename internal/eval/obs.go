@@ -7,7 +7,7 @@ import "cmosopt/internal/obs"
 // change any result. Two kinds of signals flow out:
 //
 //   - histograms, recorded live at the instrumentation site (full-sweep
-//     latency in delaysInto, dirty-cone drain sizes in propagate). These are
+//     latency in WidthDelays, dirty-cone drain sizes in propagate). These are
 //     wall-clock truth: clones share the sink, so a clone's work shows up
 //     here as it happens, before its Metrics are absorbed by the parent;
 //   - counters, exported by FlushObs as deltas of the engine's Metrics since

@@ -20,12 +20,13 @@ import (
 // largest delay among the gate's fanins, forms Eq. A3 around the gate's own
 // width and binary-searches the smallest width in [lo, hi] whose delay meets
 // the gate's target, then records the delay at that width (the settled
-// delay) for the gate's fanouts to read. SizeWidths runs the passes over a
-// WidthTable, which lists the gates with their fanins and fanouts as solve
-// positions, so a pass walks dense arrays in order; the widths, settled
-// delays and targets live in a WidthScratch indexed the same way. After the
-// passes, WidthDelays re-times every gate at the final widths over the same
-// table: the sweep a width solve verifies its budgets on.
+// delay) for the gate's fanouts to read. SizeWidths runs the passes over
+// the engine's width table, which lists the gates with their fanins and
+// fanouts as solve positions, so a pass walks dense arrays in order; the
+// widths, settled delays and targets live in a WidthScratch indexed the
+// same way. After the passes, WidthDelays re-times every gate at the final
+// widths over the same table: the sweep a width solve verifies its budgets
+// on, and the loop of every full-circuit delay sweep the engine runs.
 //
 // The common gate-pass is decided inline. Eq. A3 is affine in 1/w, so the
 // pass forms c0 + c1/w from the loads and the per-(V_dd, V_TS) constants of
@@ -64,7 +65,7 @@ const (
 	slotCold                   // the gate always takes the cold path
 )
 
-// widthSlot is one logic gate of a WidthTable: its ID, where its logic
+// widthSlot is one logic gate of a width table: its ID, where its logic
 // fanins' and its fanouts' positions start in the table's lists (the next
 // slot's offsets end them), its fanin count f_ii and its flags.
 type widthSlot struct {
@@ -75,14 +76,14 @@ type widthSlot struct {
 	flags uint8
 }
 
-// WidthTable is the width kernel's gate table: the logic gates level by
+// widthTable is the width kernel's gate table: the logic gates level by
 // level, each level grouped by gate shape (fanin count, then load count),
 // in topological order within a group, with each gate's logic fanins and
 // its fanouts listed by solve position in the CSR's order. No gate of a
 // level is a fanin or fanout of another gate of its level, so a pass in
 // this order sees the widths and delays a topological pass would. A table
-// is immutable once built and is shared by every engine over its circuit.
-type WidthTable struct {
+// is immutable once built and is shared by an engine and its clones.
+type widthTable struct {
 	cs      *circuit.CSR
 	slots   []widthSlot // one per logic gate, then a sentinel
 	finPos  []int32
@@ -124,13 +125,16 @@ func shapeOrder(cs *circuit.CSR) []int32 {
 	return order
 }
 
-// NewWidthTable builds the width kernel's gate table for the engine's
-// circuit. Every gate above level 0 is a logic gate and every fanout of one
-// is a logic gate (inputs have no fanins, and an engine's circuit has no
-// flip-flops); it panics if not, since the kernel keeps no widths for
-// other gates.
-func (e *Engine) NewWidthTable() *WidthTable {
-	cs := e.cs
+// newWidthTable builds the width kernel's gate table for an engine's
+// circuit; a gate with stride (fanStride) or more fanins, or more than
+// maxBracketLoads loads, is a cold slot. The kernel keeps no widths for
+// gates outside the table, so it needs every gate above level 0, and every
+// fanout of a logic gate, to be a logic gate. Both hold for any engine's circuit: delay.New refuses a
+// circuit with a flip-flop, so every gate is an input or a logic gate;
+// Validate, which every sealed circuit has passed, gives an input no
+// fanins, so nothing fans out to an input; and levelization puts the
+// inputs, and only them, at level 0. The panics guard that argument.
+func newWidthTable(cs *circuit.CSR, stride int) *widthTable {
 	order := shapeOrder(cs)
 	pos := make([]int32, cs.N())
 	nin, nout := 0, 0
@@ -147,7 +151,7 @@ func (e *Engine) NewWidthTable() *WidthTable {
 		nout += cs.NumFanout(id)
 	}
 	lists := make([]int32, nin+nout)
-	t := &WidthTable{
+	t := &widthTable{
 		cs:      cs,
 		slots:   make([]widthSlot, len(order)+1),
 		finPos:  lists[:0:nin],
@@ -174,7 +178,7 @@ func (e *Engine) NewWidthTable() *WidthTable {
 			sl.flags |= slotPO
 			loads++
 		}
-		if nf := cs.NumFanin(id); nf < e.fanStride && loads <= maxBracketLoads {
+		if nf := cs.NumFanin(id); nf < stride && loads <= maxBracketLoads {
 			sl.nf = uint16(nf)
 		} else {
 			sl.flags |= slotCold
@@ -184,30 +188,73 @@ func (e *Engine) NewWidthTable() *WidthTable {
 	return t
 }
 
-// Len returns the number of gates in the table.
-func (t *WidthTable) Len() int { return len(t.slots) - 1 }
-
-// ID returns the gate at solve position i.
-func (t *WidthTable) ID(i int) int32 { return t.slots[i].id }
-
-// WidthScratch is one solver's per-solve state over a WidthTable, indexed
-// by solve position: the search targets, which the caller sets before each
-// solve, the delays, and the widths, which SizeWidths gathers from the
-// assignment and scatters back. SizeWidths leaves the last pass's settled
-// delays in Delay; WidthDelays writes over them with the delays at the
-// final widths.
+// WidthScratch is one engine's state over its width table, indexed by
+// solve position: the search targets, which a width solve sets before each
+// solve, the delays, the widths, which SizeWidths and the full sweep gather
+// from the assignment, and the arrivals of the full sweep. SizeWidths
+// leaves the last pass's settled delays in Delay; WidthDelays writes over
+// them with the delays at the scratch's widths.
 type WidthScratch struct {
 	Target []float64
 	Delay  []float64
-	t      *WidthTable
+	t      *widthTable
 	w      []float64
+	arr    []float64
 }
 
-// NewScratch returns fresh per-solve state for the table.
-func (t *WidthTable) NewScratch() *WidthScratch {
-	n := t.Len()
-	buf := make([]float64, 3*n)
-	return &WidthScratch{Target: buf[:n:n], Delay: buf[n : 2*n : 2*n], t: t, w: buf[2*n:]}
+// newScratch returns fresh state for the table.
+func (t *widthTable) newScratch() *WidthScratch {
+	n := len(t.slots) - 1
+	buf := make([]float64, 4*n)
+	return &WidthScratch{Target: buf[:n:n], Delay: buf[n : 2*n : 2*n], t: t, w: buf[2*n : 3*n : 3*n], arr: buf[3*n:]}
+}
+
+// ID returns the gate at solve position i.
+func (s *WidthScratch) ID(i int) int32 { return s.t.slots[i].id }
+
+// gather copies a's widths into the scratch.
+//
+//cmosvet:hotpath
+func (s *WidthScratch) gather(a *design.Assignment) {
+	for i := range s.w {
+		s.w[i] = a.W[s.t.slots[i].id]
+	}
+}
+
+// scatter copies src, indexed by solve position, into dst, indexed by gate
+// ID. Gates outside the table keep their entries in dst.
+//
+//cmosvet:hotpath
+func (s *WidthScratch) scatter(dst, src []float64) {
+	for i, v := range src {
+		dst[s.t.slots[i].id] = v
+	}
+}
+
+// arrivals forms each gate's worst arrival time, its largest fanin arrival
+// plus its delay, from the delays in s.Delay, in solve order, and returns
+// the worst primary-output arrival. An input's arrival is 0, which never
+// raises a maximum that starts at 0, so only the logic fanins are read.
+// floats.MaxNonNeg takes each maximum as "x > m" would, so the arrivals
+// are bitwise those of delay.Evaluator.Arrivals.
+//
+//cmosvet:hotpath
+func (s *WidthScratch) arrivals() float64 {
+	slots, finPos := s.t.slots, s.t.finPos
+	n := len(slots) - 1
+	td, arr := s.Delay[:n], s.arr[:n]
+	worst := 0.0
+	for i := 0; i < n; i++ {
+		maxIn := 0.0
+		for _, f := range finPos[slots[i].fin:slots[i+1].fin] {
+			maxIn = floats.MaxNonNeg(maxIn, arr[f])
+		}
+		arr[i] = maxIn + td[i]
+		if slots[i].flags&slotPO != 0 {
+			worst = floats.MaxNonNeg(worst, arr[i])
+		}
+	}
+	return worst
 }
 
 // fanConst holds a width pass's constants for one fanin count f at one
@@ -292,9 +339,7 @@ func (e *Engine) SizeWidths(s *WidthScratch, a *design.Assignment, lo, hi float6
 	if t.cs != e.cs {
 		panic("eval: width table built for another circuit")
 	}
-	for i := range s.w {
-		s.w[i] = a.W[t.slots[i].id]
-	}
+	s.gather(a)
 	ws := widthSolve{
 		s: s, a: a, lo: lo, hi: hi, steps: steps,
 		grid:   newBisectGrid(lo, hi, steps),
@@ -305,9 +350,7 @@ func (e *Engine) SizeWidths(s *WidthScratch, a *design.Assignment, lo, hi float6
 			break
 		}
 	}
-	for i, w := range s.w {
-		a.W[t.slots[i].id] = w
-	}
+	s.scatter(a.W, s.w)
 }
 
 // widthPass sizes every gate of the table once and reports whether any
@@ -421,15 +464,16 @@ func (e *Engine) widthPass(ws *widthSolve) bool {
 	return changed
 }
 
-// WidthDelays re-times every gate of s's table at the widths SizeWidths
-// left in s, in solve order, writing each gate's delay over s.Delay. Solve
-// order is topological, so each gate reads its fanins' new delays, and each
-// delay is formed from delay's Eq. A3 term helpers in GateDelayAt's order of
-// terms (+Inf for a stalled gate, GateDelayAt itself for a cold slot): the
-// delays are bitwise those Delays returns for the same assignment. It is
-// billed as one Delays call: one full sweep, one gate-delay call and one
-// coefficient lookup per logic gate, counted as coeffs counts it, and one
-// eval.full_sweep_ns observation.
+// WidthDelays re-times every gate of s's table at the widths in s, which
+// must be a's (SizeWidths leaves them so, and the full sweep gathers them),
+// in solve order, writing each gate's delay over s.Delay. Solve order is
+// topological, so each gate reads its fanins' new delays, and each delay is
+// formed from delay's Eq. A3 term helpers in GateDelayAt's order of terms
+// (+Inf for a stalled gate, GateDelayAt itself for a cold slot): the delays
+// are bitwise those delay.Evaluator.Delays returns for the same assignment.
+// It bills one full sweep, one gate-delay call and one coefficient lookup
+// per logic gate, counted as coeffs counts it, and one eval.full_sweep_ns
+// observation.
 //
 //cmosvet:hotpath
 func (e *Engine) WidthDelays(s *WidthScratch, a *design.Assignment) {
@@ -778,7 +822,6 @@ func bracketFalse(c0, c1, target float64) float64 {
 // has its low bits set, has none. step is 0 when the grid is not exact.
 type bisectGrid struct {
 	lo, hi float64
-	steps  int
 	step   float64
 	n      int64
 }
@@ -786,7 +829,7 @@ type bisectGrid struct {
 // newBisectGrid returns the grid of a bisection over [lo, hi] in steps
 // halvings, with step 0 unless every midpoint is exact.
 func newBisectGrid(lo, hi float64, steps int) bisectGrid {
-	g := bisectGrid{lo: lo, hi: hi, steps: steps}
+	g := bisectGrid{lo: lo, hi: hi}
 	if steps < 1 || !(0 < lo && lo < hi && hi <= math.MaxFloat64) {
 		return g
 	}

@@ -50,7 +50,9 @@ func TestRunSuitePaperClaims(t *testing.T) {
 		if e.Savings33 < 15 {
 			t.Errorf("s298 savings vs 3.3V reference = %v, want > 15 (paper: ~25)", e.Savings33)
 		}
-		if e.Ref33.Vdd != e.Baseline.Vdd && e.Savings33 < e.Savings {
+		// The reference pins Vdd at the technology's maximum; a baseline that
+		// lands elsewhere chose a cheaper supply than it.
+		if cfg.Tech.VddMax != e.Baseline.Vdd && e.Savings33 < e.Savings {
 			t.Error("3.3V reference should never show smaller savings than the free baseline")
 		}
 	}

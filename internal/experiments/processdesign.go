@@ -17,16 +17,9 @@ import (
 // single process-wide value, and then quantify what that one-size-fits-all
 // threshold costs each circuit against its own optimum.
 
-// refVt is the 1 V reference that makes the log-space geometric mean below
-// dimensionless: thresholds enter as Vt/refVt and the recommendation leaves
-// as refVt·exp(·), so the volts formally cancel and reappear. Dividing and
-// multiplying by exactly 1.0 is bitwise free.
-const refVt = 1.0
-
 // ProcessVtEntry is the per-circuit outcome of the process-Vt study.
 type ProcessVtEntry struct {
 	Circuit   string
-	Activity  float64
 	OwnVt     float64 // the threshold the circuit's own joint optimum picked
 	OwnEnergy float64
 	AtRecVt   float64 // total energy with Vt pinned at the recommendation
@@ -61,13 +54,13 @@ func ProcessVtStudy(cfg Config, act float64) (recommended float64, entries []Pro
 		owns = append(owns, own{p, res})
 		// Weight by energy: circuits that burn more should steer the process.
 		w := res.Energy.Total()
-		logSum += w * math.Log(res.VtsValues[0]/refVt)
+		logSum += w * math.Log(res.VtsValues[0])
 		wSum += w
 	}
 	if wSum <= 0 {
 		return 0, nil, fmt.Errorf("experiments: degenerate suite energies")
 	}
-	recommended = refVt * math.Exp(logSum/wSum)
+	recommended = math.Exp(logSum / wSum)
 
 	for i, o := range owns {
 		opts := cfg.Opts
@@ -78,7 +71,6 @@ func ProcessVtStudy(cfg Config, act float64) (recommended float64, entries []Pro
 		}
 		entries = append(entries, ProcessVtEntry{
 			Circuit:   cfg.Circuits[i],
-			Activity:  act,
 			OwnVt:     o.res.VtsValues[0],
 			OwnEnergy: o.res.Energy.Total(),
 			AtRecVt:   pinned.Energy.Total(),

@@ -12,12 +12,10 @@ import (
 // sorted sample, p50 at ceil(0.50·n), p99 at ceil(0.99·n) — must not drift
 // between the CI gate and the baseline it compares against.
 type LatencySummary struct {
-	N          int           // samples
-	P50        time.Duration // nearest-rank median
-	P99        time.Duration // nearest-rank 99th percentile
-	Max        time.Duration
-	Total      time.Duration // sum of samples (NOT wall clock; callers divide their own wall time for throughput)
-	MeanPerReq time.Duration // Total / N
+	N   int           // samples
+	P50 time.Duration // nearest-rank median
+	P99 time.Duration // nearest-rank 99th percentile
+	Max time.Duration
 }
 
 // Summarize computes the summary over one batch. The input is not modified.
@@ -27,18 +25,12 @@ func Summarize(samples []time.Duration) (LatencySummary, error) {
 	}
 	sorted := append([]time.Duration(nil), samples...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var total time.Duration
-	for _, d := range sorted {
-		total += d
-	}
 	n := len(sorted)
 	return LatencySummary{
-		N:          n,
-		P50:        sorted[rank(0.50, n)],
-		P99:        sorted[rank(0.99, n)],
-		Max:        sorted[n-1],
-		Total:      total,
-		MeanPerReq: total / time.Duration(n),
+		N:   n,
+		P50: sorted[rank(0.50, n)],
+		P99: sorted[rank(0.99, n)],
+		Max: sorted[n-1],
 	}, nil
 }
 

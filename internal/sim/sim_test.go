@@ -9,7 +9,6 @@ import (
 	"cmosopt/internal/delay"
 	"cmosopt/internal/design"
 	"cmosopt/internal/device"
-	"cmosopt/internal/eval"
 	"cmosopt/internal/netgen"
 	"cmosopt/internal/wiring"
 )
@@ -41,11 +40,10 @@ func setup(t *testing.T, c *circuit.Circuit) (*Simulator, *delay.Evaluator, *des
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := eval.NewDelayOnly(c, &tech, wire)
+	de, err := delay.New(c, &tech, wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	de := eng.DelayModel()
 	a := design.Uniform(c.N(), 1.0, 0.2, 2)
 	s, err := New(c, de, a)
 	if err != nil {
@@ -73,11 +71,10 @@ func TestNewRejects(t *testing.T) {
 	seq, _ := circuit.ParseBenchString("seq", "INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n")
 	tech := device.Default350()
 	wire, _ := wiring.New(wiring.Default350(), 1)
-	eng, err := eval.NewDelayOnly(chain(t, 1), &tech, wire)
+	de, err := delay.New(chain(t, 1), &tech, wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	de := eng.DelayModel()
 	if _, err := New(seq, de, design.Uniform(seq.N(), 1, 0.2, 2)); err == nil {
 		t.Error("sequential circuit accepted")
 	}
