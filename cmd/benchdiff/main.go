@@ -2,7 +2,7 @@
 //
 //	benchdiff -parse bench.txt -o bench.json
 //	    Parse `go test -bench` text output into a manifest JSON
-//	    (schema cmosopt/manifest/v2, Benchmarks populated). An effort
+//	    (schema cmosopt/manifest/v3, Benchmarks populated). An effort
 //	    count (circuit-evals, width-probes, coeff-misses) that differs
 //	    between -count repeats is an error.
 //

@@ -1,6 +1,6 @@
 // Command served is the optimization-as-a-service front door: a long-running
 // HTTP server exposing the whole pipeline — netlist + constraints in,
-// optimized Vdd/Vt/widths and a cmosopt/manifest/v2 manifest out. Jobs flow
+// optimized Vdd/Vt/widths and a cmosopt/manifest/v3 manifest out. Jobs flow
 // through a bounded queue with admission control (429 + Retry-After under
 // overload), carry per-job contexts whose cancellation and deadlines
 // propagate into the optimizer loops, stream progress as server-sent events

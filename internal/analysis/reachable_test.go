@@ -54,8 +54,6 @@ var reachAllowlist = []reachEntry{
 
 	{"core.Problem.YieldStudy", "deferred", "Prove or remove the parallel layer."},
 	{"core.substream", "deferred", "Prove or remove the parallel layer."},
-	{"obs.Span.Add", "deferred", "Subtract, with reachability as a gate."},
-	{"obs.Span.counters", "deferred", "Subtract, with reachability as a gate."},
 	{"spice.GateSim.CompareDelay", "deferred", "Transient sign-off at the points the optimizer returns."},
 	{"spice.GateSim.RiseEnergy", "deferred", "Transient sign-off at the points the optimizer returns."},
 	{"delay.Evaluator.CriticalPath", "deferred", "Explainable runs: service metrics and \"why this point\"."},

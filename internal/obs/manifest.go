@@ -10,7 +10,7 @@ import (
 // SchemaVersion identifies the manifest JSON layout. Consumers (the CI
 // benchmark-regression gate, cross-run comparisons) check it before reading
 // anything else; bump it only for incompatible changes.
-const SchemaVersion = "cmosopt/manifest/v2"
+const SchemaVersion = "cmosopt/manifest/v3"
 
 // Manifest is the machine-readable record of one tool run: what ran, on what,
 // with what result, how long it took and where the time went. Every cmd/*

@@ -60,7 +60,6 @@ func goldenManifest() *Manifest {
 				Children: []SpanSnapshot{
 					{Name: "elaborate", Count: 1, DurationNS: 1000},
 					{Name: "optimize.joint", Count: 1, DurationNS: 1230000,
-						Counters: map[string]int64{"speculative_batches": 3},
 						Children: []SpanSnapshot{
 							{Name: "vdd-level", Count: 12, DurationNS: 1200000},
 						}},

@@ -16,10 +16,10 @@
 //   - zero dependencies: standard library only, like the rest of the module.
 //
 // The package distinguishes the *aggregation node* (Span: a named position in
-// the tree holding cumulative count/duration/counters) from the *active
-// measurement* (Timing: one start/stop interval). Repeated work with the same
-// name — every "widths" solve inside every bisection level — lands on one
-// node, so a manifest's span tree stays bounded no matter how long the run.
+// the tree holding cumulative count/duration) from the *active measurement*
+// (Timing: one start/stop interval). Repeated work with the same name —
+// every "widths" solve inside every bisection level — lands on one node, so
+// a manifest's span tree stays bounded no matter how long the run.
 package obs
 
 import (

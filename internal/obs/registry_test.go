@@ -91,9 +91,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				r.Counter("shared").Add(1)
 				r.Histogram("h").Observe(int64(i))
 				r.Worker(w).Record(time.Microsecond, time.Microsecond, 1)
-				tm := r.Root().Child("phase").StartChild("leaf")
-				r.Root().Child("phase").Add("n", 1)
-				tm.Stop()
+				r.Root().Child("phase").StartChild("leaf").Stop()
 				if i%50 == 0 {
 					_ = r.Snapshot() // concurrent reads while writing
 				}
@@ -112,7 +110,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		t.Fatalf("got %d workers, want %d", len(s.Workers), workers)
 	}
 	phase := s.Spans.Children[0]
-	if phase.Counters["n"] != workers*iters || phase.Children[0].Count != workers*iters {
+	if phase.Children[0].Count != workers*iters {
 		t.Fatalf("phase = %+v", phase)
 	}
 }

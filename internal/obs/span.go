@@ -6,10 +6,10 @@ import (
 )
 
 // Span is one named node of the hierarchical timing tree: a cumulative
-// (count, duration) pair, optional named counters, and child spans. Repeated
-// measurements of the same named activity — every "widths" solve inside every
-// bisection level — aggregate onto one node, so the tree's size is bounded by
-// the program's phase structure, not by how long it ran.
+// (count, duration) pair and child spans. Repeated measurements of the same
+// named activity — every "widths" solve inside every bisection level —
+// aggregate onto one node, so the tree's size is bounded by the program's
+// phase structure, not by how long it ran.
 //
 // A Span is the aggregation point; the active interval is a Timing obtained
 // from Start. Concurrent Timings on the same node (worker clones solving
@@ -22,7 +22,6 @@ type Span struct {
 	mu       sync.Mutex
 	count    int64
 	durNS    int64
-	counters map[string]int64
 	order    []*Span
 	children map[string]*Span
 }
@@ -54,19 +53,6 @@ func (s *Span) Child(name string) *Span {
 		s.order = append(s.order, c)
 	}
 	return c
-}
-
-// Add accumulates a named per-span counter (probe counts, feasible points…).
-func (s *Span) Add(counter string, n int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.counters == nil {
-		s.counters = make(map[string]int64)
-	}
-	s.counters[counter] += n
-	s.mu.Unlock()
 }
 
 // Timing is one active start/stop interval on a span node. It is owned by a
@@ -107,11 +93,10 @@ func (t *Timing) Stop() time.Duration {
 // keep first-seen order, which follows program phase order for the serial
 // skeleton of a run.
 type SpanSnapshot struct {
-	Name       string           `json:"name"`
-	Count      int64            `json:"count"`
-	DurationNS int64            `json:"duration_ns"`
-	Counters   map[string]int64 `json:"counters,omitempty"`
-	Children   []SpanSnapshot   `json:"children,omitempty"`
+	Name       string         `json:"name"`
+	Count      int64          `json:"count"`
+	DurationNS int64          `json:"duration_ns"`
+	Children   []SpanSnapshot `json:"children,omitempty"`
 }
 
 // Snapshot deep-copies the subtree rooted at s.
@@ -124,12 +109,6 @@ func (s *Span) Snapshot() SpanSnapshot {
 		Name:       s.name,
 		Count:      s.count,
 		DurationNS: s.durNS,
-	}
-	if len(s.counters) > 0 {
-		out.Counters = make(map[string]int64, len(s.counters))
-		for k, v := range s.counters {
-			out.Counters[k] = v
-		}
 	}
 	kids := make([]*Span, len(s.order))
 	copy(kids, s.order)

@@ -1,6 +1,6 @@
 // Package serve is the optimization-as-a-service front door: a long-running
 // HTTP server that exposes the whole pipeline — netlist + constraints in,
-// optimized Vdd/Vt/widths and a cmosopt/manifest/v2 manifest out — over a
+// optimized Vdd/Vt/widths and a cmosopt/manifest/v3 manifest out — over a
 // bounded job queue with admission control, per-job cancellation and
 // deadlines, server-sent progress events mapped from the obs span tree, and
 // a content-addressed result cache that makes identical requests free.
@@ -278,7 +278,7 @@ const (
 // JobStatus is the wire form of one job's lifecycle position.
 //
 // A status response encodes a done job's Result only once, when the job
-// succeeds (writeStatus appends the stored bytes to the encoded envelope).
+// succeeds (statusJSON appends the stored bytes to the encoded envelope).
 // That is exact because of two invariants, held by
 // TestWriteStatusMatchesEncoder: Result is the last field, and ID and State
 // are never empty, so the envelope always has a field before the Result.
@@ -299,6 +299,7 @@ type Stats struct {
 	Failed     int64 `json:"failed"`
 	Canceled   int64 `json:"canceled"`
 	CacheHits  int64 `json:"cache_hits"`
+	BodyHits   int64 `json:"body_hits"` // hits answered without decoding the body
 	CacheMiss  int64 `json:"cache_misses"`
 	QueueDepth int   `json:"queue_depth"`
 	QueueCap   int   `json:"queue_cap"`

@@ -19,10 +19,10 @@ import (
 // FuzzSubmit drives POST /v1/jobs?wait=1 end to end through the real
 // pipeline: the first input is sent as the request body as it stands, the
 // second, when not empty, as an inline .bench netlist. Whatever arrives, the
-// server must not panic and must answer a JSON body with 200, 202 or a 4xx;
-// a job that ends done must report finite, non-negative energies. Each body
-// is sent twice, and the replay must answer as the body index promises (see
-// checkSubmit).
+// server must not panic and must answer a compact JSON body with 200, 202 or
+// a 4xx; a job that ends done must report finite, non-negative energies. Each
+// body is sent twice, and the replay must answer as the body index promises
+// (see checkSubmit).
 func FuzzSubmit(f *testing.F) {
 	s27, err := netgen.LoadNamed("s27")
 	if err != nil {
@@ -89,6 +89,9 @@ func checkSubmit(t *testing.T, h http.Handler, body []byte) {
 	}
 	if !json.Valid(out) {
 		t.Fatalf("status %d for %q: body is not JSON: %q", code, body, out)
+	}
+	if !compactBody(out) {
+		t.Fatalf("status %d for %q: body is not compact JSON: %q", code, body, out)
 	}
 	if code >= 400 {
 		if again, replay := sendSubmit(h, body); again != code {

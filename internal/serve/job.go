@@ -39,10 +39,10 @@ type job struct {
 }
 
 // storedResult is a finished job's Result in its one encoding: the bytes
-// writeJSON's indenting encoder writes for it at the "result" position of a
-// JobStatus, one level deep (see encodeResult). The executor builds it when
-// the job succeeds; the job and the result cache share it, and nothing
-// modifies it afterwards.
+// json.Marshal writes for it (see encodeResult), which every status and SSE
+// done frame that carries the Result splices in (statusJSON). The executor
+// builds it when the job succeeds; the job and the result cache share it,
+// and nothing modifies it afterwards.
 type storedResult struct {
 	json []byte
 }

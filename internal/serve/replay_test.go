@@ -82,7 +82,7 @@ func hitCounts(reg *obs.Registry) (cache, body int64) {
 func TestBodyReplayHits(t *testing.T) {
 	var runs atomic.Int64
 	reg := obs.NewRegistry()
-	s, _ := newTestServer(t, Config{Runner: countingRunner(&runs), Obs: reg})
+	s, c := newTestServer(t, Config{Runner: countingRunner(&runs), Obs: reg})
 	h := s.Handler()
 	const body = `{"circuit":"s27","fc_hz":2e8}`
 
@@ -101,6 +101,9 @@ func TestBodyReplayHits(t *testing.T) {
 	}
 	if cache, bodies := hitCounts(reg); cache != 2 || bodies != 2 {
 		t.Errorf("cache_hits %d, body_hits %d, want 2 and 2", cache, bodies)
+	}
+	if st, err := c.Stats(context.Background()); err != nil || st.CacheHits != 2 || st.BodyHits != 2 {
+		t.Errorf("/v1/stats: %+v, %v, want 2 cache hits and 2 body hits", st, err)
 	}
 	if n := runs.Load(); n != 1 {
 		t.Errorf("runner ran %d times, want 1", n)

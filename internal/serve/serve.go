@@ -114,6 +114,7 @@ type Server struct {
 	nfailed  atomic.Int64
 	ncancel  atomic.Int64
 	hits     atomic.Int64
+	bodyHits atomic.Int64
 	misses   atomic.Int64
 }
 
@@ -310,6 +311,7 @@ func (s *Server) replay(sum [sha256.Size]byte) *job {
 	if !ok {
 		return nil
 	}
+	s.bodyHits.Add(1)
 	s.obsCount("serve.body_hits", 1)
 	return s.hitLocked(key, res)
 }
@@ -433,6 +435,7 @@ func (s *Server) stats() Stats {
 		Failed:     s.nfailed.Load(),
 		Canceled:   s.ncancel.Load(),
 		CacheHits:  s.hits.Load(),
+		BodyHits:   s.bodyHits.Load(),
 		CacheMiss:  s.misses.Load(),
 		QueueDepth: len(s.queue),
 		QueueCap:   s.cfg.QueueDepth,
@@ -475,41 +478,44 @@ func (s *Server) routes() {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the client hung up; nothing useful to do
+	_ = json.NewEncoder(w).Encode(v) // the client hung up; nothing useful to do
 }
 
-// encodeResult builds the stored form of a runner's result: the bytes
-// writeJSON's indenting encoder writes for res at the "result" position of a
-// JobStatus, one level deep, which writeStatus splices in. It only reads res,
-// so a runner may hand the same *Result to several jobs.
+// encodeResult builds the stored form of a runner's result: json.Marshal's
+// bytes for res, which statusJSON splices into every status that carries it.
+// It only reads res, so a runner may hand the same *Result to several jobs.
 func encodeResult(res *Result) (*storedResult, error) {
-	b, err := json.MarshalIndent(res, "  ", "  ")
+	b, err := json.Marshal(res)
 	if err != nil {
 		return nil, fmt.Errorf("serve: encoding result: %w", err)
 	}
 	return &storedResult{json: b}, nil
 }
 
+// statusJSON returns the bytes json.Marshal writes for st with the job's
+// Result in it, but encodes only the envelope and appends res, the Result's
+// stored encoding, instead of encoding the Result again. The splice relies
+// on the two invariants stated at JobStatus. The slice has room for one more
+// byte, the newline writeStatus ends its body with.
+func statusJSON(st JobStatus, res *storedResult) []byte {
+	env, _ := json.Marshal(st) // strings and a bool always encode
+	const field = `,"result":`
+	b := make([]byte, 0, len(env)+len(field)+len(res.json)+len("}\n"))
+	b = append(b, env[:len(env)-len("}")]...)
+	b = append(b, field...)
+	b = append(b, res.json...)
+	return append(b, '}')
+}
+
 // writeStatus writes j's status exactly as writeJSON would encode the
-// envelope with the job's Result in it, but encodes only the envelope and
-// appends the result's stored encoding instead of encoding the Result again.
-// The splice relies on the two invariants stated at JobStatus.
+// envelope with the job's Result in it: statusJSON's bytes and a newline.
 func writeStatus(w http.ResponseWriter, status int, j *job) {
 	st, res := j.envelope()
 	if res == nil {
 		writeJSON(w, status, st)
 		return
 	}
-	// An envelope holds only strings and a bool, which always encode.
-	env, _ := json.MarshalIndent(st, "", "  ")
-	const field = ",\n  \"result\": "
-	b := make([]byte, 0, len(env)+len(field)+len(res.json)+len("\n}\n"))
-	b = append(b, env[:len(env)-len("\n}")]...)
-	b = append(b, field...)
-	b = append(b, res.json...)
-	b = append(b, "\n}\n"...)
+	b := append(statusJSON(st, res), '\n')
 	// A result is a few KB: with its length declared the response goes out
 	// whole instead of chunked past net/http's 2 KiB buffer.
 	w.Header().Set("Content-Type", "application/json")

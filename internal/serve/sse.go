@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -77,21 +76,12 @@ func writeFrame(w io.Writer, event string, data []byte) {
 }
 
 // writeDone renders the "done" frame: j's status as json.Marshal encodes it
-// with the job's Result in it. Like writeStatus it encodes only the envelope
-// and splices in the stored result, here compacted: indenting adds only
-// whitespace outside strings, so compacting gives back json.Marshal's bytes.
+// with the job's Result in it, spliced by statusJSON as a status response is.
 func writeDone(w io.Writer, j *job) {
 	st, res := j.envelope()
 	if res == nil {
 		writeEvent(w, "done", st)
 		return
 	}
-	env, _ := json.Marshal(st) // strings and a bool always encode
-	var b bytes.Buffer
-	b.Grow(len(env) + len(res.json))
-	b.Write(env[:len(env)-len("}")])
-	b.WriteString(`,"result":`)
-	_ = json.Compact(&b, res.json) // the encoder wrote them: valid JSON
-	b.WriteString("}")
-	writeFrame(w, "done", b.Bytes())
+	writeFrame(w, "done", statusJSON(st, res))
 }

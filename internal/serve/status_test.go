@@ -231,6 +231,101 @@ func TestWriteStatusConcurrentHits(t *testing.T) {
 	}
 }
 
+// compactJSON reports whether b is JSON as json.Marshal writes it: json.Compact
+// returns it byte for byte.
+func compactJSON(b []byte) bool {
+	var c bytes.Buffer
+	return json.Compact(&c, b) == nil && bytes.Equal(c.Bytes(), b)
+}
+
+// compactBody reports whether an HTTP body is compact JSON followed by the
+// encoder's newline.
+func compactBody(body []byte) bool {
+	b, ok := bytes.CutSuffix(body, []byte("\n"))
+	return ok && compactJSON(b)
+}
+
+// Every JSON body the server writes is compact: job statuses in each state,
+// a cache hit included, /v1/stats, the upload reply, error bodies for 400,
+// 404, 429 and 503, and the data of both SSE event kinds.
+func TestBodiesAreCompact(t *testing.T) {
+	g := newGatedRunner()
+	runner := func(ctx context.Context, req *Request, workers int, reg *obs.Registry) (*Result, error) {
+		if req.Circuit == "c17" {
+			return nil, errors.New(awkward)
+		}
+		if _, err := g.run(ctx, req, workers, reg); err != nil {
+			return nil, err
+		}
+		return &Result{Output: awkward + "\n", Manifest: obs.NewManifest("served")}, nil
+	}
+	s := New(Config{Executors: 1, QueueDepth: 1, Runner: runner})
+	h := s.Handler()
+	send := func(what, method, target, body string, code int) JobStatus {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+		if rec.Code != code {
+			t.Fatalf("%s: %d %s, want %d", what, rec.Code, rec.Body, code)
+		}
+		if !compactBody(rec.Body.Bytes()) {
+			t.Errorf("%s: body is not compact JSON:\n%s", what, rec.Body)
+		}
+		var st JobStatus
+		_ = json.Unmarshal(rec.Body.Bytes(), &st) // not every body is a status; status checks the state
+		return st
+	}
+	status := func(what, method, target, body string, code int, state string) JobStatus {
+		t.Helper()
+		st := send(what, method, target, body, code)
+		if st.State != state {
+			t.Fatalf("%s: state %q, want %q", what, st.State, state)
+		}
+		return st
+	}
+	events := func(id string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/events", nil))
+		seen := map[string]int{}
+		for _, frame := range strings.Split(strings.TrimSuffix(rec.Body.String(), "\n\n"), "\n\n") {
+			event, data, ok := strings.Cut(frame, "\ndata: ")
+			event, found := strings.CutPrefix(event, "event: ")
+			if !ok || !found || !compactJSON([]byte(data)) {
+				t.Errorf("job %s: SSE frame is not one event with compact JSON data:\n%s", id, frame)
+			}
+			seen[event]++
+		}
+		if seen["progress"] == 0 || seen["done"] != 1 {
+			t.Errorf("job %s: frames %v, want progress frames and one done frame", id, seen)
+		}
+	}
+
+	running := send("submit", http.MethodPost, "/v1/jobs", `{"circuit":"s27"}`, http.StatusAccepted) // queued or running
+	g.waitStart(t)
+	status("running", http.MethodGet, "/v1/jobs/"+running.ID, "", http.StatusOK, StateRunning)
+	queued := status("queued", http.MethodPost, "/v1/jobs", `{"circuit":"s298"}`, http.StatusAccepted, StateQueued)
+	send("queue full", http.MethodPost, "/v1/jobs", `{"circuit":"s344"}`, http.StatusTooManyRequests)
+	status("canceled", http.MethodDelete, "/v1/jobs/"+queued.ID, "", http.StatusOK, StateCanceled)
+	close(g.release)
+	done := status("done", http.MethodGet, "/v1/jobs/"+running.ID+"?wait=1", "", http.StatusOK, StateDone)
+	hit := status("hit", http.MethodPost, "/v1/jobs?wait=1", `{"circuit":"s27"}`, http.StatusOK, StateDone)
+	if done.Result == nil || !hit.Cached {
+		t.Fatalf("done %+v, hit %+v: want a result and a cache hit", done, hit)
+	}
+	status("failed", http.MethodPost, "/v1/jobs?wait=1", `{"circuit":"c17"}`, http.StatusOK, StateFailed)
+	send("bad request", http.MethodPost, "/v1/jobs", `{"frobnicate":1}`, http.StatusBadRequest)
+	send("no such job", http.MethodGet, "/v1/jobs/nope", "", http.StatusNotFound)
+	send("upload", http.MethodPost, "/v1/netlists", c17Bench, http.StatusOK)
+	send("stats", http.MethodGet, "/v1/stats", "", http.StatusOK)
+	events(done.ID)
+	events(hit.ID)
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	send("shutting down", http.MethodPost, "/v1/jobs", `{"circuit":"s27","m":3}`, http.StatusServiceUnavailable)
+}
+
 // BenchmarkServeHit measures the serve layer's cache lookup and render: one
 // cache-hit POST /v1/jobs?wait=1 through Server.Handler() against a primed
 // joint result, with no network in between. /name replays s298 by name,
@@ -271,8 +366,10 @@ func BenchmarkServeHit(b *testing.B) {
 				send()
 			}
 			b.StopTimer()
-			if rec := send(); !strings.Contains(rec.Body.String(), `"cached": true`) {
-				b.Fatalf("not a cache hit: %s", rec.Body)
+			rec := send()
+			var st JobStatus
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || !st.Cached {
+				b.Fatalf("not a cache hit (%v): %s", err, rec.Body)
 			}
 		})
 	}
