@@ -173,7 +173,7 @@ func BenchmarkAnnealVsHeuristic(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				entries, err := experiments.SACompare(experiments.Default(), []string{name}, 0.5, core.DefaultAnnealOptions())
+				entries, err := experiments.SACompare(experiments.Default(), []string{name}, 0.5)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -113,25 +113,3 @@ func TestCanarySeedsOneViolationPerAnalyzer(t *testing.T) {
 		t.Errorf("canary produced no %s finding", analyzer)
 	}
 }
-
-// TestExternalTestPackagesAnalyzed: the walk loads each directory's external
-// test package ("package core_test") as a package of its own, so hotalloc
-// reports the allocation in its hotpath helper.
-func TestExternalTestPackagesAnalyzed(t *testing.T) {
-	chdirTestdata(t, "xtest")
-	var exit int
-	out := captureStdout(t, func() {
-		exit = standalone([]string{"./..."}, []*analysis.Analyzer{analysis.HotAlloc}, true)
-	})
-	if exit != 1 {
-		t.Fatalf("exit = %d, want 1 (the external test's allocation must be found)", exit)
-	}
-	var rows []jsonDiagnostic
-	if err := json.Unmarshal([]byte(out), &rows); err != nil {
-		t.Fatalf("-json output is not a JSON array: %v\n%s", err, out)
-	}
-	if len(rows) != 1 || filepath.ToSlash(rows[0].File) != "internal/core/core_test.go" ||
-		!strings.Contains(rows[0].Message, "make in hotpath function ids") {
-		t.Fatalf("findings = %+v, want the one make in internal/core/core_test.go", rows)
-	}
-}

@@ -1,15 +1,16 @@
 // Command cmosvet is the repository's invariant checker: a multichecker over
 // the internal/analysis analyzers, each of which catches a bug go test ./...
-// misses (determinism, obswriteonly, hotalloc, ctxpoll, locksafe):
+// misses (determinism, obswriteonly, ctxpoll, locksafe):
 //
 //	cmosvet ./...                  # every package of the module, CI runs this
 //	cmosvet -analyzers ctxpoll ./internal/...
 //
 // It walks the module from the working directory and loads each package from
 // source, with its in-package tests and, as a package of its own, its
-// external test package ("package foo_test"); cross-package function facts
-// (hotpath, allocates, calls-eval, polls-ctx) are computed by the loader on
-// demand. golang.org/x/tools is deliberately not a dependency.
+// external test package ("package foo_test"), and the standard library from
+// the go command's export data; cross-package function facts (calls-eval,
+// polls-ctx) are computed by the loader on demand. golang.org/x/tools is
+// deliberately not a dependency.
 //
 // Output is deterministic: diagnostics are merged across analyzers and
 // packages and sorted by (file, line, col, analyzer) before printing. -json
@@ -24,13 +25,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"cmosopt/internal/analysis"
 )
 
 func main() {
 	fs := flag.NewFlagSet("cmosvet", flag.ExitOnError)
-	names := fs.String("analyzers", "all", "comma-separated analyzer subset (determinism,obswriteonly,hotalloc,ctxpoll,locksafe) or \"all\"")
+	var suite []string
+	for _, a := range analysis.All() {
+		suite = append(suite, a.Name)
+	}
+	names := fs.String("analyzers", "all", "comma-separated analyzer subset ("+strings.Join(suite, ",")+") or \"all\"")
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array on stdout instead of text on stderr")
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: cmosvet [-analyzers list] [-json] [./... | dir]\n")

@@ -9,14 +9,10 @@
 //     the observability and tool layers, so no obs read can steer a long
 //     run, which no test is;
 //
-// and three flow-aware analyzers over a per-function CFG (cfg.go), a generic
+// and two flow-aware analyzers over a per-function CFG (cfg.go), a generic
 // forward dataflow fixpoint (dataflow.go) and cross-package function facts
 // (facts.go):
 //
-//   - hotalloc (hotalloc.go): //cmosvet:hotpath functions contain no
-//     heap-allocating construct on any reachable path — the PR 6
-//     "zero-allocation levelized sweeps" invariant, where the incremental
-//     engine has no allocation test;
 //   - ctxpoll (ctxpoll.go): candidate loops that reach engine evaluation
 //     poll Spec.Ctx on every iteration path — the PR 8 cancellation
 //     invariant, for the loops no test cancels;
@@ -27,9 +23,11 @@
 //
 // The x/tools module is deliberately not vendored (this module has zero
 // dependencies); the subset reimplemented here — Analyzer, Pass, Diagnostic,
-// a source loader (loader.go) and an analysistest-style fixture runner
-// (analysistest/) — is small and uses only the standard library's go/ast,
-// go/types and go/parser. cmd/cmosvet drives it over the module.
+// a loader (loader.go) that type-checks the module from source and the
+// standard library from the go command's export data, and an
+// analysistest-style fixture runner (analysistest/) — is small and uses only
+// the standard library's go/ast, go/types, go/parser and go/importer.
+// cmd/cmosvet drives it over the module.
 //
 // # Suppression
 //
@@ -71,8 +69,8 @@ type Pass struct {
 	Files     []*ast.File // package syntax, in file-name order
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Facts supplies cross-package function facts to the flow-aware
-	// analyzers; nil disables fact lookups (everything resolves unknown).
+	// Facts supplies cross-package function facts to ctxpoll; nil disables
+	// fact lookups (everything resolves unknown).
 	Facts FactProvider
 
 	diagnostics []Diagnostic
@@ -240,7 +238,7 @@ func SortDiagnostics(ds []Diagnostic) {
 
 // All returns the cmosvet analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, ObsWriteOnly, HotAlloc, CtxPoll, LockSafe}
+	return []*Analyzer{Determinism, ObsWriteOnly, CtxPoll, LockSafe}
 }
 
 // ByName returns the named analyzers from the suite ("" or "all" → all).

@@ -8,8 +8,8 @@ import (
 
 func TestByName(t *testing.T) {
 	all, err := analysis.ByName("all")
-	if err != nil || len(all) != 5 {
-		t.Fatalf("ByName(all) = %d analyzers, err %v; want 5", len(all), err)
+	if err != nil || len(all) != 4 {
+		t.Fatalf("ByName(all) = %d analyzers, err %v; want 4", len(all), err)
 	}
 	two, err := analysis.ByName("locksafe,determinism")
 	if err != nil || len(two) != 2 || two[0].Name != "locksafe" || two[1].Name != "determinism" {

@@ -10,8 +10,8 @@ import (
 // CFG built from go/ast alone (no SSA, no x/tools), covering if/for/range/
 // switch/type-switch/select/labeled statements, break/continue/goto/
 // fallthrough, return, and path-terminating calls (panic, os.Exit,
-// log.Fatal*). The flow-aware analyzers (hotalloc, ctxpoll, locksafe) run
-// over it, the last two through dataflow fixpoints (Forward, dataflow.go).
+// log.Fatal*). The flow-aware analyzers (ctxpoll, locksafe) run over it
+// through dataflow fixpoints (Forward, dataflow.go).
 
 // Block is one basic block: a maximal straight-line node sequence with edges
 // to its successors. Nodes are statements and the condition/tag expressions
@@ -79,24 +79,6 @@ func BuildLoopBody(loop ast.Stmt, label string) *CFG {
 	b.linkCurrent(b.cfg.Exit)
 	b.finish(b.cfg.Abort)
 	return b.cfg
-}
-
-// Reachable returns the set of blocks reachable from Entry. Statements after
-// an unconditional return/panic sit in blocks outside this set.
-func (c *CFG) Reachable() map[*Block]bool {
-	seen := map[*Block]bool{c.Entry: true}
-	stack := []*Block{c.Entry}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range b.Succs {
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return seen
 }
 
 type branchTarget struct {

@@ -28,10 +28,28 @@ func parseFuncBody(t *testing.T, src string) (*ast.FuncDecl, *token.FileSet) {
 	return nil, nil
 }
 
+// reachable returns the set of blocks reachable from c.Entry. Statements
+// after an unconditional return or panic sit in blocks outside this set.
+func reachable(c *analysis.CFG) map[*analysis.Block]bool {
+	seen := map[*analysis.Block]bool{c.Entry: true}
+	stack := []*analysis.Block{c.Entry}
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range b.Succs {
+			if !seen[s] {
+				seen[s] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	return seen
+}
+
 // blockOf returns the reachable block whose Nodes contain a call to name, or
 // nil when no reachable block does.
 func blockOf(c *analysis.CFG, name string) *analysis.Block {
-	reach := c.Reachable()
+	reach := reachable(c)
 	for b := range reach {
 		if blockCalls(b, name) {
 			return b
@@ -70,7 +88,7 @@ func f(a bool) int {
 func seen() {}
 `)
 	c := analysis.BuildCFG(fd.Body)
-	reach := c.Reachable()
+	reach := reachable(c)
 	if !reach[c.Exit] {
 		t.Fatal("Exit not reachable from Entry")
 	}
@@ -109,7 +127,7 @@ func f(a bool) int {
 	c := analysis.BuildCFG(fd.Body)
 	// The panic arm terminates flow: no block may reach Exit through it, but
 	// Exit stays reachable via the return.
-	if !c.Reachable()[c.Exit] {
+	if !reachable(c)[c.Exit] {
 		t.Fatal("Exit must stay reachable through the non-panicking path")
 	}
 	for _, b := range c.Blocks {
@@ -176,7 +194,7 @@ func use(int) {}
 	if c == nil || c.Abort == nil {
 		t.Fatal("loop-body CFG must have an Abort block")
 	}
-	reach := c.Reachable()
+	reach := reachable(c)
 	if !reach[c.Exit] {
 		t.Fatal("iteration latch (Exit) must be reachable: continue and fall-through lead there")
 	}
@@ -292,18 +310,18 @@ func TestDiagnosticSortIsByteStable(t *testing.T) {
 		}
 	}
 	ds := []analysis.Diagnostic{
-		mk("b.go", 1, 1, "hotalloc", "z"),
+		mk("b.go", 1, 1, "determinism", "z"),
 		mk("a.go", 9, 2, "locksafe", "m"),
 		mk("a.go", 9, 2, "ctxpoll", "m"),
 		mk("a.go", 9, 1, "locksafe", "m"),
-		mk("a.go", 2, 7, "hotalloc", "m"),
+		mk("a.go", 2, 7, "determinism", "m"),
 	}
 	want := []string{
-		"a.go:2:7:hotalloc",
+		"a.go:2:7:determinism",
 		"a.go:9:1:locksafe",
 		"a.go:9:2:ctxpoll",
 		"a.go:9:2:locksafe",
-		"b.go:1:1:hotalloc",
+		"b.go:1:1:determinism",
 	}
 	// Sorting any permutation lands the same byte order.
 	for rot := 0; rot < len(ds); rot++ {

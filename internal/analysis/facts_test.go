@@ -39,11 +39,6 @@ func TestComputePkgFacts(t *testing.T) {
 	// through the same-package helper chain.
 	p := typecheckPkg(t, "cmosopt/internal/eval", `package eval
 
-//cmosvet:hotpath
-func Hot(n int) int { return n + 1 }
-
-func Alloc(n int) []int { return make([]int, n) }
-
 func Plain(n int) int { return n * 2 }
 
 type Engine struct{ n int }
@@ -66,8 +61,6 @@ func outer(e *Engine) float64 { return helper(e) + 1 }
 			t.Fatalf("facts[%q] = %+v, want %+v", key, got, want)
 		}
 	}
-	check("Hot", analysis.FuncFacts{Hotpath: true})
-	check("Alloc", analysis.FuncFacts{Allocates: true})
 	check("Plain", analysis.FuncFacts{})
 	check("helper", analysis.FuncFacts{CallsEval: true})
 	// outer never touches the engine directly: CallsEval arrives only through
@@ -83,16 +76,15 @@ func TestComputePkgFactsMethodKeys(t *testing.T) {
 
 type box struct{ v []int }
 
-//cmosvet:hotpath
 func (b *box) Get(i int) int { return b.v[i] }
 
 func (b box) Grow(n int) { b.v = make([]int, n) }
 `)
 	facts := analysis.ComputePkgFacts(p)
-	if !facts["box.Get"].Hotpath {
+	if _, ok := facts["box.Get"]; !ok {
 		t.Fatalf("pointer-receiver method not keyed box.Get: %v", keysOf(facts))
 	}
-	if !facts["box.Grow"].Allocates {
+	if _, ok := facts["box.Grow"]; !ok {
 		t.Fatalf("value-receiver method not keyed box.Grow: %v", keysOf(facts))
 	}
 }

@@ -40,8 +40,8 @@ type LoadedPackage struct {
 
 // Loader parses and type-checks packages from source, resolving module
 // imports through Roots and everything else through the standard library's
-// source importer. It memoizes by import path, so one Loader amortizes the
-// (expensive) standard-library type-checking across every package of a run.
+// export data, which the go command builds into its cache. It memoizes by
+// import path, so each package of a run is read once.
 type Loader struct {
 	Fset *token.FileSet
 	// Roots are tried in order; the first prefix match wins.
@@ -51,7 +51,7 @@ type Loader struct {
 	// ("package foo_test"), which is never mixed into the package it tests.
 	IncludeTests bool
 
-	std     types.ImporterFrom
+	std     types.Importer
 	pkgs    map[string]*LoadedPackage
 	facts   map[string]PkgFacts
 	factsMu sync.Mutex
@@ -59,15 +59,11 @@ type Loader struct {
 
 // NewLoader returns a Loader over the given roots.
 func NewLoader(roots ...Root) *Loader {
-	// The source importer type-checks dependencies straight from GOROOT/src;
-	// with cgo disabled it selects the pure-Go fallback files, which is both
-	// hermetic (no C toolchain in CI) and sufficient for type information.
-	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
 	return &Loader{
 		Fset:  fset,
 		Roots: roots,
-		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		std:   importer.ForCompiler(fset, "gc", nil),
 		pkgs:  make(map[string]*LoadedPackage),
 	}
 }
@@ -114,11 +110,6 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		return p.Types, nil
 	}
 	return l.std.Import(path)
-}
-
-// ImportFrom implements types.ImporterFrom (the source importer requires it).
-func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	return l.Import(path)
 }
 
 // Load parses and type-checks the package at the given import path.

@@ -73,7 +73,7 @@ var modes = []struct {
 	{"joint", func(p *core.Problem, o core.Options, _ int) (*core.Result, error) { return p.OptimizeJoint(o) }},
 	{"baseline", func(p *core.Problem, o core.Options, _ int) (*core.Result, error) { return p.OptimizeBaseline(o) }},
 	{"anneal", func(p *core.Problem, _ core.Options, _ int) (*core.Result, error) {
-		return p.OptimizeAnneal(core.DefaultAnnealOptions())
+		return p.OptimizeAnneal()
 	}},
 	{"multivt", func(p *core.Problem, o core.Options, nv int) (*core.Result, error) { return p.OptimizeMultiVt(nv, o) }},
 	{"dualvdd", func(p *core.Problem, o core.Options, _ int) (*core.Result, error) { return p.OptimizeDualVdd(o) }},

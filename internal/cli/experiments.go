@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"cmosopt/internal/core"
 	"cmosopt/internal/device"
 	"cmosopt/internal/experiments"
 	"cmosopt/internal/obs"
@@ -67,7 +66,7 @@ func Tables(args []string, out io.Writer) error {
 			tables = append(tables, experiments.Table2(entries))
 		}
 	case "sa":
-		entries, err := experiments.SACompare(cfg, cfg.Circuits, cfg.Activities[0], core.DefaultAnnealOptions())
+		entries, err := experiments.SACompare(cfg, cfg.Circuits, cfg.Activities[0])
 		if err != nil {
 			return err
 		}

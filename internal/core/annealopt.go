@@ -8,33 +8,26 @@ import (
 	"cmosopt/internal/optimize"
 )
 
-// AnnealOptions parameterizes the simulated-annealing comparator of the
+// The schedule and move sizes of the simulated-annealing comparator of the
 // paper's §5 ("we have also implemented an optimization tool ... using
 // multiple-pass simulated annealing. Our approach performed significantly
-// better than annealing over all the circuits").
-type AnnealOptions struct {
-	optimize.AnnealConfig
-	// VddSigma / VtsSigma are the Gaussian move sizes for the voltages;
-	// WidthSigma is the log-space move size for one gate's width.
-	VddSigma   float64
-	VtsSigma   float64
-	WidthSigma float64
-	// Penalty is the multiplier applied per unit of relative cycle-time
-	// violation (soft constraint so annealing can traverse the boundary).
-	Penalty float64
-}
-
-// DefaultAnnealOptions returns a schedule comparable in circuit evaluations
-// to Procedure 2 at the default M.
-func DefaultAnnealOptions() AnnealOptions {
-	return AnnealOptions{
-		AnnealConfig: optimize.AnnealConfig{Passes: 3, StepsPerPass: 1500, T0: 1, TFinal: 1e-4, Seed: 1},
-		VddSigma:     0.15,
-		VtsSigma:     0.04,
-		WidthSigma:   0.4,
-		Penalty:      30,
-	}
-}
+// better than annealing over all the circuits"), comparable in circuit
+// evaluations to Procedure 2 at the default M.
+const (
+	annealPasses       = 3
+	annealStepsPerPass = 1500
+	annealT0           = 1
+	annealTFinal       = 1e-4
+	annealSeed         = 1
+	// The Gaussian move sizes of the voltages, and the log-space move size
+	// of one gate's width.
+	annealVddSigma   = 0.15
+	annealVtsSigma   = 0.04
+	annealWidthSigma = 0.4
+	// annealPenalty multiplies each unit of relative cycle-time violation
+	// (a soft constraint, so annealing can traverse the boundary).
+	annealPenalty = 30
+)
 
 // annealState is a full design point: one Vdd, one shared Vts (n_v = 1, as in
 // the heuristic it is compared against), and per-gate widths.
@@ -47,7 +40,7 @@ type annealState struct {
 // total energy, multiplied by a penalty when the critical delay exceeds the
 // cycle budget. The returned result reports the best *feasible* state seen;
 // the error is non-nil only for bad configuration.
-func (p *Problem) OptimizeAnneal(opts AnnealOptions) (*Result, error) {
+func (p *Problem) OptimizeAnneal() (*Result, error) {
 	evals0 := p.Eval.FullEvalEquivalents()
 	n := p.C.N()
 	budget := p.CycleBudget()
@@ -77,20 +70,20 @@ func (p *Problem) OptimizeAnneal(opts AnnealOptions) (*Result, error) {
 		if math.IsInf(cd, 1) {
 			return math.Inf(1)
 		}
-		return e * (1 + opts.Penalty*(cd/budget-1))
+		return e * (1 + annealPenalty*(cd/budget-1))
 	}
 
 	neighbor := func(s annealState, rng *rand.Rand) annealState {
 		a := s.a.Clone()
 		switch rng.Intn(4) {
 		case 0:
-			a.Vdd = clamp(a.Vdd+rng.NormFloat64()*opts.VddSigma, p.Tech.VddMin, p.Tech.VddMax)
+			a.Vdd = clamp(a.Vdd+rng.NormFloat64()*annealVddSigma, p.Tech.VddMin, p.Tech.VddMax)
 		case 1:
-			vt := clamp(a.Vts[0]+rng.NormFloat64()*opts.VtsSigma, p.Tech.VtsMin, p.Tech.VtsMax)
+			vt := clamp(a.Vts[0]+rng.NormFloat64()*annealVtsSigma, p.Tech.VtsMin, p.Tech.VtsMax)
 			a.SetVts(vt)
 		default: // widths get double weight: they are most of the variables
 			id := rng.Intn(n)
-			a.W[id] = clamp(a.W[id]*math.Exp(rng.NormFloat64()*opts.WidthSigma), p.Tech.WMin, p.Tech.WMax)
+			a.W[id] = clamp(a.W[id]*math.Exp(rng.NormFloat64()*annealWidthSigma), p.Tech.WMin, p.Tech.WMax)
 		}
 		return annealState{a: a}
 	}
@@ -98,8 +91,14 @@ func (p *Problem) OptimizeAnneal(opts AnnealOptions) (*Result, error) {
 	// Start from a safe high-drive corner (known feasible for any problem the
 	// baseline can solve).
 	init := annealState{a: design.Uniform(n, p.Tech.VddMax, p.Tech.VtsMax, 4)}
-	cfg := opts.AnnealConfig
-	cfg.Stop = func() bool { return p.ctx.Err() != nil }
+	cfg := optimize.AnnealConfig{
+		Passes:       annealPasses,
+		StepsPerPass: annealStepsPerPass,
+		T0:           annealT0,
+		TFinal:       annealTFinal,
+		Seed:         annealSeed,
+		Stop:         func() bool { return p.ctx.Err() != nil },
+	}
 	if _, _, err := optimize.Anneal(cfg, init, score, neighbor); err != nil {
 		return nil, err
 	}

@@ -337,9 +337,7 @@ func TestAnnealFeasibleButNoBetterThanHeuristic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ao := DefaultAnnealOptions()
-	ao.StepsPerPass = 800 // keep the test fast; §5's conclusion holds anyway
-	sa, err := p.OptimizeAnneal(ao)
+	sa, err := p.OptimizeAnneal()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func TestOptimizeAnnealCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.OptimizeAnneal(DefaultAnnealOptions()); !errors.Is(err, context.Canceled) {
+	if _, err := p.OptimizeAnneal(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("anneal cancel: err = %v, want context.Canceled", err)
 	}
 }

@@ -51,8 +51,6 @@ func New(c *circuit.Circuit, tech *device.Tech, wire *wiring.Model) (*Evaluator,
 
 // SlopeCoeff returns the input-rise-time coefficient
 // ½ − (1 − V_TS/V_dd)/(1+α), clamped to [0, 1].
-//
-//cmosvet:hotpath
 func (e *Evaluator) SlopeCoeff(vdd, vts float64) float64 {
 	k := 0.5 - (1-vts/vdd)/(1+e.Tech.Alpha)
 	if k < 0 {
@@ -76,8 +74,6 @@ type Coeffs struct {
 
 // CoeffsAt computes the device coefficients of one (V_dd, V_TS) operating
 // point — the three transcendental evaluations every gate-delay call needs.
-//
-//cmosvet:hotpath
 func (e *Evaluator) CoeffsAt(vdd, vts float64) Coeffs {
 	return Coeffs{
 		Slope: e.SlopeCoeff(vdd, vts),
@@ -90,8 +86,6 @@ func (e *Evaluator) CoeffsAt(vdd, vts float64) Coeffs {
 // among its drivers (the t_dij term). It returns +Inf when the operating
 // point cannot switch the gate (leakage of the off stacks exceeds the drive
 // current). Input gates have zero delay.
-//
-//cmosvet:hotpath
 func (e *Evaluator) GateDelayWith(id int, a *design.Assignment, maxFaninDelay float64) float64 {
 	vdd := a.VddAt(id)
 	return e.GateDelayAt(id, a, a.W[id], -1, 0, maxFaninDelay, e.CoeffsAt(vdd, a.Vts[id]))
@@ -108,8 +102,6 @@ func (e *Evaluator) GateDelayWith(id int, a *design.Assignment, maxFaninDelay fl
 // Procedure 2's width passes (internal/eval's width kernel) evaluate a gate
 // at many widths and form the same delay from the same exported term
 // helpers below, split around the gate's own width.
-//
-//cmosvet:hotpath
 func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int, wOv, maxFaninDelay float64, k Coeffs) float64 {
 	cs := e.cs
 	if !cs.IsLogic[id] {
@@ -182,8 +174,6 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 // NetDrive returns the net drive current per unit width, I_Dw − f_ii·I_off,
 // and whether the operating point stalls the gate (the off stacks' leakage
 // matches or exceeds the drive, or there is no drive at all).
-//
-//cmosvet:hotpath
 func NetDrive(k Coeffs, fii float64) (drive float64, stalled bool) {
 	drive = k.Idw - fii*k.Ioff
 	return drive, drive <= 0 || k.Idw <= 0
@@ -193,44 +183,30 @@ func NetDrive(k Coeffs, fii float64) (drive float64, stalled bool) {
 // conversion rounds the product on its own, so a compiler that fuses
 // multiply-adds cannot fold it into the next addition in one caller and not
 // in another.
-//
-//cmosvet:hotpath
 func SlopeTerm(k Coeffs, maxFaninDelay float64) float64 {
 	return float64(k.Slope * maxFaninDelay)
 }
 
 // BranchLoad is the load one fanout branch puts on the driver: the fanout
 // gate's input capacitance w_f·C_t plus the branch wire C_INT.
-//
-//cmosvet:hotpath
 func BranchLoad(wf, ct, cb float64) float64 { return wf*ct + cb }
 
 // POLoad is the load of a primary output's external branch: C_out plus the
 // branch wire C_INT.
-//
-//cmosvet:hotpath
 func POLoad(cout, cb float64) float64 { return cout + cb }
 
 // BranchDelay is one fanout branch's interconnect delay: R_INT times the
 // branch load plus the time of flight.
-//
-//cmosvet:hotpath
 func BranchDelay(rb, load, fl float64) float64 { return rb*load + fl }
 
 // SwitchingTerm is the switching component V_dd·C_load / (2·w·drive).
-//
-//cmosvet:hotpath
 func SwitchingTerm(vdd, load, w, drive float64) float64 { return vdd * load / (2 * w * drive) }
 
 // StackCharge is the series-stack numerator (f_ii−1)·C_mi·V_dd: the charge
 // of the intermediate nodes.
-//
-//cmosvet:hotpath
 func StackCharge(fii, cmi, vdd float64) float64 { return (fii - 1) * cmi * vdd }
 
 // StackTerm is the series-stack component: charge q over 2·w·I_Dw.
-//
-//cmosvet:hotpath
 func StackTerm(q, w, idw float64) float64 { return q / (2 * w * idw) }
 
 // Delays returns the per-gate delay t_di for the whole network, computed in

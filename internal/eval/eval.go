@@ -19,8 +19,9 @@
 //     fixed voltage pair, so one cached triple serves thousands of calls.
 //     Each engine owns its cache, so no lookup takes a lock;
 //   - width-override probes (ProbeWidth, GateDelayOverride) that answer
-//     "what would this gate's delay be at width w" without the
-//     mutate-and-restore pattern on the assignment;
+//     "what would this gate's delay be at width w" without mutating the
+//     assignment: perfbench's eval.width_probe layer times ProbeWidth, and
+//     the sensitivity flow scores its width moves with GateDelayOverride;
 //   - the width kernel (SizeWidths, widths.go): Procedure 2's width passes
 //     as one fused loop over the solve-order gate table. A probe is one
 //     width a search tests, answered by Eq. A3's closed form c0 + c1/w
@@ -181,8 +182,6 @@ func (e *Engine) FullEvalEquivalents() float64 {
 }
 
 // coeffs returns the cached device coefficients of one voltage pair.
-//
-//cmosvet:hotpath
 func (e *Engine) coeffs(vdd, vts float64) delay.Coeffs {
 	k := coeffKey{vdd, vts}
 	if e.haveLast && k == e.lastKey {
@@ -207,8 +206,6 @@ func (e *Engine) coeffs(vdd, vts float64) delay.Coeffs {
 // gateDelay evaluates gate id's delay at width w through the coefficient
 // cache. It is the single funnel every delay number flows through, which is
 // what makes the GateDelayCalls counter a faithful effort meter.
-//
-//cmosvet:hotpath
 func (e *Engine) gateDelay(id int, a *design.Assignment, w, maxFaninDelay float64) float64 {
 	e.met.GateDelayCalls++
 	return e.dm.GateDelayAt(id, a, w, -1, 0, maxFaninDelay, e.coeffs(a.VddAt(id), a.Vts[id]))
@@ -216,8 +213,6 @@ func (e *Engine) gateDelay(id int, a *design.Assignment, w, maxFaninDelay float6
 
 // GateDelayWith returns t_di of one gate given the largest fanin gate delay,
 // evaluated through the coefficient cache. Input gates have zero delay.
-//
-//cmosvet:hotpath
 func (e *Engine) GateDelayWith(id int, a *design.Assignment, maxFaninDelay float64) float64 {
 	if !e.cs.IsLogic[id] {
 		return 0
@@ -226,10 +221,8 @@ func (e *Engine) GateDelayWith(id int, a *design.Assignment, maxFaninDelay float
 }
 
 // ProbeWidth returns gate id's delay as if its width were w, without touching
-// the assignment — the width-override API that replaces the save/restore
-// mutation pattern in the width solver.
-//
-//cmosvet:hotpath
+// the assignment. perfbench's eval.width_probe layer times it; no optimizer
+// calls it.
 func (e *Engine) ProbeWidth(id int, a *design.Assignment, w, maxFaninDelay float64) float64 {
 	e.met.WidthProbes++
 	return e.gateDelay(id, a, w, maxFaninDelay)
@@ -240,8 +233,6 @@ func (e *Engine) ProbeWidth(id int, a *design.Assignment, w, maxFaninDelay float
 // load ov presents when it is one of id's fanouts. ov = -1 evaluates the
 // assignment as is. Sensitivity sizers use this to score a neighbor's width
 // move without mutating the assignment.
-//
-//cmosvet:hotpath
 func (e *Engine) GateDelayOverride(id int, a *design.Assignment, ov int, wOv, maxFaninDelay float64) float64 {
 	if !e.cs.IsLogic[id] {
 		return 0
@@ -261,10 +252,7 @@ func (e *Engine) SlopeCoeff(vdd, vts float64) float64 { return e.dm.SlopeCoeff(v
 // WidthScratch returns the engine's width-kernel scratch. The first call
 // builds it over the circuit's width table, which the first of the engine
 // and its clones to need it builds.
-//
-//cmosvet:hotpath
 func (e *Engine) WidthScratch() *WidthScratch {
-	//cmosvet:allow hotalloc — once per engine (the table once per circuit); every later call allocates nothing
 	if e.ws == nil {
 		e.ws = e.table().newScratch()
 	}
@@ -276,8 +264,6 @@ func (e *Engine) WidthScratch() *WidthScratch {
 // the arrivals in the same order, leaving both in the scratch by solve
 // position. It returns the worst primary-output arrival. It bills what
 // WidthDelays bills; the arrival pass makes no model call.
-//
-//cmosvet:hotpath
 func (e *Engine) sweep(a *design.Assignment) float64 {
 	s := e.WidthScratch()
 	s.gather(a)
@@ -288,11 +274,8 @@ func (e *Engine) sweep(a *design.Assignment) float64 {
 // Delays returns the per-gate delay t_di for the whole network. The returned
 // slice is engine scratch, allocated on the first call: read it before the
 // next Engine call, copy to keep.
-//
-//cmosvet:hotpath
 func (e *Engine) Delays(a *design.Assignment) []float64 {
 	e.sweep(a)
-	//cmosvet:allow hotalloc — one-time lazy init of the gate-ID scratch; every later sweep reuses it (0 allocs/op steady state)
 	if e.td == nil {
 		e.td = make([]float64, e.C.N())
 	}
@@ -302,18 +285,13 @@ func (e *Engine) Delays(a *design.Assignment) []float64 {
 
 // CriticalDelay returns the worst path delay from any input to any primary
 // output, allocation-free.
-//
-//cmosvet:hotpath
 func (e *Engine) CriticalDelay(a *design.Assignment) float64 {
 	return e.sweep(a)
 }
 
 // slacksFrom computes slacks from already-known delays and arrivals — pure
 // graph propagation, no device-model calls.
-//
-//cmosvet:hotpath
 func (e *Engine) slacksFrom(td, arr []float64, T float64) []float64 {
-	//cmosvet:allow hotalloc — one-time lazy init of slack scratch; every later sweep reuses it (0 allocs/op steady state)
 	if e.req == nil {
 		e.req = make([]float64, e.C.N())
 		e.slack = make([]float64, e.C.N())
@@ -346,8 +324,6 @@ func (e *Engine) slacksFrom(td, arr []float64, T float64) []float64 {
 }
 
 // gateEnergy evaluates one gate's energy through the coefficient cache.
-//
-//cmosvet:hotpath
 func (e *Engine) gateEnergy(id int, a *design.Assignment) power.Breakdown {
 	if !e.cs.IsLogic[id] {
 		return power.Breakdown{}
@@ -364,8 +340,6 @@ func (e *Engine) GateEnergy(id int, a *design.Assignment) power.Breakdown {
 
 // Energy returns the whole-network per-cycle energy breakdown (the paper's
 // cost function Σ E_si + E_di), evaluated through the coefficient cache.
-//
-//cmosvet:hotpath
 func (e *Engine) Energy(a *design.Assignment) power.Breakdown {
 	e.met.FullEnergySweeps++
 	var sum power.Breakdown

@@ -170,11 +170,13 @@ func TestWidthProbeMatchesProbeWidth(t *testing.T) {
 }
 
 // Once its table, scratch and cache entry exist, a width solve allocates
-// nothing, on the engine and on a clone: on a random circuit, and on a hub
-// gate that drives nine fanouts and a primary output. Nor do the sweeps that
-// run on the same table: WidthDelays, CriticalDelay with Energy, Delays,
-// and an incremental edit (Bind, then SetWidth with BoundCriticalDelay, and
-// a re-Bind).
+// nothing, on an exact bisection grid or on an inexact one, on the engine
+// and on a clone: on a random circuit, and on a hub gate that drives nine
+// fanouts and a primary output. Nor does any other hot entry point: the
+// width probes (ProbeWidth, GateDelayOverride), the sweeps that run on the
+// same table (WidthDelays, CriticalDelay with Energy, Delays), Bind with the
+// bound slacks and delays, and an incremental edit (Bind, then SetWidth with
+// BoundCriticalDelay, and a re-Bind).
 func TestWidthProbeZeroAlloc(t *testing.T) {
 	_, eng, _, _ := buildCase(t, 5)
 	b := circuit.NewBuilder("hub")
@@ -210,6 +212,16 @@ func TestWidthProbeZeroAlloc(t *testing.T) {
 				run  func()
 			}{
 				{"a width solve", func() { e.SizeWidths(s, a, 1, 100, 12, 4) }},
+				// [1.3, 37.7] has no exact bisection grid, so every gate
+				// whose search bisects takes the cold path.
+				{"a width solve on an inexact grid", func() { e.SizeWidths(s, a, 1.3, 37.7, 12, 4) }},
+				{"ProbeWidth", func() { e.ProbeWidth(id, a, 5, 1e-10) }},
+				{"GateDelayOverride", func() { e.GateDelayOverride(id, a, id, 5, 1e-10) }},
+				{"Bind with BoundSlacks and BoundDelays", func() {
+					e.Bind(bound)
+					e.BoundSlacks(1e-8)
+					e.BoundDelays()
+				}},
 				{"WidthDelays", func() { e.WidthDelays(s, a) }},
 				{"CriticalDelay with Energy", func() { e.CriticalDelay(a); e.Energy(a) }},
 				{"Delays", func() { e.Delays(a) }},

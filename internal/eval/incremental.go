@@ -44,8 +44,6 @@ func (e *Engine) Unbind() { e.bound = nil }
 
 // refreshAll recomputes the whole tracked state from the bound assignment
 // with one full sweep.
-//
-//cmosvet:hotpath
 func (e *Engine) refreshAll() {
 	e.sweep(e.bound)
 	e.ws.scatter(e.curTd, e.ws.Delay)
@@ -55,8 +53,6 @@ func (e *Engine) refreshAll() {
 // SetWidth sets the bound assignment's width of gate id and incrementally
 // re-evaluates: the gate itself, the fanin loads, and the dirtied fanout
 // cone.
-//
-//cmosvet:hotpath
 func (e *Engine) SetWidth(id int, w float64) {
 	a := e.bound
 	if a.W[id] == w {
@@ -75,14 +71,10 @@ func (e *Engine) SetWidth(id int, w float64) {
 
 // BoundDelays returns the tracked per-gate delays (engine-owned; do not
 // modify; valid until the next edit).
-//
-//cmosvet:hotpath
 func (e *Engine) BoundDelays() []float64 { return e.curTd }
 
 // BoundCriticalDelay returns the tracked critical delay — a max over primary
 // outputs, no model calls.
-//
-//cmosvet:hotpath
 func (e *Engine) BoundCriticalDelay() float64 {
 	worst := 0.0
 	for _, id := range e.C.POs {
@@ -96,15 +88,11 @@ func (e *Engine) BoundCriticalDelay() float64 {
 // BoundSlacks computes slacks against cycle budget T from the tracked delays
 // and arrivals — backward graph propagation only, no device-model calls. The
 // returned slice is engine scratch (valid until the next Engine call).
-//
-//cmosvet:hotpath
 func (e *Engine) BoundSlacks(T float64) []float64 {
 	return e.slacksFrom(e.curTd, e.curArr, T)
 }
 
 // push adds a gate to the dirty heap unless it is already queued.
-//
-//cmosvet:hotpath
 func (e *Engine) push(id int) {
 	if e.inDirty[id] {
 		return
@@ -125,8 +113,6 @@ func (e *Engine) push(id int) {
 }
 
 // pop removes and returns the dirty gate with the smallest topological rank.
-//
-//cmosvet:hotpath
 func (e *Engine) pop() int {
 	d, r := e.dirty, e.cs.Rank
 	id := d[0]
@@ -159,8 +145,6 @@ func (e *Engine) pop() int {
 // gate's delay or arrival changed. Rank ordering guarantees each gate is
 // processed at most once per drain: pops are nondecreasing in rank and every
 // push targets a strictly higher rank than the gate that caused it.
-//
-//cmosvet:hotpath
 func (e *Engine) propagate() {
 	a := e.bound
 	cs := e.cs

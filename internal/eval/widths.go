@@ -213,8 +213,6 @@ func (t *widthTable) newScratch() *WidthScratch {
 func (s *WidthScratch) ID(i int) int32 { return s.t.slots[i].id }
 
 // gather copies a's widths into the scratch.
-//
-//cmosvet:hotpath
 func (s *WidthScratch) gather(a *design.Assignment) {
 	for i := range s.w {
 		s.w[i] = a.W[s.t.slots[i].id]
@@ -223,8 +221,6 @@ func (s *WidthScratch) gather(a *design.Assignment) {
 
 // scatter copies src, indexed by solve position, into dst, indexed by gate
 // ID. Gates outside the table keep their entries in dst.
-//
-//cmosvet:hotpath
 func (s *WidthScratch) scatter(dst, src []float64) {
 	for i, v := range src {
 		dst[s.t.slots[i].id] = v
@@ -237,8 +233,6 @@ func (s *WidthScratch) scatter(dst, src []float64) {
 // raises a maximum that starts at 0, so only the logic fanins are read.
 // floats.MaxNonNeg takes each maximum as "x > m" would, so the arrivals
 // are bitwise those of delay.Evaluator.Arrivals.
-//
-//cmosvet:hotpath
 func (s *WidthScratch) arrivals() float64 {
 	slots, finPos := s.t.slots, s.t.finPos
 	n := len(slots) - 1
@@ -275,13 +269,10 @@ type fanConst struct {
 // which it derives on the pair's first width lookup and keeps with the
 // pair's cache entry. A NaN pair is never found again, so its constants are
 // not written back.
-//
-//cmosvet:hotpath
 func (e *Engine) widthRow(vdd, vts float64) (delay.Coeffs, []fanConst) {
 	k := e.coeffs(vdd, vts)
 	if e.last.row == nil {
 		if len(e.fanFree) < e.fanStride {
-			//cmosvet:allow hotalloc — one block per fanBlockRows voltage pairs; a solve at a priced pair allocates nothing
 			e.fanFree = make([]fanConst, fanBlockRows*e.fanStride)
 		}
 		row := e.fanFree[:e.fanStride:e.fanStride]
@@ -355,8 +346,6 @@ func (e *Engine) SizeWidths(s *WidthScratch, a *design.Assignment, lo, hi float6
 
 // widthPass sizes every gate of the table once and reports whether any
 // width moved by more than 0.1 %.
-//
-//cmosvet:hotpath
 func (e *Engine) widthPass(ws *widthSolve) bool {
 	s, a := ws.s, ws.a
 	slots := ws.s.t.slots
@@ -474,8 +463,6 @@ func (e *Engine) widthPass(ws *widthSolve) bool {
 // It bills one full sweep, one gate-delay call and one coefficient lookup
 // per logic gate, counted as coeffs counts it, and one eval.full_sweep_ns
 // observation.
-//
-//cmosvet:hotpath
 func (e *Engine) WidthDelays(s *WidthScratch, a *design.Assignment) {
 	t := s.t
 	if t.cs != e.cs {
@@ -591,8 +578,6 @@ type gateTerms struct {
 // returns the width, the width the change is measured from and the settled
 // delay. It counts the search's probes; widthPass counts the lookup, which
 // it has made, and the settled delay.
-//
-//cmosvet:hotpath
 func (e *Engine) widthGateCold(ws *widthSolve, i int, maxIn float64) (w, wOld, td float64) {
 	var g gateTerms
 	e.prepareTerms(&g, ws, i, maxIn)
@@ -615,8 +600,6 @@ func (e *Engine) widthGateCold(ws *widthSolve, i int, maxIn float64) (w, wOld, t
 // prepareTerms evaluates gate-pass i's width-independent terms into g. The
 // gate's coefficients are the engine's last lookup, which widthPass made
 // for this gate.
-//
-//cmosvet:hotpath
 func (e *Engine) prepareTerms(g *gateTerms, ws *widthSolve, i int, maxIn float64) {
 	t := ws.s.t
 	sl := t.slots[i]
@@ -676,8 +659,6 @@ func (e *Engine) prepareTerms(g *gateTerms, ws *widthSolve, i int, maxIn float64
 
 // at returns the prepared gate's delay at width w, adding the terms in
 // GateDelayAt's order.
-//
-//cmosvet:hotpath
 func (g *gateTerms) at(w float64) float64 {
 	if g.stalled {
 		return math.Inf(1)
@@ -704,8 +685,6 @@ func (g *gateTerms) at(w float64) float64 {
 // one probe. The thresholds decide the widths they can and at decides the
 // rest, so the tested widths, the result and the counts are those of a
 // bisection that calls at at every width.
-//
-//cmosvet:hotpath
 func (e *Engine) minWidth(g *gateTerms, ws *widthSolve, target float64) (float64, bool) {
 	lo, hi, steps := ws.lo, ws.hi, ws.steps
 	// Every tested width lies in [lo, hi], where the thresholds hold when lo
@@ -748,8 +727,6 @@ func (e *Engine) minWidth(g *gateTerms, ws *widthSolve, target float64) (float64
 // meets reports whether the prepared delay at width w is at most target,
 // from the thresholds when they decide it and from at otherwise. A NaN
 // threshold fails both comparisons, so it leaves every width to at.
-//
-//cmosvet:hotpath
 func (g *gateTerms) meets(w, wTrue, wFalse, target float64) bool {
 	if w >= wTrue {
 		return true
@@ -761,8 +738,6 @@ func (g *gateTerms) meets(w, wTrue, wFalse, target float64) bool {
 }
 
 // countProbes records n width probes.
-//
-//cmosvet:hotpath
 func (e *Engine) countProbes(n int64) {
 	e.met.WidthProbes += n
 	e.met.GateDelayCalls += n
@@ -788,8 +763,6 @@ func (e *Engine) countProbes(n int64) {
 // margin, and such a gate takes the cold path without thresholds. The
 // argument assumes no intermediate result is subnormal; Eq. A3's delays,
 // capacitances and currents sit hundreds of decades above that.
-//
-//cmosvet:hotpath
 func bracketTrue(c0, c1, target float64) float64 {
 	// c0 + c1/w <= target·(1−margin) for w >= c1/(target·(1−margin) − c0);
 	// below c0 no width reaches the target.
@@ -801,8 +774,6 @@ func bracketTrue(c0, c1, target float64) float64 {
 
 // bracketFalse returns the width at or below which the delay misses
 // target; see bracketTrue.
-//
-//cmosvet:hotpath
 func bracketFalse(c0, c1, target float64) float64 {
 	// c0 + c1/w >= target·(1+margin) for w <= c1/(target·(1+margin) − c0),
 	// and for every width once c0 alone reaches it.
@@ -859,8 +830,6 @@ func lowBit(x float64) int {
 // smallest passing grid point, whatever the term-by-term sum would say
 // between the thresholds. A NaN wFalse decides nothing; a NaN wTrue or one
 // above hi leaves hi as the first passing point.
-//
-//cmosvet:hotpath
 func (g *bisectGrid) final(wTrue, wFalse float64) (float64, bool) {
 	if g.step == 0 {
 		return 0, false

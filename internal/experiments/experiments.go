@@ -262,7 +262,7 @@ type SAEntry struct {
 }
 
 // SACompare runs the heuristic and the multi-pass annealer on each circuit.
-func SACompare(cfg Config, names []string, act float64, ao core.AnnealOptions) ([]SAEntry, error) {
+func SACompare(cfg Config, names []string, act float64) ([]SAEntry, error) {
 	var out []SAEntry
 	for _, name := range names {
 		ct, err := loadCircuit(name)
@@ -277,7 +277,7 @@ func SACompare(cfg Config, names []string, act float64, ao core.AnnealOptions) (
 		if err != nil {
 			return nil, err
 		}
-		sa, err := p.OptimizeAnneal(ao)
+		sa, err := p.OptimizeAnneal()
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"cmosopt/internal/core"
 	"cmosopt/internal/device"
 )
 
@@ -110,9 +109,7 @@ func TestFigure2bDriver(t *testing.T) {
 
 func TestSACompareDriver(t *testing.T) {
 	cfg := fastConfig()
-	ao := core.DefaultAnnealOptions()
-	ao.StepsPerPass = 400
-	entries, err := SACompare(cfg, []string{"s27"}, 0.5, ao)
+	entries, err := SACompare(cfg, []string{"s27"}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,17 +47,12 @@ func For(workers, n int, body func(worker, i int)) {
 		w = n
 	}
 	// Pool utilization recording goes to the process-default registry when one
-	// is installed (command-line tools with -metrics; nil otherwise). It is
-	// write-only — scheduling is the same atomic cursor either way, so results
-	// cannot depend on whether recording is on.
+	// is installed (command-line tools with -metrics); with none, every
+	// recording call below is a no-op on the nil registry. It is write-only —
+	// scheduling is the same atomic cursor either way, so results cannot
+	// depend on whether recording is on.
 	reg := obs.Default()
 	if w <= 1 {
-		if reg == nil {
-			for i := 0; i < n; i++ {
-				body(0, i)
-			}
-			return
-		}
 		t0 := time.Now() //cmosvet:allow determinism — lane utilization feeds obs only; scheduling is unchanged
 		for i := 0; i < n; i++ {
 			body(0, i)
@@ -86,19 +81,10 @@ func For(workers, n int, body func(worker, i int)) {
 					next.Store(int64(n))
 				}
 			}()
-			if reg == nil {
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					body(wk, i)
-				}
-			}
-			// Instrumented lane: busy is time inside iteration bodies; idle is
-			// the rest of the lane's lifetime — spawn latency, cursor
-			// contention and scheduling gaps (workers never block waiting for
-			// items, so there is no queue-wait component).
+			// busy is time inside iteration bodies; idle is the rest of the
+			// lane's lifetime — spawn latency, cursor contention and
+			// scheduling gaps (workers never block waiting for items, so
+			// there is no queue-wait component).
 			lane := time.Now() //cmosvet:allow determinism — lane utilization feeds obs only; scheduling is unchanged
 			var busy time.Duration
 			iters := int64(0)
@@ -121,10 +107,8 @@ func For(workers, n int, body func(worker, i int)) {
 	if panicked != nil {
 		panic(panicked)
 	}
-	if reg != nil {
-		//cmosvet:allow determinism — pool wall time feeds obs only; scheduling is unchanged
-		recordPool(reg, n, time.Since(t0))
-	}
+	//cmosvet:allow determinism — pool wall time feeds obs only; scheduling is unchanged
+	recordPool(reg, n, time.Since(t0))
 }
 
 // recordPool records one pool drain: how many items it dispatched and how

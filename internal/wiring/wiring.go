@@ -131,20 +131,14 @@ func (m *Model) BranchLength() float64 { return m.meanPitches * m.P.GatePitch }
 
 // BranchCap returns C_INTij, the interconnect capacitance of one fanout
 // branch (F): the mean branch's, which every net carries.
-//
-//cmosvet:hotpath
 func (m *Model) BranchCap() float64 { return m.meanCap }
 
 // BranchRes returns R_INTij, the interconnect resistance of one fanout
 // branch (Ω = V/A); see BranchCap.
-//
-//cmosvet:hotpath
 func (m *Model) BranchRes() float64 { return m.meanRes }
 
 // FlightTime returns the time of flight over one fanout branch (s); see
 // BranchCap.
-//
-//cmosvet:hotpath
 func (m *Model) FlightTime() float64 { return m.meanFlight }
 
 // DieEdge returns the edge length of the (square) placement region implied
