@@ -6,33 +6,28 @@ import (
 	"strings"
 )
 
-// This file gives the framework real control flow: a per-function basic-block
-// CFG built from go/ast alone (no SSA, no x/tools), covering if/for/range/
-// switch/type-switch/select/labeled statements, break/continue/goto/
-// fallthrough, return, and path-terminating calls (panic, os.Exit,
-// log.Fatal*). The flow-aware analyzers (ctxpoll, locksafe) run over it
-// through dataflow fixpoints (Forward, dataflow.go).
+// The control flow locksafe reads: a per-function basic-block CFG built
+// from go/ast alone (no SSA, no x/tools), covering if/for/range/switch/
+// type-switch/select/labeled statements, break/continue/goto/fallthrough,
+// return, and path-terminating calls (panic, os.Exit, log.Fatal*), and one
+// forward dataflow fixpoint over it (Forward).
 
 // Block is one basic block: a maximal straight-line node sequence with edges
 // to its successors. Nodes are statements and the condition/tag expressions
 // of the control statements that end a block; a node never contains a nested
 // statement body except inside *ast.FuncLit (deliberate — a closure body runs
-// at call time, not here, so analyzers decide how to treat it).
+// at call time, not here, so a rule decides how to treat it).
 type Block struct {
 	Nodes []ast.Node
 	Succs []*Block
 }
 
-// CFG is the control-flow graph of one function body (or, in loop-body mode,
-// of one loop iteration — see BuildLoopBody).
+// CFG is the control-flow graph of one function body.
 type CFG struct {
 	Entry *Block
 	// Exit is the single normal exit: returns and falling off the end of the
 	// body lead here. Paths ending in panic/os.Exit have no edge to Exit.
-	Exit *Block
-	// Abort is non-nil only in loop-body mode: paths that leave the loop
-	// (break, return, goto out) lead here instead of Exit.
-	Abort  *Block
+	Exit   *Block
 	Blocks []*Block
 	// Defers lists the defer statements of the body in source order; deferred
 	// calls run at function exit, so they appear as Defers, not as extra
@@ -45,39 +40,9 @@ type CFG struct {
 // body connect to Exit.
 func BuildCFG(body *ast.BlockStmt) *CFG {
 	b := newCFGBuilder()
-	b.retTo = b.cfg.Exit
 	b.current = b.cfg.Entry
 	b.stmtList(body.List)
 	b.linkCurrent(b.cfg.Exit)
-	b.finish(b.cfg.Exit)
-	return b.cfg
-}
-
-// BuildLoopBody builds the CFG of one iteration of a for/range loop: Entry
-// leads into the body, Exit is the iteration latch (reached by finishing the
-// body or by `continue` targeting this loop), and Abort collects every path
-// that leaves the loop instead (break, return, goto past the loop). label is
-// the loop's label name, or "" for an unlabeled loop. A property that must
-// hold "on every iteration path" is therefore a must-dataflow from Entry
-// checked at Exit, with Abort paths exempt.
-func BuildLoopBody(loop ast.Stmt, label string) *CFG {
-	var body *ast.BlockStmt
-	switch s := loop.(type) {
-	case *ast.ForStmt:
-		body = s.Body
-	case *ast.RangeStmt:
-		body = s.Body
-	default:
-		return nil
-	}
-	b := newCFGBuilder()
-	b.cfg.Abort = b.newBlock()
-	b.retTo = b.cfg.Abort
-	b.targets = append(b.targets, branchTarget{label: label, isLoop: true, brk: b.cfg.Abort, cont: b.cfg.Exit})
-	b.current = b.cfg.Entry
-	b.stmtList(body.List)
-	b.linkCurrent(b.cfg.Exit)
-	b.finish(b.cfg.Abort)
 	return b.cfg
 }
 
@@ -96,34 +61,17 @@ type cfgBuilder struct {
 	targets []branchTarget
 	// fallthroughTo is the next case block while building a switch case body.
 	fallthroughTo *Block
-	// retTo is where return statements jump: Exit normally, Abort in
-	// loop-body mode.
-	retTo  *Block
-	labels map[string]*Block
-	placed map[string]bool
+	labels        map[string]*Block
 }
 
 func newCFGBuilder() *cfgBuilder {
 	b := &cfgBuilder{
 		cfg:    &CFG{},
 		labels: make(map[string]*Block),
-		placed: make(map[string]bool),
 	}
 	b.cfg.Entry = b.newBlock()
 	b.cfg.Exit = b.newBlock()
 	return b
-}
-
-// returnTo is where return statements jump: Exit normally, Abort in
-// loop-body mode.
-func (b *cfgBuilder) finish(escape *Block) {
-	// A goto whose label was never placed targets a label outside the built
-	// region (possible only in loop-body mode); such paths leave the region.
-	for name, lb := range b.labels {
-		if !b.placed[name] && len(lb.Succs) == 0 {
-			lb.Succs = append(lb.Succs, escape)
-		}
-	}
 }
 
 func (b *cfgBuilder) newBlock() *Block {
@@ -204,7 +152,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.branchStmt(s)
 	case *ast.ReturnStmt:
 		b.add(s)
-		b.jumpTo(b.retTo)
+		b.jumpTo(b.cfg.Exit)
 	case *ast.DeferStmt:
 		b.add(s)
 		b.cfg.Defers = append(b.cfg.Defers, s)
@@ -372,7 +320,6 @@ func (b *cfgBuilder) selectStmt(s *ast.SelectStmt, label string) {
 
 func (b *cfgBuilder) labeledStmt(s *ast.LabeledStmt) {
 	lb := b.labelBlock(s.Label.Name)
-	b.placed[s.Label.Name] = true
 	b.linkCurrent(lb)
 	b.current = lb
 	switch inner := s.Stmt.(type) {
@@ -445,7 +392,7 @@ func (b *cfgBuilder) findTarget(label string, needLoop bool) *branchTarget {
 
 // terminatesFlow reports whether the statement never lets control continue to
 // the next one: a call to panic, os.Exit, runtime.Goexit or log.Fatal*.
-// Purely syntactic — good enough for paths the analyzers prune.
+// Purely syntactic — good enough for the paths locksafe prunes.
 func terminatesFlow(s ast.Stmt) bool {
 	es, ok := s.(*ast.ExprStmt)
 	if !ok {
@@ -473,4 +420,54 @@ func terminatesFlow(s ast.Stmt) bool {
 		}
 	}
 	return false
+}
+
+// Forward runs a forward dataflow fixpoint over a CFG. It is
+// generic in the state type S: the rule supplies the entry state, a
+// per-block transfer function (fold your per-node logic over block.Nodes),
+// the meet operator joining states at control-flow merges (union for a
+// may-analysis, intersection/AND for a must-analysis) and an equality test
+// that bounds the iteration. Only blocks reachable from Entry participate;
+// the returned map gives the fixpoint state at block entry, with unreachable
+// blocks absent.
+//
+// Termination is the rule's responsibility in the usual lattice sense
+// (meet monotone, finite height); a generous iteration budget cuts off a
+// non-converging client instead of hanging the test.
+func Forward[S any](c *CFG, entry S, transfer func(*Block, S) S, meet func(S, S) S, equal func(S, S) bool) map[*Block]S {
+	in := map[*Block]S{c.Entry: entry}
+	out := make(map[*Block]S)
+
+	work := []*Block{c.Entry}
+	queued := map[*Block]bool{c.Entry: true}
+	budget := 1000 * (len(c.Blocks) + 1)
+	for len(work) > 0 && budget > 0 {
+		budget--
+		b := work[0]
+		work = work[1:]
+		queued[b] = false
+
+		o := transfer(b, in[b])
+		if prev, ok := out[b]; ok && equal(prev, o) {
+			continue
+		}
+		out[b] = o
+		for _, s := range b.Succs {
+			ns, seen := in[s]
+			if !seen {
+				ns = o
+			} else {
+				ns = meet(ns, o)
+				if equal(ns, in[s]) {
+					continue
+				}
+			}
+			in[s] = ns
+			if !queued[s] {
+				queued[s] = true
+				work = append(work, s)
+			}
+		}
+	}
+	return in
 }

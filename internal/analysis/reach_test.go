@@ -1,4 +1,4 @@
-package analysis_test
+package analysis
 
 import (
 	"fmt"
@@ -7,8 +7,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"cmosopt/internal/analysis"
 )
 
 // This file holds the reachability pass behind TestReachable: a
@@ -103,7 +101,7 @@ type reachGraph struct {
 
 // newReachGraph scans every declaration of pkgs. Test files are scanned
 // too, so tests can be walked from, but they never contribute roots.
-func newReachGraph(fset *token.FileSet, pkgs []*analysis.LoadedPackage) *reachGraph {
+func newReachGraph(fset *token.FileSet, pkgs []*LoadedPackage) *reachGraph {
 	g := &reachGraph{
 		fset:    fset,
 		funcs:   make(map[*types.Func]*reachNode),
@@ -125,7 +123,7 @@ func newReachGraph(fset *token.FileSet, pkgs []*analysis.LoadedPackage) *reachGr
 
 // lookupAsserted resolves stdAsserted through the import graph of pkgs; an
 // interface whose package nothing imports cannot be asserted to.
-func lookupAsserted(pkgs []*analysis.LoadedPackage) []*types.Interface {
+func lookupAsserted(pkgs []*LoadedPackage) []*types.Interface {
 	byPath := make(map[string]*types.Package)
 	var visit func(p *types.Package)
 	visit = func(p *types.Package) {
@@ -157,7 +155,7 @@ func lookupAsserted(pkgs []*analysis.LoadedPackage) []*types.Interface {
 	return out
 }
 
-func (g *reachGraph) scanPackage(p *analysis.LoadedPackage) {
+func (g *reachGraph) scanPackage(p *LoadedPackage) {
 	init := &reachNode{pkg: p.Types}
 	g.inits[p.Path] = init
 	for _, obj := range p.Info.Defs {
@@ -450,7 +448,7 @@ func (n *reachNode) scanCompositeLit(info *types.Info, lit *ast.CompositeLit, co
 // roots returns the entry points of the main packages mains: each main
 // function, and the initialization of every package it imports, itself
 // included.
-func (g *reachGraph) roots(mains []*analysis.LoadedPackage) []*reachNode {
+func (g *reachGraph) roots(mains []*LoadedPackage) []*reachNode {
 	var out []*reachNode
 	seen := make(map[string]bool)
 	var imp func(path string)

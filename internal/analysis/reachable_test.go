@@ -1,4 +1,4 @@
-package analysis_test
+package analysis
 
 import (
 	"go/token"
@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"cmosopt/internal/analysis"
 )
 
 // reachAllowlist holds the functions of internal/ that no main reaches, and
@@ -45,7 +43,6 @@ var reachAllowlist = []reachEntry{
 	{"activity.evalAll", "oracle", "TestMonteCarloAgreesOnNetwork"},
 	{"core.Problem.SampleLandscape", "oracle", "TestLandscapeMinNearProcedure2Optimum"},
 
-	{"analysistest", "harness", "TestCtxPoll"},
 	{"activity.PropagateUniform", "harness", "TestEngineMatchesModels"},
 	{"netgen.ScaleConfig", "harness", "BenchmarkProcedure2"},
 	{"netgen.Profile85Config", "harness", "BenchmarkScalability"},
@@ -71,7 +68,7 @@ func TestReachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	fset, pkgs := loadTree(t, "cmosopt", root)
-	var mains []*analysis.LoadedPackage
+	var mains []*LoadedPackage
 	for _, p := range pkgs {
 		rel := strings.TrimPrefix(p.Path, "cmosopt/")
 		if p.Types.Name() == "main" && (strings.HasPrefix(rel, "cmd/") || rel == "perfbench") {
@@ -93,12 +90,12 @@ func TestReachable(t *testing.T) {
 // reachLoader type-checks the module and the fixture tree of every
 // reachability test through one Loader, so that the standard library and
 // each package are checked once.
-var reachLoader *analysis.Loader
+var reachLoader *Loader
 
 // loadTree type-checks every package under dir, with its tests, naming each
 // by prefix joined with its directory relative to dir ("" for the
 // GOPATH-style fixture tree).
-func loadTree(t *testing.T, prefix, dir string) (*token.FileSet, []*analysis.LoadedPackage) {
+func loadTree(t *testing.T, prefix, dir string) (*token.FileSet, []*LoadedPackage) {
 	t.Helper()
 	if reachLoader == nil {
 		module, err := filepath.Abs(filepath.Join("..", ".."))
@@ -109,14 +106,14 @@ func loadTree(t *testing.T, prefix, dir string) (*token.FileSet, []*analysis.Loa
 		if err != nil {
 			t.Fatal(err)
 		}
-		reachLoader = analysis.NewLoader(analysis.Root{Prefix: "cmosopt", Dir: module}, analysis.Root{Prefix: "", Dir: fixture})
+		reachLoader = NewLoader(Root{Prefix: "cmosopt", Dir: module}, Root{Prefix: "", Dir: fixture})
 		reachLoader.IncludeTests = true
 	}
-	dirs, err := analysis.PackageDirs(dir)
+	dirs, err := PackageDirs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pkgs []*analysis.LoadedPackage
+	var pkgs []*LoadedPackage
 	for _, d := range dirs {
 		rel, err := filepath.Rel(dir, d)
 		if err != nil {
@@ -147,7 +144,7 @@ func loadReachFixture(t *testing.T) (*reachGraph, map[*reachNode]bool, []*reachN
 		t.Fatal(err)
 	}
 	fset, pkgs := loadTree(t, "", src)
-	var mains []*analysis.LoadedPackage
+	var mains []*LoadedPackage
 	for _, p := range pkgs {
 		if p.Types.Name() == "main" {
 			mains = append(mains, p)

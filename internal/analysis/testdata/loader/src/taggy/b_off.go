@@ -1,4 +1,4 @@
-//go:build cmosvet_fixture_off
+//go:build loader_fixture_off
 
 package taggy
 

@@ -68,6 +68,9 @@ func (p *Problem) WarmStart(prevC *circuit.Circuit, prev *design.Assignment, opt
 
 	// Fast path: a couple of width sweeps from the transplanted state.
 	if p.solveWidths(a, opts.M, opts.WidthPasses) {
+		if err := p.Canceled(); err != nil {
+			return nil, reused, false, err
+		}
 		res := p.finishResult("eco-warm", a, true, evals0)
 		if res.Feasible {
 			return res, reused, true, nil

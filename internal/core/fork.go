@@ -35,11 +35,17 @@ func (p *Problem) absorb(e *eval.Engine) {
 // (exhaustive scans and sweeps), so all of it is billed. One worker is the
 // same code with one fork. Jobs must write only state indexed by their own
 // iteration number; reductions belong to the caller, in index order, so
-// results are byte-identical at any worker count.
+// results are byte-identical at any worker count. Once the run is canceled
+// the remaining jobs are skipped, so their slots keep their zero values: the
+// caller checks Canceled before it reads them.
 func (p *Problem) fanOut(workers, n int, job func(q *Problem, i int)) {
 	w := min(parallel.Workers(workers), max(n, 1)) // Pool reads 0 as GOMAXPROCS
 	forks := parallel.Pool(w, func(int) *Problem { return p.fork() })
-	parallel.For(w, n, func(wk, i int) { job(forks[wk], i) })
+	parallel.For(w, n, func(wk, i int) {
+		if p.ctx.Err() == nil {
+			job(forks[wk], i)
+		}
+	})
 	for _, f := range forks {
 		p.absorb(f.Eval)
 	}

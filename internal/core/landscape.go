@@ -42,5 +42,8 @@ func (p *Problem) SampleLandscape(nVdd, nVts int, opts Options) (*Landscape, err
 		i, j := k/nVts, k%nVts
 		ls.E[i][j] = q.evalPoint(ls.Vdd[i], ls.Vts[j], &opts).e
 	})
+	if err := p.Canceled(); err != nil {
+		return nil, err
+	}
 	return ls, nil
 }

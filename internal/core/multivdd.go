@@ -32,6 +32,9 @@ func (p *Problem) OptimizeDualVdd(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := p.Canceled(); err != nil {
+		return nil, err
+	}
 	evals0 := p.Eval.FullEvalEquivalents()
 
 	node := p.span("optimize.dualvdd")
@@ -127,7 +130,8 @@ func (p *Problem) OptimizeDualVdd(opts Options) (*Result, error) {
 	// *raises* the high rail a little (buying the critical gates speed at a
 	// quadratic cost on few gates) while dropping the slack cluster's rail
 	// well below. Coarse grid, then a golden polish of the low rail at the
-	// best high rail.
+	// best high rail. Every rail point polls first, so a canceled run stops
+	// within one width solve; the polish prices a canceled point at +Inf.
 	bestE := base.Energy.Total()
 	var bestA *design.Assignment
 	bestHigh := base.Vdd
@@ -149,6 +153,9 @@ func (p *Problem) OptimizeDualVdd(opts Options) (*Result, error) {
 	if bestA != nil {
 		lowR := optimize.Range{Lo: vddR.Lo, Hi: bestHigh}
 		optimize.GoldenSection(func(v float64) float64 {
+			if p.ctx.Err() != nil {
+				return math.Inf(1)
+			}
 			e, a, ok := evalRails(bestHigh, v)
 			if ok && e < bestE {
 				bestE, bestA = e, a
@@ -158,6 +165,9 @@ func (p *Problem) OptimizeDualVdd(opts Options) (*Result, error) {
 			}
 			return e
 		}, optimize.Range{Lo: lowR.Clamp(bestHigh * 0.35), Hi: lowR.Clamp(bestHigh * 0.95)}, 1e-3, 12)
+	}
+	if err := p.Canceled(); err != nil {
+		return nil, err
 	}
 
 	if bestA == nil {

@@ -26,7 +26,9 @@ import (
 // The 11-point grid pre-scan of each coordinate-descent line search fans its
 // candidates out over opts.Workers forks; the sequential golden-section
 // polish stays on the problem itself. Results are identical at any worker
-// count.
+// count. Every width solve is preceded by a poll of the run's context: the
+// scan's through fanOut, the line searches' at the top of their objectives,
+// which price a canceled point at +Inf for the caller's Canceled check.
 func (p *Problem) OptimizeMultiVt(nv int, opts Options) (*Result, error) {
 	opts.fill()
 	if err := opts.validate(); err != nil {
@@ -41,6 +43,9 @@ func (p *Problem) OptimizeMultiVt(nv int, opts Options) (*Result, error) {
 	}
 	if nv == 1 {
 		return base, nil
+	}
+	if err := p.Canceled(); err != nil {
+		return nil, err
 	}
 	evals0 := p.Eval.FullEvalEquivalents()
 
@@ -115,6 +120,9 @@ func (p *Problem) OptimizeMultiVt(nv int, opts Options) (*Result, error) {
 			}
 			trial := append([]float64(nil), groupVts...)
 			obj := func(vt float64) float64 {
+				if p.ctx.Err() != nil {
+					return math.Inf(1)
+				}
 				trial[g] = vt
 				e, _, ok := evalGroups(p, trial)
 				if !ok {
@@ -139,6 +147,10 @@ func (p *Problem) OptimizeMultiVt(nv int, opts Options) (*Result, error) {
 				}
 				ces[k] = e
 			})
+			// A canceled scan skipped its remaining candidates.
+			if err := p.Canceled(); err != nil {
+				return nil, err
+			}
 			gx, ge := vtR.Lo, math.Inf(1)
 			for k, e := range ces {
 				if e < ge {
@@ -151,6 +163,9 @@ func (p *Problem) OptimizeMultiVt(nv int, opts Options) (*Result, error) {
 			step := vtR.Width() / 10
 			local := optimize.Range{Lo: vtR.Clamp(gx - step), Hi: vtR.Clamp(gx + step)}
 			v, _ := optimize.GoldenSection(obj, local, 1e-3, 12)
+			if err := p.Canceled(); err != nil {
+				return nil, err
+			}
 			if obj(v) > ge {
 				v = gx
 			}
@@ -170,6 +185,9 @@ func (p *Problem) OptimizeMultiVt(nv int, opts Options) (*Result, error) {
 	p.setTrace(node.Child("vdd-polish"))
 	vddR := optimize.Range{Lo: p.Tech.VddMin, Hi: p.Tech.VddMax}
 	optimize.GoldenSection(func(v float64) float64 {
+		if p.ctx.Err() != nil {
+			return math.Inf(1)
+		}
 		old := vdd
 		vdd = v
 		e, a, ok := evalGroups(p, groupVts)
@@ -183,6 +201,9 @@ func (p *Problem) OptimizeMultiVt(nv int, opts Options) (*Result, error) {
 		}
 		return e
 	}, vddR, 5e-3, 12)
+	if err := p.Canceled(); err != nil {
+		return nil, err
+	}
 	vdd = bestA.Vdd
 
 	if bestE >= base.Energy.Total() {

@@ -139,9 +139,7 @@ const (
 	sensitivitySizing               // sensitivityPoint: greedy TILOS-style upsizing
 )
 
-// price runs the walker's pricer on one candidate. It is a method rather
-// than a func parameter so that ctxpoll sees the walker's loops reach
-// evaluation.
+// price runs the walker's pricer on one candidate.
 func (p *Problem) price(how pricer, vdd, vts float64, o *Options) pointRes {
 	if how == sensitivitySizing {
 		return p.sensitivityPoint(vdd, vts)

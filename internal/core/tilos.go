@@ -17,7 +17,9 @@ import (
 // for the ablation "budget-driven vs sensitivity-driven sizing".
 
 // sizeSensitivity grows widths greedily until the critical delay fits the
-// cycle budget. Returns false when even aggressive upsizing cannot meet it.
+// cycle budget. Returns false when even aggressive upsizing cannot meet it,
+// or when the run is canceled: every greedy step polls the run's context
+// first, and the walk's next poll reports the cancel.
 //
 // The loop runs on the engine's incremental mode: the assignment is bound
 // once, each accepted move re-times only the widened gate's fanin loads and
@@ -29,6 +31,9 @@ func (p *Problem) sizeSensitivity(a *design.Assignment, step float64) bool {
 	defer p.Eval.Unbind()
 	const maxIters = 4000
 	for iter := 0; iter < maxIters; iter++ {
+		if p.ctx.Err() != nil {
+			return false
+		}
 		cd := p.Eval.BoundCriticalDelay()
 		if cd <= budget {
 			return true

@@ -28,14 +28,6 @@ type Span struct {
 
 func newSpan(name string) *Span { return &Span{name: name} }
 
-// Name returns the span's name.
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // Child returns the child node with the given name, creating it on first use.
 func (s *Span) Child(name string) *Span {
 	if s == nil {

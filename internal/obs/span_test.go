@@ -55,7 +55,7 @@ func TestSpanTimingAggregates(t *testing.T) {
 
 func TestSpanNilSafe(t *testing.T) {
 	var s *Span
-	if s.Child("a") != nil || s.Start() != nil || s.Name() != "" {
+	if s.Child("a") != nil || s.Start() != nil {
 		t.Fatal("nil span methods must return zero values")
 	}
 	s.StartChild("b").Stop() // nil Timing Stop

@@ -50,14 +50,14 @@ func For(workers, n int, body func(worker, i int)) {
 	// is installed (command-line tools with -metrics); with none, every
 	// recording call below is a no-op on the nil registry. It is write-only —
 	// scheduling is the same atomic cursor either way, so results cannot
-	// depend on whether recording is on.
+	// depend on whether recording is on. Its wall-clock reads feed that
+	// recording alone; TestInvariants allows them in For by name.
 	reg := obs.Default()
 	if w <= 1 {
-		t0 := time.Now() //cmosvet:allow determinism — lane utilization feeds obs only; scheduling is unchanged
+		t0 := time.Now()
 		for i := 0; i < n; i++ {
 			body(0, i)
 		}
-		//cmosvet:allow determinism — lane utilization feeds obs only; scheduling is unchanged
 		d := time.Since(t0)
 		reg.Worker(0).Record(d, 0, int64(n))
 		recordPool(reg, n, d)
@@ -68,7 +68,7 @@ func For(workers, n int, body func(worker, i int)) {
 	var firstPanic sync.Once
 	var panicked any
 	wg.Add(w)
-	t0 := time.Now() //cmosvet:allow determinism — pool wall time feeds obs only; scheduling is unchanged
+	t0 := time.Now()
 	for wk := 0; wk < w; wk++ {
 		go func(wk int) {
 			defer wg.Done()
@@ -85,7 +85,7 @@ func For(workers, n int, body func(worker, i int)) {
 			// lane's lifetime — spawn latency, cursor contention and
 			// scheduling gaps (workers never block waiting for items, so
 			// there is no queue-wait component).
-			lane := time.Now() //cmosvet:allow determinism — lane utilization feeds obs only; scheduling is unchanged
+			lane := time.Now()
 			var busy time.Duration
 			iters := int64(0)
 			for {
@@ -93,13 +93,11 @@ func For(workers, n int, body func(worker, i int)) {
 				if i >= n {
 					break
 				}
-				it := time.Now() //cmosvet:allow determinism — iteration timing feeds obs only
+				it := time.Now()
 				body(wk, i)
-				//cmosvet:allow determinism — iteration timing feeds obs only
 				busy += time.Since(it)
 				iters++
 			}
-			//cmosvet:allow determinism — lane utilization feeds obs only; scheduling is unchanged
 			reg.Worker(wk).Record(busy, time.Since(lane)-busy, iters)
 		}(wk)
 	}
@@ -107,7 +105,6 @@ func For(workers, n int, body func(worker, i int)) {
 	if panicked != nil {
 		panic(panicked)
 	}
-	//cmosvet:allow determinism — pool wall time feeds obs only; scheduling is unchanged
 	recordPool(reg, n, time.Since(t0))
 }
 

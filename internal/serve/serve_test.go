@@ -723,7 +723,10 @@ func TestShutdown(t *testing.T) {
 
 // Bounded retention forgets the oldest terminal jobs but never a live one:
 // a running job at the head of the submission order survives every eviction
-// behind it, and the count stays at the bound.
+// behind it, and the count stays at the bound. Every evicted job is left
+// unlocked: nothing takes its lock again once it leaves the table, so a lock
+// the eviction scan kept would block only a client still holding the job
+// (an event stream, a cancel), and TryLock is what finds it.
 func TestJobRetention(t *testing.T) {
 	g := newGatedRunner() // holds only the s298 job
 	runner := func(ctx context.Context, req *Request, workers int, reg *obs.Registry) (*Result, error) {
@@ -740,13 +743,17 @@ func TestJobRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.waitStart(t)
+	head, _ := s.jobByID(live.ID)
 	var ids []string
+	var jobs []*job
 	for i := 0; i < 5; i++ {
 		st, err := c.SubmitWait(ctx, &Request{Circuit: "s27", NoCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, st.ID)
+		j, _ := s.jobByID(st.ID)
+		jobs = append(jobs, j)
 		if got, want := s.stats().Retained, min(i+2, 3); got != want {
 			t.Errorf("after %d submissions: retained = %d, want %d", i+2, got, want)
 		}
@@ -773,5 +780,12 @@ func TestJobRetention(t *testing.T) {
 	}
 	if got := s.stats().Retained; got != 3 {
 		t.Errorf("retained = %d, want 3", got)
+	}
+	for _, j := range []*job{jobs[0], jobs[1], jobs[2], head} {
+		if !j.mu.TryLock() {
+			t.Errorf("job %s evicted with its lock held", j.id)
+			continue
+		}
+		j.mu.Unlock()
 	}
 }

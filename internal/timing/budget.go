@@ -56,13 +56,14 @@ func AssignBudgets(a *Analysis, T float64) (*BudgetResult, error) {
 	}
 
 	cursor := newCritCursor(a)
+	var path []int // each path reuses the buffer of the one before
 	for remaining > 0 {
 		// Most critical path with at least one unassigned gate.
 		bestID := cursor.next(assigned)
 		if bestID < 0 {
 			break // unreachable: remaining > 0 implies an unassigned gate
 		}
-		path := a.pathThrough(bestID)
+		path = a.pathThrough(bestID, path)
 
 		// Split the path into assigned (sum of budgets T_A) and unassigned
 		// (fanout sum) gates.
@@ -180,12 +181,13 @@ func AssignBudgetsEnumerated(a *Analysis, T float64, maxPaths int) (*BudgetResul
 	}
 	// Gates beyond the enumeration horizon: fall back to the direct rule.
 	cursor := newCritCursor(a)
+	var path []int
 	for remaining > 0 {
 		bestID := cursor.next(assigned)
 		if bestID < 0 {
 			break
 		}
-		path := a.pathThrough(bestID)
+		path = a.pathThrough(bestID, path)
 		var tA float64
 		foSum := 0
 		for _, id := range path {

@@ -20,6 +20,7 @@ package timing
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cmosopt/internal/circuit"
@@ -118,12 +119,14 @@ func (a *Analysis) Through(id int) int {
 }
 
 // pathThrough reconstructs a most-critical path passing through the given
-// gate by walking maximum-Up fanins and maximum-Down fanouts.
-func (a *Analysis) pathThrough(id int) []int {
+// gate by walking maximum-Up fanins and maximum-Down fanouts. It writes the
+// path over buf and returns it, so a caller that hands each path back for
+// the next one allocates only when a path outgrows all the earlier ones.
+func (a *Analysis) pathThrough(id int, buf []int) []int {
 	cs := a.cs
-	var upSeg []int
+	path := buf[:0]
 	for cur := int32(id); ; {
-		upSeg = append(upSeg, int(cur))
+		path = append(path, int(cur))
 		next, best := int32(-1), 0
 		for _, f := range cs.Fanins(cur) {
 			if cs.IsLogic[f] && a.Up[f] > best {
@@ -135,11 +138,9 @@ func (a *Analysis) pathThrough(id int) []int {
 		}
 		cur = next
 	}
-	// upSeg is id..input-side; reverse into path order.
-	path := make([]int, 0, len(upSeg)+8)
-	for i := len(upSeg) - 1; i >= 0; i-- {
-		path = append(path, upSeg[i])
-	}
+	// The segment so far runs from id back to the input side; reverse it
+	// into path order.
+	slices.Reverse(path)
 	for cur := int32(id); ; {
 		next, best := int32(-1), 0
 		for _, f := range cs.Fanouts(cur) {

@@ -265,6 +265,27 @@ func TestAssignBudgetsInvariantRandom(t *testing.T) {
 	}
 }
 
+// Procedure 1 walks one path per budgeted group of gates, and every path
+// reuses one buffer: the allocations of a call are its result, its
+// assignment flags, its path cursor and the buffer's growth to the longest
+// path, none of which grows with the number of paths walked. A call on a
+// 2000-gate circuit walks hundreds of paths.
+func TestAssignBudgetsAllocations(t *testing.T) {
+	c, err := netgen.Generate(netgen.Config{Name: "alloc", Gates: 2000, Depth: 40, PIs: 40, POs: 30}, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := analysis(t, c)
+	const T = 10e-9
+	if _, err := AssignBudgets(a, T); err != nil { // sorts the cursor's gate order once
+		t.Fatal(err)
+	}
+	const maxAllocs = 12
+	if got := testing.AllocsPerRun(5, func() { _, _ = AssignBudgets(a, T) }); got > maxAllocs {
+		t.Errorf("AssignBudgets: %v allocations per call, want at most %d", got, maxAllocs)
+	}
+}
+
 func TestAssignBudgetsMatchesEnumerationOrder(t *testing.T) {
 	// The DP path selection must process paths in the same criticality order
 	// as the explicit K-best enumeration (ties aside): the first path's
