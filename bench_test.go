@@ -539,23 +539,3 @@ func BenchmarkLandscape(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkYield measures the Monte-Carlo die fan-out: per-sample RNG
-// substreams let dies land on any worker without changing the drawn bits.
-func BenchmarkYield(b *testing.B) {
-	p := problemFor(b, "s298", 0.5)
-	res, err := p.OptimizeJoint(core.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range workerSet() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.YieldStudy(res.Assignment, 0.1, 500, 42, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

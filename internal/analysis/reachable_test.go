@@ -49,8 +49,6 @@ var reachAllowlist = []reachEntry{
 	{"netgen.Sequentialize", "harness", "TestFullPipeline"},
 	{"eval.Engine.GateEnergy", "harness", "TestPerGateVddAffectsModels"},
 
-	{"core.Problem.YieldStudy", "deferred", "Prove or remove the parallel layer."},
-	{"core.substream", "deferred", "Prove or remove the parallel layer."},
 	{"spice.GateSim.CompareDelay", "deferred", "Transient sign-off at the points the optimizer returns."},
 	{"spice.GateSim.RiseEnergy", "deferred", "Transient sign-off at the points the optimizer returns."},
 	{"delay.Evaluator.CriticalPath", "deferred", "Explainable runs: service metrics and \"why this point\"."},

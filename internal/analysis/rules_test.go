@@ -14,14 +14,13 @@ import (
 )
 
 // The rules are the repository's invariants that no test run can show
-// broken, because they bite only on a slow, long or concurrent run. Each one
+// broken, because they bite only on a slow or long run. Each one
 // keeps its place while it flags a behaviour-changing mutant of real code
 // that go test ./... passes (DESIGN.md §10); that mutant is seeded in its
 // fixture tree, testdata/<rule>/src, which its own test loads.
 var rules = []rule{
 	{"determinism", checkDeterminism},
 	{"obswriteonly", checkObsWriteOnly},
-	{"locksafe", checkLockSafe},
 }
 
 // A rule checks one loaded package. Every rule skips _test.go files.

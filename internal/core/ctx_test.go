@@ -154,28 +154,6 @@ func TestSlackStudyCancel(t *testing.T) {
 	}
 }
 
-// TestYieldStudyCancel: a Monte-Carlo study on a canceled problem must
-// report the cancellation at every worker count, not price every die and
-// return a result.
-func TestYieldStudyCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	p, err := NewProblem(ctxSpec(t, "s27", ctx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.OptimizeJoint(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	for _, w := range []int{1, 2} {
-		if _, err := p.YieldStudy(res.Assignment, 0.1, 64, 7, w); !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: YieldStudy after cancel: err = %v, want context.Canceled", w, err)
-		}
-	}
-}
-
 // TestCancelThenFreshRunByteIdentical is the server-cache safety property:
 // a canceled run must leave nothing behind that could perturb a later run
 // of the same problem. A fresh elaboration after a mid-run cancel must

@@ -62,6 +62,43 @@ func TestLowRailShare(t *testing.T) {
 	}
 }
 
+// TestLowRailShareTwoRails checks the dual-rail path on a built assignment,
+// since on s298 the dual-V_dd optimizer collapses to one rail: the share
+// counts logic gates only, and a primary input's placeholder supply is no
+// rail.
+func TestLowRailShareTwoRails(t *testing.T) {
+	p := problemFor(t, smallCircuit(t), 0.5)
+	a := design.Uniform(p.C.N(), 1.2, 0.2, 2)
+	a.VddPer = make([]float64, p.C.N())
+	logic, low := 0, 0
+	for i := range p.C.Gates {
+		switch {
+		case !p.C.Gates[i].IsLogic():
+			a.VddPer[i] = 0.1
+		case logic%3 == 0:
+			a.VddPer[i] = 0.8
+			low++
+		default:
+			a.VddPer[i] = 1.2
+		}
+		if p.C.Gates[i].IsLogic() {
+			logic++
+		}
+	}
+	frac, lo, hi, ok := p.LowRailShare(&Result{Assignment: a})
+	if !ok || frac != float64(low)/float64(logic) || lo != 0.8 || hi != 1.2 {
+		t.Errorf("LowRailShare = %v, %v, %v, %v; want %v, 0.8, 1.2, true", frac, lo, hi, ok, float64(low)/float64(logic))
+	}
+	for i := range a.VddPer {
+		if p.C.Gates[i].IsLogic() {
+			a.VddPer[i] = 1.2
+		}
+	}
+	if _, _, _, ok := p.LowRailShare(&Result{Assignment: a}); ok {
+		t.Error("one logic rail reported as dual")
+	}
+}
+
 func TestCheckRailRuleDetectsViolations(t *testing.T) {
 	p := problemFor(t, smallCircuit(t), 0.5)
 	n := p.C.N()

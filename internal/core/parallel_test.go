@@ -44,28 +44,6 @@ func TestSampleLandscapeWorkerInvariance(t *testing.T) {
 	}
 }
 
-func TestYieldStudyWorkerInvariance(t *testing.T) {
-	p := problemFor(t, smallCircuit(t), 0.5)
-	res, err := p.OptimizeJoint(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ref *YieldResult
-	for _, w := range workerCounts() {
-		y, err := p.YieldStudy(res.Assignment, 0.1, 100, 42, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if ref == nil {
-			ref = y
-			continue
-		}
-		if *y != *ref {
-			t.Errorf("workers=%d: yield result %+v differs from serial %+v", w, y, ref)
-		}
-	}
-}
-
 func TestEDPStudyWorkerInvariance(t *testing.T) {
 	c := smallCircuit(t)
 	fcs := []float64{100e6, 200e6, 400e6}

@@ -15,6 +15,9 @@ package eval
 // pairs (a landscape cell, a multi-Vt grid point, a sweep point each), so a
 // shared cache would save almost no transcendental evaluations and would put
 // a lock on the path of every gate-delay call that misses the fast path.
+// TestWorkersNeverBlock (internal/serve) fails on any such lock: it runs the
+// production fan-outs on two workers and counts every wait a worker's own
+// code makes.
 
 // Clone returns a new engine over the same circuit, technology, activity,
 // wiring and clock, sharing every immutable structure with the receiver,
